@@ -21,9 +21,6 @@ class Clock:
         """Block until ``now() >= deadline`` or ``interrupt`` is set."""
         raise NotImplementedError
 
-    def sleep(self, seconds: float, interrupt: threading.Event | None = None) -> None:
-        self.wait_until(self.now() + max(seconds, 0.0), interrupt)
-
 
 class SystemClock(Clock):
     """Wall-clock time."""

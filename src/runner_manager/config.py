@@ -53,9 +53,6 @@ class RepoCoordinates:
             if "/" in value:
                 raise ConfigError(f"{name} must not contain '/': {value!r}")
 
-    def slug(self) -> str:
-        return f"{self.owner}/{self.repo}"
-
 
 @dataclass(frozen=True)
 class Policy:

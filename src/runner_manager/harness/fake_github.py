@@ -42,8 +42,6 @@ class FakeJob:
     duration: float
     status: str = "queued"  # queued | in_progress | completed
     claimed_by: int | None = None
-    claimed_at: float | None = None
-    completed_at: float | None = None
     claim_generation: int = 0
     ref: str | None = None
 
@@ -150,11 +148,10 @@ class FakeGitHub:
 
     def force_complete(self, ref: str) -> None:
         """Scripted completion (e.g. a cancelled workflow), runner or not."""
-        now = self.clock.now()
         with self._lock:
             for job in self.jobs.values():
                 if job.ref == ref and job.status != "completed":
-                    self._complete_locked(job, now)
+                    self._complete_locked(job)
 
     def set_fault(self, kind: str, value: float) -> None:
         with self._lock:
@@ -182,13 +179,11 @@ class FakeGitHub:
                     # Runner died mid-job: GitHub re-queues the work.
                     job.status = "queued"
                     job.claimed_by = None
-                    job.claimed_at = None
                     job.claim_generation += 1
                     self._emit("job_requeued", job)
 
     def claim_job(self, runner_id: int) -> FakeJob | None:
         """Oldest queued job whose requested labels fit this runner."""
-        now = self.clock.now()
         with self._lock:
             runner = self.runners.get(runner_id)
             if runner is None or runner.busy_job is not None:
@@ -203,24 +198,21 @@ class FakeGitHub:
             job = min(candidates, key=lambda j: (j.created_at, j.job_id))
             job.status = "in_progress"
             job.claimed_by = runner_id
-            job.claimed_at = now
             job.claim_generation += 1
             runner.busy_job = job.job_id
             self._emit("job_claimed", job)
             return job
 
     def complete_job(self, runner_id: int, job_id: int) -> bool:
-        now = self.clock.now()
         with self._lock:
             job = self.jobs.get(job_id)
             if job is None or job.status != "in_progress" or job.claimed_by != runner_id:
                 return False
-            self._complete_locked(job, now)
+            self._complete_locked(job)
             return True
 
-    def _complete_locked(self, job: FakeJob, now: float) -> None:
+    def _complete_locked(self, job: FakeJob) -> None:
         job.status = "completed"
-        job.completed_at = now
         if job.claimed_by is not None:
             runner = self.runners.get(job.claimed_by)
             if runner is not None and runner.busy_job == job.job_id:
@@ -240,15 +232,6 @@ class FakeGitHub:
         if any(j.status == "queued" for j in jobs):
             return "queued"
         return "completed"
-
-    def snapshot_outstanding(self, statuses: set[str], runner_labels: LabelSet) -> list[FakeJob]:
-        with self._lock:
-            eligible = [
-                job
-                for job in self.jobs.values()
-                if job.status in statuses and LabelSet(job.labels).issubset(runner_labels)
-            ]
-            return sorted(eligible, key=lambda j: (j.created_at, j.job_id))
 
     def mint_registration_token(self) -> tuple[str, float]:
         with self._lock:

@@ -32,7 +32,6 @@ MERGE_PATCH = "application/merge-patch+json"
 class FakePod:
     name: str
     phase: str  # Pending | Running
-    created_at: float
     started_at: float | None = None
     incarnation: int = 0
 
@@ -45,13 +44,6 @@ class ScaleWrite:
     body_shape_ok: bool
 
 
-@dataclass
-class AnnotationWrite:
-    at: float
-    patch: dict
-    touched_other_fields: bool
-
-
 class FakeKube:
     def __init__(
         self,
@@ -60,7 +52,6 @@ class FakeKube:
         clock: Clock | None = None,
         pod_startup_delay: float = 0.0,
         schedule: Callable[[float, Callable[[], None]], None] | None = None,
-        initial_replicas: int = 0,
         initial_annotations: dict[str, str] | None = None,
     ):
         self.namespace = namespace
@@ -70,7 +61,7 @@ class FakeKube:
         self._schedule = schedule
 
         self._lock = threading.RLock()
-        self.spec_replicas = initial_replicas
+        self.spec_replicas = 0
         self.annotations: dict[str, str] = dict(initial_annotations or {})
         self.resource_version = 1
         self.pods: list[FakePod] = []
@@ -81,7 +72,6 @@ class FakeKube:
         self.cross_namespace_requests: list[str] = []
         self.scenario_failed = False
         self.scale_write_log: list[ScaleWrite] = []
-        self.annotation_write_log: list[AnnotationWrite] = []
         self.request_paths: list[str] = []
         self.keep_request_paths = False
 
@@ -118,22 +108,6 @@ class FakeKube:
         with self._lock:
             self.fault_status = None
 
-    def set_status_lag(self, running: int) -> None:
-        """Force the realized pod count for spec/status divergence tests."""
-        with self._lock:
-            self.pods = []
-            for _ in range(running):
-                self._pod_seq += 1
-                now = self.clock.now()
-                self.pods.append(
-                    FakePod(
-                        name=f"{self.deployment}-{self._pod_seq}",
-                        phase="Running",
-                        created_at=now,
-                        started_at=now,
-                    )
-                )
-
     def apply_scale(self, replicas: int) -> None:
         """The Deployment-controller half: converge pods toward spec.replicas."""
         now = self.clock.now()
@@ -148,7 +122,6 @@ class FakeKube:
                 pod = FakePod(
                     name=f"{self.deployment}-{self._pod_seq}",
                     phase="Pending",
-                    created_at=now,
                     incarnation=self._incarnation,
                 )
                 self.pods.append(pod)
@@ -270,8 +243,8 @@ def _handle(kube: FakeKube, request: Request) -> Response:
     if request.method == "PATCH":
         content_type = (request.headers.get("content-type") or "").split(";")[0].strip()
         body = request.json()
-        now = kube.clock.now()
         if scale:
+            now = kube.clock.now()
             content_ok = content_type == MERGE_PATCH
             spec = body.get("spec")
             shape_ok = (
@@ -296,11 +269,8 @@ def _handle(kube: FakeKube, request: Request) -> Response:
         if deploy:
             extra_top = set(body.keys()) - {"metadata"}
             extra_meta = set((body.get("metadata") or {}).keys()) - {"annotations"}
-            touched_other = bool(extra_top or extra_meta)
             patch = ((body.get("metadata") or {}).get("annotations")) or {}
-            with kube._lock:
-                kube.annotation_write_log.append(AnnotationWrite(now, dict(patch), touched_other))
-            if touched_other or content_type != MERGE_PATCH:
+            if extra_top or extra_meta or content_type != MERGE_PATCH:
                 return Response.json(422, {"message": "only metadata.annotations may be patched"})
             with kube._lock:
                 for key, value in patch.items():

@@ -56,10 +56,6 @@ class Response:
     def json(cls, status: int, payload, headers: dict[str, str] | None = None) -> "Response":
         return cls(status, json.dumps(payload).encode(), "application/json", headers)
 
-    @classmethod
-    def text(cls, status: int, text: str) -> "Response":
-        return cls(status, text.encode(), "text/plain")
-
     def render(self) -> bytes:
         head = [f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'OK')}"]
         head.append(f"Content-Type: {self.content_type}")
@@ -113,17 +109,18 @@ class FakeHttpServer:
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
         with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
+            sockets = [self._sock, *self._conns]
+        # close() alone does not wake a thread blocked in accept() or recv()
+        # on Linux; shutdown() does.
+        for sock in sockets:
             try:
-                conn.close()
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            sock.close()
+        if self._accept_thread.is_alive():
+            self._accept_thread.join(timeout=5.0)
 
     # -- internals -----------------------------------------------------------
 

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlencode
 
-from .clock import Clock, SystemClock, from_rfc3339
 from .errors import (
     ConfigError,
     CredentialError,
@@ -30,7 +29,7 @@ POD_PHASES = ("Pending", "Running", "Succeeded", "Failed", "Unknown")
 class KubeCredentials:
     api_base: str
     bearer_token: str = field(repr=False, default="")
-    ca_bundle: str | None = "system"  # path to a CA file, "system", or None (plain http harness)
+    ca_bundle: str | None = None  # path to a CA file; None trusts the system store
     namespace: str = ""
 
     def __post_init__(self):
@@ -42,15 +41,12 @@ class KubeCredentials:
 class ScaleSnapshot:
     spec_replicas: int
     status_replicas: int
-    observed_at: float
-    resource_version: str
 
 
 @dataclass(frozen=True)
 class PodInfo:
     name: str
     phase: str
-    start_time: float | None = None
 
 
 def load_incluster_credentials(
@@ -68,7 +64,7 @@ def load_incluster_credentials(
     namespace = namespace_override or _read_mount(mount_root, "namespace")
 
     ca_path = os.path.join(mount_root, "ca.crt")
-    ca_bundle: str | None = ca_path if os.path.exists(ca_path) else "system"
+    ca_bundle = ca_path if os.path.exists(ca_path) else None
 
     if api_base_override:
         api_base = api_base_override
@@ -110,18 +106,11 @@ class KubeClient:
         deployment: str,
         max_replicas: int,
         transport: HttpTransport | None = None,
-        clock: Clock | None = None,
     ):
         self._creds = creds
         self._deployment = deployment
         self._max_replicas = max_replicas
-        ca = creds.ca_bundle if creds.ca_bundle not in (None, "system") else None
-        self._transport = transport or HttpTransport(ca_file=ca)
-        self._clock = clock or SystemClock()
-
-    @property
-    def namespace(self) -> str:
-        return self._creds.namespace
+        self._transport = transport or HttpTransport(ca_file=creds.ca_bundle)
 
     @property
     def deployment(self) -> str:
@@ -188,8 +177,6 @@ class KubeClient:
             return ScaleSnapshot(
                 spec_replicas=int((data.get("spec") or {}).get("replicas", 0)),
                 status_replicas=int((data.get("status") or {}).get("replicas", 0)),
-                observed_at=self._clock.now(),
-                resource_version=str((data.get("metadata") or {}).get("resourceVersion", "")),
             )
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"scale object malformed: {data!r}") from exc
@@ -225,12 +212,5 @@ class KubeClient:
             phase = str(status.get("phase", "Unknown"))
             if phase not in POD_PHASES:
                 phase = "Unknown"
-            start_time = None
-            raw_start = status.get("startTime")
-            if raw_start:
-                try:
-                    start_time = from_rfc3339(str(raw_start))
-                except ValueError:
-                    start_time = None
-            pods.append(PodInfo(name=str(meta.get("name", "")), phase=phase, start_time=start_time))
+            pods.append(PodInfo(name=str(meta.get("name", "")), phase=phase))
         return pods

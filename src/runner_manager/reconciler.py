@@ -58,7 +58,6 @@ class Observation:
     outstanding_jobs: list[JobRecord]
     scale: ScaleSnapshot | None
     pods: list[PodInfo]
-    polled_at: float
     github_poll_ok: bool
 
     @property
@@ -75,7 +74,7 @@ class ManagerState:
 
 @dataclass
 class ReconcileRecord:
-    """One structured log line / trace entry per loop iteration."""
+    """One loop iteration's facts: the log line, the trace entry and /status."""
 
     tick: float
     decided_at: float
@@ -85,6 +84,9 @@ class ReconcileRecord:
     desired: int
     reason: Reason
     wrote_scale: bool
+    consecutive_github_errors: int
+    consecutive_kube_errors: int
+    keepalive_next_due: float | None
 
     def as_log_dict(self) -> dict:
         return {
@@ -95,6 +97,18 @@ class ReconcileRecord:
             "desired": self.desired,
             "reason": self.reason.value,
             "wrote_scale": self.wrote_scale,
+        }
+
+    def as_status_dict(self) -> dict:
+        return {
+            "last_poll_time": to_rfc3339(self.tick),
+            "last_decision": {"target_replicas": self.desired, "reason": self.reason.value},
+            "observed_replicas": self.observed_replicas,
+            "consecutive_github_errors": self.consecutive_github_errors,
+            "consecutive_kube_errors": self.consecutive_kube_errors,
+            "keepalive_next_due": to_rfc3339(self.keepalive_next_due)
+            if self.keepalive_next_due is not None
+            else None,
         }
 
 
@@ -115,6 +129,14 @@ def keepalive_due(
     if last_active is None:
         return True
     return now - last_active >= force_interval - lead_time
+
+
+def keepalive_due_at(last_active: float | None, force_interval: float, lead_time: float) -> float | None:
+    """The instant :func:`keepalive_due` turns true; None while ``last_active``
+    is unknown, because then it is due already."""
+    if last_active is None:
+        return None
+    return last_active + force_interval - lead_time
 
 
 def compute_desired(
@@ -201,7 +223,6 @@ class ReconcileLoop:
         policy: Policy,
         clock: Clock,
         repo,
-        pod_selector: str | None = None,
         stop: threading.Event | None = None,
     ):
         self.github = github
@@ -209,7 +230,6 @@ class ReconcileLoop:
         self.policy = policy
         self.clock = clock
         self.repo = repo
-        self.pod_selector = pod_selector or f"app={kube.deployment}"
         self.stop = stop or threading.Event()
 
         self.state = ManagerState()
@@ -218,8 +238,8 @@ class ReconcileLoop:
         self.consecutive_kube_errors = 0
         self._github_credential_streak = 0
         self._kube_credential_streak = 0
+        self._kube_credential_failed = False  # this poll saw a Kubernetes 401/403
         self._durable = _Durable()
-        self.last_record: ReconcileRecord | None = None
 
     # -- durable state ----------------------------------------------------
 
@@ -266,6 +286,7 @@ class ReconcileLoop:
         if self.stop.is_set():
             return None
 
+        self._kube_credential_failed = False
         scale, pods = self._observe_kube()
         now = self.clock.now()
 
@@ -273,7 +294,6 @@ class ReconcileLoop:
             outstanding_jobs=jobs if jobs is not None else [],
             scale=scale,
             pods=pods,
-            polled_at=tick,
             github_poll_ok=jobs is not None,
         )
         decision = compute_desired(observation, self.state, self.policy, now)
@@ -304,7 +324,10 @@ class ReconcileLoop:
             except ApiError as exc:
                 self._note_kube_failure(exc, credential=isinstance(exc, CredentialError))
 
-        record = ReconcileRecord(
+        if not self._kube_credential_failed:
+            self._kube_credential_streak = 0
+
+        return ReconcileRecord(
             tick=tick,
             decided_at=now,
             queued=_count(jobs, "queued"),
@@ -313,9 +336,12 @@ class ReconcileLoop:
             desired=decision.target_replicas,
             reason=decision.reason,
             wrote_scale=wrote,
+            consecutive_github_errors=self.consecutive_github_errors,
+            consecutive_kube_errors=self.consecutive_kube_errors,
+            keepalive_next_due=keepalive_due_at(
+                self.state.last_active, self.policy.force_interval, self.policy.min_dwell
+            ),
         )
-        self.last_record = record
-        return record
 
     def _poll_github(self, window_end: float) -> list[JobRecord] | None:
         try:
@@ -349,7 +375,7 @@ class ReconcileLoop:
             if not self._durable.loaded:
                 self._load_durable_state()
             scale = self.kube.read_scale()
-            pods = self.kube.list_runner_pods(self.pod_selector)
+            pods = self.kube.list_runner_pods(f"app={self.kube.deployment}")
         except MissingDeploymentError:
             raise
         except CredentialError as exc:
@@ -358,14 +384,19 @@ class ReconcileLoop:
         except ApiError as exc:
             self._note_kube_failure(exc)
             return None, []
-        self._kube_credential_streak = 0
         self.consecutive_kube_errors = 0
         return scale, pods
 
     def _note_kube_failure(self, exc: ApiError, credential: bool = False) -> None:
+        """Count a failed call. As for GitHub, the credential streak counts
+        polls: the first 401/403 of a poll adds one, and ``reconcile_once``
+        resets it after a poll with none, so a readable but unwritable
+        Deployment still reaches the exit threshold."""
         self.consecutive_kube_errors += 1
         if credential:
-            self._kube_credential_streak += 1
+            if not self._kube_credential_failed:
+                self._kube_credential_failed = True
+                self._kube_credential_streak += 1
             if self._kube_credential_streak >= CREDENTIAL_EXIT_THRESHOLD:
                 raise exc
             logger.warning("kubernetes credential failure (%d): %s", self._kube_credential_streak, exc)

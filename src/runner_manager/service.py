@@ -22,7 +22,7 @@ from .errors import ApiError, ConfigError, CredentialError, MissingDeploymentErr
 from .github import GitHubClient
 from .kube import KubeClient, KubeCredentials, load_incluster_credentials
 from .reconciler import ReconcileLoop, ReconcileRecord
-from .status import StatusReport, StatusServer
+from .status import StatusServer
 
 logger = logging.getLogger(__name__)
 reconcile_logger = logging.getLogger("runner_manager.reconcile")
@@ -34,7 +34,7 @@ EXIT_CREDENTIALS = 2
 Observer = Callable[[ReconcileRecord], None]
 
 
-def build_kube_client(config: Config, clock: Clock, environment: dict[str, str]) -> KubeClient:
+def build_kube_client(config: Config, environment: dict[str, str]) -> KubeClient:
     if config.kube_api_base == IN_CLUSTER:
         creds = load_incluster_credentials(
             config.kube_sa_dir, environment, namespace_override=config.kube_namespace
@@ -50,10 +50,9 @@ def build_kube_client(config: Config, clock: Clock, environment: dict[str, str])
         creds = KubeCredentials(
             api_base=config.kube_api_base,
             bearer_token=environment.get("KUBE_TOKEN", ""),
-            ca_bundle=None if config.kube_api_base.startswith("http://") else "system",
             namespace=config.kube_namespace or "",
         )
-    return KubeClient(creds, config.kube_deployment, config.policy.max_runners, clock=clock)
+    return KubeClient(creds, config.kube_deployment, config.policy.max_runners)
 
 
 def run_service(
@@ -81,7 +80,7 @@ def run_service(
         own_clients.append(github)
     if kube is None:
         try:
-            kube = build_kube_client(config, clock, environment)
+            kube = build_kube_client(config, environment)
         except ConfigError as exc:
             logger.error("cannot build kubernetes client: %s", exc)
             return EXIT_CONFIG
@@ -102,7 +101,6 @@ def run_service(
     if config.status_addr:
         status_server = StatusServer(config.status_addr, alive)
         status_server.start()
-        status_server.publish(StatusReport())
 
     exit_code = EXIT_OK
     start = clock.now()
@@ -130,14 +128,7 @@ def run_service(
                 if observer is not None:
                     observer(record)
                 if status_server is not None:
-                    status_server.publish(
-                        StatusReport.from_record(
-                            record,
-                            loop.consecutive_github_errors,
-                            loop.consecutive_kube_errors,
-                            _next_keepalive_due(loop, config),
-                        )
-                    )
+                    status_server.publish(record)
 
             iteration += 1
             next_tick = start + iteration * config.policy.poll_interval
@@ -156,12 +147,6 @@ def run_service(
             client.close()
 
     return exit_code
-
-
-def _next_keepalive_due(loop: ReconcileLoop, config: Config) -> float | None:
-    if loop.state.last_active is None:
-        return None
-    return loop.state.last_active + config.policy.force_interval - config.policy.min_dwell
 
 
 def configure_logging() -> None:

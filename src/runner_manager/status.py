@@ -1,9 +1,9 @@
 """Read-only HTTP status endpoint.
 
 GET /healthz answers 200 while the reconcile loop is live; GET /status
-returns the latest StatusReport as one JSON object. The report never
+returns the latest ReconcileRecord as one JSON object. The report never
 contains credential material -- it is built from an atomically swapped
-snapshot, not from the live config.
+record, not from the live config.
 """
 
 from __future__ import annotations
@@ -11,63 +11,22 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .clock import to_rfc3339
-from .reconciler import Decision, ReconcileRecord
+from .reconciler import ReconcileRecord
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class StatusReport:
-    last_poll_time: float | None = None
-    last_decision: Decision | None = None
-    observed_replicas: int | None = None
-    consecutive_github_errors: int = 0
-    consecutive_kube_errors: int = 0
-    keepalive_next_due: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "last_poll_time": to_rfc3339(self.last_poll_time) if self.last_poll_time is not None else None,
-            "last_decision": {
-                "target_replicas": self.last_decision.target_replicas,
-                "reason": self.last_decision.reason.value,
-            }
-            if self.last_decision
-            else None,
-            "observed_replicas": self.observed_replicas,
-            "consecutive_github_errors": self.consecutive_github_errors,
-            "consecutive_kube_errors": self.consecutive_kube_errors,
-            "keepalive_next_due": to_rfc3339(self.keepalive_next_due)
-            if self.keepalive_next_due is not None
-            else None,
-        }
-
-    @classmethod
-    def from_record(
-        cls,
-        record: ReconcileRecord | None,
-        github_errors: int,
-        kube_errors: int,
-        keepalive_next_due: float | None,
-    ) -> "StatusReport":
-        if record is None:
-            return cls(
-                consecutive_github_errors=github_errors,
-                consecutive_kube_errors=kube_errors,
-                keepalive_next_due=keepalive_next_due,
-            )
-        return cls(
-            last_poll_time=record.tick,
-            last_decision=Decision(record.desired, record.reason),
-            observed_replicas=record.observed_replicas,
-            consecutive_github_errors=github_errors,
-            consecutive_kube_errors=kube_errors,
-            keepalive_next_due=keepalive_next_due,
-        )
+# The /status body before the first poll finishes.
+BEFORE_FIRST_POLL = {
+    "last_poll_time": None,
+    "last_decision": None,
+    "observed_replicas": None,
+    "consecutive_github_errors": 0,
+    "consecutive_kube_errors": 0,
+    "keepalive_next_due": None,
+}
 
 
 def parse_listen_address(addr: str) -> tuple[str, int]:
@@ -77,12 +36,12 @@ def parse_listen_address(addr: str) -> tuple[str, int]:
 
 
 class StatusServer:
-    """Background HTTP server publishing the swapped snapshot."""
+    """Background HTTP server publishing the swapped record."""
 
     def __init__(self, addr: str, alive: threading.Event):
         host, port = parse_listen_address(addr)
         self._alive = alive
-        self._snapshot: StatusReport = StatusReport()
+        self._record: ReconcileRecord | None = None
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -93,7 +52,8 @@ class StatusServer:
                     body = b"ok" if server._alive.is_set() else b"stopped"
                     self._reply(200 if server._alive.is_set() else 503, body, "text/plain")
                 elif self.path == "/status":
-                    body = json.dumps(server._snapshot.as_dict()).encode()
+                    record = server._record
+                    body = json.dumps(record.as_status_dict() if record else BEFORE_FIRST_POLL).encode()
                     self._reply(200, body, "application/json")
                 else:
                     self._reply(404, b"not found", "text/plain")
@@ -119,8 +79,8 @@ class StatusServer:
     def start(self) -> None:
         self._thread.start()
 
-    def publish(self, snapshot: StatusReport) -> None:
-        self._snapshot = snapshot  # attribute swap is atomic; readers never block the loop
+    def publish(self, record: ReconcileRecord | None) -> None:
+        self._record = record  # attribute swap is atomic; readers never block the loop
 
     def close(self) -> None:
         self._httpd.shutdown()

@@ -14,6 +14,8 @@ from urllib.parse import urlsplit
 
 from .errors import TransientError
 
+TIMEOUT_S = 30.0
+
 
 class HttpResponse:
     __slots__ = ("status", "headers", "body")
@@ -30,31 +32,20 @@ class HttpResponse:
 class HttpTransport:
     """Synchronous requests with per-origin connection reuse."""
 
-    def __init__(self, ca_file: str | None = None, timeout: float = 30.0, verify: bool = True):
+    def __init__(self, ca_file: str | None = None):
         self._ca_file = ca_file
-        self._timeout = timeout
-        self._verify = verify
         self._lock = threading.Lock()
         self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
-
-    def _ssl_context(self) -> ssl.SSLContext:
-        if not self._verify:
-            context = ssl.create_default_context()
-            context.check_hostname = False
-            context.verify_mode = ssl.CERT_NONE
-            return context
-        if self._ca_file:
-            return ssl.create_default_context(cafile=self._ca_file)
-        return ssl.create_default_context()
 
     def _connection(self, scheme: str, host: str, port: int) -> http.client.HTTPConnection:
         key = (scheme, host, port)
         conn = self._connections.get(key)
         if conn is None:
             if scheme == "https":
-                conn = http.client.HTTPSConnection(host, port, timeout=self._timeout, context=self._ssl_context())
+                context = ssl.create_default_context(cafile=self._ca_file)
+                conn = http.client.HTTPSConnection(host, port, timeout=TIMEOUT_S, context=context)
             else:
-                conn = http.client.HTTPConnection(host, port, timeout=self._timeout)
+                conn = http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
             self._connections[key] = conn
         return conn
 

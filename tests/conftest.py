@@ -68,14 +68,14 @@ def fake_kube(clock):
 
 
 @pytest.fixture
-def kube_client(fake_kube, clock):
+def kube_client(fake_kube):
     creds = KubeCredentials(
         api_base=fake_kube.base_url,
         bearer_token="sa-token",
         ca_bundle=None,
         namespace="ci",
     )
-    return KubeClient(creds, "gha-runner", max_replicas=1, clock=clock)
+    return KubeClient(creds, "gha-runner", max_replicas=1)
 
 
 @pytest.fixture

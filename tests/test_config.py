@@ -124,7 +124,6 @@ def test_owner_repo_shape():
         RepoCoordinates("bad/owner", "repo")
     with pytest.raises(ConfigError):
         RepoCoordinates("owner", "")
-    assert RepoCoordinates("biocore", "unifrac").slug() == "biocore/unifrac"
 
 
 def test_namespace_required_with_explicit_kube_api():

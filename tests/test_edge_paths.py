@@ -11,6 +11,7 @@ from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
+from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
 
 from conftest import SteppingClock
 
@@ -50,12 +51,12 @@ def test_rate_limit_without_retry_after_falls_back_to_schedule():
     assert calls == [0.0, 1.0, 3.0, 7.0]  # exponential schedule applies
 
 
-def test_kube_409_conflict_is_transient(clock):
+def test_kube_409_conflict_is_transient():
     server = FakeHttpServer(lambda request: Response.json(409, {"message": "conflict"}))
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        client = KubeClient(creds, "gha-runner", max_replicas=1, clock=clock)
+        client = KubeClient(creds, "gha-runner", max_replicas=1)
         with pytest.raises(TransientError):
             client.write_scale(1)
     finally:
@@ -117,3 +118,14 @@ def test_outstanding_statuses_knob_limits_what_pins_the_runner(clock, fake_githu
     default = Policy().outstanding_statuses
     jobs = gh_client.list_outstanding_jobs(REPO, default, LabelSet(MATCHING))
     assert len(jobs) == 1 and jobs[0].status == "in_progress"
+
+
+def test_unparseable_last_active_annotation_counts_as_unknown(caplog, clock, fake_kube, gh_client, kube_client):
+    fake_kube.annotations[ANNOTATION_LAST_ACTIVE] = "last tuesday"
+    loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, REPO)
+    with caplog.at_level("WARNING", logger="runner_manager.reconciler"):
+        record = loop.reconcile_once(0.0)
+    assert "ignoring unparseable annotation timestamp 'last tuesday'" in caplog.text
+    assert loop.state.last_active is None
+    assert (record.desired, record.reason, record.wrote_scale) == (1, Reason.KEEPALIVE, True)
+    assert record.keepalive_next_due is None

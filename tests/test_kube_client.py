@@ -47,11 +47,11 @@ def test_read_scale_sees_seeded_replicas(fake_kube, kube_client):
     assert snapshot.spec_replicas == 1
 
 
-def test_missing_deployment_is_fatal_classification(fake_kube, clock):
+def test_missing_deployment_is_fatal_classification(fake_kube):
     creds = KubeCredentials(
         api_base=fake_kube.base_url, bearer_token="t", ca_bundle=None, namespace="ci"
     )
-    client = KubeClient(creds, "other-deployment", max_replicas=1, clock=clock)
+    client = KubeClient(creds, "other-deployment", max_replicas=1)
     with pytest.raises(MissingDeploymentError):
         client.read_scale()
 
@@ -99,7 +99,7 @@ def test_annotation_last_write_wins_and_null_deletes(fake_kube, kube_client):
 
 
 def test_pod_listing_matches_selector(fake_kube, kube_client):
-    fake_kube.set_status_lag(1)
+    fake_kube.apply_scale(1)
     pods = kube_client.list_runner_pods("app=gha-runner")
     assert len(pods) == 1
     assert pods[0].phase == "Running"

@@ -32,12 +32,11 @@ def _job(job_id=1, status="queued", created=0.0):
     )
 
 
-def _obs(jobs=(), spec=0, status=0, pods=(), ok=True, at=0.0):
+def _obs(jobs=(), spec=0, status=0, pods=(), ok=True):
     return Observation(
         outstanding_jobs=list(jobs),
-        scale=ScaleSnapshot(spec, status, at, "1") if ok else None,
+        scale=ScaleSnapshot(spec, status) if ok else None,
         pods=list(pods),
-        polled_at=at,
         github_poll_ok=jobs is not None,
     )
 
@@ -79,7 +78,7 @@ def test_demand_capped_at_max_runners():
 
 def test_keepalive_when_stale():
     now = 10 * DAY
-    obs = _obs(at=now)
+    obs = _obs()
     state = ManagerState(last_active=now - 4 * DAY)
     policy = Policy(force_interval=3.5 * DAY)
     assert compute_desired(obs, state, policy, now) == Decision(1, Reason.KEEPALIVE)
@@ -87,34 +86,34 @@ def test_keepalive_when_stale():
 
 def test_in_progress_job_pins_runner():
     now = 100.0
-    obs = _obs(jobs=[_job(status="in_progress")], spec=1, status=1, at=now)
+    obs = _obs(jobs=[_job(status="in_progress")], spec=1, status=1)
     state = ManagerState(last_active=now - 60)
     assert compute_desired(obs, state, POLICY, now) == Decision(1, Reason.DEMAND)
 
 
 def test_idle_when_fresh_and_no_work():
     now = 1000.0
-    obs = _obs(at=now)
+    obs = _obs()
     state = ManagerState(last_active=now - 60)
     assert compute_desired(obs, state, POLICY, now) == Decision(0, Reason.IDLE)
 
 
 def test_hold_on_github_failure_keeps_last_written():
-    obs = Observation([], ScaleSnapshot(1, 1, 0.0, "9"), [], 0.0, github_poll_ok=False)
+    obs = Observation([], ScaleSnapshot(1, 1), [], github_poll_ok=False)
     state = ManagerState(last_written_replicas=1)
     assert compute_desired(obs, state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
 
 
 def test_hold_falls_back_to_observed_then_zero():
-    obs = Observation([], ScaleSnapshot(1, 1, 0.0, "9"), [], 0.0, github_poll_ok=False)
+    obs = Observation([], ScaleSnapshot(1, 1), [], github_poll_ok=False)
     assert compute_desired(obs, ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
-    blind = Observation([], None, [], 0.0, github_poll_ok=False)
+    blind = Observation([], None, [], github_poll_ok=False)
     assert compute_desired(blind, ManagerState(), POLICY, 0.0) == Decision(0, Reason.HOLD)
 
 
 def test_dwell_keeps_keepalive_runner_up():
     now = 1000.0
-    obs = _obs(spec=1, status=1, at=now)
+    obs = _obs(spec=1, status=1)
     state = ManagerState(last_active=now - 10, keepalive_started_at=now - 300)
     assert compute_desired(obs, state, POLICY, now) == Decision(1, Reason.KEEPALIVE)
     done = ManagerState(last_active=now - 10, keepalive_started_at=now - POLICY.min_dwell)
@@ -123,7 +122,7 @@ def test_dwell_keeps_keepalive_runner_up():
 
 def test_demand_wins_over_keepalive():
     now = 10 * DAY
-    obs = _obs(jobs=[_job()], at=now)
+    obs = _obs(jobs=[_job()])
     state = ManagerState(last_active=None, keepalive_started_at=now - 60)
     assert compute_desired(obs, state, POLICY, now).reason is Reason.DEMAND
 
@@ -139,9 +138,8 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
     now = 20 * DAY
     obs = Observation(
         outstanding_jobs=[_job(i + 1) for i in range(jobs)] if poll_ok else [],
-        scale=ScaleSnapshot(min(1, max_runners), 0, now, "1"),
+        scale=ScaleSnapshot(min(1, max_runners), 0),
         pods=[],
-        polled_at=now,
         github_poll_ok=poll_ok,
     )
     state = ManagerState(last_active=None if last_active_age is None else now - last_active_age)
@@ -154,14 +152,14 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
 
 def test_running_pod_refreshes_last_active():
     now = 500.0
-    obs = _obs(spec=1, status=1, pods=[PodInfo("p1", "Running", now - 20)], at=now)
+    obs = _obs(spec=1, status=1, pods=[PodInfo("p1", "Running")])
     state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
     assert state.last_active == now
 
 
 def test_keepalive_decision_starts_dwell_once():
     now = 500.0
-    obs = _obs(at=now)
+    obs = _obs()
     state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), obs, now)
     assert state.keepalive_started_at == now
     later = update_state(state, Decision(1, Reason.KEEPALIVE), obs, now + 60)
@@ -170,14 +168,14 @@ def test_keepalive_decision_starts_dwell_once():
 
 def test_idle_without_running_pod_leaves_last_active():
     now = 500.0
-    obs = _obs(at=now)
+    obs = _obs()
     before = ManagerState(last_active=100.0)
     after = update_state(before, Decision(0, Reason.IDLE), obs, now)
     assert after.last_active == 100.0
 
 
 def test_last_active_never_moves_backward():
-    obs = _obs(spec=1, status=1, pods=[PodInfo("p1", "Running")], at=50.0)
+    obs = _obs(spec=1, status=1, pods=[PodInfo("p1", "Running")])
     state = ManagerState(last_active=100.0)
     after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0)
     assert after.last_active == 100.0
@@ -185,14 +183,14 @@ def test_last_active_never_moves_backward():
 
 def test_pending_pod_does_not_refresh():
     now = 500.0
-    obs = _obs(spec=1, status=0, pods=[PodInfo("p1", "Pending")], at=now)
+    obs = _obs(spec=1, status=0, pods=[PodInfo("p1", "Pending")])
     after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
     assert after.last_active is None
 
 
 def test_demand_and_idle_clear_dwell_hold_preserves_it():
     now = 500.0
-    obs = _obs(at=now)
+    obs = _obs()
     state = ManagerState(keepalive_started_at=400.0)
     assert update_state(state, Decision(1, Reason.DEMAND), obs, now).keepalive_started_at is None
     assert update_state(state, Decision(0, Reason.IDLE), obs, now).keepalive_started_at is None
@@ -201,7 +199,7 @@ def test_demand_and_idle_clear_dwell_hold_preserves_it():
 
 def test_last_written_tracks_successful_writes_only():
     now = 500.0
-    obs = _obs(at=now)
+    obs = _obs()
     wrote = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now, wrote_scale=True)
     assert wrote.last_written_replicas == 1
     skipped = update_state(wrote, Decision(0, Reason.IDLE), obs, now, wrote_scale=False)

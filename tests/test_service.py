@@ -10,6 +10,7 @@ from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
+from runner_manager.errors import CredentialError
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.github import GitHubClient
 from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, run_service
@@ -98,6 +99,78 @@ def test_persistent_401_exits_nonzero():
     assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
 
 
+def test_persistent_kube_401_exits_nonzero_without_writing():
+    script = ScenarioScript(
+        horizon=600,
+        events=[
+            ScenarioEvent(at=0, kind="kube_fault", payload={"status": 401}),
+            ScenarioEvent(at=5, kind="enqueue_job", payload={"labels": LABELS, "duration": 300}),
+        ],
+        initial_last_active=0,
+    )
+    result = run_scenario(script)
+    assert result.scenario_failed  # manager gave up mid-scenario
+    assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
+    assert len(result.decisions) == 2  # the third refused poll exits before its record
+    assert result.writes == []
+
+
+class _UnwritableKubeClient(KubeClient):
+    """May read the Deployment but is refused every /scale patch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.write_attempts = 0
+
+    def write_scale(self, replicas):
+        self.write_attempts += 1
+        raise CredentialError("PATCH /scale -> 403", 403)
+
+
+def test_refused_scale_writes_reach_the_credential_exit(clock):
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube_client = _UnwritableKubeClient(
+        KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
+        "gha-runner",
+        max_replicas=1,
+    )
+    github_client = GitHubClient(github.base_url, "t", clock=clock)
+    try:
+        config = Config(
+            repo=RepoCoordinates("biocore", "unifrac"),
+            policy=Policy(),
+            kube_deployment="gha-runner",
+            github_api_base=github.base_url,
+            github_token="t",
+            kube_namespace="ci",
+            kube_api_base=kube.base_url,
+            kube_sa_dir="/nonexistent",
+        )
+        records = []
+        # No last-active annotation: keepalive is due, so every poll tries to scale to 1.
+        code = run_service(
+            config, clock=clock, observer=records.append, github=github_client, kube=kube_client, environment={}
+        )
+        assert code == EXIT_CREDENTIALS
+        assert kube_client.write_attempts == 3
+        assert [r.consecutive_kube_errors for r in records] == [1, 1]
+    finally:
+        github_client.close()
+        kube_client.close()
+        github.close()
+        kube.close()
+
+
+def test_scenario_leaves_no_threads_behind():
+    before = threading.active_count()
+    run_scenario(ScenarioScript(horizon=240, events=[], initial_last_active=0))
+    deadline = time.time() + 5
+    while threading.active_count() > before and time.time() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before
+
+
 def test_missing_deployment_exits_config_error(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
@@ -116,7 +189,6 @@ def test_missing_deployment_exits_config_error(clock):
             KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
             "not-the-runner",
             max_replicas=1,
-            clock=clock,
         )
         github_client = GitHubClient(github.base_url, "t", clock=clock)
         code = run_service(config, clock=clock, github=github_client, kube=kube_client, environment={})
@@ -149,7 +221,6 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
             KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
             "gha-runner",
             max_replicas=1,
-            clock=clock,
         )
         records = []
         runner = threading.Thread(

@@ -8,7 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runner_manager.reconciler import Reason, ReconcileRecord
-from runner_manager.status import StatusReport, StatusServer, parse_listen_address
+from runner_manager.status import StatusServer, parse_listen_address
+
+
+def _record(**overrides) -> ReconcileRecord:
+    fields = dict(
+        tick=1704067200.0,
+        decided_at=1704067200.0,
+        queued=0,
+        in_progress=0,
+        observed_replicas=0,
+        desired=0,
+        reason=Reason.IDLE,
+        wrote_scale=False,
+        consecutive_github_errors=0,
+        consecutive_kube_errors=0,
+        keepalive_next_due=None,
+    )
+    fields.update(overrides)
+    return ReconcileRecord(**fields)
 
 
 @pytest.fixture
@@ -48,17 +66,7 @@ def test_fresh_status_has_null_last_poll(status_server):
 
 def test_status_after_one_poll(status_server):
     server, _ = status_server
-    record = ReconcileRecord(
-        tick=1704067200.0,
-        decided_at=1704067200.0,
-        queued=0,
-        in_progress=0,
-        observed_replicas=0,
-        desired=0,
-        reason=Reason.IDLE,
-        wrote_scale=False,
-    )
-    server.publish(StatusReport.from_record(record, github_errors=0, kube_errors=0, keepalive_next_due=None))
+    server.publish(_record())
     _, body = _get(server, "/status")
     report = json.loads(body)
     assert report["consecutive_github_errors"] == 0
@@ -78,19 +86,52 @@ tokens = st.text(
 def test_token_never_appears_in_serialized_status(token, queued, errors):
     # The report is built from loop state only; whatever the credential is,
     # its value must never surface in the serialized body.
-    record = ReconcileRecord(
+    record = _record(
         tick=0.0,
         decided_at=0.0,
         queued=queued,
-        in_progress=0,
         observed_replicas=1,
         desired=1,
         reason=Reason.DEMAND,
         wrote_scale=True,
+        consecutive_github_errors=errors,
+        consecutive_kube_errors=errors,
+        keepalive_next_due=42.0,
     )
-    report = StatusReport.from_record(record, errors, errors, keepalive_next_due=42.0)
-    body = json.dumps(report.as_dict())
+    body = json.dumps(record.as_status_dict())
     assert token not in body
+
+
+def test_status_keys_before_and_after_first_poll(status_server):
+    server, _ = status_server
+    _, before = _get(server, "/status")
+    assert json.loads(before) == {
+        "last_poll_time": None,
+        "last_decision": None,
+        "observed_replicas": None,
+        "consecutive_github_errors": 0,
+        "consecutive_kube_errors": 0,
+        "keepalive_next_due": None,
+    }
+    server.publish(
+        _record(
+            observed_replicas=1,
+            desired=1,
+            reason=Reason.KEEPALIVE,
+            consecutive_github_errors=2,
+            consecutive_kube_errors=1,
+            keepalive_next_due=1704067200.5,
+        )
+    )
+    _, after = _get(server, "/status")
+    assert json.loads(after) == {
+        "last_poll_time": "2024-01-01T00:00:00Z",
+        "last_decision": {"target_replicas": 1, "reason": "keepalive"},
+        "observed_replicas": 1,
+        "consecutive_github_errors": 2,
+        "consecutive_kube_errors": 1,
+        "keepalive_next_due": "2024-01-01T00:00:00.500000Z",
+    }
 
 
 def test_unknown_path_is_404(status_server):
@@ -145,7 +186,6 @@ def test_running_service_serves_status_without_leaking_token():
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "gha-runner",
         max_replicas=1,
-        clock=clock,
     )
     thread = threading.Thread(
         target=lambda: run_service(
