@@ -4,6 +4,11 @@ Enumerates outstanding workflow jobs for one repository, filters them by
 runner-label eligibility and mints runner registration tokens. Requests are
 single-shot here; retry pacing lives in :func:`execute_with_backoff` so the
 control loop decides how much of its poll window to spend retrying.
+
+Every listing is a conditional request: a page answered with an ``ETag``
+is asked for again with ``If-None-Match``, and a ``304 Not Modified``, which
+GitHub does not charge against the primary rate limit, reuses the parsed
+page. The cache holds exactly the pages the last completed poll read.
 """
 
 from __future__ import annotations
@@ -131,6 +136,11 @@ class GitHubClient:
         self._token = token
         self._transport = transport or HttpTransport()
         self._clock = clock or SystemClock()
+        # path -> (ETag, parsed body) for every page the last completed poll
+        # read; only list_outstanding_jobs fills it, so a POST is never cached.
+        self._pages: dict[str, tuple[str, Any]] = {}
+        self._poll_pages: dict[str, tuple[str, Any]] | None = None  # filled during a poll
+        self.rate_limit_remaining: int | None = None  # last x-ratelimit-remaining seen
 
     @property
     def api_base(self) -> str:
@@ -153,19 +163,38 @@ class GitHubClient:
         if body is not None:
             payload = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
+        cached = self._pages.get(path)
+        if cached is not None:
+            headers["If-None-Match"] = cached[0]
         response = self._transport.request(method, f"{self._api_base}{path}", headers, payload)
-        self._raise_for_status(method, path, response)
-        try:
-            return json.loads(response.body)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"{method} {path}: body is not valid JSON") from exc
+        remaining = response.header("x-ratelimit-remaining")
+        if remaining is not None and remaining.isdigit():
+            self.rate_limit_remaining = int(remaining)
+        if response.status == 304:
+            if cached is None:
+                raise ProtocolError(f"{method} {path}: 304 for a request that was not conditional")
+            entry = cached
+        else:
+            self._raise_for_status(method, path, response)
+            try:
+                data = json.loads(response.body)
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise ProtocolError(f"{method} {path}: body is not valid JSON") from exc
+            etag = response.header("etag")
+            if etag is None:
+                return data
+            entry = (etag, data)
+        if self._poll_pages is not None:
+            self._poll_pages[path] = entry
+        return entry[1]
 
     def _raise_for_status(self, method: str, path: str, response: HttpResponse) -> None:
         status = response.status
         if status < 400:
             return
         where = f"{method} {path} -> {status}"
-        if status == 429:
+        if status == 429 or (status == 403 and response.header("retry-after") is not None):
+            # A 403 with Retry-After is GitHub's secondary rate limit.
             raise RateLimitedError(where, status, retry_after=_retry_after_seconds(response))
         if status == 403 and response.header("x-ratelimit-remaining") == "0":
             reset = response.header("x-ratelimit-reset")
@@ -237,17 +266,25 @@ class GitHubClient:
         """All label-eligible jobs whose status is outstanding, oldest first.
 
         One run listing per status value, then one job listing per run seen;
-        fixed request order keeps the fake-server logs deterministic.
+        fixed request order keeps the fake-server logs deterministic. The
+        pages read become the ETag cache only if the whole poll succeeds, so
+        a failed poll keeps the previous cache and pages of vanished runs
+        drop out.
         """
-        run_ids: dict[int, None] = {}
-        for status in sorted(statuses):
-            for run in self.list_runs(repo, status):
-                run_ids.setdefault(run.run_id, None)
-        jobs: list[JobRecord] = []
-        for run_id in sorted(run_ids):
-            for job in self.list_run_jobs(repo, run_id):
-                if job.status in statuses and job_matches_labels(job.requested_labels, runner_labels):
-                    jobs.append(job)
+        self._poll_pages = {}
+        try:
+            run_ids: dict[int, None] = {}
+            for status in sorted(statuses):
+                for run in self.list_runs(repo, status):
+                    run_ids.setdefault(run.run_id, None)
+            jobs: list[JobRecord] = []
+            for run_id in sorted(run_ids):
+                for job in self.list_run_jobs(repo, run_id):
+                    if job.status in statuses and job_matches_labels(job.requested_labels, runner_labels):
+                        jobs.append(job)
+            self._pages = self._poll_pages
+        finally:
+            self._poll_pages = None
         jobs.sort(key=lambda j: (j.created_at, j.job_id))
         return jobs
 

@@ -8,10 +8,18 @@ claims the job, then in_progress, then completed.
 
 Faults are scripted behavior, not errors: while a fault span is active,
 every ``/repos/...`` request answers with the injected status.
+
+Like GitHub, every ``200`` listing carries an ``ETag`` (a digest of the exact
+body), and a conditional ``GET`` whose ``If-None-Match`` equals it answers
+``304`` with no body. Every ``/repos/...`` answer carries the
+``x-ratelimit-*`` headers of a 5,000-request budget per hour of virtual
+time, on which only non-``304`` answers draw. The budget is reported, never
+enforced: running out of it is a failure class the oracle does not model.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 import threading
 from dataclasses import dataclass
@@ -26,6 +34,9 @@ _RUNS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs$")
 _JOBS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs/(\d+)/jobs$")
 _REG_TOKEN_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runners/registration-token$")
 _RUNNER_RE = re.compile(r"^/_harness/runners/(\d+)(?:/(claim|complete))?$")
+
+RATE_LIMIT = 5000  # primary rate limit per hour, as for a personal access token
+RATE_LIMIT_WINDOW = 3600.0
 
 REQUIRED_HEADERS = {
     "accept": "application/vnd.github+json",
@@ -93,10 +104,13 @@ class FakeGitHub:
         self._run_seq = 0
         self._runner_seq = 0
         self._token_seq = 0
-        self.fault: tuple[str, float] | None = None  # ("status", code) | ("rate_limit", retry_after)
+        # ("status", code) | ("rate_limit", retry_after) | ("secondary_rate_limit", retry_after)
+        self.fault: tuple[str, float] | None = None
         self.registration_status: int | None = None  # force a status on token minting
 
         self.api_request_count = 0
+        self._rate_window = 0  # hour of virtual time the budget below belongs to
+        self._rate_used = 0
         self.request_log: list[RequestRecord] = []
         self.header_violations: list[str] = []
         self.on_transition = None  # callback(kind, job) for trace hooks
@@ -242,6 +256,19 @@ class FakeGitHub:
 
     # -- request bookkeeping -----------------------------------------------
 
+    def _rate_limit_headers(self, charged: bool) -> dict[str, str]:
+        with self._lock:
+            window = int(self.clock.now() // RATE_LIMIT_WINDOW)
+            if window != self._rate_window:
+                self._rate_window, self._rate_used = window, 0
+            if charged:
+                self._rate_used += 1
+            return {
+                "x-ratelimit-limit": str(RATE_LIMIT),
+                "x-ratelimit-remaining": str(max(RATE_LIMIT - self._rate_used, 0)),
+                "x-ratelimit-reset": str(int((window + 1) * RATE_LIMIT_WINDOW)),
+            }
+
     def record_request(self, method: str, path: str, headers: dict[str, str], status: int) -> None:
         if path.startswith("/repos/"):
             self.api_request_count += 1
@@ -262,6 +289,13 @@ class FakeGitHub:
 
 def _handle(gh: FakeGitHub, request: Request) -> Response:
     response = _dispatch(gh, request)
+    if request.path.startswith("/repos/"):
+        if request.method == "GET" and response.status == 200:
+            etag = f'W/"{hashlib.blake2b(response.body, digest_size=16).hexdigest()}"'
+            if request.headers.get("if-none-match") == etag:
+                response = Response(304)
+            response.headers["ETag"] = etag
+        response.headers.update(gh._rate_limit_headers(charged=response.status != 304))
     gh.record_request(request.method, request.path, request.headers, response.status)
     return response
 
@@ -374,6 +408,10 @@ def _maybe_fault(gh: FakeGitHub) -> Response | None:
     kind, value = fault
     if kind == "rate_limit":
         return Response.json(429, {"message": "rate limited"}, {"Retry-After": str(int(value))})
+    if kind == "secondary_rate_limit":
+        return Response.json(
+            403, {"message": "You have exceeded a secondary rate limit."}, {"Retry-After": str(int(value))}
+        )
     code = int(value)
     return Response.json(code, {"message": f"injected fault {code}"})
 

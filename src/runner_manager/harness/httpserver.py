@@ -70,6 +70,7 @@ _REASONS = {
     200: "OK",
     201: "Created",
     204: "No Content",
+    304: "Not Modified",
     400: "Bad Request",
     403: "Forbidden",
     404: "Not Found",

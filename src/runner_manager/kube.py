@@ -188,9 +188,10 @@ class KubeClient:
             raise ProtocolError(f"metadata.annotations malformed: {annotations!r}")
         return {str(k): str(v) for k, v in annotations.items()}
 
-    def write_annotation(self, key: str, value: str | None) -> None:
-        """Patch exactly one annotation; ``None`` removes the key."""
-        body = json.dumps({"metadata": {"annotations": {key: value}}}).encode()
+    def write_annotation(self, annotations: dict[str, str | None]) -> None:
+        """Merge-patch the given annotations in one request; a ``None`` value
+        removes its key."""
+        body = json.dumps({"metadata": {"annotations": annotations}}).encode()
         self._request(
             "PATCH",
             self._deployment_path(),

@@ -87,6 +87,7 @@ class ReconcileRecord:
     consecutive_github_errors: int
     consecutive_kube_errors: int
     keepalive_next_due: float | None
+    github_rate_limit_remaining: int | None
 
     def as_log_dict(self) -> dict:
         return {
@@ -106,9 +107,8 @@ class ReconcileRecord:
             "observed_replicas": self.observed_replicas,
             "consecutive_github_errors": self.consecutive_github_errors,
             "consecutive_kube_errors": self.consecutive_kube_errors,
-            "keepalive_next_due": to_rfc3339(self.keepalive_next_due)
-            if self.keepalive_next_due is not None
-            else None,
+            "keepalive_next_due": _format_ts(self.keepalive_next_due),
+            "github_rate_limit_remaining": self.github_rate_limit_remaining,
         }
 
 
@@ -238,6 +238,7 @@ class ReconcileLoop:
         self.consecutive_kube_errors = 0
         self._github_credential_streak = 0
         self._kube_credential_streak = 0
+        self._kube_failed = False  # this poll saw a failed Kubernetes call
         self._kube_credential_failed = False  # this poll saw a Kubernetes 401/403
         self._durable = _Durable()
 
@@ -255,19 +256,15 @@ class ReconcileLoop:
         )
 
     def _persist_durable_state(self) -> None:
+        """Write whichever annotations changed, in one merge patch."""
+        patch = {}
         if self.state.last_active != self._durable.last_active:
-            self.kube.write_annotation(
-                ANNOTATION_LAST_ACTIVE,
-                to_rfc3339(self.state.last_active) if self.state.last_active is not None else None,
-            )
-            self._durable.last_active = self.state.last_active
+            patch[ANNOTATION_LAST_ACTIVE] = _format_ts(self.state.last_active)
         if self.state.keepalive_started_at != self._durable.keepalive_started:
-            self.kube.write_annotation(
-                ANNOTATION_KEEPALIVE_STARTED,
-                to_rfc3339(self.state.keepalive_started_at)
-                if self.state.keepalive_started_at is not None
-                else None,
-            )
+            patch[ANNOTATION_KEEPALIVE_STARTED] = _format_ts(self.state.keepalive_started_at)
+        if patch:
+            self.kube.write_annotation(patch)
+            self._durable.last_active = self.state.last_active
             self._durable.keepalive_started = self.state.keepalive_started_at
 
     # -- one iteration -----------------------------------------------------
@@ -286,7 +283,7 @@ class ReconcileLoop:
         if self.stop.is_set():
             return None
 
-        self._kube_credential_failed = False
+        self._kube_failed = self._kube_credential_failed = False
         scale, pods = self._observe_kube()
         now = self.clock.now()
 
@@ -324,6 +321,8 @@ class ReconcileLoop:
             except ApiError as exc:
                 self._note_kube_failure(exc, credential=isinstance(exc, CredentialError))
 
+        if not self._kube_failed:
+            self.consecutive_kube_errors = 0
         if not self._kube_credential_failed:
             self._kube_credential_streak = 0
 
@@ -341,6 +340,7 @@ class ReconcileLoop:
             keepalive_next_due=keepalive_due_at(
                 self.state.last_active, self.policy.force_interval, self.policy.min_dwell
             ),
+            github_rate_limit_remaining=self.github.rate_limit_remaining,
         )
 
     def _poll_github(self, window_end: float) -> list[JobRecord] | None:
@@ -384,15 +384,16 @@ class ReconcileLoop:
         except ApiError as exc:
             self._note_kube_failure(exc)
             return None, []
-        self.consecutive_kube_errors = 0
         return scale, pods
 
     def _note_kube_failure(self, exc: ApiError, credential: bool = False) -> None:
-        """Count a failed call. As for GitHub, the credential streak counts
-        polls: the first 401/403 of a poll adds one, and ``reconcile_once``
-        resets it after a poll with none, so a readable but unwritable
-        Deployment still reaches the exit threshold."""
-        self.consecutive_kube_errors += 1
+        """Count a failed call. As for GitHub, both streaks count polls: the
+        first failure (or 401/403) of a poll adds one, and ``reconcile_once``
+        resets the streak after a poll with none, so a readable but
+        unwritable Deployment still reaches the exit threshold."""
+        if not self._kube_failed:
+            self._kube_failed = True
+            self.consecutive_kube_errors += 1
         if credential:
             if not self._kube_credential_failed:
                 self._kube_credential_failed = True
@@ -408,6 +409,10 @@ def _count(jobs: list[JobRecord] | None, status: str) -> int | None:
     if jobs is None:
         return None
     return sum(1 for job in jobs if job.status == status)
+
+
+def _format_ts(value: float | None) -> str | None:
+    return to_rfc3339(value) if value is not None else None
 
 
 def _parse_ts(value: str | None) -> float | None:

@@ -26,6 +26,7 @@ BEFORE_FIRST_POLL = {
     "consecutive_github_errors": 0,
     "consecutive_kube_errors": 0,
     "keepalive_next_due": None,
+    "github_rate_limit_remaining": None,
 }
 
 

@@ -2,8 +2,16 @@ import re
 
 import pytest
 
+from runner_manager.clock import to_rfc3339
+from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import ConfigError, MissingDeploymentError, TransientError
 from runner_manager.kube import KubeClient, KubeCredentials, load_incluster_credentials
+from runner_manager.reconciler import (
+    ANNOTATION_KEEPALIVE_STARTED,
+    ANNOTATION_LAST_ACTIVE,
+    Reason,
+    ReconcileLoop,
+)
 
 NAMESPACED = re.compile(r"^/(apis/apps/v1|api/v1)/namespaces/ci/")
 
@@ -81,7 +89,7 @@ def test_write_above_max_rejected_before_any_http(fake_kube, kube_client):
 
 
 def test_annotation_roundtrip(fake_kube, kube_client):
-    kube_client.write_annotation("runner-manager/last-active", "2024-01-01T00:00:00Z")
+    kube_client.write_annotation({"runner-manager/last-active": "2024-01-01T00:00:00Z"})
     annotations = kube_client.read_annotations()
     assert annotations["runner-manager/last-active"] == "2024-01-01T00:00:00Z"
 
@@ -91,11 +99,34 @@ def test_annotations_absent_on_fresh_deployment(kube_client):
 
 
 def test_annotation_last_write_wins_and_null_deletes(fake_kube, kube_client):
-    kube_client.write_annotation("k", "v1")
-    kube_client.write_annotation("k", "v2")
+    kube_client.write_annotation({"k": "v1"})
+    kube_client.write_annotation({"k": "v2"})
     assert kube_client.read_annotations()["k"] == "v2"
-    kube_client.write_annotation("k", None)
+    kube_client.write_annotation({"k": None})
     assert "k" not in kube_client.read_annotations()
+
+
+def test_poll_changing_both_annotations_sends_one_patch(fake_kube, kube_client, gh_client, clock, monkeypatch):
+    # A Running runner and no annotations: the poll records activity and
+    # starts a keepalive dwell, so both annotations change at once.
+    fake_kube.apply_scale(1)
+    methods = []
+    request = kube_client._request
+
+    def recording_request(method, path, *args, **kwargs):
+        methods.append(method)
+        return request(method, path, *args, **kwargs)
+
+    monkeypatch.setattr(kube_client, "_request", recording_request)
+    loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, RepoCoordinates("biocore", "unifrac"))
+    clock.advance(100)
+    record = loop.reconcile_once(clock.now())
+    assert (record.reason, record.wrote_scale) == (Reason.KEEPALIVE, False)
+    assert methods.count("PATCH") == 1
+    assert fake_kube.annotations == {
+        ANNOTATION_LAST_ACTIVE: to_rfc3339(100),
+        ANNOTATION_KEEPALIVE_STARTED: to_rfc3339(100),
+    }
 
 
 def test_pod_listing_matches_selector(fake_kube, kube_client):
@@ -114,7 +145,7 @@ def test_every_request_is_namespaced(fake_kube, kube_client):
     kube_client.read_scale()
     kube_client.write_scale(1)
     kube_client.read_annotations()
-    kube_client.write_annotation("a", "b")
+    kube_client.write_annotation({"a": "b"})
     kube_client.list_runner_pods("app=gha-runner")
     assert fake_kube.request_paths, "fake kube recorded no requests"
     for path in fake_kube.request_paths:
@@ -123,12 +154,12 @@ def test_every_request_is_namespaced(fake_kube, kube_client):
 
 
 def test_scale_and_annotations_are_isolated(fake_kube, kube_client):
-    kube_client.write_annotation("k", "v")
+    kube_client.write_annotation({"k": "v"})
     replicas_before = fake_kube.spec_replicas
     annotations_before = dict(fake_kube.annotations)
     kube_client.write_scale(1)
     assert fake_kube.annotations == annotations_before
-    kube_client.write_annotation("k2", "v2")
+    kube_client.write_annotation({"k2": "v2"})
     assert fake_kube.spec_replicas == 1
     assert replicas_before == 0
 

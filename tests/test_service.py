@@ -13,7 +13,8 @@ from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
 from runner_manager.errors import CredentialError
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.github import GitHubClient
-from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, run_service
+from runner_manager.reconciler import Reason
+from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, run_service
 
 LABELS = ["self-hosted", "linux-gpu-cuda"]
 
@@ -154,12 +155,81 @@ def test_refused_scale_writes_reach_the_credential_exit(clock):
         )
         assert code == EXIT_CREDENTIALS
         assert kube_client.write_attempts == 3
-        assert [r.consecutive_kube_errors for r in records] == [1, 1]
+        assert [r.consecutive_kube_errors for r in records] == [1, 2]
     finally:
         github_client.close()
         kube_client.close()
         github.close()
         kube.close()
+
+
+def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int) -> tuple[int, list]:
+    """run_service against the fakes until ``polls`` records were published."""
+    config = Config(
+        repo=RepoCoordinates("biocore", "unifrac"),
+        policy=Policy(),
+        kube_deployment="gha-runner",
+        github_api_base=github.base_url,
+        github_token="t",
+        kube_namespace="ci",
+        kube_api_base=kube.base_url,
+        kube_sa_dir="/nonexistent",
+    )
+    github_client = GitHubClient(github.base_url, "t", clock=clock)
+    kube_client = KubeClient(
+        KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
+        "gha-runner",
+        max_replicas=1,
+    )
+    stop = threading.Event()
+    records = []
+
+    def observe(record):
+        records.append(record)
+        if len(records) == polls:
+            stop.set()
+
+    try:
+        code = run_service(
+            config, clock=clock, stop=stop, observer=observe, github=github_client, kube=kube_client, environment={}
+        )
+    finally:
+        github_client.close()
+        kube_client.close()
+    return code, records
+
+
+def test_idle_polls_draw_on_the_rate_limit_only_for_the_first_answers(clock):
+    github = FakeGitHub(expected_token="t", clock=clock, keep_request_log=True).start()
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    try:
+        code, records = _run_polls(clock, github, kube, polls=30)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert len(records) == 30 and clock.now() < 3600  # one rate-limit window
+    # The two run listings of the first poll are charged; every later poll
+    # is answered 304, which is not.
+    assert {r.github_rate_limit_remaining for r in records} == {5000 - 2}
+    assert [r.status for r in github.request_log].count(304) == 2 * 29
+    assert github.api_request_count == 2 * 30
+
+
+def test_secondary_rate_limit_holds_without_exiting(clock):
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube.apply_scale(1)  # a live runner that the outage must not scale down
+    github.set_fault("secondary_rate_limit", 30)
+    try:
+        code, records = _run_polls(clock, github, kube, polls=4)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert [(r.desired, r.reason, r.wrote_scale) for r in records] == [(1, Reason.HOLD, False)] * 4
+    assert [r.consecutive_github_errors for r in records] == [1, 2, 3, 4]
+    assert kube.scale_write_log == []
 
 
 def test_scenario_leaves_no_threads_behind():

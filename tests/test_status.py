@@ -24,6 +24,7 @@ def _record(**overrides) -> ReconcileRecord:
         consecutive_github_errors=0,
         consecutive_kube_errors=0,
         keepalive_next_due=None,
+        github_rate_limit_remaining=None,
     )
     fields.update(overrides)
     return ReconcileRecord(**fields)
@@ -112,6 +113,7 @@ def test_status_keys_before_and_after_first_poll(status_server):
         "consecutive_github_errors": 0,
         "consecutive_kube_errors": 0,
         "keepalive_next_due": None,
+        "github_rate_limit_remaining": None,
     }
     server.publish(
         _record(
@@ -121,6 +123,7 @@ def test_status_keys_before_and_after_first_poll(status_server):
             consecutive_github_errors=2,
             consecutive_kube_errors=1,
             keepalive_next_due=1704067200.5,
+            github_rate_limit_remaining=4998,
         )
     )
     _, after = _get(server, "/status")
@@ -131,6 +134,7 @@ def test_status_keys_before_and_after_first_poll(status_server):
         "consecutive_github_errors": 2,
         "consecutive_kube_errors": 1,
         "keepalive_next_due": "2024-01-01T00:00:00.500000Z",
+        "github_rate_limit_remaining": 4998,
     }
 
 
