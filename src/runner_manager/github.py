@@ -14,6 +14,7 @@ page. The cache holds exactly the pages the last completed poll read.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
@@ -82,21 +83,22 @@ def execute_with_backoff(
     call: Callable[[], T],
     state: BackoffState,
     clock: Clock,
-    window_end: float | None = None,
+    window_end: float,
     interrupt: threading.Event | None = None,
-) -> tuple[T, BackoffState]:
+) -> T:
     """Run ``call`` with exponential backoff confined to the current poll window.
 
     Transient and rate-limit failures bump ``consecutive_failures`` and set
-    ``next_allowed_attempt`` (Retry-After wins over the schedule). The wait
-    never crosses ``window_end``: when the next permitted attempt falls at or
-    beyond it, the last failure propagates and the caller skips this window.
-    Credential and protocol errors propagate immediately, unretried.
+    ``next_allowed_attempt`` (Retry-After wins over the schedule); ``state``
+    is updated in place. The wait never crosses ``window_end``: when the next
+    permitted attempt falls at or beyond it, the last failure propagates and
+    the caller skips this window. Credential and protocol errors propagate
+    immediately, unretried.
     """
     while True:
         now = clock.now()
         if state.next_allowed_attempt > now:
-            if window_end is not None and state.next_allowed_attempt >= window_end:
+            if state.next_allowed_attempt >= window_end:
                 raise TransientError(
                     f"backing off until {state.next_allowed_attempt:.0f} (beyond this poll window)"
                 )
@@ -112,14 +114,14 @@ def execute_with_backoff(
             if isinstance(exc, RateLimitedError) and exc.retry_after is not None:
                 delay = exc.retry_after
             state.next_allowed_attempt = attempt_at + delay
-            if window_end is None or state.next_allowed_attempt >= window_end:
+            if state.next_allowed_attempt >= window_end:
                 raise
             if interrupt is not None and interrupt.is_set():
                 raise
             continue
         state.consecutive_failures = 0
         state.next_allowed_attempt = attempt_at
-        return result, state
+        return result
 
 
 class GitHubClient:
@@ -195,15 +197,10 @@ class GitHubClient:
         where = f"{method} {path} -> {status}"
         if status == 429 or (status == 403 and response.header("retry-after") is not None):
             # A 403 with Retry-After is GitHub's secondary rate limit.
-            raise RateLimitedError(where, status, retry_after=_retry_after_seconds(response))
+            raise RateLimitedError(where, status, retry_after=_positive_seconds(response.header("retry-after")))
         if status == 403 and response.header("x-ratelimit-remaining") == "0":
-            reset = response.header("x-ratelimit-reset")
-            wait = None
-            if reset is not None:
-                try:
-                    wait = max(float(reset) - self._clock.now(), 1.0)
-                except ValueError:
-                    wait = None
+            reset = _positive_seconds(response.header("x-ratelimit-reset"))
+            wait = max(reset - self._clock.now(), 1.0) if reset is not None else None
             raise RateLimitedError(f"{where} (rate limit exhausted)", status, retry_after=wait)
         if status in (401, 403):
             raise CredentialError(where, status)
@@ -243,13 +240,16 @@ class GitHubClient:
         raw = self._paginated(path, "jobs")
         jobs = []
         for entry in raw:
+            labels = entry.get("labels", []) if isinstance(entry, dict) else None
+            if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+                raise ProtocolError(f"job entry malformed: {entry!r}")
             try:
                 jobs.append(
                     JobRecord(
                         job_id=int(entry["id"]),
                         run_id=int(entry["run_id"]),
                         status=str(entry["status"]),
-                        requested_labels=LabelSet(entry.get("labels", [])),
+                        requested_labels=LabelSet(labels),
                         created_at=from_rfc3339(str(entry["created_at"])),
                     )
                 )
@@ -300,11 +300,12 @@ class GitHubClient:
         return RegistrationToken(token=str(data["token"]), expires_at=expires)
 
 
-def _retry_after_seconds(response: HttpResponse) -> float | None:
-    value = response.header("retry-after")
-    if value is None:
-        return None
+def _positive_seconds(value: str | None) -> float | None:
+    """A header's seconds when finite and positive. Anything else is None,
+    which leaves the wait to the backoff schedule: a zero, negative or NaN
+    wait would retry at once, an infinite one would never poll again."""
     try:
-        return float(value)
-    except ValueError:
+        seconds = float(value)
+    except (TypeError, ValueError):
         return None
+    return seconds if 0 < seconds < math.inf else None

@@ -19,7 +19,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--script", help="YAML/JSON scenario file (omit to generate one from --seed)")
     run_p.add_argument("--seed", type=int, default=0, help="seed for generated scenarios")
     run_p.add_argument("--trace-out", help="write the trace as newline-delimited JSON")
-    run_p.add_argument("--check-oracle", action="store_true", help="compare decisions against the oracle")
+    run_p.add_argument("--check-oracle", action="store_true", help="compare decisions and writes with the oracle")
 
     args = parser.parse_args(argv)
 
@@ -45,19 +45,25 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check_oracle:
         expected = oracle_decisions(script, result.policy)
-        summary["oracle_match"] = expected.decisions == result.decisions
-        if not summary["oracle_match"]:
-            summary["oracle_first_diff"] = _first_diff(expected.decisions, result.decisions)
+        summary["oracle_match"] = True
+        for field in ("decisions", "writes"):
+            diff = _first_diff(getattr(expected, field), getattr(result, field))
+            if diff is not None:
+                summary["oracle_match"] = False
+                summary["oracle_first_diff"] = {"field": field, **diff}
+                break
 
     print(json.dumps(summary, indent=2))
     return 1 if result.scenario_failed or summary.get("oracle_match") is False else 0
 
 
-def _first_diff(expected: list, actual: list):
+def _first_diff(expected: list, actual: list) -> dict | None:
     for i, (e, a) in enumerate(zip(expected, actual)):
         if e != a:
             return {"index": i, "expected": e, "actual": a}
-    return {"index": min(len(expected), len(actual)), "expected_len": len(expected), "actual_len": len(actual)}
+    if len(expected) != len(actual):
+        return {"index": min(len(expected), len(actual)), "expected_len": len(expected), "actual_len": len(actual)}
+    return None
 
 
 if __name__ == "__main__":

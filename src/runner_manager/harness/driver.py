@@ -257,10 +257,10 @@ def run_scenario(
                 duration=float(event.payload.get("duration", 300.0)),
                 ref=event.payload.get("ref"),
             )
-            world.poke()
+            world.settle()
         elif event.kind == "complete_job":
             github.force_complete(event.payload["ref"])
-            world.sync_busy()
+            world.settle()
         elif event.kind == "github_fault":
             github.set_fault("status", float(event.payload.get("status", 500)))
         elif event.kind == "github_recover":

@@ -53,7 +53,6 @@ class FakeJob:
     duration: float
     status: str = "queued"  # queued | in_progress | completed
     claimed_by: int | None = None
-    claim_generation: int = 0
     ref: str | None = None
 
 
@@ -193,7 +192,6 @@ class FakeGitHub:
                     # Runner died mid-job: GitHub re-queues the work.
                     job.status = "queued"
                     job.claimed_by = None
-                    job.claim_generation += 1
                     self._emit("job_requeued", job)
 
     def claim_job(self, runner_id: int) -> FakeJob | None:
@@ -212,7 +210,6 @@ class FakeGitHub:
             job = min(candidates, key=lambda j: (j.created_at, j.job_id))
             job.status = "in_progress"
             job.claimed_by = runner_id
-            job.claim_generation += 1
             runner.busy_job = job.job_id
             self._emit("job_claimed", job)
             return job

@@ -33,7 +33,6 @@ class FakePod:
     name: str
     phase: str  # Pending | Running
     started_at: float | None = None
-    incarnation: int = 0
 
 
 @dataclass
@@ -65,8 +64,7 @@ class FakeKube:
         self.annotations: dict[str, str] = dict(initial_annotations or {})
         self.resource_version = 1
         self.pods: list[FakePod] = []
-        self._pod_seq = 0
-        self._incarnation = 0
+        self._pod_seq = 0  # pod names embed it, so a name is never reused
         self.fault_status: int | None = None
 
         self.cross_namespace_requests: list[str] = []
@@ -118,17 +116,12 @@ class FakeKube:
             self.resource_version += 1
             while len(self.pods) < replicas:
                 self._pod_seq += 1
-                self._incarnation += 1
-                pod = FakePod(
-                    name=f"{self.deployment}-{self._pod_seq}",
-                    phase="Pending",
-                    incarnation=self._incarnation,
-                )
+                pod = FakePod(name=f"{self.deployment}-{self._pod_seq}", phase="Pending")
                 self.pods.append(pod)
                 if self._schedule is not None:
                     self._schedule(
                         now + self.pod_startup_delay,
-                        lambda name=pod.name, inc=pod.incarnation: self.pod_set_running(name, inc),
+                        lambda name=pod.name: self.pod_set_running(name),
                     )
                 else:
                     pod.phase = "Running"
@@ -143,9 +136,9 @@ class FakeKube:
             if self.on_pod_terminating is not None:
                 self.on_pod_terminating(pod.name)
 
-    def pod_set_running(self, name: str, incarnation: int) -> None:
+    def pod_set_running(self, name: str) -> None:
         with self._lock:
-            pod = next((p for p in self.pods if p.name == name and p.incarnation == incarnation), None)
+            pod = next((p for p in self.pods if p.name == name), None)
             if pod is None or pod.phase == "Running":
                 return
             pod.phase = "Running"

@@ -19,22 +19,14 @@ import sys
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from typing import Callable
 
-from .fake_github import FakeGitHub, FakeJob
-
-
-@dataclass
-class _Actor:
-    pod_name: str
-    runner_id: int
-    busy_job: int | None = None
-    claim_generation: int = 0
+from .fake_github import FakeGitHub
 
 
 class RunnerWorld:
-    """Keeps one fake runner per Running pod and drives job claims."""
+    """Keeps one fake runner per Running pod and drives job claims. Which
+    runner works on which job is fake GitHub's to know, not the world's."""
 
     def __init__(
         self,
@@ -49,24 +41,23 @@ class RunnerWorld:
         self.schedule = schedule
         self.clock = clock
         self.on_event = on_event
-        self.actors: dict[str, _Actor] = {}
+        self.runners: dict[str, int] = {}  # pod name -> runner id
 
     # fake_kube callbacks ---------------------------------------------------
 
     def pod_running(self, pod_name: str) -> None:
-        if pod_name in self.actors:
+        if pod_name in self.runners:
             return
-        runner_id = self.github.register_runner(pod_name, self.labels)
-        self.actors[pod_name] = _Actor(pod_name=pod_name, runner_id=runner_id)
+        self.runners[pod_name] = self.github.register_runner(pod_name, self.labels)
         self._emit("runner_registered", {"pod": pod_name})
         self.settle()
 
     def pod_terminating(self, pod_name: str) -> None:
-        actor = self.actors.pop(pod_name, None)
-        if actor is None:
+        runner_id = self.runners.pop(pod_name, None)
+        if runner_id is None:
             return
         # Deregistration re-queues any in-flight job on the fake GitHub side.
-        self.github.deregister_runner(actor.runner_id)
+        self.github.deregister_runner(runner_id)
         self._emit("runner_deregistered", {"pod": pod_name})
         self.settle()
 
@@ -77,48 +68,23 @@ class RunnerWorld:
         progressed = True
         while progressed:
             progressed = False
-            for pod_name in sorted(self.actors):
-                actor = self.actors[pod_name]
-                if actor.busy_job is not None:
-                    continue
-                job = self.github.claim_job(actor.runner_id)
+            for pod_name in sorted(self.runners):
+                runner_id = self.runners[pod_name]
+                job = self.github.claim_job(runner_id)  # None while the runner is busy
                 if job is None:
                     continue
-                actor.busy_job = job.job_id
-                actor.claim_generation = job.claim_generation
                 self._emit("job_claimed", {"pod": pod_name, "job": job.job_id})
                 self.schedule(
                     self.clock.now() + job.duration,
-                    lambda a=actor, j=job: self._complete(a, j),
+                    lambda p=pod_name, r=runner_id, j=job.job_id: self._complete(p, r, j),
                 )
                 progressed = True
 
-    def _complete(self, actor: _Actor, job: FakeJob) -> None:
-        current = self.github.jobs.get(job.job_id)
-        if (
-            actor.busy_job != job.job_id
-            or current is None
-            or current.status != "in_progress"
-            or current.claim_generation != actor.claim_generation
-        ):
-            return  # stale timer: job was re-queued or force-completed
-        self.github.complete_job(actor.runner_id, job.job_id)
-        actor.busy_job = None
-        self._emit("job_completed", {"pod": actor.pod_name, "job": job.job_id})
-        self.settle()
-
-    def poke(self) -> None:
-        """Re-check claims after external state changes (enqueues, requeues)."""
-        self.settle()
-
-    def sync_busy(self) -> None:
-        """Drop busy markers for jobs completed externally (scripted cancels)."""
-        for actor in self.actors.values():
-            if actor.busy_job is None:
-                continue
-            job = self.github.jobs.get(actor.busy_job)
-            if job is None or job.status != "in_progress" or job.claimed_by != actor.runner_id:
-                actor.busy_job = None
+    def _complete(self, pod_name: str, runner_id: int, job_id: int) -> None:
+        # Refused for a stale timer: the job was re-queued or force-completed.
+        if not self.github.complete_job(runner_id, job_id):
+            return
+        self._emit("job_completed", {"pod": pod_name, "job": job_id})
         self.settle()
 
     def _emit(self, action: str, detail: dict) -> None:

@@ -173,19 +173,20 @@ class KubeClient:
         return self._parse_scale(data)
 
     def _parse_scale(self, data: dict) -> ScaleSnapshot:
+        spec = _object_field(data, "spec", "scale")
+        status = _object_field(data, "status", "scale")
         try:
             return ScaleSnapshot(
-                spec_replicas=int((data.get("spec") or {}).get("replicas", 0)),
-                status_replicas=int((data.get("status") or {}).get("replicas", 0)),
+                spec_replicas=int(spec.get("replicas", 0)),
+                status_replicas=int(status.get("replicas", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"scale object malformed: {data!r}") from exc
 
     def read_annotations(self) -> dict[str, str]:
         data = self._request("GET", self._deployment_path())
-        annotations = (data.get("metadata") or {}).get("annotations") or {}
-        if not isinstance(annotations, dict):
-            raise ProtocolError(f"metadata.annotations malformed: {annotations!r}")
+        metadata = _object_field(data, "metadata", "deployment")
+        annotations = _object_field(metadata, "annotations", "metadata")
         return {str(k): str(v) for k, v in annotations.items()}
 
     def write_annotation(self, annotations: dict[str, str | None]) -> None:
@@ -208,10 +209,22 @@ class KubeClient:
             raise ProtocolError("pod list missing 'items' array")
         pods = []
         for item in items:
-            meta = item.get("metadata") or {}
-            status = item.get("status") or {}
+            if not isinstance(item, dict):
+                raise ProtocolError(f"pod list item is not an object: {item!r}")
+            meta = _object_field(item, "metadata", "pod")
+            status = _object_field(item, "status", "pod")
             phase = str(status.get("phase", "Unknown"))
             if phase not in POD_PHASES:
                 phase = "Unknown"
             pods.append(PodInfo(name=str(meta.get("name", "")), phase=phase))
         return pods
+
+
+def _object_field(data: dict, key: str, owner: str) -> dict:
+    """``data[key]`` as a JSON object; absent or null reads as empty."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{owner}.{key} is not an object: {value!r}")
+    return value

@@ -21,6 +21,7 @@ import enum
 import logging
 import threading
 from dataclasses import dataclass, replace
+from typing import Callable, TypeVar
 
 from .clock import Clock, from_rfc3339, to_rfc3339
 from .config import Policy
@@ -35,6 +36,8 @@ ANNOTATION_KEEPALIVE_STARTED = "runner-manager/keepalive-started"
 
 # Consecutive polls with credential failures tolerated before giving up.
 CREDENTIAL_EXIT_THRESHOLD = 3
+
+T = TypeVar("T")
 
 
 class Reason(str, enum.Enum):
@@ -204,15 +207,6 @@ def update_state(
     )
 
 
-@dataclass
-class _Durable:
-    """What the manager believes the Deployment annotations currently hold."""
-
-    loaded: bool = False
-    last_active: float | None = None
-    keepalive_started: float | None = None
-
-
 class ReconcileLoop:
     """Owns the manager state and executes one reconcile per clock tick."""
 
@@ -238,34 +232,29 @@ class ReconcileLoop:
         self.consecutive_kube_errors = 0
         self._github_credential_streak = 0
         self._kube_credential_streak = 0
-        self._kube_failed = False  # this poll saw a failed Kubernetes call
-        self._kube_credential_failed = False  # this poll saw a Kubernetes 401/403
-        self._durable = _Durable()
+        # The state the Deployment annotations hold; None until they are read.
+        self._persisted: ManagerState | None = None
 
     # -- durable state ----------------------------------------------------
 
     def _load_durable_state(self) -> None:
         annotations = self.kube.read_annotations()
-        self._durable.last_active = _parse_ts(annotations.get(ANNOTATION_LAST_ACTIVE))
-        self._durable.keepalive_started = _parse_ts(annotations.get(ANNOTATION_KEEPALIVE_STARTED))
-        self._durable.loaded = True
-        self.state = replace(
+        self.state = self._persisted = replace(
             self.state,
-            last_active=self._durable.last_active,
-            keepalive_started_at=self._durable.keepalive_started,
+            last_active=_parse_ts(annotations.get(ANNOTATION_LAST_ACTIVE)),
+            keepalive_started_at=_parse_ts(annotations.get(ANNOTATION_KEEPALIVE_STARTED)),
         )
 
     def _persist_durable_state(self) -> None:
         """Write whichever annotations changed, in one merge patch."""
         patch = {}
-        if self.state.last_active != self._durable.last_active:
+        if self.state.last_active != self._persisted.last_active:
             patch[ANNOTATION_LAST_ACTIVE] = _format_ts(self.state.last_active)
-        if self.state.keepalive_started_at != self._durable.keepalive_started:
+        if self.state.keepalive_started_at != self._persisted.keepalive_started_at:
             patch[ANNOTATION_KEEPALIVE_STARTED] = _format_ts(self.state.keepalive_started_at)
         if patch:
             self.kube.write_annotation(patch)
-            self._durable.last_active = self.state.last_active
-            self._durable.keepalive_started = self.state.keepalive_started_at
+            self._persisted = self.state
 
     # -- one iteration -----------------------------------------------------
 
@@ -283,8 +272,8 @@ class ReconcileLoop:
         if self.stop.is_set():
             return None
 
-        self._kube_failed = self._kube_credential_failed = False
-        scale, pods = self._observe_kube()
+        failures: list[ApiError] = []  # this poll's failed Kubernetes calls
+        scale, pods = self._kube_step(failures, self._observe_kube) or (None, [])
         now = self.clock.now()
 
         observation = Observation(
@@ -301,29 +290,20 @@ class ReconcileLoop:
             and decision.target_replicas != scale.spec_replicas
             and not self.stop.is_set()
         ):
-            try:
-                self.kube.write_scale(decision.target_replicas)
-                wrote = True
-            except MissingDeploymentError:
-                raise
-            except CredentialError as exc:
-                self._note_kube_failure(exc, credential=True)
-            except ApiError as exc:
-                self._note_kube_failure(exc)
+            written = self._kube_step(failures, lambda: self.kube.write_scale(decision.target_replicas))
+            wrote = written is not None
 
         self.state = update_state(self.state, decision, observation, now, wrote_scale=wrote)
 
-        if observation.kube_ok and self._durable.loaded:
-            try:
-                self._persist_durable_state()
-            except MissingDeploymentError:
-                raise
-            except ApiError as exc:
-                self._note_kube_failure(exc, credential=isinstance(exc, CredentialError))
+        if observation.kube_ok and self._persisted is not None:
+            self._kube_step(failures, self._persist_durable_state)
 
-        if not self._kube_failed:
-            self.consecutive_kube_errors = 0
-        if not self._kube_credential_failed:
+        # As for GitHub, both streaks count polls, not calls, so a readable
+        # but unwritable Deployment still reaches the exit threshold.
+        self.consecutive_kube_errors = self.consecutive_kube_errors + 1 if failures else 0
+        if any(isinstance(exc, CredentialError) for exc in failures):
+            self._kube_credential_streak += 1
+        else:
             self._kube_credential_streak = 0
 
         return ReconcileRecord(
@@ -345,7 +325,7 @@ class ReconcileLoop:
 
     def _poll_github(self, window_end: float) -> list[JobRecord] | None:
         try:
-            jobs, _ = execute_with_backoff(
+            jobs = execute_with_backoff(
                 lambda: self.github.list_outstanding_jobs(
                     self.repo, self.policy.outstanding_statuses, self.policy.runner_labels
                 ),
@@ -370,39 +350,30 @@ class ReconcileLoop:
         self.consecutive_github_errors = 0
         return jobs
 
-    def _observe_kube(self) -> tuple[ScaleSnapshot | None, list[PodInfo]]:
+    def _observe_kube(self) -> tuple[ScaleSnapshot, list[PodInfo]]:
+        if self._persisted is None:
+            self._load_durable_state()
+        return self.kube.read_scale(), self.kube.list_runner_pods(f"app={self.kube.deployment}")
+
+    def _kube_step(self, failures: list[ApiError], step: Callable[[], T]) -> T | None:
+        """Run one Kubernetes step; a failure joins this poll's ``failures``
+        and yields None. A 401/403 escapes at once when this poll would bring
+        the credential streak to the exit threshold, so the terminal poll
+        sends no further request."""
         try:
-            if not self._durable.loaded:
-                self._load_durable_state()
-            scale = self.kube.read_scale()
-            pods = self.kube.list_runner_pods(f"app={self.kube.deployment}")
+            return step()
         except MissingDeploymentError:
             raise
         except CredentialError as exc:
-            self._note_kube_failure(exc, credential=True)
-            return None, []
+            failures.append(exc)
+            streak = self._kube_credential_streak + 1
+            if streak >= CREDENTIAL_EXIT_THRESHOLD:
+                raise
+            logger.warning("kubernetes credential failure (%d): %s", streak, exc)
         except ApiError as exc:
-            self._note_kube_failure(exc)
-            return None, []
-        return scale, pods
-
-    def _note_kube_failure(self, exc: ApiError, credential: bool = False) -> None:
-        """Count a failed call. As for GitHub, both streaks count polls: the
-        first failure (or 401/403) of a poll adds one, and ``reconcile_once``
-        resets the streak after a poll with none, so a readable but
-        unwritable Deployment still reaches the exit threshold."""
-        if not self._kube_failed:
-            self._kube_failed = True
-            self.consecutive_kube_errors += 1
-        if credential:
-            if not self._kube_credential_failed:
-                self._kube_credential_failed = True
-                self._kube_credential_streak += 1
-            if self._kube_credential_streak >= CREDENTIAL_EXIT_THRESHOLD:
-                raise exc
-            logger.warning("kubernetes credential failure (%d): %s", self._kube_credential_streak, exc)
-        else:
+            failures.append(exc)
             logger.debug("kubernetes call failed, skipping writes: %s", exc)
+        return None
 
 
 def _count(jobs: list[JobRecord] | None, status: str) -> int | None:

@@ -40,7 +40,7 @@ def test_three_500s_then_success_resets_failures():
     clock = SteppingClock()
     call = Flaky(3).bind(clock)
     state = BackoffState()
-    result, state = execute_with_backoff(call, state, clock, window_end=60.0)
+    result = execute_with_backoff(call, state, clock, window_end=60.0)
     assert result == "payload"
     assert state.consecutive_failures == 0
     assert call.calls == 4
@@ -71,7 +71,7 @@ def test_gate_waits_within_window_then_attempts():
     clock = SteppingClock()
     call = Flaky(0).bind(clock)
     state = BackoffState(consecutive_failures=2, next_allowed_attempt=30.0)
-    result, state = execute_with_backoff(call, state, clock, window_end=60.0)
+    result = execute_with_backoff(call, state, clock, window_end=60.0)
     assert result == "payload"
     assert call.call_times == [30.0]
 

@@ -1,5 +1,6 @@
 """The three command line surfaces."""
 
+import dataclasses
 import json
 
 import yaml
@@ -116,3 +117,18 @@ def test_service_logging_setup_is_idempotent(monkeypatch):
     service.configure_logging()
     assert len(service.reconcile_logger.handlers) == 1
     assert service.reconcile_logger.propagate is False
+
+
+def test_harness_oracle_check_compares_scale_writes(monkeypatch, capsys):
+    real = harness_cli.oracle_decisions
+
+    def altered_writes(script, policy):
+        expected = real(script, policy)
+        return dataclasses.replace(expected, writes=expected.writes + [(9999.0, 1)])
+
+    monkeypatch.setattr(harness_cli, "oracle_decisions", altered_writes)
+    rc = harness_cli.main(["run", "--seed", "3", "--check-oracle"])
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert summary["oracle_match"] is False
+    assert summary["oracle_first_diff"]["field"] == "writes"

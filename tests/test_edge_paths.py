@@ -82,6 +82,32 @@ def test_scripted_cancellation_releases_the_runner():
     assert result.writes == [(60.0, 1), (360.0, 0)]
 
 
+def test_cancelled_job_frees_the_runner_for_the_next_queued_job():
+    # One runner, two jobs: cancelling the first hands the runner the second
+    # at the same instant, without waiting for the first job's timer.
+    script = ScenarioScript(
+        horizon=900,
+        events=[
+            ScenarioEvent(at=10, kind="enqueue_job",
+                          payload={"labels": MATCHING, "duration": 5000, "ref": "big"}),
+            ScenarioEvent(at=20, kind="enqueue_job",
+                          payload={"labels": MATCHING, "duration": 100, "ref": "small"}),
+            ScenarioEvent(at=310, kind="complete_job", payload={"ref": "big"}),
+        ],
+        pod_startup_delay=20,
+        initial_last_active=0,
+        policy={"max_runners": 1},
+    )
+    result = run_scenario(script)
+    assert not result.scenario_failed
+    expected = oracle_decisions(script, result.policy)
+    assert (result.decisions, result.writes) == (expected.decisions, expected.writes)
+    claims = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_claimed")]
+    assert claims == [(80.0, 1), (310.0, 2)]
+    completed = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_completed")]
+    assert completed == [(410.0, 2)]
+
+
 def test_two_runners_serve_three_jobs_with_cap_two():
     script = ScenarioScript(
         horizon=1200,

@@ -2,12 +2,12 @@ import pytest
 
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError, ProtocolError, RateLimitedError, TransientError
-from runner_manager.github import GitHubClient, RegistrationToken
+from runner_manager.github import BackoffState, GitHubClient, RegistrationToken, execute_with_backoff
 from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.labels import LabelSet
 from runner_manager.transport import HttpResponse
 
-from conftest import TEST_TOKEN
+from conftest import TEST_TOKEN, SteppingClock
 
 REPO = RepoCoordinates("biocore", "unifrac")
 STATUSES = frozenset({"queued", "in_progress"})
@@ -291,3 +291,53 @@ def test_client_keeps_the_last_rate_limit_remaining(fake_github, gh_client):
     assert gh_client.rate_limit_remaining == 4998  # 304s are not charged
     gh_client.create_registration_token(REPO)
     assert gh_client.rate_limit_remaining == 4997
+
+
+@pytest.mark.parametrize(
+    "labels", [[1], ["self-hosted", None], "abc", {"self-hosted": True}], ids=["int", "null", "string", "mapping"]
+)
+def test_job_labels_that_are_not_a_list_of_strings_are_protocol_error(clock, labels):
+    job = {"id": 1, "run_id": 7, "status": "queued", "labels": labels, "created_at": "2024-01-01T00:00:00Z"}
+    server = FakeHttpServer(lambda request: Response.json(200, {"total_count": 1, "jobs": [job]}))
+    server.start()
+    try:
+        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
+        with pytest.raises(ProtocolError):
+            client.list_run_jobs(REPO, 7)
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize(
+    "status, headers",
+    [
+        (429, {"Retry-After": "0"}),
+        (429, {"Retry-After": "-5"}),
+        (429, {"Retry-After": "nan"}),
+        (429, {"Retry-After": "inf"}),
+        (403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "nan"}),
+        (403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "inf"}),
+    ],
+    ids=["retry-after-0", "retry-after-negative", "retry-after-nan", "retry-after-inf", "reset-nan", "reset-inf"],
+)
+def test_unusable_server_wait_falls_back_to_the_schedule(status, headers):
+    clock = SteppingClock()
+    attempts = []
+
+    def handle(request):
+        attempts.append(clock.now())
+        if len(attempts) <= 50:  # bounded, so a client that never waits still ends
+            return Response.json(status, {"message": "limited"}, headers)
+        return Response.json(200, {"total_count": 0, "workflow_runs": []})
+
+    server = FakeHttpServer(handle)
+    server.start()
+    try:
+        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
+        state = BackoffState()
+        with pytest.raises(RateLimitedError):
+            execute_with_backoff(lambda: client.list_runs(REPO, "queued"), state, clock, window_end=60.0)
+    finally:
+        server.close()
+    assert attempts == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
+    assert state.next_allowed_attempt == 63.0

@@ -4,7 +4,8 @@ import pytest
 
 from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy, RepoCoordinates
-from runner_manager.errors import ConfigError, MissingDeploymentError, TransientError
+from runner_manager.errors import ConfigError, MissingDeploymentError, ProtocolError, TransientError
+from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.kube import KubeClient, KubeCredentials, load_incluster_credentials
 from runner_manager.reconciler import (
     ANNOTATION_KEEPALIVE_STARTED,
@@ -168,3 +169,29 @@ def test_kube_fault_is_transient(fake_kube, kube_client):
     fake_kube.set_fault(500)
     with pytest.raises(TransientError):
         kube_client.read_scale()
+
+
+@pytest.mark.parametrize(
+    "body, call",
+    [
+        ({"kind": "PodList", "items": [None]}, lambda c: c.list_runner_pods("app=gha-runner")),
+        ({"kind": "PodList", "items": [{"metadata": {"name": "p"}, "status": "Running"}]},
+         lambda c: c.list_runner_pods("app=gha-runner")),
+        ({"kind": "PodList", "items": [{"metadata": "p", "status": {"phase": "Running"}}]},
+         lambda c: c.list_runner_pods("app=gha-runner")),
+        ({"kind": "Scale", "spec": [1], "status": {"replicas": 1}}, lambda c: c.read_scale()),
+        ({"kind": "Scale", "spec": {"replicas": 1}, "status": "ready"}, lambda c: c.read_scale()),
+        ({"kind": "Deployment", "metadata": "gha-runner"}, lambda c: c.read_annotations()),
+    ],
+    ids=["null-pod", "string-status", "string-metadata", "list-spec", "string-scale-status",
+         "string-deployment-metadata"],
+)
+def test_malformed_body_is_protocol_error(body, call):
+    server = FakeHttpServer(lambda request: Response.json(200, body))
+    server.start()
+    try:
+        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
+        with pytest.raises(ProtocolError):
+            call(KubeClient(creds, "gha-runner", max_replicas=1))
+    finally:
+        server.close()

@@ -163,6 +163,56 @@ def test_refused_scale_writes_reach_the_credential_exit(clock):
         kube.close()
 
 
+class _ReadOnlyKubeClient(_UnwritableKubeClient):
+    """Refused every /scale patch and every annotation patch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.annotation_attempts = 0
+
+    def write_annotation(self, annotations):
+        self.annotation_attempts += 1
+        raise CredentialError("PATCH deployment -> 403", 403)
+
+
+def test_two_refused_writes_in_one_poll_count_once(clock):
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube_client = _ReadOnlyKubeClient(
+        KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
+        "gha-runner",
+        max_replicas=1,
+    )
+    github_client = GitHubClient(github.base_url, "t", clock=clock)
+    try:
+        config = Config(
+            repo=RepoCoordinates("biocore", "unifrac"),
+            policy=Policy(),
+            kube_deployment="gha-runner",
+            github_api_base=github.base_url,
+            github_token="t",
+            kube_namespace="ci",
+            kube_api_base=kube.base_url,
+            kube_sa_dir="/nonexistent",
+        )
+        records = []
+        # Keepalive is due, so each poll patches /scale and then the
+        # keepalive-started annotation; both are refused.
+        code = run_service(
+            config, clock=clock, observer=records.append, github=github_client, kube=kube_client, environment={}
+        )
+        assert code == EXIT_CREDENTIALS
+        assert kube_client.write_attempts == 3
+        # The third poll exits at its refused /scale patch and sends nothing more.
+        assert kube_client.annotation_attempts == 2
+        assert [r.consecutive_kube_errors for r in records] == [1, 2]
+    finally:
+        github_client.close()
+        kube_client.close()
+        github.close()
+        kube.close()
+
+
 def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int) -> tuple[int, list]:
     """run_service against the fakes until ``polls`` records were published."""
     config = Config(
