@@ -14,6 +14,7 @@ page. The cache holds exactly the pages the last completed poll read.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -31,9 +32,15 @@ from .errors import (
 from .labels import LabelSet, job_matches_labels
 from .transport import HttpResponse, HttpTransport
 
+logger = logging.getLogger(__name__)
+
 API_VERSION = "2022-11-28"
 ACCEPT = "application/vnd.github+json"
 PAGE_SIZE = 100
+# GitHub returns at most 1,000 results for a status-filtered run listing, and
+# a matrix yields at most 256 jobs per run, so 10 full pages cover either; a
+# server still sending full pages past that must not keep a poll looping.
+MAX_PAGES = 10
 
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
@@ -211,10 +218,11 @@ class GitHubClient:
         raise ProtocolError(f"{where} (unexpected status)", status)
 
     def _paginated(self, path_base: str, item_key: str) -> list[dict]:
+        """Every item of a listing, reading at most ``MAX_PAGES`` pages; a
+        listing still full at the cap keeps what was read and logs a warning."""
         items: list[dict] = []
-        page = 1
-        while True:
-            sep = "&" if "?" in path_base else "?"
+        sep = "&" if "?" in path_base else "?"
+        for page in range(1, MAX_PAGES + 1):
             data = self._request("GET", f"{path_base}{sep}per_page={PAGE_SIZE}&page={page}")
             if not isinstance(data, dict) or not isinstance(data.get(item_key), list):
                 raise ProtocolError(f"GET {path_base}: missing '{item_key}' array")
@@ -222,7 +230,10 @@ class GitHubClient:
             items.extend(chunk)
             if len(chunk) < PAGE_SIZE:
                 return items
-            page += 1
+        logger.warning(
+            "GET %s: still full after %d pages, keeping the first %d items", path_base, MAX_PAGES, len(items)
+        )
+        return items
 
     def list_runs(self, repo: RepoCoordinates, status: str) -> list[RunRecord]:
         path = f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runs?status={quote(status)}"

@@ -4,6 +4,11 @@ Only three surfaces are touched, all inside the configured namespace: the
 Deployment scale subresource, Deployment metadata annotations, and the pod
 list. Nothing here can express a cluster-scoped request, which is the whole
 point of the design.
+
+The reconcile loop reads ``/scale`` every poll and lists pods only when the
+scale's status reports a replica, so an idle poll sends one request. A
+``409`` conflict, a ``429`` from API Priority and Fairness and a ``5xx`` are
+transient: the loop skips that poll's writes and tries again next poll.
 """
 
 from __future__ import annotations
@@ -151,7 +156,8 @@ class KubeClient:
             raise CredentialError(where, status)
         if status == 404:
             raise MissingDeploymentError(f"{where} (deployment must pre-exist in the namespace)", status)
-        if status == 409 or status >= 500:
+        if status in (409, 429) or status >= 500:
+            # 429 is API Priority and Fairness shedding load: retry next poll.
             raise TransientError(where, status)
         raise ProtocolError(f"{where} (unexpected status)", status)
 

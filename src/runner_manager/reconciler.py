@@ -351,9 +351,15 @@ class ReconcileLoop:
         return jobs
 
     def _observe_kube(self) -> tuple[ScaleSnapshot, list[PodInfo]]:
+        """Read /scale, and the pod list only when a replica is reported:
+        :func:`update_state` reads pods only when ``status_replicas >= 1``,
+        so at 0 the list could change no decision, write or annotation."""
         if self._persisted is None:
             self._load_durable_state()
-        return self.kube.read_scale(), self.kube.list_runner_pods(f"app={self.kube.deployment}")
+        scale = self.kube.read_scale()
+        if scale.status_replicas < 1:
+            return scale, []
+        return scale, self.kube.list_runner_pods(f"app={self.kube.deployment}")
 
     def _kube_step(self, failures: list[ApiError], step: Callable[[], T]) -> T | None:
         """Run one Kubernetes step; a failure joins this poll's ``failures``

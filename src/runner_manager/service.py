@@ -99,7 +99,7 @@ def run_service(
     alive.set()
     status_server: StatusServer | None = None
     if config.status_addr:
-        status_server = StatusServer(config.status_addr, alive)
+        status_server = StatusServer(config.status_addr, alive, clock, config.policy.poll_interval)
         status_server.start()
 
     exit_code = EXIT_OK

@@ -1,9 +1,10 @@
 """Read-only HTTP status endpoint.
 
-GET /healthz answers 200 while the reconcile loop is live; GET /status
-returns the latest ReconcileRecord as one JSON object. The report never
-contains credential material -- it is built from an atomically swapped
-record, not from the live config.
+GET /healthz answers 200 while the reconcile loop is live: its thread runs
+and a poll was decided within two poll intervals (counted from start-up
+until the first record). GET /status returns the latest ReconcileRecord as
+one JSON object. The report never contains credential material -- it is
+built from an atomically swapped record, not from the live config.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .clock import Clock
 from .reconciler import ReconcileRecord
 
 logger = logging.getLogger(__name__)
@@ -39,9 +41,12 @@ def parse_listen_address(addr: str) -> tuple[str, int]:
 class StatusServer:
     """Background HTTP server publishing the swapped record."""
 
-    def __init__(self, addr: str, alive: threading.Event):
+    def __init__(self, addr: str, alive: threading.Event, clock: Clock, poll_interval: float):
         host, port = parse_listen_address(addr)
         self._alive = alive
+        self._clock = clock
+        self._stale_after = 2 * poll_interval
+        self._started_at = clock.now()
         self._record: ReconcileRecord | None = None
         server = self
 
@@ -50,8 +55,8 @@ class StatusServer:
 
             def do_GET(self):  # noqa: N802 (http.server API)
                 if self.path == "/healthz":
-                    body = b"ok" if server._alive.is_set() else b"stopped"
-                    self._reply(200 if server._alive.is_set() else 503, body, "text/plain")
+                    body = server._health()
+                    self._reply(200 if body == b"ok" else 503, body, "text/plain")
                 elif self.path == "/status":
                     record = server._record
                     body = json.dumps(record.as_status_dict() if record else BEFORE_FIRST_POLL).encode()
@@ -76,6 +81,13 @@ class StatusServer:
     @property
     def address(self) -> tuple[str, int]:
         return self._httpd.server_address[:2]
+
+    def _health(self) -> bytes:
+        if not self._alive.is_set():
+            return b"stopped"
+        record = self._record
+        last = record.decided_at if record is not None else self._started_at
+        return b"ok" if self._clock.now() - last <= self._stale_after else b"stalled"
 
     def start(self) -> None:
         self._thread.start()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
@@ -9,7 +10,7 @@ from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
-from runner_manager.kube import KubeClient, KubeCredentials
+from runner_manager.kube import KubeClient, KubeCredentials, PodInfo, ScaleSnapshot
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
 
@@ -155,3 +156,43 @@ def test_unparseable_last_active_annotation_counts_as_unknown(caplog, clock, fak
     assert loop.state.last_active is None
     assert (record.desired, record.reason, record.wrote_scale) == (1, Reason.KEEPALIVE, True)
     assert record.keepalive_next_due is None
+
+
+class _TerminatingPodKube:
+    """A Deployment already scaled to 0 whose pod is still Running: the
+    controller has not yet removed it, so status.replicas still reads 1."""
+
+    deployment = "gha-runner"
+
+    def __init__(self, last_active: float):
+        self.annotations = {ANNOTATION_LAST_ACTIVE: to_rfc3339(last_active)}
+        self.pod_lists = 0
+
+    def read_annotations(self):
+        return dict(self.annotations)
+
+    def read_scale(self):
+        return ScaleSnapshot(spec_replicas=0, status_replicas=1)
+
+    def list_runner_pods(self, label_selector):
+        self.pod_lists += 1
+        return [PodInfo(name="gha-runner-1", phase="Running")]
+
+    def write_scale(self, replicas):
+        raise AssertionError("spec already matches the idle target")
+
+    def write_annotation(self, annotations):
+        self.annotations.update(annotations)
+
+
+def test_running_pod_of_a_scaled_down_deployment_still_counts_as_activity(clock, gh_client):
+    # Gating the pod list on spec.replicas would skip it here and leave
+    # last-active behind; the gate reads status.replicas.
+    kube = _TerminatingPodKube(last_active=0.0)
+    loop = ReconcileLoop(gh_client, kube, Policy(), clock, REPO)
+    clock.advance(100)
+    record = loop.reconcile_once(clock.now())
+    assert (record.desired, record.reason, record.wrote_scale) == (0, Reason.IDLE, False)
+    assert kube.pod_lists == 1
+    assert loop.state.last_active == 100
+    assert kube.annotations[ANNOTATION_LAST_ACTIVE] == to_rfc3339(100)

@@ -341,3 +341,26 @@ def test_unusable_server_wait_falls_back_to_the_schedule(status, headers):
         server.close()
     assert attempts == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
     assert state.next_allowed_attempt == 63.0
+
+
+def test_run_listing_stops_after_ten_full_pages(clock, caplog):
+    # A misbehaving server answers full pages for its first 50 requests.
+    pages = []
+    full = [{"id": i, "status": "queued"} for i in range(100)]
+
+    def handle(request):
+        pages.append(int(request.query["page"]))
+        runs = full if len(pages) <= 50 else []
+        return Response.json(200, {"total_count": 5000, "workflow_runs": runs})
+
+    server = FakeHttpServer(handle)
+    server.start()
+    try:
+        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
+        with caplog.at_level("WARNING", logger="runner_manager.github"):
+            runs = client.list_runs(REPO, "queued")
+    finally:
+        server.close()
+    assert pages == list(range(1, 11))
+    assert len(runs) == 1000
+    assert len([r for r in caplog.records if r.levelname == "WARNING"]) == 1

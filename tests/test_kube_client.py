@@ -165,6 +165,31 @@ def test_scale_and_annotations_are_isolated(fake_kube, kube_client):
     assert replicas_before == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: c.read_scale(),
+        lambda c: c.list_runner_pods("app=gha-runner"),
+        lambda c: c.read_annotations(),
+        lambda c: c.write_scale(1),
+        lambda c: c.write_annotation({"k": "v"}),
+    ],
+    ids=["read-scale", "list-pods", "read-annotations", "write-scale", "write-annotation"],
+)
+def test_throttling_429_is_transient(call):
+    # API Priority and Fairness sheds load with 429 and a Retry-After.
+    server = FakeHttpServer(
+        lambda request: Response.json(429, {"kind": "Status", "reason": "TooManyRequests"}, {"Retry-After": "1"})
+    )
+    server.start()
+    try:
+        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
+        with pytest.raises(TransientError):
+            call(KubeClient(creds, "gha-runner", max_replicas=1))
+    finally:
+        server.close()
+
+
 def test_kube_fault_is_transient(fake_kube, kube_client):
     fake_kube.set_fault(500)
     with pytest.raises(TransientError):

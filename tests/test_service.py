@@ -2,9 +2,10 @@
 
 import threading
 import time
+from typing import Callable
 
 from runner_manager.config import Config, Policy, RepoCoordinates
-from runner_manager.clock import SystemClock
+from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
@@ -13,7 +14,7 @@ from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
 from runner_manager.errors import CredentialError
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.github import GitHubClient
-from runner_manager.reconciler import Reason
+from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason
 from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, run_service
 
 LABELS = ["self-hosted", "linux-gpu-cuda"]
@@ -213,8 +214,9 @@ def test_two_refused_writes_in_one_poll_count_once(clock):
         kube.close()
 
 
-def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int) -> tuple[int, list]:
-    """run_service against the fakes until ``polls`` records were published."""
+def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=None) -> tuple[int, list]:
+    """run_service against the fakes until ``polls`` records were published;
+    ``on_record`` sees each record as it is published."""
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
         policy=Policy(),
@@ -236,6 +238,8 @@ def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int) -> tuple[i
 
     def observe(record):
         records.append(record)
+        if on_record is not None:
+            on_record(record)
         if len(records) == polls:
             stop.set()
 
@@ -280,6 +284,91 @@ def test_secondary_rate_limit_holds_without_exiting(clock):
     assert [(r.desired, r.reason, r.wrote_scale) for r in records] == [(1, Reason.HOLD, False)] * 4
     assert [r.consecutive_github_errors for r in records] == [1, 2, 3, 4]
     assert kube.scale_write_log == []
+
+
+def _requests_per_poll(kube: FakeKube) -> tuple[list[list[str]], Callable]:
+    """An ``on_record`` that files the Kubernetes paths each poll sent."""
+    kube.keep_request_paths = True
+    per_poll: list[list[str]] = []
+
+    def on_record(record):
+        per_poll.append(list(kube.request_paths))
+        kube.request_paths.clear()
+
+    return per_poll, on_record
+
+
+def _is_pod_list(path: str) -> bool:
+    return path.endswith("/pods")
+
+
+def test_idle_polls_read_scale_and_never_list_pods(clock):
+    # Zero replicas, no jobs, and activity recorded now: no keepalive falls due.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(
+        namespace="ci", deployment="gha-runner", clock=clock,
+        initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())},
+    ).start()
+    per_poll, on_record = _requests_per_poll(kube)
+    try:
+        code, records = _run_polls(clock, github, kube, polls=10, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert {(r.desired, r.reason, r.wrote_scale) for r in records} == {(0, Reason.IDLE, False)}
+    paths = [path for poll in per_poll for path in poll]
+    assert sum(path.endswith("/scale") for path in paths) == 10
+    assert not any(_is_pod_list(path) for path in paths)
+    # Besides /scale, only the first poll's annotation read.
+    assert [len(poll) for poll in per_poll] == [2] + [1] * 9
+
+
+def test_keepalive_dwell_lists_pods_on_every_poll_that_sees_a_replica(clock):
+    # No annotations: the keepalive is due at once, so the manager scales to
+    # 1, holds the runner for min_dwell (15 polls), then scales back to 0.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    per_poll, file_paths = _requests_per_poll(kube)
+    stamps = []  # the last-active annotation after each poll
+
+    def on_record(record):
+        file_paths(record)
+        stamps.append(kube.annotations.get(ANNOTATION_LAST_ACTIVE))
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=20, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert [w.replicas for w in kube.scale_write_log] == [1, 0]
+    # Pods turn Running the moment they are created here, so status.replicas
+    # equals the spec.replicas each poll observed.
+    assert [r.observed_replicas for r in records] == [0] + [1] * 15 + [0] * 4
+    for record, paths, stamp in zip(records, per_poll, stamps):
+        listed = sum(_is_pod_list(path) for path in paths)
+        if record.observed_replicas >= 1:
+            assert listed == 1
+            assert stamp == to_rfc3339(record.decided_at)
+        else:
+            assert listed == 0
+
+
+def test_kube_throttling_holds_without_exiting(clock):
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube.apply_scale(1)  # a live runner that throttling must not scale down
+    kube.set_fault(429)
+    try:
+        code, records = _run_polls(clock, github, kube, polls=4)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert [(r.observed_replicas, r.wrote_scale) for r in records] == [(None, False)] * 4
+    assert [r.consecutive_kube_errors for r in records] == [1, 2, 3, 4]
+    assert kube.scale_write_log == [] and kube.spec_replicas == 1
 
 
 def test_scenario_leaves_no_threads_behind():

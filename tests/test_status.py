@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from runner_manager.clock import SystemClock
 from runner_manager.reconciler import Reason, ReconcileRecord
 from runner_manager.status import StatusServer, parse_listen_address
+
+from conftest import SteppingClock
 
 
 def _record(**overrides) -> ReconcileRecord:
@@ -34,7 +37,7 @@ def _record(**overrides) -> ReconcileRecord:
 def status_server():
     alive = threading.Event()
     alive.set()
-    server = StatusServer("127.0.0.1:0", alive)
+    server = StatusServer("127.0.0.1:0", alive, SystemClock(), poll_interval=60.0)
     server.start()
     yield server, alive
     server.close()
@@ -54,6 +57,34 @@ def test_healthz_ok_while_alive(status_server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(server, "/healthz")
     assert excinfo.value.code == 503
+
+
+def _healthz_code(server: StatusServer) -> int:
+    try:
+        return _get(server, "/healthz")[0]
+    except urllib.error.HTTPError as exc:
+        return exc.code
+
+
+def test_healthz_fails_once_no_poll_was_decided_within_two_intervals():
+    clock = SteppingClock(start=1000.0)
+    alive = threading.Event()
+    alive.set()
+    server = StatusServer("127.0.0.1:0", alive, clock, poll_interval=60.0)
+    server.start()
+    try:
+        # Before the first record the limit runs from start-up.
+        clock.t = 1000.0 + 119.5
+        assert _healthz_code(server) == 200
+        clock.t = 1000.0 + 120.5
+        assert _healthz_code(server) == 503
+        server.publish(_record(decided_at=1150.0))
+        clock.t = 1150.0 + 119.5
+        assert _healthz_code(server) == 200
+        clock.t = 1150.0 + 120.5
+        assert _healthz_code(server) == 503
+    finally:
+        server.close()
 
 
 def test_fresh_status_has_null_last_poll(status_server):
@@ -157,7 +188,6 @@ def test_running_service_serves_status_without_leaking_token():
     import socket
     import time
 
-    from runner_manager.clock import SystemClock
     from runner_manager.config import Config, Policy, RepoCoordinates
     from runner_manager.github import GitHubClient
     from runner_manager.harness.fake_github import FakeGitHub
@@ -176,7 +206,9 @@ def test_running_service_serves_status_without_leaking_token():
     stop = threading.Event()
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
-        policy=Policy(poll_interval=0.05, min_dwell=0.05, force_interval=3600.0),
+        # /healthz wants a poll decided within 2 x poll_interval, so the
+        # interval must stay well above the host's scheduling jitter.
+        policy=Policy(poll_interval=0.5, min_dwell=0.5, force_interval=3600.0),
         kube_deployment="gha-runner",
         github_api_base=github.base_url,
         github_token=secret,
