@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "init":
         try:
-            token, _ = resolve_github_token(args.github_token_file, dict(os.environ))
+            token = resolve_github_token(args.github_token_file, dict(os.environ))
         except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1

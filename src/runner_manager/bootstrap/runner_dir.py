@@ -12,7 +12,6 @@ import fcntl
 import json
 import logging
 import os
-import shlex
 import signal
 import subprocess
 import threading
@@ -29,7 +28,6 @@ logger = logging.getLogger(__name__)
 MARKER_NAME = ".runner-initialized"
 LOCK_NAME = ".init.lock"
 CONFIG_NAME = "runner-config.json"
-FAKE_RUNNER_EXE_VAR = "FAKE_RUNNER_EXE"
 
 
 @contextmanager
@@ -109,7 +107,7 @@ def run_runner(
     stop: threading.Event | None = None,
     environment: dict[str, str] | None = None,
 ) -> int:
-    """Launch the runner executable against the initialized directory.
+    """Launch ``<persistent_dir>/run.sh`` against the initialized directory.
 
     Refuses to start without the init marker. Termination requests are
     forwarded to the child so the runner software can deregister cleanly;
@@ -125,18 +123,13 @@ def run_runner(
         )
         return 2
 
-    fake_exe = environment.get(FAKE_RUNNER_EXE_VAR)
-    if fake_exe:
-        command = shlex.split(fake_exe)
-    else:
-        command = [os.path.join(profile.persistent_dir, "run.sh")]
-
     child_env = dict(environment)
     child_env["RUNNER_CONFIG"] = os.path.join(profile.persistent_dir, CONFIG_NAME)
     child_env["RUNNER_WORK_DIR"] = profile.work_dir
 
     os.makedirs(profile.work_dir, exist_ok=True)
-    child = subprocess.Popen(command, env=child_env, cwd=profile.persistent_dir)
+    run_sh = os.path.join(profile.persistent_dir, "run.sh")
+    child = subprocess.Popen([run_sh], env=child_env, cwd=profile.persistent_dir)
 
     if stop is not None:
 

@@ -23,7 +23,7 @@ DEFAULT_FORCE_INTERVAL = 84.0 * 3600.0  # 3.5 days
 DEFAULT_MIN_DWELL = 15.0 * 60.0
 DEFAULT_MAX_RUNNERS = 1
 DEFAULT_RUNNER_LABELS = ("self-hosted", "linux-gpu-cuda")
-OUTSTANDING_STATUSES = ("queued", "in_progress")
+OUTSTANDING_STATUSES = frozenset({"queued", "in_progress"})
 
 WEEK_SECONDS = 7 * 24 * 3600.0
 
@@ -39,6 +39,22 @@ def parse_duration(text: str | float | int, *, name: str = "duration") -> float:
     if not match:
         raise ConfigError(f"{name}: cannot parse duration {text!r} (expected e.g. 60s, 15m, 84h)")
     return float(match.group(1)) * _UNIT_SECONDS[match.group(2)]
+
+
+def parse_count(value: str | int, *, name: str) -> int:
+    """Parse a whole number such as '4'."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: cannot parse whole number {value!r}") from None
+
+
+def parse_listen_address(addr: str) -> tuple[str, int]:
+    """'host:port' or ':port'; empty host binds every interface."""
+    host, colon, port = addr.rpartition(":")
+    if not (colon and port.isdecimal() and int(port) <= 65535):
+        raise ConfigError(f"status_addr: expected host:port with a port from 0 to 65535, got {addr!r}")
+    return host, int(port)
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,6 @@ class Policy:
     min_dwell: float = DEFAULT_MIN_DWELL
     max_runners: int = DEFAULT_MAX_RUNNERS
     runner_labels: LabelSet = field(default_factory=lambda: LabelSet(DEFAULT_RUNNER_LABELS))
-    outstanding_statuses: frozenset[str] = frozenset(OUTSTANDING_STATUSES)
 
     def __post_init__(self):
         if not self.poll_interval > 0:
@@ -88,7 +103,6 @@ class Config:
     kube_deployment: str
     github_api_base: str = DEFAULT_GITHUB_API
     github_token: str = field(default="", repr=False)
-    github_token_source: str = "GITHUB_TOKEN"
     kube_namespace: str | None = None
     kube_api_base: str = IN_CLUSTER
     kube_sa_dir: str = DEFAULT_SA_DIR
@@ -162,16 +176,21 @@ def load_config(flags: list[str], environment: dict[str, str]) -> Config:
         if values["force_interval"] else DEFAULT_FORCE_INTERVAL,
         min_dwell=parse_duration(values["min_dwell"], name="min_dwell")
         if values["min_dwell"] else DEFAULT_MIN_DWELL,
-        max_runners=int(values["max_runners"]) if values["max_runners"] else DEFAULT_MAX_RUNNERS,
+        max_runners=parse_count(values["max_runners"], name="max_runners")
+        if values["max_runners"] else DEFAULT_MAX_RUNNERS,
         runner_labels=labels,
     )
 
-    token, token_source = resolve_github_token(values["github_token_file"], environment)
+    token = resolve_github_token(values["github_token_file"], environment)
 
     kube_api = values["kube_api"] or IN_CLUSTER
     namespace = values["namespace"] or None
     if kube_api != IN_CLUSTER and not namespace:
         raise ConfigError("missing required field: namespace (required with an explicit --kube-api)")
+
+    status_addr = values["status_addr"] or None
+    if status_addr:
+        parse_listen_address(status_addr)
 
     return Config(
         repo=repo,
@@ -179,15 +198,14 @@ def load_config(flags: list[str], environment: dict[str, str]) -> Config:
         kube_deployment=values["deployment"],
         github_api_base=(values["github_api"] or DEFAULT_GITHUB_API).rstrip("/"),
         github_token=token,
-        github_token_source=token_source,
         kube_namespace=namespace,
         kube_api_base=kube_api,
         kube_sa_dir=environment.get("KUBE_SA_DIR", DEFAULT_SA_DIR),
-        status_addr=values["status_addr"] or None,
+        status_addr=status_addr,
     )
 
 
-def resolve_github_token(token_file: str | None, environment: dict[str, str]) -> tuple[str, str]:
+def resolve_github_token(token_file: str | None, environment: dict[str, str]) -> str:
     if token_file:
         try:
             with open(token_file, encoding="utf-8") as fh:
@@ -196,8 +214,8 @@ def resolve_github_token(token_file: str | None, environment: dict[str, str]) ->
             raise ConfigError(f"github token file not readable: {token_file} ({exc})") from exc
         if not token:
             raise ConfigError(f"github token file is empty: {token_file}")
-        return token, f"file:{token_file}"
+        return token
     token = environment.get("GITHUB_TOKEN", "").strip()
     if not token:
         raise ConfigError("missing required field: github token (--github-token-file or GITHUB_TOKEN)")
-    return token, "GITHUB_TOKEN"
+    return token

@@ -23,10 +23,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.script:
-        script = load_script(args.script)
-    else:
-        script = generate_random_script(args.seed)
+    try:
+        script = load_script(args.script) if args.script else generate_random_script(args.seed)
+    except (OSError, ValueError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
 
     result = run_scenario(script)
 

@@ -10,6 +10,7 @@ identical traces, bit for bit.
 from __future__ import annotations
 
 import atexit
+import functools
 import heapq
 import itertools
 import os
@@ -20,20 +21,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..clock import to_rfc3339
-from ..config import Config, Policy, RepoCoordinates, parse_duration
+from ..config import Config, Policy, RepoCoordinates
 from ..reconciler import ANNOTATION_LAST_ACTIVE, ReconcileRecord
 from ..service import run_service
 from .fake_github import FakeGitHub
 from .fake_kube import FakeKube
 from .fake_runner import RunnerWorld
-from .scenario import ScenarioEvent, ScenarioScript
+from .scenario import ScenarioEvent, ScenarioScript, policy_from_script
 from .trace import Trace
 from .virtual_clock import VirtualClock
 
 HARNESS_GITHUB_TOKEN = "gh-harness-token-0001"
 HARNESS_KUBE_TOKEN = "kube-harness-sa-token"
-DEFAULT_NAMESPACE = "ci"
-DEFAULT_DEPLOYMENT = "gha-runner"
+NAMESPACE = "ci"
+DEPLOYMENT = "gha-runner"
+OWNER = "biocore"
+REPO = "unifrac"
 
 
 class _EventQueue:
@@ -131,48 +134,20 @@ class ScenarioResult:
         return timeline
 
 
-_SA_DIRS: dict[str, str] = {}
-
-
-def _shared_sa_dir(namespace: str) -> str:
-    path = _SA_DIRS.get(namespace)
-    if path is None:
-        path = tempfile.mkdtemp(prefix=f"harness-sa-{namespace}-")
-        with open(os.path.join(path, "token"), "w", encoding="utf-8") as fh:
-            fh.write(HARNESS_KUBE_TOKEN)
-        with open(os.path.join(path, "namespace"), "w", encoding="utf-8") as fh:
-            fh.write(namespace)
-        _SA_DIRS[namespace] = path
-        atexit.register(shutil.rmtree, path, ignore_errors=True)
+@functools.cache
+def _shared_sa_dir() -> str:
+    """The fake service-account mount, made once a process and shared."""
+    path = tempfile.mkdtemp(prefix=f"harness-sa-{NAMESPACE}-")
+    with open(os.path.join(path, "token"), "w", encoding="utf-8") as fh:
+        fh.write(HARNESS_KUBE_TOKEN)
+    with open(os.path.join(path, "namespace"), "w", encoding="utf-8") as fh:
+        fh.write(NAMESPACE)
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
     return path
 
 
-def policy_from_script(script: ScenarioScript, base: Policy | None = None) -> Policy:
-    """Apply a script's policy overrides on top of defaults."""
-    base = base or Policy()
-    overrides = dict(script.policy)
-    kwargs = dict(
-        poll_interval=parse_duration(overrides.pop("poll_interval", base.poll_interval)),
-        force_interval=parse_duration(overrides.pop("force_interval", base.force_interval)),
-        min_dwell=parse_duration(overrides.pop("min_dwell", base.min_dwell)),
-        max_runners=int(overrides.pop("max_runners", base.max_runners)),
-        runner_labels=base.runner_labels,
-    )
-    if overrides:
-        raise ValueError(f"unknown policy overrides in script: {sorted(overrides)}")
-    return Policy(**kwargs)
-
-
-def run_scenario(
-    script: ScenarioScript,
-    policy: Policy | None = None,
-    namespace: str = DEFAULT_NAMESPACE,
-    deployment: str = DEFAULT_DEPLOYMENT,
-    owner: str = "biocore",
-    repo: str = "unifrac",
-    keep_request_log: bool = False,
-) -> ScenarioResult:
-    policy = policy or policy_from_script(script)
+def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> ScenarioResult:
+    policy = policy_from_script(script)
     clock = VirtualClock()
     epoch = clock.now()
     horizon_abs = epoch + script.horizon
@@ -187,15 +162,15 @@ def run_scenario(
         }
 
     github = FakeGitHub(
-        owner=owner,
-        repo=repo,
+        owner=OWNER,
+        repo=REPO,
         expected_token=HARNESS_GITHUB_TOKEN,
         clock=clock,
         keep_request_log=keep_request_log,
     ).start()
     kube = FakeKube(
-        namespace=namespace,
-        deployment=deployment,
+        namespace=NAMESPACE,
+        deployment=DEPLOYMENT,
         clock=clock,
         pod_startup_delay=script.pod_startup_delay,
         schedule=queue.push,
@@ -224,15 +199,14 @@ def run_scenario(
     )
 
     config = Config(
-        repo=RepoCoordinates(owner=owner, repo=repo),
+        repo=RepoCoordinates(owner=OWNER, repo=REPO),
         policy=policy,
-        kube_deployment=deployment,
+        kube_deployment=DEPLOYMENT,
         github_api_base=github.base_url,
         github_token=HARNESS_GITHUB_TOKEN,
-        github_token_source="harness",
         kube_namespace=None,  # resolved from the fake service-account mount
         kube_api_base=kube.base_url,
-        kube_sa_dir=_shared_sa_dir(namespace),
+        kube_sa_dir=_shared_sa_dir(),
         status_addr=None,
     )
 

@@ -37,6 +37,9 @@ _RUNNER_RE = re.compile(r"^/_harness/runners/(\d+)(?:/(claim|complete))?$")
 
 RATE_LIMIT = 5000  # primary rate limit per hour, as for a personal access token
 RATE_LIMIT_WINDOW = 3600.0
+REGISTRATION_TOKEN_TTL = 3600.0
+# A run shows the last of these statuses that any of its jobs has.
+RUN_STATUS_ORDER = ("completed", "queued", "in_progress")
 
 REQUIRED_HEADERS = {
     "accept": "application/vnd.github+json",
@@ -71,7 +74,6 @@ class RequestRecord:
     path: str
     headers: dict[str, str]
     status: int
-    body: bytes = b""
 
 
 class FakeGitHub:
@@ -85,7 +87,6 @@ class FakeGitHub:
         clock: Clock | None = None,
         keep_request_log: bool = False,
         fixed_registration_token: str | None = None,
-        registration_token_ttl: float = 3600.0,
     ):
         self.owner = owner
         self.repo = repo
@@ -93,7 +94,6 @@ class FakeGitHub:
         self.clock = clock or SystemClock()
         self.keep_request_log = keep_request_log
         self.fixed_registration_token = fixed_registration_token
-        self.registration_token_ttl = registration_token_ttl
 
         self._lock = threading.RLock()
         self.jobs: dict[int, FakeJob] = {}
@@ -236,20 +236,24 @@ class FakeGitHub:
 
     # -- read models ----------------------------------------------------------
 
-    def run_status(self, run_id: int) -> str:
-        jobs = [j for j in self.jobs.values() if j.run_id == run_id]
-        if any(j.status == "in_progress" for j in jobs):
-            return "in_progress"
-        if any(j.status == "queued" for j in jobs):
-            return "queued"
-        return "completed"
+    def runs(self) -> list[dict]:
+        """Every run's listing entry, by id, from one pass over the jobs."""
+        runs: dict[int, tuple[int, float]] = {}  # run id -> (status rank, created_at)
+        with self._lock:
+            for job in self.jobs.values():
+                rank, created = runs.get(job.run_id, (0, job.created_at))
+                runs[job.run_id] = (max(rank, RUN_STATUS_ORDER.index(job.status)), min(created, job.created_at))
+        return [
+            {"id": run_id, "status": RUN_STATUS_ORDER[rank], "created_at": to_rfc3339(created)}
+            for run_id, (rank, created) in sorted(runs.items())
+        ]
 
     def mint_registration_token(self) -> tuple[str, float]:
         with self._lock:
             self._token_seq += 1
             token = self.fixed_registration_token or f"REG-{self._token_seq:04d}"
             self.issued_registration_tokens.append(token)
-            return token, self.clock.now() + self.registration_token_ttl
+            return token, self.clock.now() + REGISTRATION_TOKEN_TTL
 
     # -- request bookkeeping -----------------------------------------------
 
@@ -311,12 +315,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
             if not _repo_ok(gh, match):
                 return _not_found()
             wanted = query.get("status")
-            with gh._lock:
-                run_ids = sorted({job.run_id for job in gh.jobs.values()})
-                runs = [
-                    {"id": run_id, "status": gh.run_status(run_id), "created_at": _run_iso(gh, run_id)}
-                    for run_id in run_ids
-                ]
+            runs = gh.runs()
             if wanted:
                 runs = [r for r in runs if r["status"] == wanted]
             return Response.json(200, {"total_count": len(runs), "workflow_runs": _page(runs, query)})
@@ -426,8 +425,3 @@ def _page(items: list, query: dict[str, str]) -> list:
     page = int(query.get("page", 1))
     start = (page - 1) * per_page
     return items[start : start + per_page]
-
-
-def _run_iso(gh: FakeGitHub, run_id: int) -> str:
-    jobs = [j for j in gh.jobs.values() if j.run_id == run_id]
-    return to_rfc3339(min(j.created_at for j in jobs)) if jobs else to_rfc3339(0)

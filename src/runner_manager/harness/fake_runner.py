@@ -34,7 +34,7 @@ class RunnerWorld:
         labels: list[str],
         schedule: Callable[[float, Callable[[], None]], None],
         clock,
-        on_event: Callable[[str, dict], None] | None = None,
+        on_event: Callable[[str, dict], None],
     ):
         self.github = github
         self.labels = list(labels)
@@ -49,7 +49,7 @@ class RunnerWorld:
         if pod_name in self.runners:
             return
         self.runners[pod_name] = self.github.register_runner(pod_name, self.labels)
-        self._emit("runner_registered", {"pod": pod_name})
+        self.on_event("runner_registered", {"pod": pod_name})
         self.settle()
 
     def pod_terminating(self, pod_name: str) -> None:
@@ -58,7 +58,7 @@ class RunnerWorld:
             return
         # Deregistration re-queues any in-flight job on the fake GitHub side.
         self.github.deregister_runner(runner_id)
-        self._emit("runner_deregistered", {"pod": pod_name})
+        self.on_event("runner_deregistered", {"pod": pod_name})
         self.settle()
 
     # claims ------------------------------------------------------------------
@@ -73,7 +73,7 @@ class RunnerWorld:
                 job = self.github.claim_job(runner_id)  # None while the runner is busy
                 if job is None:
                     continue
-                self._emit("job_claimed", {"pod": pod_name, "job": job.job_id})
+                self.on_event("job_claimed", {"pod": pod_name, "job": job.job_id})
                 self.schedule(
                     self.clock.now() + job.duration,
                     lambda p=pod_name, r=runner_id, j=job.job_id: self._complete(p, r, j),
@@ -84,12 +84,8 @@ class RunnerWorld:
         # Refused for a stale timer: the job was re-queued or force-completed.
         if not self.github.complete_job(runner_id, job_id):
             return
-        self._emit("job_completed", {"pod": pod_name, "job": job_id})
+        self.on_event("job_completed", {"pod": pod_name, "job": job_id})
         self.settle()
-
-    def _emit(self, action: str, detail: dict) -> None:
-        if self.on_event is not None:
-            self.on_event(action, detail)
 
 
 # -- subprocess form ---------------------------------------------------------

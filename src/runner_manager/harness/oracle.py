@@ -23,9 +23,12 @@ from .scenario import ScenarioScript
 from .virtual_clock import SIM_EPOCH
 
 # Documented contracts mirrored here on purpose (not imported from the
-# implementation): decision reasons, backoff schedule, keepalive lead.
+# implementation): decision reasons, backoff schedule, keepalive lead, the
+# job statuses that count as demand and the runner Deployment's name.
 HOLD, DEMAND, KEEPALIVE, IDLE = "hold", "demand", "keepalive", "idle"
 BACKOFF_CAP = 60.0
+OUTSTANDING = ("queued", "in_progress")
+DEPLOYMENT = "gha-runner"
 
 
 @dataclass
@@ -52,17 +55,10 @@ class OracleResult:
     decisions: list[tuple[float, int, str]]
     writes: list[tuple[float, int]]
 
-    def replica_timeline(self) -> list[tuple[float, int]]:
-        return [(0.0, 0)] + list(self.writes)
 
-
-def oracle_decisions(
-    script: ScenarioScript,
-    policy: Policy | None = None,
-    deployment: str = "gha-runner",
-) -> OracleResult:
+def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> OracleResult:
     policy = policy or Policy()
-    sim = _OracleSim(script, policy, deployment)
+    sim = _OracleSim(script, policy)
     sim.run()
     return OracleResult(
         decisions=[(t - SIM_EPOCH, target, reason) for t, target, reason in sim.decisions],
@@ -74,10 +70,9 @@ _ENV, _MANAGER = 0, 1  # same-instant ordering: environment before manager
 
 
 class _OracleSim:
-    def __init__(self, script: ScenarioScript, policy: Policy, deployment: str):
+    def __init__(self, script: ScenarioScript, policy: Policy):
         self.script = script
         self.policy = policy
-        self.deployment = deployment
         self.epoch = SIM_EPOCH
         self.horizon = self.epoch + script.horizon
 
@@ -200,7 +195,7 @@ class _OracleSim:
         self.spec_replicas = target
         while len(self.pods) < target:
             self._pod_seq += 1
-            pod = _Pod(name=f"{self.deployment}-{self._pod_seq}")
+            pod = _Pod(name=f"{DEPLOYMENT}-{self._pod_seq}")
             self.pods.append(pod)
             self._push(
                 at + self.script.pod_startup_delay,
@@ -320,7 +315,7 @@ class _OracleSim:
             outstanding = sum(
                 1
                 for j in self.jobs
-                if j.status in policy.outstanding_statuses
+                if j.status in OUTSTANDING
                 and j.labels.issubset(policy.runner_labels)
             )
             if outstanding > 0:

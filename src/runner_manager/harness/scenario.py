@@ -10,7 +10,9 @@ Scripts live in YAML or JSON files::
       - {at: 1200, kind: github_recover}
 
 Event times are seconds from scenario start. ``complete_job`` refers to a
-previous ``enqueue_job`` by its ``ref``.
+previous ``enqueue_job`` by its ``ref``. An optional ``policy:`` mapping
+overrides ``poll_interval``, ``force_interval``, ``min_dwell`` and
+``max_runners``; it is the only way to set a scenario's policy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from ..config import DEFAULT_RUNNER_LABELS
+from ..config import DEFAULT_RUNNER_LABELS, Policy, parse_count, parse_duration
+from ..errors import ConfigError
 
 EVENT_KINDS = (
     "enqueue_job",
@@ -35,6 +38,13 @@ EVENT_KINDS = (
 
 DEFAULT_POD_STARTUP_DELAY = 20.0
 DEFAULT_JOB_DURATION = 300.0
+POLICY_DURATIONS = ("poll_interval", "force_interval", "min_dwell")
+
+# generate_random_script's fixed shape; every seed draws from these.
+RANDOM_POLL_INTERVAL = 60.0
+RANDOM_MIN_TICKS = 25
+RANDOM_MAX_TICKS = 60
+RANDOM_MAX_CONCURRENT_JOBS = 10
 
 
 @dataclass(frozen=True)
@@ -50,15 +60,36 @@ class ScenarioScript:
     events: list[ScenarioEvent] = field(default_factory=list)
     pod_startup_delay: float = DEFAULT_POD_STARTUP_DELAY
     initial_last_active: float | None = None  # seconds relative to start, may be negative
-    policy: dict = field(default_factory=dict)  # optional Policy overrides for the CLI
+    policy: dict = field(default_factory=dict)  # Policy overrides; see policy_from_script
 
     def __post_init__(self):
         validate_script(self)
 
 
+def policy_from_script(script: ScenarioScript) -> Policy:
+    """The script's policy overrides on top of the defaults.
+
+    Raises ValueError naming an unknown key, an unparseable value or the
+    violated policy bound.
+    """
+    overrides = dict(script.policy)
+    try:
+        kwargs = {
+            name: parse_duration(overrides.pop(name), name=name) for name in POLICY_DURATIONS if name in overrides
+        }
+        if "max_runners" in overrides:
+            kwargs["max_runners"] = parse_count(overrides.pop("max_runners"), name="max_runners")
+        if overrides:
+            raise ValueError(f"unknown policy overrides in script: {sorted(overrides)}")
+        return Policy(**kwargs)
+    except (ConfigError, TypeError) as exc:
+        raise ValueError(f"scenario policy: {exc}") from None
+
+
 def validate_script(script: ScenarioScript) -> None:
     if script.horizon <= 0:
         raise ValueError("scenario horizon must be positive")
+    policy_from_script(script)
     seen_refs: set[str] = set()
     last_at = float("-inf")
     for event in script.events:
@@ -132,23 +163,16 @@ def script_to_dict(script: ScenarioScript) -> dict:
     return out
 
 
-def generate_random_script(
-    seed: int,
-    poll_interval: float = 60.0,
-    min_ticks: int = 25,
-    max_ticks: int = 60,
-    max_concurrent_jobs: int = 10,
-    with_faults: bool = True,
-    with_restarts: bool = False,
-    matching_labels: tuple[str, ...] = DEFAULT_RUNNER_LABELS,
-) -> ScenarioScript:
+def generate_random_script(seed: int, with_faults: bool = True, with_restarts: bool = False) -> ScenarioScript:
     """Randomized but reproducible workload: job bursts, faults, restarts.
 
-    Job arrivals keep at most ``max_concurrent_jobs`` outstanding; most jobs
-    request matching labels, some request foreign labels and must be ignored.
+    Job arrivals keep at most ``RANDOM_MAX_CONCURRENT_JOBS`` outstanding; most
+    jobs request the default runner labels, some request foreign labels and
+    must be ignored. The script sets no policy, so the manager runs the default.
     """
+    poll_interval = RANDOM_POLL_INTERVAL
     rng = random.Random(seed)
-    horizon = poll_interval * rng.randint(min_ticks, max_ticks)
+    horizon = poll_interval * rng.randint(RANDOM_MIN_TICKS, RANDOM_MAX_TICKS)
     events: list[tuple[float, str, dict]] = []
 
     # Job arrivals: bursty Poisson-ish process.
@@ -161,11 +185,11 @@ def generate_random_script(
         outstanding = [done for done in outstanding if done > t]
         burst = rng.randint(1, 3)
         for _ in range(burst):
-            if len(outstanding) >= max_concurrent_jobs:
+            if len(outstanding) >= RANDOM_MAX_CONCURRENT_JOBS:
                 break
             duration = rng.uniform(0.5, 8.0) * poll_interval
             matching = rng.random() > 0.15
-            labels = list(matching_labels) if matching else ["self-hosted", "windows-arm"]
+            labels = list(DEFAULT_RUNNER_LABELS) if matching else ["self-hosted", "windows-arm"]
             events.append(
                 (round(t + rng.uniform(0, 30), 3), "enqueue_job", {"labels": labels, "duration": round(duration, 3)})
             )

@@ -27,8 +27,8 @@ class _Waiter:
 
 
 class VirtualClock(Clock):
-    def __init__(self, start: float = SIM_EPOCH):
-        self._now = start
+    def __init__(self):
+        self._now = SIM_EPOCH
         self._cond = threading.Condition()
         self._busy = 0
         self._waiters: list[_Waiter] = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, TypeVar
 
 from .clock import Clock, from_rfc3339, to_rfc3339
-from .config import Policy
+from .config import OUTSTANDING_STATUSES, Policy
 from .errors import ApiError, CredentialError, MissingDeploymentError
 from .github import BackoffState, GitHubClient, JobRecord, execute_with_backoff
 from .kube import KubeClient, PodInfo, ScaleSnapshot
@@ -113,6 +113,42 @@ class ReconcileRecord:
             "keepalive_next_due": _format_ts(self.keepalive_next_due),
             "github_rate_limit_remaining": self.github_rate_limit_remaining,
         }
+
+
+@dataclass
+class _Streaks:
+    """One API's failure streaks, both counted in polls, not calls: polls in
+    a row with any failed call, and polls in a row with a 401/403."""
+
+    api: str
+    errors: int = 0
+    credential: int = 0
+
+    def end_poll(self, failures: list[ApiError]) -> None:
+        self.errors = self.errors + 1 if failures else 0
+        refused = any(isinstance(exc, CredentialError) for exc in failures)
+        self.credential = self.credential + 1 if refused else 0
+
+
+def _step(streaks: _Streaks, failures: list[ApiError], step: Callable[[], T]) -> T | None:
+    """Run one API step; a failure joins this poll's ``failures`` and yields
+    None. A 401/403 escapes at once when this poll would bring the credential
+    streak to the exit threshold, so the terminal poll sends no further
+    request. A missing Deployment escapes at once."""
+    try:
+        return step()
+    except MissingDeploymentError:
+        raise
+    except CredentialError as exc:
+        failures.append(exc)
+        streak = streaks.credential + 1
+        if streak >= CREDENTIAL_EXIT_THRESHOLD:
+            raise
+        logger.warning("%s credential failure (%d): %s", streaks.api, streak, exc)
+    except ApiError as exc:
+        failures.append(exc)
+        logger.debug("%s call failed: %s", streaks.api, exc)
+    return None
 
 
 def keepalive_due(
@@ -228,10 +264,8 @@ class ReconcileLoop:
 
         self.state = ManagerState()
         self.backoff = BackoffState()
-        self.consecutive_github_errors = 0
-        self.consecutive_kube_errors = 0
-        self._github_credential_streak = 0
-        self._kube_credential_streak = 0
+        self.github_streaks = _Streaks("github")
+        self.kube_streaks = _Streaks("kubernetes")
         # The state the Deployment annotations hold; None until they are read.
         self._persisted: ManagerState | None = None
 
@@ -267,13 +301,15 @@ class ReconcileLoop:
         """
         window_end = tick + self.policy.poll_interval
 
-        jobs = self._poll_github(window_end)
+        github_failures: list[ApiError] = []
+        jobs = _step(self.github_streaks, github_failures, lambda: self._poll_github(window_end))
+        self.github_streaks.end_poll(github_failures)
 
         if self.stop.is_set():
             return None
 
         failures: list[ApiError] = []  # this poll's failed Kubernetes calls
-        scale, pods = self._kube_step(failures, self._observe_kube) or (None, [])
+        scale, pods = _step(self.kube_streaks, failures, self._observe_kube) or (None, [])
         now = self.clock.now()
 
         observation = Observation(
@@ -290,21 +326,17 @@ class ReconcileLoop:
             and decision.target_replicas != scale.spec_replicas
             and not self.stop.is_set()
         ):
-            written = self._kube_step(failures, lambda: self.kube.write_scale(decision.target_replicas))
+            written = _step(self.kube_streaks, failures, lambda: self.kube.write_scale(decision.target_replicas))
             wrote = written is not None
 
         self.state = update_state(self.state, decision, observation, now, wrote_scale=wrote)
 
         if observation.kube_ok and self._persisted is not None:
-            self._kube_step(failures, self._persist_durable_state)
+            _step(self.kube_streaks, failures, self._persist_durable_state)
 
-        # As for GitHub, both streaks count polls, not calls, so a readable
-        # but unwritable Deployment still reaches the exit threshold.
-        self.consecutive_kube_errors = self.consecutive_kube_errors + 1 if failures else 0
-        if any(isinstance(exc, CredentialError) for exc in failures):
-            self._kube_credential_streak += 1
-        else:
-            self._kube_credential_streak = 0
+        # Counting polls, not calls, a readable but unwritable Deployment
+        # still reaches the exit threshold.
+        self.kube_streaks.end_poll(failures)
 
         return ReconcileRecord(
             tick=tick,
@@ -315,40 +347,22 @@ class ReconcileLoop:
             desired=decision.target_replicas,
             reason=decision.reason,
             wrote_scale=wrote,
-            consecutive_github_errors=self.consecutive_github_errors,
-            consecutive_kube_errors=self.consecutive_kube_errors,
+            consecutive_github_errors=self.github_streaks.errors,
+            consecutive_kube_errors=self.kube_streaks.errors,
             keepalive_next_due=keepalive_due_at(
                 self.state.last_active, self.policy.force_interval, self.policy.min_dwell
             ),
             github_rate_limit_remaining=self.github.rate_limit_remaining,
         )
 
-    def _poll_github(self, window_end: float) -> list[JobRecord] | None:
-        try:
-            jobs = execute_with_backoff(
-                lambda: self.github.list_outstanding_jobs(
-                    self.repo, self.policy.outstanding_statuses, self.policy.runner_labels
-                ),
-                self.backoff,
-                self.clock,
-                window_end=window_end,
-                interrupt=self.stop,
-            )
-        except CredentialError as exc:
-            self._github_credential_streak += 1
-            self.consecutive_github_errors += 1
-            if self._github_credential_streak >= CREDENTIAL_EXIT_THRESHOLD:
-                raise
-            logger.warning("github poll credential failure (%d): %s", self._github_credential_streak, exc)
-            return None
-        except ApiError as exc:
-            self._github_credential_streak = 0
-            self.consecutive_github_errors += 1
-            logger.debug("github poll failed, holding: %s", exc)
-            return None
-        self._github_credential_streak = 0
-        self.consecutive_github_errors = 0
-        return jobs
+    def _poll_github(self, window_end: float) -> list[JobRecord]:
+        return execute_with_backoff(
+            lambda: self.github.list_outstanding_jobs(self.repo, OUTSTANDING_STATUSES, self.policy.runner_labels),
+            self.backoff,
+            self.clock,
+            window_end=window_end,
+            interrupt=self.stop,
+        )
 
     def _observe_kube(self) -> tuple[ScaleSnapshot, list[PodInfo]]:
         """Read /scale, and the pod list only when a replica is reported:
@@ -360,26 +374,6 @@ class ReconcileLoop:
         if scale.status_replicas < 1:
             return scale, []
         return scale, self.kube.list_runner_pods(f"app={self.kube.deployment}")
-
-    def _kube_step(self, failures: list[ApiError], step: Callable[[], T]) -> T | None:
-        """Run one Kubernetes step; a failure joins this poll's ``failures``
-        and yields None. A 401/403 escapes at once when this poll would bring
-        the credential streak to the exit threshold, so the terminal poll
-        sends no further request."""
-        try:
-            return step()
-        except MissingDeploymentError:
-            raise
-        except CredentialError as exc:
-            failures.append(exc)
-            streak = self._kube_credential_streak + 1
-            if streak >= CREDENTIAL_EXIT_THRESHOLD:
-                raise
-            logger.warning("kubernetes credential failure (%d): %s", streak, exc)
-        except ApiError as exc:
-            failures.append(exc)
-            logger.debug("kubernetes call failed, skipping writes: %s", exc)
-        return None
 
 
 def _count(jobs: list[JobRecord] | None, status: str) -> int | None:

@@ -15,6 +15,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .clock import Clock
+from .config import parse_listen_address
 from .reconciler import ReconcileRecord
 
 logger = logging.getLogger(__name__)
@@ -30,12 +31,6 @@ BEFORE_FIRST_POLL = {
     "keepalive_next_due": None,
     "github_rate_limit_remaining": None,
 }
-
-
-def parse_listen_address(addr: str) -> tuple[str, int]:
-    """'host:port' or ':port'; empty host binds every interface."""
-    host, _, port = addr.rpartition(":")
-    return host, int(port)
 
 
 class StatusServer:

@@ -372,8 +372,9 @@ def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
         github.enqueue_job(MATCHING, duration=40.0)
         stop = threading.Event()
         codes: list[int] = []
-        from test_bootstrap import fake_runner_env
+        from test_bootstrap import fake_runner_env, install_fake_runner
 
+        install_fake_runner(str(persistent))
         env = fake_runner_env()
         thread = threading.Thread(target=lambda: codes.append(run_runner(profile, stop=stop, environment=env)))
         thread.start()

@@ -125,16 +125,24 @@ def fake_runner_env() -> dict[str, str]:
     pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     return {
         **os.environ,
-        "FAKE_RUNNER_EXE": f"{shlex.quote(sys.executable)} -m runner_manager.harness.fake_runner",
         "PYTHONPATH": pythonpath,
         "FAKE_RUNNER_POLL_MS": "20",
         "FAKE_RUNNER_TIME_SCALE": "0.001",
     }
 
 
+def install_fake_runner(persistent_dir: str) -> None:
+    """Put the fake runner where ``run_runner`` starts the runner software:
+    an executable ``run.sh`` that execs it, so the pod's SIGTERM reaches it."""
+    run_sh = Path(persistent_dir, "run.sh")
+    run_sh.write_text(f"#!/bin/sh\nexec {shlex.quote(sys.executable)} -m runner_manager.harness.fake_runner\n")
+    run_sh.chmod(0o755)
+
+
 def test_entrypoint_runs_fake_runner_through_a_job(github, profile):
     # End to end: init, launch, claim, complete, terminate cleanly.
     github.enqueue_job(LABELS, duration=50.0)
+    install_fake_runner(profile.persistent_dir)
     init_runner_dir(profile, REPO, _client(github))
 
     stop = threading.Event()

@@ -102,6 +102,22 @@ def test_service_main_reports_config_errors(capsys, monkeypatch):
     assert (list(service.reconcile_logger.handlers), service.reconcile_logger.propagate) == before
 
 
+def test_service_main_reports_a_non_integer_max_runners(capsys, monkeypatch):
+    monkeypatch.setenv("GITHUB_TOKEN", "secret")
+    rc = service.main(["--owner", "o", "--repo", "r", "--deployment", "d", "--max-runners", "two"])
+    assert rc == service.EXIT_CONFIG
+    assert "configuration error: max_runners" in capsys.readouterr().err
+
+
+def test_harness_run_reports_a_bad_policy_block(tmp_path, capsys):
+    script_path = tmp_path / "scenario.yaml"
+    script_path.write_text("horizon: 600\npolicy: {max_runner: 2}\n")
+    rc = harness_cli.main(["run", "--script", str(script_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "max_runner" in err
+
+
 def test_fake_runner_requires_config(monkeypatch):
     from runner_manager.harness import fake_runner
 

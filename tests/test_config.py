@@ -119,6 +119,23 @@ def test_policy_bounds_quoted_in_errors(kwargs, bound):
         Policy(**kwargs)
 
 
+@pytest.mark.parametrize("flags,env", [(["--max-runners", "two"], {}), ([], {"MAX_RUNNERS": "two"})])
+def test_non_integer_max_runners_is_config_error(flags, env):
+    with pytest.raises(ConfigError, match="max_runners"):
+        load_config(flags, {**_complete_env(), **env})
+
+
+@pytest.mark.parametrize("addr", ["nope", ":abc", ":99999"])
+def test_malformed_status_addr_rejected_at_load(addr):
+    with pytest.raises(ConfigError, match="status_addr"):
+        load_config(["--status-addr", addr], _complete_env())
+
+
+@pytest.mark.parametrize("addr", [":8080", "127.0.0.1:0"])
+def test_status_addr_accepted(addr):
+    assert load_config([], {**_complete_env(), "STATUS_ADDR": addr}).status_addr == addr
+
+
 def test_owner_repo_shape():
     with pytest.raises(ConfigError):
         RepoCoordinates("bad/owner", "repo")

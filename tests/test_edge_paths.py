@@ -3,7 +3,7 @@
 import pytest
 
 from runner_manager.clock import to_rfc3339
-from runner_manager.config import Policy, RepoCoordinates
+from runner_manager.config import OUTSTANDING_STATUSES, Policy, RepoCoordinates
 from runner_manager.errors import RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
 from runner_manager.harness.driver import run_scenario
@@ -142,8 +142,7 @@ def test_outstanding_statuses_knob_limits_what_pins_the_runner(clock, fake_githu
     narrowed = frozenset({"queued"})
     jobs = gh_client.list_outstanding_jobs(REPO, narrowed, LabelSet(MATCHING))
     assert jobs == []
-    default = Policy().outstanding_statuses
-    jobs = gh_client.list_outstanding_jobs(REPO, default, LabelSet(MATCHING))
+    jobs = gh_client.list_outstanding_jobs(REPO, OUTSTANDING_STATUSES, LabelSet(MATCHING))
     assert len(jobs) == 1 and jobs[0].status == "in_progress"
 
 

@@ -100,7 +100,7 @@ def test_5xx_classified_transient(fake_github, gh_client):
 def test_registration_token_echoes_fixture(clock):
     from runner_manager.harness.fake_github import FakeGitHub
 
-    gh = FakeGitHub(fixed_registration_token="REG-abc", registration_token_ttl=3600, clock=clock).start()
+    gh = FakeGitHub(fixed_registration_token="REG-abc", clock=clock).start()
     try:
         client = GitHubClient(gh.base_url, TEST_TOKEN, clock=clock)
         token = client.create_registration_token(REPO)

@@ -155,6 +155,16 @@ class TestScenarioScripts:
         with pytest.raises(ValueError, match="unknown event kind"):
             ScenarioScript(horizon=100, events=[ScenarioEvent(at=1, kind="explode")])
 
+    @pytest.mark.parametrize(
+        "policy,message",
+        [("{max_runner: 2}", "max_runner"), ("{min_dwell: 10s}", "min_dwell >= poll_interval")],
+    )
+    def test_policy_block_is_checked_when_the_script_is_loaded(self, tmp_path, policy, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"horizon: 600\npolicy: {policy}\n")
+        with pytest.raises(ValueError, match=message):
+            load_script(str(path))
+
     def test_complete_job_needs_known_ref(self):
         with pytest.raises(ValueError, match="previously enqueued"):
             ScenarioScript(

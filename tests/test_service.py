@@ -4,18 +4,20 @@ import threading
 import time
 from typing import Callable
 
-from runner_manager.config import Config, Policy, RepoCoordinates
+import pytest
+
+from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, load_config
 from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
-from runner_manager.errors import CredentialError
+from runner_manager.errors import ConfigError, CredentialError
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.github import GitHubClient
 from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason
-from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, run_service
+from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, build_kube_client, run_service
 
 LABELS = ["self-hosted", "linux-gpu-cuda"]
 
@@ -468,3 +470,64 @@ def test_decisions_logged_one_json_object_per_reconcile(caplog):
         assert set(payload) == {"time", "queued", "in_progress", "observed", "desired", "reason", "wrote_scale"}
         assert payload["reason"] == "idle"
         assert payload["wrote_scale"] is False
+
+
+def _sa_mount(root) -> str:
+    root.mkdir()
+    (root / "token").write_text("sa-token\n")
+    (root / "namespace").write_text("runners\n")
+    (root / "ca.crt").write_text("not parsed until a TLS connection opens\n")
+    return str(root)
+
+
+def _kube_config(kube_api: str, sa_dir: str, namespace: str | None) -> Config:
+    return Config(
+        repo=RepoCoordinates("o", "r"),
+        policy=Policy(),
+        kube_deployment="gha-runner",
+        kube_namespace=namespace,
+        kube_api_base=kube_api,
+        kube_sa_dir=sa_dir,
+    )
+
+
+def test_in_cluster_credentials_come_from_the_mount_and_service_env(tmp_path):
+    mount = _sa_mount(tmp_path / "sa")
+    env = {"GH_OWNER": "o", "GH_REPO": "r", "KUBE_DEPLOYMENT": "gha-runner", "GITHUB_TOKEN": "t",
+           "KUBE_SA_DIR": mount}
+    config = load_config([], env)
+    assert (config.kube_api_base, config.kube_sa_dir) == (IN_CLUSTER, mount)
+    client = build_kube_client(config, {"KUBERNETES_SERVICE_HOST": "10.96.0.1", "KUBERNETES_SERVICE_PORT": "6443"})
+    try:
+        assert client._creds == KubeCredentials(
+            api_base="https://10.96.0.1:6443",
+            bearer_token="sa-token",
+            ca_bundle=str(tmp_path / "sa" / "ca.crt"),
+            namespace="runners",
+        )
+    finally:
+        client.close()
+    with pytest.raises(ConfigError, match="KUBERNETES_SERVICE_HOST"):
+        build_kube_client(config, {})
+
+
+def test_explicit_kube_api_with_a_mount_uses_the_mounted_token(tmp_path):
+    mount = _sa_mount(tmp_path / "sa")
+    client = build_kube_client(_kube_config("http://127.0.0.1:1", mount, "ci"), {"KUBE_TOKEN": "ignored"})
+    try:
+        assert client._creds == KubeCredentials(
+            api_base="http://127.0.0.1:1", bearer_token="sa-token", ca_bundle=None, namespace="ci"
+        )
+    finally:
+        client.close()
+
+
+def test_explicit_kube_api_without_a_mount_uses_kube_token(tmp_path):
+    config = _kube_config("https://kube.example:6443", str(tmp_path / "no-mount"), "ci")
+    client = build_kube_client(config, {"KUBE_TOKEN": "env-token"})
+    try:
+        assert client._creds == KubeCredentials(
+            api_base="https://kube.example:6443", bearer_token="env-token", ca_bundle=None, namespace="ci"
+        )
+    finally:
+        client.close()
