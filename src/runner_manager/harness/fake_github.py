@@ -97,6 +97,7 @@ class FakeGitHub:
 
         self._lock = threading.RLock()
         self.jobs: dict[int, FakeJob] = {}
+        self._run_jobs: dict[int, tuple[FakeJob, ...]] = {}  # run id -> its jobs, by job id
         self.runners: dict[int, FakeRunnerRegistration] = {}
         self.issued_registration_tokens: list[str] = []
         self._job_seq = 0
@@ -157,6 +158,7 @@ class FakeGitHub:
                 self.jobs[job.job_id] = job
                 created.append(job)
                 self._emit("job_enqueued", job)
+            self._run_jobs[run_id] = tuple(created)
             return created
 
     def force_complete(self, ref: str) -> None:
@@ -326,10 +328,6 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
                 return _not_found()
             run_id = int(match.group(3))
             with gh._lock:
-                jobs = sorted(
-                    (j for j in gh.jobs.values() if j.run_id == run_id),
-                    key=lambda j: j.job_id,
-                )
                 payload = [
                     {
                         "id": j.job_id,
@@ -338,7 +336,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
                         "labels": list(j.labels),
                         "created_at": to_rfc3339(j.created_at),
                     }
-                    for j in jobs
+                    for j in gh._run_jobs.get(run_id, ())
                 ]
             return Response.json(200, {"total_count": len(payload), "jobs": _page(payload, query)})
 

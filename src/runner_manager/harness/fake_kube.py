@@ -1,9 +1,10 @@
 """Fake Kubernetes API server for one namespace.
 
 Implements exactly the surfaces the manager may touch: the Deployment
-scale subresource, Deployment metadata patching, and the pod list. Every
-request outside the configured namespace is answered 403 and flags the
-scenario as failed -- the unprivileged-operation guarantee made testable.
+itself (read, and merge patches of its annotations), its scale subresource,
+and the pod list. Every request outside the configured namespace is answered
+403 and flags the scenario as failed -- the unprivileged-operation guarantee
+made testable.
 
 Scaling behaves like a (simplified) Deployment controller: on 0->N the
 fake creates Pending pods that turn Running after a configurable startup
@@ -289,7 +290,7 @@ def _scale_body(kube: FakeKube) -> dict:
                 "resourceVersion": str(kube.resource_version),
             },
             "spec": {"replicas": kube.spec_replicas},
-            "status": {"replicas": kube.running_count(), "selector": f"app={kube.deployment}"},
+            "status": {"replicas": len(kube.pods), "selector": f"app={kube.deployment}"},
         }
 
 
@@ -305,8 +306,16 @@ def _deployment_body(kube: FakeKube) -> dict:
                 "resourceVersion": str(kube.resource_version),
             },
             "spec": {"replicas": kube.spec_replicas},
-            "status": {"replicas": kube.running_count(), "readyReplicas": kube.running_count()},
+            "status": _deployment_status(kube),
         }
+
+
+def _deployment_status(kube: FakeKube) -> dict:
+    """Like the Deployment controller's: ``replicas`` counts every pod,
+    Pending included, ``readyReplicas`` the Running ones, and a zero count
+    is left out, as the API server leaves out zero fields."""
+    counts = {"replicas": len(kube.pods), "readyReplicas": kube.running_count()}
+    return {key: count for key, count in counts.items() if count}
 
 
 def _parse_selector(selector: str) -> dict[str, str]:

@@ -125,13 +125,19 @@ def validate_script(script: ScenarioScript) -> None:
 def load_script(path: str) -> ScenarioScript:
     """Load a YAML/JSON scenario file (JSON is a YAML subset)."""
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
     return script_from_dict(raw)
 
 
 def script_from_dict(raw: dict) -> ScenarioScript:
+    policy = raw.get("policy") or {}
+    if not isinstance(policy, dict):
+        raise ValueError(f"scenario policy must be a mapping: {policy!r}")
     events = []
     for idx, entry in enumerate(raw.get("events") or []):
         if not isinstance(entry, dict) or "at" not in entry or "kind" not in entry:
@@ -146,7 +152,7 @@ def script_from_dict(raw: dict) -> ScenarioScript:
         initial_last_active=(
             float(raw["initial_last_active"]) if raw.get("initial_last_active") is not None else None
         ),
-        policy=dict(raw.get("policy") or {}),
+        policy=dict(policy),
     )
 
 

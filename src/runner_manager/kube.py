@@ -1,14 +1,15 @@
 """Namespaced Kubernetes API client.
 
 Only three surfaces are touched, all inside the configured namespace: the
-Deployment scale subresource, Deployment metadata annotations, and the pod
-list. Nothing here can express a cluster-scoped request, which is the whole
-point of the design.
+Deployment itself, its scale subresource, and the pod list. Nothing here can
+express a cluster-scoped request, which is the whole point of the design.
 
-The reconcile loop reads ``/scale`` every poll and lists pods only when the
-scale's status reports a replica, so an idle poll sends one request. A
-``409`` conflict, a ``429`` from API Priority and Fairness and a ``5xx`` are
-transient: the loop skips that poll's writes and tries again next poll.
+The reconcile loop sends one ``GET`` of the Deployment per poll: that object
+carries ``spec.replicas``, ``status.readyReplicas`` and the annotations that
+hold the keepalive bookkeeping. It writes through merge patches of
+``/scale`` and of the Deployment's annotations. A ``409`` conflict, a
+``429`` from API Priority and Fairness and a ``5xx`` are transient: the loop
+skips that poll's writes and tries again next poll.
 """
 
 from __future__ import annotations
@@ -43,9 +44,13 @@ class KubeCredentials:
 
 
 @dataclass(frozen=True)
-class ScaleSnapshot:
+class DeploymentSnapshot:
+    """The facts of one Deployment read. The API server leaves out fields
+    that are zero, so a missing ``readyReplicas`` reads as 0."""
+
     spec_replicas: int
-    status_replicas: int
+    ready_replicas: int
+    annotations: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -117,10 +122,6 @@ class KubeClient:
         self._max_replicas = max_replicas
         self._transport = transport or HttpTransport(ca_file=creds.ca_bundle)
 
-    @property
-    def deployment(self) -> str:
-        return self._deployment
-
     def close(self) -> None:
         self._transport.close()
 
@@ -161,12 +162,22 @@ class KubeClient:
             raise TransientError(where, status)
         raise ProtocolError(f"{where} (unexpected status)", status)
 
-    def read_scale(self) -> ScaleSnapshot:
-        data = self._request("GET", self._deployment_path("/scale"))
-        return self._parse_scale(data)
+    def read_scale(self) -> DeploymentSnapshot:
+        """One GET of the Deployment: spec and ready replicas, and annotations."""
+        data = self._request("GET", self._deployment_path())
+        spec = _object_field(data, "spec", "deployment")
+        status = _object_field(data, "status", "deployment")
+        metadata = _object_field(data, "metadata", "deployment")
+        annotations = _object_field(metadata, "annotations", "metadata")
+        return DeploymentSnapshot(
+            spec_replicas=_replicas(spec, "replicas", data),
+            ready_replicas=_replicas(status, "readyReplicas", data),
+            annotations={str(k): str(v) for k, v in annotations.items()},
+        )
 
-    def write_scale(self, replicas: int) -> ScaleSnapshot:
-        """Merge-patch spec.replicas on the scale subresource; nothing else."""
+    def write_scale(self, replicas: int) -> int:
+        """Merge-patch spec.replicas on the scale subresource; nothing else.
+        Returns the spec.replicas the server now holds."""
         if not 0 <= replicas <= self._max_replicas:
             raise ValueError(f"replicas {replicas} outside [0, {self._max_replicas}]")
         body = json.dumps({"spec": {"replicas": replicas}}).encode()
@@ -176,24 +187,11 @@ class KubeClient:
             body=body,
             content_type="application/merge-patch+json",
         )
-        return self._parse_scale(data)
-
-    def _parse_scale(self, data: dict) -> ScaleSnapshot:
-        spec = _object_field(data, "spec", "scale")
-        status = _object_field(data, "status", "scale")
-        try:
-            return ScaleSnapshot(
-                spec_replicas=int(spec.get("replicas", 0)),
-                status_replicas=int(status.get("replicas", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"scale object malformed: {data!r}") from exc
+        return _replicas(_object_field(data, "spec", "scale"), "replicas", data)
 
     def read_annotations(self) -> dict[str, str]:
-        data = self._request("GET", self._deployment_path())
-        metadata = _object_field(data, "metadata", "deployment")
-        annotations = _object_field(metadata, "annotations", "metadata")
-        return {str(k): str(v) for k, v in annotations.items()}
+        """The Deployment's annotations, from the same GET as :meth:`read_scale`."""
+        return self.read_scale().annotations
 
     def write_annotation(self, annotations: dict[str, str | None]) -> None:
         """Merge-patch the given annotations in one request; a ``None`` value
@@ -224,6 +222,14 @@ class KubeClient:
                 phase = "Unknown"
             pods.append(PodInfo(name=str(meta.get("name", "")), phase=phase))
         return pods
+
+
+def _replicas(obj: dict, key: str, data: dict) -> int:
+    """``obj[key]`` as a replica count; absent reads as 0."""
+    try:
+        return int(obj.get(key, 0))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"{key} malformed: {data!r}") from exc
 
 
 def _object_field(data: dict, key: str, owner: str) -> dict:

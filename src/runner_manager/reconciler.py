@@ -27,7 +27,7 @@ from .clock import Clock, from_rfc3339, to_rfc3339
 from .config import OUTSTANDING_STATUSES, Policy
 from .errors import ApiError, CredentialError, MissingDeploymentError
 from .github import BackoffState, GitHubClient, JobRecord, execute_with_backoff
-from .kube import KubeClient, PodInfo, ScaleSnapshot
+from .kube import DeploymentSnapshot, KubeClient
 
 logger = logging.getLogger(__name__)
 
@@ -55,17 +55,16 @@ class Decision:
 
 @dataclass(frozen=True)
 class Observation:
-    """One poll's combined snapshot. ``scale is None`` means the Kubernetes
-    read failed this iteration and no write may be attempted."""
+    """One poll's combined snapshot. ``deployment is None`` means the
+    Kubernetes read failed this iteration and no write may be attempted."""
 
     outstanding_jobs: list[JobRecord]
-    scale: ScaleSnapshot | None
-    pods: list[PodInfo]
+    deployment: DeploymentSnapshot | None
     github_poll_ok: bool
 
     @property
     def kube_ok(self) -> bool:
-        return self.scale is not None
+        return self.deployment is not None
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def compute_desired(
     if not observation.github_poll_ok:
         target = state.last_written_replicas
         if target is None:
-            target = observation.scale.spec_replicas if observation.scale else 0
+            target = observation.deployment.spec_replicas if observation.deployment else 0
         return Decision(min(target, policy.max_runners), Reason.HOLD)
 
     outstanding = len(observation.outstanding_jobs)
@@ -214,15 +213,12 @@ def update_state(
     """Advance keepalive bookkeeping after a decision was applied.
 
     A live runner refreshes its own token, so ``last_active`` moves to ``now``
-    whenever a Running pod is observed -- and only then; a scale-up that never
-    produced a Running pod must not count. ``last_active`` never moves backward.
+    whenever the Deployment reports a ready replica -- and only then; a
+    scale-up whose pod never became ready (still Pending, or crash-looping)
+    must not count. ``last_active`` never moves backward.
     """
     last_active = state.last_active
-    if (
-        observation.kube_ok
-        and observation.scale.status_replicas >= 1
-        and any(pod.phase == "Running" for pod in observation.pods)
-    ):
+    if observation.kube_ok and observation.deployment.ready_replicas >= 1:
         last_active = now if last_active is None else max(last_active, now)
 
     keepalive_started = state.keepalive_started_at
@@ -271,14 +267,6 @@ class ReconcileLoop:
 
     # -- durable state ----------------------------------------------------
 
-    def _load_durable_state(self) -> None:
-        annotations = self.kube.read_annotations()
-        self.state = self._persisted = replace(
-            self.state,
-            last_active=_parse_ts(annotations.get(ANNOTATION_LAST_ACTIVE)),
-            keepalive_started_at=_parse_ts(annotations.get(ANNOTATION_KEEPALIVE_STARTED)),
-        )
-
     def _persist_durable_state(self) -> None:
         """Write whichever annotations changed, in one merge patch."""
         patch = {}
@@ -309,13 +297,12 @@ class ReconcileLoop:
             return None
 
         failures: list[ApiError] = []  # this poll's failed Kubernetes calls
-        scale, pods = _step(self.kube_streaks, failures, self._observe_kube) or (None, [])
+        deployment = _step(self.kube_streaks, failures, self._observe_kube)
         now = self.clock.now()
 
         observation = Observation(
             outstanding_jobs=jobs if jobs is not None else [],
-            scale=scale,
-            pods=pods,
+            deployment=deployment,
             github_poll_ok=jobs is not None,
         )
         decision = compute_desired(observation, self.state, self.policy, now)
@@ -323,7 +310,7 @@ class ReconcileLoop:
         wrote = False
         if (
             observation.kube_ok
-            and decision.target_replicas != scale.spec_replicas
+            and decision.target_replicas != deployment.spec_replicas
             and not self.stop.is_set()
         ):
             written = _step(self.kube_streaks, failures, lambda: self.kube.write_scale(decision.target_replicas))
@@ -331,7 +318,7 @@ class ReconcileLoop:
 
         self.state = update_state(self.state, decision, observation, now, wrote_scale=wrote)
 
-        if observation.kube_ok and self._persisted is not None:
+        if observation.kube_ok:
             _step(self.kube_streaks, failures, self._persist_durable_state)
 
         # Counting polls, not calls, a readable but unwritable Deployment
@@ -343,7 +330,7 @@ class ReconcileLoop:
             decided_at=now,
             queued=_count(jobs, "queued"),
             in_progress=_count(jobs, "in_progress"),
-            observed_replicas=scale.spec_replicas if scale else None,
+            observed_replicas=deployment.spec_replicas if deployment else None,
             desired=decision.target_replicas,
             reason=decision.reason,
             wrote_scale=wrote,
@@ -364,16 +351,20 @@ class ReconcileLoop:
             interrupt=self.stop,
         )
 
-    def _observe_kube(self) -> tuple[ScaleSnapshot, list[PodInfo]]:
-        """Read /scale, and the pod list only when a replica is reported:
-        :func:`update_state` reads pods only when ``status_replicas >= 1``,
-        so at 0 the list could change no decision, write or annotation."""
+    def _observe_kube(self) -> DeploymentSnapshot:
+        """The poll's one Kubernetes read: a GET of the Deployment, which
+        carries spec and ready replicas and the annotations. The first
+        successful read of this incarnation also loads the durable state
+        from those annotations."""
+        deployment = self.kube.read_scale()
         if self._persisted is None:
-            self._load_durable_state()
-        scale = self.kube.read_scale()
-        if scale.status_replicas < 1:
-            return scale, []
-        return scale, self.kube.list_runner_pods(f"app={self.kube.deployment}")
+            annotations = deployment.annotations
+            self.state = self._persisted = replace(
+                self.state,
+                last_active=_parse_ts(annotations.get(ANNOTATION_LAST_ACTIVE)),
+                keepalive_started_at=_parse_ts(annotations.get(ANNOTATION_KEEPALIVE_STARTED)),
+            )
+        return deployment
 
 
 def _count(jobs: list[JobRecord] | None, status: str) -> int | None:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import pytest
 import yaml
 
 import runner_manager.bootstrap.cli as bootstrap_cli
@@ -116,6 +117,20 @@ def test_harness_run_reports_a_bad_policy_block(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "scenario error" in err and "max_runner" in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("horizon: [600\n", "not valid YAML"), ("horizon: 600\npolicy: 5\n", "policy must be a mapping")],
+    ids=["invalid-yaml", "policy-not-a-mapping"],
+)
+def test_harness_run_reports_a_malformed_script(tmp_path, capsys, text, named):
+    script_path = tmp_path / "scenario.yaml"
+    script_path.write_text(text)
+    rc = harness_cli.main(["run", "--script", str(script_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and named in err
 
 
 def test_fake_runner_requires_config(monkeypatch):

@@ -10,9 +10,9 @@ from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
-from runner_manager.kube import KubeClient, KubeCredentials, PodInfo, ScaleSnapshot
+from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
-from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
+from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
 
 from conftest import SteppingClock
 
@@ -158,24 +158,16 @@ def test_unparseable_last_active_annotation_counts_as_unknown(caplog, clock, fak
 
 
 class _TerminatingPodKube:
-    """A Deployment already scaled to 0 whose pod is still Running: the
-    controller has not yet removed it, so status.replicas still reads 1."""
-
-    deployment = "gha-runner"
+    """A Deployment already scaled to 0 whose status still reports one
+    ready replica: the controller has not yet caught up with the spec."""
 
     def __init__(self, last_active: float):
         self.annotations = {ANNOTATION_LAST_ACTIVE: to_rfc3339(last_active)}
-        self.pod_lists = 0
-
-    def read_annotations(self):
-        return dict(self.annotations)
+        self.reads = 0
 
     def read_scale(self):
-        return ScaleSnapshot(spec_replicas=0, status_replicas=1)
-
-    def list_runner_pods(self, label_selector):
-        self.pod_lists += 1
-        return [PodInfo(name="gha-runner-1", phase="Running")]
+        self.reads += 1
+        return DeploymentSnapshot(spec_replicas=0, ready_replicas=1, annotations=dict(self.annotations))
 
     def write_scale(self, replicas):
         raise AssertionError("spec already matches the idle target")
@@ -185,13 +177,47 @@ class _TerminatingPodKube:
 
 
 def test_running_pod_of_a_scaled_down_deployment_still_counts_as_activity(clock, gh_client):
-    # Gating the pod list on spec.replicas would skip it here and leave
-    # last-active behind; the gate reads status.replicas.
+    # Reading spec.replicas would see 0 here and leave last-active behind;
+    # the loop reads readyReplicas.
     kube = _TerminatingPodKube(last_active=0.0)
     loop = ReconcileLoop(gh_client, kube, Policy(), clock, REPO)
     clock.advance(100)
     record = loop.reconcile_once(clock.now())
     assert (record.desired, record.reason, record.wrote_scale) == (0, Reason.IDLE, False)
-    assert kube.pod_lists == 1
+    assert kube.reads == 1
     assert loop.state.last_active == 100
     assert kube.annotations[ANNOTATION_LAST_ACTIVE] == to_rfc3339(100)
+
+
+def test_replica_that_is_not_ready_is_no_activity(clock, gh_client):
+    # A Pending or crash-looping runner: the Deployment counts the pod in
+    # status.replicas, and the API server leaves readyReplicas out at 0.
+    # Mid-dwell, so the keepalive target 1 equals spec and nothing is due.
+    annotations = {
+        ANNOTATION_LAST_ACTIVE: to_rfc3339(0.0),
+        ANNOTATION_KEEPALIVE_STARTED: to_rfc3339(50.0),
+    }
+    body = {
+        "kind": "Deployment",
+        "metadata": {"name": "gha-runner", "annotations": annotations},
+        "spec": {"replicas": 1},
+        "status": {"replicas": 1},
+    }
+    sent = []
+
+    def handle(request):
+        sent.append(request.method)
+        return Response.json(200, body)
+
+    server = FakeHttpServer(handle)
+    server.start()
+    try:
+        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
+        loop = ReconcileLoop(gh_client, KubeClient(creds, "gha-runner", max_replicas=1), Policy(), clock, REPO)
+        clock.advance(100)
+        record = loop.reconcile_once(clock.now())
+    finally:
+        server.close()
+    assert (record.desired, record.reason, record.wrote_scale) == (1, Reason.KEEPALIVE, False)
+    assert loop.state.last_active == 0.0
+    assert sent == ["GET"]  # no annotation patch: last-active did not move

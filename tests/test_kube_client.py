@@ -5,6 +5,7 @@ import pytest
 from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import ConfigError, MissingDeploymentError, ProtocolError, TransientError
+from runner_manager.harness.fake_kube import FakePod
 from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.kube import KubeClient, KubeCredentials, load_incluster_credentials
 from runner_manager.reconciler import (
@@ -51,9 +52,12 @@ def test_api_override_keeps_mounted_token(tmp_path):
 
 
 def test_read_scale_sees_seeded_replicas(fake_kube, kube_client):
-    fake_kube.spec_replicas = 1
+    fake_kube.apply_scale(1)
+    fake_kube.annotations["k"] = "v"
     snapshot = kube_client.read_scale()
-    assert snapshot.spec_replicas == 1
+    # One GET of the Deployment carries replicas and annotations alike.
+    assert fake_kube.request_paths == ["/apis/apps/v1/namespaces/ci/deployments/gha-runner"]
+    assert (snapshot.spec_replicas, snapshot.ready_replicas, snapshot.annotations) == (1, 1, {"k": "v"})
 
 
 def test_missing_deployment_is_fatal_classification(fake_kube):
@@ -66,14 +70,17 @@ def test_missing_deployment_is_fatal_classification(fake_kube):
 
 
 def test_status_lag_reported_distinctly(fake_kube, kube_client):
-    fake_kube.spec_replicas = 1  # spec says one, controller has not realized it yet
+    # Spec says one and the pod exists, but it is still Pending: the
+    # Deployment reports replicas 1 and, like the API server, leaves the
+    # zero readyReplicas out.
+    fake_kube.spec_replicas = 1
+    fake_kube.pods.append(FakePod(name="gha-runner-1", phase="Pending"))
     snapshot = kube_client.read_scale()
-    assert (snapshot.spec_replicas, snapshot.status_replicas) == (1, 0)
+    assert (snapshot.spec_replicas, snapshot.ready_replicas) == (1, 0)
 
 
 def test_write_then_read_scale(fake_kube, kube_client):
-    written = kube_client.write_scale(1)
-    assert written.spec_replicas == 1
+    assert kube_client.write_scale(1) == 1
     assert kube_client.read_scale().spec_replicas == 1
 
 
@@ -204,12 +211,16 @@ def test_kube_fault_is_transient(fake_kube, kube_client):
          lambda c: c.list_runner_pods("app=gha-runner")),
         ({"kind": "PodList", "items": [{"metadata": "p", "status": {"phase": "Running"}}]},
          lambda c: c.list_runner_pods("app=gha-runner")),
-        ({"kind": "Scale", "spec": [1], "status": {"replicas": 1}}, lambda c: c.read_scale()),
-        ({"kind": "Scale", "spec": {"replicas": 1}, "status": "ready"}, lambda c: c.read_scale()),
-        ({"kind": "Deployment", "metadata": "gha-runner"}, lambda c: c.read_annotations()),
+        ({"kind": "Deployment", "spec": [1], "status": {"readyReplicas": 1}}, lambda c: c.read_scale()),
+        ({"kind": "Deployment", "spec": {"replicas": 1}, "status": "ready"}, lambda c: c.read_scale()),
+        ({"kind": "Deployment", "spec": {"replicas": 1}, "status": {"readyReplicas": "one"}},
+         lambda c: c.read_scale()),
+        ({"kind": "Deployment", "metadata": "gha-runner"}, lambda c: c.read_scale()),
+        ({"kind": "Deployment", "metadata": {"annotations": ["k"]}}, lambda c: c.read_scale()),
+        ({"kind": "Scale", "spec": {"replicas": None}}, lambda c: c.write_scale(1)),
     ],
-    ids=["null-pod", "string-status", "string-metadata", "list-spec", "string-scale-status",
-         "string-deployment-metadata"],
+    ids=["null-pod", "string-status", "string-metadata", "list-spec", "string-deployment-status",
+         "string-ready-replicas", "string-deployment-metadata", "list-annotations", "null-written-replicas"],
 )
 def test_malformed_body_is_protocol_error(body, call):
     server = FakeHttpServer(lambda request: Response.json(200, body))

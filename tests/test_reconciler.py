@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from runner_manager.config import Policy
 from runner_manager.github import JobRecord
-from runner_manager.kube import PodInfo, ScaleSnapshot
+from runner_manager.kube import DeploymentSnapshot
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import (
     Decision,
@@ -32,11 +32,10 @@ def _job(job_id=1, status="queued", created=0.0):
     )
 
 
-def _obs(jobs=(), spec=0, status=0, pods=(), ok=True):
+def _obs(jobs=(), spec=0, ready=0, ok=True):
     return Observation(
         outstanding_jobs=list(jobs),
-        scale=ScaleSnapshot(spec, status) if ok else None,
-        pods=list(pods),
+        deployment=DeploymentSnapshot(spec, ready, {}) if ok else None,
         github_poll_ok=jobs is not None,
     )
 
@@ -86,7 +85,7 @@ def test_keepalive_when_stale():
 
 def test_in_progress_job_pins_runner():
     now = 100.0
-    obs = _obs(jobs=[_job(status="in_progress")], spec=1, status=1)
+    obs = _obs(jobs=[_job(status="in_progress")], spec=1, ready=1)
     state = ManagerState(last_active=now - 60)
     assert compute_desired(obs, state, POLICY, now) == Decision(1, Reason.DEMAND)
 
@@ -99,21 +98,21 @@ def test_idle_when_fresh_and_no_work():
 
 
 def test_hold_on_github_failure_keeps_last_written():
-    obs = Observation([], ScaleSnapshot(1, 1), [], github_poll_ok=False)
+    obs = Observation([], DeploymentSnapshot(1, 1, {}), github_poll_ok=False)
     state = ManagerState(last_written_replicas=1)
     assert compute_desired(obs, state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
 
 
 def test_hold_falls_back_to_observed_then_zero():
-    obs = Observation([], ScaleSnapshot(1, 1), [], github_poll_ok=False)
+    obs = Observation([], DeploymentSnapshot(1, 1, {}), github_poll_ok=False)
     assert compute_desired(obs, ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
-    blind = Observation([], None, [], github_poll_ok=False)
+    blind = Observation([], None, github_poll_ok=False)
     assert compute_desired(blind, ManagerState(), POLICY, 0.0) == Decision(0, Reason.HOLD)
 
 
 def test_dwell_keeps_keepalive_runner_up():
     now = 1000.0
-    obs = _obs(spec=1, status=1)
+    obs = _obs(spec=1, ready=1)
     state = ManagerState(last_active=now - 10, keepalive_started_at=now - 300)
     assert compute_desired(obs, state, POLICY, now) == Decision(1, Reason.KEEPALIVE)
     done = ManagerState(last_active=now - 10, keepalive_started_at=now - POLICY.min_dwell)
@@ -138,8 +137,7 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
     now = 20 * DAY
     obs = Observation(
         outstanding_jobs=[_job(i + 1) for i in range(jobs)] if poll_ok else [],
-        scale=ScaleSnapshot(min(1, max_runners), 0),
-        pods=[],
+        deployment=DeploymentSnapshot(min(1, max_runners), 0, {}),
         github_poll_ok=poll_ok,
     )
     state = ManagerState(last_active=None if last_active_age is None else now - last_active_age)
@@ -152,7 +150,7 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
 
 def test_running_pod_refreshes_last_active():
     now = 500.0
-    obs = _obs(spec=1, status=1, pods=[PodInfo("p1", "Running")])
+    obs = _obs(spec=1, ready=1)
     state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
     assert state.last_active == now
 
@@ -175,7 +173,7 @@ def test_idle_without_running_pod_leaves_last_active():
 
 
 def test_last_active_never_moves_backward():
-    obs = _obs(spec=1, status=1, pods=[PodInfo("p1", "Running")])
+    obs = _obs(spec=1, ready=1)
     state = ManagerState(last_active=100.0)
     after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0)
     assert after.last_active == 100.0
@@ -183,7 +181,7 @@ def test_last_active_never_moves_backward():
 
 def test_pending_pod_does_not_refresh():
     now = 500.0
-    obs = _obs(spec=1, status=0, pods=[PodInfo("p1", "Pending")])
+    obs = _obs(spec=1, ready=0)  # the pod is Pending, or Running but not Ready
     after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
     assert after.last_active is None
 

@@ -10,6 +10,7 @@ from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, l
 from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
+from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
@@ -288,30 +289,37 @@ def test_secondary_rate_limit_holds_without_exiting(clock):
     assert kube.scale_write_log == []
 
 
-def _requests_per_poll(kube: FakeKube) -> tuple[list[list[str]], Callable]:
-    """An ``on_record`` that files the Kubernetes paths each poll sent."""
-    kube.keep_request_paths = True
-    per_poll: list[list[str]] = []
+DEPLOYMENT_PATH = "/apis/apps/v1/namespaces/ci/deployments/gha-runner"
+
+
+def _requests_per_poll(monkeypatch) -> tuple[list[list[tuple[str, str]]], Callable]:
+    """An ``on_record`` that files the method and path of each Kubernetes
+    request each poll sent."""
+    sent: list[tuple[str, str]] = []
+    handle = fake_kube_module._handle
+
+    def recording_handle(kube, request):
+        sent.append((request.method, request.path))
+        return handle(kube, request)
+
+    monkeypatch.setattr(fake_kube_module, "_handle", recording_handle)
+    per_poll: list[list[tuple[str, str]]] = []
 
     def on_record(record):
-        per_poll.append(list(kube.request_paths))
-        kube.request_paths.clear()
+        per_poll.append(list(sent))
+        sent.clear()
 
     return per_poll, on_record
 
 
-def _is_pod_list(path: str) -> bool:
-    return path.endswith("/pods")
-
-
-def test_idle_polls_read_scale_and_never_list_pods(clock):
+def test_idle_polls_read_scale_and_never_list_pods(clock, monkeypatch):
     # Zero replicas, no jobs, and activity recorded now: no keepalive falls due.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(
         namespace="ci", deployment="gha-runner", clock=clock,
         initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())},
     ).start()
-    per_poll, on_record = _requests_per_poll(kube)
+    per_poll, on_record = _requests_per_poll(monkeypatch)
     try:
         code, records = _run_polls(clock, github, kube, polls=10, on_record=on_record)
     finally:
@@ -319,23 +327,22 @@ def test_idle_polls_read_scale_and_never_list_pods(clock):
         kube.close()
     assert code == EXIT_OK
     assert {(r.desired, r.reason, r.wrote_scale) for r in records} == {(0, Reason.IDLE, False)}
-    paths = [path for poll in per_poll for path in poll]
-    assert sum(path.endswith("/scale") for path in paths) == 10
-    assert not any(_is_pod_list(path) for path in paths)
-    # Besides /scale, only the first poll's annotation read.
-    assert [len(poll) for poll in per_poll] == [2] + [1] * 9
+    # One GET of the Deployment a poll, the first included: it also carries
+    # the annotations. No pod list, no /scale read.
+    assert [len(poll) for poll in per_poll] == [1] * 10
+    assert {request for poll in per_poll for request in poll} == {("GET", DEPLOYMENT_PATH)}
 
 
-def test_keepalive_dwell_lists_pods_on_every_poll_that_sees_a_replica(clock):
+def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
     # No annotations: the keepalive is due at once, so the manager scales to
     # 1, holds the runner for min_dwell (15 polls), then scales back to 0.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
-    per_poll, file_paths = _requests_per_poll(kube)
+    per_poll, file_requests = _requests_per_poll(monkeypatch)
     stamps = []  # the last-active annotation after each poll
 
     def on_record(record):
-        file_paths(record)
+        file_requests(record)
         stamps.append(kube.annotations.get(ANNOTATION_LAST_ACTIVE))
 
     try:
@@ -345,16 +352,15 @@ def test_keepalive_dwell_lists_pods_on_every_poll_that_sees_a_replica(clock):
         kube.close()
     assert code == EXIT_OK
     assert [w.replicas for w in kube.scale_write_log] == [1, 0]
-    # Pods turn Running the moment they are created here, so status.replicas
-    # equals the spec.replicas each poll observed.
+    # Pods turn Running and Ready the moment they are created here, so
+    # readyReplicas equals the spec.replicas each poll observed.
     assert [r.observed_replicas for r in records] == [0] + [1] * 15 + [0] * 4
-    for record, paths, stamp in zip(records, per_poll, stamps):
-        listed = sum(_is_pod_list(path) for path in paths)
+    for record, sent, stamp in zip(records, per_poll, stamps):
+        assert [request for request in sent if request[0] == "GET"] == [("GET", DEPLOYMENT_PATH)]
         if record.observed_replicas >= 1:
-            assert listed == 1
             assert stamp == to_rfc3339(record.decided_at)
         else:
-            assert listed == 0
+            assert stamp != to_rfc3339(record.decided_at)
 
 
 def test_kube_throttling_holds_without_exiting(clock):
