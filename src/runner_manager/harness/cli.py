@@ -19,7 +19,11 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--script", help="YAML/JSON scenario file (omit to generate one from --seed)")
     run_p.add_argument("--seed", type=int, default=0, help="seed for generated scenarios")
     run_p.add_argument("--trace-out", help="write the trace as newline-delimited JSON")
-    run_p.add_argument("--check-oracle", action="store_true", help="compare decisions and writes with the oracle")
+    run_p.add_argument(
+        "--check-oracle",
+        action="store_true",
+        help="compare decisions, scale writes and the final annotations with the oracle",
+    )
 
     args = parser.parse_args(argv)
 
@@ -47,8 +51,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.check_oracle:
         expected = oracle_decisions(script, result.policy)
         summary["oracle_match"] = True
-        for field in ("decisions", "writes"):
-            diff = _first_diff(getattr(expected, field), getattr(result, field))
+        comparisons = (
+            ("decisions", expected.decisions, result.decisions),
+            ("writes", expected.writes, result.writes),
+            ("annotations", expected.annotations, result.final_annotations),
+        )
+        for field, want, got in comparisons:
+            diff = _first_diff(want, got)
             if diff is not None:
                 summary["oracle_match"] = False
                 summary["oracle_first_diff"] = {"field": field, **diff}
@@ -58,7 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if result.scenario_failed or summary.get("oracle_match") is False else 0
 
 
-def _first_diff(expected: list, actual: list) -> dict | None:
+def _first_diff(expected: list | dict, actual: list | dict) -> dict | None:
+    if isinstance(expected, dict):
+        return None if expected == actual else {"expected": expected, "actual": actual}
     for i, (e, a) in enumerate(zip(expected, actual)):
         if e != a:
             return {"index": i, "expected": e, "actual": a}

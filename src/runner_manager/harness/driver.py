@@ -239,8 +239,8 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
             github.set_fault("status", float(event.payload.get("status", 500)))
         elif event.kind == "github_recover":
             github.clear_fault()
-        elif event.kind == "rate_limit":
-            github.set_fault("rate_limit", float(event.payload.get("retry_after", 60)))
+        elif event.kind in ("rate_limit", "secondary_rate_limit"):
+            github.set_fault(event.kind, float(event.payload.get("retry_after", 60)))
         elif event.kind == "kube_fault":
             kube.set_fault(int(event.payload.get("status", 500)))
         elif event.kind == "kube_recover":

@@ -3,12 +3,14 @@
 A flat, side-effect-free simulation that replays a scenario script with
 perfect knowledge and applies the documented decision rules at every poll
 tick. It shares no code with the reconciler or the clients -- only the
-published contracts (decision priority, backoff schedule, annotation keys,
-tick anchoring) -- so agreement between the two is meaningful evidence.
+published contracts (decision priority, backoff schedule, annotation keys
+and when they are written, tick anchoring) -- so agreement between the two is
+meaningful evidence.
 
 Returned decisions are keyed by poll-tick time; ticks where the manager was
 stopped mid-poll (restart, horizon) yield no decision, matching the live
-manager's log.
+manager's log. The final annotations are what the Deployment holds at the
+horizon.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+from ..clock import to_rfc3339
 from ..config import Policy
 from ..labels import LabelSet
 from .scenario import ScenarioScript
@@ -24,11 +27,14 @@ from .virtual_clock import SIM_EPOCH
 
 # Documented contracts mirrored here on purpose (not imported from the
 # implementation): decision reasons, backoff schedule, keepalive lead, the
-# job statuses that count as demand and the runner Deployment's name.
+# job statuses that count as demand, the runner Deployment's name and its
+# annotation keys.
 HOLD, DEMAND, KEEPALIVE, IDLE = "hold", "demand", "keepalive", "idle"
 BACKOFF_CAP = 60.0
 OUTSTANDING = ("queued", "in_progress")
 DEPLOYMENT = "gha-runner"
+ANNOTATION_LAST_ACTIVE = "runner-manager/last-active"
+ANNOTATION_KEEPALIVE_STARTED = "runner-manager/keepalive-started"
 
 
 @dataclass
@@ -54,6 +60,7 @@ class _Pod:
 class OracleResult:
     decisions: list[tuple[float, int, str]]
     writes: list[tuple[float, int]]
+    annotations: dict[str, str]  # the Deployment's annotations at the horizon
 
 
 def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> OracleResult:
@@ -63,6 +70,14 @@ def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> Or
     return OracleResult(
         decisions=[(t - SIM_EPOCH, target, reason) for t, target, reason in sim.decisions],
         writes=[(t - SIM_EPOCH, n) for t, n in sim.writes],
+        annotations={
+            key: to_rfc3339(value)
+            for key, value in (
+                (ANNOTATION_LAST_ACTIVE, sim.ann_last_active),
+                (ANNOTATION_KEEPALIVE_STARTED, sim.ann_keepalive_started),
+            )
+            if value is not None
+        },
     )
 
 
@@ -163,7 +178,7 @@ class _OracleSim:
             self.github_fault = ("status", float(payload.get("status", 500)))
         elif kind == "github_recover":
             self.github_fault = None
-        elif kind == "rate_limit":
+        elif kind in ("rate_limit", "secondary_rate_limit"):
             self.github_fault = ("rate_limit", float(payload.get("retry_after", 60)))
         elif kind == "kube_fault":
             self.kube_fault = True
@@ -351,7 +366,15 @@ class _OracleSim:
             self.mem_last_written = target
 
         if kube_ok and self.durable_loaded:
-            self.ann_last_active = self.mem_last_active
+            # While a ready runner stays wanted, last-active is refreshed
+            # once per min_dwell; any other poll writes the exact stamp.
+            trailing = saw_running and target >= 1
+            if (
+                not trailing
+                or self.ann_last_active is None
+                or self.mem_last_active - self.ann_last_active >= policy.min_dwell
+            ):
+                self.ann_last_active = self.mem_last_active
             self.ann_keepalive_started = self.mem_keepalive_started
 
         self.iteration += 1

@@ -34,6 +34,7 @@ EVENT_KINDS = (
     "kube_recover",
     "restart_manager",
     "rate_limit",
+    "secondary_rate_limit",
 )
 
 DEFAULT_POD_STARTUP_DELAY = 20.0
@@ -114,9 +115,11 @@ def validate_script(script: ScenarioScript) -> None:
             status = int(event.payload.get("status", 500))
             if not 400 <= status <= 599:
                 raise ValueError(f"github_fault status out of range: {event}")
-        elif event.kind == "rate_limit":
-            if float(event.payload.get("retry_after", 60)) <= 0:
-                raise ValueError(f"rate_limit retry_after must be positive: {event}")
+        elif event.kind in ("rate_limit", "secondary_rate_limit"):
+            # Retry-After carries whole seconds, and the fake sends it so.
+            retry_after = float(event.payload.get("retry_after", 60))
+            if retry_after <= 0 or not retry_after.is_integer():
+                raise ValueError(f"{event.kind} retry_after must be a positive whole number of seconds: {event}")
         elif event.kind == "restart_manager":
             if float(event.payload.get("downtime", 0)) < 0:
                 raise ValueError(f"restart downtime must be >= 0: {event}")

@@ -13,6 +13,14 @@ Decision priority (also implemented, independently, by the harness oracle):
 3. keepalive dwell running   -> 1                                (keepalive)
 4. keepalive due             -> 1                                (keepalive)
 5. otherwise                 -> 0                                (idle)
+
+The ``last-active`` annotation trails the in-memory stamp by less than
+``min_dwell`` while a ready runner stays wanted, and is exact from the poll
+that scales to zero or first sees no ready replica. A restarted manager
+reads a trailing stamp only if the runner was up when the last one stopped.
+If the runner is still ready, the first poll moves the stamp to now; if it
+died unseen, the keepalive falls due at most ``min_dwell + poll_interval``
+early, never late, so the credential is never older than with an exact stamp.
 """
 
 from __future__ import annotations
@@ -267,16 +275,27 @@ class ReconcileLoop:
 
     # -- durable state ----------------------------------------------------
 
-    def _persist_durable_state(self) -> None:
-        """Write whichever annotations changed, in one merge patch."""
+    def _persist_durable_state(self, trailing: bool) -> None:
+        """Write whichever annotations changed, in one merge patch.
+
+        On a ``trailing`` poll -- a replica is ready and stays wanted --
+        ``last-active`` is sent only once the in-memory stamp is ``min_dwell``
+        past it, so it trails by less than ``min_dwell``. That is safe: the
+        poll that stops wanting the runner, or first misses it, sends the
+        exact stamp (the module docstring has the restart case).
+        ``_persisted`` keeps the ``last-active`` actually sent.
+        """
+        last_active, persisted = self.state.last_active, self._persisted.last_active
+        if trailing and persisted is not None and last_active - persisted < self.policy.min_dwell:
+            last_active = persisted
         patch = {}
-        if self.state.last_active != self._persisted.last_active:
-            patch[ANNOTATION_LAST_ACTIVE] = _format_ts(self.state.last_active)
+        if last_active != persisted:
+            patch[ANNOTATION_LAST_ACTIVE] = _format_ts(last_active)
         if self.state.keepalive_started_at != self._persisted.keepalive_started_at:
             patch[ANNOTATION_KEEPALIVE_STARTED] = _format_ts(self.state.keepalive_started_at)
         if patch:
             self.kube.write_annotation(patch)
-            self._persisted = self.state
+            self._persisted = replace(self.state, last_active=last_active)
 
     # -- one iteration -----------------------------------------------------
 
@@ -319,7 +338,8 @@ class ReconcileLoop:
         self.state = update_state(self.state, decision, observation, now, wrote_scale=wrote)
 
         if observation.kube_ok:
-            _step(self.kube_streaks, failures, self._persist_durable_state)
+            trailing = deployment.ready_replicas >= 1 and decision.target_replicas >= 1
+            _step(self.kube_streaks, failures, lambda: self._persist_durable_state(trailing))
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.

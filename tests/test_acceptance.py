@@ -102,9 +102,14 @@ def _check_scenario(seed, script: ScenarioScript, result: ScenarioResult, stats:
         if value not in (0, 1):
             stats.cap_violations.append(f"seed {seed}: replicas={value} at {at:.0f}s")
 
-    # Criterion 2: decision sequence equals the independent oracle, exactly.
+    # Criterion 2: decisions, scale writes and the final annotations equal
+    # the independent oracle's, exactly.
     expected = oracle_decisions(script, result.policy)
-    if expected.decisions != result.decisions or expected.writes != result.writes:
+    if (
+        expected.decisions != result.decisions
+        or expected.writes != result.writes
+        or expected.annotations != result.final_annotations
+    ):
         stats.oracle_mismatches.append(f"seed {seed}")
 
     # Criterion 5: a scale-to-0 write only after a poll that saw nothing outstanding.
@@ -220,6 +225,7 @@ def month_long_idle() -> ScenarioResult:
     assert not result.scenario_failed, result.failure_reasons
     expected = oracle_decisions(script, result.policy)
     assert expected.decisions == result.decisions
+    assert expected.annotations == result.final_annotations
     return result
 
 
@@ -234,7 +240,7 @@ def test_criterion_1_one_runner_cap(bulk):
 
 def test_criterion_2_oracle_equivalence(bulk):
     assert bulk.oracle_mismatches == [], bulk.oracle_mismatches[:5]
-    _ok(2, f"decision sequences matched the oracle bit-for-bit in all {bulk.scenarios} scenarios")
+    _ok(2, f"decisions, scale writes and final annotations matched the oracle in all {bulk.scenarios} scenarios")
 
 
 def test_criterion_3_demand_latency(bulk):

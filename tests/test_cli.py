@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -163,3 +164,33 @@ def test_harness_oracle_check_compares_scale_writes(monkeypatch, capsys):
     assert rc == 1
     assert summary["oracle_match"] is False
     assert summary["oracle_first_diff"]["field"] == "writes"
+
+
+def test_harness_oracle_check_compares_annotations(monkeypatch, capsys):
+    real = harness_cli.oracle_decisions
+
+    def altered_annotations(script, policy):
+        expected = real(script, policy)
+        return dataclasses.replace(expected, annotations={**expected.annotations, "runner-manager/last-active": "x"})
+
+    monkeypatch.setattr(harness_cli, "oracle_decisions", altered_annotations)
+    rc = harness_cli.main(["run", "--seed", "3", "--check-oracle"])
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert summary["oracle_match"] is False
+    assert summary["oracle_first_diff"]["field"] == "annotations"
+    assert summary["oracle_first_diff"]["expected"]["runner-manager/last-active"] == "x"
+
+
+def test_secondary_rate_limit_scenario_agrees_with_the_oracle(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scenarios" / "secondary-rate-limit.yaml"
+    trace_path = tmp_path / "trace.ndjson"
+    rc = harness_cli.main(["run", "--script", str(script), "--check-oracle", "--trace-out", str(trace_path)])
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert summary["oracle_match"] is True
+    # Up at the first poll that sees the job, down only after it ends at 1580 s.
+    assert summary["scale_writes"] == [[60.0, 1], [1620.0, 0]]
+    entries = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    holds = [e["at"] for e in entries if e["action"] == "decision" and e["detail"]["reason"] == "hold"]
+    assert holds and all(300 <= at < 1200 + 60 for at in holds)

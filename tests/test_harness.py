@@ -165,6 +165,14 @@ class TestScenarioScripts:
         with pytest.raises(ValueError, match=message):
             load_script(str(path))
 
+    @pytest.mark.parametrize("kind", ["rate_limit", "secondary_rate_limit"])
+    @pytest.mark.parametrize("retry_after", [0, -5, 1.5, float("nan")])
+    def test_rate_limit_events_need_a_positive_whole_retry_after(self, kind, retry_after):
+        # The Retry-After header carries whole seconds; 1.5 would reach the
+        # manager as 1 and the oracle as 1.5.
+        with pytest.raises(ValueError, match=f"{kind} retry_after must be a positive whole number"):
+            ScenarioScript(horizon=100, events=[ScenarioEvent(at=1, kind=kind, payload={"retry_after": retry_after})])
+
     def test_complete_job_needs_known_ref(self):
         with pytest.raises(ValueError, match="previously enqueued"):
             ScenarioScript(

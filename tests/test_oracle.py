@@ -13,11 +13,17 @@ install:
   (the pod was still Running when observed at the scale-down tick).
 * next due when now - 900 >= 302400 - 900, i.e. now >= 302400 (84h): the
   activation period equals force_interval exactly.
+* the last-active annotation: tick 60 is the first to see the pod, and the
+  annotation is unset, so it is written (60). Ticks 120-840 keep a wanted,
+  ready runner and trail 60 by under 900 s, so nothing is written. Tick 900
+  decides 0 and writes its own time exactly (900).
 """
 
+from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy
-from runner_manager.harness.oracle import oracle_decisions
+from runner_manager.harness.oracle import ANNOTATION_LAST_ACTIVE, oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
+from runner_manager.harness.virtual_clock import SIM_EPOCH
 
 DAY = 86400.0
 
@@ -31,6 +37,16 @@ def test_zero_load_first_two_activations_by_hand():
         (302400.0, 1),
         (303300.0, 0),
     ]
+
+
+def test_zero_load_first_activation_writes_last_active_at_60_and_900_only():
+    # The annotation at the end of each horizon is the last one written before it.
+    stamps = []
+    for horizon in range(1, 1800, 30):
+        script = ScenarioScript(horizon=float(horizon), events=[], pod_startup_delay=20.0)
+        stamps.append(oracle_decisions(script, Policy()).annotations.get(ANNOTATION_LAST_ACTIVE))
+    written = [stamp for i, stamp in enumerate(stamps) if stamp != (stamps[i - 1] if i else None)]
+    assert written == [to_rfc3339(SIM_EPOCH + 60.0), to_rfc3339(SIM_EPOCH + 900.0)]
 
 
 def test_single_job_sequence_is_idle_demand_idle():

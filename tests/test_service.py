@@ -1,5 +1,6 @@
 """run_service end to end: the real loop against the fake world."""
 
+import math
 import threading
 import time
 from typing import Callable
@@ -7,17 +8,18 @@ from typing import Callable
 import pytest
 
 from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, load_config
-from runner_manager.clock import SystemClock, to_rfc3339
+from runner_manager.clock import SystemClock, from_rfc3339, to_rfc3339
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
+from runner_manager.harness.virtual_clock import SIM_EPOCH
 from runner_manager.errors import ConfigError, CredentialError
-from runner_manager.kube import KubeClient, KubeCredentials
+from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.github import GitHubClient
-from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason
+from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop, keepalive_due_at
 from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, build_kube_client, run_service
 
 LABELS = ["self-hosted", "linux-gpu-cuda"]
@@ -355,12 +357,123 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
     # Pods turn Running and Ready the moment they are created here, so
     # readyReplicas equals the spec.replicas each poll observed.
     assert [r.observed_replicas for r in records] == [0] + [1] * 15 + [0] * 4
+    down = records[15]
+    assert (down.desired, down.wrote_scale) == (0, True)
+    min_dwell = Policy().min_dwell
     for record, sent, stamp in zip(records, per_poll, stamps):
         assert [request for request in sent if request[0] == "GET"] == [("GET", DEPLOYMENT_PATH)]
-        if record.observed_replicas >= 1:
-            assert stamp == to_rfc3339(record.decided_at)
+        if record.tick < down.tick:
+            # While the runner stays up, the stamp trails by under min_dwell.
+            if record.observed_replicas >= 1:
+                assert 0 <= record.decided_at - from_rfc3339(stamp) < min_dwell
+            else:
+                assert stamp is None
         else:
-            assert stamp != to_rfc3339(record.decided_at)
+            # The scale-to-zero poll writes its own time, exactly.
+            assert stamp == to_rfc3339(down.decided_at)
+
+
+def _record_last_active_patches(monkeypatch) -> list[str]:
+    """The last-active values every KubeClient.write_annotation call sends."""
+    sent: list[str] = []
+    write_annotation = KubeClient.write_annotation
+
+    def recording(self, annotations):
+        if ANNOTATION_LAST_ACTIVE in annotations:
+            sent.append(annotations[ANNOTATION_LAST_ACTIVE])
+        return write_annotation(self, annotations)
+
+    monkeypatch.setattr(KubeClient, "write_annotation", recording)
+    return sent
+
+
+def test_busy_hour_refreshes_last_active_once_per_min_dwell(clock, monkeypatch):
+    # A ready runner and a job nobody claims: 60 polls of demand for 1.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    github.enqueue_job(LABELS, duration=7200.0)
+    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube.apply_scale(1)
+    sent = _record_last_active_patches(monkeypatch)
+    try:
+        code, records = _run_polls(clock, github, kube, polls=60)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert {(r.observed_replicas, r.desired, r.reason) for r in records} == {(1, 1, Reason.DEMAND)}
+    policy = Policy()
+    assert len(sent) <= math.ceil(60 * policy.poll_interval / policy.min_dwell) + 1
+    # Written when unset at the first poll, then each time it lags by min_dwell.
+    assert sent == [to_rfc3339(records[0].decided_at + k * policy.min_dwell) for k in range(4)]
+
+
+def test_poll_that_scales_to_zero_writes_the_exact_stamp():
+    # Demand from 60 s; the job runs 80 s to 1280 s, so the 1320 s poll
+    # decides 0 with the runner still ready. The horizon ends right after
+    # that poll, so no later poll can mend a trailing stamp.
+    script = ScenarioScript(
+        horizon=1321,
+        events=[ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": LABELS, "duration": 1200})],
+        pod_startup_delay=20,
+        initial_last_active=0,
+    )
+    result = run_scenario(script)
+    assert not result.scenario_failed
+    assert result.writes == [(60.0, 1), (1320.0, 0)]
+    assert result.final_annotations[ANNOTATION_LAST_ACTIVE] == to_rfc3339(SIM_EPOCH + 1320.0)
+    assert oracle_decisions(script, result.policy).annotations == result.final_annotations
+
+
+class _RunnerKube:
+    """A Deployment whose annotations outlive any one manager; its runner is
+    ready until ``ready_replicas`` is cleared."""
+
+    def __init__(self):
+        self.spec_replicas = self.ready_replicas = 1
+        self.annotations: dict[str, str] = {}
+
+    def read_scale(self):
+        return DeploymentSnapshot(self.spec_replicas, self.ready_replicas, dict(self.annotations))
+
+    def write_scale(self, replicas):
+        self.spec_replicas = replicas
+        return replicas
+
+    def write_annotation(self, annotations):
+        for key, value in annotations.items():
+            if value is None:
+                self.annotations.pop(key, None)
+            else:
+                self.annotations[key] = value
+
+
+def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, monkeypatch):
+    # One incarnation sees the runner ready for ``streak`` polls; the runner
+    # then exits while no manager runs. The next incarnation reads a stamp
+    # that may trail: its keepalive falls due early, by less than
+    # min_dwell + poll_interval, and never late.
+    policy = Policy()
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    github.enqueue_job(LABELS, duration=1e6, ref="job")
+    gh_client = GitHubClient(github.base_url, "t", clock=clock)
+    try:
+        for streak in range(1, 32):
+            kube = _RunnerKube()
+            loop = ReconcileLoop(gh_client, kube, policy, clock, RepoCoordinates("biocore", "unifrac"))
+            for _ in range(streak):
+                record = loop.reconcile_once(clock.now())
+                assert (record.observed_replicas, record.desired) == (1, 1)
+                clock.advance(policy.poll_interval)
+            exact = keepalive_due_at(record.decided_at, policy.force_interval, policy.min_dwell)
+
+            kube.ready_replicas = 0
+            clock.advance(policy.poll_interval)  # downtime
+            restarted = ReconcileLoop(gh_client, kube, policy, clock, RepoCoordinates("biocore", "unifrac"))
+            due = restarted.reconcile_once(clock.now()).keepalive_next_due
+            assert 0 <= exact - due < policy.min_dwell + policy.poll_interval, streak
+    finally:
+        gh_client.close()
+        github.close()
 
 
 def test_kube_throttling_holds_without_exiting(clock):
