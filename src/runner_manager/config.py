@@ -35,7 +35,7 @@ def parse_duration(text: str | float | int, *, name: str = "duration") -> float:
     """Parse '90', '90s', '15m', '84h' or '3.5d' into seconds."""
     if isinstance(text, (int, float)):
         return float(text)
-    match = _DURATION_RE.match(text)
+    match = _DURATION_RE.match(text) if isinstance(text, str) else None
     if not match:
         raise ConfigError(f"{name}: cannot parse duration {text!r} (expected e.g. 60s, 15m, 84h)")
     return float(match.group(1)) * _UNIT_SECONDS[match.group(2)]
@@ -94,6 +94,27 @@ class Policy:
             )
         if not self.max_runners >= 1:
             raise ConfigError("policy violates bound 'max_runners >= 1'")
+
+
+_POLICY_PARSERS = {
+    "poll_interval": parse_duration,
+    "force_interval": parse_duration,
+    "min_dwell": parse_duration,
+    "max_runners": parse_count,
+}
+
+
+def parse_policy(settings: dict, runner_labels: LabelSet | None = None) -> Policy:
+    """A Policy from ``settings`` (name -> text or number); a setting left out
+    keeps its default. Raises ConfigError naming an unknown setting, an
+    unparseable value or the violated policy bound."""
+    unknown = sorted(set(settings) - set(_POLICY_PARSERS))
+    if unknown:
+        raise ConfigError(f"unknown policy settings: {unknown}")
+    kwargs = {name: _POLICY_PARSERS[name](value, name=name) for name, value in settings.items()}
+    if runner_labels is not None:
+        kwargs["runner_labels"] = runner_labels
+    return Policy(**kwargs)
 
 
 @dataclass
@@ -169,17 +190,7 @@ def load_config(flags: list[str], environment: dict[str, str]) -> Config:
         if len(labels) == 0:
             raise ConfigError("missing required field: labels (empty label list)")
 
-    policy = Policy(
-        poll_interval=parse_duration(values["poll_interval"], name="poll_interval")
-        if values["poll_interval"] else DEFAULT_POLL_INTERVAL,
-        force_interval=parse_duration(values["force_interval"], name="force_interval")
-        if values["force_interval"] else DEFAULT_FORCE_INTERVAL,
-        min_dwell=parse_duration(values["min_dwell"], name="min_dwell")
-        if values["min_dwell"] else DEFAULT_MIN_DWELL,
-        max_runners=parse_count(values["max_runners"], name="max_runners")
-        if values["max_runners"] else DEFAULT_MAX_RUNNERS,
-        runner_labels=labels,
-    )
+    policy = parse_policy({name: values[name] for name in _POLICY_PARSERS if values[name]}, runner_labels=labels)
 
     token = resolve_github_token(values["github_token_file"], environment)
 

@@ -1,24 +1,22 @@
 """Scenario execution: the real manager against the fake world.
 
 The driver owns virtual time. Each step it waits for the manager thread to
-park in the clock, advances to the next interesting instant (scenario
-event, pod/job timer, or the manager's own wake-up), applies environment
+park in the clock, advances to the clock's next deadline (scenario event,
+pod/job timer, or the manager's own wake-up), runs the due environment
 work first, then releases the manager. Identical scripts therefore produce
-identical traces, bit for bit.
+identical traces, bit for bit. The trace is the run's record: decisions,
+poll counts and scale writes are read back from it.
 """
 
 from __future__ import annotations
 
 import atexit
 import functools
-import heapq
-import itertools
 import os
 import shutil
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from ..clock import to_rfc3339
 from ..config import Config, Policy, RepoCoordinates
@@ -37,28 +35,6 @@ NAMESPACE = "ci"
 DEPLOYMENT = "gha-runner"
 OWNER = "biocore"
 REPO = "unifrac"
-
-
-class _EventQueue:
-    def __init__(self):
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
-        self._lock = threading.Lock()
-
-    def push(self, at: float, fn: Callable[[], None]) -> None:
-        with self._lock:
-            heapq.heappush(self._heap, (at, next(self._seq), fn))
-
-    def next_time(self) -> float | None:
-        with self._lock:
-            return self._heap[0][0] if self._heap else None
-
-    def pop_due(self, t: float) -> list[Callable[[], None]]:
-        due = []
-        with self._lock:
-            while self._heap and self._heap[0][0] <= t:
-                due.append(heapq.heappop(self._heap)[2])
-        return due
 
 
 class _ManagerHandle:
@@ -115,11 +91,7 @@ class ScenarioResult:
     script: ScenarioScript
     policy: Policy
     trace: Trace
-    decisions: list[tuple[float, int, str]]  # (tick seconds, target, reason)
-    poll_counts: list[tuple[float, int | None, int | None]]  # (tick, queued, in_progress)
-    writes: list[tuple[float, int]]  # (seconds, replicas)
     manager_exit_codes: list[int | None]
-    scenario_failed: bool
     failure_reasons: list[str]
     cross_namespace_requests: list[str]
     github_header_violations: list[str]
@@ -127,11 +99,25 @@ class ScenarioResult:
     scale_patch_violations: list[str]
     final_annotations: dict[str, str]
 
+    @property
+    def decisions(self) -> list[tuple[float, int, str]]:  # (tick seconds, target, reason)
+        return [(e.at, e.detail["desired"], e.detail["reason"]) for e in self.trace.select("manager", "decision")]
+
+    @property
+    def poll_counts(self) -> list[tuple[float, int | None, int | None]]:  # (tick, queued, in_progress)
+        return [(e.at, e.detail["queued"], e.detail["in_progress"]) for e in self.trace.select("manager", "decision")]
+
+    @property
+    def writes(self) -> list[tuple[float, int]]:  # (seconds, replicas)
+        return [(e.at, e.detail["replicas"]) for e in self.trace.select("fake_kube", "scale_write")]
+
+    @property
+    def scenario_failed(self) -> bool:
+        return bool(self.failure_reasons)
+
     def replica_timeline(self) -> list[tuple[float, int]]:
         """Spec replicas over time: (since_seconds, value), starting at 0."""
-        timeline = [(0.0, 0)]
-        timeline.extend(self.writes)
-        return timeline
+        return [(0.0, 0), *self.writes]
 
 
 @functools.cache
@@ -152,7 +138,6 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
     epoch = clock.now()
     horizon_abs = epoch + script.horizon
     trace = Trace(epoch)
-    queue = _EventQueue()
     failure_reasons: list[str] = []
 
     initial_annotations = None
@@ -173,27 +158,21 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         deployment=DEPLOYMENT,
         clock=clock,
         pod_startup_delay=script.pod_startup_delay,
-        schedule=queue.push,
+        schedule=clock.call_at,
         initial_annotations=initial_annotations,
     ).start()
 
     world = RunnerWorld(
         github,
         labels=policy.runner_labels.as_list(),
-        schedule=queue.push,
+        schedule=clock.call_at,
         clock=clock,
         on_event=lambda action, detail: trace.append(clock.now(), "fake_runner", action, detail),
     )
     kube.on_pod_running = world.pod_running
     kube.on_pod_terminating = world.pod_terminating
 
-    writes: list[tuple[float, int]] = []
-
-    def _on_scale_write(at: float, replicas: int) -> None:
-        writes.append((at - epoch, replicas))
-        trace.append(at, "fake_kube", "scale_write", {"replicas": replicas})
-
-    kube.on_scale_write = _on_scale_write
+    kube.on_scale_write = lambda at, replicas: trace.append(at, "fake_kube", "scale_write", {"replicas": replicas})
     github.on_transition = lambda kind, job: trace.append(
         clock.now(), "fake_github", kind, {"job": job.job_id, "status": job.status}
     )
@@ -210,66 +189,49 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         status_addr=None,
     )
 
-    decisions: list[tuple[float, int, str]] = []
-    poll_counts: list[tuple[float, int | None, int | None]] = []
     exit_codes: list[int | None] = []
 
     def observer(record: ReconcileRecord) -> None:
-        decisions.append((record.tick - epoch, record.desired, record.reason.value))
-        poll_counts.append((record.tick - epoch, record.queued, record.in_progress))
         trace.append(record.tick, "manager", "decision", record.as_log_dict())
 
     manager = _ManagerHandle(config, clock, observer)
-    respawn_handle: _ManagerHandle | None = None
+    respawn_at: float | None = None  # when the stopped manager's successor starts
 
     def _apply_event(event: ScenarioEvent) -> None:
-        nonlocal manager, respawn_handle
+        nonlocal manager, respawn_at
         trace.append(clock.now(), "driver", event.kind, dict(event.payload))
         if event.kind == "enqueue_job":
             github.enqueue_job(
-                labels=list(event.payload.get("labels", policy.runner_labels.as_list())),
-                duration=float(event.payload.get("duration", 300.0)),
-                ref=event.payload.get("ref"),
+                labels=list(event.arg("labels")),
+                duration=float(event.arg("duration")),
+                ref=event.arg("ref"),
             )
             world.settle()
         elif event.kind == "complete_job":
-            github.force_complete(event.payload["ref"])
+            github.force_complete(event.arg("ref"))
             world.settle()
         elif event.kind == "github_fault":
-            github.set_fault("status", float(event.payload.get("status", 500)))
+            github.set_fault("status", float(event.arg("status")))
         elif event.kind == "github_recover":
             github.clear_fault()
         elif event.kind in ("rate_limit", "secondary_rate_limit"):
-            github.set_fault(event.kind, float(event.payload.get("retry_after", 60)))
+            github.set_fault(event.kind, float(event.arg("retry_after")))
         elif event.kind == "kube_fault":
-            kube.set_fault(int(event.payload.get("status", 500)))
+            kube.set_fault(int(event.arg("status")))
         elif event.kind == "kube_recover":
             kube.clear_fault()
         elif event.kind == "restart_manager":
             exit_codes.append(manager.stop_and_join())
             trace.append(clock.now(), "driver", "manager_stopped", {})
-            downtime = float(event.payload.get("downtime", 0))
             # A newer restart supersedes any respawn still pending.
             manager = _ManagerHandle(config, clock, observer)
-            respawn_handle = None
-            if downtime > 0:
-                queue.push(clock.now() + downtime, lambda h=manager: _mark_respawn(h))
-            else:
-                respawn_handle = manager
-
-    def _mark_respawn(handle: _ManagerHandle) -> None:
-        nonlocal respawn_handle
-        if handle is manager:  # ignore stale respawns from superseded restarts
-            respawn_handle = handle
+            respawn_at = clock.now() + float(event.arg("downtime"))
+            clock.call_at(respawn_at, lambda: None)  # so that the driver steps to respawn_at
 
     try:
-        # Events at or before t=0 apply before the manager's first poll.
-        pending_events = list(script.events)
-        while pending_events and pending_events[0].at <= 0:
-            _apply_event(pending_events.pop(0))
-        for event in pending_events:
-            queue.push(epoch + event.at, lambda e=event: _apply_event(e))
-
+        for event in script.events:
+            clock.call_at(epoch + event.at, lambda e=event: _apply_event(e))
+        clock.run_due()  # events at or before t=0 apply before the manager's first poll
         manager.start()
 
         while True:
@@ -279,21 +241,13 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
                     f"manager exited unexpectedly with code {manager.exit_code}"
                 )
                 break
-            candidates = [t for t in (queue.next_time(), clock.next_deadline()) if t is not None]
-            if not candidates:
-                break
-            t = min(candidates)
-            if t >= horizon_abs:
+            t = clock.next_deadline()
+            if t is None or t >= horizon_abs:
                 break
             clock.advance_to(t)
-            while True:
-                due = queue.pop_due(t)
-                if not due:
-                    break
-                for fn in due:
-                    fn()
-            if respawn_handle is not None and respawn_handle is manager:
-                respawn_handle = None
+            clock.run_due()
+            if respawn_at is not None and respawn_at <= t:
+                respawn_at = None
                 trace.append(clock.now(), "driver", "manager_started", {})
                 manager.start()
             clock.release_due()
@@ -308,19 +262,14 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         for w in kube.scale_write_log
         if not (w.content_type_ok and w.body_shape_ok)
     ]
-    failed = bool(failure_reasons) or kube.scenario_failed
-    if kube.scenario_failed:
+    if kube.cross_namespace_requests:
         failure_reasons.append(f"cross-namespace requests: {kube.cross_namespace_requests}")
 
     return ScenarioResult(
         script=script,
         policy=policy,
         trace=trace,
-        decisions=decisions,
-        poll_counts=poll_counts,
-        writes=writes,
         manager_exit_codes=exit_codes,
-        scenario_failed=failed,
         failure_reasons=failure_reasons,
         cross_namespace_requests=list(kube.cross_namespace_requests),
         github_header_violations=list(github.header_violations),

@@ -60,14 +60,6 @@ class FakeJob:
 
 
 @dataclass
-class FakeRunnerRegistration:
-    runner_id: int
-    name: str
-    labels: LabelSet
-    busy_job: int | None = None
-
-
-@dataclass
 class RequestRecord:
     at: float
     method: str
@@ -98,7 +90,9 @@ class FakeGitHub:
         self._lock = threading.RLock()
         self.jobs: dict[int, FakeJob] = {}
         self._run_jobs: dict[int, tuple[FakeJob, ...]] = {}  # run id -> its jobs, by job id
-        self.runners: dict[int, FakeRunnerRegistration] = {}
+        # Registered runners' labels, by runner id. A runner is busy while a
+        # job it claimed is in progress.
+        self.runners: dict[int, LabelSet] = {}
         self.issued_registration_tokens: list[str] = []
         self._job_seq = 0
         self._run_seq = 0
@@ -166,7 +160,8 @@ class FakeGitHub:
         with self._lock:
             for job in self.jobs.values():
                 if job.ref == ref and job.status != "completed":
-                    self._complete_locked(job)
+                    job.status = "completed"
+                    self._emit("job_completed", job)
 
     def set_fault(self, kind: str, value: float) -> None:
         with self._lock:
@@ -179,40 +174,40 @@ class FakeGitHub:
     # -- runner-side operations (HTTP for subprocesses, direct for actors) --
 
     def register_runner(self, name: str, labels: list[str]) -> int:
+        """Register a runner; GitHub shows ``name``, the fake keeps only the labels."""
         with self._lock:
             self._runner_seq += 1
-            runner = FakeRunnerRegistration(self._runner_seq, name, LabelSet(labels))
-            self.runners[runner.runner_id] = runner
-            return runner.runner_id
+            self.runners[self._runner_seq] = LabelSet(labels)
+            return self._runner_seq
 
     def deregister_runner(self, runner_id: int) -> None:
         with self._lock:
-            runner = self.runners.pop(runner_id, None)
-            if runner is not None and runner.busy_job is not None:
-                job = self.jobs.get(runner.busy_job)
-                if job is not None and job.status == "in_progress":
+            if self.runners.pop(runner_id, None) is None:
+                return
+            for job in self.jobs.values():
+                if job.claimed_by == runner_id and job.status == "in_progress":
                     # Runner died mid-job: GitHub re-queues the work.
                     job.status = "queued"
                     job.claimed_by = None
                     self._emit("job_requeued", job)
 
     def claim_job(self, runner_id: int) -> FakeJob | None:
-        """Oldest queued job whose requested labels fit this runner."""
+        """Oldest queued job whose requested labels fit this runner, if it is idle."""
         with self._lock:
-            runner = self.runners.get(runner_id)
-            if runner is None or runner.busy_job is not None:
+            labels = self.runners.get(runner_id)
+            if labels is None:
                 return None
-            candidates = [
-                job
-                for job in self.jobs.values()
-                if job.status == "queued" and LabelSet(job.labels).issubset(runner.labels)
-            ]
+            candidates = []
+            for job in self.jobs.values():
+                if job.claimed_by == runner_id and job.status == "in_progress":
+                    return None
+                if job.status == "queued" and LabelSet(job.labels).issubset(labels):
+                    candidates.append(job)
             if not candidates:
                 return None
             job = min(candidates, key=lambda j: (j.created_at, j.job_id))
             job.status = "in_progress"
             job.claimed_by = runner_id
-            runner.busy_job = job.job_id
             self._emit("job_claimed", job)
             return job
 
@@ -221,16 +216,9 @@ class FakeGitHub:
             job = self.jobs.get(job_id)
             if job is None or job.status != "in_progress" or job.claimed_by != runner_id:
                 return False
-            self._complete_locked(job)
+            job.status = "completed"
+            self._emit("job_completed", job)
             return True
-
-    def _complete_locked(self, job: FakeJob) -> None:
-        job.status = "completed"
-        if job.claimed_by is not None:
-            runner = self.runners.get(job.claimed_by)
-            if runner is not None and runner.busy_job == job.job_id:
-                runner.busy_job = None
-        self._emit("job_completed", job)
 
     def _emit(self, kind: str, job: FakeJob) -> None:
         if self.on_transition is not None:

@@ -3,8 +3,8 @@
 Implements exactly the surfaces the manager may touch: the Deployment
 itself (read, and merge patches of its annotations), its scale subresource,
 and the pod list. Every request outside the configured namespace is answered
-403 and flags the scenario as failed -- the unprivileged-operation guarantee
-made testable.
+403 and recorded in ``cross_namespace_requests``, which fails the scenario --
+the unprivileged-operation guarantee made testable.
 
 Scaling behaves like a (simplified) Deployment controller: on 0->N the
 fake creates Pending pods that turn Running after a configurable startup
@@ -69,7 +69,6 @@ class FakeKube:
         self.fault_status: int | None = None
 
         self.cross_namespace_requests: list[str] = []
-        self.scenario_failed = False
         self.scale_write_log: list[ScaleWrite] = []
         self.request_paths: list[str] = []
         self.keep_request_paths = False
@@ -99,7 +98,7 @@ class FakeKube:
         with self._lock:
             return sum(1 for p in self.pods if p.phase == "Running")
 
-    def set_fault(self, status: int = 500) -> None:
+    def set_fault(self, status: int) -> None:
         with self._lock:
             self.fault_status = status
 
@@ -199,7 +198,6 @@ def _handle(kube: FakeKube, request: Request) -> Response:
     if match is None or match.group(1) != kube.namespace:
         with kube._lock:
             kube.cross_namespace_requests.append(path)
-            kube.scenario_failed = True
         return Response.json(403, {"message": f"forbidden outside namespace {kube.namespace}"})
     with kube._lock:
         fault = kube.fault_status

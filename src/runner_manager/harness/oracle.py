@@ -5,7 +5,8 @@ perfect knowledge and applies the documented decision rules at every poll
 tick. It shares no code with the reconciler or the clients -- only the
 published contracts (decision priority, backoff schedule, annotation keys
 and when they are written, tick anchoring) -- so agreement between the two is
-meaningful evidence.
+meaningful evidence. Like the driver, it reads the script's events through
+``ScenarioEvent.arg``: the event defaults describe the input, not the manager.
 
 Returned decisions are keyed by poll-tick time; ticks where the manager was
 stopped mid-poll (restart, horizon) yield no decision, matching the live
@@ -53,7 +54,6 @@ class _Pod:
     name: str
     running: bool = False
     busy_job: int | None = None
-    busy_generation: int = 0
 
 
 @dataclass
@@ -152,22 +152,22 @@ class _OracleSim:
     # -- environment ---------------------------------------------------------
 
     def _apply_scenario_event(self, event) -> None:
-        kind, payload = event.kind, event.payload
+        kind = event.kind
         if kind == "enqueue_job":
             self._job_seq += 1
             job = _Job(
                 job_id=self._job_seq,
                 created_at=self.epoch + event.at,
-                labels=LabelSet(payload.get("labels", self.policy.runner_labels.as_list())),
-                duration=float(payload.get("duration", 300.0)),
-                ref=payload.get("ref"),
+                labels=LabelSet(event.arg("labels")),
+                duration=float(event.arg("duration")),
+                ref=event.arg("ref"),
             )
             self.jobs.append(job)
             if job.ref:
                 self.jobs_by_ref[job.ref] = job
             self._settle()
         elif kind == "complete_job":
-            job = self.jobs_by_ref.get(payload["ref"])
+            job = self.jobs_by_ref.get(event.arg("ref"))
             if job is not None and job.status != "completed":
                 job.status = "completed"
                 for pod in self.pods:
@@ -175,11 +175,11 @@ class _OracleSim:
                         pod.busy_job = None
                 self._settle()
         elif kind == "github_fault":
-            self.github_fault = ("status", float(payload.get("status", 500)))
+            self.github_fault = ("status", float(event.arg("status")))
         elif kind == "github_recover":
             self.github_fault = None
         elif kind in ("rate_limit", "secondary_rate_limit"):
-            self.github_fault = ("rate_limit", float(payload.get("retry_after", 60)))
+            self.github_fault = ("rate_limit", float(event.arg("retry_after")))
         elif kind == "kube_fault":
             self.kube_fault = True
         elif kind == "kube_recover":
@@ -187,7 +187,7 @@ class _OracleSim:
         elif kind == "restart_manager":
             self.incarnation += 1
             self.online = False
-            start_at = self.epoch + event.at + float(payload.get("downtime", 0))
+            start_at = self.epoch + event.at + float(event.arg("downtime"))
             self._push(start_at, _MANAGER, lambda inc=self.incarnation: self._manager_start(start_at, inc))
 
     def _manager_start(self, at: float, inc: int) -> None:
@@ -250,7 +250,6 @@ class _OracleSim:
                 job.status = "in_progress"
                 job.claim_generation += 1
                 pod.busy_job = job.job_id
-                pod.busy_generation = job.claim_generation
                 self._push(
                     at + job.duration,
                     _ENV,

@@ -9,37 +9,39 @@ Scripts live in YAML or JSON files::
       - {at: 900, kind: github_fault, status: 503}
       - {at: 1200, kind: github_recover}
 
-Event times are seconds from scenario start. ``complete_job`` refers to a
-previous ``enqueue_job`` by its ``ref``. An optional ``policy:`` mapping
-overrides ``poll_interval``, ``force_interval``, ``min_dwell`` and
-``max_runners``; it is the only way to set a scenario's policy.
+Event times are seconds from scenario start. ``EVENT_DEFAULTS`` lists each
+kind's fields and their defaults; an unknown kind, field or top-level key
+is rejected. ``complete_job`` refers to a previous ``enqueue_job`` by its
+``ref``. An optional ``policy:`` mapping overrides ``poll_interval``,
+``force_interval``, ``min_dwell`` and ``max_runners``; it is the only way to
+set a scenario's policy.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
-from ..config import DEFAULT_RUNNER_LABELS, Policy, parse_count, parse_duration
+from ..config import DEFAULT_RUNNER_LABELS, Policy, parse_policy
 from ..errors import ConfigError
 
-EVENT_KINDS = (
-    "enqueue_job",
-    "complete_job",
-    "github_fault",
-    "github_recover",
-    "kube_fault",
-    "kube_recover",
-    "restart_manager",
-    "rate_limit",
-    "secondary_rate_limit",
-)
+# Each event kind's payload fields and their defaults; no other field is allowed.
+EVENT_DEFAULTS: dict[str, dict] = {
+    "enqueue_job": {"labels": sorted(DEFAULT_RUNNER_LABELS), "duration": 300.0, "ref": None},
+    "complete_job": {"ref": None},
+    "github_fault": {"status": 500},
+    "github_recover": {},
+    "kube_fault": {"status": 500},
+    "kube_recover": {},
+    "restart_manager": {"downtime": 0.0},
+    "rate_limit": {"retry_after": 60},
+    "secondary_rate_limit": {"retry_after": 60},
+}
+EVENT_KINDS = tuple(EVENT_DEFAULTS)
 
 DEFAULT_POD_STARTUP_DELAY = 20.0
-DEFAULT_JOB_DURATION = 300.0
-POLICY_DURATIONS = ("poll_interval", "force_interval", "min_dwell")
 
 # generate_random_script's fixed shape; every seed draws from these.
 RANDOM_POLL_INTERVAL = 60.0
@@ -53,6 +55,10 @@ class ScenarioEvent:
     at: float
     kind: str
     payload: dict = field(default_factory=dict)
+
+    def arg(self, name: str):
+        """The payload's ``name``, or the kind's default for it."""
+        return self.payload.get(name, EVENT_DEFAULTS[self.kind][name])
 
 
 @dataclass
@@ -73,56 +79,70 @@ def policy_from_script(script: ScenarioScript) -> Policy:
     Raises ValueError naming an unknown key, an unparseable value or the
     violated policy bound.
     """
-    overrides = dict(script.policy)
     try:
-        kwargs = {
-            name: parse_duration(overrides.pop(name), name=name) for name in POLICY_DURATIONS if name in overrides
-        }
-        if "max_runners" in overrides:
-            kwargs["max_runners"] = parse_count(overrides.pop("max_runners"), name="max_runners")
-        if overrides:
-            raise ValueError(f"unknown policy overrides in script: {sorted(overrides)}")
-        return Policy(**kwargs)
-    except (ConfigError, TypeError) as exc:
+        return parse_policy(script.policy)
+    except ConfigError as exc:
         raise ValueError(f"scenario policy: {exc}") from None
 
 
 def validate_script(script: ScenarioScript) -> None:
-    if script.horizon <= 0:
+    if not script.horizon > 0:
         raise ValueError("scenario horizon must be positive")
+    if not script.pod_startup_delay >= 0:
+        raise ValueError("scenario pod_startup_delay must be >= 0")
     policy_from_script(script)
     seen_refs: set[str] = set()
     last_at = float("-inf")
     for event in script.events:
-        if event.kind not in EVENT_KINDS:
+        if event.kind not in EVENT_DEFAULTS:
             raise ValueError(f"unknown event kind {event.kind!r}")
         if event.at < last_at:
             raise ValueError(f"events must be sorted by time: {event}")
         last_at = event.at
+        for name, value in event.payload.items():
+            _check_field(event, name, value)
         if event.kind == "enqueue_job":
-            ref = event.payload.get("ref")
+            ref = event.arg("ref")
             if ref is not None:
                 if ref in seen_refs:
                     raise ValueError(f"duplicate job ref {ref!r}")
                 seen_refs.add(ref)
-            if float(event.payload.get("duration", DEFAULT_JOB_DURATION)) < 0:
+            if not event.arg("duration") >= 0:
                 raise ValueError(f"job duration must be >= 0: {event}")
         elif event.kind == "complete_job":
-            ref = event.payload.get("ref")
-            if ref is None or ref not in seen_refs:
+            if event.arg("ref") not in seen_refs:
                 raise ValueError(f"complete_job must reference a previously enqueued job: {event}")
-        elif event.kind == "github_fault":
-            status = int(event.payload.get("status", 500))
-            if not 400 <= status <= 599:
-                raise ValueError(f"github_fault status out of range: {event}")
+        elif event.kind in ("github_fault", "kube_fault"):
+            if event.arg("status") not in range(400, 600):
+                raise ValueError(f"{event.kind} status must be a whole number from 400 to 599: {event}")
         elif event.kind in ("rate_limit", "secondary_rate_limit"):
             # Retry-After carries whole seconds, and the fake sends it so.
-            retry_after = float(event.payload.get("retry_after", 60))
+            retry_after = float(event.arg("retry_after"))
             if retry_after <= 0 or not retry_after.is_integer():
                 raise ValueError(f"{event.kind} retry_after must be a positive whole number of seconds: {event}")
         elif event.kind == "restart_manager":
-            if float(event.payload.get("downtime", 0)) < 0:
+            if not event.arg("downtime") >= 0:
                 raise ValueError(f"restart downtime must be >= 0: {event}")
+
+
+def _check_field(event: ScenarioEvent, name: str, value) -> None:
+    """Reject a field the event's kind does not have, or a value of the wrong type."""
+    if name not in EVENT_DEFAULTS[event.kind]:
+        raise ValueError(f"{event.kind} has no field {name!r}: {event}")
+    if name == "labels":
+        if not (isinstance(value, list) and all(isinstance(x, str) and x.strip() for x in value)):
+            raise ValueError(f"{event.kind} labels must be a list of nonempty strings: {event}")
+    elif name == "ref":
+        if not (value is None or isinstance(value, str)):
+            raise ValueError(f"{event.kind} ref must be a string: {event}")
+    else:
+        _number(value, f"{event.kind} {name}")
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number: {value!r}")
+    return float(value)
 
 
 def load_script(path: str) -> ScenarioScript:
@@ -138,22 +158,29 @@ def load_script(path: str) -> ScenarioScript:
 
 
 def script_from_dict(raw: dict) -> ScenarioScript:
+    unknown = sorted(set(raw) - {f.name for f in fields(ScenarioScript)})
+    if unknown:
+        raise ValueError(f"unknown scenario key {unknown[0]!r}")
     policy = raw.get("policy") or {}
     if not isinstance(policy, dict):
         raise ValueError(f"scenario policy must be a mapping: {policy!r}")
+    entries = raw.get("events") or []
+    if not isinstance(entries, list):
+        raise ValueError(f"scenario events must be a list: {entries!r}")
     events = []
-    for idx, entry in enumerate(raw.get("events") or []):
+    for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "at" not in entry or "kind" not in entry:
             raise ValueError(f"event #{idx} needs 'at' and 'kind': {entry!r}")
         payload = {k: v for k, v in entry.items() if k not in ("at", "kind")}
-        events.append(ScenarioEvent(at=float(entry["at"]), kind=str(entry["kind"]), payload=payload))
+        events.append(ScenarioEvent(_number(entry["at"], f"event #{idx} at"), str(entry["kind"]), payload))
     events.sort(key=lambda e: e.at)
+    initial_last_active = raw.get("initial_last_active")
     return ScenarioScript(
-        horizon=float(raw.get("horizon", 3600)),
+        horizon=_number(raw.get("horizon", 3600), "horizon"),
         events=events,
-        pod_startup_delay=float(raw.get("pod_startup_delay", DEFAULT_POD_STARTUP_DELAY)),
+        pod_startup_delay=_number(raw.get("pod_startup_delay", DEFAULT_POD_STARTUP_DELAY), "pod_startup_delay"),
         initial_last_active=(
-            float(raw["initial_last_active"]) if raw.get("initial_last_active") is not None else None
+            None if initial_last_active is None else _number(initial_last_active, "initial_last_active")
         ),
         policy=dict(policy),
     )

@@ -1,15 +1,20 @@
 """Virtual time with a driver/actor handshake.
 
-The scenario driver owns time. Registered actor threads (the manager) run
-until they block in ``wait_until``; the driver advances the clock only when
-every actor is blocked, fires due environment work, then releases the
-actors whose deadlines arrived. No thread ever sleeps on the wall clock, so
-traces are deterministic and 30 simulated days cost seconds.
+The clock is the one queue of pending work: actor threads (the manager)
+parked in ``wait_until`` and environment timers set with ``call_at`` (pod
+start-up, job completion, a manager respawn). The scenario driver owns
+time. It advances the clock to ``next_deadline()`` only when every actor is
+blocked, runs the due timers, then releases the actors whose deadlines
+arrived. No thread ever sleeps on the wall clock, so traces are
+deterministic and 30 simulated days cost seconds.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
+from typing import Callable
 
 from ..clock import Clock, from_rfc3339
 
@@ -32,6 +37,9 @@ class VirtualClock(Clock):
         self._cond = threading.Condition()
         self._busy = 0
         self._waiters: list[_Waiter] = []
+        # (at, sequence, fn): equal times run in the order they were set.
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._timer_seq = itertools.count()
 
     # -- Clock interface (actor side) --------------------------------------
 
@@ -63,6 +71,22 @@ class VirtualClock(Clock):
             self._busy -= 1
             self._cond.notify_all()
 
+    # -- environment timers (set by the fakes, run by the driver) -------------
+
+    def call_at(self, at: float, fn: Callable[[], None]) -> None:
+        """Have ``fn`` run on the driver thread once time reaches ``at``."""
+        with self._cond:
+            heapq.heappush(self._timers, (at, next(self._timer_seq), fn))
+
+    def run_due(self) -> None:
+        """Run every timer due now, including those the timers themselves set."""
+        while True:
+            with self._cond:
+                if not self._timers or self._timers[0][0] > self._now:
+                    return
+                fn = heapq.heappop(self._timers)[2]
+            fn()
+
     # -- driver side ---------------------------------------------------------
 
     def wait_quiescent(self, timeout: float = 60.0) -> None:
@@ -72,13 +96,13 @@ class VirtualClock(Clock):
                 raise RuntimeError(f"actors failed to quiesce within {timeout}s (busy={self._busy})")
 
     def next_deadline(self) -> float | None:
+        """The earliest pending timer or waiter deadline; None if there is none."""
         with self._cond:
-            if not self._waiters:
-                return None
-            return min(w.deadline for w in self._waiters)
+            deadlines = [w.deadline for w in self._waiters] + [at for at, _, _ in self._timers[:1]]
+            return min(deadlines, default=None)
 
     def advance_to(self, t: float) -> None:
-        """Move time forward without waking anyone; release_due() wakes."""
+        """Move time forward; run_due() then runs the timers, release_due() wakes."""
         with self._cond:
             if t < self._now:
                 raise ValueError(f"time cannot move backward: {t} < {self._now}")

@@ -63,12 +63,13 @@ class Decision:
 
 @dataclass(frozen=True)
 class Observation:
-    """One poll's combined snapshot. ``deployment is None`` means the
-    Kubernetes read failed this iteration and no write may be attempted."""
+    """One poll's combined snapshot. ``outstanding_jobs is None`` means the
+    GitHub poll failed this iteration, so the decision holds.
+    ``deployment is None`` means the Kubernetes read failed this iteration
+    and no write may be attempted."""
 
-    outstanding_jobs: list[JobRecord]
+    outstanding_jobs: list[JobRecord] | None
     deployment: DeploymentSnapshot | None
-    github_poll_ok: bool
 
     @property
     def kube_ok(self) -> bool:
@@ -192,7 +193,7 @@ def compute_desired(
     now: float,
 ) -> Decision:
     """Pure decision function; see the priority table in the module docstring."""
-    if not observation.github_poll_ok:
+    if observation.outstanding_jobs is None:
         target = state.last_written_replicas
         if target is None:
             target = observation.deployment.spec_replicas if observation.deployment else 0
@@ -319,11 +320,7 @@ class ReconcileLoop:
         deployment = _step(self.kube_streaks, failures, self._observe_kube)
         now = self.clock.now()
 
-        observation = Observation(
-            outstanding_jobs=jobs if jobs is not None else [],
-            deployment=deployment,
-            github_poll_ok=jobs is not None,
-        )
+        observation = Observation(outstanding_jobs=jobs, deployment=deployment)
         decision = compute_desired(observation, self.state, self.policy, now)
 
         wrote = False

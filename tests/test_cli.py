@@ -120,10 +120,38 @@ def test_harness_run_reports_a_bad_policy_block(tmp_path, capsys):
     assert "scenario error" in err and "max_runner" in err
 
 
+def _job_script(fields: str) -> str:
+    return f"horizon: 600\nevents:\n  - {{at: 10, kind: enqueue_job, {fields}}}\n"
+
+
 @pytest.mark.parametrize(
     "text, named",
-    [("horizon: [600\n", "not valid YAML"), ("horizon: 600\npolicy: 5\n", "policy must be a mapping")],
-    ids=["invalid-yaml", "policy-not-a-mapping"],
+    [
+        ("horizon: [600\n", "not valid YAML"),
+        ("horizon: 600\npolicy: 5\n", "policy must be a mapping"),
+        (_job_script("duration: null"), "enqueue_job duration must be a number"),
+        ("horizon: 600\nevents: 5\n", "events must be a list"),
+        (_job_script("labels: [1, 2]"), "enqueue_job labels must be a list of nonempty strings"),
+        (_job_script("duraton: 30"), "enqueue_job has no field 'duraton'"),
+        ("horizon: 600\nevents:\n  - {at: 10, kind: github_fault, staus: 404}\n", "github_fault has no field 'staus'"),
+        (_job_script("labels: self-hosted"), "enqueue_job labels must be a list of nonempty strings"),
+        ("horizn: 600\n", "unknown scenario key 'horizn'"),
+        ("horizon: 600\nevents:\n  - {at: 10, kind: kube_fault, status: 200}\n", "kube_fault status must be"),
+        ("horizon: 600\npod_startup_delay: -5\n", "pod_startup_delay must be >= 0"),
+    ],
+    ids=[
+        "invalid-yaml",
+        "policy-not-a-mapping",
+        "null-duration",
+        "events-not-a-list",
+        "labels-not-strings",
+        "misspelled-event-field",
+        "misspelled-fault-field",
+        "labels-a-string",
+        "misspelled-top-level-key",
+        "kube-fault-status-out-of-range",
+        "negative-pod-startup-delay",
+    ],
 )
 def test_harness_run_reports_a_malformed_script(tmp_path, capsys, text, named):
     script_path = tmp_path / "scenario.yaml"
@@ -194,3 +222,14 @@ def test_secondary_rate_limit_scenario_agrees_with_the_oracle(tmp_path, capsys):
     entries = [json.loads(line) for line in trace_path.read_text().splitlines()]
     holds = [e["at"] for e in entries if e["action"] == "decision" and e["detail"]["reason"] == "hold"]
     assert holds and all(300 <= at < 1200 + 60 for at in holds)
+
+
+@pytest.mark.parametrize(
+    "script", sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml")), ids=lambda p: p.stem
+)
+def test_every_shipped_scenario_agrees_with_the_oracle(script, capsys):
+    rc = harness_cli.main(["run", "--script", str(script), "--check-oracle"])
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert summary["oracle_match"] is True
+    assert summary["scenario_failed"] is False

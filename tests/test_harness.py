@@ -46,6 +46,25 @@ class TestVirtualClock:
         thread.join(timeout=5)
         assert woke_at == [SIM_EPOCH + 30]
 
+    def test_timers_run_in_time_order_and_count_as_deadlines(self):
+        clock = VirtualClock()
+        ran = []
+
+        def set_another():
+            ran.append("c")
+            clock.call_at(SIM_EPOCH + 5, lambda: ran.append("d"))
+
+        clock.call_at(SIM_EPOCH + 5, lambda: ran.append("b"))
+        clock.call_at(SIM_EPOCH + 5, set_another)
+        clock.call_at(SIM_EPOCH - 1, lambda: ran.append("a"))
+        clock.run_due()
+        assert ran == ["a"]
+        assert clock.next_deadline() == SIM_EPOCH + 5
+        clock.advance_to(SIM_EPOCH + 5)
+        clock.run_due()
+        assert ran == ["a", "b", "c", "d"]
+        assert clock.next_deadline() is None
+
     def test_kick_releases_interrupted_waiters(self):
         clock = VirtualClock()
         stop = threading.Event()
@@ -113,14 +132,13 @@ class TestFakeKube:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url)
         assert excinfo.value.code == 403
-        assert fake_kube.scenario_failed
-        assert fake_kube.cross_namespace_requests
+        assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/namespaces/other/deployments/gha-runner/scale"]
 
     def test_cluster_scoped_path_rejected(self, fake_kube):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{fake_kube.base_url}/apis/apps/v1/deployments")
         assert excinfo.value.code == 403
-        assert fake_kube.scenario_failed
+        assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/deployments"]
 
 
 class TestScenarioScripts:
@@ -172,6 +190,11 @@ class TestScenarioScripts:
         # manager as 1 and the oracle as 1.5.
         with pytest.raises(ValueError, match=f"{kind} retry_after must be a positive whole number"):
             ScenarioScript(horizon=100, events=[ScenarioEvent(at=1, kind=kind, payload={"retry_after": retry_after})])
+
+    @pytest.mark.parametrize("status", [200, 399, 600, 503.5])
+    def test_kube_fault_status_must_be_an_error_status(self, status):
+        with pytest.raises(ValueError, match="kube_fault status must be a whole number from 400 to 599"):
+            ScenarioScript(horizon=100, events=[ScenarioEvent(at=1, kind="kube_fault", payload={"status": status})])
 
     def test_complete_job_needs_known_ref(self):
         with pytest.raises(ValueError, match="previously enqueued"):

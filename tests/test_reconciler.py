@@ -34,9 +34,8 @@ def _job(job_id=1, status="queued", created=0.0):
 
 def _obs(jobs=(), spec=0, ready=0, ok=True):
     return Observation(
-        outstanding_jobs=list(jobs),
+        outstanding_jobs=None if jobs is None else list(jobs),
         deployment=DeploymentSnapshot(spec, ready, {}) if ok else None,
-        github_poll_ok=jobs is not None,
     )
 
 
@@ -98,15 +97,15 @@ def test_idle_when_fresh_and_no_work():
 
 
 def test_hold_on_github_failure_keeps_last_written():
-    obs = Observation([], DeploymentSnapshot(1, 1, {}), github_poll_ok=False)
+    obs = Observation(None, DeploymentSnapshot(1, 1, {}))
     state = ManagerState(last_written_replicas=1)
     assert compute_desired(obs, state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
 
 
 def test_hold_falls_back_to_observed_then_zero():
-    obs = Observation([], DeploymentSnapshot(1, 1, {}), github_poll_ok=False)
+    obs = Observation(None, DeploymentSnapshot(1, 1, {}))
     assert compute_desired(obs, ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
-    blind = Observation([], None, github_poll_ok=False)
+    blind = Observation(None, None)
     assert compute_desired(blind, ManagerState(), POLICY, 0.0) == Decision(0, Reason.HOLD)
 
 
@@ -136,9 +135,8 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
     policy = Policy(max_runners=max_runners)
     now = 20 * DAY
     obs = Observation(
-        outstanding_jobs=[_job(i + 1) for i in range(jobs)] if poll_ok else [],
+        outstanding_jobs=[_job(i + 1) for i in range(jobs)] if poll_ok else None,
         deployment=DeploymentSnapshot(min(1, max_runners), 0, {}),
-        github_poll_ok=poll_ok,
     )
     state = ManagerState(last_active=None if last_active_age is None else now - last_active_age)
     decision = compute_desired(obs, state, policy, now)
