@@ -9,6 +9,11 @@ Every listing is a conditional request: a page answered with an ``ETag``
 is asked for again with ``If-None-Match``, and a ``304 Not Modified``, which
 GitHub does not charge against the primary rate limit, reuses the parsed
 page. The cache holds exactly the pages the last completed poll read.
+
+The manager needs only ``min(jobs, max_runners)``, so it passes
+``stop_after=max_runners``: a busy poll costs the run listings plus the job
+listings of the oldest runs, up to the one that brings the matching jobs
+found to ``max_runners``.
 """
 
 from __future__ import annotations
@@ -273,14 +278,19 @@ class GitHubClient:
         repo: RepoCoordinates,
         statuses: frozenset[str] | set[str],
         runner_labels: LabelSet,
+        stop_after: int | None = None,
     ) -> list[JobRecord]:
-        """All label-eligible jobs whose status is outstanding, oldest first.
+        """Label-eligible jobs whose status is outstanding, oldest first.
 
-        One run listing per status value, then one job listing per run seen;
-        fixed request order keeps the fake-server logs deterministic. The
-        pages read become the ETag cache only if the whole poll succeeds, so
-        a failed poll keeps the previous cache and pages of vanished runs
-        drop out.
+        One run listing per status value, then job listings run by run in
+        ascending run id, so the oldest runs are read first whatever order
+        GitHub pages them in; fixed request order keeps the fake-server logs
+        deterministic. With ``stop_after``, no further run is read once that
+        many jobs are collected, so the result holds every such job when
+        there are fewer, and at least ``stop_after`` otherwise; a run's job
+        pages are always read in full. The pages read become the ETag cache
+        only if the whole poll succeeds, so a failed poll keeps the previous
+        cache, and pages of vanished or unread runs drop out.
         """
         self._poll_pages = {}
         try:
@@ -290,6 +300,8 @@ class GitHubClient:
                     run_ids.setdefault(run.run_id, None)
             jobs: list[JobRecord] = []
             for run_id in sorted(run_ids):
+                if stop_after is not None and len(jobs) >= stop_after:
+                    break
                 for job in self.list_run_jobs(repo, run_id):
                     if job.status in statuses and job_matches_labels(job.requested_labels, runner_labels):
                         jobs.append(job)

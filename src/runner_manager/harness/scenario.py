@@ -121,6 +121,10 @@ def validate_script(script: ScenarioScript) -> None:
             if retry_after <= 0 or not retry_after.is_integer():
                 raise ValueError(f"{event.kind} retry_after must be a positive whole number of seconds: {event}")
         elif event.kind == "restart_manager":
+            # The manager's first start is at t=0; a restart at or before it
+            # would be a second first start.
+            if not event.at > 0:
+                raise ValueError(f"restart_manager must come after t=0: {event}")
             if not event.arg("downtime") >= 0:
                 raise ValueError(f"restart downtime must be >= 0: {event}")
 

@@ -63,10 +63,12 @@ class Decision:
 
 @dataclass(frozen=True)
 class Observation:
-    """One poll's combined snapshot. ``outstanding_jobs is None`` means the
-    GitHub poll failed this iteration, so the decision holds.
-    ``deployment is None`` means the Kubernetes read failed this iteration
-    and no write may be attempted."""
+    """One poll's combined snapshot. ``outstanding_jobs`` holds every
+    outstanding matching job when there are fewer than ``max_runners``, and
+    at least ``max_runners`` of them otherwise -- all that the demand rule
+    needs. ``outstanding_jobs is None`` means the GitHub poll failed this
+    iteration, so the decision holds. ``deployment is None`` means the
+    Kubernetes read failed this iteration and no write may be attempted."""
 
     outstanding_jobs: list[JobRecord] | None
     deployment: DeploymentSnapshot | None
@@ -361,7 +363,9 @@ class ReconcileLoop:
 
     def _poll_github(self, window_end: float) -> list[JobRecord]:
         return execute_with_backoff(
-            lambda: self.github.list_outstanding_jobs(self.repo, OUTSTANDING_STATUSES, self.policy.runner_labels),
+            lambda: self.github.list_outstanding_jobs(
+                self.repo, OUTSTANDING_STATUSES, self.policy.runner_labels, stop_after=self.policy.max_runners
+            ),
             self.backoff,
             self.clock,
             window_end=window_end,

@@ -138,6 +138,8 @@ def _job_script(fields: str) -> str:
         ("horizn: 600\n", "unknown scenario key 'horizn'"),
         ("horizon: 600\nevents:\n  - {at: 10, kind: kube_fault, status: 200}\n", "kube_fault status must be"),
         ("horizon: 600\npod_startup_delay: -5\n", "pod_startup_delay must be >= 0"),
+        ("horizon: 600\nevents:\n  - {at: 0, kind: restart_manager}\n", "restart_manager must come after t=0"),
+        ("horizon: 600\nevents:\n  - {at: -30, kind: restart_manager}\n", "restart_manager must come after t=0"),
     ],
     ids=[
         "invalid-yaml",
@@ -151,6 +153,8 @@ def _job_script(fields: str) -> str:
         "misspelled-top-level-key",
         "kube-fault-status-out-of-range",
         "negative-pod-startup-delay",
+        "restart-at-zero",
+        "restart-before-zero",
     ],
 )
 def test_harness_run_reports_a_malformed_script(tmp_path, capsys, text, named):

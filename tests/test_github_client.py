@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError, ProtocolError, RateLimitedError, TransientError
@@ -364,3 +368,101 @@ def test_run_listing_stops_after_ten_full_pages(clock, caplog):
     assert pages == list(range(1, 11))
     assert len(runs) == 1000
     assert len([r for r in caplog.records if r.levelname == "WARNING"]) == 1
+
+
+# -- stopping at a cap ------------------------------------------------------
+
+MATCHING = ["self-hosted", "linux-gpu-cuda"]
+
+
+def _paths_since(fake_github, start: int) -> list[str]:
+    return [r.path for r in fake_github.request_log[start:]]
+
+
+def _jobs_path(run_id: int) -> str:
+    return f"/repos/biocore/unifrac/actions/runs/{run_id}/jobs"
+
+
+def test_cap_stops_listing_runs_once_enough_matching_jobs_are_found(fake_github, gh_client):
+    foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
+    matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(6)]
+    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    assert [j.job_id for j in jobs] == [matching[0].job_id, matching[1].job_id]
+    runs_path = "/repos/biocore/unifrac/actions/runs"
+    assert _paths_since(fake_github, 0) == [
+        runs_path,
+        runs_path,
+        _jobs_path(foreign.run_id),
+        _jobs_path(matching[0].run_id),
+        _jobs_path(matching[1].run_id),
+    ]
+
+
+def test_below_the_cap_every_run_is_read_and_the_result_is_uncapped(fake_github, gh_client):
+    fake_github.enqueue_job(["ubuntu-latest"])
+    for _ in range(3):
+        fake_github.enqueue_job(MATCHING)
+    full = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    uncapped_paths = _paths_since(fake_github, 0)
+    mark = len(fake_github.request_log)
+    capped = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=4)
+    assert capped == full and len(full) == 3
+    assert _paths_since(fake_github, mark) == uncapped_paths
+    assert len(uncapped_paths) == 2 + 4
+
+
+def test_a_run_is_read_in_full_even_past_the_cap(fake_github, gh_client):
+    fake_github.enqueue_job(MATCHING, jobs_in_run=3)
+    fake_github.enqueue_job(MATCHING)
+    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    assert [j.job_id for j in jobs] == [1, 2, 3]
+    assert len(fake_github.request_log) == 3
+
+
+class _InMemoryGitHub:
+    """A transport answering the two listings from a dict of runs, without
+    sockets: run id -> (run status, [(job status, labels), ...])."""
+
+    def __init__(self, runs: dict[int, tuple[str, list[tuple[str, list[str]]]]]):
+        self.runs = runs
+
+    def request(self, method, url, headers, body=None):
+        path, _, query = url.partition("?")
+        params = dict(part.split("=") for part in query.split("&"))
+        if path.endswith("/jobs"):
+            run_id = int(path.split("/")[-2])
+            created = "2024-01-01T00:00:00Z"
+            jobs = [
+                {"id": run_id * 100 + i, "run_id": run_id, "status": status, "labels": labels, "created_at": created}
+                for i, (status, labels) in enumerate(self.runs[run_id][1])
+            ]
+            payload = {"total_count": len(jobs), "jobs": jobs}
+        else:
+            runs = [
+                {"id": run_id, "status": status}
+                for run_id, (status, _) in self.runs.items()
+                if status == params["status"]
+            ]
+            payload = {"total_count": len(runs), "workflow_runs": runs}
+        assert params["page"] == "1"
+        return HttpResponse(200, {}, json.dumps(payload).encode())
+
+
+_STATUS = st.sampled_from(["queued", "in_progress", "completed"])
+_LABELS = st.sampled_from([MATCHING, ["self-hosted"], ["ubuntu-latest"], ["self-hosted", "windows-arm"]])
+_RUNS = st.dictionaries(
+    st.integers(1, 10_000),
+    st.tuples(_STATUS, st.lists(st.tuples(_STATUS, _LABELS), max_size=4)),
+    max_size=12,
+)
+
+
+@given(runs=_RUNS, k=st.integers(1, 5))
+def test_capped_listing_keeps_what_the_demand_rule_reads(runs, k):
+    client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
+    full = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    capped = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=k)
+    assert min(len(capped), k) == min(len(full), k)
+    assert set(capped) <= set(full)
+    if len(full) < k:
+        assert capped == full

@@ -90,3 +90,11 @@ def test_custom_gpu_resource_key():
     text = emit_manifests(config, profile)
     assert "amd.com/gpu: 2" in text
     assert "linux-rocm" in text
+
+
+def test_role_grants_only_get_and_patch_on_the_deployment():
+    objs = [o for o in yaml.safe_load_all(_default_output()) if o]
+    role = next(o for o in objs if o["kind"] == "Role")
+    assert role["rules"] == [
+        {"apiGroups": ["apps"], "resources": ["deployments", "deployments/scale"], "verbs": ["get", "patch"]}
+    ]

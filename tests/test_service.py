@@ -650,3 +650,23 @@ def test_explicit_kube_api_without_a_mount_uses_kube_token(tmp_path):
         )
     finally:
         client.close()
+
+
+def test_saturated_poll_logs_at_least_max_runners_outstanding(caplog):
+    import json
+    import logging
+
+    # Five single-job runs against max_runners 2: the listing stops after two
+    # matching jobs, so the logged counts are a lower bound, not the total.
+    events = [ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": LABELS, "duration": 600}) for _ in range(5)]
+    script = ScenarioScript(horizon=300, events=events, initial_last_active=0, policy={"max_runners": 2})
+    with caplog.at_level(logging.INFO, logger="runner_manager.reconcile"):
+        result = run_scenario(script)
+    payloads = [json.loads(r.message) for r in caplog.records if r.name == "runner_manager.reconcile"]
+    saturated = [p for p in payloads if p["reason"] == "demand"]
+    assert saturated
+    for payload in saturated:
+        assert payload["queued"] + payload["in_progress"] >= 2
+        assert payload["desired"] == 2
+    assert any(p["queued"] + p["in_progress"] < 5 for p in saturated)
+    assert result.decisions == oracle_decisions(script, result.policy).decisions
