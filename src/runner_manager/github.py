@@ -8,12 +8,15 @@ control loop decides how much of its poll window to spend retrying.
 Every listing is a conditional request: a page answered with an ``ETag``
 is asked for again with ``If-None-Match``, and a ``304 Not Modified``, which
 GitHub does not charge against the primary rate limit, reuses the parsed
-page. The cache holds exactly the pages the last completed poll read.
+page. The cache holds the pages the last completed poll read, plus the job
+pages of runs it still listed but did not read.
 
 The manager needs only ``min(jobs, max_runners)``, so it passes
 ``stop_after=max_runners``: a busy poll costs the run listings plus the job
-listings of the oldest runs, up to the one that brings the matching jobs
-found to ``max_runners``.
+listings of runs up to the one that brings the matching jobs found to
+``max_runners``. Runs whose jobs, when last read, held no matching
+outstanding job are read last, so a repository full of runs only hosted or
+foreign runners can take costs about ``max_runners`` job listings a poll.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import logging
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 from urllib.parse import quote
@@ -151,9 +155,12 @@ class GitHubClient:
         self._transport = transport or HttpTransport()
         self._clock = clock or SystemClock()
         # path -> (ETag, parsed body) for every page the last completed poll
-        # read; only list_outstanding_jobs fills it, so a POST is never cached.
+        # read or kept; only list_outstanding_jobs fills it, so a POST is
+        # never cached.
         self._pages: dict[str, tuple[str, Any]] = {}
         self._poll_pages: dict[str, tuple[str, Any]] | None = None  # filled during a poll
+        # Listed runs whose jobs, when last read, held no counted job.
+        self._barren: set[int] = set()
         self.rate_limit_remaining: int | None = None  # last x-ratelimit-remaining seen
 
     @property
@@ -252,8 +259,7 @@ class GitHubClient:
         return runs
 
     def list_run_jobs(self, repo: RepoCoordinates, run_id: int) -> list[JobRecord]:
-        path = f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runs/{run_id}/jobs"
-        raw = self._paginated(path, "jobs")
+        raw = self._paginated(_run_jobs_path(repo, run_id), "jobs")
         jobs = []
         for entry in raw:
             labels = entry.get("labels", []) if isinstance(entry, dict) else None
@@ -282,15 +288,18 @@ class GitHubClient:
     ) -> list[JobRecord]:
         """Label-eligible jobs whose status is outstanding, oldest first.
 
-        One run listing per status value, then job listings run by run in
-        ascending run id, so the oldest runs are read first whatever order
-        GitHub pages them in; fixed request order keeps the fake-server logs
-        deterministic. With ``stop_after``, no further run is read once that
-        many jobs are collected, so the result holds every such job when
-        there are fewer, and at least ``stop_after`` otherwise; a run's job
-        pages are always read in full. The pages read become the ETag cache
-        only if the whole poll succeeds, so a failed poll keeps the previous
-        cache, and pages of vanished or unread runs drop out.
+        One run listing per status value, then job listings run by run. A
+        job is counted when it is outstanding and its labels match; a run
+        whose jobs held no counted job when last read is barren and is read
+        after every other run. Each group goes in ascending run id; fixed
+        request order keeps the fake-server logs deterministic. With
+        ``stop_after``, no further run is read once that many jobs are
+        collected, so the result holds every such job when there are fewer,
+        and at least ``stop_after`` otherwise, whatever the order; a run's
+        job pages are always read in full. The pages read, the job pages of
+        listed runs left unread and the barren flags become the client's
+        state only if the whole poll succeeds, so a failed poll keeps the
+        previous one; pages and flags of vanished runs drop out.
         """
         self._poll_pages = {}
         try:
@@ -299,13 +308,24 @@ class GitHubClient:
                 for run in self.list_runs(repo, status):
                     run_ids.setdefault(run.run_id, None)
             jobs: list[JobRecord] = []
-            for run_id in sorted(run_ids):
-                if stop_after is not None and len(jobs) >= stop_after:
-                    break
-                for job in self.list_run_jobs(repo, run_id):
-                    if job.status in statuses and job_matches_labels(job.requested_labels, runner_labels):
-                        jobs.append(job)
+            barren: set[int] = set()
+            unread = deque(sorted(run_ids, key=lambda run_id: (run_id in self._barren, run_id)))
+            while unread and (stop_after is None or len(jobs) < stop_after):
+                run_id = unread.popleft()
+                counted = [
+                    job
+                    for job in self.list_run_jobs(repo, run_id)
+                    if job.status in statuses and job_matches_labels(job.requested_labels, runner_labels)
+                ]
+                if not counted:
+                    barren.add(run_id)
+                jobs.extend(counted)
+            kept = {_run_jobs_path(repo, run_id) for run_id in unread}
+            for path, entry in self._pages.items():
+                if path.partition("?")[0] in kept:
+                    self._poll_pages[path] = entry
             self._pages = self._poll_pages
+            self._barren = barren | self._barren.intersection(unread)
         finally:
             self._poll_pages = None
         jobs.sort(key=lambda j: (j.created_at, j.job_id))
@@ -321,6 +341,10 @@ class GitHubClient:
         except ValueError as exc:
             raise ProtocolError(f"POST {path}: bad expires_at {data['expires_at']!r}") from exc
         return RegistrationToken(token=str(data["token"]), expires_at=expires)
+
+
+def _run_jobs_path(repo: RepoCoordinates, run_id: int) -> str:
+    return f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runs/{run_id}/jobs"
 
 
 def _positive_seconds(value: str | None) -> float | None:

@@ -56,7 +56,9 @@ def fake_github(clock):
 
 @pytest.fixture
 def gh_client(fake_github, clock):
-    return GitHubClient(fake_github.base_url, TEST_TOKEN, clock=clock)
+    client = GitHubClient(fake_github.base_url, TEST_TOKEN, clock=clock)
+    yield client
+    client.close()
 
 
 @pytest.fixture
@@ -75,7 +77,9 @@ def kube_client(fake_kube):
         ca_bundle=None,
         namespace="ci",
     )
-    return KubeClient(creds, "gha-runner", max_replicas=1)
+    client = KubeClient(creds, "gha-runner", max_replicas=1)
+    yield client
+    client.close()
 
 
 @pytest.fixture

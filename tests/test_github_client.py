@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -224,7 +225,7 @@ def test_failed_poll_leaves_the_cache_as_it_was(fake_github, gh_client, monkeypa
     assert gh_client._pages == before
 
 
-def test_pages_not_read_by_the_last_poll_drop_out(fake_github, gh_client):
+def test_pages_of_vanished_runs_drop_out(fake_github, gh_client):
     job = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], ref="w")[0]
     gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
     assert any(f"/runs/{job.run_id}/jobs" in path for path in gh_client._pages)
@@ -407,8 +408,58 @@ def test_below_the_cap_every_run_is_read_and_the_result_is_uncapped(fake_github,
     mark = len(fake_github.request_log)
     capped = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=4)
     assert capped == full and len(full) == 3
-    assert _paths_since(fake_github, mark) == uncapped_paths
+    assert sorted(_paths_since(fake_github, mark)) == sorted(uncapped_paths)
     assert len(uncapped_paths) == 2 + 4
+
+
+def test_at_saturation_a_barren_run_is_not_read_again(fake_github, gh_client):
+    foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
+    matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(3)]
+    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    mark = len(fake_github.request_log)
+    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    assert [j.job_id for j in jobs] == [matching[0].job_id, matching[1].job_id]
+    runs_path = "/repos/biocore/unifrac/actions/runs"
+    assert _paths_since(fake_github, mark) == [
+        runs_path,
+        runs_path,
+        _jobs_path(matching[0].run_id),
+        _jobs_path(matching[1].run_id),
+    ]
+    assert gh_client._barren == {foreign.run_id}
+
+
+def test_a_listed_run_left_unread_keeps_its_etag(fake_github, gh_client):
+    matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(3)]
+    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=1)
+    assert all(any(_jobs_path(job.run_id) in path for path in gh_client._pages) for job in matching)
+    mark = len(fake_github.request_log)
+    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    assert [j.job_id for j in jobs] == [job.job_id for job in matching]
+    assert _paths_since(fake_github, mark)[2:] == [_jobs_path(job.run_id) for job in matching]
+    assert _statuses_since(fake_github, mark) == [304] * 5
+
+
+def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client, monkeypatch):
+    foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
+    fake_github.enqueue_job(MATCHING)
+    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    pages = dict(gh_client._pages)
+    # A new barren run is read, then the old barren run's listing fails.
+    fake_github.enqueue_job(["ubuntu-latest"])
+    request = gh_client._transport.request
+
+    def refuse_old_barren_run(method, url, headers, body=None):
+        if _jobs_path(foreign.run_id) in url:
+            return HttpResponse(503, {}, b'{"message": "Unavailable"}')
+        return request(method, url, headers, body)
+
+    monkeypatch.setattr(gh_client._transport, "request", refuse_old_barren_run)
+    with pytest.raises(TransientError):
+        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    assert gh_client._barren == {foreign.run_id}
+    assert gh_client._pages == pages
 
 
 def test_a_run_is_read_in_full_even_past_the_cap(fake_github, gh_client):
@@ -462,6 +513,73 @@ def test_capped_listing_keeps_what_the_demand_rule_reads(runs, k):
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
     full = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
     capped = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=k)
+    assert min(len(capped), k) == min(len(full), k)
+    assert set(capped) <= set(full)
+    if len(full) < k:
+        assert capped == full
+
+
+class _TaggingInMemoryGitHub(_InMemoryGitHub):
+    """Also tags every answer with an ETag of its body, answers ``304`` when
+    the request sends that tag back, and logs (path, status)."""
+
+    def __init__(self, runs):
+        super().__init__(runs)
+        self.log: list[tuple[str, int]] = []
+
+    def request(self, method, url, headers, body=None):
+        answer = super().request(method, url, headers, body)
+        etag = f'W/"{hashlib.sha256(answer.body).hexdigest()[:16]}"'
+        status = 304 if headers.get("If-None-Match") == etag else 200
+        self.log.append((url.partition("?")[0].removeprefix("http://github.invalid"), status))
+        return HttpResponse(status, {"etag": etag}, answer.body if status == 200 else b"")
+
+
+def test_a_barren_run_that_gains_a_matching_job_is_read_below_the_cap():
+    github = _TaggingInMemoryGitHub(
+        {1: ("queued", [("queued", ["ubuntu-latest"])]), 2: ("queued", [("queued", MATCHING)])}
+    )
+    client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
+    client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    assert client._barren == {1}
+    github.runs[1][1].append(("queued", MATCHING))
+    github.log.clear()
+    jobs = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    assert [j.job_id for j in jobs] == [101, 200]
+    assert github.log[2:] == [(_jobs_path(2), 304), (_jobs_path(1), 200)]
+    assert client._barren == set()
+
+
+_JOBS = st.lists(st.tuples(_STATUS, _LABELS), max_size=4)
+
+
+@given(
+    runs=_RUNS,
+    first_cap=st.none() | st.integers(1, 5),
+    k=st.integers(1, 5),
+    added=_RUNS,
+    data=st.data(),
+)
+def test_barren_runs_last_keeps_what_the_demand_rule_reads(runs, first_cap, k, added, data):
+    # The second poll sees each run kept, gone, with a matching job added,
+    # or redrawn, plus new runs: barren flags and kept pages go stale.
+    mutated = {}
+    for run_id, (status, jobs) in runs.items():
+        mutation = data.draw(st.sampled_from(["keep", "drop", "gain", "redraw"]))
+        if mutation == "keep":
+            mutated[run_id] = (status, jobs)
+        elif mutation == "gain":
+            mutated[run_id] = (status, jobs + [("queued", MATCHING)])
+        elif mutation == "redraw":
+            mutated[run_id] = (data.draw(_STATUS), data.draw(_JOBS))
+    mutated.update((run_id, run) for run_id, run in added.items() if run_id not in runs)
+    github = _TaggingInMemoryGitHub(runs)
+    client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
+    client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=first_cap)
+    github.runs = mutated
+    capped = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=k)
+    fresh = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(mutated))
+    full = fresh.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
     assert min(len(capped), k) == min(len(full), k)
     assert set(capped) <= set(full)
     if len(full) < k:
