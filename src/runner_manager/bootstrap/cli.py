@@ -72,6 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         except (ApiError, OSError) as exc:
             print(f"init failed: {exc}", file=sys.stderr)
             return 1
+        finally:
+            github.close()
         logger.info("%s (%s)", result.status.value, result.config_marker)
         return 0
 

@@ -6,15 +6,16 @@ single-shot here; retry pacing lives in :func:`execute_with_backoff` so the
 control loop decides how much of its poll window to spend retrying.
 
 Every listing is a conditional request: a page answered with an ``ETag``
-is asked for again with ``If-None-Match``, and a ``304 Not Modified``, which
-GitHub does not charge against the primary rate limit, reuses the parsed
-page. The cache holds the pages the last completed poll read, plus the job
-pages of runs it still listed but did not read.
+is stored as soon as it is read and asked for again with ``If-None-Match``,
+and a ``304 Not Modified``, which GitHub does not charge against the primary
+rate limit, reuses the parsed page. A completed poll keeps the run listing
+pages and the job pages of the runs it listed, read or not; a failed one
+keeps what it read, since each page is a true answer of the server.
 
 The manager needs only ``min(jobs, max_runners)``, so it passes
-``stop_after=max_runners``: a busy poll costs the run listings plus the job
-listings of runs up to the one that brings the matching jobs found to
-``max_runners``. Runs whose jobs, when last read, held no matching
+``max_runners`` as the poll's ``limit``: a busy poll costs the run listings
+plus the job listings of runs up to the one that brings the matching jobs
+found to ``limit``. Runs whose jobs, when last read, held no matching
 outstanding job are read last, so a repository full of runs only hosted or
 foreign runners can take costs about ``max_runners`` job listings a poll.
 """
@@ -25,13 +26,12 @@ import json
 import logging
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 from urllib.parse import quote
 
 from .clock import Clock, SystemClock, from_rfc3339
-from .config import RepoCoordinates
+from .config import OUTSTANDING_STATUSES, RepoCoordinates
 from .errors import (
     CredentialError,
     ProtocolError,
@@ -57,18 +57,10 @@ BACKOFF_CAP = 60.0
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    run_id: int
-    status: str
-
-
-@dataclass(frozen=True)
 class JobRecord:
     job_id: int
-    run_id: int
     status: str
     requested_labels: LabelSet
-    created_at: float
 
 
 @dataclass(frozen=True)
@@ -154,11 +146,9 @@ class GitHubClient:
         self._token = token
         self._transport = transport or HttpTransport()
         self._clock = clock or SystemClock()
-        # path -> (ETag, parsed body) for every page the last completed poll
-        # read or kept; only list_outstanding_jobs fills it, so a POST is
-        # never cached.
+        # path -> (ETag, parsed body) of the listing pages read; only
+        # _paginated fills it, so a POST is never cached.
         self._pages: dict[str, tuple[str, Any]] = {}
-        self._poll_pages: dict[str, tuple[str, Any]] | None = None  # filled during a poll
         # Listed runs whose jobs, when last read, held no counted job.
         self._barren: set[int] = set()
         self.rate_limit_remaining: int | None = None  # last x-ratelimit-remaining seen
@@ -178,7 +168,9 @@ class GitHubClient:
             "User-Agent": "runner-manager",
         }
 
-    def _request(self, method: str, path: str, body: dict | None = None) -> Any:
+    def _request(self, method: str, path: str, body: dict | None = None) -> tuple[str | None, Any]:
+        """The answer's ``ETag`` (None without one) and parsed body; a
+        ``304`` answers with the cached page."""
         headers = self._headers()
         payload = None
         if body is not None:
@@ -194,20 +186,12 @@ class GitHubClient:
         if response.status == 304:
             if cached is None:
                 raise ProtocolError(f"{method} {path}: 304 for a request that was not conditional")
-            entry = cached
-        else:
-            self._raise_for_status(method, path, response)
-            try:
-                data = json.loads(response.body)
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise ProtocolError(f"{method} {path}: body is not valid JSON") from exc
-            etag = response.header("etag")
-            if etag is None:
-                return data
-            entry = (etag, data)
-        if self._poll_pages is not None:
-            self._poll_pages[path] = entry
-        return entry[1]
+            return cached
+        self._raise_for_status(method, path, response)
+        try:
+            return response.header("etag"), json.loads(response.body)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise ProtocolError(f"{method} {path}: body is not valid JSON") from exc
 
     def _raise_for_status(self, method: str, path: str, response: HttpResponse) -> None:
         status = response.status
@@ -235,9 +219,12 @@ class GitHubClient:
         items: list[dict] = []
         sep = "&" if "?" in path_base else "?"
         for page in range(1, MAX_PAGES + 1):
-            data = self._request("GET", f"{path_base}{sep}per_page={PAGE_SIZE}&page={page}")
+            path = f"{path_base}{sep}per_page={PAGE_SIZE}&page={page}"
+            etag, data = self._request("GET", path)
             if not isinstance(data, dict) or not isinstance(data.get(item_key), list):
                 raise ProtocolError(f"GET {path_base}: missing '{item_key}' array")
+            if etag is not None:
+                self._pages[path] = (etag, data)
             chunk = data[item_key]
             items.extend(chunk)
             if len(chunk) < PAGE_SIZE:
@@ -247,16 +234,14 @@ class GitHubClient:
         )
         return items
 
-    def list_runs(self, repo: RepoCoordinates, status: str) -> list[RunRecord]:
-        path = f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runs?status={quote(status)}"
+    def list_runs(self, repo: RepoCoordinates, status: str) -> list[int]:
+        """The ids of the runs listed under ``status``."""
+        path = f"{_runs_path(repo)}?status={quote(status)}"
         raw = self._paginated(path, "workflow_runs")
-        runs = []
-        for entry in raw:
-            try:
-                runs.append(RunRecord(run_id=int(entry["id"]), status=str(entry["status"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(f"workflow run entry malformed: {entry!r}") from exc
-        return runs
+        try:
+            return [int(entry["id"]) for entry in raw]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"GET {path}: workflow run entry malformed") from exc
 
     def list_run_jobs(self, repo: RepoCoordinates, run_id: int) -> list[JobRecord]:
         raw = self._paginated(_run_jobs_path(repo, run_id), "jobs")
@@ -269,71 +254,50 @@ class GitHubClient:
                 jobs.append(
                     JobRecord(
                         job_id=int(entry["id"]),
-                        run_id=int(entry["run_id"]),
                         status=str(entry["status"]),
                         requested_labels=LabelSet(labels),
-                        created_at=from_rfc3339(str(entry["created_at"])),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"job entry malformed: {entry!r}") from exc
         return jobs
 
-    def list_outstanding_jobs(
-        self,
-        repo: RepoCoordinates,
-        statuses: frozenset[str] | set[str],
-        runner_labels: LabelSet,
-        stop_after: int | None = None,
-    ) -> list[JobRecord]:
-        """Label-eligible jobs whose status is outstanding, oldest first.
+    def list_outstanding_jobs(self, repo: RepoCoordinates, runner_labels: LabelSet, limit: int) -> list[JobRecord]:
+        """Label-eligible jobs whose status is outstanding, every one of them
+        when there are fewer than ``limit``, and at least ``limit`` otherwise.
 
-        One run listing per status value, then job listings run by run. A
-        job is counted when it is outstanding and its labels match; a run
-        whose jobs held no counted job when last read is barren and is read
-        after every other run. Each group goes in ascending run id; fixed
-        request order keeps the fake-server logs deterministic. With
-        ``stop_after``, no further run is read once that many jobs are
-        collected, so the result holds every such job when there are fewer,
-        and at least ``stop_after`` otherwise, whatever the order; a run's
-        job pages are always read in full. The pages read, the job pages of
-        listed runs left unread and the barren flags become the client's
-        state only if the whole poll succeeds, so a failed poll keeps the
-        previous one; pages and flags of vanished runs drop out.
+        One run listing per outstanding status, then job listings run by
+        run. A job is counted when it is outstanding and its labels match; a
+        run whose jobs held no counted job when last read is barren and is
+        read after every other run. Each group goes in ascending run id;
+        fixed request order keeps the fake-server logs deterministic. No
+        further run is read once ``limit`` jobs are collected; a run's job
+        pages are always read in full. A completed poll drops the pages and
+        flags of runs no longer listed.
         """
-        self._poll_pages = {}
-        try:
-            run_ids: dict[int, None] = {}
-            for status in sorted(statuses):
-                for run in self.list_runs(repo, status):
-                    run_ids.setdefault(run.run_id, None)
-            jobs: list[JobRecord] = []
-            barren: set[int] = set()
-            unread = deque(sorted(run_ids, key=lambda run_id: (run_id in self._barren, run_id)))
-            while unread and (stop_after is None or len(jobs) < stop_after):
-                run_id = unread.popleft()
-                counted = [
-                    job
-                    for job in self.list_run_jobs(repo, run_id)
-                    if job.status in statuses and job_matches_labels(job.requested_labels, runner_labels)
-                ]
-                if not counted:
-                    barren.add(run_id)
-                jobs.extend(counted)
-            kept = {_run_jobs_path(repo, run_id) for run_id in unread}
-            for path, entry in self._pages.items():
-                if path.partition("?")[0] in kept:
-                    self._poll_pages[path] = entry
-            self._pages = self._poll_pages
-            self._barren = barren | self._barren.intersection(unread)
-        finally:
-            self._poll_pages = None
-        jobs.sort(key=lambda j: (j.created_at, j.job_id))
+        listed = {run_id for status in sorted(OUTSTANDING_STATUSES) for run_id in self.list_runs(repo, status)}
+        jobs: list[JobRecord] = []
+        for run_id in sorted(listed, key=lambda run_id: (run_id in self._barren, run_id)):
+            if len(jobs) >= limit:
+                break
+            counted = [
+                job
+                for job in self.list_run_jobs(repo, run_id)
+                if job.status in OUTSTANDING_STATUSES and job_matches_labels(job.requested_labels, runner_labels)
+            ]
+            if counted:
+                self._barren.discard(run_id)
+            else:
+                self._barren.add(run_id)
+            jobs.extend(counted)
+        kept = {_runs_path(repo), *(_run_jobs_path(repo, run_id) for run_id in listed)}
+        self._pages = {path: entry for path, entry in self._pages.items() if path.partition("?")[0] in kept}
+        self._barren &= listed
         return jobs
 
     def create_registration_token(self, repo: RepoCoordinates) -> RegistrationToken:
         path = f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runners/registration-token"
-        data = self._request("POST", path)
+        _, data = self._request("POST", path)
         if not isinstance(data, dict) or "token" not in data or "expires_at" not in data:
             raise ProtocolError(f"POST {path}: body missing token/expires_at")
         try:
@@ -343,8 +307,12 @@ class GitHubClient:
         return RegistrationToken(token=str(data["token"]), expires_at=expires)
 
 
+def _runs_path(repo: RepoCoordinates) -> str:
+    return f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runs"
+
+
 def _run_jobs_path(repo: RepoCoordinates, run_id: int) -> str:
-    return f"/repos/{quote(repo.owner)}/{quote(repo.repo)}/actions/runs/{run_id}/jobs"
+    return f"{_runs_path(repo)}/{run_id}/jobs"
 
 
 def _positive_seconds(value: str | None) -> float | None:

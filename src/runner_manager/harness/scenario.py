@@ -39,7 +39,6 @@ EVENT_DEFAULTS: dict[str, dict] = {
     "rate_limit": {"retry_after": 60},
     "secondary_rate_limit": {"retry_after": 60},
 }
-EVENT_KINDS = tuple(EVENT_DEFAULTS)
 
 DEFAULT_POD_STARTUP_DELAY = 20.0
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, TypeVar
 
 from .clock import Clock, from_rfc3339, to_rfc3339
-from .config import OUTSTANDING_STATUSES, Policy
+from .config import Policy
 from .errors import ApiError, CredentialError, MissingDeploymentError
 from .github import BackoffState, GitHubClient, JobRecord, execute_with_backoff
 from .kube import DeploymentSnapshot, KubeClient
@@ -63,11 +63,11 @@ class Decision:
 
 @dataclass(frozen=True)
 class Observation:
-    """One poll's combined snapshot. ``outstanding_jobs`` holds every
-    outstanding matching job when there are fewer than ``max_runners``, and
-    at least ``max_runners`` of them otherwise -- all that the demand rule
-    needs. ``outstanding_jobs is None`` means the GitHub poll failed this
-    iteration, so the decision holds. ``deployment is None`` means the
+    """One poll's combined snapshot. ``outstanding_jobs`` holds, in no set
+    order, every outstanding matching job when there are fewer than
+    ``max_runners``, and at least ``max_runners`` of them otherwise -- all
+    that the demand rule needs. ``outstanding_jobs is None`` means the
+    GitHub poll failed this iteration, so the decision holds. ``deployment is None`` means the
     Kubernetes read failed this iteration and no write may be attempted."""
 
     outstanding_jobs: list[JobRecord] | None
@@ -363,9 +363,7 @@ class ReconcileLoop:
 
     def _poll_github(self, window_end: float) -> list[JobRecord]:
         return execute_with_backoff(
-            lambda: self.github.list_outstanding_jobs(
-                self.repo, OUTSTANDING_STATUSES, self.policy.runner_labels, stop_after=self.policy.max_runners
-            ),
+            lambda: self.github.list_outstanding_jobs(self.repo, self.policy.runner_labels, self.policy.max_runners),
             self.backoff,
             self.clock,
             window_end=window_end,

@@ -60,12 +60,15 @@ def profile(tmp_path):
     )
 
 
-def _client(github):
-    return GitHubClient(github.base_url, "t")
+@pytest.fixture
+def client(github):
+    client = GitHubClient(github.base_url, "t")
+    yield client
+    client.close()
 
 
-def test_init_writes_config_with_labels_and_token(github, profile):
-    result = init_runner_dir(profile, REPO, _client(github))
+def test_init_writes_config_with_labels_and_token(client, profile):
+    result = init_runner_dir(profile, REPO, client)
     assert result.status is InitStatus.INITIALIZED
     assert os.path.exists(result.config_marker)
     config = json.loads(Path(profile.persistent_dir, "runner-config.json").read_text())
@@ -75,24 +78,24 @@ def test_init_writes_config_with_labels_and_token(github, profile):
     assert config["repo_url"] == "https://github.com/biocore/unifrac"
 
 
-def test_second_init_is_noop_and_directory_byte_identical(github, profile):
-    init_runner_dir(profile, REPO, _client(github))
+def test_second_init_is_noop_and_directory_byte_identical(github, client, profile):
+    init_runner_dir(profile, REPO, client)
     before = _dir_digest(profile.persistent_dir)
-    result = init_runner_dir(profile, REPO, _client(github))
+    result = init_runner_dir(profile, REPO, client)
     assert result.status is InitStatus.ALREADY_INITIALIZED
     assert _dir_digest(profile.persistent_dir) == before
     assert len(github.issued_registration_tokens) == 1
 
 
-def test_failed_token_acquisition_leaves_no_marker(github, profile):
+def test_failed_token_acquisition_leaves_no_marker(github, client, profile):
     github.registration_status = 403
     with pytest.raises(CredentialError):
-        init_runner_dir(profile, REPO, _client(github))
+        init_runner_dir(profile, REPO, client)
     assert not os.path.exists(os.path.join(profile.persistent_dir, MARKER_NAME))
     assert not os.path.exists(os.path.join(profile.persistent_dir, "runner-config.json"))
 
 
-def test_init_requires_existing_directory(github, tmp_path):
+def test_init_requires_existing_directory(client, tmp_path):
     from runner_manager.labels import LabelSet
 
     profile = RunnerProfile(
@@ -101,7 +104,7 @@ def test_init_requires_existing_directory(github, tmp_path):
         labels=LabelSet(LABELS),
     )
     with pytest.raises(OSError):
-        init_runner_dir(profile, REPO, _client(github))
+        init_runner_dir(profile, REPO, client)
 
 
 def test_run_refuses_without_marker(profile):
@@ -139,11 +142,11 @@ def install_fake_runner(persistent_dir: str) -> None:
     run_sh.chmod(0o755)
 
 
-def test_entrypoint_runs_fake_runner_through_a_job(github, profile):
+def test_entrypoint_runs_fake_runner_through_a_job(github, client, profile):
     # End to end: init, launch, claim, complete, terminate cleanly.
     github.enqueue_job(LABELS, duration=50.0)
     install_fake_runner(profile.persistent_dir)
-    init_runner_dir(profile, REPO, _client(github))
+    init_runner_dir(profile, REPO, client)
 
     stop = threading.Event()
     exit_codes = []
@@ -175,7 +178,7 @@ def test_entrypoint_runs_fake_runner_through_a_job(github, profile):
     assert not any("job-" in name for name in persistent_files)
 
 
-def test_marker_contains_timestamp(github, profile):
-    init_runner_dir(profile, REPO, _client(github), now=1704067200.0)
+def test_marker_contains_timestamp(client, profile):
+    init_runner_dir(profile, REPO, client, now=1704067200.0)
     marker = Path(profile.persistent_dir, MARKER_NAME).read_text().strip()
     assert marker == "2024-01-01T00:00:00Z"

@@ -1,9 +1,11 @@
 """Classification corners and less-traveled policy shapes."""
 
+from contextlib import closing
+
 import pytest
 
 from runner_manager.clock import to_rfc3339
-from runner_manager.config import OUTSTANDING_STATUSES, Policy, RepoCoordinates
+from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
 from runner_manager.harness.driver import run_scenario
@@ -31,9 +33,9 @@ def test_403_with_exhausted_quota_is_rate_limit_not_credential(clock):
     )
     server.start()
     try:
-        client = GitHubClient(server.base_url, "t", clock=clock)
-        with pytest.raises(RateLimitedError) as excinfo:
-            client.list_runs(REPO, "queued")
+        with closing(GitHubClient(server.base_url, "t", clock=clock)) as client:
+            with pytest.raises(RateLimitedError) as excinfo:
+                client.list_runs(REPO, "queued")
         assert excinfo.value.retry_after == pytest.approx(600.0)
     finally:
         server.close()
@@ -57,8 +59,7 @@ def test_kube_409_conflict_is_transient():
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        client = KubeClient(creds, "gha-runner", max_replicas=1)
-        with pytest.raises(TransientError):
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(TransientError):
             client.write_scale(1)
     finally:
         server.close()
@@ -134,15 +135,12 @@ def test_two_runners_serve_three_jobs_with_cap_two():
 
 
 def test_outstanding_statuses_knob_limits_what_pins_the_runner(clock, fake_github, gh_client):
-    # With outstanding_statuses narrowed to {queued}, an in_progress job no
-    # longer counts as demand.
+    # OUTSTANDING_STATUSES holds in_progress, so a claimed job still counts
+    # as demand and pins the runner that runs it.
     fake_github.enqueue_job(MATCHING)
     runner = fake_github.register_runner("r", MATCHING)
     fake_github.claim_job(runner)
-    narrowed = frozenset({"queued"})
-    jobs = gh_client.list_outstanding_jobs(REPO, narrowed, LabelSet(MATCHING))
-    assert jobs == []
-    jobs = gh_client.list_outstanding_jobs(REPO, OUTSTANDING_STATUSES, LabelSet(MATCHING))
+    jobs = gh_client.list_outstanding_jobs(REPO, LabelSet(MATCHING), 1)
     assert len(jobs) == 1 and jobs[0].status == "in_progress"
 
 
@@ -213,9 +211,10 @@ def test_replica_that_is_not_ready_is_no_activity(clock, gh_client):
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        loop = ReconcileLoop(gh_client, KubeClient(creds, "gha-runner", max_replicas=1), Policy(), clock, REPO)
-        clock.advance(100)
-        record = loop.reconcile_once(clock.now())
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as kube_client:
+            loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, REPO)
+            clock.advance(100)
+            record = loop.reconcile_once(clock.now())
     finally:
         server.close()
     assert (record.desired, record.reason, record.wrote_scale) == (1, Reason.KEEPALIVE, False)

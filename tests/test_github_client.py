@@ -1,5 +1,6 @@
 import hashlib
 import json
+from contextlib import closing
 
 import pytest
 from hypothesis import given
@@ -12,24 +13,43 @@ from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.labels import LabelSet
 from runner_manager.transport import HttpResponse
 
-from conftest import TEST_TOKEN, SteppingClock
+from conftest import TEST_TOKEN
 
 REPO = RepoCoordinates("biocore", "unifrac")
-STATUSES = frozenset({"queued", "in_progress"})
 RUNNER_LABELS = LabelSet(["self-hosted", "linux-gpu-cuda", "x64"])
+ALL = 1_000_000  # a limit no test reaches, so the listing is never capped
+
+
+@pytest.fixture
+def serve(clock):
+    """``serve(handle)`` starts a FakeHttpServer answering with ``handle``
+    and returns a GitHubClient bound to it; both close after the test."""
+    opened = []
+
+    def build(handle):
+        server = FakeHttpServer(handle)
+        server.start()
+        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
+        opened.append((server, client))
+        return client
+
+    yield build
+    for server, client in opened:
+        client.close()
+        server.close()
 
 
 def test_label_filtering_returns_only_eligible_jobs(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
     fake_github.enqueue_job(["ubuntu-latest"])
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert len(jobs) == 2
     assert all(job.status == "queued" for job in jobs)
 
 
 def test_zero_runs_gives_empty_list(gh_client):
-    assert gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS) == []
+    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL) == []
 
 
 def test_pagination_across_runs(fake_github, gh_client, clock):
@@ -37,7 +57,7 @@ def test_pagination_across_runs(fake_github, gh_client, clock):
     for i in range(150):
         clock.advance(1)
         fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert len(jobs) == 150
     assert [j.job_id for j in jobs] == list(range(1, 151))
 
@@ -45,29 +65,20 @@ def test_pagination_across_runs(fake_github, gh_client, clock):
 def test_pagination_within_one_run(fake_github, gh_client):
     # One run holding 150 jobs: the per-run job listing paginates.
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], jobs_in_run=150)
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert len(jobs) == 150
-
-
-def test_ordering_is_by_created_at_then_id(fake_github, gh_client, clock):
-    clock.advance(10)
-    late_first = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])[0]
-    clock.t = 5
-    earlier = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])[0]
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    assert [j.job_id for j in jobs] == [earlier.job_id, late_first.job_id]
 
 
 def test_repeated_listing_is_pure(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    first = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    second = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    first = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    second = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert first == second
 
 
 def test_every_request_carries_required_headers(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     gh_client.create_registration_token(REPO)
     assert fake_github.api_request_count >= 4
     assert fake_github.header_violations == []
@@ -78,28 +89,28 @@ def test_every_request_carries_required_headers(fake_github, gh_client):
 
 
 def test_wrong_token_flagged_by_fake(fake_github, clock):
-    client = GitHubClient(fake_github.base_url, "wrong-token", clock=clock)
-    client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    with closing(GitHubClient(fake_github.base_url, "wrong-token", clock=clock)) as client:
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert fake_github.header_violations
 
 
 def test_401_classified_as_credential_error(fake_github, gh_client):
     fake_github.set_fault("status", 401)
     with pytest.raises(CredentialError):
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
 
 
 def test_429_carries_retry_after(fake_github, gh_client):
     fake_github.set_fault("rate_limit", 120)
     with pytest.raises(RateLimitedError) as excinfo:
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert excinfo.value.retry_after == 120.0
 
 
 def test_5xx_classified_transient(fake_github, gh_client):
     fake_github.set_fault("status", 503)
     with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
 
 
 def test_registration_token_echoes_fixture(clock):
@@ -107,8 +118,8 @@ def test_registration_token_echoes_fixture(clock):
 
     gh = FakeGitHub(fixed_registration_token="REG-abc", clock=clock).start()
     try:
-        client = GitHubClient(gh.base_url, TEST_TOKEN, clock=clock)
-        token = client.create_registration_token(REPO)
+        with closing(GitHubClient(gh.base_url, TEST_TOKEN, clock=clock)) as client:
+            token = client.create_registration_token(REPO)
         assert token == RegistrationToken(token="REG-abc", expires_at=clock.now() + 3600)
     finally:
         gh.close()
@@ -122,38 +133,27 @@ def test_registration_403_is_credential_error_without_retry(fake_github, gh_clie
     assert len(token_posts) == 1
 
 
-def test_missing_expires_at_is_protocol_error(clock):
-    server = FakeHttpServer(lambda request: Response.json(201, {"token": "REG-x"}))
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        with pytest.raises(ProtocolError):
-            client.create_registration_token(REPO)
-    finally:
-        server.close()
+def test_missing_expires_at_is_protocol_error(serve):
+    client = serve(lambda request: Response.json(201, {"token": "REG-x"}))
+    with pytest.raises(ProtocolError):
+        client.create_registration_token(REPO)
 
 
-def test_non_json_body_is_protocol_error(clock):
-    server = FakeHttpServer(lambda request: Response(200, b"<html>nope</html>", "text/html"))
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        with pytest.raises(ProtocolError):
-            client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    finally:
-        server.close()
+def test_non_json_body_is_protocol_error(serve):
+    client = serve(lambda request: Response(200, b"<html>nope</html>", "text/html"))
+    with pytest.raises(ProtocolError):
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
 
 
-def test_unknown_repo_is_distinct_from_transient(fake_github, clock):
-    client = GitHubClient(fake_github.base_url, TEST_TOKEN, clock=clock)
+def test_unknown_repo_is_distinct_from_transient(fake_github, gh_client):
     with pytest.raises(CredentialError):
-        client.list_outstanding_jobs(RepoCoordinates("nobody", "nothing"), STATUSES, RUNNER_LABELS)
+        gh_client.list_outstanding_jobs(RepoCoordinates("nobody", "nothing"), RUNNER_LABELS, ALL)
 
 
 def test_403_with_retry_after_is_secondary_rate_limit(fake_github, gh_client):
     fake_github.set_fault("secondary_rate_limit", 60)
     with pytest.raises(RateLimitedError) as excinfo:
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert (excinfo.value.status, excinfo.value.retry_after) == (403, 60.0)
 
 
@@ -166,9 +166,9 @@ def _statuses_since(fake_github, start: int) -> list[int]:
 
 def test_unchanged_poll_is_answered_304_with_identical_jobs(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    first = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    first = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     mark = len(fake_github.request_log)
-    second = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    second = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert second == first and len(first) == 1
     assert _statuses_since(fake_github, 0) == [200, 200, 200, 304, 304, 304]
     for record in fake_github.request_log[mark:]:
@@ -180,12 +180,12 @@ def test_unchanged_poll_is_answered_304_with_identical_jobs(fake_github, gh_clie
 
 def test_changed_page_is_fetched_in_full_and_replaces_its_entry(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     queued_runs = next(path for path in gh_client._pages if "status=queued" in path)
     old_etag = gh_client._pages[queued_runs][0]
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
     mark = len(fake_github.request_log)
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert [j.job_id for j in jobs] == [1, 2]
     # in_progress runs and run 1's jobs are unchanged; the queued listing and
     # the new run's jobs are not.
@@ -194,48 +194,21 @@ def test_changed_page_is_fetched_in_full_and_replaces_its_entry(fake_github, gh_
     assert new_etag != old_etag
     assert gh_client._pages[queued_runs][1]["total_count"] == 2
     mark = len(fake_github.request_log)
-    assert gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS) == jobs
+    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL) == jobs
     assert _statuses_since(fake_github, mark) == [304, 304, 304, 304]
-
-
-def test_failed_poll_leaves_the_cache_as_it_was(fake_github, gh_client, monkeypatch):
-    fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    before = dict(gh_client._pages)
-
-    fake_github.set_fault("status", 503)
-    with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    assert gh_client._pages == before
-    fake_github.clear_fault()
-
-    # A 404 part-way through a poll whose first page changed: the changed
-    # page must not replace the entry the last completed poll left.
-    fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    request = gh_client._transport.request
-
-    def refuse_new_run(method, url, headers, body=None):
-        if "/runs/1002/jobs" in url:
-            return HttpResponse(404, {}, b'{"message": "Not Found"}')
-        return request(method, url, headers, body)
-
-    monkeypatch.setattr(gh_client._transport, "request", refuse_new_run)
-    with pytest.raises(CredentialError):
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    assert gh_client._pages == before
 
 
 def test_pages_of_vanished_runs_drop_out(fake_github, gh_client):
     job = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], ref="w")[0]
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert any(f"/runs/{job.run_id}/jobs" in path for path in gh_client._pages)
     fake_github.force_complete("w")
-    assert gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS) == []
+    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL) == []
     assert len(gh_client._pages) == 2
     assert not any("/jobs" in path for path in gh_client._pages)
 
 
-def test_registration_token_post_is_never_conditional(clock):
+def test_registration_token_post_is_never_conditional(serve):
     # A server that tags every answer, the POST's too.
     seen = []
 
@@ -246,53 +219,38 @@ def test_registration_token_post_is_never_conditional(clock):
             return Response.json(201, body, {"ETag": 'W/"post"'})
         return Response.json(200, {"total_count": 0, "workflow_runs": []}, {"ETag": 'W/"get"'})
 
-    server = FakeHttpServer(handle)
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-        client.create_registration_token(REPO)
-        client.create_registration_token(REPO)
-        client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    finally:
-        server.close()
+    client = serve(handle)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    client.create_registration_token(REPO)
+    client.create_registration_token(REPO)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert seen == [("GET", None)] * 2 + [("POST", None)] * 2 + [("GET", 'W/"get"')] * 2
 
 
-def test_304_for_an_unconditional_request_is_protocol_error(clock):
-    server = FakeHttpServer(lambda request: Response(304))
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        with pytest.raises(ProtocolError):
-            client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    finally:
-        server.close()
+def test_304_for_an_unconditional_request_is_protocol_error(serve):
+    client = serve(lambda request: Response(304))
+    with pytest.raises(ProtocolError):
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
 
 
-def test_server_without_etags_gets_plain_requests(clock):
+def test_server_without_etags_gets_plain_requests(serve):
     seen = []
 
     def handle(request):
         seen.append(request.headers.get("if-none-match"))
         return Response.json(200, {"total_count": 0, "workflow_runs": []})
 
-    server = FakeHttpServer(handle)
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        for _ in range(2):
-            assert client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS) == []
-        assert seen == [None] * 4
-        assert client.rate_limit_remaining is None
-    finally:
-        server.close()
+    client = serve(handle)
+    for _ in range(2):
+        assert client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL) == []
+    assert seen == [None] * 4
+    assert client.rate_limit_remaining is None
 
 
 def test_client_keeps_the_last_rate_limit_remaining(fake_github, gh_client):
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert gh_client.rate_limit_remaining == 4998
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert gh_client.rate_limit_remaining == 4998  # 304s are not charged
     gh_client.create_registration_token(REPO)
     assert gh_client.rate_limit_remaining == 4997
@@ -301,16 +259,11 @@ def test_client_keeps_the_last_rate_limit_remaining(fake_github, gh_client):
 @pytest.mark.parametrize(
     "labels", [[1], ["self-hosted", None], "abc", {"self-hosted": True}], ids=["int", "null", "string", "mapping"]
 )
-def test_job_labels_that_are_not_a_list_of_strings_are_protocol_error(clock, labels):
+def test_job_labels_that_are_not_a_list_of_strings_are_protocol_error(serve, labels):
     job = {"id": 1, "run_id": 7, "status": "queued", "labels": labels, "created_at": "2024-01-01T00:00:00Z"}
-    server = FakeHttpServer(lambda request: Response.json(200, {"total_count": 1, "jobs": [job]}))
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        with pytest.raises(ProtocolError):
-            client.list_run_jobs(REPO, 7)
-    finally:
-        server.close()
+    client = serve(lambda request: Response.json(200, {"total_count": 1, "jobs": [job]}))
+    with pytest.raises(ProtocolError):
+        client.list_run_jobs(REPO, 7)
 
 
 @pytest.mark.parametrize(
@@ -325,8 +278,7 @@ def test_job_labels_that_are_not_a_list_of_strings_are_protocol_error(clock, lab
     ],
     ids=["retry-after-0", "retry-after-negative", "retry-after-nan", "retry-after-inf", "reset-nan", "reset-inf"],
 )
-def test_unusable_server_wait_falls_back_to_the_schedule(status, headers):
-    clock = SteppingClock()
+def test_unusable_server_wait_falls_back_to_the_schedule(serve, clock, status, headers):
     attempts = []
 
     def handle(request):
@@ -335,20 +287,15 @@ def test_unusable_server_wait_falls_back_to_the_schedule(status, headers):
             return Response.json(status, {"message": "limited"}, headers)
         return Response.json(200, {"total_count": 0, "workflow_runs": []})
 
-    server = FakeHttpServer(handle)
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        state = BackoffState()
-        with pytest.raises(RateLimitedError):
-            execute_with_backoff(lambda: client.list_runs(REPO, "queued"), state, clock, window_end=60.0)
-    finally:
-        server.close()
+    client = serve(handle)
+    state = BackoffState()
+    with pytest.raises(RateLimitedError):
+        execute_with_backoff(lambda: client.list_runs(REPO, "queued"), state, clock, window_end=60.0)
     assert attempts == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
     assert state.next_allowed_attempt == 63.0
 
 
-def test_run_listing_stops_after_ten_full_pages(clock, caplog):
+def test_run_listing_stops_after_ten_full_pages(serve, caplog):
     # A misbehaving server answers full pages for its first 50 requests.
     pages = []
     full = [{"id": i, "status": "queued"} for i in range(100)]
@@ -358,14 +305,9 @@ def test_run_listing_stops_after_ten_full_pages(clock, caplog):
         runs = full if len(pages) <= 50 else []
         return Response.json(200, {"total_count": 5000, "workflow_runs": runs})
 
-    server = FakeHttpServer(handle)
-    server.start()
-    try:
-        client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
-        with caplog.at_level("WARNING", logger="runner_manager.github"):
-            runs = client.list_runs(REPO, "queued")
-    finally:
-        server.close()
+    client = serve(handle)
+    with caplog.at_level("WARNING", logger="runner_manager.github"):
+        runs = client.list_runs(REPO, "queued")
     assert pages == list(range(1, 11))
     assert len(runs) == 1000
     assert len([r for r in caplog.records if r.levelname == "WARNING"]) == 1
@@ -387,7 +329,7 @@ def _jobs_path(run_id: int) -> str:
 def test_cap_stops_listing_runs_once_enough_matching_jobs_are_found(fake_github, gh_client):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(6)]
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)
     assert [j.job_id for j in jobs] == [matching[0].job_id, matching[1].job_id]
     runs_path = "/repos/biocore/unifrac/actions/runs"
     assert _paths_since(fake_github, 0) == [
@@ -403,10 +345,10 @@ def test_below_the_cap_every_run_is_read_and_the_result_is_uncapped(fake_github,
     fake_github.enqueue_job(["ubuntu-latest"])
     for _ in range(3):
         fake_github.enqueue_job(MATCHING)
-    full = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    full = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     uncapped_paths = _paths_since(fake_github, 0)
     mark = len(fake_github.request_log)
-    capped = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=4)
+    capped = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 4)
     assert capped == full and len(full) == 3
     assert sorted(_paths_since(fake_github, mark)) == sorted(uncapped_paths)
     assert len(uncapped_paths) == 2 + 4
@@ -415,9 +357,9 @@ def test_below_the_cap_every_run_is_read_and_the_result_is_uncapped(fake_github,
 def test_at_saturation_a_barren_run_is_not_read_again(fake_github, gh_client):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(3)]
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)
     mark = len(fake_github.request_log)
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)
     assert [j.job_id for j in jobs] == [matching[0].job_id, matching[1].job_id]
     runs_path = "/repos/biocore/unifrac/actions/runs"
     assert _paths_since(fake_github, mark) == [
@@ -431,23 +373,61 @@ def test_at_saturation_a_barren_run_is_not_read_again(fake_github, gh_client):
 
 def test_a_listed_run_left_unread_keeps_its_etag(fake_github, gh_client):
     matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(3)]
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=1)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1)
     assert all(any(_jobs_path(job.run_id) in path for path in gh_client._pages) for job in matching)
     mark = len(fake_github.request_log)
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert [j.job_id for j in jobs] == [job.job_id for job in matching]
     assert _paths_since(fake_github, mark)[2:] == [_jobs_path(job.run_id) for job in matching]
     assert _statuses_since(fake_github, mark) == [304] * 5
 
 
+def test_failed_poll_leaves_the_cache_as_it_was(fake_github, gh_client):
+    fake_github.enqueue_job(MATCHING)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    before = dict(gh_client._pages)
+
+    fake_github.set_fault("status", 503)
+    with pytest.raises(TransientError):
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert gh_client._pages == before
+
+
 def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client, monkeypatch):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     fake_github.enqueue_job(MATCHING)
-    gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    pages = dict(gh_client._pages)
-    # A new barren run is read, then the old barren run's listing fails.
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    # A new barren run is listed, then the first job listing of the poll fails.
     fake_github.enqueue_job(["ubuntu-latest"])
+    request = gh_client._transport.request
+
+    def refuse_job_listings(method, url, headers, body=None):
+        if "/jobs" in url:
+            return HttpResponse(503, {}, b'{"message": "Unavailable"}')
+        return request(method, url, headers, body)
+
+    monkeypatch.setattr(gh_client._transport, "request", refuse_job_listings)
+    with pytest.raises(TransientError):
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert gh_client._barren == {foreign.run_id}
+
+
+def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, monkeypatch):
+    foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
+    fake_github.enqueue_job(MATCHING)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    before = dict(gh_client._pages)
+
+    fake_github.set_fault("status", 503)
+    with pytest.raises(TransientError):
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert gh_client._pages == before
+    fake_github.clear_fault()
+
+    # The changed queued listing and a new barren run are read, then the old
+    # barren run's listing fails.
+    added = fake_github.enqueue_job(["ubuntu-latest"])[0]
     request = gh_client._transport.request
 
     def refuse_old_barren_run(method, url, headers, body=None):
@@ -455,17 +435,21 @@ def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client,
             return HttpResponse(503, {}, b'{"message": "Unavailable"}')
         return request(method, url, headers, body)
 
-    monkeypatch.setattr(gh_client._transport, "request", refuse_old_barren_run)
-    with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    assert gh_client._barren == {foreign.run_id}
-    assert gh_client._pages == pages
+    with monkeypatch.context() as patch:
+        patch.setattr(gh_client._transport, "request", refuse_old_barren_run)
+        with pytest.raises(TransientError):
+            gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert before.keys() <= gh_client._pages.keys()
+    assert gh_client._barren == {foreign.run_id, added.run_id}
+    mark = len(fake_github.request_log)
+    assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)) == 1
+    assert _statuses_since(fake_github, mark) == [304] * 5
 
 
 def test_a_run_is_read_in_full_even_past_the_cap(fake_github, gh_client):
     fake_github.enqueue_job(MATCHING, jobs_in_run=3)
     fake_github.enqueue_job(MATCHING)
-    jobs = gh_client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)
     assert [j.job_id for j in jobs] == [1, 2, 3]
     assert len(fake_github.request_log) == 3
 
@@ -508,26 +492,36 @@ _RUNS = st.dictionaries(
 )
 
 
-@given(runs=_RUNS, k=st.integers(1, 5))
-def test_capped_listing_keeps_what_the_demand_rule_reads(runs, k):
-    client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
-    full = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    capped = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=k)
+def _assert_keeps_what_the_demand_rule_reads(capped, full, k):
     assert min(len(capped), k) == min(len(full), k)
     assert set(capped) <= set(full)
     if len(full) < k:
-        assert capped == full
+        assert set(capped) == set(full)
+
+
+@given(runs=_RUNS, k=st.integers(1, 5))
+def test_capped_listing_keeps_what_the_demand_rule_reads(runs, k):
+    client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
+    full = client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k)
+    _assert_keeps_what_the_demand_rule_reads(capped, full, k)
 
 
 class _TaggingInMemoryGitHub(_InMemoryGitHub):
     """Also tags every answer with an ETag of its body, answers ``304`` when
-    the request sends that tag back, and logs (path, status)."""
+    the request sends that tag back, and logs (path, status). The request
+    numbered ``fail_at`` (from 1) is answered ``503``."""
 
     def __init__(self, runs):
         super().__init__(runs)
         self.log: list[tuple[str, int]] = []
+        self.fail_at: int | None = None
 
     def request(self, method, url, headers, body=None):
+        if self.fail_at is not None:
+            self.fail_at -= 1
+            if self.fail_at == 0:
+                return HttpResponse(503, {}, b"{}")
         answer = super().request(method, url, headers, body)
         etag = f'W/"{hashlib.sha256(answer.body).hexdigest()[:16]}"'
         status = 304 if headers.get("If-None-Match") == etag else 200
@@ -540,29 +534,24 @@ def test_a_barren_run_that_gains_a_matching_job_is_read_below_the_cap():
         {1: ("queued", [("queued", ["ubuntu-latest"])]), 2: ("queued", [("queued", MATCHING)])}
     )
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
-    client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)
     assert client._barren == {1}
     github.runs[1][1].append(("queued", MATCHING))
     github.log.clear()
-    jobs = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=2)
-    assert [j.job_id for j in jobs] == [101, 200]
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)
+    assert {j.job_id for j in jobs} == {101, 200}
     assert github.log[2:] == [(_jobs_path(2), 304), (_jobs_path(1), 200)]
     assert client._barren == set()
 
 
 _JOBS = st.lists(st.tuples(_STATUS, _LABELS), max_size=4)
+_FIRST_CAP = st.just(ALL) | st.integers(1, 5)
 
 
-@given(
-    runs=_RUNS,
-    first_cap=st.none() | st.integers(1, 5),
-    k=st.integers(1, 5),
-    added=_RUNS,
-    data=st.data(),
-)
-def test_barren_runs_last_keeps_what_the_demand_rule_reads(runs, first_cap, k, added, data):
-    # The second poll sees each run kept, gone, with a matching job added,
-    # or redrawn, plus new runs: barren flags and kept pages go stale.
+def _mutate(runs, added, data):
+    """``runs`` with each run kept, gone, with a matching job added, or
+    redrawn, plus the runs of ``added`` that are new: barren flags and
+    cached pages go stale."""
     mutated = {}
     for run_id, (status, jobs) in runs.items():
         mutation = data.draw(st.sampled_from(["keep", "drop", "gain", "redraw"]))
@@ -573,14 +562,45 @@ def test_barren_runs_last_keeps_what_the_demand_rule_reads(runs, first_cap, k, a
         elif mutation == "redraw":
             mutated[run_id] = (data.draw(_STATUS), data.draw(_JOBS))
     mutated.update((run_id, run) for run_id, run in added.items() if run_id not in runs)
+    return mutated
+
+
+def _uncapped(runs):
+    fresh = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
+    return fresh.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+
+
+@given(runs=_RUNS, first_cap=_FIRST_CAP, k=st.integers(1, 5), added=_RUNS, data=st.data())
+def test_barren_runs_last_keeps_what_the_demand_rule_reads(runs, first_cap, k, added, data):
     github = _TaggingInMemoryGitHub(runs)
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
-    client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=first_cap)
-    github.runs = mutated
-    capped = client.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS, stop_after=k)
-    fresh = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(mutated))
-    full = fresh.list_outstanding_jobs(REPO, STATUSES, RUNNER_LABELS)
-    assert min(len(capped), k) == min(len(full), k)
-    assert set(capped) <= set(full)
-    if len(full) < k:
-        assert capped == full
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap)
+    github.runs = _mutate(runs, added, data)
+    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k)
+    _assert_keeps_what_the_demand_rule_reads(capped, _uncapped(github.runs), k)
+
+
+@given(
+    runs=_RUNS,
+    first_cap=_FIRST_CAP,
+    k=st.integers(1, 5),
+    added=_RUNS,
+    more=_RUNS,
+    data=st.data(),
+)
+def test_a_failed_poll_keeps_what_the_demand_rule_reads(runs, first_cap, k, added, more, data):
+    # A poll fails part-way, keeping the pages and flags it read; the runs
+    # change again before the next poll completes.
+    github = _TaggingInMemoryGitHub(runs)
+    client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap)
+    github.runs = _mutate(runs, added, data)
+    github.fail_at = data.draw(st.integers(1, 2 + len(github.runs)))
+    try:
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap)
+    except TransientError:
+        pass
+    github.fail_at = None
+    github.runs = _mutate(github.runs, more, data)
+    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k)
+    _assert_keeps_what_the_demand_rule_reads(capped, _uncapped(github.runs), k)

@@ -1,4 +1,5 @@
 import re
+from contextlib import closing
 
 import pytest
 
@@ -64,9 +65,9 @@ def test_missing_deployment_is_fatal_classification(fake_kube):
     creds = KubeCredentials(
         api_base=fake_kube.base_url, bearer_token="t", ca_bundle=None, namespace="ci"
     )
-    client = KubeClient(creds, "other-deployment", max_replicas=1)
-    with pytest.raises(MissingDeploymentError):
-        client.read_scale()
+    with closing(KubeClient(creds, "other-deployment", max_replicas=1)) as client:
+        with pytest.raises(MissingDeploymentError):
+            client.read_scale()
 
 
 def test_status_lag_reported_distinctly(fake_kube, kube_client):
@@ -191,8 +192,8 @@ def test_throttling_429_is_transient(call):
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        with pytest.raises(TransientError):
-            call(KubeClient(creds, "gha-runner", max_replicas=1))
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(TransientError):
+            call(client)
     finally:
         server.close()
 
@@ -227,7 +228,7 @@ def test_malformed_body_is_protocol_error(body, call):
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        with pytest.raises(ProtocolError):
-            call(KubeClient(creds, "gha-runner", max_replicas=1))
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(ProtocolError):
+            call(client)
     finally:
         server.close()

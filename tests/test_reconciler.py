@@ -22,14 +22,8 @@ DAY = 86400.0
 POLICY = Policy()  # poll 60s, force 84h, dwell 15m, cap 1
 
 
-def _job(job_id=1, status="queued", created=0.0):
-    return JobRecord(
-        job_id=job_id,
-        run_id=1000 + job_id,
-        status=status,
-        requested_labels=LabelSet(["self-hosted", "linux-gpu-cuda"]),
-        created_at=created,
-    )
+def _job(job_id=1, status="queued"):
+    return JobRecord(job_id=job_id, status=status, requested_labels=LabelSet(["self-hosted", "linux-gpu-cuda"]))
 
 
 def _obs(jobs=(), spec=0, ready=0, ok=True):

@@ -504,6 +504,12 @@ def test_scenario_leaves_no_threads_behind():
 def test_missing_deployment_exits_config_error(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube_client = KubeClient(
+        KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
+        "not-the-runner",
+        max_replicas=1,
+    )
+    github_client = GitHubClient(github.base_url, "t", clock=clock)
     try:
         config = Config(
             repo=RepoCoordinates("biocore", "unifrac"),
@@ -515,15 +521,11 @@ def test_missing_deployment_exits_config_error(clock):
             kube_api_base=kube.base_url,
             kube_sa_dir="/nonexistent",
         )
-        kube_client = KubeClient(
-            KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
-            "not-the-runner",
-            max_replicas=1,
-        )
-        github_client = GitHubClient(github.base_url, "t", clock=clock)
         code = run_service(config, clock=clock, github=github_client, kube=kube_client, environment={})
         assert code == EXIT_CONFIG
     finally:
+        github_client.close()
+        kube_client.close()
         github.close()
         kube.close()
 
@@ -533,6 +535,12 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
     clock = SystemClock()
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    github_client = GitHubClient(github.base_url, "t", clock=clock)
+    kube_client = KubeClient(
+        KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
+        "gha-runner",
+        max_replicas=1,
+    )
     stop = threading.Event()
     try:
         policy = Policy(poll_interval=0.05, min_dwell=0.05, force_interval=3600.0)
@@ -545,12 +553,6 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
             kube_namespace="ci",
             kube_api_base=kube.base_url,
             kube_sa_dir="/nonexistent",
-        )
-        github_client = GitHubClient(github.base_url, "t", clock=clock)
-        kube_client = KubeClient(
-            KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
-            "gha-runner",
-            max_replicas=1,
         )
         records = []
         runner = threading.Thread(
@@ -572,6 +574,8 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
         writes_after_stop = [w for w in kube.scale_write_log if w.at > stop_time + 0.25]
         assert writes_after_stop == []
     finally:
+        github_client.close()
+        kube_client.close()
         github.close()
         kube.close()
 

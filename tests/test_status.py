@@ -250,6 +250,8 @@ def test_running_service_serves_status_without_leaking_token():
     finally:
         stop.set()
         thread.join(timeout=5)
+        github_client.close()
+        kube_client.close()
         github.close()
         kube.close()
     assert not thread.is_alive()
