@@ -2,11 +2,10 @@
 entrypoint contract, and example manifest rendering."""
 
 from .manifests import emit_manifests
-from .profile import InitResult, RunnerProfile
+from .profile import RunnerProfile
 from .runner_dir import MARKER_NAME, init_runner_dir, run_runner
 
 __all__ = [
-    "InitResult",
     "MARKER_NAME",
     "RunnerProfile",
     "emit_manifests",

@@ -9,26 +9,19 @@ import signal
 import sys
 import threading
 
-from ..config import DEFAULT_GITHUB_API, Config, Policy, RepoCoordinates, resolve_github_token
+from ..config import DEFAULT_GITHUB_API, DEFAULT_RUNNER_LABELS, Config, Policy, RepoCoordinates, resolve_github_token
 from ..errors import ApiError, ConfigError
 from ..github import GitHubClient
 from ..labels import LabelSet
 from .manifests import emit_manifests
 from .profile import RunnerProfile
-from .runner_dir import init_runner_dir, run_runner
+from .runner_dir import MARKER_NAME, init_runner_dir, run_runner
 
 logger = logging.getLogger(__name__)
 
 
-def _profile_from_args(args) -> RunnerProfile:
-    kwargs = {}
-    if getattr(args, "labels", None):
-        kwargs["labels"] = LabelSet.parse(args.labels)
-    return RunnerProfile(
-        persistent_dir=getattr(args, "dir", "/runner"),
-        work_dir=getattr(args, "work_dir", None) or "/work",
-        **kwargs,
-    )
+def _labels(text: str | None) -> LabelSet:
+    return LabelSet.parse(text) if text else LabelSet(DEFAULT_RUNNER_LABELS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,34 +58,34 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1
-        profile = _profile_from_args(args)
+        profile = RunnerProfile(args.dir, args.work_dir, _labels(args.labels))
         github = GitHubClient(args.github_api, token)
         try:
-            result = init_runner_dir(profile, RepoCoordinates(args.owner, args.repo), github)
+            initialized = init_runner_dir(profile, RepoCoordinates(args.owner, args.repo), github)
         except (ApiError, OSError) as exc:
             print(f"init failed: {exc}", file=sys.stderr)
             return 1
         finally:
             github.close()
-        logger.info("%s (%s)", result.status.value, result.config_marker)
+        status = "initialized" if initialized else "already_initialized"
+        logger.info("%s (%s)", status, os.path.join(args.dir, MARKER_NAME))
         return 0
 
     if args.command == "run":
-        profile = _profile_from_args(args)
+        profile = RunnerProfile(args.dir, args.work_dir)
         stop = threading.Event()
         signal.signal(signal.SIGTERM, lambda *_: stop.set())
         signal.signal(signal.SIGINT, lambda *_: stop.set())
         return run_runner(profile, stop=stop)
 
     if args.command == "manifests":
-        profile = _profile_from_args(args)
         config = Config(
             repo=RepoCoordinates(args.owner, args.repo),
-            policy=Policy(runner_labels=profile.labels),
+            policy=Policy(runner_labels=_labels(args.labels)),
             kube_deployment=args.deployment,
             kube_namespace=args.namespace,
         )
-        sys.stdout.write(emit_manifests(config, profile, image=args.image))
+        sys.stdout.write(emit_manifests(config, image=args.image))
         return 0
 
     return 1

@@ -4,34 +4,20 @@ Renders everything a namespace owner needs to deploy the setup: the manager
 Deployment (replicas 1), the runner Deployment (replicas 0 -- the manager
 owns scale-up), a namespaced Role/RoleBinding pair covering exactly the API
 surface the manager touches, the GitHub token Secret skeleton, and the
-persistent volume claim for the runner install. Output is deterministic.
+persistent volume claim for the runner install. The runner's resource
+requests are example values to edit, like the image. Output is deterministic.
 """
 
 from __future__ import annotations
 
 from ..config import Config
-from .profile import GIB, RunnerProfile
-
-MIB = 1024**2
 
 
-def _quantity(num_bytes: int) -> str:
-    if num_bytes % GIB == 0:
-        return f"{num_bytes // GIB}Gi"
-    if num_bytes % MIB == 0:
-        return f"{num_bytes // MIB}Mi"
-    return str(num_bytes)
-
-
-def emit_manifests(config: Config, profile: RunnerProfile, image: str = "REPLACE_WITH_RUNNER_IMAGE") -> str:
+def emit_manifests(config: Config, image: str = "REPLACE_WITH_RUNNER_IMAGE") -> str:
     runner_name = config.kube_deployment
     manager_name = f"{runner_name}-manager"
     namespace = config.kube_namespace or "REPLACE_NAMESPACE"
-    labels_csv = ",".join(profile.labels.as_list())
-
-    cpu = str(profile.cpu_cores)
-    memory = _quantity(profile.memory_bytes)
-    ephemeral = _quantity(profile.ephemeral_bytes)
+    labels_csv = ",".join(config.policy.runner_labels.as_list())
 
     return f"""\
 # Example manifests for an unprivileged self-hosted runner setup.
@@ -172,15 +158,15 @@ spec:
               value: "{labels_csv}"
           resources:
             requests:
-              cpu: {cpu}
-              memory: {memory}
-              ephemeral-storage: {ephemeral}
-              {profile.gpu_resource_key}: {profile.gpu_count}
+              cpu: 4
+              memory: 8Gi
+              ephemeral-storage: 80Gi
+              nvidia.com/gpu: 1
             limits:
-              cpu: {cpu}
-              memory: {memory}
-              ephemeral-storage: {ephemeral}
-              {profile.gpu_resource_key}: {profile.gpu_count}
+              cpu: 4
+              memory: 8Gi
+              ephemeral-storage: 80Gi
+              nvidia.com/gpu: 1
           volumeMounts:
             - name: runner-state
               mountPath: /runner
@@ -192,5 +178,5 @@ spec:
             claimName: {runner_name}-state
         - name: work
           emptyDir:
-            sizeLimit: {ephemeral}
+            sizeLimit: 80Gi
 """

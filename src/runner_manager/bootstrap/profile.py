@@ -1,47 +1,19 @@
-"""Runner pod sizing and placement profile."""
+"""Where the runner pod keeps its install and its job workspaces."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from ..config import DEFAULT_RUNNER_LABELS
 from ..labels import LabelSet
-
-GIB = 1024**3
-
-DEFAULT_CPU_CORES = 4
-DEFAULT_MEMORY_BYTES = 8 * GIB
-DEFAULT_EPHEMERAL_BYTES = 80 * GIB
-DEFAULT_GPU_COUNT = 1
-DEFAULT_GPU_RESOURCE_KEY = "nvidia.com/gpu"
 
 
 @dataclass
 class RunnerProfile:
     persistent_dir: str
     work_dir: str
-    name_prefix: str = "gha-runner"
     labels: LabelSet = field(default_factory=lambda: LabelSet(DEFAULT_RUNNER_LABELS))
-    cpu_cores: int = DEFAULT_CPU_CORES
-    memory_bytes: int = DEFAULT_MEMORY_BYTES
-    ephemeral_bytes: int = DEFAULT_EPHEMERAL_BYTES
-    gpu_count: int = DEFAULT_GPU_COUNT
-    gpu_resource_key: str = DEFAULT_GPU_RESOURCE_KEY
 
     def __post_init__(self):
         if self.persistent_dir == self.work_dir:
             raise ValueError("persistent_dir and work_dir must differ")
-        if self.work_dir and self.ephemeral_bytes <= 0:
-            raise ValueError("ephemeral_bytes must be positive when a work_dir is configured")
-
-
-class InitStatus(enum.Enum):
-    INITIALIZED = "initialized"
-    ALREADY_INITIALIZED = "already_initialized"
-
-
-@dataclass(frozen=True)
-class InitResult:
-    status: InitStatus
-    config_marker: str

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from ..clock import to_rfc3339
 from ..config import RepoCoordinates
 from ..github import GitHubClient
-from .profile import InitResult, InitStatus, RunnerProfile
+from .profile import RunnerProfile
 
 logger = logging.getLogger(__name__)
 
@@ -47,12 +47,13 @@ def init_runner_dir(
     repo: RepoCoordinates,
     github: GitHubClient,
     now: float | None = None,
-) -> InitResult:
+) -> bool:
     """Configure the runner directory once; re-running is a no-op.
 
     Obtains a fresh registration token, records the runner configuration
     (via the runner software's own configure script when present, directly
-    otherwise), and only then drops the marker file.
+    otherwise), and only then drops the marker file. Returns True when this
+    call initialized the directory, False when the marker was already there.
     """
     marker = os.path.join(profile.persistent_dir, MARKER_NAME)
     if not os.path.isdir(profile.persistent_dir):
@@ -60,11 +61,11 @@ def init_runner_dir(
 
     with _init_lock(profile.persistent_dir):
         if os.path.exists(marker):
-            return InitResult(InitStatus.ALREADY_INITIALIZED, marker)
+            return False
 
         registration = github.create_registration_token(repo)
 
-        runner_name = f"{profile.name_prefix}-{repo.owner}-{repo.repo}"
+        runner_name = f"gha-runner-{repo.owner}-{repo.repo}"
         config = {
             "repo_url": f"https://github.com/{repo.owner}/{repo.repo}",
             "github_api_base": github.api_base,
@@ -99,7 +100,7 @@ def init_runner_dir(
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(to_rfc3339(now) + "\n")
 
-    return InitResult(InitStatus.INITIALIZED, marker)
+    return True
 
 
 def run_runner(

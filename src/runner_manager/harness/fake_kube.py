@@ -146,44 +146,39 @@ class FakeKube:
         if self.on_pod_running is not None:
             self.on_pod_running(name)
 
-    # -- manifest validation -----------------------------------------------
-
-    def validate_objects(self, objects: list[dict]) -> list[str]:
-        """Shape-check parsed manifests the way the API server would.
-
-        Returns a list of complaints; empty means everything would apply.
-        """
-        problems: list[str] = []
-        for obj in objects:
-            if not isinstance(obj, dict):
-                problems.append(f"not a mapping: {obj!r}")
-                continue
-            kind = obj.get("kind")
-            meta = obj.get("metadata") or {}
-            if not kind or not isinstance(meta, dict) or not meta.get("name"):
-                problems.append(f"object missing kind or metadata.name: {kind!r}")
-                continue
-            if kind == "Deployment":
-                spec = obj.get("spec") or {}
-                if not isinstance(spec.get("replicas"), int) or spec["replicas"] < 0:
-                    problems.append(f"{meta['name']}: spec.replicas must be a non-negative integer")
-                selector = ((spec.get("selector") or {}).get("matchLabels")) or {}
-                template_labels = (
-                    ((spec.get("template") or {}).get("metadata") or {}).get("labels")
-                ) or {}
-                if not selector or any(template_labels.get(k) != v for k, v in selector.items()):
-                    problems.append(f"{meta['name']}: selector does not match template labels")
-                for container in ((spec.get("template") or {}).get("spec") or {}).get("containers", []):
-                    for bucket in (container.get("resources") or {}).values():
-                        for quantity in bucket.values():
-                            if not _QUANTITY_RE.match(str(quantity)):
-                                problems.append(
-                                    f"{meta['name']}: bad resource quantity {quantity!r}"
-                                )
-        return problems
-
 
 _QUANTITY_RE = re.compile(r"^\d+(\.\d+)?(m|Ki|Mi|Gi|Ti|k|M|G|T)?$")
+
+
+def validate_objects(objects: list[dict]) -> list[str]:
+    """Shape-check parsed manifests the way the API server would.
+
+    Returns a list of complaints; empty means everything would apply.
+    """
+    problems: list[str] = []
+    for obj in objects:
+        if not isinstance(obj, dict):
+            problems.append(f"not a mapping: {obj!r}")
+            continue
+        kind = obj.get("kind")
+        meta = obj.get("metadata") or {}
+        if not kind or not isinstance(meta, dict) or not meta.get("name"):
+            problems.append(f"object missing kind or metadata.name: {kind!r}")
+            continue
+        if kind == "Deployment":
+            spec = obj.get("spec") or {}
+            if not isinstance(spec.get("replicas"), int) or spec["replicas"] < 0:
+                problems.append(f"{meta['name']}: spec.replicas must be a non-negative integer")
+            selector = ((spec.get("selector") or {}).get("matchLabels")) or {}
+            template_labels = ((spec.get("template") or {}).get("metadata") or {}).get("labels") or {}
+            if not selector or any(template_labels.get(k) != v for k, v in selector.items()):
+                problems.append(f"{meta['name']}: selector does not match template labels")
+            for container in ((spec.get("template") or {}).get("spec") or {}).get("containers", []):
+                for bucket in (container.get("resources") or {}).values():
+                    for quantity in bucket.values():
+                        if not _QUANTITY_RE.match(str(quantity)):
+                            problems.append(f"{meta['name']}: bad resource quantity {quantity!r}")
+    return problems
 
 
 def _handle(kube: FakeKube, request: Request) -> Response:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..clock import to_rfc3339
 from ..config import Policy
 from ..labels import LabelSet
-from .scenario import ScenarioScript
+from .scenario import ScenarioScript, policy_from_script
 from .virtual_clock import SIM_EPOCH
 
 # Documented contracts mirrored here on purpose (not imported from the
@@ -64,8 +64,7 @@ class OracleResult:
 
 
 def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> OracleResult:
-    policy = policy or Policy()
-    sim = _OracleSim(script, policy)
+    sim = _OracleSim(script, policy or policy_from_script(script))
     sim.run()
     return OracleResult(
         decisions=[(t - SIM_EPOCH, target, reason) for t, target, reason in sim.decisions],

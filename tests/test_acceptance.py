@@ -19,12 +19,11 @@ import pytest
 import yaml
 
 from runner_manager.bootstrap import RunnerProfile, emit_manifests, init_runner_dir, run_runner
-from runner_manager.bootstrap.profile import InitStatus
 from runner_manager.config import Config, Policy, RepoCoordinates
 from runner_manager.github import GitHubClient
 from runner_manager.harness.driver import ScenarioResult, run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
-from runner_manager.harness.fake_kube import FakeKube
+from runner_manager.harness.fake_kube import validate_objects
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, generate_random_script
 from runner_manager.labels import LabelSet
@@ -358,6 +357,7 @@ def test_criterion_7_restart_resilience(restart_batch):
 
 def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
     github = FakeGitHub(fixed_registration_token="REG-acc").start()
+    client = GitHubClient(github.base_url, "token")
     try:
         persistent, work = tmp_path / "runner", tmp_path / "work"
         persistent.mkdir()
@@ -365,14 +365,13 @@ def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
         profile = RunnerProfile(
             persistent_dir=str(persistent), work_dir=str(work), labels=LabelSet(MATCHING)
         )
-        client = GitHubClient(github.base_url, "token")
         repo = RepoCoordinates("biocore", "unifrac")
 
         first = init_runner_dir(profile, repo, client)
-        assert first.status is InitStatus.INITIALIZED
+        assert first is True
         digest_one = _tree_digest(persistent)
         second = init_runner_dir(profile, repo, client)
-        assert second.status is InitStatus.ALREADY_INITIALIZED
+        assert second is False
         assert _tree_digest(persistent) == digest_one, "second init modified the persistent dir"
 
         github.enqueue_job(MATCHING, duration=40.0)
@@ -405,6 +404,7 @@ def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
         assert not any(n.startswith("job-") for n in persistent_names)
         assert {".runner-initialized", "runner-config.json"} <= {p.name for p in persistent.iterdir()}
     finally:
+        client.close()
         github.close()
     _ok(8, "double init byte-identical; workspace artifacts confined to work_dir")
 
@@ -431,14 +431,13 @@ def test_criterion_9_wire_exactness(bulk):
 
 
 def test_criterion_10_manifest_fidelity():
-    profile = RunnerProfile(persistent_dir="/runner", work_dir="/work")
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
         policy=Policy(),
         kube_deployment="gha-runner",
         kube_namespace="ci",
     )
-    text = emit_manifests(config, profile)
+    text = emit_manifests(config)
     objs = [o for o in yaml.safe_load_all(text) if o]
     runner = next(o for o in objs if o.get("kind") == "Deployment" and o["metadata"]["name"] == "gha-runner")
     resources = runner["spec"]["template"]["spec"]["containers"][0]["resources"]["requests"]
@@ -448,11 +447,7 @@ def test_criterion_10_manifest_fidelity():
     assert resources["nvidia.com/gpu"] == 1
     assert runner["spec"]["replicas"] == 0
     assert "linux-gpu-cuda" in text
-    kube = FakeKube()
-    try:
-        assert kube.validate_objects(objs) == []
-    finally:
-        kube.close()
+    assert validate_objects(objs) == []
     _ok(10, "default manifests request cpu=4, memory=8Gi, ephemeral-storage=80Gi, 1 GPU, replicas=0, custom label")
 
 

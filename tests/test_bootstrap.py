@@ -18,7 +18,6 @@ from runner_manager.bootstrap import (
     init_runner_dir,
     run_runner,
 )
-from runner_manager.bootstrap.profile import InitStatus
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError
 from runner_manager.github import GitHubClient
@@ -68,9 +67,8 @@ def client(github):
 
 
 def test_init_writes_config_with_labels_and_token(client, profile):
-    result = init_runner_dir(profile, REPO, client)
-    assert result.status is InitStatus.INITIALIZED
-    assert os.path.exists(result.config_marker)
+    assert init_runner_dir(profile, REPO, client) is True
+    assert os.path.exists(os.path.join(profile.persistent_dir, MARKER_NAME))
     config = json.loads(Path(profile.persistent_dir, "runner-config.json").read_text())
     assert config["registration_token"] == "REG-abc"
     assert "linux-gpu-cuda" in config["labels"]
@@ -81,8 +79,7 @@ def test_init_writes_config_with_labels_and_token(client, profile):
 def test_second_init_is_noop_and_directory_byte_identical(github, client, profile):
     init_runner_dir(profile, REPO, client)
     before = _dir_digest(profile.persistent_dir)
-    result = init_runner_dir(profile, REPO, client)
-    assert result.status is InitStatus.ALREADY_INITIALIZED
+    assert init_runner_dir(profile, REPO, client) is False
     assert _dir_digest(profile.persistent_dir) == before
     assert len(github.issued_registration_tokens) == 1
 

@@ -131,12 +131,14 @@ class TestFakeKube:
         url = f"{fake_kube.base_url}/apis/apps/v1/namespaces/other/deployments/gha-runner/scale"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url)
+        excinfo.value.close()
         assert excinfo.value.code == 403
         assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/namespaces/other/deployments/gha-runner/scale"]
 
     def test_cluster_scoped_path_rejected(self, fake_kube):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{fake_kube.base_url}/apis/apps/v1/deployments")
+        excinfo.value.close()
         assert excinfo.value.code == 403
         assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/deployments"]
 

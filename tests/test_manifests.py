@@ -1,20 +1,24 @@
+from pathlib import Path
+
 import yaml
 
-from runner_manager.bootstrap import RunnerProfile, emit_manifests
+import runner_manager.bootstrap.cli as bootstrap_cli
+from runner_manager.bootstrap import emit_manifests
 from runner_manager.config import Config, Policy, RepoCoordinates
-from runner_manager.harness.fake_kube import FakeKube
+from runner_manager.harness.fake_kube import validate_objects
 from runner_manager.labels import LabelSet
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "deploy" / "example-manifests.yaml"
 
 
 def _default_output():
-    profile = RunnerProfile(persistent_dir="/runner", work_dir="/work")
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
         policy=Policy(),
         kube_deployment="gha-runner",
         kube_namespace="ci",
     )
-    return emit_manifests(config, profile)
+    return emit_manifests(config)
 
 
 def _runner_deployment(text):
@@ -63,33 +67,25 @@ def test_output_is_valid_yaml_and_passes_fake_validation():
         "Role",
         "RoleBinding",
     }
-    kube = FakeKube()
-    try:
-        assert kube.validate_objects(objs) == []
-    finally:
-        kube.close()
+    assert validate_objects(objs) == []
 
 
 def test_output_deterministic():
     assert _default_output() == _default_output()
 
 
-def test_custom_gpu_resource_key():
-    profile = RunnerProfile(
-        persistent_dir="/runner",
-        work_dir="/work",
-        gpu_resource_key="amd.com/gpu",
-        gpu_count=2,
-        labels=LabelSet(["self-hosted", "linux-rocm"]),
-    )
+def test_custom_labels_come_from_the_policy():
     config = Config(
         repo=RepoCoordinates("o", "r"),
-        policy=Policy(runner_labels=profile.labels),
+        policy=Policy(runner_labels=LabelSet(["self-hosted", "linux-rocm"])),
         kube_deployment="rocm-runner",
     )
-    text = emit_manifests(config, profile)
-    assert "amd.com/gpu: 2" in text
-    assert "linux-rocm" in text
+    assert "linux-rocm" in emit_manifests(config)
+
+
+def test_deploy_example_is_the_rendered_default(capsys):
+    assert bootstrap_cli.main(["manifests", "--namespace", "my-namespace"]) == 0
+    assert capsys.readouterr().out == EXAMPLE.read_text()
 
 
 def test_role_grants_only_get_and_patch_on_the_deployment():

@@ -19,13 +19,19 @@ install:
   decides 0 and writes its own time exactly (900).
 """
 
+from pathlib import Path
+
+import pytest
+
 from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy
+from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.oracle import ANNOTATION_LAST_ACTIVE, oracle_decisions
-from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
+from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, load_script
 from runner_manager.harness.virtual_clock import SIM_EPOCH
 
 DAY = 86400.0
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_zero_load_first_two_activations_by_hand():
@@ -101,3 +107,12 @@ def test_hold_never_scales_down_a_running_runner():
     assert "hold" in reasons
     targets_during_fault = [t for tick, t, r in result.decisions if r == "hold"]
     assert all(t == 1 for t in targets_during_fault)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_script_alone_applies_its_own_policy(path):
+    script = load_script(str(path))
+    result = run_scenario(script)
+    expected = oracle_decisions(script)
+    assert expected.decisions == result.decisions
+    assert expected.writes == result.writes

@@ -45,8 +45,12 @@ def status_server():
 
 def _get(server: StatusServer, path: str):
     host, port = server.address
-    with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=5) as resp:
-        return resp.status, resp.read()
+    try:
+        with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=5) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error holds the response; callers only read its code
+        raise
 
 
 def test_healthz_ok_while_alive(status_server):
