@@ -9,13 +9,18 @@ Every listing is a conditional request: a page answered with an ``ETag``
 is stored as soon as it is read and asked for again with ``If-None-Match``,
 and a ``304 Not Modified``, which GitHub does not charge against the primary
 rate limit, reuses the parsed page. A completed poll keeps the run listing
-pages and the job pages of the runs it listed, read or not; a failed one
-keeps what it read, since each page is a true answer of the server.
+pages and the job pages of the runs each listing held when it was last
+read, read this poll or not; a failed one keeps what it read, since each
+page is a true answer of the server.
 
 The manager needs only ``min(jobs, max_runners)``, so it passes
-``max_runners`` as the poll's ``limit``: a busy poll costs the run listings
-plus the job listings of runs up to the one that brings the matching jobs
-found to ``limit``. Runs whose jobs, when last read, held no matching
+``max_runners`` as the poll's ``limit``. A poll reads the ``in_progress``
+run listing and the job listings of its runs first, and reads the
+``queued`` run listing only when those hold fewer than ``limit`` matching
+outstanding jobs. New pushes keep changing the ``queued`` listing, so most
+of its reads are charged; a poll saturated by busy runners skips it. A run
+that starts between the two listing reads is in neither for that poll and
+is found by the next. Runs whose jobs, when last read, held no matching
 outstanding job are read last, so a repository full of runs only hosted or
 foreign runners can take costs about ``max_runners`` job listings a poll.
 """
@@ -151,6 +156,9 @@ class GitHubClient:
         self._pages: dict[str, tuple[str, Any]] = {}
         # Listed runs whose jobs, when last read, held no counted job.
         self._barren: set[int] = set()
+        # The run ids the queued listing held when last read; a saturated
+        # poll does not read it.
+        self._queued: set[int] = set()
         self.rate_limit_remaining: int | None = None  # last x-ratelimit-remaining seen
 
     @property
@@ -266,30 +274,45 @@ class GitHubClient:
         """Label-eligible jobs whose status is outstanding, every one of them
         when there are fewer than ``limit``, and at least ``limit`` otherwise.
 
-        One run listing per outstanding status, then job listings run by
-        run. A job is counted when it is outstanding and its labels match; a
-        run whose jobs held no counted job when last read is barren and is
-        read after every other run. Each group goes in ascending run id;
-        fixed request order keeps the fake-server logs deterministic. No
-        further run is read once ``limit`` jobs are collected; a run's job
-        pages are always read in full. A completed poll drops the pages and
-        flags of runs no longer listed.
+        A job is counted when it is outstanding and its labels match; a run
+        whose jobs held no counted job when last read is barren. The
+        ``in_progress`` run listing is read first, then the job listings of
+        its runs that are not barren. Only when those hold fewer than
+        ``limit`` counted jobs is the ``queued`` run listing read, and then
+        every listed run not yet read, barren runs last. Each group goes in
+        ascending run id; fixed request order keeps the fake-server logs
+        deterministic. No further run is read once ``limit`` jobs are
+        collected; a run's job pages are always read in full.
+
+        The two listings are read one after the other, so a run that moves
+        from ``queued`` to ``in_progress`` between the two reads is in
+        neither for this poll; the next poll finds it. A completed poll drops
+        the pages and flags of runs absent from each listing's latest read.
         """
-        listed = {run_id for status in sorted(OUTSTANDING_STATUSES) for run_id in self.list_runs(repo, status)}
         jobs: list[JobRecord] = []
-        for run_id in sorted(listed, key=lambda run_id: (run_id in self._barren, run_id)):
-            if len(jobs) >= limit:
-                break
-            counted = [
-                job
-                for job in self.list_run_jobs(repo, run_id)
-                if job.status in OUTSTANDING_STATUSES and job_matches_labels(job.requested_labels, runner_labels)
-            ]
-            if counted:
-                self._barren.discard(run_id)
-            else:
-                self._barren.add(run_id)
-            jobs.extend(counted)
+
+        def read_runs(run_ids: set[int]) -> None:
+            for run_id in sorted(run_ids, key=lambda run_id: (run_id in self._barren, run_id)):
+                if len(jobs) >= limit:
+                    return
+                counted = [
+                    job
+                    for job in self.list_run_jobs(repo, run_id)
+                    if job.status in OUTSTANDING_STATUSES and job_matches_labels(job.requested_labels, runner_labels)
+                ]
+                if counted:
+                    self._barren.discard(run_id)
+                else:
+                    self._barren.add(run_id)
+                jobs.extend(counted)
+
+        in_progress = set(self.list_runs(repo, "in_progress"))
+        first = in_progress - self._barren
+        read_runs(first)
+        if len(jobs) < limit:
+            self._queued = set(self.list_runs(repo, "queued"))
+            read_runs((in_progress | self._queued) - first)
+        listed = in_progress | self._queued
         kept = {_runs_path(repo), *(_run_jobs_path(repo, run_id) for run_id in listed)}
         self._pages = {path: entry for path, entry in self._pages.items() if path.partition("?")[0] in kept}
         self._barren &= listed

@@ -66,7 +66,11 @@ class Observation:
     """One poll's combined snapshot. ``outstanding_jobs`` holds, in no set
     order, every outstanding matching job when there are fewer than
     ``max_runners``, and at least ``max_runners`` of them otherwise -- all
-    that the demand rule needs. ``outstanding_jobs is None`` means the
+    that the demand rule needs. The jobs of in-progress runs are read
+    first, and queued runs are listed only when those hold fewer than
+    ``max_runners``, so a poll saturated by in-progress runs counts no job
+    of a queued run. A run that starts between the two listing reads is in
+    neither, and the next poll counts it. ``outstanding_jobs is None`` means the
     GitHub poll failed this iteration, so the decision holds. ``deployment is None`` means the
     Kubernetes read failed this iteration and no write may be attempted."""
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from contextlib import closing
 
 import pytest
@@ -415,7 +416,7 @@ def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client,
 
 def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, monkeypatch):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
-    fake_github.enqueue_job(MATCHING)
+    matching = fake_github.enqueue_job(MATCHING)[0]
     gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     before = dict(gh_client._pages)
 
@@ -444,6 +445,32 @@ def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, 
     mark = len(fake_github.request_log)
     assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)) == 1
     assert _statuses_since(fake_github, mark) == [304] * 5
+
+    # A runner claims the matching job, so its run moves to in_progress. The
+    # changed in_progress listing and the run's jobs are read, then the
+    # queued listing fails.
+    runner = fake_github.register_runner("runner-0", ["self-hosted", "linux-gpu-cuda", "x64"])
+    assert fake_github.claim_job(runner) is matching
+    before = dict(gh_client._pages)
+
+    def refuse_queued_listing(method, url, headers, body=None):
+        if "status=queued" in url:
+            return HttpResponse(503, {}, b'{"message": "Unavailable"}')
+        return request(method, url, headers, body)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gh_client._transport, "request", refuse_queued_listing)
+        with pytest.raises(TransientError):
+            gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert gh_client._pages.keys() == before.keys()
+    assert {path for path, page in gh_client._pages.items() if page != before[path]} == {
+        "/repos/biocore/unifrac/actions/runs?status=in_progress&per_page=100&page=1",
+        f"{_jobs_path(matching.run_id)}?per_page=100&page=1",
+    }
+    assert gh_client._barren == {foreign.run_id, added.run_id}
+    mark = len(fake_github.request_log)
+    assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)) == 1
+    assert _statuses_since(fake_github, mark) == [304, 304, 200, 304, 304]
 
 
 def test_a_run_is_read_in_full_even_past_the_cap(fake_github, gh_client):
@@ -509,7 +536,8 @@ def test_capped_listing_keeps_what_the_demand_rule_reads(runs, k):
 
 class _TaggingInMemoryGitHub(_InMemoryGitHub):
     """Also tags every answer with an ETag of its body, answers ``304`` when
-    the request sends that tag back, and logs (path, status). The request
+    the request sends that tag back, and logs (path, status), a run
+    listing's path with its ``status`` query. The request
     numbered ``fail_at`` (from 1) is answered ``503``."""
 
     def __init__(self, runs):
@@ -525,7 +553,9 @@ class _TaggingInMemoryGitHub(_InMemoryGitHub):
         answer = super().request(method, url, headers, body)
         etag = f'W/"{hashlib.sha256(answer.body).hexdigest()[:16]}"'
         status = 304 if headers.get("If-None-Match") == etag else 200
-        self.log.append((url.partition("?")[0].removeprefix("http://github.invalid"), status))
+        path, _, query = url.removeprefix("http://github.invalid").partition("?")
+        listing = query.partition("&")[0] if query.startswith("status=") else None
+        self.log.append((f"{path}?{listing}" if listing else path, status))
         return HttpResponse(status, {"etag": etag}, answer.body if status == 200 else b"")
 
 
@@ -542,6 +572,125 @@ def test_a_barren_run_that_gains_a_matching_job_is_read_below_the_cap():
     assert {j.job_id for j in jobs} == {101, 200}
     assert github.log[2:] == [(_jobs_path(2), 304), (_jobs_path(1), 200)]
     assert client._barren == set()
+
+
+def _listing(status: str) -> str:
+    return f"/repos/biocore/unifrac/actions/runs?status={status}"
+
+
+def _tagging_client(runs):
+    github = _TaggingInMemoryGitHub(runs)
+    return github, GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
+
+
+def test_a_poll_saturated_by_in_progress_runs_never_lists_queued_runs():
+    github, client = _tagging_client(
+        {
+            1: ("queued", [("queued", MATCHING)]),
+            2: ("in_progress", [("in_progress", MATCHING)]),
+            3: ("in_progress", [("in_progress", MATCHING), ("queued", MATCHING)]),
+            4: ("in_progress", [("in_progress", MATCHING)]),
+        }
+    )
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 3)
+    assert [j.job_id for j in jobs] == [200, 300, 301]
+    assert github.log == [(_listing("in_progress"), 200), (_jobs_path(2), 200), (_jobs_path(3), 200)]
+
+
+def test_below_the_cap_both_listings_and_every_run_are_read():
+    runs = {
+        1: ("queued", [("queued", MATCHING)]),
+        2: ("in_progress", [("in_progress", MATCHING), ("queued", ["ubuntu-latest"])]),
+        3: ("queued", [("queued", ["ubuntu-latest"])]),
+        4: ("in_progress", [("in_progress", ["ubuntu-latest"])]),
+    }
+    github, client = _tagging_client(runs)
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 3)
+    assert jobs == _uncapped(runs) and [j.job_id for j in jobs] == [200, 100]
+    assert [path for path, _ in github.log] == [
+        _listing("in_progress"),
+        _jobs_path(2),
+        _jobs_path(4),
+        _listing("queued"),
+        _jobs_path(1),
+        _jobs_path(3),
+    ]
+
+
+def test_a_barren_in_progress_run_is_read_after_the_queued_listing():
+    github, client = _tagging_client(
+        {
+            1: ("in_progress", [("in_progress", ["ubuntu-latest"])]),
+            2: ("in_progress", [("in_progress", MATCHING)]),
+            3: ("queued", [("queued", MATCHING)]),
+        }
+    )
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert client._barren == {1}
+    github.log.clear()
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)) == 2
+    assert github.log == [
+        (_listing("in_progress"), 304),
+        (_jobs_path(2), 304),
+        (_listing("queued"), 304),
+        (_jobs_path(3), 304),
+        (_jobs_path(1), 304),
+    ]
+
+
+def test_a_queued_run_keeps_its_page_while_the_queued_listing_goes_unread():
+    github, client = _tagging_client(
+        {1: ("in_progress", [("in_progress", MATCHING)]), 2: ("queued", [("queued", MATCHING)])}
+    )
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    for _ in range(3):
+        github.log.clear()
+        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1)) == 1
+        assert github.log == [(_listing("in_progress"), 304), (_jobs_path(1), 304)]
+    github.log.clear()
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)) == 2
+    assert github.log[2:] == [(_listing("queued"), 304), (_jobs_path(2), 304)]
+
+
+def _cached_runs(client) -> set[int]:
+    return {int(path.split("/")[-2]) for path in client._pages if path.partition("?")[0].endswith("/jobs")}
+
+
+def test_a_run_absent_from_every_latest_listing_drops_its_pages_and_flag():
+    github, client = _tagging_client(
+        {1: ("in_progress", [("in_progress", MATCHING)]), 2: ("queued", [("queued", ["ubuntu-latest"])])}
+    )
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert (_cached_runs(client), client._barren) == ({1, 2}, {2})
+    # Run 2 ends, but only a read of the queued listing can show it.
+    del github.runs[2]
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1)
+    assert (_cached_runs(client), client._barren) == ({1, 2}, {2})
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert (_cached_runs(client), client._barren) == ({1}, set())
+
+
+def test_saturated_polls_keep_the_cache_within_the_latest_listings():
+    # In-progress runs come and go for 50 polls, each saturated by them, so
+    # the queued listing is read by the first poll only.
+    github, client = _tagging_client({run_id: ("queued", [("queued", MATCHING)]) for run_id in range(1, 6)})
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    queued = set(github.runs)
+    rng = random.Random(7)
+    next_id = 100
+    for _ in range(50):
+        for run_id, (status, _) in list(github.runs.items()):
+            if status == "in_progress" and rng.random() < 0.5:
+                del github.runs[run_id]
+        for labels in (MATCHING, ["ubuntu-latest"], MATCHING):
+            github.runs[next_id] = ("in_progress", [("in_progress", labels)])
+            next_id += 1
+        github.log.clear()
+        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2)) == 2
+        assert _listing("queued") not in {path for path, _ in github.log}
+        in_progress = {run_id for run_id, (status, _) in github.runs.items() if status == "in_progress"}
+        assert _cached_runs(client) | client._barren <= in_progress | queued
+    assert queued <= _cached_runs(client)
 
 
 _JOBS = st.lists(st.tuples(_STATUS, _LABELS), max_size=4)
