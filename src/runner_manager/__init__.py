@@ -9,7 +9,7 @@ credential is renewed before its one-week lifetime expires.
 __version__ = "0.1.0"
 
 from .config import Config, Policy, RepoCoordinates, load_config
-from .labels import LabelSet, job_matches_labels
+from .labels import LabelSet
 from .reconciler import (
     Decision,
     ManagerState,
@@ -30,7 +30,6 @@ __all__ = [
     "Reason",
     "RepoCoordinates",
     "compute_desired",
-    "job_matches_labels",
     "keepalive_due",
     "load_config",
     "update_state",

@@ -36,8 +36,11 @@ metadata:
   namespace: {namespace}
 rules:
   - apiGroups: ["apps"]
-    resources: ["deployments", "deployments/scale"]
+    resources: ["deployments"]
     verbs: ["get", "patch"]
+  - apiGroups: ["apps"]
+    resources: ["deployments/scale"]
+    verbs: ["patch"]
 ---
 apiVersion: rbac.authorization.k8s.io/v1
 kind: RoleBinding
@@ -153,9 +156,6 @@ spec:
         - name: runner
           image: {image}
           command: ["runner-bootstrap", "run", "--dir", "/runner", "--work-dir", "/work"]
-          env:
-            - name: RUNNER_LABELS
-              value: "{labels_csv}"
           resources:
             requests:
               cpu: 4

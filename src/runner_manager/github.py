@@ -43,7 +43,7 @@ from .errors import (
     RateLimitedError,
     TransientError,
 )
-from .labels import LabelSet, job_matches_labels
+from .labels import LabelSet
 from .transport import HttpResponse, HttpTransport
 
 logger = logging.getLogger(__name__)
@@ -298,7 +298,7 @@ class GitHubClient:
                 counted = [
                     job
                     for job in self.list_run_jobs(repo, run_id)
-                    if job.status in OUTSTANDING_STATUSES and job_matches_labels(job.requested_labels, runner_labels)
+                    if job.status in OUTSTANDING_STATUSES and job.requested_labels.issubset(runner_labels)
                 ]
                 if counted:
                     self._barren.discard(run_id)

@@ -22,8 +22,8 @@ from ..clock import to_rfc3339
 from ..config import Config, Policy, RepoCoordinates
 from ..reconciler import ANNOTATION_LAST_ACTIVE, ReconcileRecord
 from ..service import run_service
-from .fake_github import FakeGitHub
-from .fake_kube import FakeKube
+from .fake_github import OWNER, REPO, FakeGitHub
+from .fake_kube import DEPLOYMENT, NAMESPACE, FakeKube
 from .fake_runner import RunnerWorld
 from .scenario import ScenarioEvent, ScenarioScript, policy_from_script
 from .trace import Trace
@@ -31,10 +31,6 @@ from .virtual_clock import VirtualClock
 
 HARNESS_GITHUB_TOKEN = "gh-harness-token-0001"
 HARNESS_KUBE_TOKEN = "kube-harness-sa-token"
-NAMESPACE = "ci"
-DEPLOYMENT = "gha-runner"
-OWNER = "biocore"
-REPO = "unifrac"
 
 
 class _ManagerHandle:
@@ -146,16 +142,8 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
             ANNOTATION_LAST_ACTIVE: to_rfc3339(epoch + script.initial_last_active)
         }
 
-    github = FakeGitHub(
-        owner=OWNER,
-        repo=REPO,
-        expected_token=HARNESS_GITHUB_TOKEN,
-        clock=clock,
-        keep_request_log=keep_request_log,
-    ).start()
+    github = FakeGitHub(expected_token=HARNESS_GITHUB_TOKEN, clock=clock, keep_request_log=keep_request_log).start()
     kube = FakeKube(
-        namespace=NAMESPACE,
-        deployment=DEPLOYMENT,
         clock=clock,
         pod_startup_delay=script.pod_startup_delay,
         schedule=clock.call_at,

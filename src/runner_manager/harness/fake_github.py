@@ -28,6 +28,8 @@ from ..clock import Clock, SystemClock, to_rfc3339
 from ..labels import LabelSet
 from .httpserver import FakeHttpServer, Request, Response
 
+OWNER = "biocore"  # the one repository the fake serves
+REPO = "unifrac"
 PAGE_SIZE = 100
 
 _RUNS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs$")
@@ -73,19 +75,13 @@ class FakeGitHub:
 
     def __init__(
         self,
-        owner: str = "biocore",
-        repo: str = "unifrac",
         expected_token: str | None = None,
         clock: Clock | None = None,
         keep_request_log: bool = False,
-        fixed_registration_token: str | None = None,
     ):
-        self.owner = owner
-        self.repo = repo
         self.expected_token = expected_token
         self.clock = clock or SystemClock()
         self.keep_request_log = keep_request_log
-        self.fixed_registration_token = fixed_registration_token
 
         self._lock = threading.RLock()
         self.jobs: dict[int, FakeJob] = {}
@@ -97,10 +93,8 @@ class FakeGitHub:
         self._job_seq = 0
         self._run_seq = 0
         self._runner_seq = 0
-        self._token_seq = 0
         # ("status", code) | ("rate_limit", retry_after) | ("secondary_rate_limit", retry_after)
         self.fault: tuple[str, float] | None = None
-        self.registration_status: int | None = None  # force a status on token minting
 
         self.api_request_count = 0
         self._rate_window = 0  # hour of virtual time the budget below belongs to
@@ -240,8 +234,7 @@ class FakeGitHub:
 
     def mint_registration_token(self) -> tuple[str, float]:
         with self._lock:
-            self._token_seq += 1
-            token = self.fixed_registration_token or f"REG-{self._token_seq:04d}"
+            token = f"REG-{len(self.issued_registration_tokens) + 1:04d}"
             self.issued_registration_tokens.append(token)
             return token, self.clock.now() + REGISTRATION_TOKEN_TTL
 
@@ -302,7 +295,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
     if method == "GET":
         match = _RUNS_RE.match(path)
         if match:
-            if not _repo_ok(gh, match):
+            if not _repo_ok(match):
                 return _not_found()
             wanted = query.get("status")
             runs = gh.runs()
@@ -312,7 +305,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
 
         match = _JOBS_RE.match(path)
         if match:
-            if not _repo_ok(gh, match):
+            if not _repo_ok(match):
                 return _not_found()
             run_id = int(match.group(3))
             with gh._lock:
@@ -333,10 +326,8 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
     if method == "POST":
         match = _REG_TOKEN_RE.match(path)
         if match:
-            if not _repo_ok(gh, match):
+            if not _repo_ok(match):
                 return _not_found()
-            if gh.registration_status is not None:
-                return Response.json(gh.registration_status, {"message": "forced status"})
             token, expires = gh.mint_registration_token()
             return Response.json(201, {"token": token, "expires_at": to_rfc3339(expires)})
 
@@ -365,7 +356,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
         if path == "/_harness/runners":
             body = request.json()
             token = str(body.get("token", ""))
-            if gh.issued_registration_tokens and token not in gh.issued_registration_tokens:
+            if token not in gh.issued_registration_tokens:
                 return Response.json(403, {"message": "bad registration token"})
             runner_id = gh.register_runner(str(body.get("name", "runner")), list(body.get("labels", [])))
             return Response.json(201, {"runner_id": runner_id})
@@ -398,8 +389,8 @@ def _maybe_fault(gh: FakeGitHub) -> Response | None:
     return Response.json(code, {"message": f"injected fault {code}"})
 
 
-def _repo_ok(gh: FakeGitHub, match) -> bool:
-    return match.group(1) == gh.owner and match.group(2) == gh.repo
+def _repo_ok(match) -> bool:
+    return match.group(1) == OWNER and match.group(2) == REPO
 
 
 def _not_found() -> Response:

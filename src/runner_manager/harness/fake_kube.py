@@ -1,10 +1,14 @@
-"""Fake Kubernetes API server for one namespace.
+"""Fake Kubernetes API server for one Deployment in one namespace.
 
-Implements exactly the surfaces the manager may touch: the Deployment
-itself (read, and merge patches of its annotations), its scale subresource,
-and the pod list. Every request outside the configured namespace is answered
-403 and recorded in ``cross_namespace_requests``, which fails the scenario --
-the unprivileged-operation guarantee made testable.
+The reconcile loop sends one ``GET`` of the Deployment a poll and writes
+through two merge patches: ``spec.replicas`` on ``/scale`` and the
+Deployment's annotations. The fake serves those three, plus the pod list
+that ``KubeClient.list_runner_pods`` still reads; that method, like
+``read_annotations``, stays only because the benchmark's tracer looks it
+up. Nothing reads ``/scale``, so a ``GET`` of it answers ``405``. Every
+request outside namespace ``ci`` is answered 403 and recorded in
+``cross_namespace_requests``, which fails the scenario -- the
+unprivileged-operation guarantee made testable.
 
 Scaling behaves like a (simplified) Deployment controller: on 0->N the
 fake creates Pending pods that turn Running after a configurable startup
@@ -19,7 +23,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from ..clock import Clock, SystemClock, to_rfc3339
+from ..clock import Clock, SystemClock
 from .httpserver import FakeHttpServer, Request, Response
 
 _SCALE_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)/scale$")
@@ -27,13 +31,14 @@ _DEPLOY_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)$
 _PODS_RE = re.compile(r"^/api/v1/namespaces/([^/]+)/pods$")
 
 MERGE_PATCH = "application/merge-patch+json"
+NAMESPACE = "ci"
+DEPLOYMENT = "gha-runner"
 
 
 @dataclass
 class FakePod:
     name: str
     phase: str  # Pending | Running
-    started_at: float | None = None
 
 
 @dataclass
@@ -47,15 +52,11 @@ class ScaleWrite:
 class FakeKube:
     def __init__(
         self,
-        namespace: str = "ci",
-        deployment: str = "gha-runner",
         clock: Clock | None = None,
         pod_startup_delay: float = 0.0,
         schedule: Callable[[float, Callable[[], None]], None] | None = None,
         initial_annotations: dict[str, str] | None = None,
     ):
-        self.namespace = namespace
-        self.deployment = deployment
         self.clock = clock or SystemClock()
         self.pod_startup_delay = pod_startup_delay
         self._schedule = schedule
@@ -63,7 +64,6 @@ class FakeKube:
         self._lock = threading.RLock()
         self.spec_replicas = 0
         self.annotations: dict[str, str] = dict(initial_annotations or {})
-        self.resource_version = 1
         self.pods: list[FakePod] = []
         self._pod_seq = 0  # pod names embed it, so a name is never reused
         self.fault_status: int | None = None
@@ -113,10 +113,9 @@ class FakeKube:
         became_running: list[str] = []
         with self._lock:
             self.spec_replicas = replicas
-            self.resource_version += 1
             while len(self.pods) < replicas:
                 self._pod_seq += 1
-                pod = FakePod(name=f"{self.deployment}-{self._pod_seq}", phase="Pending")
+                pod = FakePod(name=f"{DEPLOYMENT}-{self._pod_seq}", phase="Pending")
                 self.pods.append(pod)
                 if self._schedule is not None:
                     self._schedule(
@@ -125,7 +124,6 @@ class FakeKube:
                     )
                 else:
                     pod.phase = "Running"
-                    pod.started_at = now
                     became_running.append(pod.name)
             while len(self.pods) > replicas:
                 to_terminate.append(self.pods.pop())  # newest first
@@ -142,7 +140,6 @@ class FakeKube:
             if pod is None or pod.phase == "Running":
                 return
             pod.phase = "Running"
-            pod.started_at = self.clock.now()
         if self.on_pod_running is not None:
             self.on_pod_running(name)
 
@@ -190,42 +187,34 @@ def _handle(kube: FakeKube, request: Request) -> Response:
     deploy = _DEPLOY_RE.match(path)
     pods = _PODS_RE.match(path)
     match = scale or deploy or pods
-    if match is None or match.group(1) != kube.namespace:
+    if match is None or match.group(1) != NAMESPACE:
         with kube._lock:
             kube.cross_namespace_requests.append(path)
-        return Response.json(403, {"message": f"forbidden outside namespace {kube.namespace}"})
+        return Response.json(403, {"message": f"forbidden outside namespace {NAMESPACE}"})
     with kube._lock:
         fault = kube.fault_status
     if fault is not None:
         return Response.json(fault, {"message": f"injected fault {fault}"})
-    if (scale or deploy) and match.group(2) != kube.deployment:
+    if (scale or deploy) and match.group(2) != DEPLOYMENT:
         return Response.json(404, {"message": "deployment not found"})
 
     if request.method == "GET":
-        if scale:
-            return Response.json(200, _scale_body(kube))
         if deploy:
             return Response.json(200, _deployment_body(kube))
-        selector = _parse_selector(request.query.get("labelSelector", ""))
-        pod_labels = {"app": kube.deployment}
-        items = []
-        if all(pod_labels.get(k) == v for k, v in selector.items()):
-            with kube._lock:
-                for pod in kube.pods:
-                    status: dict = {"phase": pod.phase}
-                    if pod.started_at is not None:
-                        status["startTime"] = to_rfc3339(pod.started_at)
-                    items.append(
+        if pods:
+            selector = _parse_selector(request.query.get("labelSelector", ""))
+            pod_labels = {"app": DEPLOYMENT}
+            items = []
+            if all(pod_labels.get(k) == v for k, v in selector.items()):
+                with kube._lock:
+                    items = [
                         {
-                            "metadata": {
-                                "name": pod.name,
-                                "namespace": kube.namespace,
-                                "labels": dict(pod_labels),
-                            },
-                            "status": status,
+                            "metadata": {"name": pod.name, "namespace": NAMESPACE, "labels": dict(pod_labels)},
+                            "status": {"phase": pod.phase},
                         }
-                    )
-        return Response.json(200, {"kind": "PodList", "items": items})
+                        for pod in kube.pods
+                    ]
+            return Response.json(200, {"kind": "PodList", "items": items})
 
     if request.method == "PATCH":
         content_type = (request.headers.get("content-type") or "").split(";")[0].strip()
@@ -265,7 +254,6 @@ def _handle(kube: FakeKube, request: Request) -> Response:
                         kube.annotations.pop(key, None)
                     else:
                         kube.annotations[key] = str(value)
-                kube.resource_version += 1
             return Response.json(200, _deployment_body(kube))
         return Response.json(405, {"message": "pods are managed by the deployment controller"})
 
@@ -277,13 +265,9 @@ def _scale_body(kube: FakeKube) -> dict:
         return {
             "kind": "Scale",
             "apiVersion": "autoscaling/v1",
-            "metadata": {
-                "name": kube.deployment,
-                "namespace": kube.namespace,
-                "resourceVersion": str(kube.resource_version),
-            },
+            "metadata": {"name": DEPLOYMENT, "namespace": NAMESPACE},
             "spec": {"replicas": kube.spec_replicas},
-            "status": {"replicas": len(kube.pods), "selector": f"app={kube.deployment}"},
+            "status": {"replicas": len(kube.pods), "selector": f"app={DEPLOYMENT}"},
         }
 
 
@@ -292,12 +276,7 @@ def _deployment_body(kube: FakeKube) -> dict:
         return {
             "kind": "Deployment",
             "apiVersion": "apps/v1",
-            "metadata": {
-                "name": kube.deployment,
-                "namespace": kube.namespace,
-                "annotations": dict(kube.annotations),
-                "resourceVersion": str(kube.resource_version),
-            },
+            "metadata": {"name": DEPLOYMENT, "namespace": NAMESPACE, "annotations": dict(kube.annotations)},
             "spec": {"replicas": kube.spec_replicas},
             "status": _deployment_status(kube),
         }

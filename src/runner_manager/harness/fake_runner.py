@@ -23,6 +23,9 @@ from typing import Callable
 
 from .fake_github import FakeGitHub
 
+POLL_SECONDS = 0.02  # between claim attempts while idle
+TIME_SCALE = 0.001  # wall seconds a job takes per simulated second of its duration
+
 
 class RunnerWorld:
     """Keeps one fake runner per Running pod and drives job claims. Which
@@ -103,17 +106,15 @@ def _http_json(method: str, url: str, payload: dict | None = None) -> tuple[int,
         return exc.code, {}
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     """Entry point for the subprocess fake runner.
 
     Reads its connection details from the JSON config file produced by
     ``runner-bootstrap init`` (path in RUNNER_CONFIG); the work directory
-    comes from RUNNER_WORK_DIR. Job durations are scaled down so tests
-    complete quickly.
+    comes from RUNNER_WORK_DIR. ``runner-bootstrap run`` sets both. Job
+    durations are scaled down by ``TIME_SCALE`` so tests complete quickly.
     """
     config_path = os.environ.get("RUNNER_CONFIG")
-    if not config_path and argv:
-        config_path = argv[0]
     if not config_path or not os.path.exists(config_path):
         print("fake runner: RUNNER_CONFIG not set or missing", file=sys.stderr)
         return 2
@@ -121,9 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         config = json.load(fh)
 
     api_base = config["github_api_base"].rstrip("/")
-    work_dir = os.environ.get("RUNNER_WORK_DIR") or config.get("work_dir") or "."
-    poll_seconds = float(os.environ.get("FAKE_RUNNER_POLL_MS", "50")) / 1000.0
-    time_scale = float(os.environ.get("FAKE_RUNNER_TIME_SCALE", "0.01"))
+    work_dir = os.environ["RUNNER_WORK_DIR"]
 
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
@@ -133,9 +132,9 @@ def main(argv: list[str] | None = None) -> int:
         "POST",
         f"{api_base}/_harness/runners",
         {
-            "name": config.get("runner_name", "fake-runner"),
-            "labels": config.get("labels", []),
-            "token": config.get("registration_token", ""),
+            "name": config["runner_name"],
+            "labels": config["labels"],
+            "token": config["registration_token"],
         },
     )
     if status != 201:
@@ -143,18 +142,17 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     runner_id = body["runner_id"]
 
-    os.makedirs(work_dir, exist_ok=True)
     try:
         while not stop.is_set():
             status, job = _http_json("POST", f"{api_base}/_harness/runners/{runner_id}/claim")
             if status != 200 or not job:
-                stop.wait(poll_seconds)
+                stop.wait(POLL_SECONDS)
                 continue
             workspace = os.path.join(work_dir, f"job-{job['id']}")
             os.makedirs(workspace, exist_ok=True)
             with open(os.path.join(workspace, "result.txt"), "w", encoding="utf-8") as fh:
                 fh.write(f"job {job['id']} ran with labels {job['labels']}\n")
-            stop.wait(min(job.get("duration", 0) * time_scale, 0.5))
+            stop.wait(min(job["duration"] * TIME_SCALE, 0.5))
             _http_json(
                 "POST",
                 f"{api_base}/_harness/runners/{runner_id}/complete",
@@ -166,4 +164,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -20,6 +20,7 @@ from ..clock import Clock, from_rfc3339
 
 # Scenario time zero: an arbitrary fixed instant so RFC 3339 rendering is stable.
 SIM_EPOCH = from_rfc3339("2024-01-01T00:00:00Z")
+QUIESCE_TIMEOUT = 60.0  # wall seconds the driver waits for every actor to park
 
 
 class _Waiter:
@@ -89,11 +90,11 @@ class VirtualClock(Clock):
 
     # -- driver side ---------------------------------------------------------
 
-    def wait_quiescent(self, timeout: float = 60.0) -> None:
+    def wait_quiescent(self) -> None:
         """Block (on the wall clock) until every actor is parked in wait_until."""
         with self._cond:
-            if not self._cond.wait_for(lambda: self._busy == 0, timeout=timeout):
-                raise RuntimeError(f"actors failed to quiesce within {timeout}s (busy={self._busy})")
+            if not self._cond.wait_for(lambda: self._busy == 0, timeout=QUIESCE_TIMEOUT):
+                raise RuntimeError(f"actors failed to quiesce within {QUIESCE_TIMEOUT}s (busy={self._busy})")
 
     def next_deadline(self) -> float | None:
         """The earliest pending timer or waiter deadline; None if there is none."""

@@ -1,13 +1,15 @@
 """Namespaced Kubernetes API client.
 
-Only three surfaces are touched, all inside the configured namespace: the
-Deployment itself, its scale subresource, and the pod list. Nothing here can
+Every request stays inside the configured namespace. Nothing here can
 express a cluster-scoped request, which is the whole point of the design.
 
 The reconcile loop sends one ``GET`` of the Deployment per poll: that object
 carries ``spec.replicas``, ``status.readyReplicas`` and the annotations that
-hold the keepalive bookkeeping. It writes through merge patches of
-``/scale`` and of the Deployment's annotations. A ``409`` conflict, a
+hold the keepalive bookkeeping. It writes through two merge patches: one of
+``/scale`` and one of the Deployment's annotations. The loop calls nothing
+else; :meth:`KubeClient.list_runner_pods` and
+:meth:`KubeClient.read_annotations` stay only because the benchmark's
+tracer looks them up by name. A ``409`` conflict, a
 ``429`` from API Priority and Fairness and a ``5xx`` are transient: the loop
 skips that poll's writes and tries again next poll.
 """
@@ -110,17 +112,11 @@ def _read_mount(mount_root: str, name: str) -> str:
 class KubeClient:
     """Scale, annotation and pod operations for one Deployment."""
 
-    def __init__(
-        self,
-        creds: KubeCredentials,
-        deployment: str,
-        max_replicas: int,
-        transport: HttpTransport | None = None,
-    ):
+    def __init__(self, creds: KubeCredentials, deployment: str, max_replicas: int):
         self._creds = creds
         self._deployment = deployment
         self._max_replicas = max_replicas
-        self._transport = transport or HttpTransport(ca_file=creds.ca_bundle)
+        self._transport = HttpTransport(ca_file=creds.ca_bundle)
 
     def close(self) -> None:
         self._transport.close()

@@ -60,8 +60,3 @@ class LabelSet:
 
     def as_list(self) -> list[str]:
         return list(self._display)
-
-
-def job_matches_labels(requested: LabelSet, runner: LabelSet) -> bool:
-    """True iff every requested label is advertised by the runner."""
-    return requested.issubset(runner)

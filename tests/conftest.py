@@ -43,13 +43,7 @@ def clock():
 
 @pytest.fixture
 def fake_github(clock):
-    server = FakeGitHub(
-        owner="biocore",
-        repo="unifrac",
-        expected_token=TEST_TOKEN,
-        clock=clock,
-        keep_request_log=True,
-    ).start()
+    server = FakeGitHub(expected_token=TEST_TOKEN, clock=clock, keep_request_log=True).start()
     yield server
     server.close()
 
@@ -63,7 +57,7 @@ def gh_client(fake_github, clock):
 
 @pytest.fixture
 def fake_kube(clock):
-    server = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    server = FakeKube(clock=clock).start()
     server.keep_request_paths = True
     yield server
     server.close()

@@ -356,7 +356,7 @@ def test_criterion_7_restart_resilience(restart_batch):
 
 
 def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
-    github = FakeGitHub(fixed_registration_token="REG-acc").start()
+    github = FakeGitHub().start()
     client = GitHubClient(github.base_url, "token")
     try:
         persistent, work = tmp_path / "runner", tmp_path / "work"
@@ -440,15 +440,26 @@ def test_criterion_10_manifest_fidelity():
     text = emit_manifests(config)
     objs = [o for o in yaml.safe_load_all(text) if o]
     runner = next(o for o in objs if o.get("kind") == "Deployment" and o["metadata"]["name"] == "gha-runner")
-    resources = runner["spec"]["template"]["spec"]["containers"][0]["resources"]["requests"]
+    container = runner["spec"]["template"]["spec"]["containers"][0]
+    resources = container["resources"]["requests"]
     assert resources["cpu"] == 4
     assert resources["memory"] == "8Gi"
     assert resources["ephemeral-storage"] == "80Gi"
     assert resources["nvidia.com/gpu"] == 1
     assert runner["spec"]["replicas"] == 0
+    assert "env" not in container  # `runner-bootstrap init` fixes the labels; the pod reads none
     assert "linux-gpu-cuda" in text
+    role = next(o for o in objs if o["kind"] == "Role")
+    assert role["rules"] == [
+        {"apiGroups": ["apps"], "resources": ["deployments"], "verbs": ["get", "patch"]},
+        {"apiGroups": ["apps"], "resources": ["deployments/scale"], "verbs": ["patch"]},
+    ]
     assert validate_objects(objs) == []
-    _ok(10, "default manifests request cpu=4, memory=8Gi, ephemeral-storage=80Gi, 1 GPU, replicas=0, custom label")
+    _ok(
+        10,
+        "default manifests request cpu=4, memory=8Gi, ephemeral-storage=80Gi, 1 GPU, replicas=0, custom label; "
+        "Role grants get/patch on the Deployment and patch on /scale",
+    )
 
 
 def _tree_digest(root: Path) -> str:

@@ -39,7 +39,7 @@ def _dir_digest(root: str) -> str:
 
 @pytest.fixture
 def github():
-    server = FakeGitHub(fixed_registration_token="REG-abc").start()
+    server = FakeGitHub().start()
     yield server
     server.close()
 
@@ -70,7 +70,7 @@ def test_init_writes_config_with_labels_and_token(client, profile):
     assert init_runner_dir(profile, REPO, client) is True
     assert os.path.exists(os.path.join(profile.persistent_dir, MARKER_NAME))
     config = json.loads(Path(profile.persistent_dir, "runner-config.json").read_text())
-    assert config["registration_token"] == "REG-abc"
+    assert config["registration_token"] == "REG-0001"
     assert "linux-gpu-cuda" in config["labels"]
     assert config["work_dir"] == profile.work_dir
     assert config["repo_url"] == "https://github.com/biocore/unifrac"
@@ -85,7 +85,7 @@ def test_second_init_is_noop_and_directory_byte_identical(github, client, profil
 
 
 def test_failed_token_acquisition_leaves_no_marker(github, client, profile):
-    github.registration_status = 403
+    github.set_fault("status", 403)
     with pytest.raises(CredentialError):
         init_runner_dir(profile, REPO, client)
     assert not os.path.exists(os.path.join(profile.persistent_dir, MARKER_NAME))
@@ -123,12 +123,7 @@ def fake_runner_env() -> dict[str, str]:
     """
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(runner_manager.__file__)))
     pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    return {
-        **os.environ,
-        "PYTHONPATH": pythonpath,
-        "FAKE_RUNNER_POLL_MS": "20",
-        "FAKE_RUNNER_TIME_SCALE": "0.001",
-    }
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 def install_fake_runner(persistent_dir: str) -> None:

@@ -58,7 +58,7 @@ def test_bootstrap_manifests_to_stdout(capsys):
 
 
 def test_bootstrap_init_via_cli(tmp_path, monkeypatch):
-    github = FakeGitHub(fixed_registration_token="REG-cli").start()
+    github = FakeGitHub().start()
     try:
         runner_dir = tmp_path / "runner"
         runner_dir.mkdir()
@@ -77,7 +77,7 @@ def test_bootstrap_init_via_cli(tmp_path, monkeypatch):
         assert rc == 0
         assert (runner_dir / ".runner-initialized").exists()
         config = json.loads((runner_dir / "runner-config.json").read_text())
-        assert config["registration_token"] == "REG-cli"
+        assert config["registration_token"] == "REG-0001"
     finally:
         github.close()
 
@@ -170,7 +170,7 @@ def test_fake_runner_requires_config(monkeypatch):
     from runner_manager.harness import fake_runner
 
     monkeypatch.delenv("RUNNER_CONFIG", raising=False)
-    assert fake_runner.main([]) == 2
+    assert fake_runner.main() == 2
 
 
 def test_service_logging_setup_is_idempotent(monkeypatch):

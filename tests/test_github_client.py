@@ -117,17 +117,17 @@ def test_5xx_classified_transient(fake_github, gh_client):
 def test_registration_token_echoes_fixture(clock):
     from runner_manager.harness.fake_github import FakeGitHub
 
-    gh = FakeGitHub(fixed_registration_token="REG-abc", clock=clock).start()
+    gh = FakeGitHub(clock=clock).start()
     try:
         with closing(GitHubClient(gh.base_url, TEST_TOKEN, clock=clock)) as client:
             token = client.create_registration_token(REPO)
-        assert token == RegistrationToken(token="REG-abc", expires_at=clock.now() + 3600)
+        assert token == RegistrationToken(token="REG-0001", expires_at=clock.now() + 3600)
     finally:
         gh.close()
 
 
 def test_registration_403_is_credential_error_without_retry(fake_github, gh_client):
-    fake_github.registration_status = 403
+    fake_github.set_fault("status", 403)
     with pytest.raises(CredentialError):
         gh_client.create_registration_token(REPO)
     token_posts = [r for r in fake_github.request_log if "registration-token" in r.path]

@@ -1,5 +1,6 @@
 """The testbed itself: virtual clock, fake servers, scenario driver."""
 
+import json
 import threading
 import urllib.error
 import urllib.request
@@ -115,6 +116,29 @@ class TestFakeGitHub:
         fake_github.clear_fault()
         assert gh_client.list_runs(RepoCoordinates("biocore", "unifrac"), "queued") == []
 
+    def test_registration_accepts_only_minted_tokens(self, fake_github):
+        assert _register_over_http(fake_github, "REG-0001") == 403  # nothing minted yet
+        token, _ = fake_github.mint_registration_token()
+        assert token == "REG-0001"
+        assert _register_over_http(fake_github, "REG-forged") == 403
+        assert _register_over_http(fake_github, token) == 201
+        assert len(fake_github.runners) == 1
+
+
+def _register_over_http(fake_github, token: str) -> int:
+    """POST to the fake runner's registration route; the HTTP status."""
+    request = urllib.request.Request(
+        f"{fake_github.base_url}/_harness/runners",
+        data=json.dumps({"name": "r1", "labels": ["self-hosted"], "token": token}).encode(),
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code
+
 
 class TestFakeKube:
     def test_scale_up_creates_running_pod_synchronously(self, fake_kube):
@@ -134,6 +158,15 @@ class TestFakeKube:
         excinfo.value.close()
         assert excinfo.value.code == 403
         assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/namespaces/other/deployments/gha-runner/scale"]
+
+    def test_scale_subresource_is_never_read(self, fake_kube):
+        # The manager only patches /scale; a GET must not fall through to another route.
+        url = f"{fake_kube.base_url}/apis/apps/v1/namespaces/ci/deployments/gha-runner/scale"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(url)
+        excinfo.value.close()
+        assert excinfo.value.code == 405
+        assert fake_kube.cross_namespace_requests == []
 
     def test_cluster_scoped_path_rejected(self, fake_kube):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

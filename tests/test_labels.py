@@ -2,28 +2,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from runner_manager.labels import LabelSet, job_matches_labels
+from runner_manager.labels import LabelSet
 
 
 def test_requested_subset_of_runner_matches():
     requested = LabelSet(["self-hosted", "linux-gpu-cuda"])
     runner = LabelSet(["self-hosted", "linux-gpu-cuda", "x64"])
-    assert job_matches_labels(requested, runner)
+    assert requested.issubset(runner)
 
 
 def test_empty_request_matches_anything():
-    assert job_matches_labels(LabelSet([]), LabelSet(["whatever"]))
-    assert job_matches_labels(LabelSet([]), LabelSet([]))
+    assert LabelSet([]).issubset(LabelSet(["whatever"]))
+    assert LabelSet([]).issubset(LabelSet([]))
 
 
 def test_mismatched_os_label_rejected():
     requested = LabelSet(["self-hosted", "windows"])
     runner = LabelSet(["self-hosted", "linux-gpu-cuda"])
-    assert not job_matches_labels(requested, runner)
+    assert not requested.issubset(runner)
 
 
 def test_comparison_is_case_insensitive():
-    assert job_matches_labels(LabelSet(["Self-Hosted"]), LabelSet(["self-hosted"]))
+    assert LabelSet(["Self-Hosted"]).issubset(LabelSet(["self-hosted"]))
     assert LabelSet(["GPU", "gpu"]) == LabelSet(["gpu"])
     assert len(LabelSet(["GPU", "gpu", "Gpu"])) == 1
 
@@ -43,15 +43,15 @@ labels = st.lists(st.text(alphabet="abcXYZ-", min_size=1, max_size=8), max_size=
 
 @given(a=labels, b=labels, extra=labels)
 def test_subset_law_monotone_in_runner_labels(a, b, extra):
-    # job_matches(A, B) and B <= C  =>  job_matches(A, C)
+    # A <= B and B <= C  =>  A <= C
     requested = LabelSet(a)
     runner = LabelSet(b)
     bigger = LabelSet(list(b) + list(extra))
-    if job_matches_labels(requested, runner):
-        assert job_matches_labels(requested, bigger)
+    if requested.issubset(runner):
+        assert requested.issubset(bigger)
 
 
 @given(a=labels)
 def test_every_set_matches_itself(a):
     s = LabelSet(a)
-    assert job_matches_labels(s, s)
+    assert s.issubset(s)

@@ -136,7 +136,7 @@ class _UnwritableKubeClient(KubeClient):
 
 def test_refused_scale_writes_reach_the_credential_exit(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     kube_client = _UnwritableKubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "gha-runner",
@@ -183,7 +183,7 @@ class _ReadOnlyKubeClient(_UnwritableKubeClient):
 
 def test_two_refused_writes_in_one_poll_count_once(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     kube_client = _ReadOnlyKubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "gha-runner",
@@ -260,7 +260,7 @@ def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=
 
 def test_idle_polls_draw_on_the_rate_limit_only_for_the_first_answers(clock):
     github = FakeGitHub(expected_token="t", clock=clock, keep_request_log=True).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     try:
         code, records = _run_polls(clock, github, kube, polls=30)
     finally:
@@ -277,7 +277,7 @@ def test_idle_polls_draw_on_the_rate_limit_only_for_the_first_answers(clock):
 
 def test_secondary_rate_limit_holds_without_exiting(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     kube.apply_scale(1)  # a live runner that the outage must not scale down
     github.set_fault("secondary_rate_limit", 30)
     try:
@@ -318,7 +318,7 @@ def test_idle_polls_read_scale_and_never_list_pods(clock, monkeypatch):
     # Zero replicas, no jobs, and activity recorded now: no keepalive falls due.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(
-        namespace="ci", deployment="gha-runner", clock=clock,
+        clock=clock,
         initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())},
     ).start()
     per_poll, on_record = _requests_per_poll(monkeypatch)
@@ -339,7 +339,7 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
     # No annotations: the keepalive is due at once, so the manager scales to
     # 1, holds the runner for min_dwell (15 polls), then scales back to 0.
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     per_poll, file_requests = _requests_per_poll(monkeypatch)
     stamps = []  # the last-active annotation after each poll
 
@@ -391,7 +391,7 @@ def test_busy_hour_refreshes_last_active_once_per_min_dwell(clock, monkeypatch):
     # A ready runner and a job nobody claims: 60 polls of demand for 1.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     github.enqueue_job(LABELS, duration=7200.0)
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     kube.apply_scale(1)
     sent = _record_last_active_patches(monkeypatch)
     try:
@@ -478,7 +478,7 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
 
 def test_kube_throttling_holds_without_exiting(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     kube.apply_scale(1)  # a live runner that throttling must not scale down
     kube.set_fault(429)
     try:
@@ -503,7 +503,7 @@ def test_scenario_leaves_no_threads_behind():
 
 def test_missing_deployment_exits_config_error(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     kube_client = KubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "not-the-runner",
@@ -534,7 +534,7 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
     # Wall-clock run with a tiny poll interval; stop fires while the loop sleeps.
     clock = SystemClock()
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     github_client = GitHubClient(github.base_url, "t", clock=clock)
     kube_client = KubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),

@@ -206,7 +206,7 @@ def test_running_service_serves_status_without_leaking_token():
     secret = "ghp-EXTREMELY-SECRET-VALUE"
     clock = SystemClock()
     github = FakeGitHub(expected_token=secret, clock=clock).start()
-    kube = FakeKube(namespace="ci", deployment="gha-runner", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
     stop = threading.Event()
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
