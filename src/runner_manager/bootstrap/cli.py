@@ -9,19 +9,14 @@ import signal
 import sys
 import threading
 
-from ..config import DEFAULT_GITHUB_API, DEFAULT_RUNNER_LABELS, Config, Policy, RepoCoordinates, resolve_github_token
+from ..config import DEFAULT_GITHUB_API, Config, Policy, RepoCoordinates, parse_labels, resolve_github_token
 from ..errors import ApiError, ConfigError
 from ..github import GitHubClient
-from ..labels import LabelSet
 from .manifests import emit_manifests
 from .profile import RunnerProfile
 from .runner_dir import MARKER_NAME, init_runner_dir, run_runner
 
 logger = logging.getLogger(__name__)
-
-
-def _labels(text: str | None) -> LabelSet:
-    return LabelSet.parse(text) if text else LabelSet(DEFAULT_RUNNER_LABELS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,14 +46,17 @@ def main(argv: list[str] | None = None) -> int:
     man_p.add_argument("--image", default="REPLACE_WITH_RUNNER_IMAGE")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "init":
-        try:
-            token = resolve_github_token(args.github_token_file, dict(os.environ))
-        except ConfigError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 1
-        profile = RunnerProfile(args.dir, args.work_dir, _labels(args.labels))
+        token = resolve_github_token(args.github_token_file, dict(os.environ))
+        profile = RunnerProfile(args.dir, args.work_dir, parse_labels(args.labels))
         github = GitHubClient(args.github_api, token)
         try:
             initialized = init_runner_dir(profile, RepoCoordinates(args.owner, args.repo), github)
@@ -81,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "manifests":
         config = Config(
             repo=RepoCoordinates(args.owner, args.repo),
-            policy=Policy(runner_labels=_labels(args.labels)),
+            policy=Policy(runner_labels=parse_labels(args.labels)),
             kube_deployment=args.deployment,
             kube_namespace=args.namespace,
         )

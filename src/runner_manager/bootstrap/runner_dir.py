@@ -105,7 +105,7 @@ def init_runner_dir(
 
 def run_runner(
     profile: RunnerProfile,
-    stop: threading.Event | None = None,
+    stop: threading.Event,
     environment: dict[str, str] | None = None,
 ) -> int:
     """Launch ``<persistent_dir>/run.sh`` against the initialized directory.
@@ -132,14 +132,12 @@ def run_runner(
     run_sh = os.path.join(profile.persistent_dir, "run.sh")
     child = subprocess.Popen([run_sh], env=child_env, cwd=profile.persistent_dir)
 
-    if stop is not None:
+    def _watch_stop():
+        stop.wait()
+        if child.poll() is None:
+            child.send_signal(signal.SIGTERM)
 
-        def _watch_stop():
-            stop.wait()
-            if child.poll() is None:
-                child.send_signal(signal.SIGTERM)
-
-        threading.Thread(target=_watch_stop, daemon=True).start()
+    threading.Thread(target=_watch_stop, daemon=True).start()
 
     try:
         return child.wait()

@@ -17,7 +17,7 @@ class Clock:
     def now(self) -> float:
         raise NotImplementedError
 
-    def wait_until(self, deadline: float, interrupt: threading.Event | None = None) -> None:
+    def wait_until(self, deadline: float, interrupt: threading.Event) -> None:
         """Block until ``now() >= deadline`` or ``interrupt`` is set."""
         raise NotImplementedError
 
@@ -28,14 +28,10 @@ class SystemClock(Clock):
     def now(self) -> float:
         return time.time()
 
-    def wait_until(self, deadline: float, interrupt: threading.Event | None = None) -> None:
+    def wait_until(self, deadline: float, interrupt: threading.Event) -> None:
         while True:
             remaining = deadline - time.time()
-            if remaining <= 0:
-                return
-            if interrupt is None:
-                time.sleep(min(remaining, 1.0))
-            elif interrupt.wait(timeout=remaining):
+            if remaining <= 0 or interrupt.wait(timeout=remaining):
                 return
 
 

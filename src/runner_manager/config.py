@@ -32,8 +32,9 @@ _UNIT_SECONDS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, None: 1.0}
 
 
 def parse_duration(text: str | float | int, *, name: str = "duration") -> float:
-    """Parse '90', '90s', '15m', '84h' or '3.5d' into seconds."""
-    if isinstance(text, (int, float)):
+    """Parse '90', '90s', '15m', '84h' or '3.5d' into seconds; a number is
+    seconds already. A boolean is refused."""
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         return float(text)
     match = _DURATION_RE.match(text) if isinstance(text, str) else None
     if not match:
@@ -42,11 +43,25 @@ def parse_duration(text: str | float | int, *, name: str = "duration") -> float:
 
 
 def parse_count(value: str | int, *, name: str) -> int:
-    """Parse a whole number such as '4'."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: cannot parse whole number {value!r}") from None
+    """Parse a whole number such as '4' or 4; a boolean or a fraction is refused."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fraction):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name}: cannot parse whole number {value!r}")
+
+
+def parse_labels(text: str | None) -> LabelSet:
+    """Runner labels from comma-separated text; unset or empty text gives the
+    defaults, and text that names no label is refused."""
+    if not text:
+        return LabelSet(DEFAULT_RUNNER_LABELS)
+    labels = LabelSet.parse(text)
+    if len(labels) == 0:
+        raise ConfigError("missing required field: labels (empty label list)")
+    return labels
 
 
 def parse_listen_address(addr: str) -> tuple[str, int]:
@@ -184,13 +199,9 @@ def load_config(flags: list[str], environment: dict[str, str]) -> Config:
 
     repo = RepoCoordinates(owner=values["owner"], repo=values["repo"])
 
-    labels = LabelSet(DEFAULT_RUNNER_LABELS)
-    if values["labels"]:
-        labels = LabelSet.parse(values["labels"])
-        if len(labels) == 0:
-            raise ConfigError("missing required field: labels (empty label list)")
-
-    policy = parse_policy({name: values[name] for name in _POLICY_PARSERS if values[name]}, runner_labels=labels)
+    policy = parse_policy(
+        {name: values[name] for name in _POLICY_PARSERS if values[name]}, runner_labels=parse_labels(values["labels"])
+    )
 
     token = resolve_github_token(values["github_token_file"], environment)
 

@@ -97,7 +97,7 @@ def execute_with_backoff(
     state: BackoffState,
     clock: Clock,
     window_end: float,
-    interrupt: threading.Event | None = None,
+    interrupt: threading.Event,
 ) -> T:
     """Run ``call`` with exponential backoff confined to the current poll window.
 
@@ -116,7 +116,7 @@ def execute_with_backoff(
                     f"backing off until {state.next_allowed_attempt:.0f} (beyond this poll window)"
                 )
             clock.wait_until(state.next_allowed_attempt, interrupt)
-            if interrupt is not None and interrupt.is_set():
+            if interrupt.is_set():
                 raise TransientError("interrupted while waiting out backoff")
         attempt_at = clock.now()
         try:
@@ -129,7 +129,7 @@ def execute_with_backoff(
             state.next_allowed_attempt = attempt_at + delay
             if state.next_allowed_attempt >= window_end:
                 raise
-            if interrupt is not None and interrupt.is_set():
+            if interrupt.is_set():
                 raise
             continue
         state.consecutive_failures = 0

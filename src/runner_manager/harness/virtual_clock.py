@@ -26,7 +26,7 @@ QUIESCE_TIMEOUT = 60.0  # wall seconds the driver waits for every actor to park
 class _Waiter:
     __slots__ = ("deadline", "event", "interrupt")
 
-    def __init__(self, deadline: float, interrupt: threading.Event | None):
+    def __init__(self, deadline: float, interrupt: threading.Event):
         self.deadline = deadline
         self.event = threading.Event()
         self.interrupt = interrupt
@@ -48,9 +48,9 @@ class VirtualClock(Clock):
         with self._cond:
             return self._now
 
-    def wait_until(self, deadline: float, interrupt: threading.Event | None = None) -> None:
+    def wait_until(self, deadline: float, interrupt: threading.Event) -> None:
         with self._cond:
-            if interrupt is not None and interrupt.is_set():
+            if interrupt.is_set():
                 return
             if deadline <= self._now:
                 return
@@ -120,7 +120,7 @@ class VirtualClock(Clock):
     def kick(self) -> None:
         """Wake waiters whose interrupt event has been set (shutdown path)."""
         with self._cond:
-            interrupted = [w for w in self._waiters if w.interrupt is not None and w.interrupt.is_set()]
+            interrupted = [w for w in self._waiters if w.interrupt.is_set()]
             for waiter in interrupted:
                 self._waiters.remove(waiter)
                 self._busy += 1

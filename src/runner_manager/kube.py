@@ -2,6 +2,8 @@
 
 Every request stays inside the configured namespace. Nothing here can
 express a cluster-scoped request, which is the whole point of the design.
+The client's token, namespace, CA and API address are resolved in one
+place, :func:`resolve_credentials`, from the config and the environment.
 
 The reconcile loop sends one ``GET`` of the Deployment per poll: that object
 carries ``spec.replicas``, ``status.readyReplicas`` and the annotations that
@@ -21,6 +23,7 @@ import os
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlencode
 
+from .config import IN_CLUSTER, Config
 from .errors import (
     ConfigError,
     CredentialError,
@@ -36,9 +39,9 @@ POD_PHASES = ("Pending", "Running", "Succeeded", "Failed", "Unknown")
 @dataclass
 class KubeCredentials:
     api_base: str
-    bearer_token: str = field(repr=False, default="")
-    ca_bundle: str | None = None  # path to a CA file; None trusts the system store
-    namespace: str = ""
+    bearer_token: str = field(repr=False)
+    ca_bundle: str | None  # path to a CA file; None trusts the system store
+    namespace: str
 
     def __post_init__(self):
         if not self.namespace:
@@ -61,40 +64,40 @@ class PodInfo:
     phase: str
 
 
-def load_incluster_credentials(
-    mount_root: str,
-    environment: dict[str, str],
-    api_base_override: str | None = None,
-    namespace_override: str | None = None,
-) -> KubeCredentials:
-    """Read the mounted service-account credentials.
+def resolve_credentials(config: Config, environment: dict[str, str]) -> KubeCredentials:
+    """The manager's Kubernetes credentials, from two independent choices.
 
-    ``api_base_override`` keeps the mounted token but talks to an explicit
-    endpoint (the harness runs plain-HTTP fakes this way).
+    The token: when ``--kube-api`` is ``in-cluster`` or ``KUBE_SA_DIR`` is a
+    directory, the service-account mount supplies it, the namespace when the
+    config names none, and ``ca.crt`` when that file exists. Otherwise the
+    token is ``KUBE_TOKEN`` and there is no CA.
+
+    The API: ``in-cluster`` means
+    ``https://$KUBERNETES_SERVICE_HOST:${KUBERNETES_SERVICE_PORT:-443}``. An
+    explicit address is used as given, minus any trailing ``/``; an
+    ``http://`` address drops the CA (the harness runs plain-HTTP fakes).
     """
-    token = _read_mount(mount_root, "token")
-    namespace = namespace_override or _read_mount(mount_root, "namespace")
-
-    ca_path = os.path.join(mount_root, "ca.crt")
-    ca_bundle = ca_path if os.path.exists(ca_path) else None
-
-    if api_base_override:
-        api_base = api_base_override
-        if api_base.startswith("http://"):
-            ca_bundle = None
+    mount = config.kube_sa_dir
+    namespace = config.kube_namespace
+    if config.kube_api_base == IN_CLUSTER or os.path.isdir(mount):
+        token = _read_mount(mount, "token")
+        namespace = namespace or _read_mount(mount, "namespace")
+        ca_path = os.path.join(mount, "ca.crt")
+        ca_bundle = ca_path if os.path.exists(ca_path) else None
     else:
+        token, ca_bundle = environment.get("KUBE_TOKEN", ""), None
+
+    if config.kube_api_base == IN_CLUSTER:
         host = environment.get("KUBERNETES_SERVICE_HOST")
-        port = environment.get("KUBERNETES_SERVICE_PORT", "443")
         if not host:
             raise ConfigError("missing KUBERNETES_SERVICE_HOST (not running in-cluster?)")
-        api_base = f"https://{host}:{port}"
+        api_base = f"https://{host}:{environment.get('KUBERNETES_SERVICE_PORT', '443')}"
+    else:
+        api_base = config.kube_api_base.rstrip("/")
+        if api_base.startswith("http://"):
+            ca_bundle = None
 
-    return KubeCredentials(
-        api_base=api_base.rstrip("/"),
-        bearer_token=token,
-        ca_bundle=ca_bundle,
-        namespace=namespace,
-    )
+    return KubeCredentials(api_base, token, ca_bundle, namespace)
 
 
 def _read_mount(mount_root: str, name: str) -> str:

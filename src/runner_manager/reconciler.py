@@ -169,7 +169,7 @@ def keepalive_due(
     last_active: float | None,
     now: float,
     force_interval: float,
-    lead_time: float = 0.0,
+    lead_time: float,
 ) -> bool:
     """True when a forced provisioning must start.
 
@@ -223,7 +223,7 @@ def update_state(
     decision: Decision,
     observation: Observation,
     now: float,
-    wrote_scale: bool = False,
+    wrote_scale: bool,
 ) -> ManagerState:
     """Advance keepalive bookkeeping after a decision was applied.
 
@@ -264,14 +264,14 @@ class ReconcileLoop:
         policy: Policy,
         clock: Clock,
         repo,
-        stop: threading.Event | None = None,
+        stop: threading.Event,
     ):
         self.github = github
         self.kube = kube
         self.policy = policy
         self.clock = clock
         self.repo = repo
-        self.stop = stop or threading.Event()
+        self.stop = stop
 
         self.state = ManagerState()
         self.backoff = BackoffState()

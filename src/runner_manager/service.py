@@ -3,6 +3,9 @@
 A termination signal stops the loop cleanly -- the in-flight poll is
 finished or abandoned, never followed by a scale write. Transient API
 trouble never terminates the loop; persistent credential failure does.
+The Kubernetes credentials are resolved once, at start-up, by
+:func:`runner_manager.kube.resolve_credentials` from the config and the
+process environment.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import os
 import signal
 import sys
 import threading
+from contextlib import ExitStack
 from typing import Callable
 
 from .clock import Clock, SystemClock
-from .config import IN_CLUSTER, Config, load_config
+from .config import Config, load_config
 from .errors import ApiError, ConfigError, CredentialError, MissingDeploymentError
 from .github import GitHubClient
-from .kube import KubeClient, KubeCredentials, load_incluster_credentials
+from .kube import KubeClient, resolve_credentials
 from .reconciler import ReconcileLoop, ReconcileRecord
 from .status import StatusServer
 
@@ -34,33 +38,12 @@ EXIT_CREDENTIALS = 2
 Observer = Callable[[ReconcileRecord], None]
 
 
-def build_kube_client(config: Config, environment: dict[str, str]) -> KubeClient:
-    if config.kube_api_base == IN_CLUSTER:
-        creds = load_incluster_credentials(
-            config.kube_sa_dir, environment, namespace_override=config.kube_namespace
-        )
-    elif os.path.isdir(config.kube_sa_dir):
-        creds = load_incluster_credentials(
-            config.kube_sa_dir,
-            environment,
-            api_base_override=config.kube_api_base,
-            namespace_override=config.kube_namespace,
-        )
-    else:
-        creds = KubeCredentials(
-            api_base=config.kube_api_base,
-            bearer_token=environment.get("KUBE_TOKEN", ""),
-            namespace=config.kube_namespace or "",
-        )
-    return KubeClient(creds, config.kube_deployment, config.policy.max_runners)
-
-
 def run_service(
     config: Config,
-    clock: Clock | None = None,
-    stop: threading.Event | None = None,
+    clock: Clock,
+    stop: threading.Event,
+    environment: dict[str, str],
     observer: Observer | None = None,
-    environment: dict[str, str] | None = None,
     github: GitHubClient | None = None,
     kube: KubeClient | None = None,
 ) -> int:
@@ -68,56 +51,57 @@ def run_service(
 
     Returns EXIT_OK on a clean stop, EXIT_CREDENTIALS after persistent
     credential failure against either API, EXIT_CONFIG for fatal
-    preconditions such as a missing runner Deployment.
+    preconditions such as unresolvable Kubernetes credentials, a status
+    address that cannot be bound or a missing runner Deployment. The
+    clients it builds itself are closed on every return.
     """
-    clock = clock or SystemClock()
-    stop = stop or threading.Event()
-    environment = environment if environment is not None else dict(os.environ)
+    with ExitStack() as cleanup:
+        if github is None:
+            github = GitHubClient(config.github_api_base, config.github_token, clock=clock)
+            cleanup.callback(github.close)
+        if kube is None:
+            try:
+                creds = resolve_credentials(config, environment)
+            except ConfigError as exc:
+                logger.error("cannot build kubernetes client: %s", exc)
+                return EXIT_CONFIG
+            kube = KubeClient(creds, config.kube_deployment, config.policy.max_runners)
+            cleanup.callback(kube.close)
 
-    own_clients: list = []
-    if github is None:
-        github = GitHubClient(config.github_api_base, config.github_token, clock=clock)
-        own_clients.append(github)
-    if kube is None:
-        try:
-            kube = build_kube_client(config, environment)
-        except ConfigError as exc:
-            logger.error("cannot build kubernetes client: %s", exc)
-            return EXIT_CONFIG
-        own_clients.append(kube)
+        loop = ReconcileLoop(
+            github=github,
+            kube=kube,
+            policy=config.policy,
+            clock=clock,
+            repo=config.repo,
+            stop=stop,
+        )
 
-    loop = ReconcileLoop(
-        github=github,
-        kube=kube,
-        policy=config.policy,
-        clock=clock,
-        repo=config.repo,
-        stop=stop,
-    )
+        alive = threading.Event()
+        alive.set()
+        status_server: StatusServer | None = None
+        if config.status_addr:
+            try:
+                status_server = StatusServer(config.status_addr, alive, clock, config.policy.poll_interval)
+            except OSError as exc:
+                logger.error("cannot serve status on %s: %s", config.status_addr, exc)
+                return EXIT_CONFIG
+            status_server.start()
+            cleanup.callback(status_server.close)
+        cleanup.callback(alive.clear)
 
-    alive = threading.Event()
-    alive.set()
-    status_server: StatusServer | None = None
-    if config.status_addr:
-        status_server = StatusServer(config.status_addr, alive, clock, config.policy.poll_interval)
-        status_server.start()
-
-    exit_code = EXIT_OK
-    start = clock.now()
-    iteration = 0
-    try:
+        start = clock.now()
+        iteration = 0
         while not stop.is_set():
             tick = start + iteration * config.policy.poll_interval
             try:
                 record = loop.reconcile_once(tick)
             except MissingDeploymentError as exc:
                 logger.error("runner deployment missing, giving up: %s", exc)
-                exit_code = EXIT_CONFIG
-                break
+                return EXIT_CONFIG
             except CredentialError as exc:
                 logger.error("persistent credential failure, giving up: %s", exc)
-                exit_code = EXIT_CREDENTIALS
-                break
+                return EXIT_CREDENTIALS
             except ApiError as exc:
                 # Defensive: classified errors are normally absorbed upstream.
                 logger.warning("reconcile iteration failed: %s", exc)
@@ -139,14 +123,8 @@ def run_service(
                 iteration = math.ceil((now - start) / config.policy.poll_interval)
                 next_tick = start + iteration * config.policy.poll_interval
             clock.wait_until(next_tick, stop)
-    finally:
-        alive.clear()
-        if status_server is not None:
-            status_server.close()
-        for client in own_clients:
-            client.close()
 
-    return exit_code
+    return EXIT_OK
 
 
 def configure_logging() -> None:
@@ -162,8 +140,9 @@ def configure_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    environment = dict(os.environ)
     try:
-        config = load_config(argv if argv is not None else sys.argv[1:], dict(os.environ))
+        config = load_config(argv if argv is not None else sys.argv[1:], environment)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -179,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
 
-    return run_service(config, SystemClock(), stop=stop)
+    return run_service(config, SystemClock(), stop, environment)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,9 @@ class SteppingClock(Clock):
     def advance(self, dt: float) -> None:
         self.t += dt
 
-    def wait_until(self, deadline: float, interrupt: threading.Event | None = None) -> None:
+    def wait_until(self, deadline: float, interrupt: threading.Event) -> None:
         self.waits.append(deadline)
-        if interrupt is not None and interrupt.is_set():
+        if interrupt.is_set():
             return
         self.t = max(self.t, deadline)
 

@@ -40,7 +40,7 @@ def test_three_500s_then_success_resets_failures():
     clock = SteppingClock()
     call = Flaky(3).bind(clock)
     state = BackoffState()
-    result = execute_with_backoff(call, state, clock, window_end=60.0)
+    result = execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert result == "payload"
     assert state.consecutive_failures == 0
     assert call.calls == 4
@@ -52,7 +52,7 @@ def test_retry_after_header_sets_next_allowed_attempt():
     call = Flaky(99, exc=RateLimitedError("limited", 429, retry_after=120.0)).bind(clock)
     state = BackoffState()
     with pytest.raises(RateLimitedError):
-        execute_with_backoff(call, state, clock, window_end=60.0)
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert call.calls == 1
     assert state.next_allowed_attempt == 120.0  # now + Retry-After
 
@@ -62,7 +62,7 @@ def test_gate_skips_without_attempting_when_wait_crosses_window():
     call = Flaky(0).bind(clock)
     state = BackoffState(consecutive_failures=3, next_allowed_attempt=90.0)
     with pytest.raises(TransientError):
-        execute_with_backoff(call, state, clock, window_end=60.0)
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert call.calls == 0
     assert state.consecutive_failures == 3  # unchanged: nothing was attempted
 
@@ -71,7 +71,7 @@ def test_gate_waits_within_window_then_attempts():
     clock = SteppingClock()
     call = Flaky(0).bind(clock)
     state = BackoffState(consecutive_failures=2, next_allowed_attempt=30.0)
-    result = execute_with_backoff(call, state, clock, window_end=60.0)
+    result = execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert result == "payload"
     assert call.call_times == [30.0]
 
@@ -81,7 +81,7 @@ def test_never_retries_past_poll_boundary():
     call = Flaky(99).bind(clock)
     state = BackoffState()
     with pytest.raises(TransientError):
-        execute_with_backoff(call, state, clock, window_end=60.0)
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     # attempts at 0,1,3,7,15,31; the next (31+32=63) would cross the boundary
     assert call.call_times == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
     assert clock.now() <= 60.0
@@ -93,7 +93,7 @@ def test_credential_errors_never_retried():
     call = Flaky(99, exc=CredentialError("denied", 401)).bind(clock)
     state = BackoffState()
     with pytest.raises(CredentialError):
-        execute_with_backoff(call, state, clock, window_end=60.0)
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert call.calls == 1
     assert state.consecutive_failures == 0
 

@@ -105,7 +105,7 @@ def test_init_requires_existing_directory(client, tmp_path):
 
 
 def test_run_refuses_without_marker(profile):
-    assert run_runner(profile, environment={}) == 2
+    assert run_runner(profile, threading.Event(), environment={}) == 2
 
 
 def test_profile_rejects_shared_directories(tmp_path):

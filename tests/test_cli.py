@@ -82,6 +82,20 @@ def test_bootstrap_init_via_cli(tmp_path, monkeypatch):
         github.close()
 
 
+@pytest.mark.parametrize("command", ["manifests", "init"])
+def test_bootstrap_rejects_a_label_list_that_names_no_label(tmp_path, monkeypatch, capsys, command):
+    # The manager refuses the same input, so bootstrap must not render or
+    # register a runner without labels. Nothing listens on port 1.
+    init = ["--dir", str(tmp_path), "--owner", "o", "--repo", "r", "--github-api", "http://127.0.0.1:1"]
+    monkeypatch.setenv("GITHUB_TOKEN", "tok")
+    rc = bootstrap_cli.main([command, "--labels", " , ", *(init if command == "init" else [])])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: missing required field: labels (empty label list)" in captured.err
+    assert not (tmp_path / ".runner-initialized").exists()
+
+
 def test_bootstrap_init_without_token_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("GITHUB_TOKEN", raising=False)
     monkeypatch.delenv("GITHUB_TOKEN_FILE", raising=False)

@@ -5,9 +5,11 @@ from runner_manager.config import (
     Policy,
     RepoCoordinates,
     load_config,
+    parse_count,
     parse_duration,
 )
 from runner_manager.errors import ConfigError
+from runner_manager.harness.scenario import script_from_dict
 
 
 def test_defaults_match_paper_setup(tmp_path):
@@ -100,9 +102,20 @@ def test_duration_parsing(text, expected):
     assert parse_duration(text) == expected
 
 
-def test_duration_garbage_rejected():
+@pytest.mark.parametrize(
+    "parse,value",
+    [(parse_duration, "fast"), (parse_duration, True), (parse_count, True), (parse_count, False), (parse_count, 2.7)],
+)
+def test_duration_garbage_rejected(parse, value):
     with pytest.raises(ConfigError):
-        parse_duration("fast", name="poll_interval")
+        parse(value, name="poll_interval")
+
+
+def test_scenario_policy_refuses_booleans():
+    # YAML reads `true` as a boolean; it is not 1 second or 1 runner.
+    for policy in ({"poll_interval": True}, {"max_runners": True}):
+        with pytest.raises(ValueError, match="scenario policy"):
+            script_from_dict({"horizon": 600, "policy": policy})
 
 
 @pytest.mark.parametrize(
@@ -141,6 +154,11 @@ def test_owner_repo_shape():
         RepoCoordinates("bad/owner", "repo")
     with pytest.raises(ConfigError):
         RepoCoordinates("owner", "")
+
+
+def test_a_label_list_that_names_no_label_is_rejected():
+    with pytest.raises(ConfigError, match="empty label list"):
+        load_config(["--labels", " , "], _complete_env())
 
 
 def test_namespace_required_with_explicit_kube_api():

@@ -1,5 +1,6 @@
 """Classification corners and less-traveled policy shapes."""
 
+import threading
 from contextlib import closing
 
 import pytest
@@ -50,7 +51,7 @@ def test_rate_limit_without_retry_after_falls_back_to_schedule():
         raise RateLimitedError("limited", 429, retry_after=None)
 
     with pytest.raises(RateLimitedError):
-        execute_with_backoff(call, BackoffState(), clock, window_end=10.0)
+        execute_with_backoff(call, BackoffState(), clock, window_end=10.0, interrupt=threading.Event())
     assert calls == [0.0, 1.0, 3.0, 7.0]  # exponential schedule applies
 
 
@@ -146,7 +147,7 @@ def test_outstanding_statuses_knob_limits_what_pins_the_runner(clock, fake_githu
 
 def test_unparseable_last_active_annotation_counts_as_unknown(caplog, clock, fake_kube, gh_client, kube_client):
     fake_kube.annotations[ANNOTATION_LAST_ACTIVE] = "last tuesday"
-    loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, REPO)
+    loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, REPO, threading.Event())
     with caplog.at_level("WARNING", logger="runner_manager.reconciler"):
         record = loop.reconcile_once(0.0)
     assert "ignoring unparseable annotation timestamp 'last tuesday'" in caplog.text
@@ -178,7 +179,7 @@ def test_running_pod_of_a_scaled_down_deployment_still_counts_as_activity(clock,
     # Reading spec.replicas would see 0 here and leave last-active behind;
     # the loop reads readyReplicas.
     kube = _TerminatingPodKube(last_active=0.0)
-    loop = ReconcileLoop(gh_client, kube, Policy(), clock, REPO)
+    loop = ReconcileLoop(gh_client, kube, Policy(), clock, REPO, threading.Event())
     clock.advance(100)
     record = loop.reconcile_once(clock.now())
     assert (record.desired, record.reason, record.wrote_scale) == (0, Reason.IDLE, False)
@@ -212,7 +213,7 @@ def test_replica_that_is_not_ready_is_no_activity(clock, gh_client):
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
         with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as kube_client:
-            loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, REPO)
+            loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, REPO, threading.Event())
             clock.advance(100)
             record = loop.reconcile_once(clock.now())
     finally:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import threading
 from contextlib import closing
 
 import pytest
@@ -291,7 +292,9 @@ def test_unusable_server_wait_falls_back_to_the_schedule(serve, clock, status, h
     client = serve(handle)
     state = BackoffState()
     with pytest.raises(RateLimitedError):
-        execute_with_backoff(lambda: client.list_runs(REPO, "queued"), state, clock, window_end=60.0)
+        execute_with_backoff(
+            lambda: client.list_runs(REPO, "queued"), state, clock, window_end=60.0, interrupt=threading.Event()
+        )
     assert attempts == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
     assert state.next_allowed_attempt == 63.0
 

@@ -34,7 +34,7 @@ class TestVirtualClock:
         woke_at = []
 
         def actor():
-            clock.wait_until(SIM_EPOCH + 30)
+            clock.wait_until(SIM_EPOCH + 30, threading.Event())
             woke_at.append(clock.now())
 
         clock.register_actor()

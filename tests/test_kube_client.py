@@ -1,14 +1,15 @@
 import re
+import threading
 from contextlib import closing
 
 import pytest
 
 from runner_manager.clock import to_rfc3339
-from runner_manager.config import Policy, RepoCoordinates
+from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates
 from runner_manager.errors import ConfigError, MissingDeploymentError, ProtocolError, TransientError
 from runner_manager.harness.fake_kube import FakePod
 from runner_manager.harness.httpserver import FakeHttpServer, Response
-from runner_manager.kube import KubeClient, KubeCredentials, load_incluster_credentials
+from runner_manager.kube import KubeClient, KubeCredentials, resolve_credentials
 from runner_manager.reconciler import (
     ANNOTATION_KEEPALIVE_STARTED,
     ANNOTATION_LAST_ACTIVE,
@@ -28,9 +29,13 @@ def _mount(tmp_path, token="T", namespace="ci", ca=None):
     return str(tmp_path)
 
 
+def _config(mount: str, kube_api: str = IN_CLUSTER) -> Config:
+    return Config(RepoCoordinates("o", "r"), Policy(), "gha-runner", kube_api_base=kube_api, kube_sa_dir=mount)
+
+
 def test_incluster_credentials_echo_mounted_files(tmp_path):
-    creds = load_incluster_credentials(
-        _mount(tmp_path), {"KUBERNETES_SERVICE_HOST": "10.0.0.1", "KUBERNETES_SERVICE_PORT": "443"}
+    creds = resolve_credentials(
+        _config(_mount(tmp_path)), {"KUBERNETES_SERVICE_HOST": "10.0.0.1", "KUBERNETES_SERVICE_PORT": "443"}
     )
     assert creds.bearer_token == "T"
     assert creds.namespace == "ci"
@@ -40,13 +45,11 @@ def test_incluster_credentials_echo_mounted_files(tmp_path):
 def test_missing_namespace_file_is_config_error(tmp_path):
     (tmp_path / "token").write_text("T")
     with pytest.raises(ConfigError, match="namespace"):
-        load_incluster_credentials(str(tmp_path), {"KUBERNETES_SERVICE_HOST": "x"})
+        resolve_credentials(_config(str(tmp_path)), {"KUBERNETES_SERVICE_HOST": "x"})
 
 
 def test_api_override_keeps_mounted_token(tmp_path):
-    creds = load_incluster_credentials(
-        _mount(tmp_path), {}, api_base_override="http://127.0.0.1:9999"
-    )
+    creds = resolve_credentials(_config(_mount(tmp_path), "http://127.0.0.1:9999"), {})
     assert creds.api_base == "http://127.0.0.1:9999"
     assert creds.bearer_token == "T"
     assert creds.ca_bundle is None  # plain http harness endpoint
@@ -127,7 +130,8 @@ def test_poll_changing_both_annotations_sends_one_patch(fake_kube, kube_client, 
         return request(method, path, *args, **kwargs)
 
     monkeypatch.setattr(kube_client, "_request", recording_request)
-    loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, RepoCoordinates("biocore", "unifrac"))
+    repo = RepoCoordinates("biocore", "unifrac")
+    loop = ReconcileLoop(gh_client, kube_client, Policy(), clock, repo, threading.Event())
     clock.advance(100)
     record = loop.reconcile_once(clock.now())
     assert (record.reason, record.wrote_scale) == (Reason.KEEPALIVE, False)

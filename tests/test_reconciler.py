@@ -38,16 +38,16 @@ def _obs(jobs=(), spec=0, ready=0, ok=True):
 
 def test_due_when_interval_exceeded():
     now = 100 * DAY
-    assert keepalive_due(now - 84.5 * HOUR, now, 84 * HOUR)
+    assert keepalive_due(now - 84.5 * HOUR, now, 84 * HOUR, 0.0)
 
 
 def test_not_due_when_recent():
     now = 100 * DAY
-    assert not keepalive_due(now - 1 * HOUR, now, 84 * HOUR)
+    assert not keepalive_due(now - 1 * HOUR, now, 84 * HOUR, 0.0)
 
 
 def test_unknown_history_counts_as_stale():
-    assert keepalive_due(None, 0.0, 84 * HOUR)
+    assert keepalive_due(None, 0.0, 84 * HOUR, 0.0)
 
 
 def test_lead_time_starts_activation_early():
@@ -143,16 +143,16 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
 def test_running_pod_refreshes_last_active():
     now = 500.0
     obs = _obs(spec=1, ready=1)
-    state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
+    state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now, wrote_scale=False)
     assert state.last_active == now
 
 
 def test_keepalive_decision_starts_dwell_once():
     now = 500.0
     obs = _obs()
-    state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), obs, now)
+    state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), obs, now, wrote_scale=False)
     assert state.keepalive_started_at == now
-    later = update_state(state, Decision(1, Reason.KEEPALIVE), obs, now + 60)
+    later = update_state(state, Decision(1, Reason.KEEPALIVE), obs, now + 60, wrote_scale=False)
     assert later.keepalive_started_at == now  # not restarted
 
 
@@ -160,21 +160,21 @@ def test_idle_without_running_pod_leaves_last_active():
     now = 500.0
     obs = _obs()
     before = ManagerState(last_active=100.0)
-    after = update_state(before, Decision(0, Reason.IDLE), obs, now)
+    after = update_state(before, Decision(0, Reason.IDLE), obs, now, wrote_scale=False)
     assert after.last_active == 100.0
 
 
 def test_last_active_never_moves_backward():
     obs = _obs(spec=1, ready=1)
     state = ManagerState(last_active=100.0)
-    after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0)
+    after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0, wrote_scale=False)
     assert after.last_active == 100.0
 
 
 def test_pending_pod_does_not_refresh():
     now = 500.0
     obs = _obs(spec=1, ready=0)  # the pod is Pending, or Running but not Ready
-    after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
+    after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now, wrote_scale=False)
     assert after.last_active is None
 
 
@@ -182,9 +182,9 @@ def test_demand_and_idle_clear_dwell_hold_preserves_it():
     now = 500.0
     obs = _obs()
     state = ManagerState(keepalive_started_at=400.0)
-    assert update_state(state, Decision(1, Reason.DEMAND), obs, now).keepalive_started_at is None
-    assert update_state(state, Decision(0, Reason.IDLE), obs, now).keepalive_started_at is None
-    assert update_state(state, Decision(1, Reason.HOLD), obs, now).keepalive_started_at == 400.0
+    assert update_state(state, Decision(1, Reason.DEMAND), obs, now, wrote_scale=False).keepalive_started_at is None
+    assert update_state(state, Decision(0, Reason.IDLE), obs, now, wrote_scale=False).keepalive_started_at is None
+    assert update_state(state, Decision(1, Reason.HOLD), obs, now, wrote_scale=False).keepalive_started_at == 400.0
 
 
 def test_last_written_tracks_successful_writes_only():

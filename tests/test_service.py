@@ -1,6 +1,8 @@
 """run_service end to end: the real loop against the fake world."""
 
+import logging
 import math
+import socket
 import threading
 import time
 from typing import Callable
@@ -17,12 +19,13 @@ from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
 from runner_manager.harness.virtual_clock import SIM_EPOCH
 from runner_manager.errors import ConfigError, CredentialError
-from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
+from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials, resolve_credentials
 from runner_manager.github import GitHubClient
 from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop, keepalive_due_at
-from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, build_kube_client, run_service
+from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, run_service
 
 LABELS = ["self-hosted", "linux-gpu-cuda"]
+REPO = RepoCoordinates("biocore", "unifrac")
 
 
 def test_single_queued_job_scales_once_within_one_poll():
@@ -157,7 +160,7 @@ def test_refused_scale_writes_reach_the_credential_exit(clock):
         records = []
         # No last-active annotation: keepalive is due, so every poll tries to scale to 1.
         code = run_service(
-            config, clock=clock, observer=records.append, github=github_client, kube=kube_client, environment={}
+            config, clock, threading.Event(), {}, observer=records.append, github=github_client, kube=kube_client
         )
         assert code == EXIT_CREDENTIALS
         assert kube_client.write_attempts == 3
@@ -205,7 +208,7 @@ def test_two_refused_writes_in_one_poll_count_once(clock):
         # Keepalive is due, so each poll patches /scale and then the
         # keepalive-started annotation; both are refused.
         code = run_service(
-            config, clock=clock, observer=records.append, github=github_client, kube=kube_client, environment={}
+            config, clock, threading.Event(), {}, observer=records.append, github=github_client, kube=kube_client
         )
         assert code == EXIT_CREDENTIALS
         assert kube_client.write_attempts == 3
@@ -459,7 +462,7 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
     try:
         for streak in range(1, 32):
             kube = _RunnerKube()
-            loop = ReconcileLoop(gh_client, kube, policy, clock, RepoCoordinates("biocore", "unifrac"))
+            loop = ReconcileLoop(gh_client, kube, policy, clock, REPO, threading.Event())
             for _ in range(streak):
                 record = loop.reconcile_once(clock.now())
                 assert (record.observed_replicas, record.desired) == (1, 1)
@@ -468,7 +471,7 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
 
             kube.ready_replicas = 0
             clock.advance(policy.poll_interval)  # downtime
-            restarted = ReconcileLoop(gh_client, kube, policy, clock, RepoCoordinates("biocore", "unifrac"))
+            restarted = ReconcileLoop(gh_client, kube, policy, clock, REPO, threading.Event())
             due = restarted.reconcile_once(clock.now()).keepalive_next_due
             assert 0 <= exact - due < policy.min_dwell + policy.poll_interval, streak
     finally:
@@ -521,7 +524,7 @@ def test_missing_deployment_exits_config_error(clock):
             kube_api_base=kube.base_url,
             kube_sa_dir="/nonexistent",
         )
-        code = run_service(config, clock=clock, github=github_client, kube=kube_client, environment={})
+        code = run_service(config, clock, threading.Event(), {}, github=github_client, kube=kube_client)
         assert code == EXIT_CONFIG
     finally:
         github_client.close()
@@ -620,40 +623,65 @@ def test_in_cluster_credentials_come_from_the_mount_and_service_env(tmp_path):
            "KUBE_SA_DIR": mount}
     config = load_config([], env)
     assert (config.kube_api_base, config.kube_sa_dir) == (IN_CLUSTER, mount)
-    client = build_kube_client(config, {"KUBERNETES_SERVICE_HOST": "10.96.0.1", "KUBERNETES_SERVICE_PORT": "6443"})
-    try:
-        assert client._creds == KubeCredentials(
-            api_base="https://10.96.0.1:6443",
-            bearer_token="sa-token",
-            ca_bundle=str(tmp_path / "sa" / "ca.crt"),
-            namespace="runners",
-        )
-    finally:
-        client.close()
+    creds = resolve_credentials(config, {"KUBERNETES_SERVICE_HOST": "10.96.0.1", "KUBERNETES_SERVICE_PORT": "6443"})
+    assert creds == KubeCredentials(
+        api_base="https://10.96.0.1:6443",
+        bearer_token="sa-token",
+        ca_bundle=str(tmp_path / "sa" / "ca.crt"),
+        namespace="runners",
+    )
     with pytest.raises(ConfigError, match="KUBERNETES_SERVICE_HOST"):
-        build_kube_client(config, {})
+        resolve_credentials(config, {})
 
 
-def test_explicit_kube_api_with_a_mount_uses_the_mounted_token(tmp_path):
+@pytest.mark.parametrize("scheme,keeps_ca", [("http", False), ("https", True)], ids=["http", "https"])
+def test_explicit_kube_api_with_a_mount_uses_the_mounted_token(tmp_path, scheme, keeps_ca):
     mount = _sa_mount(tmp_path / "sa")
-    client = build_kube_client(_kube_config("http://127.0.0.1:1", mount, "ci"), {"KUBE_TOKEN": "ignored"})
-    try:
-        assert client._creds == KubeCredentials(
-            api_base="http://127.0.0.1:1", bearer_token="sa-token", ca_bundle=None, namespace="ci"
-        )
-    finally:
-        client.close()
+    creds = resolve_credentials(_kube_config(f"{scheme}://127.0.0.1:1", mount, "ci"), {"KUBE_TOKEN": "ignored"})
+    assert creds == KubeCredentials(
+        api_base=f"{scheme}://127.0.0.1:1",
+        bearer_token="sa-token",
+        # Only a plain-HTTP address drops the mounted CA.
+        ca_bundle=str(tmp_path / "sa" / "ca.crt") if keeps_ca else None,
+        namespace="ci",
+    )
 
 
-def test_explicit_kube_api_without_a_mount_uses_kube_token(tmp_path):
-    config = _kube_config("https://kube.example:6443", str(tmp_path / "no-mount"), "ci")
-    client = build_kube_client(config, {"KUBE_TOKEN": "env-token"})
-    try:
-        assert client._creds == KubeCredentials(
-            api_base="https://kube.example:6443", bearer_token="env-token", ca_bundle=None, namespace="ci"
+@pytest.mark.parametrize(
+    "kube_api", ["https://kube.example:6443", "https://kube.example:6443/"], ids=["as-given", "trailing-slash"]
+)
+def test_explicit_kube_api_without_a_mount_uses_kube_token(tmp_path, kube_api):
+    config = _kube_config(kube_api, str(tmp_path / "no-mount"), "ci")
+    assert resolve_credentials(config, {"KUBE_TOKEN": "env-token"}) == KubeCredentials(
+        api_base="https://kube.example:6443", bearer_token="env-token", ca_bundle=None, namespace="ci"
+    )
+
+
+def test_a_taken_status_port_exits_config_error_and_closes_the_clients(clock, monkeypatch, caplog):
+    closed = []
+    for cls in (GitHubClient, KubeClient):
+        monkeypatch.setattr(cls, "close", lambda self, close=cls.close: (closed.append(type(self)), close(self)))
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        status_addr = "127.0.0.1:%d" % taken.getsockname()[1]
+        config = Config(
+            repo=RepoCoordinates("o", "r"),
+            policy=Policy(),
+            kube_deployment="gha-runner",
+            github_api_base="http://127.0.0.1:1",
+            github_token="t",
+            kube_namespace="ci",
+            kube_api_base="http://127.0.0.1:1",
+            kube_sa_dir="/nonexistent",
+            status_addr=status_addr,
         )
-    finally:
-        client.close()
+        with caplog.at_level(logging.ERROR, logger="runner_manager.service"):
+            code = run_service(config, clock, threading.Event(), {"KUBE_TOKEN": "t"})
+    assert code == EXIT_CONFIG
+    assert f"cannot serve status on {status_addr}" in caplog.text
+    assert sorted(cls.__name__ for cls in closed) == ["GitHubClient", "KubeClient"]
+    assert clock.waits == []  # no poll ran
 
 
 def test_saturated_poll_logs_at_least_max_runners_outstanding(caplog):
