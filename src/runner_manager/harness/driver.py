@@ -92,6 +92,8 @@ class ScenarioResult:
     cross_namespace_requests: list[str]
     github_header_violations: list[str]
     github_api_requests: int
+    github_charged_requests: int  # the non-304 answers, which draw on the rate limit
+    kube_requests: dict[str, int]  # by HTTP method
     scale_patch_violations: list[str]
     final_annotations: dict[str, str]
 
@@ -262,6 +264,8 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         cross_namespace_requests=list(kube.cross_namespace_requests),
         github_header_violations=list(github.header_violations),
         github_api_requests=github.api_request_count,
+        github_charged_requests=github.charged_request_count,
+        kube_requests=dict(kube.requests_by_method),
         scale_patch_violations=scale_patch_violations,
         final_annotations=dict(kube.annotations),
     )

@@ -15,12 +15,21 @@ body), and a conditional ``GET`` whose ``If-None-Match`` equals it answers
 ``x-ratelimit-*`` headers of a 5,000-request budget per hour of virtual
 time, on which only non-``304`` answers draw. The budget is reported, never
 enforced: running out of it is a failure class the oracle does not model.
+``charged_request_count`` counts the answers that drew on it.
+
+Every ``/repos/...`` request has its bearer token, ``Accept`` and
+``X-GitHub-Api-Version`` judged as it arrives (``record_request``); a
+mismatch lands in ``header_violations``. The headers themselves are not
+kept: with ``keep_request_log`` on, ``request_log`` holds one
+``RequestRecord`` per request -- its path, the status answered and the
+``If-None-Match`` it sent, the one header the answer depends on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -61,13 +70,11 @@ class FakeJob:
     ref: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
-    at: float
-    method: str
-    path: str
-    headers: dict[str, str]
+    path: str  # interned, as is if_none_match: the same few repeat every poll
     status: int
+    if_none_match: str | None
 
 
 class FakeGitHub:
@@ -97,6 +104,7 @@ class FakeGitHub:
         self.fault: tuple[str, float] | None = None
 
         self.api_request_count = 0
+        self.charged_request_count = 0  # answers that drew on the rate-limit budget
         self._rate_window = 0  # hour of virtual time the budget below belongs to
         self._rate_used = 0
         self.request_log: list[RequestRecord] = []
@@ -220,17 +228,14 @@ class FakeGitHub:
 
     # -- read models ----------------------------------------------------------
 
-    def runs(self) -> list[dict]:
-        """Every run's listing entry, by id, from one pass over the jobs."""
+    def runs(self) -> list[tuple[int, str, float]]:
+        """Every run's (id, status, created_at), by id, from one pass over the jobs."""
         runs: dict[int, tuple[int, float]] = {}  # run id -> (status rank, created_at)
         with self._lock:
             for job in self.jobs.values():
                 rank, created = runs.get(job.run_id, (0, job.created_at))
                 runs[job.run_id] = (max(rank, RUN_STATUS_ORDER.index(job.status)), min(created, job.created_at))
-        return [
-            {"id": run_id, "status": RUN_STATUS_ORDER[rank], "created_at": to_rfc3339(created)}
-            for run_id, (rank, created) in sorted(runs.items())
-        ]
+        return [(run_id, RUN_STATUS_ORDER[rank], created) for run_id, (rank, created) in sorted(runs.items())]
 
     def mint_registration_token(self) -> tuple[str, float]:
         with self._lock:
@@ -247,6 +252,7 @@ class FakeGitHub:
                 self._rate_window, self._rate_used = window, 0
             if charged:
                 self._rate_used += 1
+                self.charged_request_count += 1
             return {
                 "x-ratelimit-limit": str(RATE_LIMIT),
                 "x-ratelimit-remaining": str(max(RATE_LIMIT - self._rate_used, 0)),
@@ -266,9 +272,8 @@ class FakeGitHub:
                         f"{method} {path}: header {name}={headers.get(name)!r}, want {wanted!r}"
                     )
         if self.keep_request_log:
-            self.request_log.append(
-                RequestRecord(self.clock.now(), method, path, dict(headers), status)
-            )
+            etag = headers.get("if-none-match")
+            self.request_log.append(RequestRecord(sys.intern(path), status, etag and sys.intern(etag)))
 
 
 def _handle(gh: FakeGitHub, request: Request) -> Response:
@@ -298,10 +303,12 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
             if not _repo_ok(match):
                 return _not_found()
             wanted = query.get("status")
-            runs = gh.runs()
-            if wanted:
-                runs = [r for r in runs if r["status"] == wanted]
-            return Response.json(200, {"total_count": len(runs), "workflow_runs": _page(runs, query)})
+            runs = [run for run in gh.runs() if not wanted or run[1] == wanted]
+            entries = [
+                {"id": run_id, "status": status, "created_at": to_rfc3339(created)}
+                for run_id, status, created in _page(runs, query)
+            ]
+            return Response.json(200, {"total_count": len(runs), "workflow_runs": entries})
 
         match = _JOBS_RE.match(path)
         if match:

@@ -8,7 +8,9 @@ that ``KubeClient.list_runner_pods`` still reads; that method, like
 up. Nothing reads ``/scale``, so a ``GET`` of it answers ``405``. Every
 request outside namespace ``ci`` is answered 403 and recorded in
 ``cross_namespace_requests``, which fails the scenario -- the
-unprivileged-operation guarantee made testable.
+unprivileged-operation guarantee made testable. ``requests_by_method``
+counts every request, always; ``request_paths`` keeps each path only when
+``keep_request_paths`` is on.
 
 Scaling behaves like a (simplified) Deployment controller: on 0->N the
 fake creates Pending pods that turn Running after a configurable startup
@@ -19,7 +21,9 @@ attached runner world so an in-flight fake runner can be torn down.
 from __future__ import annotations
 
 import re
+import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,7 +74,8 @@ class FakeKube:
 
         self.cross_namespace_requests: list[str] = []
         self.scale_write_log: list[ScaleWrite] = []
-        self.request_paths: list[str] = []
+        self.requests_by_method: Counter[str] = Counter()  # always on; the budget tests read it
+        self.request_paths: list[str] = []  # interned, kept only with keep_request_paths
         self.keep_request_paths = False
 
         self.on_pod_running: Callable[[str], None] | None = None
@@ -180,8 +185,10 @@ def validate_objects(objects: list[dict]) -> list[str]:
 
 def _handle(kube: FakeKube, request: Request) -> Response:
     path = request.path
+    with kube._lock:
+        kube.requests_by_method[request.method] += 1
     if kube.keep_request_paths:
-        kube.request_paths.append(path)
+        kube.request_paths.append(sys.intern(path))
 
     scale = _SCALE_RE.match(path)
     deploy = _DEPLOY_RE.match(path)

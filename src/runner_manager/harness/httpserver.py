@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 
@@ -57,7 +58,7 @@ class Response:
         return cls(status, json.dumps(payload).encode(), "application/json", headers)
 
     def render(self) -> bytes:
-        head = [f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'OK')}"]
+        head = [f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'Unknown Status')}"]
         head.append(f"Content-Type: {self.content_type}")
         head.append(f"Content-Length: {len(self.body)}")
         for name, value in self.headers.items():
@@ -66,22 +67,9 @@ class Response:
         return "\r\n".join(head).encode() + self.body
 
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    204: "No Content",
-    304: "Not Modified",
-    400: "Bad Request",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    415: "Unsupported Media Type",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+# Scripted faults may answer any code from 400 to 599; HTTPStatus names
+# most, and render gives the rest a fixed phrase.
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 _MAX_HEADER_BYTES = 65536
 

@@ -13,7 +13,7 @@ from runner_manager.errors import CredentialError, ProtocolError, RateLimitedErr
 from runner_manager.github import BackoffState, GitHubClient, RegistrationToken, execute_with_backoff
 from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.labels import LabelSet
-from runner_manager.transport import HttpResponse
+from runner_manager.transport import HttpResponse, HttpTransport
 
 from conftest import TEST_TOKEN
 
@@ -84,16 +84,40 @@ def test_every_request_carries_required_headers(fake_github, gh_client):
     gh_client.create_registration_token(REPO)
     assert fake_github.api_request_count >= 4
     assert fake_github.header_violations == []
-    for record in fake_github.request_log:
-        assert record.headers["authorization"] == f"Bearer {TEST_TOKEN}"
-        assert record.headers["accept"] == "application/vnd.github+json"
-        assert record.headers["x-github-api-version"] == "2022-11-28"
+    # The fake judges the headers of every /repos/ request on arrival and
+    # keeps no copy; each logged /repos/ request was one of those judged.
+    assert fake_github.api_request_count == sum(r.path.startswith("/repos/") for r in fake_github.request_log)
 
 
 def test_wrong_token_flagged_by_fake(fake_github, clock):
     with closing(GitHubClient(fake_github.base_url, "wrong-token", clock=clock)) as client:
         client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
     assert fake_github.header_violations
+
+
+_GOOD_HEADERS = {
+    "Authorization": f"Bearer {TEST_TOKEN}",
+    "Accept": "application/vnd.github+json",
+    "X-GitHub-Api-Version": "2022-11-28",
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("X-GitHub-Api-Version", None), ("Accept", "application/json")],
+    ids=["no-api-version", "wrong-accept"],
+)
+def test_missing_or_wrong_header_flagged_by_fake(fake_github, name, value):
+    headers = {k: v for k, v in _GOOD_HEADERS.items() if k != name}
+    if value is not None:
+        headers[name] = value
+    with closing(HttpTransport()) as transport:
+        url = f"{fake_github.base_url}/repos/biocore/unifrac/actions/runs"
+        assert transport.request("GET", url, _GOOD_HEADERS).status == 200
+        assert fake_github.header_violations == []
+        assert transport.request("GET", url, headers).status == 200
+    assert len(fake_github.header_violations) == 1
+    assert f"header {name.lower()}={value!r}" in fake_github.header_violations[0]
 
 
 def test_401_classified_as_credential_error(fake_github, gh_client):
@@ -174,9 +198,11 @@ def test_unchanged_poll_is_answered_304_with_identical_jobs(fake_github, gh_clie
     assert second == first and len(first) == 1
     assert _statuses_since(fake_github, 0) == [200, 200, 200, 304, 304, 304]
     for record in fake_github.request_log[mark:]:
-        assert record.headers["if-none-match"].startswith('W/"')
-    # A 304 is still a request, and still carries every required header.
+        assert record.if_none_match.startswith('W/"')
+    # A 304 is still a request, and still carries every required header,
+    # but only the three 200s draw on the rate limit.
     assert fake_github.api_request_count == 6
+    assert fake_github.charged_request_count == 3
     assert fake_github.header_violations == []
 
 

@@ -10,6 +10,7 @@ import pytest
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import TransientError
 from runner_manager.harness.driver import run_scenario
+from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.scenario import (
     ScenarioEvent,
     ScenarioScript,
@@ -124,6 +125,14 @@ class TestFakeGitHub:
         assert _register_over_http(fake_github, token) == 201
         assert len(fake_github.runners) == 1
 
+    @pytest.mark.parametrize("status, reason", [(502, "Bad Gateway"), (599, "Unknown Status")])
+    def test_fault_status_line_carries_its_reason_phrase(self, fake_github, status, reason):
+        fake_github.set_fault("status", status)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"{fake_github.base_url}/repos/biocore/unifrac/actions/runs")
+        excinfo.value.close()
+        assert (excinfo.value.code, excinfo.value.reason) == (status, reason)
+
 
 def _register_over_http(fake_github, token: str) -> int:
     """POST to the fake runner's registration route; the HTTP status."""
@@ -174,6 +183,21 @@ class TestFakeKube:
         excinfo.value.close()
         assert excinfo.value.code == 403
         assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/deployments"]
+
+    def test_requests_are_counted_by_method_without_the_path_log(self, clock):
+        kube = FakeKube(clock=clock).start()
+        try:
+            url = f"{kube.base_url}/apis/apps/v1/namespaces/ci/deployments/gha-runner"
+            for _ in range(2):
+                urllib.request.urlopen(url).close()
+            patch = urllib.request.Request(url, data=b"{}", method="PATCH")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(patch)  # not merge-patch: answered 422, still counted
+            excinfo.value.close()
+        finally:
+            kube.close()
+        assert kube.requests_by_method == {"GET": 2, "PATCH": 1}
+        assert kube.request_paths == []
 
 
 class TestScenarioScripts:
