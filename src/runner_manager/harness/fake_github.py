@@ -93,6 +93,9 @@ class FakeGitHub:
         self._lock = threading.RLock()
         self.jobs: dict[int, FakeJob] = {}
         self._run_jobs: dict[int, tuple[FakeJob, ...]] = {}  # run id -> its jobs, by job id
+        # Run id -> its status, in id order; kept current at every job
+        # transition so a listing reads it instead of walking the jobs.
+        self._run_status: dict[int, str] = {}
         # Registered runners' labels, by runner id. A runner is busy while a
         # job it claimed is in progress.
         self.runners: dict[int, LabelSet] = {}
@@ -155,6 +158,8 @@ class FakeGitHub:
                 created.append(job)
                 self._emit("job_enqueued", job)
             self._run_jobs[run_id] = tuple(created)
+            if created:
+                self._run_status[run_id] = "queued"
             return created
 
     def force_complete(self, ref: str) -> None:
@@ -163,6 +168,7 @@ class FakeGitHub:
             for job in self.jobs.values():
                 if job.ref == ref and job.status != "completed":
                     job.status = "completed"
+                    self._refresh_run(job.run_id)
                     self._emit("job_completed", job)
 
     def set_fault(self, kind: str, value: float) -> None:
@@ -191,6 +197,7 @@ class FakeGitHub:
                     # Runner died mid-job: GitHub re-queues the work.
                     job.status = "queued"
                     job.claimed_by = None
+                    self._refresh_run(job.run_id)
                     self._emit("job_requeued", job)
 
     def claim_job(self, runner_id: int) -> FakeJob | None:
@@ -210,6 +217,7 @@ class FakeGitHub:
             job = min(candidates, key=lambda j: (j.created_at, j.job_id))
             job.status = "in_progress"
             job.claimed_by = runner_id
+            self._refresh_run(job.run_id)
             self._emit("job_claimed", job)
             return job
 
@@ -219,8 +227,14 @@ class FakeGitHub:
             if job is None or job.status != "in_progress" or job.claimed_by != runner_id:
                 return False
             job.status = "completed"
+            self._refresh_run(job.run_id)
             self._emit("job_completed", job)
             return True
+
+    def _refresh_run(self, run_id: int) -> None:
+        """Re-derive one run's status after one of its jobs moved."""
+        rank = max(RUN_STATUS_ORDER.index(job.status) for job in self._run_jobs[run_id])
+        self._run_status[run_id] = RUN_STATUS_ORDER[rank]
 
     def _emit(self, kind: str, job: FakeJob) -> None:
         if self.on_transition is not None:
@@ -229,13 +243,13 @@ class FakeGitHub:
     # -- read models ----------------------------------------------------------
 
     def runs(self) -> list[tuple[int, str, float]]:
-        """Every run's (id, status, created_at), by id, from one pass over the jobs."""
-        runs: dict[int, tuple[int, float]] = {}  # run id -> (status rank, created_at)
+        """Every run's (id, status, created_at), by id. A run's jobs are
+        created together, so its first job's ``created_at`` is the run's."""
         with self._lock:
-            for job in self.jobs.values():
-                rank, created = runs.get(job.run_id, (0, job.created_at))
-                runs[job.run_id] = (max(rank, RUN_STATUS_ORDER.index(job.status)), min(created, job.created_at))
-        return [(run_id, RUN_STATUS_ORDER[rank], created) for run_id, (rank, created) in sorted(runs.items())]
+            return [
+                (run_id, status, self._run_jobs[run_id][0].created_at)
+                for run_id, status in self._run_status.items()
+            ]
 
     def mint_registration_token(self) -> tuple[str, float]:
         with self._lock:

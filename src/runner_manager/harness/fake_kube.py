@@ -1,11 +1,11 @@
 """Fake Kubernetes API server for one Deployment in one namespace.
 
-The reconcile loop sends one ``GET`` of the Deployment a poll and writes
-through two merge patches: ``spec.replicas`` on ``/scale`` and the
-Deployment's annotations. The fake serves those three, plus the pod list
-that ``KubeClient.list_runner_pods`` still reads; that method, like
+The reconcile loop sends one ``GET`` of the Deployment a poll and at most
+one write: a merge patch of the Deployment that carries ``spec.replicas``,
+``metadata.annotations`` or both. The fake serves those two, plus the pod
+list that ``KubeClient.list_runner_pods`` still reads; that method, like
 ``read_annotations``, stays only because the benchmark's tracer looks it
-up. Nothing reads ``/scale``, so a ``GET`` of it answers ``405``. Every
+up. Nothing uses ``/scale``, so every method on it answers ``405``. Every
 request outside namespace ``ci`` is answered 403 and recorded in
 ``cross_namespace_requests``, which fails the scenario -- the
 unprivileged-operation guarantee made testable. ``requests_by_method``
@@ -198,11 +198,14 @@ def _handle(kube: FakeKube, request: Request) -> Response:
         with kube._lock:
             kube.cross_namespace_requests.append(path)
         return Response.json(403, {"message": f"forbidden outside namespace {NAMESPACE}"})
+    if scale:
+        return Response.json(405, {"message": "the manager patches the Deployment, never /scale"})
+
     with kube._lock:
         fault = kube.fault_status
     if fault is not None:
         return Response.json(fault, {"message": f"injected fault {fault}"})
-    if (scale or deploy) and match.group(2) != DEPLOYMENT:
+    if deploy and match.group(2) != DEPLOYMENT:
         return Response.json(404, {"message": "deployment not found"})
 
     if request.method == "GET":
@@ -224,58 +227,61 @@ def _handle(kube: FakeKube, request: Request) -> Response:
             return Response.json(200, {"kind": "PodList", "items": items})
 
     if request.method == "PATCH":
-        content_type = (request.headers.get("content-type") or "").split(";")[0].strip()
-        body = request.json()
-        if scale:
-            now = kube.clock.now()
-            content_ok = content_type == MERGE_PATCH
-            spec = body.get("spec")
-            shape_ok = (
-                set(body.keys()) == {"spec"}
-                and isinstance(spec, dict)
-                and set(spec.keys()) == {"replicas"}
-                and isinstance(spec.get("replicas"), int)
-            )
-            with kube._lock:
-                kube.scale_write_log.append(
-                    ScaleWrite(now, spec["replicas"] if shape_ok else -1, content_ok, shape_ok)
-                )
-            if not (content_ok and shape_ok):
-                return Response.json(422, {"message": "scale patch must be merge-patch {spec:{replicas:N}}"})
-            replicas = spec["replicas"]
-            if replicas < 0:
-                return Response.json(422, {"message": "replicas must be >= 0"})
-            kube.apply_scale(replicas)
-            if kube.on_scale_write is not None:
-                kube.on_scale_write(now, replicas)
-            return Response.json(200, _scale_body(kube))
         if deploy:
-            extra_top = set(body.keys()) - {"metadata"}
-            extra_meta = set((body.get("metadata") or {}).keys()) - {"annotations"}
-            patch = ((body.get("metadata") or {}).get("annotations")) or {}
-            if extra_top or extra_meta or content_type != MERGE_PATCH:
-                return Response.json(422, {"message": "only metadata.annotations may be patched"})
-            with kube._lock:
-                for key, value in patch.items():
-                    if value is None:
-                        kube.annotations.pop(key, None)
-                    else:
-                        kube.annotations[key] = str(value)
-            return Response.json(200, _deployment_body(kube))
+            return _patch_deployment(kube, request)
         return Response.json(405, {"message": "pods are managed by the deployment controller"})
 
     return Response.json(405, {"message": f"method {request.method} not supported"})
 
 
-def _scale_body(kube: FakeKube) -> dict:
-    with kube._lock:
-        return {
-            "kind": "Scale",
-            "apiVersion": "autoscaling/v1",
-            "metadata": {"name": DEPLOYMENT, "namespace": NAMESPACE},
-            "spec": {"replicas": kube.spec_replicas},
-            "status": {"replicas": len(kube.pods), "selector": f"app={DEPLOYMENT}"},
-        }
+def _patch_deployment(kube: FakeKube, request: Request) -> Response:
+    """A merge patch of ``spec.replicas``, of ``metadata.annotations``, or of
+    both, and nothing else. A patch that carries ``spec`` is logged in
+    ``scale_write_log`` with its verdict, refused or not."""
+    content_ok = (request.headers.get("content-type") or "").split(";")[0].strip() == MERGE_PATCH
+    body = request.json()
+    spec, metadata = body.get("spec"), body.get("metadata")
+    shape_ok = (
+        bool(body)
+        and set(body) <= {"spec", "metadata"}
+        and ("spec" not in body or _is_replicas(spec))
+        and ("metadata" not in body or _is_annotations(metadata))
+    )
+    if "spec" in body:
+        now = kube.clock.now()
+        with kube._lock:
+            kube.scale_write_log.append(ScaleWrite(now, spec["replicas"] if shape_ok else -1, content_ok, shape_ok))
+    if not (content_ok and shape_ok):
+        return Response.json(
+            422, {"message": "only merge-patch {spec:{replicas:N>=0}, metadata:{annotations}} is accepted"}
+        )
+    if "metadata" in body:
+        with kube._lock:
+            for key, value in metadata["annotations"].items():
+                if value is None:
+                    kube.annotations.pop(key, None)
+                else:
+                    kube.annotations[key] = str(value)
+    if "spec" in body:
+        kube.apply_scale(spec["replicas"])
+        if kube.on_scale_write is not None:
+            kube.on_scale_write(now, spec["replicas"])
+    return Response.json(200, _deployment_body(kube))
+
+
+def _is_replicas(spec) -> bool:
+    """``spec`` is exactly ``{replicas: N}`` with N a non-negative integer."""
+    return (
+        isinstance(spec, dict)
+        and set(spec) == {"replicas"}
+        and type(spec["replicas"]) is int
+        and spec["replicas"] >= 0
+    )
+
+
+def _is_annotations(metadata) -> bool:
+    """``metadata`` is exactly ``{annotations: {...}}``."""
+    return isinstance(metadata, dict) and set(metadata) == {"annotations"} and isinstance(metadata["annotations"], dict)
 
 
 def _deployment_body(kube: FakeKube) -> dict:

@@ -7,10 +7,13 @@ place, :func:`resolve_credentials`, from the config and the environment.
 
 The reconcile loop sends one ``GET`` of the Deployment per poll: that object
 carries ``spec.replicas``, ``status.readyReplicas`` and the annotations that
-hold the keepalive bookkeeping. It writes through two merge patches: one of
-``/scale`` and one of the Deployment's annotations. The loop calls nothing
-else; :meth:`KubeClient.list_runner_pods` and
-:meth:`KubeClient.read_annotations` stay only because the benchmark's
+hold the keepalive bookkeeping. It writes at most once a poll, through one
+merge patch of the Deployment: :meth:`KubeClient.write_scale` sends
+``spec.replicas`` with whichever annotations changed,
+:meth:`KubeClient.write_annotation` the annotations alone. Nothing touches
+``/scale``, so the Role needs ``get`` and ``patch`` on ``deployments`` and
+no more. The loop calls nothing else; :meth:`KubeClient.list_runner_pods`
+and :meth:`KubeClient.read_annotations` stay only because the benchmark's
 tracer looks them up by name. A ``409`` conflict, a
 ``429`` from API Priority and Fairness and a ``5xx`` are transient: the loop
 skips that poll's writes and tries again next poll.
@@ -113,7 +116,7 @@ def _read_mount(mount_root: str, name: str) -> str:
 
 
 class KubeClient:
-    """Scale, annotation and pod operations for one Deployment."""
+    """Deployment read and merge-patch, and pod list, for one Deployment."""
 
     def __init__(self, creds: KubeCredentials, deployment: str, max_replicas: int):
         self._creds = creds
@@ -124,10 +127,10 @@ class KubeClient:
     def close(self) -> None:
         self._transport.close()
 
-    def _deployment_path(self, subresource: str = "") -> str:
+    def _deployment_path(self) -> str:
         ns = quote(self._creds.namespace)
         name = quote(self._deployment)
-        return f"/apis/apps/v1/namespaces/{ns}/deployments/{name}{subresource}"
+        return f"/apis/apps/v1/namespaces/{ns}/deployments/{name}"
 
     def _request(self, method: str, path: str, body: bytes | None = None, content_type: str | None = None) -> dict:
         headers = {
@@ -174,19 +177,18 @@ class KubeClient:
             annotations={str(k): str(v) for k, v in annotations.items()},
         )
 
-    def write_scale(self, replicas: int) -> int:
-        """Merge-patch spec.replicas on the scale subresource; nothing else.
-        Returns the spec.replicas the server now holds."""
+    def write_scale(self, replicas: int, annotations: dict[str, str | None]) -> int:
+        """Merge-patch ``spec.replicas`` and, when ``annotations`` is not
+        empty, those annotations onto the Deployment in one request; a
+        ``None`` value removes its key. Returns the spec.replicas the server
+        now holds."""
         if not 0 <= replicas <= self._max_replicas:
             raise ValueError(f"replicas {replicas} outside [0, {self._max_replicas}]")
-        body = json.dumps({"spec": {"replicas": replicas}}).encode()
-        data = self._request(
-            "PATCH",
-            self._deployment_path("/scale"),
-            body=body,
-            content_type="application/merge-patch+json",
-        )
-        return _replicas(_object_field(data, "spec", "scale"), "replicas", data)
+        patch: dict = {"spec": {"replicas": replicas}}
+        if annotations:
+            patch["metadata"] = {"annotations": annotations}
+        data = self._merge_patch(patch)
+        return _replicas(_object_field(data, "spec", "deployment"), "replicas", data)
 
     def read_annotations(self) -> dict[str, str]:
         """The Deployment's annotations, from the same GET as :meth:`read_scale`."""
@@ -195,11 +197,13 @@ class KubeClient:
     def write_annotation(self, annotations: dict[str, str | None]) -> None:
         """Merge-patch the given annotations in one request; a ``None`` value
         removes its key."""
-        body = json.dumps({"metadata": {"annotations": annotations}}).encode()
-        self._request(
+        self._merge_patch({"metadata": {"annotations": annotations}})
+
+    def _merge_patch(self, patch: dict) -> dict:
+        return self._request(
             "PATCH",
             self._deployment_path(),
-            body=body,
+            body=json.dumps(patch).encode(),
             content_type="application/merge-patch+json",
         )
 

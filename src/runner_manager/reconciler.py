@@ -2,9 +2,11 @@
 
 One iteration combines three inputs -- GitHub demand, the keepalive
 deadline, and observed Kubernetes state -- into a target replica count,
-applies it through the scale subresource, and keeps the keepalive
-bookkeeping durable in Deployment annotations so a manager restart cannot
-silently let the runner's registration token age out.
+and keeps the keepalive bookkeeping durable in Deployment annotations so a
+manager restart cannot silently let the runner's registration token age out.
+A poll sends at most one write: one merge patch of the Deployment that
+carries the new ``spec.replicas`` and whichever annotations changed, or the
+annotations alone when the count stays.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
@@ -223,9 +225,9 @@ def update_state(
     decision: Decision,
     observation: Observation,
     now: float,
-    wrote_scale: bool,
 ) -> ManagerState:
-    """Advance keepalive bookkeeping after a decision was applied.
+    """Advance the keepalive bookkeeping after a decision. The poll's one
+    write then carries it; whether that write succeeds does not change it.
 
     A live runner refreshes its own token, so ``last_active`` moves to ``now``
     whenever the Deployment reports a ready replica -- and only then; a
@@ -245,13 +247,7 @@ def update_state(
     # HOLD freezes keepalive bookkeeping: an API outage neither starts nor
     # cancels a dwell.
 
-    last_written = decision.target_replicas if wrote_scale else state.last_written_replicas
-
-    return ManagerState(
-        last_active=last_active,
-        keepalive_started_at=keepalive_started,
-        last_written_replicas=last_written,
-    )
+    return replace(state, last_active=last_active, keepalive_started_at=keepalive_started)
 
 
 class ReconcileLoop:
@@ -282,15 +278,18 @@ class ReconcileLoop:
 
     # -- durable state ----------------------------------------------------
 
-    def _persist_durable_state(self, trailing: bool) -> None:
-        """Write whichever annotations changed, in one merge patch.
+    def _write(self, replicas: int | None, trailing: bool) -> bool:
+        """Send the poll's one write, if it has one: a merge patch of the
+        Deployment with ``spec.replicas`` (unless ``replicas`` is None) and
+        whichever annotations changed. True when it wrote ``spec.replicas``.
 
         On a ``trailing`` poll -- a replica is ready and stays wanted --
         ``last-active`` is sent only once the in-memory stamp is ``min_dwell``
         past it, so it trails by less than ``min_dwell``. That is safe: the
         poll that stops wanting the runner, or first misses it, sends the
         exact stamp (the module docstring has the restart case).
-        ``_persisted`` keeps the ``last-active`` actually sent.
+        ``_persisted`` keeps the ``last-active`` actually sent; a refused
+        write leaves it as it was, so the next poll sends the same again.
         """
         last_active, persisted = self.state.last_active, self._persisted.last_active
         if trailing and persisted is not None and last_active - persisted < self.policy.min_dwell:
@@ -300,14 +299,18 @@ class ReconcileLoop:
             patch[ANNOTATION_LAST_ACTIVE] = _format_ts(last_active)
         if self.state.keepalive_started_at != self._persisted.keepalive_started_at:
             patch[ANNOTATION_KEEPALIVE_STARTED] = _format_ts(self.state.keepalive_started_at)
-        if patch:
+        if replicas is not None:
+            self.kube.write_scale(replicas, patch)
+        elif patch:
             self.kube.write_annotation(patch)
-            self._persisted = replace(self.state, last_active=last_active)
+        self._persisted = replace(self.state, last_active=last_active)
+        return replicas is not None
 
     # -- one iteration -----------------------------------------------------
 
     def reconcile_once(self, tick: float) -> ReconcileRecord | None:
-        """Poll, decide, apply, persist. Returns None when stopped mid-poll.
+        """Poll, decide, then write the count and the bookkeeping in one
+        request. Returns None when stopped mid-poll.
 
         Transient failures never escape: GitHub trouble degrades to a hold
         decision, Kubernetes trouble skips this iteration's writes. Credential
@@ -329,20 +332,16 @@ class ReconcileLoop:
         observation = Observation(outstanding_jobs=jobs, deployment=deployment)
         decision = compute_desired(observation, self.state, self.policy, now)
 
+        self.state = update_state(self.state, decision, observation, now)
+
         wrote = False
-        if (
-            observation.kube_ok
-            and decision.target_replicas != deployment.spec_replicas
-            and not self.stop.is_set()
-        ):
-            written = _step(self.kube_streaks, failures, lambda: self.kube.write_scale(decision.target_replicas))
-            wrote = written is not None
-
-        self.state = update_state(self.state, decision, observation, now, wrote_scale=wrote)
-
         if observation.kube_ok:
-            trailing = deployment.ready_replicas >= 1 and decision.target_replicas >= 1
-            _step(self.kube_streaks, failures, lambda: self._persist_durable_state(trailing))
+            target = decision.target_replicas
+            replicas = target if target != deployment.spec_replicas and not self.stop.is_set() else None
+            trailing = deployment.ready_replicas >= 1 and target >= 1
+            wrote = bool(_step(self.kube_streaks, failures, lambda: self._write(replicas, trailing)))
+        if wrote:
+            self.state = replace(self.state, last_written_replicas=decision.target_replicas)
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.

@@ -61,7 +61,7 @@ def test_kube_409_conflict_is_transient():
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
         with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(TransientError):
-            client.write_scale(1)
+            client.write_scale(1, {})
     finally:
         server.close()
 
@@ -168,7 +168,7 @@ class _TerminatingPodKube:
         self.reads += 1
         return DeploymentSnapshot(spec_replicas=0, ready_replicas=1, annotations=dict(self.annotations))
 
-    def write_scale(self, replicas):
+    def write_scale(self, replicas, annotations):
         raise AssertionError("spec already matches the idle target")
 
     def write_annotation(self, annotations):

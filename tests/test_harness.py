@@ -10,7 +10,7 @@ import pytest
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import TransientError
 from runner_manager.harness.driver import run_scenario
-from runner_manager.harness.fake_kube import FakeKube
+from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
 from runner_manager.harness.scenario import (
     ScenarioEvent,
     ScenarioScript,
@@ -169,13 +169,44 @@ class TestFakeKube:
         assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/namespaces/other/deployments/gha-runner/scale"]
 
     def test_scale_subresource_is_never_read(self, fake_kube):
-        # The manager only patches /scale; a GET must not fall through to another route.
+        # The manager patches the Deployment itself; no method on /scale may
+        # fall through to another route, a valid replica patch included.
         url = f"{fake_kube.base_url}/apis/apps/v1/namespaces/ci/deployments/gha-runner/scale"
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(url)
-        excinfo.value.close()
-        assert excinfo.value.code == 405
+        for request in (
+            urllib.request.Request(url),
+            urllib.request.Request(
+                url, data=b'{"spec": {"replicas": 1}}', method="PATCH", headers={"Content-Type": MERGE_PATCH}
+            ),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            excinfo.value.close()
+            assert excinfo.value.code == 405
+        assert (fake_kube.spec_replicas, fake_kube.scale_write_log) == (0, [])
         assert fake_kube.cross_namespace_requests == []
+
+    @pytest.mark.parametrize(
+        "body, content_type",
+        [
+            ({"spec": {"replicas": 1, "paused": True}}, MERGE_PATCH),
+            ({"spec": {"replicas": 1}}, "application/strategic-merge-patch+json"),
+        ],
+        ids=["extra-spec-field", "non-merge-content-type"],
+    )
+    def test_bad_replica_patch_is_refused_and_flagged(self, fake_kube, body, content_type):
+        url = f"{fake_kube.base_url}/apis/apps/v1/namespaces/ci/deployments/gha-runner"
+        patch = urllib.request.Request(
+            url, data=json.dumps(body).encode(), method="PATCH", headers={"Content-Type": content_type}
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(patch)
+        excinfo.value.close()
+        assert excinfo.value.code == 422
+        assert fake_kube.spec_replicas == 0
+        # The driver lists every logged write with a false flag in
+        # ScenarioResult.scale_patch_violations.
+        [write] = fake_kube.scale_write_log
+        assert not (write.content_type_ok and write.body_shape_ok)
 
     def test_cluster_scoped_path_rejected(self, fake_kube):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -84,19 +84,27 @@ def test_status_lag_reported_distinctly(fake_kube, kube_client):
 
 
 def test_write_then_read_scale(fake_kube, kube_client):
-    assert kube_client.write_scale(1) == 1
+    assert kube_client.write_scale(1, {}) == 1
     assert kube_client.read_scale().spec_replicas == 1
 
 
+def test_write_scale_carries_annotations_in_one_deployment_patch(fake_kube, kube_client):
+    fake_kube.annotations["old"] = "x"
+    assert kube_client.write_scale(1, {"k": "v", "old": None}) == 1
+    assert fake_kube.request_paths == ["/apis/apps/v1/namespaces/ci/deployments/gha-runner"]
+    assert (fake_kube.spec_replicas, fake_kube.annotations) == (1, {"k": "v"})
+    assert [(w.replicas, w.content_type_ok, w.body_shape_ok) for w in fake_kube.scale_write_log] == [(1, True, True)]
+
+
 def test_write_equal_to_current_is_permitted(fake_kube, kube_client):
-    kube_client.write_scale(0)
+    kube_client.write_scale(0, {})
     assert kube_client.read_scale().spec_replicas == 0
 
 
 def test_write_above_max_rejected_before_any_http(fake_kube, kube_client):
     before = len(fake_kube.request_paths)
     with pytest.raises(ValueError):
-        kube_client.write_scale(2)
+        kube_client.write_scale(2, {})
     assert len(fake_kube.request_paths) == before
 
 
@@ -156,7 +164,7 @@ def test_pod_listing_empty_at_zero_replicas(kube_client):
 
 def test_every_request_is_namespaced(fake_kube, kube_client):
     kube_client.read_scale()
-    kube_client.write_scale(1)
+    kube_client.write_scale(1, {})
     kube_client.read_annotations()
     kube_client.write_annotation({"a": "b"})
     kube_client.list_runner_pods("app=gha-runner")
@@ -170,7 +178,7 @@ def test_scale_and_annotations_are_isolated(fake_kube, kube_client):
     kube_client.write_annotation({"k": "v"})
     replicas_before = fake_kube.spec_replicas
     annotations_before = dict(fake_kube.annotations)
-    kube_client.write_scale(1)
+    kube_client.write_scale(1, {})
     assert fake_kube.annotations == annotations_before
     kube_client.write_annotation({"k2": "v2"})
     assert fake_kube.spec_replicas == 1
@@ -183,7 +191,7 @@ def test_scale_and_annotations_are_isolated(fake_kube, kube_client):
         lambda c: c.read_scale(),
         lambda c: c.list_runner_pods("app=gha-runner"),
         lambda c: c.read_annotations(),
-        lambda c: c.write_scale(1),
+        lambda c: c.write_scale(1, {}),
         lambda c: c.write_annotation({"k": "v"}),
     ],
     ids=["read-scale", "list-pods", "read-annotations", "write-scale", "write-annotation"],
@@ -222,7 +230,7 @@ def test_kube_fault_is_transient(fake_kube, kube_client):
          lambda c: c.read_scale()),
         ({"kind": "Deployment", "metadata": "gha-runner"}, lambda c: c.read_scale()),
         ({"kind": "Deployment", "metadata": {"annotations": ["k"]}}, lambda c: c.read_scale()),
-        ({"kind": "Scale", "spec": {"replicas": None}}, lambda c: c.write_scale(1)),
+        ({"kind": "Deployment", "spec": {"replicas": None}}, lambda c: c.write_scale(1, {})),
     ],
     ids=["null-pod", "string-status", "string-metadata", "list-spec", "string-deployment-status",
          "string-ready-replicas", "string-deployment-metadata", "list-annotations", "null-written-replicas"],

@@ -91,9 +91,8 @@ def test_deploy_example_is_the_rendered_default(capsys):
 def test_role_grants_only_get_and_patch_on_the_deployment():
     objs = [o for o in yaml.safe_load_all(_default_output()) if o]
     role = next(o for o in objs if o["kind"] == "Role")
-    # The loop GETs and merge-patches the Deployment and merge-patches /scale;
-    # it never reads /scale, and an HTTP PATCH needs only the verb patch.
+    # The loop GETs the Deployment and merge-patches it, replicas included;
+    # it never touches /scale, and an HTTP PATCH needs only the verb patch.
     assert role["rules"] == [
         {"apiGroups": ["apps"], "resources": ["deployments"], "verbs": ["get", "patch"]},
-        {"apiGroups": ["apps"], "resources": ["deployments/scale"], "verbs": ["patch"]},
     ]

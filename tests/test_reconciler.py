@@ -1,17 +1,25 @@
-"""The decision rules, tested as pure functions."""
+"""The decision rules, tested as pure functions, and the loop's one write
+a poll against a Deployment held in memory."""
+
+import threading
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from runner_manager.config import Policy
+from runner_manager.clock import to_rfc3339
+from runner_manager.config import Policy, RepoCoordinates
+from runner_manager.errors import TransientError
 from runner_manager.github import JobRecord
 from runner_manager.kube import DeploymentSnapshot
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import (
+    ANNOTATION_KEEPALIVE_STARTED,
+    ANNOTATION_LAST_ACTIVE,
     Decision,
     ManagerState,
     Observation,
     Reason,
+    ReconcileLoop,
     compute_desired,
     keepalive_due,
     update_state,
@@ -143,16 +151,16 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
 def test_running_pod_refreshes_last_active():
     now = 500.0
     obs = _obs(spec=1, ready=1)
-    state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now, wrote_scale=False)
+    state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
     assert state.last_active == now
 
 
 def test_keepalive_decision_starts_dwell_once():
     now = 500.0
     obs = _obs()
-    state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), obs, now, wrote_scale=False)
+    state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), obs, now)
     assert state.keepalive_started_at == now
-    later = update_state(state, Decision(1, Reason.KEEPALIVE), obs, now + 60, wrote_scale=False)
+    later = update_state(state, Decision(1, Reason.KEEPALIVE), obs, now + 60)
     assert later.keepalive_started_at == now  # not restarted
 
 
@@ -160,21 +168,21 @@ def test_idle_without_running_pod_leaves_last_active():
     now = 500.0
     obs = _obs()
     before = ManagerState(last_active=100.0)
-    after = update_state(before, Decision(0, Reason.IDLE), obs, now, wrote_scale=False)
+    after = update_state(before, Decision(0, Reason.IDLE), obs, now)
     assert after.last_active == 100.0
 
 
 def test_last_active_never_moves_backward():
     obs = _obs(spec=1, ready=1)
     state = ManagerState(last_active=100.0)
-    after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0, wrote_scale=False)
+    after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0)
     assert after.last_active == 100.0
 
 
 def test_pending_pod_does_not_refresh():
     now = 500.0
     obs = _obs(spec=1, ready=0)  # the pod is Pending, or Running but not Ready
-    after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now, wrote_scale=False)
+    after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
     assert after.last_active is None
 
 
@@ -182,15 +190,102 @@ def test_demand_and_idle_clear_dwell_hold_preserves_it():
     now = 500.0
     obs = _obs()
     state = ManagerState(keepalive_started_at=400.0)
-    assert update_state(state, Decision(1, Reason.DEMAND), obs, now, wrote_scale=False).keepalive_started_at is None
-    assert update_state(state, Decision(0, Reason.IDLE), obs, now, wrote_scale=False).keepalive_started_at is None
-    assert update_state(state, Decision(1, Reason.HOLD), obs, now, wrote_scale=False).keepalive_started_at == 400.0
+    assert update_state(state, Decision(1, Reason.DEMAND), obs, now).keepalive_started_at is None
+    assert update_state(state, Decision(0, Reason.IDLE), obs, now).keepalive_started_at is None
+    assert update_state(state, Decision(1, Reason.HOLD), obs, now).keepalive_started_at == 400.0
 
 
-def test_last_written_tracks_successful_writes_only():
-    now = 500.0
-    obs = _obs()
-    wrote = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now, wrote_scale=True)
-    assert wrote.last_written_replicas == 1
-    skipped = update_state(wrote, Decision(0, Reason.IDLE), obs, now, wrote_scale=False)
-    assert skipped.last_written_replicas == 1
+class _MemoryDeployment:
+    """A Deployment held in memory for one ReconcileLoop. It logs every
+    write the loop sends as ``(replicas or None, annotation patch)`` and
+    refuses the next one with a 503 while ``refuse`` is set."""
+
+    def __init__(self, annotations: dict[str, str]):
+        self.spec = self.ready = 0
+        self.annotations = dict(annotations)
+        self.writes: list[tuple[int | None, dict]] = []
+        self.refuse = False
+
+    def read_scale(self) -> DeploymentSnapshot:
+        return DeploymentSnapshot(self.spec, self.ready, dict(self.annotations))
+
+    def write_scale(self, replicas: int, annotations: dict) -> int:
+        self._write(replicas, annotations)
+        self.spec = replicas
+        return replicas
+
+    def write_annotation(self, annotations: dict) -> None:
+        self._write(None, annotations)
+
+    def _write(self, replicas: int | None, annotations: dict) -> None:
+        self.writes.append((replicas, dict(annotations)))
+        if self.refuse:
+            self.refuse = False
+            raise TransientError("PATCH deployment -> 503", 503)
+        for key, value in annotations.items():
+            if value is None:
+                self.annotations.pop(key, None)
+            else:
+                self.annotations[key] = value
+
+
+def _loop(gh_client, kube, clock) -> ReconcileLoop:
+    return ReconcileLoop(gh_client, kube, POLICY, clock, RepoCoordinates("biocore", "unifrac"), threading.Event())
+
+
+def test_last_written_tracks_successful_writes_only(clock, gh_client):
+    # Keepalive is due from the first poll: unknown history.
+    kube = _MemoryDeployment({})
+    loop = _loop(gh_client, kube, clock)
+    kube.refuse = True
+    assert loop.reconcile_once(clock.now()).wrote_scale is False
+    assert loop.state.last_written_replicas is None
+    clock.advance(POLICY.poll_interval)
+    assert loop.reconcile_once(clock.now()).wrote_scale is True
+    assert loop.state.last_written_replicas == 1
+
+
+def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
+    # The runner last ran one dwell short of the force interval ago, so the
+    # first poll starts a keepalive activation.
+    clock.advance(POLICY.force_interval)
+    started = clock.now()
+    kube = _MemoryDeployment({ANNOTATION_LAST_ACTIVE: to_rfc3339(started - POLICY.force_interval + POLICY.min_dwell)})
+    loop = _loop(gh_client, kube, clock)
+
+    # Scale-up: one patch carries the count and the dwell's start. A
+    # refused patch changes nothing held, so the next poll sends it again.
+    kube.refuse = True
+    assert loop.reconcile_once(started).wrote_scale is False
+    assert loop.state.last_written_replicas is None
+    assert loop._persisted.keepalive_started_at is None
+    clock.advance(POLICY.poll_interval)
+    up = clock.now()
+    assert loop.reconcile_once(up).wrote_scale is True
+    scale_up = (1, {ANNOTATION_KEEPALIVE_STARTED: to_rfc3339(started)})
+    assert kube.writes == [scale_up, scale_up]
+    assert kube.spec == 1
+
+    # The runner comes up: the next poll moves last-active, annotation only.
+    kube.ready = 1
+    clock.advance(POLICY.poll_interval)
+    seen = clock.now()
+    assert loop.reconcile_once(seen).wrote_scale is False
+    assert kube.writes[2:] == [(None, {ANNOTATION_LAST_ACTIVE: to_rfc3339(seen)})]
+
+    # The dwell ends: one patch scales to 0, stamps last-active exactly and
+    # removes keepalive-started. Refused once, it is sent again whole.
+    clock.t = started + POLICY.min_dwell
+    kube.refuse = True
+    down = clock.now()
+    assert loop.reconcile_once(down).wrote_scale is False
+    assert loop.state.last_written_replicas == 1
+    clock.advance(POLICY.poll_interval)
+    again = clock.now()
+    assert loop.reconcile_once(again).wrote_scale is True
+    assert kube.writes[3:] == [
+        (0, {ANNOTATION_LAST_ACTIVE: to_rfc3339(down), ANNOTATION_KEEPALIVE_STARTED: None}),
+        (0, {ANNOTATION_LAST_ACTIVE: to_rfc3339(again), ANNOTATION_KEEPALIVE_STARTED: None}),
+    ]
+    assert kube.annotations == {ANNOTATION_LAST_ACTIVE: to_rfc3339(again)}
+    assert (kube.spec, loop.state.last_written_replicas) == (0, 0)

@@ -21,7 +21,13 @@ from runner_manager.harness.virtual_clock import SIM_EPOCH
 from runner_manager.errors import ConfigError, CredentialError
 from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials, resolve_credentials
 from runner_manager.github import GitHubClient
-from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop, keepalive_due_at
+from runner_manager.reconciler import (
+    ANNOTATION_KEEPALIVE_STARTED,
+    ANNOTATION_LAST_ACTIVE,
+    Reason,
+    ReconcileLoop,
+    keepalive_due_at,
+)
 from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, run_service
 
 LABELS = ["self-hosted", "linux-gpu-cuda"]
@@ -126,100 +132,80 @@ def test_persistent_kube_401_exits_nonzero_without_writing():
 
 
 class _UnwritableKubeClient(KubeClient):
-    """May read the Deployment but is refused every /scale patch."""
+    """May read the Deployment but is refused every patch of it; keeps what
+    each refused replica patch carried."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.write_attempts = 0
+        self.scale_writes: list[tuple[int, dict]] = []
+        self.annotation_writes: list[dict] = []
 
-    def write_scale(self, replicas):
-        self.write_attempts += 1
-        raise CredentialError("PATCH /scale -> 403", 403)
+    def write_scale(self, replicas, annotations):
+        self.scale_writes.append((replicas, dict(annotations)))
+        raise CredentialError("PATCH deployment -> 403", 403)
+
+    def write_annotation(self, annotations):
+        self.annotation_writes.append(dict(annotations))
+        raise CredentialError("PATCH deployment -> 403", 403)
 
 
-def test_refused_scale_writes_reach_the_credential_exit(clock):
-    github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(clock=clock).start()
+def _run_unwritable(clock, github: FakeGitHub, kube: FakeKube) -> tuple[int, _UnwritableKubeClient, list]:
+    """run_service with a client refused every patch, until it exits."""
     kube_client = _UnwritableKubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "gha-runner",
         max_replicas=1,
     )
     github_client = GitHubClient(github.base_url, "t", clock=clock)
+    config = Config(
+        repo=RepoCoordinates("biocore", "unifrac"),
+        policy=Policy(),
+        kube_deployment="gha-runner",
+        github_api_base=github.base_url,
+        github_token="t",
+        kube_namespace="ci",
+        kube_api_base=kube.base_url,
+        kube_sa_dir="/nonexistent",
+    )
+    records = []
     try:
-        config = Config(
-            repo=RepoCoordinates("biocore", "unifrac"),
-            policy=Policy(),
-            kube_deployment="gha-runner",
-            github_api_base=github.base_url,
-            github_token="t",
-            kube_namespace="ci",
-            kube_api_base=kube.base_url,
-            kube_sa_dir="/nonexistent",
-        )
-        records = []
-        # No last-active annotation: keepalive is due, so every poll tries to scale to 1.
         code = run_service(
             config, clock, threading.Event(), {}, observer=records.append, github=github_client, kube=kube_client
         )
-        assert code == EXIT_CREDENTIALS
-        assert kube_client.write_attempts == 3
-        assert [r.consecutive_kube_errors for r in records] == [1, 2]
     finally:
         github_client.close()
         kube_client.close()
         github.close()
         kube.close()
+    return code, kube_client, records
 
 
-class _ReadOnlyKubeClient(_UnwritableKubeClient):
-    """Refused every /scale patch and every annotation patch."""
+def test_refused_scale_writes_reach_the_credential_exit(clock):
+    # A queued job and a recent last-active: every poll patches replicas 1
+    # alone, as no annotation changes.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    github.enqueue_job(LABELS)
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    code, kube_client, records = _run_unwritable(clock, github, kube)
+    assert code == EXIT_CREDENTIALS
+    assert kube_client.scale_writes == [(1, {})] * 3
+    assert [r.consecutive_kube_errors for r in records] == [1, 2]
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.annotation_attempts = 0
 
-    def write_annotation(self, annotations):
-        self.annotation_attempts += 1
-        raise CredentialError("PATCH deployment -> 403", 403)
-
-
-def test_two_refused_writes_in_one_poll_count_once(clock):
+def test_refused_merged_write_counts_once_a_poll(clock):
+    # No last-active annotation: keepalive is due, so each poll sends one
+    # patch of the Deployment carrying replicas 1 and the dwell's start. It
+    # is refused, so the dwell's start stays the first poll's.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(clock=clock).start()
-    kube_client = _ReadOnlyKubeClient(
-        KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
-        "gha-runner",
-        max_replicas=1,
-    )
-    github_client = GitHubClient(github.base_url, "t", clock=clock)
-    try:
-        config = Config(
-            repo=RepoCoordinates("biocore", "unifrac"),
-            policy=Policy(),
-            kube_deployment="gha-runner",
-            github_api_base=github.base_url,
-            github_token="t",
-            kube_namespace="ci",
-            kube_api_base=kube.base_url,
-            kube_sa_dir="/nonexistent",
-        )
-        records = []
-        # Keepalive is due, so each poll patches /scale and then the
-        # keepalive-started annotation; both are refused.
-        code = run_service(
-            config, clock, threading.Event(), {}, observer=records.append, github=github_client, kube=kube_client
-        )
-        assert code == EXIT_CREDENTIALS
-        assert kube_client.write_attempts == 3
-        # The third poll exits at its refused /scale patch and sends nothing more.
-        assert kube_client.annotation_attempts == 2
-        assert [r.consecutive_kube_errors for r in records] == [1, 2]
-    finally:
-        github_client.close()
-        kube_client.close()
-        github.close()
-        kube.close()
+    code, kube_client, records = _run_unwritable(clock, github, kube)
+    assert code == EXIT_CREDENTIALS
+    started = {ANNOTATION_KEEPALIVE_STARTED: to_rfc3339(records[0].decided_at)}
+    assert kube_client.scale_writes == [(1, started)] * 3
+    # One refused request a poll; the third poll exits at it and sends
+    # nothing more.
+    assert kube_client.annotation_writes == []
+    assert [r.consecutive_kube_errors for r in records] == [1, 2]
 
 
 def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=None) -> tuple[int, list]:
