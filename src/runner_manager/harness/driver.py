@@ -3,9 +3,13 @@
 The driver owns virtual time. Each step it waits for the manager thread to
 park in the clock, advances to the clock's next deadline (scenario event,
 pod/job timer, or the manager's own wake-up), runs the due environment
-work first, then releases the manager. Identical scripts therefore produce
+work first, then releases the manager. The clock is the one scheduler: the
+fakes are handed it and set every timer (a pod turning Running, a job
+completing) with its ``call_at``. Identical scripts therefore produce
 identical traces, bit for bit. The trace is the run's record: decisions,
-poll counts and scale writes are read back from it.
+poll counts and accepted scale writes are read back from it; fake
+Kubernetes keeps only the refused Deployment patches, as
+``scale_patch_violations``.
 """
 
 from __future__ import annotations
@@ -148,14 +152,12 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
     kube = FakeKube(
         clock=clock,
         pod_startup_delay=script.pod_startup_delay,
-        schedule=clock.call_at,
         initial_annotations=initial_annotations,
     ).start()
 
     world = RunnerWorld(
         github,
         labels=policy.runner_labels.as_list(),
-        schedule=clock.call_at,
         clock=clock,
         on_event=lambda action, detail: trace.append(clock.now(), "fake_runner", action, detail),
     )
@@ -247,11 +249,6 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         github.close()
         kube.close()
 
-    scale_patch_violations = [
-        f"scale patch at {w.at - epoch:.1f}s: content_type_ok={w.content_type_ok} body_ok={w.body_shape_ok}"
-        for w in kube.scale_write_log
-        if not (w.content_type_ok and w.body_shape_ok)
-    ]
     if kube.cross_namespace_requests:
         failure_reasons.append(f"cross-namespace requests: {kube.cross_namespace_requests}")
 
@@ -266,6 +263,6 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         github_api_requests=github.api_request_count,
         github_charged_requests=github.charged_request_count,
         kube_requests=dict(kube.requests_by_method),
-        scale_patch_violations=scale_patch_violations,
+        scale_patch_violations=list(kube.scale_patch_violations),
         final_annotations=dict(kube.annotations),
     )

@@ -17,12 +17,13 @@ time, on which only non-``304`` answers draw. The budget is reported, never
 enforced: running out of it is a failure class the oracle does not model.
 ``charged_request_count`` counts the answers that drew on it.
 
-Every ``/repos/...`` request has its bearer token, ``Accept`` and
-``X-GitHub-Api-Version`` judged as it arrives (``record_request``); a
-mismatch lands in ``header_violations``. The headers themselves are not
-kept: with ``keep_request_log`` on, ``request_log`` holds one
-``RequestRecord`` per request -- its path, the status answered and the
-``If-None-Match`` it sent, the one header the answer depends on.
+Every ``/repos/...`` request has its bearer token (against the required
+``expected_token``), ``Accept`` and ``X-GitHub-Api-Version`` judged as it
+arrives (``record_request``); a mismatch lands in ``header_violations``.
+The headers themselves are not kept: with ``keep_request_log`` on,
+``request_log`` holds one ``RequestRecord`` per request -- its path, the
+status answered and the ``If-None-Match`` it sent, the one header the
+answer depends on. Time is read only from the clock the caller gives.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from ..clock import Clock, SystemClock, to_rfc3339
+from ..clock import Clock, to_rfc3339
 from ..labels import LabelSet
 from .httpserver import FakeHttpServer, Request, Response
 
@@ -82,12 +83,12 @@ class FakeGitHub:
 
     def __init__(
         self,
-        expected_token: str | None = None,
-        clock: Clock | None = None,
+        expected_token: str,
+        clock: Clock,
         keep_request_log: bool = False,
     ):
         self.expected_token = expected_token
-        self.clock = clock or SystemClock()
+        self.clock = clock
         self.keep_request_log = keep_request_log
 
         self._lock = threading.RLock()
@@ -277,8 +278,7 @@ class FakeGitHub:
         if path.startswith("/repos/"):
             self.api_request_count += 1
             auth = headers.get("authorization", "")
-            expected = f"Bearer {self.expected_token}" if self.expected_token else None
-            if expected is not None and auth != expected:
+            if auth != f"Bearer {self.expected_token}":
                 self.header_violations.append(f"{method} {path}: bad authorization {auth!r}")
             for name, wanted in REQUIRED_HEADERS.items():
                 if headers.get(name) != wanted:

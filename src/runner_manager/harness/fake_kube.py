@@ -13,9 +13,15 @@ counts every request, always; ``request_paths`` keeps each path only when
 ``keep_request_paths`` is on.
 
 Scaling behaves like a (simplified) Deployment controller: on 0->N the
-fake creates Pending pods that turn Running after a configurable startup
-delay; on scale-down it terminates pods, newest first, notifying the
+fake creates Pending pods, and each turns Running on a timer set with the
+given clock's ``call_at`` for ``pod_startup_delay`` later -- the one way a
+pod starts; on scale-down it terminates pods, newest first, notifying the
 attached runner world so an in-flight fake runner can be torn down.
+
+Each Deployment patch is judged as it is answered. A refused one (wrong
+content type, or a body that is not exactly replicas and/or annotations)
+is answered ``422`` and described in ``scale_patch_violations``; an
+accepted replica write is reported through ``on_scale_write`` only.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from ..clock import Clock, SystemClock
+from ..clock import Clock, to_rfc3339
 from .httpserver import FakeHttpServer, Request, Response
 
 _SCALE_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)/scale$")
@@ -45,25 +51,15 @@ class FakePod:
     phase: str  # Pending | Running
 
 
-@dataclass
-class ScaleWrite:
-    at: float
-    replicas: int
-    content_type_ok: bool
-    body_shape_ok: bool
-
-
 class FakeKube:
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: Clock,
         pod_startup_delay: float = 0.0,
-        schedule: Callable[[float, Callable[[], None]], None] | None = None,
         initial_annotations: dict[str, str] | None = None,
     ):
-        self.clock = clock or SystemClock()
+        self.clock = clock  # also the scheduler: pods start on its call_at timers
         self.pod_startup_delay = pod_startup_delay
-        self._schedule = schedule
 
         self._lock = threading.RLock()
         self.spec_replicas = 0
@@ -73,7 +69,7 @@ class FakeKube:
         self.fault_status: int | None = None
 
         self.cross_namespace_requests: list[str] = []
-        self.scale_write_log: list[ScaleWrite] = []
+        self.scale_patch_violations: list[str] = []  # one line per refused Deployment patch
         self.requests_by_method: Counter[str] = Counter()  # always on; the budget tests read it
         self.request_paths: list[str] = []  # interned, kept only with keep_request_paths
         self.keep_request_paths = False
@@ -115,26 +111,18 @@ class FakeKube:
         """The Deployment-controller half: converge pods toward spec.replicas."""
         now = self.clock.now()
         to_terminate: list[FakePod] = []
-        became_running: list[str] = []
+        started: list[str] = []
         with self._lock:
             self.spec_replicas = replicas
             while len(self.pods) < replicas:
                 self._pod_seq += 1
                 pod = FakePod(name=f"{DEPLOYMENT}-{self._pod_seq}", phase="Pending")
                 self.pods.append(pod)
-                if self._schedule is not None:
-                    self._schedule(
-                        now + self.pod_startup_delay,
-                        lambda name=pod.name: self.pod_set_running(name),
-                    )
-                else:
-                    pod.phase = "Running"
-                    became_running.append(pod.name)
+                started.append(pod.name)
             while len(self.pods) > replicas:
                 to_terminate.append(self.pods.pop())  # newest first
-        for name in became_running:
-            if self.on_pod_running is not None:
-                self.on_pod_running(name)
+        for name in started:
+            self.clock.call_at(now + self.pod_startup_delay, lambda name=name: self.pod_set_running(name))
         for pod in to_terminate:
             if self.on_pod_terminating is not None:
                 self.on_pod_terminating(pod.name)
@@ -236,9 +224,10 @@ def _handle(kube: FakeKube, request: Request) -> Response:
 
 def _patch_deployment(kube: FakeKube, request: Request) -> Response:
     """A merge patch of ``spec.replicas``, of ``metadata.annotations``, or of
-    both, and nothing else. A patch that carries ``spec`` is logged in
-    ``scale_write_log`` with its verdict, refused or not."""
-    content_ok = (request.headers.get("content-type") or "").split(";")[0].strip() == MERGE_PATCH
+    both, and nothing else. A refused patch is described in
+    ``scale_patch_violations``."""
+    content_type = request.headers.get("content-type") or ""
+    content_ok = content_type.split(";")[0].strip() == MERGE_PATCH
     body = request.json()
     spec, metadata = body.get("spec"), body.get("metadata")
     shape_ok = (
@@ -247,11 +236,13 @@ def _patch_deployment(kube: FakeKube, request: Request) -> Response:
         and ("spec" not in body or _is_replicas(spec))
         and ("metadata" not in body or _is_annotations(metadata))
     )
-    if "spec" in body:
-        now = kube.clock.now()
-        with kube._lock:
-            kube.scale_write_log.append(ScaleWrite(now, spec["replicas"] if shape_ok else -1, content_ok, shape_ok))
+    now = kube.clock.now()
     if not (content_ok and shape_ok):
+        problems = [] if content_ok else [f"content type {content_type!r}"]
+        if not shape_ok:
+            problems.append(f"body {body!r}")
+        with kube._lock:
+            kube.scale_patch_violations.append(f"PATCH {request.path} at {to_rfc3339(now)}: {', '.join(problems)}")
         return Response.json(
             422, {"message": "only merge-patch {spec:{replicas:N>=0}, metadata:{annotations}} is accepted"}
         )

@@ -3,7 +3,8 @@
 Two forms share the claim/complete behavior:
 
 * :class:`RunnerWorld` -- in-process actors bound to fake-kube pods, used by
-  scenarios so everything stays on the virtual clock.
+  scenarios so everything stays on the virtual clock: a job's completion is
+  a timer set with the clock's ``call_at``.
 * ``main()`` -- a real subprocess (console script ``fake-github-runner``)
   that registers over HTTP, claims the oldest eligible job, drops a
   workspace file per job and exits cleanly on SIGTERM. Used to exercise the
@@ -35,14 +36,12 @@ class RunnerWorld:
         self,
         github: FakeGitHub,
         labels: list[str],
-        schedule: Callable[[float, Callable[[], None]], None],
         clock,
         on_event: Callable[[str, dict], None],
     ):
         self.github = github
         self.labels = list(labels)
-        self.schedule = schedule
-        self.clock = clock
+        self.clock = clock  # also the scheduler: job completions are its call_at timers
         self.on_event = on_event
         self.runners: dict[str, int] = {}  # pod name -> runner id
 
@@ -77,7 +76,7 @@ class RunnerWorld:
                 if job is None:
                     continue
                 self.on_event("job_claimed", {"pod": pod_name, "job": job.job_id})
-                self.schedule(
+                self.clock.call_at(
                     self.clock.now() + job.duration,
                     lambda p=pod_name, r=runner_id, j=job.job_id: self._complete(p, r, j),
                 )

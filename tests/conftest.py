@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
+from typing import Callable
 
 import pytest
 
@@ -17,11 +20,32 @@ TEST_TOKEN = "ghp-test-token-123"
 
 
 class SteppingClock(Clock):
-    """Unit-test clock: waits return instantly and advance time."""
+    """Unit-test clock: waits return instantly and advance time. A timer set
+    with ``call_at`` runs once the clock reaches it, or at once if it has,
+    so a fake Kubernetes pod with no start-up delay is Running as soon as it
+    is created."""
 
     def __init__(self, start: float = 0.0):
-        self.t = start
+        self._t = start
         self.waits: list[float] = []
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
+
+    @property
+    def t(self) -> float:
+        return self._t
+
+    @t.setter
+    def t(self, value: float) -> None:
+        self._t = value
+        while self._timers and self._timers[0][0] <= value:
+            heapq.heappop(self._timers)[2]()
+
+    def call_at(self, at: float, fn: Callable[[], None]) -> None:
+        if at <= self._t:
+            fn()
+        else:
+            heapq.heappush(self._timers, (at, next(self._seq), fn))
 
     def now(self) -> float:
         return self.t

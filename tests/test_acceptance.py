@@ -20,6 +20,7 @@ import pytest
 import yaml
 
 from runner_manager.bootstrap import RunnerProfile, emit_manifests, init_runner_dir, run_runner
+from runner_manager.clock import SystemClock
 from runner_manager.config import Config, Policy, RepoCoordinates
 from runner_manager.github import GitHubClient
 from runner_manager.harness.driver import ScenarioResult, run_scenario
@@ -159,7 +160,7 @@ def _check_scenario(seed, script: ScenarioScript, result: ScenarioResult, stats:
     for event in script.events:
         if event.kind != "enqueue_job":
             continue
-        requested = LabelSet(event.payload.get("labels", MATCHING))
+        requested = LabelSet(event.arg("labels"))
         if not requested.issubset(result.policy.runner_labels):
             continue
         enqueue_at = event.at
@@ -243,6 +244,7 @@ def month_long_idle() -> ScenarioResult:
     assert not result.scenario_failed, result.failure_reasons
     expected = oracle_decisions(script, result.policy)
     assert expected.decisions == result.decisions
+    assert expected.writes == result.writes
     assert expected.annotations == result.final_annotations
     return result
 
@@ -375,7 +377,7 @@ def test_criterion_7_restart_resilience(restart_batch):
 
 
 def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
-    github = FakeGitHub().start()
+    github = FakeGitHub(expected_token="token", clock=SystemClock()).start()
     client = GitHubClient(github.base_url, "token")
     try:
         persistent, work = tmp_path / "runner", tmp_path / "work"
@@ -422,6 +424,8 @@ def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
         persistent_names = {p.name for p in persistent.rglob("*")}
         assert not any(n.startswith("job-") for n in persistent_names)
         assert {".runner-initialized", "runner-config.json"} <= {p.name for p in persistent.iterdir()}
+        # The registration-token POST carried the client's token and API headers.
+        assert github.header_violations == []
     finally:
         client.close()
         github.close()
@@ -489,7 +493,10 @@ def test_request_budget_under_a_storm():
     script = workloads.storm_script(1, 0)
     result = run_scenario(script)
     assert not result.scenario_failed, result.failure_reasons
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    expected = oracle_decisions(script, result.policy)
+    assert expected.decisions == result.decisions
+    assert expected.writes == result.writes
+    assert expected.annotations == result.final_annotations
     polls = len(result.decisions)
     per_poll = {
         "GitHub": (result.github_api_requests / polls, STORM_GITHUB_PER_POLL),

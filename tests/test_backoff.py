@@ -107,3 +107,28 @@ def test_interrupt_stops_backoff_wait():
     with pytest.raises(TransientError, match="interrupted"):
         execute_with_backoff(call, state, clock, window_end=60.0, interrupt=stop)
     assert call.calls == 0
+
+
+def test_failure_whose_retry_lands_on_the_window_end_propagates_itself():
+    # Retry-After puts the next attempt exactly at window_end: that attempt
+    # is not in this window, so the caller gets the rate limit itself, not
+    # the gate's "beyond this poll window".
+    clock = SteppingClock()
+    call = Flaky(99, exc=RateLimitedError("limited", 429, retry_after=60.0)).bind(clock)
+    state = BackoffState()
+    with pytest.raises(RateLimitedError):
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
+    assert call.calls == 1
+    assert state.next_allowed_attempt == 60.0
+
+
+def test_attempt_due_now_is_made_even_when_interrupted():
+    # The interrupt cuts a wait short; an attempt that needs no wait -- due
+    # exactly now -- is made, as one due earlier would be.
+    clock = SteppingClock(start=30.0)
+    stop = threading.Event()
+    stop.set()
+    call = Flaky(0).bind(clock)
+    state = BackoffState(consecutive_failures=2, next_allowed_attempt=30.0)
+    assert execute_with_backoff(call, state, clock, window_end=60.0, interrupt=stop) == "payload"
+    assert call.call_times == [30.0]

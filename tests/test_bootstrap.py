@@ -18,6 +18,7 @@ from runner_manager.bootstrap import (
     init_runner_dir,
     run_runner,
 )
+from runner_manager.clock import SystemClock
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError
 from runner_manager.github import GitHubClient
@@ -39,9 +40,12 @@ def _dir_digest(root: str) -> str:
 
 @pytest.fixture
 def github():
-    server = FakeGitHub().start()
+    server = FakeGitHub(expected_token="t", clock=SystemClock()).start()
     yield server
     server.close()
+    # Every API request carried the token the ``client`` fixture sends, and
+    # the API headers.
+    assert server.header_violations == []
 
 
 @pytest.fixture

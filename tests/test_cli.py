@@ -10,6 +10,7 @@ import yaml
 import runner_manager.bootstrap.cli as bootstrap_cli
 import runner_manager.harness.cli as harness_cli
 import runner_manager.service as service
+from runner_manager.clock import SystemClock
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.scenario import ScenarioScript, ScenarioEvent, script_to_dict
 
@@ -58,7 +59,7 @@ def test_bootstrap_manifests_to_stdout(capsys):
 
 
 def test_bootstrap_init_via_cli(tmp_path, monkeypatch):
-    github = FakeGitHub().start()
+    github = FakeGitHub(expected_token="tok", clock=SystemClock()).start()
     try:
         runner_dir = tmp_path / "runner"
         runner_dir.mkdir()
@@ -78,6 +79,7 @@ def test_bootstrap_init_via_cli(tmp_path, monkeypatch):
         assert (runner_dir / ".runner-initialized").exists()
         config = json.loads((runner_dir / "runner-config.json").read_text())
         assert config["registration_token"] == "REG-0001"
+        assert github.header_violations == []
     finally:
         github.close()
 

@@ -7,7 +7,7 @@ import pytest
 
 from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy, RepoCoordinates
-from runner_manager.errors import RateLimitedError, TransientError
+from runner_manager.errors import ProtocolError, RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.httpserver import FakeHttpServer, Response
@@ -62,6 +62,22 @@ def test_kube_409_conflict_is_transient():
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
         with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(TransientError):
             client.write_scale(1, {})
+    finally:
+        server.close()
+
+
+def test_kube_400_is_protocol_error_for_the_read_and_the_patch():
+    # A 400 answer carries a Status object, not a Deployment: neither a read
+    # of zero replicas nor a landed write may be made of it.
+    server = FakeHttpServer(lambda request: Response.json(400, {"kind": "Status", "code": 400}))
+    server.start()
+    try:
+        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client:
+            for call in (client.read_scale, lambda: client.write_scale(1, {})):
+                with pytest.raises(ProtocolError) as excinfo:
+                    call()
+                assert excinfo.value.status == 400
     finally:
         server.close()
 

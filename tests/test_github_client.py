@@ -142,11 +142,12 @@ def test_5xx_classified_transient(fake_github, gh_client):
 def test_registration_token_echoes_fixture(clock):
     from runner_manager.harness.fake_github import FakeGitHub
 
-    gh = FakeGitHub(clock=clock).start()
+    gh = FakeGitHub(expected_token=TEST_TOKEN, clock=clock).start()
     try:
         with closing(GitHubClient(gh.base_url, TEST_TOKEN, clock=clock)) as client:
             token = client.create_registration_token(REPO)
         assert token == RegistrationToken(token="REG-0001", expires_at=clock.now() + 3600)
+        assert gh.header_violations == []
     finally:
         gh.close()
 
@@ -163,6 +164,14 @@ def test_missing_expires_at_is_protocol_error(serve):
     client = serve(lambda request: Response.json(201, {"token": "REG-x"}))
     with pytest.raises(ProtocolError):
         client.create_registration_token(REPO)
+
+
+def test_400_listing_is_protocol_error_with_its_status(serve):
+    # A 400 is an error answer, not a listing that lacks its array.
+    client = serve(lambda request: Response.json(400, {"message": "Bad Request"}))
+    with pytest.raises(ProtocolError) as excinfo:
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
+    assert excinfo.value.status == 400
 
 
 def test_non_json_body_is_protocol_error(serve):

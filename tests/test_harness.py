@@ -182,7 +182,7 @@ class TestFakeKube:
                 urllib.request.urlopen(request)
             excinfo.value.close()
             assert excinfo.value.code == 405
-        assert (fake_kube.spec_replicas, fake_kube.scale_write_log) == (0, [])
+        assert (fake_kube.spec_replicas, fake_kube.scale_patch_violations) == (0, [])
         assert fake_kube.cross_namespace_requests == []
 
     @pytest.mark.parametrize(
@@ -203,10 +203,30 @@ class TestFakeKube:
         excinfo.value.close()
         assert excinfo.value.code == 422
         assert fake_kube.spec_replicas == 0
-        # The driver lists every logged write with a false flag in
-        # ScenarioResult.scale_patch_violations.
-        [write] = fake_kube.scale_write_log
-        assert not (write.content_type_ok and write.body_shape_ok)
+        # The driver copies the list into ScenarioResult.scale_patch_violations.
+        [violation] = fake_kube.scale_patch_violations
+        assert violation.startswith("PATCH /apis/apps/v1/namespaces/ci/deployments/gha-runner at ")
+        assert (content_type in violation) == (content_type != MERGE_PATCH)
+        assert ("paused" in violation) == ("paused" in body["spec"])
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"metadata": {"annotations": {"k": "v"}, "labels": {"a": "b"}}}, {"metadata": {"annotations": ["k"]}}],
+        ids=["extra-metadata-field", "annotations-not-a-map"],
+    )
+    def test_bad_annotation_only_patch_is_refused_and_flagged(self, fake_kube, body):
+        url = f"{fake_kube.base_url}/apis/apps/v1/namespaces/ci/deployments/gha-runner"
+        patch = urllib.request.Request(
+            url, data=json.dumps(body).encode(), method="PATCH", headers={"Content-Type": MERGE_PATCH}
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(patch)
+        excinfo.value.close()
+        assert excinfo.value.code == 422
+        assert (fake_kube.spec_replicas, fake_kube.annotations) == (0, {})
+        [violation] = fake_kube.scale_patch_violations
+        assert violation.startswith("PATCH /apis/apps/v1/namespaces/ci/deployments/gha-runner at ")
+        assert "body" in violation and "content type" not in violation
 
     def test_cluster_scoped_path_rejected(self, fake_kube):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -90,10 +90,12 @@ def test_write_then_read_scale(fake_kube, kube_client):
 
 def test_write_scale_carries_annotations_in_one_deployment_patch(fake_kube, kube_client):
     fake_kube.annotations["old"] = "x"
+    replica_writes = []
+    fake_kube.on_scale_write = lambda at, replicas: replica_writes.append(replicas)
     assert kube_client.write_scale(1, {"k": "v", "old": None}) == 1
     assert fake_kube.request_paths == ["/apis/apps/v1/namespaces/ci/deployments/gha-runner"]
     assert (fake_kube.spec_replicas, fake_kube.annotations) == (1, {"k": "v"})
-    assert [(w.replicas, w.content_type_ok, w.body_shape_ok) for w in fake_kube.scale_write_log] == [(1, True, True)]
+    assert (replica_writes, fake_kube.scale_patch_violations) == ([1], [])
 
 
 def test_write_equal_to_current_is_permitted(fake_kube, kube_client):

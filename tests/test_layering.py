@@ -63,3 +63,32 @@ def test_the_manager_does_not_import_the_harness():
         if name.split(".")[0] == "harness"
     ]
     assert offenders == []
+
+
+def _wall_clock_imports(source: Path) -> list[str]:
+    """``time`` and ``SystemClock`` imports in ``source``, as written."""
+    found = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "time"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "time":
+                found.append(node.module)
+            found += [alias.name for alias in node.names if alias.name == "SystemClock"]
+    return found
+
+
+def test_import_reader_finds_wall_clock_imports():
+    assert _wall_clock_imports(PACKAGE / "clock.py") == ["time"]
+    assert _wall_clock_imports(PACKAGE / "service.py") == ["SystemClock"]
+
+
+def test_the_harness_takes_time_only_from_the_clock_it_is_handed():
+    # The fakes and the driver read time and set timers through the clock
+    # their caller passes; none may fall back to the wall clock.
+    offenders = [
+        (source.relative_to(PACKAGE).as_posix(), name)
+        for source in sorted((PACKAGE / "harness").rglob("*.py"))
+        for name in _wall_clock_imports(source)
+    ]
+    assert offenders == []

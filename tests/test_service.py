@@ -8,6 +8,7 @@ import time
 from typing import Callable
 
 import pytest
+from conftest import SteppingClock
 
 from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, load_config
 from runner_manager.clock import SystemClock, from_rfc3339, to_rfc3339
@@ -49,6 +50,22 @@ def test_single_queued_job_scales_once_within_one_poll():
     up_writes = [w for w in result.writes if w[1] == 1]
     assert len(up_writes) == 1
     assert 10 < up_writes[0][0] <= 10 + result.policy.poll_interval
+
+
+def test_poll_counts_queued_and_in_progress_jobs_apart():
+    # Three matching jobs and room for two runners. The 60 s poll stops
+    # reading at two queued jobs; by the 120 s poll both runners hold one.
+    # The counts differ, so a swap of the two would show.
+    script = ScenarioScript(
+        horizon=121,
+        events=[ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": LABELS}) for _ in range(3)],
+        initial_last_active=0,
+        policy={"max_runners": 2},
+    )
+    result = run_scenario(script)
+    assert not result.scenario_failed
+    assert result.poll_counts == [(0.0, 0, 0), (60.0, 2, 0), (120.0, 0, 2)]
+    assert result.decisions == oracle_decisions(script, result.policy).decisions
 
 
 def test_scale_down_written_exactly_once_after_completion():
@@ -268,6 +285,8 @@ def test_secondary_rate_limit_holds_without_exiting(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(clock=clock).start()
     kube.apply_scale(1)  # a live runner that the outage must not scale down
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append(replicas)
     github.set_fault("secondary_rate_limit", 30)
     try:
         code, records = _run_polls(clock, github, kube, polls=4)
@@ -277,7 +296,9 @@ def test_secondary_rate_limit_holds_without_exiting(clock):
     assert code == EXIT_OK
     assert [(r.desired, r.reason, r.wrote_scale) for r in records] == [(1, Reason.HOLD, False)] * 4
     assert [r.consecutive_github_errors for r in records] == [1, 2, 3, 4]
-    assert kube.scale_write_log == []
+    # No replica write, accepted or refused; the keepalive's annotation
+    # PATCH may still go out.
+    assert (replica_writes, kube.scale_patch_violations, kube.spec_replicas) == ([], [], 1)
 
 
 DEPLOYMENT_PATH = "/apis/apps/v1/namespaces/ci/deployments/gha-runner"
@@ -329,6 +350,8 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
     # 1, holds the runner for min_dwell (15 polls), then scales back to 0.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(clock=clock).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append(replicas)
     per_poll, file_requests = _requests_per_poll(monkeypatch)
     stamps = []  # the last-active annotation after each poll
 
@@ -342,7 +365,7 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
         github.close()
         kube.close()
     assert code == EXIT_OK
-    assert [w.replicas for w in kube.scale_write_log] == [1, 0]
+    assert (replica_writes, kube.scale_patch_violations) == ([1, 0], [])
     # Pods turn Running and Ready the moment they are created here, so
     # readyReplicas equals the spec.replicas each poll observed.
     assert [r.observed_replicas for r in records] == [0] + [1] * 15 + [0] * 4
@@ -469,6 +492,8 @@ def test_kube_throttling_holds_without_exiting(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(clock=clock).start()
     kube.apply_scale(1)  # a live runner that throttling must not scale down
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append(replicas)
     kube.set_fault(429)
     try:
         code, records = _run_polls(clock, github, kube, polls=4)
@@ -478,7 +503,7 @@ def test_kube_throttling_holds_without_exiting(clock):
     assert code == EXIT_OK
     assert [(r.observed_replicas, r.wrote_scale) for r in records] == [(None, False)] * 4
     assert [r.consecutive_kube_errors for r in records] == [1, 2, 3, 4]
-    assert kube.scale_write_log == [] and kube.spec_replicas == 1
+    assert (replica_writes, kube.scale_patch_violations, kube.spec_replicas) == ([], [], 1)
 
 
 def test_scenario_leaves_no_threads_behind():
@@ -520,10 +545,14 @@ def test_missing_deployment_exits_config_error(clock):
 
 
 def test_sigterm_style_stop_mid_run_issues_no_further_writes():
-    # Wall-clock run with a tiny poll interval; stop fires while the loop sleeps.
+    # Wall-clock run with a tiny poll interval; stop fires while the loop
+    # sleeps. Fake Kubernetes keeps its own stepping clock, so its pods start
+    # at once; each accepted replica write is stamped with wall time.
     clock = SystemClock()
     github = FakeGitHub(expected_token="t", clock=clock).start()
-    kube = FakeKube(clock=clock).start()
+    kube = FakeKube(clock=SteppingClock()).start()
+    write_times = []
+    kube.on_scale_write = lambda at, replicas: write_times.append(time.time())
     github_client = GitHubClient(github.base_url, "t", clock=clock)
     kube_client = KubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
@@ -552,7 +581,7 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
         )
         runner.start()
         deadline = time.time() + 5
-        while not kube.scale_write_log and time.time() < deadline:
+        while not write_times and time.time() < deadline:
             time.sleep(0.01)
         stop.set()
         stop_time = time.time()
@@ -560,7 +589,7 @@ def test_sigterm_style_stop_mid_run_issues_no_further_writes():
         assert not runner.is_alive()
         assert records == [0]
         # Allow the in-flight reconcile a moment to notice the stop flag.
-        writes_after_stop = [w for w in kube.scale_write_log if w.at > stop_time + 0.25]
+        writes_after_stop = [at for at in write_times if at > stop_time + 0.25]
         assert writes_after_stop == []
     finally:
         github_client.close()
