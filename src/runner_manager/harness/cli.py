@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace.to_ndjson())
+            fh.writelines(result.trace.lines())
 
     summary = {
         "horizon": script.horizon,

@@ -7,9 +7,11 @@ work first, then releases the manager. The clock is the one scheduler: the
 fakes are handed it and set every timer (a pod turning Running, a job
 completing) with its ``call_at``. Identical scripts therefore produce
 identical traces, bit for bit. The trace is the run's record: decisions,
-poll counts and accepted scale writes are read back from it; fake
-Kubernetes keeps only the refused Deployment patches, as
-``scale_patch_violations``.
+poll counts and accepted scale writes are read back from it. Each
+``decision`` entry holds the manager's :class:`ReconcileRecord` itself,
+rendered to the reconcile log line's dict only when the trace is rendered
+(``to_ndjson``, the fingerprint). Fake Kubernetes keeps only the refused
+Deployment patches, as ``scale_patch_violations``.
 """
 
 from __future__ import annotations
@@ -103,11 +105,11 @@ class ScenarioResult:
 
     @property
     def decisions(self) -> list[tuple[float, int, str]]:  # (tick seconds, target, reason)
-        return [(e.at, e.detail["desired"], e.detail["reason"]) for e in self.trace.select("manager", "decision")]
+        return [(e.at, e.detail.desired, e.detail.reason.value) for e in self.trace.select("manager", "decision")]
 
     @property
     def poll_counts(self) -> list[tuple[float, int | None, int | None]]:  # (tick, queued, in_progress)
-        return [(e.at, e.detail["queued"], e.detail["in_progress"]) for e in self.trace.select("manager", "decision")]
+        return [(e.at, e.detail.queued, e.detail.in_progress) for e in self.trace.select("manager", "decision")]
 
     @property
     def writes(self) -> list[tuple[float, int]]:  # (seconds, replicas)
@@ -184,7 +186,7 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
     exit_codes: list[int | None] = []
 
     def observer(record: ReconcileRecord) -> None:
-        trace.append(record.tick, "manager", "decision", record.as_log_dict())
+        trace.append(record.tick, "manager", "decision", record)
 
     manager = _ManagerHandle(config, clock, observer)
     respawn_at: float | None = None  # when the stopped manager's successor starts

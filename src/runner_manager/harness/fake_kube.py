@@ -15,7 +15,8 @@ counts every request, always; ``request_paths`` keeps each path only when
 Scaling behaves like a (simplified) Deployment controller: on 0->N the
 fake creates Pending pods, and each turns Running on a timer set with the
 given clock's ``call_at`` for ``pod_startup_delay`` later -- the one way a
-pod starts; on scale-down it terminates pods, newest first, notifying the
+pod starts, so the fake refuses a clock that is not a ``TimerClock`` when
+it is built; on scale-down it terminates pods, newest first, notifying the
 attached runner world so an in-flight fake runner can be torn down.
 
 Each Deployment patch is judged as it is answered. A refused one (wrong
@@ -33,8 +34,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from ..clock import Clock, to_rfc3339
+from ..clock import to_rfc3339
 from .httpserver import FakeHttpServer, Request, Response
+from .virtual_clock import TimerClock
 
 _SCALE_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)/scale$")
 _DEPLOY_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)$")
@@ -54,10 +56,12 @@ class FakePod:
 class FakeKube:
     def __init__(
         self,
-        clock: Clock,
+        clock: TimerClock,
         pod_startup_delay: float = 0.0,
         initial_annotations: dict[str, str] | None = None,
     ):
+        if not isinstance(clock, TimerClock):
+            raise TypeError(f"FakeKube needs a TimerClock to start pods, not {type(clock).__name__}")
         self.clock = clock  # also the scheduler: pods start on its call_at timers
         self.pod_startup_delay = pod_startup_delay
 

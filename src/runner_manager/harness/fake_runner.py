@@ -23,6 +23,7 @@ import urllib.request
 from typing import Callable
 
 from .fake_github import FakeGitHub
+from .virtual_clock import TimerClock
 
 POLL_SECONDS = 0.02  # between claim attempts while idle
 TIME_SCALE = 0.001  # wall seconds a job takes per simulated second of its duration
@@ -36,9 +37,11 @@ class RunnerWorld:
         self,
         github: FakeGitHub,
         labels: list[str],
-        clock,
+        clock: TimerClock,
         on_event: Callable[[str, dict], None],
     ):
+        if not isinstance(clock, TimerClock):
+            raise TypeError(f"RunnerWorld needs a TimerClock to complete jobs, not {type(clock).__name__}")
         self.github = github
         self.labels = list(labels)
         self.clock = clock  # also the scheduler: job completions are its call_at timers

@@ -22,8 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from ..config import DEFAULT_RUNNER_LABELS, Policy, parse_policy
 from ..errors import ConfigError
 
@@ -150,6 +148,8 @@ def _number(value, name: str) -> float:
 
 def load_script(path: str) -> ScenarioScript:
     """Load a YAML/JSON scenario file (JSON is a YAML subset)."""
+    import yaml  # only reading a script needs it
+
     with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)

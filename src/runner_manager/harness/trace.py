@@ -1,21 +1,34 @@
-"""Scenario traces: a strictly ordered record of everything that happened."""
+"""Scenario traces: a strictly ordered record of everything that happened.
+
+A manager ``decision`` entry holds the manager's own :class:`ReconcileRecord`
+as its detail, not a rendering of it. The record becomes the reconcile log
+line's dict only when the entry is rendered, by :meth:`Trace.lines` for
+``to_ndjson`` and the fingerprint alike.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from dataclasses import dataclass
+from typing import Iterator
+
+from ..reconciler import ReconcileRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     at: float  # seconds since scenario start
     actor: str  # manager | fake_github | fake_kube | fake_runner | driver
     action: str
-    detail: dict
+    detail: dict | ReconcileRecord
 
     def as_dict(self) -> dict:
-        return {"at": self.at, "actor": self.actor, "action": self.action, "detail": self.detail}
+        detail = self.detail
+        if isinstance(detail, ReconcileRecord):
+            detail = detail.as_log_dict()
+        return {"at": self.at, "actor": self.actor, "action": self.action, "detail": detail}
 
 
 class Trace:
@@ -26,7 +39,9 @@ class Trace:
         self._lock = threading.Lock()
         self._entries: list[TraceEntry] = []
 
-    def append(self, at_abs: float, actor: str, action: str, detail: dict | None = None) -> None:
+    def append(
+        self, at_abs: float, actor: str, action: str, detail: dict | ReconcileRecord | None = None
+    ) -> None:
         entry = TraceEntry(at=at_abs - self._epoch, actor=actor, action=action, detail=detail or {})
         with self._lock:
             self._entries.append(entry)
@@ -43,11 +58,18 @@ class Trace:
             if (actor is None or e.actor == actor) and (action is None or e.action == action)
         ]
 
+    def lines(self) -> Iterator[str]:
+        """Each entry as one newline-terminated JSON line, rendered as it is read."""
+        for entry in self.entries:
+            yield json.dumps(entry.as_dict(), sort_keys=True) + "\n"
+
     def to_ndjson(self) -> str:
-        return "\n".join(json.dumps(e.as_dict(), sort_keys=True) for e in self.entries) + "\n"
+        return "".join(self.lines())
 
     def fingerprint(self) -> str:
-        """Stable digest used by determinism checks."""
-        import hashlib
-
-        return hashlib.sha256(self.to_ndjson().encode()).hexdigest()
+        """Stable digest used by determinism checks: the SHA-256 of
+        ``to_ndjson()``, computed a line at a time."""
+        digest = hashlib.sha256()
+        for line in self.lines():
+            digest.update(line.encode())
+        return digest.hexdigest()

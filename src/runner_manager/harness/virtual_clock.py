@@ -23,6 +23,16 @@ SIM_EPOCH = from_rfc3339("2024-01-01T00:00:00Z")
 QUIESCE_TIMEOUT = 60.0  # wall seconds the driver waits for every actor to park
 
 
+class TimerClock(Clock):
+    """A clock that also runs timers: the one the fakes need, since a pod
+    turns Running and a job completes on a timer set with ``call_at``.
+    :class:`~runner_manager.clock.SystemClock` is not one."""
+
+    def call_at(self, at: float, fn: Callable[[], None]) -> None:
+        """Have ``fn`` run once time reaches ``at``."""
+        raise NotImplementedError
+
+
 class _Waiter:
     __slots__ = ("deadline", "event", "interrupt")
 
@@ -32,7 +42,7 @@ class _Waiter:
         self.interrupt = interrupt
 
 
-class VirtualClock(Clock):
+class VirtualClock(TimerClock):
     def __init__(self):
         self._now = SIM_EPOCH
         self._cond = threading.Condition()

@@ -91,9 +91,10 @@ class ManagerState:
     last_written_replicas: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ReconcileRecord:
-    """One loop iteration's facts: the log line, the trace entry and /status."""
+    """One loop iteration's facts: the log line, the trace entry and /status.
+    The harness trace keeps each one as it is and renders it on demand."""
 
     tick: float
     decided_at: float

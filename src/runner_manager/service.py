@@ -108,7 +108,8 @@ def run_service(
                 record = None
 
             if record is not None:
-                reconcile_logger.info(json.dumps(record.as_log_dict()))
+                if reconcile_logger.isEnabledFor(logging.INFO):
+                    reconcile_logger.info(json.dumps(record.as_log_dict()))
                 if observer is not None:
                     observer(record)
                 if status_server is not None:

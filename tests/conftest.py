@@ -9,17 +9,17 @@ from typing import Callable
 
 import pytest
 
-from runner_manager.clock import Clock
 from runner_manager.config import Policy
 from runner_manager.github import GitHubClient
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
+from runner_manager.harness.virtual_clock import TimerClock
 from runner_manager.kube import KubeClient, KubeCredentials
 
 TEST_TOKEN = "ghp-test-token-123"
 
 
-class SteppingClock(Clock):
+class SteppingClock(TimerClock):
     """Unit-test clock: waits return instantly and advance time. A timer set
     with ``call_at`` runs once the clock reaches it, or at once if it has,
     so a fake Kubernetes pod with no start-up delay is Running as soon as it

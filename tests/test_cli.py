@@ -1,6 +1,7 @@
 """The three command line surfaces."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -244,12 +245,28 @@ def test_secondary_rate_limit_scenario_agrees_with_the_oracle(tmp_path, capsys):
     assert holds and all(300 <= at < 1200 + 60 for at in holds)
 
 
+# The trace digest of scenarios/restart-drill.yaml, pinned so that a change to
+# how any entry, a decision's above all, is rendered fails here.
+RESTART_DRILL_FINGERPRINT = "49f3ac7ae992577b3603fa5d8d7efe01d0436a6b7f42e921b64aee394293402f"
+
+
 @pytest.mark.parametrize(
     "script", sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml")), ids=lambda p: p.stem
 )
-def test_every_shipped_scenario_agrees_with_the_oracle(script, capsys):
-    rc = harness_cli.main(["run", "--script", str(script), "--check-oracle"])
+def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys, monkeypatch):
+    results = []
+    run_scenario = harness_cli.run_scenario
+    monkeypatch.setattr(harness_cli, "run_scenario", lambda s: results.append(run_scenario(s)) or results[-1])
+    trace_path = tmp_path / "trace.ndjson"
+    rc = harness_cli.main(["run", "--script", str(script), "--check-oracle", "--trace-out", str(trace_path)])
     summary = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert summary["oracle_match"] is True
     assert summary["scenario_failed"] is False
+    # The file, to_ndjson and the streamed fingerprint render the same bytes.
+    [result] = results
+    written = trace_path.read_bytes()
+    assert written == result.trace.to_ndjson().encode()
+    assert result.trace.fingerprint() == hashlib.sha256(written).hexdigest()
+    if script.stem == "restart-drill":
+        assert result.trace.fingerprint() == RESTART_DRILL_FINGERPRINT

@@ -1,16 +1,23 @@
 """The testbed itself: virtual clock, fake servers, scenario driver."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+from runner_manager.clock import SystemClock
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import TransientError
 from runner_manager.harness.driver import run_scenario
+from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
+from runner_manager.harness.fake_runner import RunnerWorld
 from runner_manager.harness.scenario import (
     ScenarioEvent,
     ScenarioScript,
@@ -250,6 +257,15 @@ class TestFakeKube:
         assert kube.requests_by_method == {"GET": 2, "PATCH": 1}
         assert kube.request_paths == []
 
+    def test_fakes_refuse_a_clock_without_timers_when_built(self):
+        # Pods start and jobs complete on call_at timers, which the wall
+        # clock has not: the mistake fails here, not at the first scale-up.
+        with pytest.raises(TypeError, match="FakeKube needs a TimerClock"):
+            FakeKube(clock=SystemClock())
+        github = FakeGitHub(expected_token="t", clock=SystemClock())
+        with pytest.raises(TypeError, match="RunnerWorld needs a TimerClock"):
+            RunnerWorld(github, labels=[], clock=SystemClock(), on_event=lambda action, detail: None)
+
 
 class TestScenarioScripts:
     def test_yaml_roundtrip(self, tmp_path):
@@ -260,6 +276,14 @@ class TestScenarioScripts:
         path.write_text(yaml.safe_dump(script_to_dict(script)))
         loaded = load_script(str(path))
         assert script_to_dict(loaded) == script_to_dict(script)
+
+    def test_harness_imports_no_yaml(self):
+        # Only load_script reads YAML; importing the harness leaves it out.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import sys, runner_manager, runner_manager.harness; print('yaml' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_json_scripts_load_too(self, tmp_path):
         import json

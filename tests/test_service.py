@@ -27,6 +27,7 @@ from runner_manager.reconciler import (
     ANNOTATION_LAST_ACTIVE,
     Reason,
     ReconcileLoop,
+    ReconcileRecord,
     keepalive_due_at,
 )
 from runner_manager.service import EXIT_CONFIG, EXIT_CREDENTIALS, EXIT_OK, run_service
@@ -611,6 +612,17 @@ def test_decisions_logged_one_json_object_per_reconcile(caplog):
         assert set(payload) == {"time", "queued", "in_progress", "observed", "desired", "reason", "wrote_scale"}
         assert payload["reason"] == "idle"
         assert payload["wrote_scale"] is False
+
+
+def test_log_line_is_not_rendered_below_info(caplog, monkeypatch):
+    rendered = []
+    as_log_dict = ReconcileRecord.as_log_dict
+    monkeypatch.setattr(ReconcileRecord, "as_log_dict", lambda record: rendered.append(record) or as_log_dict(record))
+    script = ScenarioScript(horizon=240, events=[], initial_last_active=0)
+    with caplog.at_level(logging.WARNING, logger="runner_manager.reconcile"):
+        result = run_scenario(script)
+    assert len(result.decisions) == 4
+    assert rendered == []
 
 
 def _sa_mount(root) -> str:
