@@ -227,16 +227,22 @@ def load_config(flags: list[str], environment: dict[str, str]) -> Config:
     )
 
 
+def read_secret_file(path: str, what: str) -> str:
+    """The stripped contents of a mounted secret; ``ConfigError`` naming the
+    path when the file cannot be read or holds nothing."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = fh.read().strip()
+    except OSError as exc:
+        raise ConfigError(f"{what} not readable: {path} ({exc})") from exc
+    if not value:
+        raise ConfigError(f"{what} is empty: {path}")
+    return value
+
+
 def resolve_github_token(token_file: str | None, environment: dict[str, str]) -> str:
     if token_file:
-        try:
-            with open(token_file, encoding="utf-8") as fh:
-                token = fh.read().strip()
-        except OSError as exc:
-            raise ConfigError(f"github token file not readable: {token_file} ({exc})") from exc
-        if not token:
-            raise ConfigError(f"github token file is empty: {token_file}")
-        return token
+        return read_secret_file(token_file, "github token file")
     token = environment.get("GITHUB_TOKEN", "").strip()
     if not token:
         raise ConfigError("missing required field: github token (--github-token-file or GITHUB_TOKEN)")

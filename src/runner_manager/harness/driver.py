@@ -7,11 +7,12 @@ work first, then releases the manager. The clock is the one scheduler: the
 fakes are handed it and set every timer (a pod turning Running, a job
 completing) with its ``call_at``. Identical scripts therefore produce
 identical traces, bit for bit. The trace is the run's record: decisions,
-poll counts and accepted scale writes are read back from it. Each
-``decision`` entry holds the manager's :class:`ReconcileRecord` itself,
-rendered to the reconcile log line's dict only when the trace is rendered
-(``to_ndjson``, the fingerprint). Fake Kubernetes keeps only the refused
-Deployment patches, as ``scale_patch_violations``.
+poll counts and accepted scale writes are read back from it, each once, at
+its first read. Each ``decision`` entry holds the manager's
+:class:`ReconcileRecord` itself, rendered to the reconcile log line's dict
+only when the trace is rendered (``to_ndjson``, the fingerprint). Fake
+Kubernetes keeps only the refused Deployment patches, as
+``scale_patch_violations``.
 """
 
 from __future__ import annotations
@@ -103,15 +104,17 @@ class ScenarioResult:
     scale_patch_violations: list[str]
     final_annotations: dict[str, str]
 
-    @property
+    # Each list is read from the finished trace once, at its first read, and
+    # kept: a run that nobody reads holds only the trace.
+    @functools.cached_property
     def decisions(self) -> list[tuple[float, int, str]]:  # (tick seconds, target, reason)
         return [(e.at, e.detail.desired, e.detail.reason.value) for e in self.trace.select("manager", "decision")]
 
-    @property
+    @functools.cached_property
     def poll_counts(self) -> list[tuple[float, int | None, int | None]]:  # (tick, queued, in_progress)
         return [(e.at, e.detail.queued, e.detail.in_progress) for e in self.trace.select("manager", "decision")]
 
-    @property
+    @functools.cached_property
     def writes(self) -> list[tuple[float, int]]:  # (seconds, replicas)
         return [(e.at, e.detail["replicas"]) for e in self.trace.select("fake_kube", "scale_write")]
 

@@ -6,6 +6,13 @@ the fake runner uses to register, claim and complete jobs. Job status
 transitions follow the real lifecycle: queued until a registered runner
 claims the job, then in_progress, then completed.
 
+The fake is the one record of who runs what. ``runners`` holds each
+registered runner's labels by runner name, and ``claims`` the job each busy
+runner is working on. As on GitHub, a name is registered once: a second
+registration under a live name is refused (``409`` over HTTP). A runner
+deregistered mid-job puts its job back in the queue; a scripted
+completion frees the runner that held the job.
+
 Faults are scripted behavior, not errors: while a fault span is active,
 every ``/repos/...`` request answers with the injected status.
 
@@ -45,7 +52,7 @@ PAGE_SIZE = 100
 _RUNS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs$")
 _JOBS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs/(\d+)/jobs$")
 _REG_TOKEN_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runners/registration-token$")
-_RUNNER_RE = re.compile(r"^/_harness/runners/(\d+)(?:/(claim|complete))?$")
+_RUNNER_RE = re.compile(r"^/_harness/runners/([^/]+)(?:/(claim|complete))?$")
 
 RATE_LIMIT = 5000  # primary rate limit per hour, as for a personal access token
 RATE_LIMIT_WINDOW = 3600.0
@@ -65,9 +72,9 @@ class FakeJob:
     run_id: int
     labels: list[str]
     created_at: float
+    created_rfc3339: str  # rendered once, at enqueue: the listings send it
     duration: float
     status: str = "queued"  # queued | in_progress | completed
-    claimed_by: int | None = None
     ref: str | None = None
 
 
@@ -97,13 +104,13 @@ class FakeGitHub:
         # Run id -> its status, in id order; kept current at every job
         # transition so a listing reads it instead of walking the jobs.
         self._run_status: dict[int, str] = {}
-        # Registered runners' labels, by runner id. A runner is busy while a
-        # job it claimed is in progress.
-        self.runners: dict[int, LabelSet] = {}
+        # Registered runners' labels, and the job each busy runner works on,
+        # by runner name.
+        self.runners: dict[str, LabelSet] = {}
+        self.claims: dict[str, FakeJob] = {}
         self.issued_registration_tokens: list[str] = []
         self._job_seq = 0
         self._run_seq = 0
-        self._runner_seq = 0
         # ("status", code) | ("rate_limit", retry_after) | ("secondary_rate_limit", retry_after)
         self.fault: tuple[str, float] | None = None
 
@@ -141,6 +148,7 @@ class FakeGitHub:
     ) -> list[FakeJob]:
         """Create one run containing ``jobs_in_run`` queued jobs."""
         now = self.clock.now()
+        stamp = to_rfc3339(now)  # one string for the run and its jobs
         with self._lock:
             self._run_seq += 1
             run_id = 1000 + self._run_seq
@@ -152,6 +160,7 @@ class FakeGitHub:
                     run_id=run_id,
                     labels=list(labels),
                     created_at=now,
+                    created_rfc3339=stamp,
                     duration=duration,
                     ref=ref,
                 )
@@ -166,6 +175,7 @@ class FakeGitHub:
     def force_complete(self, ref: str) -> None:
         """Scripted completion (e.g. a cancelled workflow), runner or not."""
         with self._lock:
+            self.claims = {name: job for name, job in self.claims.items() if job.ref != ref}
             for job in self.jobs.values():
                 if job.ref == ref and job.status != "completed":
                     job.status = "completed"
@@ -182,51 +192,53 @@ class FakeGitHub:
 
     # -- runner-side operations (HTTP for subprocesses, direct for actors) --
 
-    def register_runner(self, name: str, labels: list[str]) -> int:
-        """Register a runner; GitHub shows ``name``, the fake keeps only the labels."""
+    def register_runner(self, name: str, labels: list[str]) -> str | None:
+        """Register a runner under ``name``; ``None`` if the name is taken."""
         with self._lock:
-            self._runner_seq += 1
-            self.runners[self._runner_seq] = LabelSet(labels)
-            return self._runner_seq
+            if name in self.runners:
+                return None
+            self.runners[name] = LabelSet(labels)
+            return name
 
-    def deregister_runner(self, runner_id: int) -> None:
+    def deregister_runner(self, name: str) -> bool:
+        """Remove a runner; False if none of that name was registered."""
         with self._lock:
-            if self.runners.pop(runner_id, None) is None:
-                return
-            for job in self.jobs.values():
-                if job.claimed_by == runner_id and job.status == "in_progress":
-                    # Runner died mid-job: GitHub re-queues the work.
-                    job.status = "queued"
-                    job.claimed_by = None
-                    self._refresh_run(job.run_id)
-                    self._emit("job_requeued", job)
+            if self.runners.pop(name, None) is None:
+                return False
+            job = self.claims.pop(name, None)
+            if job is not None:
+                # Runner died mid-job: GitHub re-queues the work.
+                job.status = "queued"
+                self._refresh_run(job.run_id)
+                self._emit("job_requeued", job)
+            return True
 
-    def claim_job(self, runner_id: int) -> FakeJob | None:
+    def claim_job(self, name: str) -> FakeJob | None:
         """Oldest queued job whose requested labels fit this runner, if it is idle."""
         with self._lock:
-            labels = self.runners.get(runner_id)
-            if labels is None:
+            labels = self.runners.get(name)
+            if labels is None or name in self.claims:
                 return None
-            candidates = []
-            for job in self.jobs.values():
-                if job.claimed_by == runner_id and job.status == "in_progress":
-                    return None
-                if job.status == "queued" and LabelSet(job.labels).issubset(labels):
-                    candidates.append(job)
-            if not candidates:
+            job = min(
+                (j for j in self.jobs.values() if j.status == "queued" and LabelSet(j.labels).issubset(labels)),
+                key=lambda j: (j.created_at, j.job_id),
+                default=None,
+            )
+            if job is None:
                 return None
-            job = min(candidates, key=lambda j: (j.created_at, j.job_id))
             job.status = "in_progress"
-            job.claimed_by = runner_id
+            self.claims[name] = job
             self._refresh_run(job.run_id)
             self._emit("job_claimed", job)
             return job
 
-    def complete_job(self, runner_id: int, job_id: int) -> bool:
+    def complete_job(self, name: str, job_id: int) -> bool:
+        """Finish the job runner ``name`` works on; refused for any other job."""
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None or job.status != "in_progress" or job.claimed_by != runner_id:
+            job = self.claims.get(name)
+            if job is None or job.job_id != job_id:
                 return False
+            del self.claims[name]
             job.status = "completed"
             self._refresh_run(job.run_id)
             self._emit("job_completed", job)
@@ -243,12 +255,12 @@ class FakeGitHub:
 
     # -- read models ----------------------------------------------------------
 
-    def runs(self) -> list[tuple[int, str, float]]:
-        """Every run's (id, status, created_at), by id. A run's jobs are
-        created together, so its first job's ``created_at`` is the run's."""
+    def runs(self) -> list[tuple[int, str, str]]:
+        """Every run's (id, status, RFC 3339 created_at), by id. A run's jobs
+        are created together, so its first job's ``created_at`` is the run's."""
         with self._lock:
             return [
-                (run_id, status, self._run_jobs[run_id][0].created_at)
+                (run_id, status, self._run_jobs[run_id][0].created_rfc3339)
                 for run_id, status in self._run_status.items()
             ]
 
@@ -319,7 +331,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
             wanted = query.get("status")
             runs = [run for run in gh.runs() if not wanted or run[1] == wanted]
             entries = [
-                {"id": run_id, "status": status, "created_at": to_rfc3339(created)}
+                {"id": run_id, "status": status, "created_at": created}
                 for run_id, status, created in _page(runs, query)
             ]
             return Response.json(200, {"total_count": len(runs), "workflow_runs": entries})
@@ -336,7 +348,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
                         "run_id": j.run_id,
                         "status": j.status,
                         "labels": list(j.labels),
-                        "created_at": to_rfc3339(j.created_at),
+                        "created_at": j.created_rfc3339,
                     }
                     for j in gh._run_jobs.get(run_id, ())
                 ]
@@ -354,9 +366,9 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
 
         match = _RUNNER_RE.match(path)
         if match:
-            runner_id, action = int(match.group(1)), match.group(2)
+            name, action = match.groups()
             if action == "claim":
-                job = gh.claim_job(runner_id)
+                job = gh.claim_job(name)
                 if job is None:
                     return Response(204)
                 return Response.json(
@@ -370,7 +382,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
                 )
             if action == "complete":
                 body = request.json()
-                ok = gh.complete_job(runner_id, int(body.get("job_id", 0)))
+                ok = gh.complete_job(name, int(body.get("job_id", 0)))
                 return Response.json(200 if ok else 409, {"ok": ok})
             return _not_found()
 
@@ -379,16 +391,18 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
             token = str(body.get("token", ""))
             if token not in gh.issued_registration_tokens:
                 return Response.json(403, {"message": "bad registration token"})
-            runner_id = gh.register_runner(str(body.get("name", "runner")), list(body.get("labels", [])))
-            return Response.json(201, {"runner_id": runner_id})
+            name = str(body.get("name", "runner"))
+            if gh.register_runner(name, list(body.get("labels", []))) is None:
+                return Response.json(409, {"message": f"a runner named {name!r} is already registered"})
+            return Response.json(201, {"name": name})
 
         return _not_found()
 
     if method == "DELETE":
         match = _RUNNER_RE.match(path)
         if match and match.group(2) is None:
-            gh.deregister_runner(int(match.group(1)))
-            return Response.json(200, {"ok": True})
+            ok = gh.deregister_runner(match.group(1))
+            return Response.json(200 if ok else 404, {"ok": ok})
         return _not_found()
 
     return Response.json(405, {"message": f"method {method} not supported"})

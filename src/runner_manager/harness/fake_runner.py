@@ -2,13 +2,15 @@
 
 Two forms share the claim/complete behavior:
 
-* :class:`RunnerWorld` -- in-process actors bound to fake-kube pods, used by
-  scenarios so everything stays on the virtual clock: a job's completion is
-  a timer set with the clock's ``call_at``.
+* :class:`RunnerWorld` -- one runner per Running fake-kube pod, registered
+  under the pod's name, used by scenarios so everything stays on the
+  virtual clock: a job's completion is a timer set with the clock's
+  ``call_at``. The world keeps no record of its own: which runners exist
+  and which job each works on is fake GitHub's to know.
 * ``main()`` -- a real subprocess (console script ``fake-github-runner``)
-  that registers over HTTP, claims the oldest eligible job, drops a
-  workspace file per job and exits cleanly on SIGTERM. Used to exercise the
-  bootstrap entrypoint contract end to end.
+  that registers over HTTP under its configured name, claims the oldest
+  eligible job, drops a workspace file per job and exits cleanly on
+  SIGTERM. Used to exercise the bootstrap entrypoint contract end to end.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ TIME_SCALE = 0.001  # wall seconds a job takes per simulated second of its durat
 
 
 class RunnerWorld:
-    """Keeps one fake runner per Running pod and drives job claims. Which
-    runner works on which job is fake GitHub's to know, not the world's."""
+    """Registers a fake runner for each Running pod and drives job claims."""
 
     def __init__(
         self,
@@ -46,50 +47,42 @@ class RunnerWorld:
         self.labels = list(labels)
         self.clock = clock  # also the scheduler: job completions are its call_at timers
         self.on_event = on_event
-        self.runners: dict[str, int] = {}  # pod name -> runner id
 
     # fake_kube callbacks ---------------------------------------------------
 
     def pod_running(self, pod_name: str) -> None:
-        if pod_name in self.runners:
+        if self.github.register_runner(pod_name, self.labels) is None:
             return
-        self.runners[pod_name] = self.github.register_runner(pod_name, self.labels)
         self.on_event("runner_registered", {"pod": pod_name})
         self.settle()
 
     def pod_terminating(self, pod_name: str) -> None:
-        runner_id = self.runners.pop(pod_name, None)
-        if runner_id is None:
-            return
         # Deregistration re-queues any in-flight job on the fake GitHub side.
-        self.github.deregister_runner(runner_id)
+        if not self.github.deregister_runner(pod_name):
+            return
         self.on_event("runner_deregistered", {"pod": pod_name})
         self.settle()
 
     # claims ------------------------------------------------------------------
 
     def settle(self) -> None:
-        """Let every idle runner claim work until nothing changes."""
-        progressed = True
-        while progressed:
-            progressed = False
-            for pod_name in sorted(self.runners):
-                runner_id = self.runners[pod_name]
-                job = self.github.claim_job(runner_id)  # None while the runner is busy
-                if job is None:
-                    continue
-                self.on_event("job_claimed", {"pod": pod_name, "job": job.job_id})
-                self.clock.call_at(
-                    self.clock.now() + job.duration,
-                    lambda p=pod_name, r=runner_id, j=job.job_id: self._complete(p, r, j),
-                )
-                progressed = True
+        """Let each idle runner, in name order, claim the oldest job it fits.
+        One pass is enough: a claim never puts a job back in the queue."""
+        for name in sorted(self.github.runners):
+            job = self.github.claim_job(name)  # None while the runner is busy
+            if job is None:
+                continue
+            self.on_event("job_claimed", {"pod": name, "job": job.job_id})
+            self.clock.call_at(
+                self.clock.now() + job.duration,
+                lambda n=name, j=job.job_id: self._complete(n, j),
+            )
 
-    def _complete(self, pod_name: str, runner_id: int, job_id: int) -> None:
+    def _complete(self, name: str, job_id: int) -> None:
         # Refused for a stale timer: the job was re-queued or force-completed.
-        if not self.github.complete_job(runner_id, job_id):
+        if not self.github.complete_job(name, job_id):
             return
-        self.on_event("job_completed", {"pod": pod_name, "job": job_id})
+        self.on_event("job_completed", {"pod": name, "job": job_id})
         self.settle()
 
 
@@ -130,7 +123,7 @@ def main() -> int:
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())
 
-    status, body = _http_json(
+    status, _ = _http_json(
         "POST",
         f"{api_base}/_harness/runners",
         {
@@ -142,11 +135,11 @@ def main() -> int:
     if status != 201:
         print(f"fake runner: registration rejected ({status})", file=sys.stderr)
         return 3
-    runner_id = body["runner_id"]
+    runner_url = f"{api_base}/_harness/runners/{config['runner_name']}"
 
     try:
         while not stop.is_set():
-            status, job = _http_json("POST", f"{api_base}/_harness/runners/{runner_id}/claim")
+            status, job = _http_json("POST", f"{runner_url}/claim")
             if status != 200 or not job:
                 stop.wait(POLL_SECONDS)
                 continue
@@ -155,13 +148,9 @@ def main() -> int:
             with open(os.path.join(workspace, "result.txt"), "w", encoding="utf-8") as fh:
                 fh.write(f"job {job['id']} ran with labels {job['labels']}\n")
             stop.wait(min(job["duration"] * TIME_SCALE, 0.5))
-            _http_json(
-                "POST",
-                f"{api_base}/_harness/runners/{runner_id}/complete",
-                {"job_id": job["id"]},
-            )
+            _http_json("POST", f"{runner_url}/complete", {"job_id": job["id"]})
     finally:
-        _http_json("DELETE", f"{api_base}/_harness/runners/{runner_id}")
+        _http_json("DELETE", runner_url)
     return 0
 
 

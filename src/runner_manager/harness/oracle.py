@@ -8,10 +8,15 @@ and when they are written, tick anchoring) -- so agreement between the two is
 meaningful evidence. Like the driver, it reads the script's events through
 ``ScenarioEvent.arg``: the event defaults describe the input, not the manager.
 
-Returned decisions are keyed by poll-tick time; ticks where the manager was
-stopped mid-poll (restart, horizon) yield no decision, matching the live
-manager's log. The final annotations are what the Deployment holds at the
-horizon.
+The runner world is modelled as the fakes model it: a pod holds the job its
+runner works on, a removed pod's job goes back to the queue, and idle
+running pods claim the oldest eligible queued jobs in one pass, in pod-name
+order.
+
+Returned decisions are keyed by poll-tick time, in seconds since the
+scenario start; ticks where the manager was stopped mid-poll (restart,
+horizon) yield no decision, matching the live manager's log. The final
+annotations are what the Deployment holds at the horizon.
 """
 
 from __future__ import annotations
@@ -46,14 +51,13 @@ class _Job:
     duration: float
     ref: str | None
     status: str = "queued"
-    claim_generation: int = 0
 
 
 @dataclass
 class _Pod:
     name: str
     running: bool = False
-    busy_job: int | None = None
+    busy_job: _Job | None = None  # the in-progress job this pod's runner holds
 
 
 @dataclass
@@ -67,8 +71,8 @@ def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> Or
     sim = _OracleSim(script, policy or policy_from_script(script))
     sim.run()
     return OracleResult(
-        decisions=[(t - SIM_EPOCH, target, reason) for t, target, reason in sim.decisions],
-        writes=[(t - SIM_EPOCH, n) for t, n in sim.writes],
+        decisions=sim.decisions,
+        writes=sim.writes,
         annotations={
             key: to_rfc3339(value)
             for key, value in (
@@ -121,7 +125,7 @@ class _OracleSim:
         self.durable_loaded = False
         self.online = True
 
-        # outputs
+        # outputs, timed in seconds since the scenario start
         self.decisions: list[tuple[float, int, str]] = []
         self.writes: list[tuple[float, int]] = []
 
@@ -170,7 +174,7 @@ class _OracleSim:
             if job is not None and job.status != "completed":
                 job.status = "completed"
                 for pod in self.pods:
-                    if pod.busy_job == job.job_id:
+                    if pod.busy_job is job:
                         pod.busy_job = None
                 self._settle()
         elif kind == "github_fault":
@@ -219,10 +223,9 @@ class _OracleSim:
         while len(self.pods) > target:
             pod = self.pods.pop()
             if pod.busy_job is not None:
-                job = self._job_by_id(pod.busy_job)
-                if job is not None and job.status == "in_progress":
-                    job.status = "queued"
-                    job.claim_generation += 1
+                # The runner dies mid-job: GitHub re-queues the work.
+                pod.busy_job.status = "queued"
+                pod.busy_job = None
         self._settle()
 
     def _pod_running(self, pod: _Pod) -> None:
@@ -232,44 +235,24 @@ class _OracleSim:
         self._settle()
 
     def _settle(self) -> None:
-        """Idle running pods claim the oldest eligible queued job, to fixpoint."""
-        at = self._current_time
-        progressed = True
-        while progressed:
-            progressed = False
-            for pod in sorted((p for p in self.pods if p.running and p.busy_job is None),
-                              key=lambda p: p.name):
-                queued = [
-                    j for j in self.jobs
-                    if j.status == "queued" and j.labels.issubset(self.policy.runner_labels)
-                ]
-                if not queued:
-                    break
-                job = min(queued, key=lambda j: (j.created_at, j.job_id))
-                job.status = "in_progress"
-                job.claim_generation += 1
-                pod.busy_job = job.job_id
-                self._push(
-                    at + job.duration,
-                    _ENV,
-                    lambda p=pod, j=job, g=job.claim_generation: self._complete(p, j, g),
-                )
-                progressed = True
+        """Idle running pods, in name order, claim the oldest eligible queued
+        jobs. One pass is enough: a claim never puts a job back in the queue."""
+        idle = sorted((p for p in self.pods if p.running and p.busy_job is None), key=lambda p: p.name)
+        queued = sorted(
+            (j for j in self.jobs if j.status == "queued" and j.labels.issubset(self.policy.runner_labels)),
+            key=lambda j: (j.created_at, j.job_id),
+        )
+        for pod, job in zip(idle, queued):
+            job.status = "in_progress"
+            pod.busy_job = job
+            self._push(self._current_time + job.duration, _ENV, lambda p=pod, j=job: self._complete(p, j))
 
-    def _complete(self, pod: _Pod, job: _Job, generation: int) -> None:
-        if job.status != "in_progress" or job.claim_generation != generation:
-            return
-        if pod not in self.pods or pod.busy_job != job.job_id:
-            return
+    def _complete(self, pod: _Pod, job: _Job) -> None:
+        if pod.busy_job is not job:
+            return  # stale: the job was cancelled, or the pod removed and the job re-queued
         job.status = "completed"
         pod.busy_job = None
         self._settle()
-
-    def _job_by_id(self, job_id: int) -> _Job | None:
-        for job in self.jobs:
-            if job.job_id == job_id:
-                return job
-        return None
 
     # -- the manager model ---------------------------------------------------
 
@@ -345,12 +328,12 @@ class _OracleSim:
             else:
                 target, reason = 0, IDLE
 
-        self.decisions.append((tick, target, reason))
+        self.decisions.append((tick - self.epoch, target, reason))
 
         wrote = False
         if kube_ok and target != spec:
             self._apply_scale(target, now)
-            self.writes.append((now, target))
+            self.writes.append((now - self.epoch, target))
             wrote = True
 
         if kube_ok and saw_running:

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlencode
 
-from .config import IN_CLUSTER, Config
+from .config import IN_CLUSTER, Config, read_secret_file
 from .errors import (
     ConfigError,
     CredentialError,
@@ -83,8 +83,8 @@ def resolve_credentials(config: Config, environment: dict[str, str]) -> KubeCred
     mount = config.kube_sa_dir
     namespace = config.kube_namespace
     if config.kube_api_base == IN_CLUSTER or os.path.isdir(mount):
-        token = _read_mount(mount, "token")
-        namespace = namespace or _read_mount(mount, "namespace")
+        token = read_secret_file(os.path.join(mount, "token"), "service account token file")
+        namespace = namespace or read_secret_file(os.path.join(mount, "namespace"), "service account namespace file")
         ca_path = os.path.join(mount, "ca.crt")
         ca_bundle = ca_path if os.path.exists(ca_path) else None
     else:
@@ -101,18 +101,6 @@ def resolve_credentials(config: Config, environment: dict[str, str]) -> KubeCred
             ca_bundle = None
 
     return KubeCredentials(api_base, token, ca_bundle, namespace)
-
-
-def _read_mount(mount_root: str, name: str) -> str:
-    path = os.path.join(mount_root, name)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            value = fh.read().strip()
-    except OSError as exc:
-        raise ConfigError(f"service account mount missing {name}: {path} ({exc})") from exc
-    if not value:
-        raise ConfigError(f"service account {name} file is empty: {path}")
-    return value
 
 
 class KubeClient:

@@ -79,6 +79,16 @@ def test_unreadable_token_file_is_config_error(tmp_path):
         )
 
 
+def test_empty_token_file_is_config_error(tmp_path):
+    token_file = tmp_path / "token"
+    token_file.write_text(" \n")
+    with pytest.raises(ConfigError, match=f"github token file is empty: {token_file}"):
+        load_config(
+            ["--owner", "o", "--repo", "r", "--deployment", "d", "--github-token-file", str(token_file)],
+            {"GITHUB_TOKEN": "from-the-environment"},
+        )
+
+
 def test_missing_token_entirely():
     with pytest.raises(ConfigError, match="github token"):
         load_config(["--owner", "o", "--repo", "r", "--deployment", "d"], {})

@@ -2,6 +2,7 @@
 
 import threading
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from runner_manager.github import BackoffState, GitHubClient, execute_with_backo
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.harness.oracle import oracle_decisions
-from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
+from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, load_script
 from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
@@ -125,6 +126,58 @@ def test_cancelled_job_frees_the_runner_for_the_next_queued_job():
     assert claims == [(80.0, 1), (310.0, 2)]
     completed = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_completed")]
     assert completed == [(410.0, 2)]
+
+
+def test_a_cancelled_jobs_timer_does_not_end_the_runners_next_job():
+    # Job 1 is cancelled at t=100 and the runner takes job 2 at once; job
+    # 1's completion timer still fires at t=380 and must neither end job 2
+    # nor free the runner for job 3.
+    script = ScenarioScript(
+        horizon=1500,
+        events=[
+            ScenarioEvent(at=10, kind="enqueue_job",
+                          payload={"labels": MATCHING, "duration": 300, "ref": "first"}),
+            ScenarioEvent(at=20, kind="enqueue_job", payload={"labels": MATCHING, "duration": 1000}),
+            ScenarioEvent(at=30, kind="enqueue_job", payload={"labels": MATCHING, "duration": 100}),
+            ScenarioEvent(at=100, kind="complete_job", payload={"ref": "first"}),
+        ],
+        pod_startup_delay=20,
+        initial_last_active=0,
+        policy={"max_runners": 1},
+    )
+    result = run_scenario(script)
+    assert not result.scenario_failed
+    assert result.writes == [(60.0, 1), (1200.0, 0)]
+    completed = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_completed")]
+    assert completed == [(1100.0, 2), (1200.0, 3)]
+    expected = oracle_decisions(script, result.policy)
+    assert (result.decisions, result.writes) == (expected.decisions, expected.writes)
+
+
+def test_scale_down_of_a_busy_runner_requeues_its_job_to_the_idle_one():
+    # scenarios/busy-scale-down.yaml: at t=180 the manager scales 2 -> 1
+    # while gha-runner-2 still runs job 2. The Deployment removes that pod,
+    # GitHub re-queues the job, and gha-runner-1 claims it at the same instant.
+    script = load_script(str(Path(__file__).resolve().parent.parent / "scenarios" / "busy-scale-down.yaml"))
+    result = run_scenario(script)
+    assert not result.scenario_failed
+    assert result.writes == [(60.0, 2), (180.0, 1), (1200.0, 0)]
+    at_scale_down = [
+        (e.actor, e.action, e.detail.get("job"), e.detail.get("pod"))
+        for e in result.trace.select()
+        if e.at == 180.0 and e.action in ("job_requeued", "job_claimed")
+    ]
+    assert at_scale_down == [
+        ("fake_github", "job_requeued", 2, None),
+        ("fake_github", "job_claimed", 2, None),
+        ("fake_runner", "job_claimed", 2, "gha-runner-1"),
+    ]
+    expected = oracle_decisions(script, result.policy)
+    assert (result.decisions, result.writes, result.final_annotations) == (
+        expected.decisions,
+        expected.writes,
+        expected.annotations,
+    )
 
 
 def test_two_runners_serve_three_jobs_with_cap_two():

@@ -117,6 +117,33 @@ class TestFakeGitHub:
         fake_github.deregister_runner(runner)
         assert fake_github.jobs[job.job_id].status == "queued"
 
+    def test_a_live_runner_name_cannot_register_again(self, fake_github):
+        assert fake_github.register_runner("r1", ["self-hosted"]) == "r1"
+        assert fake_github.register_runner("r1", ["self-hosted", "x64"]) is None
+        assert fake_github.runners["r1"].as_list() == ["self-hosted"]  # the first registration stands
+        token, _ = fake_github.mint_registration_token()
+        assert _register_over_http(fake_github, token) == 409
+        assert fake_github.deregister_runner("r1")
+        assert _register_over_http(fake_github, token) == 201
+
+    def test_deregistering_an_unknown_name_requeues_nothing(self, fake_github):
+        job = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])[0]
+        fake_github.register_runner("r1", ["self-hosted", "linux-gpu-cuda"])
+        fake_github.claim_job("r1")
+        assert fake_github.deregister_runner("r2") is False
+        assert fake_github.jobs[job.job_id].status == "in_progress"
+        assert fake_github.claims == {"r1": job}
+
+    def test_force_completed_job_frees_its_runner(self, fake_github):
+        first = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], ref="first")[0]
+        second = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])[0]
+        fake_github.register_runner("r1", ["self-hosted", "linux-gpu-cuda"])
+        assert fake_github.claim_job("r1") is first
+        assert fake_github.claim_job("r1") is None  # busy
+        fake_github.force_complete("first")
+        assert fake_github.claim_job("r1") is second
+        assert fake_github.complete_job("r1", first.job_id) is False  # the stale timer of the cancelled job
+
     def test_fault_span_answers_injected_status(self, fake_github, gh_client):
         fake_github.set_fault("status", 500)
         with pytest.raises(TransientError):

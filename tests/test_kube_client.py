@@ -48,6 +48,12 @@ def test_missing_namespace_file_is_config_error(tmp_path):
         resolve_credentials(_config(str(tmp_path)), {"KUBERNETES_SERVICE_HOST": "x"})
 
 
+def test_empty_service_account_token_is_config_error(tmp_path):
+    mount = _mount(tmp_path, token="\n")
+    with pytest.raises(ConfigError, match=f"service account token file is empty: {tmp_path / 'token'}"):
+        resolve_credentials(_config(mount), {"KUBERNETES_SERVICE_HOST": "x", "KUBE_TOKEN": "from-the-environment"})
+
+
 def test_api_override_keeps_mounted_token(tmp_path):
     creds = resolve_credentials(_config(_mount(tmp_path), "http://127.0.0.1:9999"), {})
     assert creds.api_base == "http://127.0.0.1:9999"
