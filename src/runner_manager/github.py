@@ -149,7 +149,7 @@ class GitHubClient:
     ):
         self._api_base = api_base.rstrip("/")
         self._token = token
-        self._transport = transport or HttpTransport()
+        self._transport = transport or HttpTransport(self._api_base)
         self._clock = clock or SystemClock()
         # path -> (ETag, parsed body) of the listing pages read; only
         # _paginated fills it, so a POST is never cached.
@@ -187,7 +187,7 @@ class GitHubClient:
         cached = self._pages.get(path)
         if cached is not None:
             headers["If-None-Match"] = cached[0]
-        response = self._transport.request(method, f"{self._api_base}{path}", headers, payload)
+        response = self._transport.request(method, path, headers, payload)
         remaining = response.header("x-ratelimit-remaining")
         if remaining is not None and remaining.isdigit():
             self.rate_limit_remaining = int(remaining)

@@ -96,7 +96,7 @@ class ScenarioResult:
     trace: Trace
     manager_exit_codes: list[int | None]
     failure_reasons: list[str]
-    cross_namespace_requests: list[str]
+    cross_namespace_requests: list[str]  # every Kubernetes request outside the Role
     github_header_violations: list[str]
     github_api_requests: int
     github_charged_requests: int  # the non-304 answers, which draw on the rate limit
@@ -255,7 +255,7 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         kube.close()
 
     if kube.cross_namespace_requests:
-        failure_reasons.append(f"cross-namespace requests: {kube.cross_namespace_requests}")
+        failure_reasons.append(f"Kubernetes requests outside the Role: {kube.cross_namespace_requests}")
 
     return ScenarioResult(
         script=script,

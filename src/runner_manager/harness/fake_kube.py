@@ -2,12 +2,12 @@
 
 The reconcile loop sends one ``GET`` of the Deployment a poll and at most
 one write: a merge patch of the Deployment that carries ``spec.replicas``,
-``metadata.annotations`` or both. The fake serves those two, plus the pod
-list that ``KubeClient.list_runner_pods`` still reads; that method, like
-``read_annotations``, stays only because the benchmark's tracer looks it
-up. Nothing uses ``/scale``, so every method on it answers ``405``. Every
-request outside namespace ``ci`` is answered 403 and recorded in
-``cross_namespace_requests``, which fails the scenario -- the
+``metadata.annotations`` or both. The fake answers exactly what the shipped
+Role grants, ``get`` and ``patch`` of ``deployments`` in namespace ``ci``,
+and nothing else. Every other request -- another namespace, a
+cluster-scoped path, ``/scale``, pods, any other verb -- is answered 403,
+as the API server would answer the manager's service account, and recorded
+in ``cross_namespace_requests``, which fails the scenario: the
 unprivileged-operation guarantee made testable. ``requests_by_method``
 counts every request, always; ``request_paths`` keeps each path only when
 ``keep_request_paths`` is on.
@@ -38,13 +38,11 @@ from ..clock import to_rfc3339
 from .httpserver import FakeHttpServer, Request, Response
 from .virtual_clock import TimerClock
 
-_SCALE_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)/scale$")
-_DEPLOY_RE = re.compile(r"^/apis/apps/v1/namespaces/([^/]+)/deployments/([^/]+)$")
-_PODS_RE = re.compile(r"^/api/v1/namespaces/([^/]+)/pods$")
-
 MERGE_PATCH = "application/merge-patch+json"
 NAMESPACE = "ci"
 DEPLOYMENT = "gha-runner"
+# The one route the shipped Role grants: get and patch of a Deployment in NAMESPACE.
+_DEPLOY_RE = re.compile(rf"^/apis/apps/v1/namespaces/{NAMESPACE}/deployments/([^/]+)$")
 
 
 @dataclass
@@ -72,7 +70,7 @@ class FakeKube:
         self._pod_seq = 0  # pod names embed it, so a name is never reused
         self.fault_status: int | None = None
 
-        self.cross_namespace_requests: list[str] = []
+        self.cross_namespace_requests: list[str] = []  # every request outside the Role, answered 403
         self.scale_patch_violations: list[str] = []  # one line per refused Deployment patch
         self.requests_by_method: Counter[str] = Counter()  # always on; the budget tests read it
         self.request_paths: list[str] = []  # interned, kept only with keep_request_paths
@@ -182,48 +180,21 @@ def _handle(kube: FakeKube, request: Request) -> Response:
     if kube.keep_request_paths:
         kube.request_paths.append(sys.intern(path))
 
-    scale = _SCALE_RE.match(path)
     deploy = _DEPLOY_RE.match(path)
-    pods = _PODS_RE.match(path)
-    match = scale or deploy or pods
-    if match is None or match.group(1) != NAMESPACE:
+    if deploy is None or request.method not in ("GET", "PATCH"):
         with kube._lock:
             kube.cross_namespace_requests.append(path)
-        return Response.json(403, {"message": f"forbidden outside namespace {NAMESPACE}"})
-    if scale:
-        return Response.json(405, {"message": "the manager patches the Deployment, never /scale"})
+        return Response.json(403, {"message": f"the Role grants only get and patch of deployments in {NAMESPACE}"})
 
     with kube._lock:
         fault = kube.fault_status
     if fault is not None:
         return Response.json(fault, {"message": f"injected fault {fault}"})
-    if deploy and match.group(2) != DEPLOYMENT:
+    if deploy.group(1) != DEPLOYMENT:
         return Response.json(404, {"message": "deployment not found"})
-
     if request.method == "GET":
-        if deploy:
-            return Response.json(200, _deployment_body(kube))
-        if pods:
-            selector = _parse_selector(request.query.get("labelSelector", ""))
-            pod_labels = {"app": DEPLOYMENT}
-            items = []
-            if all(pod_labels.get(k) == v for k, v in selector.items()):
-                with kube._lock:
-                    items = [
-                        {
-                            "metadata": {"name": pod.name, "namespace": NAMESPACE, "labels": dict(pod_labels)},
-                            "status": {"phase": pod.phase},
-                        }
-                        for pod in kube.pods
-                    ]
-            return Response.json(200, {"kind": "PodList", "items": items})
-
-    if request.method == "PATCH":
-        if deploy:
-            return _patch_deployment(kube, request)
-        return Response.json(405, {"message": "pods are managed by the deployment controller"})
-
-    return Response.json(405, {"message": f"method {request.method} not supported"})
+        return Response.json(200, _deployment_body(kube))
+    return _patch_deployment(kube, request)
 
 
 def _patch_deployment(kube: FakeKube, request: Request) -> Response:
@@ -297,13 +268,3 @@ def _deployment_status(kube: FakeKube) -> dict:
     counts = {"replicas": len(kube.pods), "readyReplicas": kube.running_count()}
     return {key: count for key, count in counts.items() if count}
 
-
-def _parse_selector(selector: str) -> dict[str, str]:
-    result: dict[str, str] = {}
-    for clause in selector.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, _, value = clause.partition("=")
-        result[key.strip()] = value.strip().lstrip("=")
-    return result

@@ -12,11 +12,14 @@ merge patch of the Deployment: :meth:`KubeClient.write_scale` sends
 ``spec.replicas`` with whichever annotations changed,
 :meth:`KubeClient.write_annotation` the annotations alone. Nothing touches
 ``/scale``, so the Role needs ``get`` and ``patch`` on ``deployments`` and
-no more. The loop calls nothing else; :meth:`KubeClient.list_runner_pods`
-and :meth:`KubeClient.read_annotations` stay only because the benchmark's
-tracer looks them up by name. A ``409`` conflict, a
-``429`` from API Priority and Fairness and a ``5xx`` are transient: the loop
-skips that poll's writes and tries again next poll.
+no more. The loop calls nothing else; :meth:`KubeClient.read_annotations`
+and :meth:`KubeClient.list_runner_pods` stay only because the benchmark's
+tracer looks them up by name. The Role does not grant the pod list, so the
+API server, and fake Kubernetes with it, answers that one ``403``. A
+``409`` conflict, a ``429`` from API Priority and Fairness and a ``5xx``
+are transient: the loop skips that poll's writes and tries again next poll.
+Requests go through one :class:`~runner_manager.transport.HttpTransport`
+bound to the API address, as paths below it.
 """
 
 from __future__ import annotations
@@ -104,13 +107,14 @@ def resolve_credentials(config: Config, environment: dict[str, str]) -> KubeCred
 
 
 class KubeClient:
-    """Deployment read and merge-patch, and pod list, for one Deployment."""
+    """Deployment read and merge-patch for one Deployment, and a pod list
+    the Role does not grant."""
 
     def __init__(self, creds: KubeCredentials, deployment: str, max_replicas: int):
         self._creds = creds
         self._deployment = deployment
         self._max_replicas = max_replicas
-        self._transport = HttpTransport(ca_file=creds.ca_bundle)
+        self._transport = HttpTransport(creds.api_base, ca_file=creds.ca_bundle)
 
     def close(self) -> None:
         self._transport.close()
@@ -128,7 +132,7 @@ class KubeClient:
         }
         if content_type:
             headers["Content-Type"] = content_type
-        response = self._transport.request(method, f"{self._creds.api_base}{path}", headers, body)
+        response = self._transport.request(method, path, headers, body)
         self._raise_for_status(method, path, response)
         try:
             data = json.loads(response.body)

@@ -1,8 +1,11 @@
 """Minimal HTTP transport shared by the GitHub and Kubernetes clients.
 
-Keeps one persistent connection per origin (the control loop talks to
-exactly two endpoints, thousands of times a day) and verifies TLS against
-an explicit CA bundle when one is given.
+Each transport talks to one origin, named by its base URL, over one
+persistent connection (the control loop sends its requests to exactly two
+endpoints, thousands of times a day), and verifies TLS against an explicit
+CA bundle when one is given. Callers pass paths below the base, so a base
+with a path of its own, such as GitHub Enterprise Server's ``/api/v3``,
+keeps it.
 """
 
 from __future__ import annotations
@@ -30,56 +33,49 @@ class HttpResponse:
 
 
 class HttpTransport:
-    """Synchronous requests with per-origin connection reuse."""
+    """Synchronous requests to one origin over one reused connection."""
 
-    def __init__(self, ca_file: str | None = None):
+    def __init__(self, base_url: str, ca_file: str | None = None):
+        self._base_url = base_url.rstrip("/")
+        self._origin = urlsplit(self._base_url)
         self._ca_file = ca_file
         self._lock = threading.Lock()
-        self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
+        self._conn: http.client.HTTPConnection | None = None
 
-    def _connection(self, scheme: str, host: str, port: int) -> http.client.HTTPConnection:
-        key = (scheme, host, port)
-        conn = self._connections.get(key)
-        if conn is None:
-            if scheme == "https":
+    def _connection(self) -> http.client.HTTPConnection:
+        if self._conn is None:
+            host, port = self._origin.hostname or "", self._origin.port  # None: the scheme's default
+            if self._origin.scheme == "https":
                 context = ssl.create_default_context(cafile=self._ca_file)
-                conn = http.client.HTTPSConnection(host, port, timeout=TIMEOUT_S, context=context)
+                self._conn = http.client.HTTPSConnection(host, port, timeout=TIMEOUT_S, context=context)
             else:
-                conn = http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
-            self._connections[key] = conn
-        return conn
+                self._conn = http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
+        return self._conn
 
-    def request(self, method: str, url: str, headers: dict[str, str], body: bytes | None = None) -> HttpResponse:
-        """Issue one request; transport-level failures raise TransientError."""
-        parts = urlsplit(url)
-        host = parts.hostname or ""
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-        path = parts.path or "/"
-        if parts.query:
-            path = f"{path}?{parts.query}"
-
+    def request(self, method: str, path: str, headers: dict[str, str], body: bytes | None = None) -> HttpResponse:
+        """Issue one request for ``path`` below the base URL; transport-level
+        failures raise TransientError."""
         with self._lock:
             for attempt in (1, 2):  # one silent reconnect for a dropped keep-alive socket
-                conn = self._connection(parts.scheme, host, port)
+                conn = self._connection()
                 try:
-                    conn.request(method, path, body=body, headers=headers)
+                    conn.request(method, f"{self._origin.path}{path}", body=body, headers=headers)
                     raw = conn.getresponse()
-                    payload = raw.read()
                     return HttpResponse(
                         status=raw.status,
                         headers={k.lower(): v for k, v in raw.getheaders()},
-                        body=payload,
+                        body=raw.read(),
                     )
                 except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                    conn.close()
-                    self._connections.pop((parts.scheme, host, port), None)
+                    self._drop()
                     if attempt == 2:
-                        raise TransientError(f"{method} {url}: transport failure: {exc}") from exc
+                        raise TransientError(f"{method} {self._base_url}{path}: transport failure: {exc}") from exc
 
-        raise AssertionError("unreachable")
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def close(self) -> None:
         with self._lock:
-            for conn in self._connections.values():
-                conn.close()
-            self._connections.clear()
+            self._drop()

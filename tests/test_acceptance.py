@@ -354,7 +354,7 @@ def test_criterion_6_unprivileged_operation(bulk, restart_batch, month_long_idle
     restart_stats, _ = restart_batch
     offenders = bulk.cross_namespace + restart_stats.cross_namespace + month_long_idle.cross_namespace_requests
     assert offenders == [], offenders[:5]
-    _ok(6, "zero out-of-namespace Kubernetes requests across the entire suite")
+    _ok(6, "zero Kubernetes requests outside the Role across the entire suite")
 
 
 def test_criterion_7_restart_resilience(restart_batch):

@@ -132,3 +132,17 @@ def test_attempt_due_now_is_made_even_when_interrupted():
     state = BackoffState(consecutive_failures=2, next_allowed_attempt=30.0)
     assert execute_with_backoff(call, state, clock, window_end=60.0, interrupt=stop) == "payload"
     assert call.call_times == [30.0]
+
+
+def test_failure_under_a_set_interrupt_propagates_without_waiting():
+    # The stop request came in during the attempt: the failure itself goes
+    # to the caller at once, with no backoff wait before it.
+    clock = SteppingClock()
+    stop = threading.Event()
+    stop.set()
+    call = Flaky(1).bind(clock)
+    state = BackoffState()
+    with pytest.raises(TransientError, match="boom"):
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=stop)
+    assert (call.calls, clock.now(), clock.waits) == (1, 0.0, [])
+    assert (state.consecutive_failures, state.next_allowed_attempt) == (1, 1.0)

@@ -111,11 +111,11 @@ def test_missing_or_wrong_header_flagged_by_fake(fake_github, name, value):
     headers = {k: v for k, v in _GOOD_HEADERS.items() if k != name}
     if value is not None:
         headers[name] = value
-    with closing(HttpTransport()) as transport:
-        url = f"{fake_github.base_url}/repos/biocore/unifrac/actions/runs"
-        assert transport.request("GET", url, _GOOD_HEADERS).status == 200
+    with closing(HttpTransport(fake_github.base_url)) as transport:
+        path = "/repos/biocore/unifrac/actions/runs"
+        assert transport.request("GET", path, _GOOD_HEADERS).status == 200
         assert fake_github.header_violations == []
-        assert transport.request("GET", url, headers).status == 200
+        assert transport.request("GET", path, headers).status == 200
     assert len(fake_github.header_violations) == 1
     assert f"header {name.lower()}={value!r}" in fake_github.header_violations[0]
 
@@ -304,6 +304,26 @@ def test_job_labels_that_are_not_a_list_of_strings_are_protocol_error(serve, lab
 
 
 @pytest.mark.parametrize(
+    "body, call",
+    [
+        ({"total_count": 0}, lambda c: c.list_runs(REPO, "queued")),
+        ({"total_count": 1, "jobs": {"id": 1}}, lambda c: c.list_run_jobs(REPO, 7)),
+        ({"total_count": 1, "workflow_runs": [{"status": "queued"}]}, lambda c: c.list_runs(REPO, "queued")),
+        ({"total_count": 1, "workflow_runs": [{"id": "seven"}]}, lambda c: c.list_runs(REPO, "queued")),
+        ({"total_count": 1, "jobs": [{"status": "queued", "labels": []}]}, lambda c: c.list_run_jobs(REPO, 7)),
+        ({"total_count": 1, "jobs": [{"id": 1, "labels": []}]}, lambda c: c.list_run_jobs(REPO, 7)),
+        ({"token": "REG-x", "expires_at": "next tuesday"}, lambda c: c.create_registration_token(REPO)),
+    ],
+    ids=["runs-without-array", "jobs-not-an-array", "run-without-id", "run-id-not-an-integer", "job-without-id",
+         "job-without-status", "unparseable-expires-at"],
+)
+def test_malformed_answer_is_protocol_error(serve, body, call):
+    client = serve(lambda request: Response.json(200, body))
+    with pytest.raises(ProtocolError):
+        call(client)
+
+
+@pytest.mark.parametrize(
     "status, headers",
     [
         (429, {"Retry-After": "0"}),
@@ -312,8 +332,11 @@ def test_job_labels_that_are_not_a_list_of_strings_are_protocol_error(serve, lab
         (429, {"Retry-After": "inf"}),
         (403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "nan"}),
         (403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "inf"}),
+        (429, {}),
+        (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
     ],
-    ids=["retry-after-0", "retry-after-negative", "retry-after-nan", "retry-after-inf", "reset-nan", "reset-inf"],
+    ids=["retry-after-0", "retry-after-negative", "retry-after-nan", "retry-after-inf", "reset-nan", "reset-inf",
+         "no-retry-after", "retry-after-http-date"],
 )
 def test_unusable_server_wait_falls_back_to_the_schedule(serve, clock, status, headers):
     attempts = []
@@ -591,7 +614,7 @@ class _TaggingInMemoryGitHub(_InMemoryGitHub):
         answer = super().request(method, url, headers, body)
         etag = f'W/"{hashlib.sha256(answer.body).hexdigest()[:16]}"'
         status = 304 if headers.get("If-None-Match") == etag else 200
-        path, _, query = url.removeprefix("http://github.invalid").partition("?")
+        path, _, query = url.partition("?")
         listing = query.partition("&")[0] if query.startswith("status=") else None
         self.log.append((f"{path}?{listing}" if listing else path, status))
         return HttpResponse(status, {"etag": etag}, answer.body if status == 200 else b"")

@@ -203,9 +203,11 @@ class TestFakeKube:
         assert fake_kube.cross_namespace_requests == ["/apis/apps/v1/namespaces/other/deployments/gha-runner/scale"]
 
     def test_scale_subresource_is_never_read(self, fake_kube):
-        # The manager patches the Deployment itself; no method on /scale may
-        # fall through to another route, a valid replica patch included.
-        url = f"{fake_kube.base_url}/apis/apps/v1/namespaces/ci/deployments/gha-runner/scale"
+        # The Role grants nothing on deployments/scale: no method on /scale
+        # may fall through to another route, a valid replica patch included,
+        # and each request is recorded as one outside the Role.
+        path = "/apis/apps/v1/namespaces/ci/deployments/gha-runner/scale"
+        url = f"{fake_kube.base_url}{path}"
         for request in (
             urllib.request.Request(url),
             urllib.request.Request(
@@ -215,9 +217,9 @@ class TestFakeKube:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             excinfo.value.close()
-            assert excinfo.value.code == 405
+            assert excinfo.value.code == 403
         assert (fake_kube.spec_replicas, fake_kube.scale_patch_violations) == (0, [])
-        assert fake_kube.cross_namespace_requests == []
+        assert fake_kube.cross_namespace_requests == [path, path]
 
     @pytest.mark.parametrize(
         "body, content_type",

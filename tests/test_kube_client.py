@@ -1,6 +1,6 @@
 import re
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 
 import pytest
 
@@ -31,6 +31,20 @@ def _mount(tmp_path, token="T", namespace="ci", ca=None):
 
 def _config(mount: str, kube_api: str = IN_CLUSTER) -> Config:
     return Config(RepoCoordinates("o", "r"), Policy(), "gha-runner", kube_api_base=kube_api, kube_sa_dir=mount)
+
+
+@contextmanager
+def _one_route_client(handle):
+    """A KubeClient for namespace ``ci`` bound to a server answering every
+    request with ``handle``."""
+    server = FakeHttpServer(handle)
+    server.start()
+    try:
+        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client:
+            yield client
+    finally:
+        server.close()
 
 
 def test_incluster_credentials_echo_mounted_files(tmp_path):
@@ -158,16 +172,23 @@ def test_poll_changing_both_annotations_sends_one_patch(fake_kube, kube_client, 
     }
 
 
-def test_pod_listing_matches_selector(fake_kube, kube_client):
-    fake_kube.apply_scale(1)
-    pods = kube_client.list_runner_pods("app=gha-runner")
-    assert len(pods) == 1
-    assert pods[0].phase == "Running"
-    assert kube_client.list_runner_pods("app=something-else") == []
+def test_pod_listing_matches_selector():
+    seen = []
+
+    def handle(request):
+        seen.append((request.method, request.path, request.query))
+        pod = {"metadata": {"name": "gha-runner-1", "namespace": "ci"}, "status": {"phase": "Running"}}
+        return Response.json(200, {"kind": "PodList", "items": [pod, {"metadata": {}, "status": {"phase": "Gone"}}]})
+
+    with _one_route_client(handle) as client:
+        pods = client.list_runner_pods("app=gha-runner")
+    assert [(pod.name, pod.phase) for pod in pods] == [("gha-runner-1", "Running"), ("", "Unknown")]
+    assert seen == [("GET", "/api/v1/namespaces/ci/pods", {"labelSelector": "app=gha-runner"})]
 
 
-def test_pod_listing_empty_at_zero_replicas(kube_client):
-    assert kube_client.list_runner_pods("app=gha-runner") == []
+def test_pod_listing_empty_at_zero_replicas():
+    with _one_route_client(lambda request: Response.json(200, {"kind": "PodList", "items": []})) as client:
+        assert client.list_runner_pods("app=gha-runner") == []
 
 
 def test_every_request_is_namespaced(fake_kube, kube_client):
@@ -175,7 +196,6 @@ def test_every_request_is_namespaced(fake_kube, kube_client):
     kube_client.write_scale(1, {})
     kube_client.read_annotations()
     kube_client.write_annotation({"a": "b"})
-    kube_client.list_runner_pods("app=gha-runner")
     assert fake_kube.request_paths, "fake kube recorded no requests"
     for path in fake_kube.request_paths:
         assert NAMESPACED.match(path), path
@@ -206,16 +226,11 @@ def test_scale_and_annotations_are_isolated(fake_kube, kube_client):
 )
 def test_throttling_429_is_transient(call):
     # API Priority and Fairness sheds load with 429 and a Retry-After.
-    server = FakeHttpServer(
-        lambda request: Response.json(429, {"kind": "Status", "reason": "TooManyRequests"}, {"Retry-After": "1"})
-    )
-    server.start()
-    try:
-        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(TransientError):
-            call(client)
-    finally:
-        server.close()
+    def handle(request):
+        return Response.json(429, {"kind": "Status", "reason": "TooManyRequests"}, {"Retry-After": "1"})
+
+    with _one_route_client(handle) as client, pytest.raises(TransientError):
+        call(client)
 
 
 def test_kube_fault_is_transient(fake_kube, kube_client):
@@ -239,16 +254,14 @@ def test_kube_fault_is_transient(fake_kube, kube_client):
         ({"kind": "Deployment", "metadata": "gha-runner"}, lambda c: c.read_scale()),
         ({"kind": "Deployment", "metadata": {"annotations": ["k"]}}, lambda c: c.read_scale()),
         ({"kind": "Deployment", "spec": {"replicas": None}}, lambda c: c.write_scale(1, {})),
+        (b"<html>nope</html>", lambda c: c.read_scale()),
+        ([{"kind": "Deployment"}], lambda c: c.read_scale()),
     ],
     ids=["null-pod", "string-status", "string-metadata", "list-spec", "string-deployment-status",
-         "string-ready-replicas", "string-deployment-metadata", "list-annotations", "null-written-replicas"],
+         "string-ready-replicas", "string-deployment-metadata", "list-annotations", "null-written-replicas",
+         "body-not-json", "body-not-an-object"],
 )
 def test_malformed_body_is_protocol_error(body, call):
-    server = FakeHttpServer(lambda request: Response.json(200, body))
-    server.start()
-    try:
-        creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
-        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as client, pytest.raises(ProtocolError):
-            call(client)
-    finally:
-        server.close()
+    answer = Response(200, body, "text/html") if isinstance(body, bytes) else Response.json(200, body)
+    with _one_route_client(lambda request: answer) as client, pytest.raises(ProtocolError):
+        call(client)

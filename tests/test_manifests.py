@@ -1,11 +1,14 @@
+import http.client
 from pathlib import Path
+from urllib.parse import urlsplit
 
+import pytest
 import yaml
 
 import runner_manager.bootstrap.cli as bootstrap_cli
 from runner_manager.bootstrap import emit_manifests
 from runner_manager.config import Config, Policy, RepoCoordinates
-from runner_manager.harness.fake_kube import validate_objects
+from runner_manager.harness.fake_kube import MERGE_PATCH, validate_objects
 from runner_manager.labels import LabelSet
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "deploy" / "example-manifests.yaml"
@@ -96,3 +99,38 @@ def test_role_grants_only_get_and_patch_on_the_deployment():
     assert role["rules"] == [
         {"apiGroups": ["apps"], "resources": ["deployments"], "verbs": ["get", "patch"]},
     ]
+
+
+_DEPLOYMENTS = "/apis/apps/v1/namespaces/{namespace}/deployments/gha-runner"
+
+
+@pytest.mark.parametrize(
+    "method, path, api_group, resource, verb",
+    [
+        ("GET", _DEPLOYMENTS, "apps", "deployments", "get"),
+        ("PATCH", _DEPLOYMENTS, "apps", "deployments", "patch"),
+        ("PUT", _DEPLOYMENTS, "apps", "deployments", "update"),
+        ("DELETE", _DEPLOYMENTS, "apps", "deployments", "delete"),
+        ("GET", _DEPLOYMENTS + "/scale", "apps", "deployments/scale", "get"),
+        ("GET", "/api/v1/namespaces/{namespace}/pods", "", "pods", "list"),
+    ],
+    ids=["get", "patch", "update", "delete", "get-scale", "list-pods"],
+)
+@pytest.mark.parametrize("namespace", ["ci", "other"])
+def test_fake_kube_refuses_exactly_what_the_role_does_not_grant(
+    fake_kube, namespace, method, path, api_group, resource, verb
+):
+    role = next(o for o in yaml.safe_load_all(_default_output()) if o and o["kind"] == "Role")
+    granted = role["metadata"]["namespace"] == namespace and any(
+        api_group in rule["apiGroups"] and resource in rule["resources"] and verb in rule["verbs"]
+        for rule in role["rules"]
+    )
+    path = path.format(namespace=namespace)
+    conn = http.client.HTTPConnection(urlsplit(fake_kube.base_url).netloc, timeout=10)
+    try:
+        conn.request(method, path, body=b'{"spec": {"replicas": 0}}', headers={"Content-Type": MERGE_PATCH})
+        status = conn.getresponse().status
+    finally:
+        conn.close()
+    assert (status == 403) == (not granted), status
+    assert fake_kube.cross_namespace_requests == ([] if granted else [path])
