@@ -1,10 +1,12 @@
 """Fake GitHub Actions API server.
 
 Serves the three endpoints the manager touches (run listing, per-run job
-listing, registration-token minting) plus a private ``/_harness`` surface
-the fake runner uses to register, claim and complete jobs. Job status
-transitions follow the real lifecycle: queued until a registered runner
-claims the job, then in_progress, then completed.
+listing, registration-token minting) for the one repository ``OWNER/REPO``,
+plus a private ``/_harness`` surface the fake runner uses to register, claim
+and complete jobs; a request for another repository gets ``404``. Job
+status transitions follow the real lifecycle: queued until a registered
+runner claims the job, then in_progress, then completed. A run is one
+``FakeRun`` record: its jobs and the status they give it.
 
 The fake is the one record of who runs what. ``runners`` holds each
 registered runner's labels by runner name, and ``claims`` the job each busy
@@ -49,9 +51,8 @@ OWNER = "biocore"  # the one repository the fake serves
 REPO = "unifrac"
 PAGE_SIZE = 100
 
-_RUNS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs$")
-_JOBS_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runs/(\d+)/jobs$")
-_REG_TOKEN_RE = re.compile(r"^/repos/([^/]+)/([^/]+)/actions/runners/registration-token$")
+_ACTIONS = f"/repos/{OWNER}/{REPO}/actions"
+_JOBS_RE = re.compile(rf"^{_ACTIONS}/runs/(\d+)/jobs$")
 _RUNNER_RE = re.compile(r"^/_harness/runners/([^/]+)(?:/(claim|complete))?$")
 
 RATE_LIMIT = 5000  # primary rate limit per hour, as for a personal access token
@@ -71,11 +72,16 @@ class FakeJob:
     job_id: int
     run_id: int
     labels: list[str]
-    created_at: float
-    created_rfc3339: str  # rendered once, at enqueue: the listings send it
+    created_at: str  # RFC 3339, rendered once at enqueue: the listings send it
     duration: float
     status: str = "queued"  # queued | in_progress | completed
     ref: str | None = None
+
+
+@dataclass(slots=True)
+class FakeRun:
+    jobs: tuple[FakeJob, ...]  # created together, by job id
+    status: str = "queued"  # kept current at every job transition
 
 
 @dataclass(slots=True)
@@ -100,10 +106,7 @@ class FakeGitHub:
 
         self._lock = threading.RLock()
         self.jobs: dict[int, FakeJob] = {}
-        self._run_jobs: dict[int, tuple[FakeJob, ...]] = {}  # run id -> its jobs, by job id
-        # Run id -> its status, in id order; kept current at every job
-        # transition so a listing reads it instead of walking the jobs.
-        self._run_status: dict[int, str] = {}
+        self._runs: dict[int, FakeRun] = {}  # by run id; a run without jobs is not kept
         # Registered runners' labels, and the job each busy runner works on,
         # by runner name.
         self.runners: dict[str, LabelSet] = {}
@@ -147,8 +150,7 @@ class FakeGitHub:
         jobs_in_run: int = 1,
     ) -> list[FakeJob]:
         """Create one run containing ``jobs_in_run`` queued jobs."""
-        now = self.clock.now()
-        stamp = to_rfc3339(now)  # one string for the run and its jobs
+        stamp = to_rfc3339(self.clock.now())  # one string for the run and its jobs
         with self._lock:
             self._run_seq += 1
             run_id = 1000 + self._run_seq
@@ -159,17 +161,15 @@ class FakeGitHub:
                     job_id=self._job_seq,
                     run_id=run_id,
                     labels=list(labels),
-                    created_at=now,
-                    created_rfc3339=stamp,
+                    created_at=stamp,
                     duration=duration,
                     ref=ref,
                 )
                 self.jobs[job.job_id] = job
                 created.append(job)
                 self._emit("job_enqueued", job)
-            self._run_jobs[run_id] = tuple(created)
             if created:
-                self._run_status[run_id] = "queued"
+                self._runs[run_id] = FakeRun(tuple(created))
             return created
 
     def force_complete(self, ref: str) -> None:
@@ -214,15 +214,15 @@ class FakeGitHub:
             return True
 
     def claim_job(self, name: str) -> FakeJob | None:
-        """Oldest queued job whose requested labels fit this runner, if it is idle."""
+        """Oldest queued job whose requested labels fit this runner, if it is
+        idle. Job ids follow creation order: the clock never goes backward."""
         with self._lock:
             labels = self.runners.get(name)
             if labels is None or name in self.claims:
                 return None
-            job = min(
+            job = next(
                 (j for j in self.jobs.values() if j.status == "queued" and LabelSet(j.labels).issubset(labels)),
-                key=lambda j: (j.created_at, j.job_id),
-                default=None,
+                None,
             )
             if job is None:
                 return None
@@ -246,8 +246,8 @@ class FakeGitHub:
 
     def _refresh_run(self, run_id: int) -> None:
         """Re-derive one run's status after one of its jobs moved."""
-        rank = max(RUN_STATUS_ORDER.index(job.status) for job in self._run_jobs[run_id])
-        self._run_status[run_id] = RUN_STATUS_ORDER[rank]
+        run = self._runs[run_id]
+        run.status = RUN_STATUS_ORDER[max(RUN_STATUS_ORDER.index(job.status) for job in run.jobs)]
 
     def _emit(self, kind: str, job: FakeJob) -> None:
         if self.on_transition is not None:
@@ -259,10 +259,7 @@ class FakeGitHub:
         """Every run's (id, status, RFC 3339 created_at), by id. A run's jobs
         are created together, so its first job's ``created_at`` is the run's."""
         with self._lock:
-            return [
-                (run_id, status, self._run_jobs[run_id][0].created_rfc3339)
-                for run_id, status in self._run_status.items()
-            ]
+            return [(run_id, run.status, run.jobs[0].created_at) for run_id, run in self._runs.items()]
 
     def mint_registration_token(self) -> tuple[str, float]:
         with self._lock:
@@ -324,10 +321,7 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
             return fault
 
     if method == "GET":
-        match = _RUNS_RE.match(path)
-        if match:
-            if not _repo_ok(match):
-                return _not_found()
+        if path == f"{_ACTIONS}/runs":
             wanted = query.get("status")
             runs = [run for run in gh.runs() if not wanted or run[1] == wanted]
             entries = [
@@ -338,29 +332,24 @@ def _dispatch(gh: FakeGitHub, request: Request) -> Response:
 
         match = _JOBS_RE.match(path)
         if match:
-            if not _repo_ok(match):
-                return _not_found()
-            run_id = int(match.group(3))
             with gh._lock:
+                run = gh._runs.get(int(match.group(1)))
                 payload = [
                     {
                         "id": j.job_id,
                         "run_id": j.run_id,
                         "status": j.status,
                         "labels": list(j.labels),
-                        "created_at": j.created_rfc3339,
+                        "created_at": j.created_at,
                     }
-                    for j in gh._run_jobs.get(run_id, ())
+                    for j in (run.jobs if run else ())
                 ]
             return Response.json(200, {"total_count": len(payload), "jobs": _page(payload, query)})
 
         return _not_found()
 
     if method == "POST":
-        match = _REG_TOKEN_RE.match(path)
-        if match:
-            if not _repo_ok(match):
-                return _not_found()
+        if path == f"{_ACTIONS}/runners/registration-token":
             token, expires = gh.mint_registration_token()
             return Response.json(201, {"token": token, "expires_at": to_rfc3339(expires)})
 
@@ -422,10 +411,6 @@ def _maybe_fault(gh: FakeGitHub) -> Response | None:
         )
     code = int(value)
     return Response.json(code, {"message": f"injected fault {code}"})
-
-
-def _repo_ok(match) -> bool:
-    return match.group(1) == OWNER and match.group(2) == REPO
 
 
 def _not_found() -> Response:

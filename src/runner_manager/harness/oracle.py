@@ -11,7 +11,11 @@ meaningful evidence. Like the driver, it reads the script's events through
 The runner world is modelled as the fakes model it: a pod holds the job its
 runner works on, a removed pod's job goes back to the queue, and idle
 running pods claim the oldest eligible queued jobs in one pass, in pod-name
-order.
+order. Events at or before t=0 apply at t=0, before the first poll.
+
+Each manager process is one incarnation: its tick anchor, backoff streak
+and in-memory bookkeeping. A restart stops the running one and starts a
+fresh one after the downtime; only the newest incarnation's polls run.
 
 Returned decisions are keyed by poll-tick time, in seconds since the
 scenario start; ticks where the manager was stopped mid-poll (restart,
@@ -87,6 +91,18 @@ def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> Or
 _ENV, _MANAGER = 0, 1  # same-instant ordering: environment before manager
 
 
+@dataclass
+class _Incarnation:
+    anchor: float
+    iteration: int = 0
+    backoff_failures: int = 0
+    next_allowed: float = 0.0
+    last_active: float | None = None
+    keepalive_started: float | None = None
+    last_written: int | None = None
+    durable_loaded: bool = False
+
+
 class _OracleSim:
     def __init__(self, script: ScenarioScript, policy: Policy):
         self.script = script
@@ -99,7 +115,6 @@ class _OracleSim:
 
         # environment
         self.jobs: list[_Job] = []
-        self.jobs_by_ref: dict[str, _Job] = {}
         self._job_seq = 0
         self.pods: list[_Pod] = []
         self._pod_seq = 0
@@ -113,17 +128,7 @@ class _OracleSim:
         )
         self.ann_keepalive_started: float | None = None
 
-        # manager incarnation
-        self.incarnation = 0
-        self.anchor = self.epoch
-        self.iteration = 0
-        self.backoff_failures = 0
-        self.next_allowed = 0.0
-        self.mem_last_active: float | None = None
-        self.mem_keepalive_started: float | None = None
-        self.mem_last_written: int | None = None
-        self.durable_loaded = False
-        self.online = True
+        self.mgr: _Incarnation  # the newest manager incarnation; see _start
 
         # outputs, timed in seconds since the scenario start
         self.decisions: list[tuple[float, int, str]] = []
@@ -138,12 +143,8 @@ class _OracleSim:
 
     def run(self) -> None:
         for event in self.script.events:
-            at = self.epoch + event.at
-            if at <= self.epoch:
-                self._apply_scenario_event(event)
-            else:
-                self._push(at, _ENV, lambda e=event: self._apply_scenario_event(e))
-        self._push(self.anchor, _MANAGER, lambda inc=self.incarnation: self._tick(self.anchor, inc))
+            self._push(max(self.epoch + event.at, self.epoch), _ENV, lambda e=event: self._apply_scenario_event(e))
+        self._start(self.epoch)
 
         while self._heap:
             t, _, _, fn = heapq.heappop(self._heap)
@@ -166,12 +167,11 @@ class _OracleSim:
                 ref=event.arg("ref"),
             )
             self.jobs.append(job)
-            if job.ref:
-                self.jobs_by_ref[job.ref] = job
             self._settle()
         elif kind == "complete_job":
-            job = self.jobs_by_ref.get(event.arg("ref"))
-            if job is not None and job.status != "completed":
+            # Validation guarantees an earlier enqueue_job with this ref.
+            job = next(j for j in self.jobs if j.ref == event.arg("ref"))
+            if job.status != "completed":
                 job.status = "completed"
                 for pod in self.pods:
                     if pod.busy_job is job:
@@ -188,24 +188,7 @@ class _OracleSim:
         elif kind == "kube_recover":
             self.kube_fault = False
         elif kind == "restart_manager":
-            self.incarnation += 1
-            self.online = False
-            start_at = self.epoch + event.at + float(event.arg("downtime"))
-            self._push(start_at, _MANAGER, lambda inc=self.incarnation: self._manager_start(start_at, inc))
-
-    def _manager_start(self, at: float, inc: int) -> None:
-        if inc != self.incarnation:
-            return
-        self.online = True
-        self.anchor = at
-        self.iteration = 0
-        self.backoff_failures = 0
-        self.next_allowed = 0.0
-        self.mem_last_active = None
-        self.mem_keepalive_started = None
-        self.mem_last_written = None
-        self.durable_loaded = False
-        self._push(at, _MANAGER, lambda: self._tick(at, inc))
+            self._start(self.epoch + event.at + float(event.arg("downtime")))
 
     # -- pods and claims -------------------------------------------------------
 
@@ -256,54 +239,51 @@ class _OracleSim:
 
     # -- the manager model ---------------------------------------------------
 
-    def _tick(self, tick: float, inc: int) -> None:
-        if inc != self.incarnation or not self.online:
-            return
+    def _start(self, anchor: float) -> None:
+        """Stop the running incarnation now; a fresh one first polls at
+        ``anchor``, unless a later restart supersedes it before then."""
+        m = self.mgr = _Incarnation(anchor=anchor)
+        self._push(anchor, _MANAGER, lambda: self._attempt(anchor, anchor, m))
+
+    def _attempt(self, tick: float, at: float, m: _Incarnation) -> None:
+        """One pass of the poll's retry loop, at ``at``: ask GitHub unless
+        backoff forbids it, then finish the poll or wait for the next try."""
+        if m is not self.mgr:
+            return  # this incarnation was stopped
         window_end = tick + self.policy.poll_interval
-        if self.next_allowed > tick:
-            if self.next_allowed >= window_end:
-                self._finalize(tick, tick, inc, poll_ok=False)
+        if m.next_allowed <= at:
+            fault = self.github_fault
+            if fault is None:
+                m.backoff_failures = 0
+                m.next_allowed = at
+                self._finalize(tick, at, m, poll_ok=True)
                 return
-            self._push(self.next_allowed, _MANAGER, lambda a=self.next_allowed: self._attempt(tick, a, inc))
-            return
-        self._attempt(tick, tick, inc)
-
-    def _attempt(self, tick: float, at: float, inc: int) -> None:
-        if inc != self.incarnation or not self.online:
-            return
-        window_end = tick + self.policy.poll_interval
-        fault = self.github_fault
-        if fault is None:
-            self.backoff_failures = 0
-            self.next_allowed = at
-            self._finalize(tick, at, inc, poll_ok=True)
-            return
-        self.backoff_failures += 1
-        kind, value = fault
-        if kind == "rate_limit":
-            delay = value
+            m.backoff_failures += 1
+            kind, value = fault
+            if kind == "rate_limit":
+                delay = value
+            else:
+                delay = min(2.0 ** (m.backoff_failures - 1), BACKOFF_CAP)
+            m.next_allowed = at + delay
+        if m.next_allowed >= window_end:
+            self._finalize(tick, at, m, poll_ok=False)
         else:
-            delay = min(2.0 ** (self.backoff_failures - 1), BACKOFF_CAP)
-        self.next_allowed = at + delay
-        if self.next_allowed >= window_end:
-            self._finalize(tick, at, inc, poll_ok=False)
-        else:
-            self._push(self.next_allowed, _MANAGER, lambda a=self.next_allowed: self._attempt(tick, a, inc))
+            self._push(m.next_allowed, _MANAGER, lambda a=m.next_allowed: self._attempt(tick, a, m))
 
-    def _finalize(self, tick: float, now: float, inc: int, poll_ok: bool) -> None:
+    def _finalize(self, tick: float, now: float, m: _Incarnation, poll_ok: bool) -> None:
         policy = self.policy
         kube_ok = not self.kube_fault
-        if kube_ok and not self.durable_loaded:
-            self.mem_last_active = self.ann_last_active
-            self.mem_keepalive_started = self.ann_keepalive_started
-            self.durable_loaded = True
+        if kube_ok and not m.durable_loaded:
+            m.last_active = self.ann_last_active
+            m.keepalive_started = self.ann_keepalive_started
+            m.durable_loaded = True
 
         spec = self.spec_replicas
         running = sum(1 for p in self.pods if p.running)
         saw_running = running >= 1
 
         if not poll_ok:
-            target = self.mem_last_written
+            target = m.last_written
             if target is None:
                 target = spec if kube_ok else 0
             target, reason = min(target, policy.max_runners), HOLD
@@ -317,12 +297,12 @@ class _OracleSim:
             if outstanding > 0:
                 target, reason = min(outstanding, policy.max_runners), DEMAND
             elif (
-                self.mem_keepalive_started is not None
-                and now - self.mem_keepalive_started < policy.min_dwell
+                m.keepalive_started is not None
+                and now - m.keepalive_started < policy.min_dwell
             ):
                 target, reason = 1, KEEPALIVE
-            elif self.mem_last_active is None or (
-                now - self.mem_last_active >= policy.force_interval - policy.min_dwell
+            elif m.last_active is None or (
+                now - m.last_active >= policy.force_interval - policy.min_dwell
             ):
                 target, reason = 1, KEEPALIVE
             else:
@@ -337,27 +317,27 @@ class _OracleSim:
             wrote = True
 
         if kube_ok and saw_running:
-            self.mem_last_active = now if self.mem_last_active is None else max(self.mem_last_active, now)
+            m.last_active = now if m.last_active is None else max(m.last_active, now)
         if reason == KEEPALIVE:
-            if self.mem_keepalive_started is None:
-                self.mem_keepalive_started = now
+            if m.keepalive_started is None:
+                m.keepalive_started = now
         elif reason in (DEMAND, IDLE):
-            self.mem_keepalive_started = None
+            m.keepalive_started = None
         if wrote:
-            self.mem_last_written = target
+            m.last_written = target
 
-        if kube_ok and self.durable_loaded:
+        if kube_ok and m.durable_loaded:
             # While a ready runner stays wanted, last-active is refreshed
             # once per min_dwell; any other poll writes the exact stamp.
             trailing = saw_running and target >= 1
             if (
                 not trailing
                 or self.ann_last_active is None
-                or self.mem_last_active - self.ann_last_active >= policy.min_dwell
+                or m.last_active - self.ann_last_active >= policy.min_dwell
             ):
-                self.ann_last_active = self.mem_last_active
-            self.ann_keepalive_started = self.mem_keepalive_started
+                self.ann_last_active = m.last_active
+            self.ann_keepalive_started = m.keepalive_started
 
-        self.iteration += 1
-        next_tick = self.anchor + self.iteration * policy.poll_interval
-        self._push(next_tick, _MANAGER, lambda t=next_tick: self._tick(t, inc))
+        m.iteration += 1
+        next_tick = m.anchor + m.iteration * policy.poll_interval
+        self._push(next_tick, _MANAGER, lambda t=next_tick: self._attempt(t, t, m))

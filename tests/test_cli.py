@@ -270,3 +270,8 @@ def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys,
     assert result.trace.fingerprint() == hashlib.sha256(written).hexdigest()
     if script.stem == "restart-drill":
         assert result.trace.fingerprint() == RESTART_DRILL_FINGERPRINT
+    if script.stem == "restart-during-downtime":
+        # The restart at t=150 supersedes the successor pending since t=130,
+        # so that manager never starts and has no exit code.
+        assert result.manager_exit_codes == [0, None, 0, 0]
+        assert summary["scale_writes"] == [[120.0, 1], [745.0, 0]]

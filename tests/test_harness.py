@@ -13,7 +13,7 @@ import pytest
 
 from runner_manager.clock import SystemClock
 from runner_manager.config import RepoCoordinates
-from runner_manager.errors import TransientError
+from runner_manager.errors import CredentialError, TransientError
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
@@ -26,6 +26,7 @@ from runner_manager.harness.scenario import (
     script_to_dict,
 )
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
+from runner_manager.reconciler import ReconcileLoop
 
 
 class TestVirtualClock:
@@ -393,3 +394,24 @@ class TestScenarioDriver:
         assert len(registered) == 1
         write_at = result.writes[0][0]
         assert registered[0].at == pytest.approx(write_at + 20)
+
+    def test_a_request_outside_the_role_fails_the_scenario(self, monkeypatch):
+        # The manager lists pods once; the Role does not grant it, so fake
+        # Kubernetes refuses it and the scenario fails, naming the path.
+        observe_kube = ReconcileLoop._observe_kube
+        listed = []
+
+        def observe_kube_and_list_pods(loop):
+            if not listed:
+                listed.append(True)
+                try:
+                    loop.kube.list_runner_pods("app=gha-runner")
+                except CredentialError:
+                    pass
+            return observe_kube(loop)
+
+        monkeypatch.setattr(ReconcileLoop, "_observe_kube", observe_kube_and_list_pods)
+        result = run_scenario(ScenarioScript(horizon=180, events=[], initial_last_active=0))
+        assert result.scenario_failed
+        assert result.cross_namespace_requests == ["/api/v1/namespaces/ci/pods"]
+        assert any("/api/v1/namespaces/ci/pods" in reason for reason in result.failure_reasons)

@@ -5,6 +5,7 @@ import math
 import socket
 import threading
 import time
+from contextlib import closing
 from typing import Callable
 
 import pytest
@@ -226,25 +227,34 @@ def test_refused_merged_write_counts_once_a_poll(clock):
     assert [r.consecutive_kube_errors for r in records] == [1, 2]
 
 
-def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=None) -> tuple[int, list]:
-    """run_service against the fakes until ``polls`` records were published;
-    ``on_record`` sees each record as it is published."""
+def _serve(clock, github_client, kube: FakeKube, stop: threading.Event, observer) -> int:
+    """run_service with ``github_client`` against fake Kubernetes until ``stop``."""
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
         policy=Policy(),
         kube_deployment="gha-runner",
-        github_api_base=github.base_url,
+        github_api_base="http://github.invalid",  # unused: the client is given
         github_token="t",
         kube_namespace="ci",
         kube_api_base=kube.base_url,
         kube_sa_dir="/nonexistent",
     )
-    github_client = GitHubClient(github.base_url, "t", clock=clock)
     kube_client = KubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "gha-runner",
         max_replicas=1,
     )
+    try:
+        return run_service(
+            config, clock=clock, stop=stop, observer=observer, github=github_client, kube=kube_client, environment={}
+        )
+    finally:
+        kube_client.close()
+
+
+def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=None) -> tuple[int, list]:
+    """run_service against the fakes until ``polls`` records were published;
+    ``on_record`` sees each record as it is published."""
     stop = threading.Event()
     records = []
 
@@ -255,14 +265,63 @@ def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=
         if len(records) == polls:
             stop.set()
 
+    with closing(GitHubClient(github.base_url, "t", clock=clock)) as github_client:
+        return _serve(clock, github_client, kube, stop, observe), records
+
+
+class _ScriptedGitHub:
+    """A GitHub client stub: each listing runs ``on_list`` and finds no job."""
+
+    rate_limit_remaining = None
+
+    def __init__(self, on_list: Callable[[], None]):
+        self.on_list = on_list
+
+    def list_outstanding_jobs(self, repo, labels, cap):
+        self.on_list()
+        return []
+
+
+def test_stop_during_the_github_step_ends_the_poll_before_kubernetes(clock):
+    # A SIGTERM that lands while GitHub is being listed: the poll ends there,
+    # with no Kubernetes request and no record.
+    kube = FakeKube(clock=clock).start()
+    stop = threading.Event()
+    github = _ScriptedGitHub(stop.set)
+    records = []
     try:
-        code = run_service(
-            config, clock=clock, stop=stop, observer=observe, github=github_client, kube=kube_client, environment={}
-        )
+        creds = KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci")
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as kube_client:
+            loop = ReconcileLoop(github, kube_client, Policy(), clock, REPO, stop)
+            assert loop.reconcile_once(clock.now()) is None
+        stop.clear()
+        code = _serve(clock, github, kube, stop, records.append)
     finally:
-        github_client.close()
-        kube_client.close()
-    return code, records
+        kube.close()
+    assert code == EXIT_OK
+    assert records == []
+    assert sum(kube.requests_by_method.values()) == 0
+
+
+def test_a_poll_that_overruns_its_interval_skips_the_missed_ticks(clock):
+    # The first poll takes 150 s of a 60 s interval: the ticks at 60 and 120
+    # are skipped, and the loop waits for the one at 180.
+    kube = FakeKube(clock=clock).start()
+    stop = threading.Event()
+    github = _ScriptedGitHub(lambda: clock.advance(150.0))
+    records = []
+
+    def observe(record):
+        records.append(record)
+        stop.set()
+
+    try:
+        code = _serve(clock, github, kube, stop, observe)
+    finally:
+        kube.close()
+    assert code == EXIT_OK
+    assert [r.tick for r in records] == [0.0]
+    assert clock.waits == [180.0]
 
 
 def test_idle_polls_draw_on_the_rate_limit_only_for_the_first_answers(clock):
