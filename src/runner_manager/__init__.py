@@ -13,7 +13,6 @@ from .labels import LabelSet
 from .reconciler import (
     Decision,
     ManagerState,
-    Observation,
     Reason,
     compute_desired,
     keepalive_due,
@@ -25,7 +24,6 @@ __all__ = [
     "Decision",
     "LabelSet",
     "ManagerState",
-    "Observation",
     "Policy",
     "Reason",
     "RepoCoordinates",

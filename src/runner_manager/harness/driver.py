@@ -256,6 +256,10 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
 
     if kube.cross_namespace_requests:
         failure_reasons.append(f"Kubernetes requests outside the Role: {kube.cross_namespace_requests}")
+    if github.header_violations:
+        failure_reasons.append(f"GitHub requests with wrong headers: {github.header_violations}")
+    if kube.scale_patch_violations:
+        failure_reasons.append(f"refused Deployment patches: {kube.scale_patch_violations}")
 
     return ScenarioResult(
         script=script,

@@ -302,7 +302,7 @@ class _OracleSim:
             ):
                 target, reason = 1, KEEPALIVE
             elif m.last_active is None or (
-                now - m.last_active >= policy.force_interval - policy.min_dwell
+                now >= m.last_active + policy.force_interval - policy.min_dwell
             ):
                 target, reason = 1, KEEPALIVE
             else:

@@ -1,12 +1,14 @@
 """Replica-count reconciliation.
 
-One iteration combines three inputs -- GitHub demand, the keepalive
-deadline, and observed Kubernetes state -- into a target replica count,
-and keeps the keepalive bookkeeping durable in Deployment annotations so a
-manager restart cannot silently let the runner's registration token age out.
-A poll sends at most one write: one merge patch of the Deployment that
-carries the new ``spec.replicas`` and whichever annotations changed, or the
-annotations alone when the count stays.
+One iteration combines three inputs -- the outstanding matching jobs (None
+when the GitHub poll failed, at least ``max_runners`` when saturated), the
+keepalive deadline, and the Deployment (None when its read failed, and then
+nothing is written) -- into a target replica count, and keeps the keepalive
+bookkeeping durable in Deployment annotations so a manager restart cannot
+silently let the runner's registration token age out. A poll sends at most
+one write: one merge patch of the Deployment that carries the new
+``spec.replicas`` and whichever annotations changed, or the annotations
+alone when the count stays.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
@@ -64,27 +66,6 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One poll's combined snapshot. ``outstanding_jobs`` holds, in no set
-    order, every outstanding matching job when there are fewer than
-    ``max_runners``, and at least ``max_runners`` of them otherwise -- all
-    that the demand rule needs. The jobs of in-progress runs are read
-    first, and queued runs are listed only when those hold fewer than
-    ``max_runners``, so a poll saturated by in-progress runs counts no job
-    of a queued run. A run that starts between the two listing reads is in
-    neither, and the next poll counts it. ``outstanding_jobs is None`` means the
-    GitHub poll failed this iteration, so the decision holds. ``deployment is None`` means the
-    Kubernetes read failed this iteration and no write may be attempted."""
-
-    outstanding_jobs: list[JobRecord] | None
-    deployment: DeploymentSnapshot | None
-
-    @property
-    def kube_ok(self) -> bool:
-        return self.deployment is not None
-
-
-@dataclass(frozen=True)
 class ManagerState:
     last_active: float | None = None
     keepalive_started_at: float | None = None
@@ -135,87 +116,88 @@ class ReconcileRecord:
 @dataclass
 class _Streaks:
     """One API's failure streaks, both counted in polls, not calls: polls in
-    a row with any failed call, and polls in a row with a 401/403."""
+    a row with a failed call, and polls in a row with a 401/403. An API fails
+    at most once a poll: the Deployment is written only after it is read."""
 
     api: str
     errors: int = 0
     credential: int = 0
+    failure: ApiError | None = None
 
-    def end_poll(self, failures: list[ApiError]) -> None:
-        self.errors = self.errors + 1 if failures else 0
-        refused = any(isinstance(exc, CredentialError) for exc in failures)
-        self.credential = self.credential + 1 if refused else 0
-
-
-def _step(streaks: _Streaks, failures: list[ApiError], step: Callable[[], T]) -> T | None:
-    """Run one API step; a failure joins this poll's ``failures`` and yields
-    None. A 401/403 escapes at once when this poll would bring the credential
-    streak to the exit threshold, so the terminal poll sends no further
-    request. A missing Deployment escapes at once."""
-    try:
-        return step()
-    except MissingDeploymentError:
-        raise
-    except CredentialError as exc:
-        failures.append(exc)
-        streak = streaks.credential + 1
-        if streak >= CREDENTIAL_EXIT_THRESHOLD:
+    def step(self, call: Callable[[], T]) -> T | None:
+        """Run one API call; a failure becomes this poll's and yields None.
+        A 401/403 escapes at once when this poll would bring the credential
+        streak to the exit threshold, so the terminal poll sends no further
+        request. A missing Deployment escapes at once."""
+        try:
+            return call()
+        except MissingDeploymentError:
             raise
-        logger.warning("%s credential failure (%d): %s", streaks.api, streak, exc)
-    except ApiError as exc:
-        failures.append(exc)
-        logger.debug("%s call failed: %s", streaks.api, exc)
-    return None
+        except CredentialError as exc:
+            streak = self.credential + 1
+            if streak >= CREDENTIAL_EXIT_THRESHOLD:
+                raise
+            self.failure = exc
+            logger.warning("%s credential failure (%d): %s", self.api, streak, exc)
+        except ApiError as exc:
+            self.failure = exc
+            logger.debug("%s call failed: %s", self.api, exc)
+        return None
+
+    def end_poll(self) -> None:
+        failure, self.failure = self.failure, None
+        self.errors = self.errors + 1 if failure else 0
+        self.credential = self.credential + 1 if isinstance(failure, CredentialError) else 0
 
 
-def keepalive_due(
-    last_active: float | None,
-    now: float,
-    force_interval: float,
-    lead_time: float,
-) -> bool:
-    """True when a forced provisioning must start.
-
-    ``lead_time`` (the reconciler passes ``min_dwell``) starts the activation
-    early enough that the full dwell completes within ``force_interval`` of
-    the previous confirmed activity, so activation starts repeat every
-    ``force_interval`` rather than every ``force_interval + dwell``. An
-    unknown ``last_active`` (fresh install) counts as stale.
-    """
-    if last_active is None:
-        return True
-    return now - last_active >= force_interval - lead_time
-
-
-def keepalive_due_at(last_active: float | None, force_interval: float, lead_time: float) -> float | None:
-    """The instant :func:`keepalive_due` turns true; None while ``last_active``
-    is unknown, because then it is due already."""
+def keepalive_due_at(last_active: float | None, policy: Policy) -> float | None:
+    """When a forced provisioning must start: ``min_dwell`` early, so the
+    dwell completes within ``force_interval`` of the last confirmed activity
+    and starts repeat every ``force_interval``. None while ``last_active`` is
+    unknown (fresh install), because then it is due already."""
     if last_active is None:
         return None
-    return last_active + force_interval - lead_time
+    return last_active + policy.force_interval - policy.min_dwell
+
+
+def keepalive_due(last_active: float | None, now: float, policy: Policy) -> bool:
+    """True when a forced provisioning must start; see :func:`keepalive_due_at`."""
+    due_at = keepalive_due_at(last_active, policy)
+    return due_at is None or now >= due_at
 
 
 def compute_desired(
-    observation: Observation,
+    jobs: list[JobRecord] | None,
+    deployment: DeploymentSnapshot | None,
     state: ManagerState,
     policy: Policy,
     now: float,
 ) -> Decision:
-    """Pure decision function; see the priority table in the module docstring."""
-    if observation.outstanding_jobs is None:
+    """Pure decision function; see the priority table in the module docstring.
+
+    ``jobs`` holds, in no set order, every outstanding matching job when
+    there are fewer than ``max_runners``, and at least ``max_runners`` of
+    them when saturated -- all that the demand rule needs. The jobs of
+    in-progress runs are read first, and queued runs are listed only when
+    those hold fewer than ``max_runners``, so a poll saturated by
+    in-progress runs counts no job of a queued run. A run that starts
+    between the two listing reads is in neither, and the next poll counts
+    it. None means the GitHub poll failed, so the decision holds.
+    ``deployment`` is None when the Kubernetes read failed.
+    """
+    if jobs is None:
         target = state.last_written_replicas
         if target is None:
-            target = observation.deployment.spec_replicas if observation.deployment else 0
+            target = deployment.spec_replicas if deployment else 0
         return Decision(min(target, policy.max_runners), Reason.HOLD)
 
-    outstanding = len(observation.outstanding_jobs)
-    if outstanding > 0:
-        return Decision(min(outstanding, policy.max_runners), Reason.DEMAND)
+    if jobs:
+        return Decision(min(len(jobs), policy.max_runners), Reason.DEMAND)
 
     if state.keepalive_started_at is not None and now - state.keepalive_started_at < policy.min_dwell:
         return Decision(1, Reason.KEEPALIVE)
 
-    if keepalive_due(state.last_active, now, policy.force_interval, policy.min_dwell):
+    if keepalive_due(state.last_active, now, policy):
         return Decision(1, Reason.KEEPALIVE)
 
     return Decision(0, Reason.IDLE)
@@ -224,7 +206,7 @@ def compute_desired(
 def update_state(
     state: ManagerState,
     decision: Decision,
-    observation: Observation,
+    deployment: DeploymentSnapshot | None,
     now: float,
 ) -> ManagerState:
     """Advance the keepalive bookkeeping after a decision. The poll's one
@@ -236,7 +218,7 @@ def update_state(
     must not count. ``last_active`` never moves backward.
     """
     last_active = state.last_active
-    if observation.kube_ok and observation.deployment.ready_replicas >= 1:
+    if deployment is not None and deployment.ready_replicas >= 1:
         last_active = now if last_active is None else max(last_active, now)
 
     keepalive_started = state.keepalive_started_at
@@ -319,34 +301,31 @@ class ReconcileLoop:
         """
         window_end = tick + self.policy.poll_interval
 
-        github_failures: list[ApiError] = []
-        jobs = _step(self.github_streaks, github_failures, lambda: self._poll_github(window_end))
-        self.github_streaks.end_poll(github_failures)
+        jobs = self.github_streaks.step(lambda: self._poll_github(window_end))
+        self.github_streaks.end_poll()
 
         if self.stop.is_set():
             return None
 
-        failures: list[ApiError] = []  # this poll's failed Kubernetes calls
-        deployment = _step(self.kube_streaks, failures, self._observe_kube)
+        deployment = self.kube_streaks.step(self._observe_kube)
         now = self.clock.now()
 
-        observation = Observation(outstanding_jobs=jobs, deployment=deployment)
-        decision = compute_desired(observation, self.state, self.policy, now)
+        decision = compute_desired(jobs, deployment, self.state, self.policy, now)
 
-        self.state = update_state(self.state, decision, observation, now)
+        self.state = update_state(self.state, decision, deployment, now)
 
         wrote = False
-        if observation.kube_ok:
+        if deployment is not None:
             target = decision.target_replicas
             replicas = target if target != deployment.spec_replicas and not self.stop.is_set() else None
             trailing = deployment.ready_replicas >= 1 and target >= 1
-            wrote = bool(_step(self.kube_streaks, failures, lambda: self._write(replicas, trailing)))
+            wrote = bool(self.kube_streaks.step(lambda: self._write(replicas, trailing)))
         if wrote:
             self.state = replace(self.state, last_written_replicas=decision.target_replicas)
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.
-        self.kube_streaks.end_poll(failures)
+        self.kube_streaks.end_poll()
 
         return ReconcileRecord(
             tick=tick,
@@ -359,9 +338,7 @@ class ReconcileLoop:
             wrote_scale=wrote,
             consecutive_github_errors=self.github_streaks.errors,
             consecutive_kube_errors=self.kube_streaks.errors,
-            keepalive_next_due=keepalive_due_at(
-                self.state.last_active, self.policy.force_interval, self.policy.min_dwell
-            ),
+            keepalive_next_due=keepalive_due_at(self.state.last_active, self.policy),
             github_rate_limit_remaining=self.github.rate_limit_remaining,
         )
 

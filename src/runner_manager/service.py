@@ -22,7 +22,7 @@ from typing import Callable
 
 from .clock import Clock, SystemClock
 from .config import Config, load_config
-from .errors import ApiError, ConfigError, CredentialError, MissingDeploymentError
+from .errors import ConfigError, CredentialError, MissingDeploymentError
 from .github import GitHubClient
 from .kube import KubeClient, resolve_credentials
 from .reconciler import ReconcileLoop, ReconcileRecord
@@ -77,18 +77,15 @@ def run_service(
             stop=stop,
         )
 
-        alive = threading.Event()
-        alive.set()
         status_server: StatusServer | None = None
         if config.status_addr:
             try:
-                status_server = StatusServer(config.status_addr, alive, clock, config.policy.poll_interval)
+                status_server = StatusServer(config.status_addr, clock, config.policy.poll_interval)
             except OSError as exc:
                 logger.error("cannot serve status on %s: %s", config.status_addr, exc)
                 return EXIT_CONFIG
             status_server.start()
             cleanup.callback(status_server.close)
-        cleanup.callback(alive.clear)
 
         start = clock.now()
         iteration = 0
@@ -102,10 +99,6 @@ def run_service(
             except CredentialError as exc:
                 logger.error("persistent credential failure, giving up: %s", exc)
                 return EXIT_CREDENTIALS
-            except ApiError as exc:
-                # Defensive: classified errors are normally absorbed upstream.
-                logger.warning("reconcile iteration failed: %s", exc)
-                record = None
 
             if record is not None:
                 if reconcile_logger.isEnabledFor(logging.INFO):

@@ -1,10 +1,10 @@
 """Read-only HTTP status endpoint.
 
-GET /healthz answers 200 while the reconcile loop is live: its thread runs
-and a poll was decided within two poll intervals (counted from start-up
-until the first record). GET /status returns the latest ReconcileRecord as
-one JSON object. The report never contains credential material -- it is
-built from an atomically swapped record, not from the live config.
+GET /healthz answers 200 while a poll was decided within two poll
+intervals (counted from start-up until the first record). GET /status
+returns the latest ReconcileRecord as one JSON object. The report never
+contains credential material -- it is built from an atomically swapped
+record, not from the live config.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ BEFORE_FIRST_POLL = {
 class StatusServer:
     """Background HTTP server publishing the swapped record."""
 
-    def __init__(self, addr: str, alive: threading.Event, clock: Clock, poll_interval: float):
+    def __init__(self, addr: str, clock: Clock, poll_interval: float):
         host, port = parse_listen_address(addr)
-        self._alive = alive
         self._clock = clock
         self._stale_after = 2 * poll_interval
         self._started_at = clock.now()
@@ -78,8 +77,6 @@ class StatusServer:
         return self._httpd.server_address[:2]
 
     def _health(self) -> bytes:
-        if not self._alive.is_set():
-            return b"stopped"
         record = self._record
         last = record.decided_at if record is not None else self._started_at
         return b"ok" if self._clock.now() - last <= self._stale_after else b"stalled"

@@ -1,4 +1,4 @@
-"""Shared fixtures: fake servers wired to real clients."""
+"""Shared fixtures: fake servers wired to real clients; the oracle check."""
 
 from __future__ import annotations
 
@@ -13,10 +13,20 @@ from runner_manager.config import Policy
 from runner_manager.github import GitHubClient
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
+from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.virtual_clock import TimerClock
 from runner_manager.kube import KubeClient, KubeCredentials
 
 TEST_TOKEN = "ghp-test-token-123"
+
+
+def assert_agrees_with_oracle(script, result) -> None:
+    """The run's decisions, scale writes and final annotations are the
+    independent oracle's, exactly."""
+    expected = oracle_decisions(script, result.policy)
+    assert result.decisions == expected.decisions
+    assert result.writes == expected.writes
+    assert result.final_annotations == expected.annotations
 
 
 class SteppingClock(TimerClock):

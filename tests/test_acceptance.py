@@ -32,6 +32,8 @@ from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, generate_random_script
 from runner_manager.labels import LabelSet
 
+from conftest import assert_agrees_with_oracle
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
@@ -248,10 +250,7 @@ def month_long_idle() -> ScenarioResult:
     result = run_scenario(script)
     print(f"\n[30-day idle trace] {len(result.decisions)} polls in {time.time() - started:.0f}s wall")
     assert not result.scenario_failed, result.failure_reasons
-    expected = oracle_decisions(script, result.policy)
-    assert expected.decisions == result.decisions
-    assert expected.writes == result.writes
-    assert expected.annotations == result.final_annotations
+    assert_agrees_with_oracle(script, result)
     return result
 
 
@@ -341,7 +340,7 @@ def test_criterion_5_no_premature_deprovision(bulk):
         )
         result = run_scenario(script)
         assert not result.scenario_failed
-        assert result.decisions == oracle_decisions(script, result.policy).decisions
+        assert_agrees_with_oracle(script, result)
         assert any(reason == "hold" for _, _, reason in result.decisions)
         down_writes = [t for t, v in result.writes if v == 0]
         down_in_span = [t for t in down_writes if fault_start <= t < fault_end]
@@ -499,10 +498,7 @@ def test_request_budget_under_a_storm():
     script = workloads.storm_script(1, 0)
     result = run_scenario(script)
     assert not result.scenario_failed, result.failure_reasons
-    expected = oracle_decisions(script, result.policy)
-    assert expected.decisions == result.decisions
-    assert expected.writes == result.writes
-    assert expected.annotations == result.final_annotations
+    assert_agrees_with_oracle(script, result)
     polls = len(result.decisions)
     per_poll = {
         "GitHub": (result.github_api_requests / polls, STORM_GITHUB_PER_POLL),

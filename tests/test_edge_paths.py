@@ -12,13 +12,12 @@ from runner_manager.errors import ProtocolError, RateLimitedError, TransientErro
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.httpserver import FakeHttpServer, Response
-from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, load_script
 from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
 
-from conftest import SteppingClock
+from conftest import SteppingClock, assert_agrees_with_oracle
 
 REPO = RepoCoordinates("biocore", "unifrac")
 MATCHING = ["self-hosted", "linux-gpu-cuda"]
@@ -98,7 +97,7 @@ def test_scripted_cancellation_releases_the_runner():
     )
     result = run_scenario(script)
     assert not result.scenario_failed
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    assert_agrees_with_oracle(script, result)
     assert result.writes == [(60.0, 1), (360.0, 0)]
 
 
@@ -120,8 +119,7 @@ def test_cancelled_job_frees_the_runner_for_the_next_queued_job():
     )
     result = run_scenario(script)
     assert not result.scenario_failed
-    expected = oracle_decisions(script, result.policy)
-    assert (result.decisions, result.writes) == (expected.decisions, expected.writes)
+    assert_agrees_with_oracle(script, result)
     claims = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_claimed")]
     assert claims == [(80.0, 1), (310.0, 2)]
     completed = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_completed")]
@@ -150,8 +148,7 @@ def test_a_cancelled_jobs_timer_does_not_end_the_runners_next_job():
     assert result.writes == [(60.0, 1), (1200.0, 0)]
     completed = [(e.at, e.detail["job"]) for e in result.trace.select(actor="fake_runner", action="job_completed")]
     assert completed == [(1100.0, 2), (1200.0, 3)]
-    expected = oracle_decisions(script, result.policy)
-    assert (result.decisions, result.writes) == (expected.decisions, expected.writes)
+    assert_agrees_with_oracle(script, result)
 
 
 def test_scale_down_of_a_busy_runner_requeues_its_job_to_the_idle_one():
@@ -172,12 +169,7 @@ def test_scale_down_of_a_busy_runner_requeues_its_job_to_the_idle_one():
         ("fake_github", "job_claimed", 2, None),
         ("fake_runner", "job_claimed", 2, "gha-runner-1"),
     ]
-    expected = oracle_decisions(script, result.policy)
-    assert (result.decisions, result.writes, result.final_annotations) == (
-        expected.decisions,
-        expected.writes,
-        expected.annotations,
-    )
+    assert_agrees_with_oracle(script, result)
 
 
 def test_two_runners_serve_three_jobs_with_cap_two():
@@ -194,7 +186,7 @@ def test_two_runners_serve_three_jobs_with_cap_two():
     )
     result = run_scenario(script)
     assert not result.scenario_failed
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    assert_agrees_with_oracle(script, result)
     assert max(v for _, v in result.writes) == 2
     assert all(v <= 2 for _, v in result.writes)
     # Two pods work in parallel: three 200s jobs finish well before three

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import runner_manager.harness.cli as harness_cli
 from runner_manager.clock import SystemClock
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError, TransientError
+from runner_manager.github import GitHubClient
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
@@ -26,6 +28,7 @@ from runner_manager.harness.scenario import (
     script_to_dict,
 )
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
+from runner_manager.kube import KubeClient
 from runner_manager.reconciler import ReconcileLoop
 
 
@@ -415,3 +418,28 @@ class TestScenarioDriver:
         assert result.scenario_failed
         assert result.cross_namespace_requests == ["/api/v1/namespaces/ci/pods"]
         assert any("/api/v1/namespaces/ci/pods" in reason for reason in result.failure_reasons)
+
+    def _harness_run_fails(self, tmp_path, capsys) -> list[str]:
+        """``harness run`` on a script whose first poll writes a keepalive:
+        the scenario must fail, with exit code 1; returns its reasons."""
+        script_path = tmp_path / "scenario.json"
+        script_path.write_text(json.dumps(script_to_dict(ScenarioScript(horizon=180, events=[]))))
+        assert harness_cli.main(["run", "--script", str(script_path)]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["scenario_failed"] is True
+        return summary["failure_reasons"]
+
+    def test_a_github_header_violation_fails_the_scenario(self, monkeypatch, tmp_path, capsys):
+        headers = GitHubClient._headers
+        monkeypatch.setattr(GitHubClient, "_headers", lambda client: {**headers(client), "Accept": "application/json"})
+        [reason] = self._harness_run_fails(tmp_path, capsys)
+        assert reason.startswith("GitHub requests with wrong headers") and "header accept=" in reason
+
+    def test_a_refused_deployment_patch_fails_the_scenario(self, monkeypatch, tmp_path, capsys):
+        def json_patch(client, patch):
+            body = json.dumps(patch).encode()
+            return client._request("PATCH", client._deployment_path(), body=body, content_type="application/json")
+
+        monkeypatch.setattr(KubeClient, "_merge_patch", json_patch)
+        [reason] = self._harness_run_fails(tmp_path, capsys)
+        assert reason.startswith("refused Deployment patches") and "content type 'application/json'" in reason

@@ -1,14 +1,16 @@
 """The decision rules, tested as pure functions, and the loop's one write
 a poll against a Deployment held in memory."""
 
+import math
 import threading
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from runner_manager.clock import to_rfc3339
 from runner_manager.config import Policy, RepoCoordinates
-from runner_manager.errors import TransientError
+from runner_manager.errors import CredentialError, ProtocolError, RateLimitedError, TransientError
 from runner_manager.github import JobRecord
 from runner_manager.kube import DeploymentSnapshot
 from runner_manager.labels import LabelSet
@@ -17,11 +19,11 @@ from runner_manager.reconciler import (
     ANNOTATION_LAST_ACTIVE,
     Decision,
     ManagerState,
-    Observation,
     Reason,
     ReconcileLoop,
     compute_desired,
     keepalive_due,
+    keepalive_due_at,
     update_state,
 )
 
@@ -34,11 +36,8 @@ def _job(job_id=1, status="queued"):
     return JobRecord(job_id=job_id, status=status, requested_labels=LabelSet(["self-hosted", "linux-gpu-cuda"]))
 
 
-def _obs(jobs=(), spec=0, ready=0, ok=True):
-    return Observation(
-        outstanding_jobs=None if jobs is None else list(jobs),
-        deployment=DeploymentSnapshot(spec, ready, {}) if ok else None,
-    )
+def _deployment(spec=0, ready=0):
+    return DeploymentSnapshot(spec, ready, {})
 
 
 # -- keepalive_due ----------------------------------------------------------
@@ -46,85 +45,94 @@ def _obs(jobs=(), spec=0, ready=0, ok=True):
 
 def test_due_when_interval_exceeded():
     now = 100 * DAY
-    assert keepalive_due(now - 84.5 * HOUR, now, 84 * HOUR, 0.0)
+    assert keepalive_due(now - 84.5 * HOUR, now, POLICY)
 
 
 def test_not_due_when_recent():
     now = 100 * DAY
-    assert not keepalive_due(now - 1 * HOUR, now, 84 * HOUR, 0.0)
+    assert not keepalive_due(now - 1 * HOUR, now, POLICY)
 
 
 def test_unknown_history_counts_as_stale():
-    assert keepalive_due(None, 0.0, 84 * HOUR, 0.0)
+    assert keepalive_due(None, 0.0, POLICY)
 
 
 def test_lead_time_starts_activation_early():
-    # With a 15 min lead, the activation begins one dwell before the deadline
-    # so the full dwell fits inside the force interval.
+    # The activation begins one 15 min dwell before the 84 h deadline, so
+    # the full dwell fits inside the force interval.
     now = 100 * DAY
-    lead = 15 * 60.0
-    assert keepalive_due(now - (84 * HOUR - lead), now, 84 * HOUR, lead)
-    assert not keepalive_due(now - (84 * HOUR - lead - 1), now, 84 * HOUR, lead)
+    dwell = 15 * 60.0
+    assert keepalive_due(now - (84 * HOUR - dwell), now, POLICY)
+    assert not keepalive_due(now - (84 * HOUR - dwell - 1), now, POLICY)
+
+
+@given(
+    last_active=st.floats(min_value=1.69e9, max_value=1.71e9),
+    force_interval=st.floats(min_value=HOUR, max_value=3.5 * DAY),
+    min_dwell=st.floats(min_value=60.0, max_value=1800.0),
+)
+def test_keepalive_next_due_is_the_instant_the_decision_turns(last_active, force_interval, min_dwell):
+    # Durations that are not whole binary fractions, such as 60.7 s, round
+    # differently in any second formula for the same instant.
+    policy = Policy(force_interval=force_interval, min_dwell=min_dwell)
+    state = ManagerState(last_active=last_active)
+    due = keepalive_due_at(last_active, policy)
+    assert compute_desired([], _deployment(), state, policy, due) == Decision(1, Reason.KEEPALIVE)
+    before = math.nextafter(due, -math.inf)
+    assert compute_desired([], _deployment(), state, policy, before) == Decision(0, Reason.IDLE)
 
 
 # -- compute_desired ---------------------------------------------------------
 
 
 def test_demand_capped_at_max_runners():
-    obs = _obs(jobs=[_job(1), _job(2), _job(3)])
-    decision = compute_desired(obs, ManagerState(), POLICY, now=0.0)
+    decision = compute_desired([_job(1), _job(2), _job(3)], _deployment(), ManagerState(), POLICY, now=0.0)
     assert decision == Decision(1, Reason.DEMAND)
 
 
 def test_keepalive_when_stale():
     now = 10 * DAY
-    obs = _obs()
     state = ManagerState(last_active=now - 4 * DAY)
     policy = Policy(force_interval=3.5 * DAY)
-    assert compute_desired(obs, state, policy, now) == Decision(1, Reason.KEEPALIVE)
+    assert compute_desired([], _deployment(), state, policy, now) == Decision(1, Reason.KEEPALIVE)
 
 
 def test_in_progress_job_pins_runner():
     now = 100.0
-    obs = _obs(jobs=[_job(status="in_progress")], spec=1, ready=1)
+    jobs = [_job(status="in_progress")]
     state = ManagerState(last_active=now - 60)
-    assert compute_desired(obs, state, POLICY, now) == Decision(1, Reason.DEMAND)
+    assert compute_desired(jobs, _deployment(1, 1), state, POLICY, now) == Decision(1, Reason.DEMAND)
 
 
 def test_idle_when_fresh_and_no_work():
     now = 1000.0
-    obs = _obs()
     state = ManagerState(last_active=now - 60)
-    assert compute_desired(obs, state, POLICY, now) == Decision(0, Reason.IDLE)
+    assert compute_desired([], _deployment(), state, POLICY, now) == Decision(0, Reason.IDLE)
 
 
 def test_hold_on_github_failure_keeps_last_written():
-    obs = Observation(None, DeploymentSnapshot(1, 1, {}))
     state = ManagerState(last_written_replicas=1)
-    assert compute_desired(obs, state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
+    assert compute_desired(None, _deployment(1, 1), state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
 
 
 def test_hold_falls_back_to_observed_then_zero():
-    obs = Observation(None, DeploymentSnapshot(1, 1, {}))
-    assert compute_desired(obs, ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
-    blind = Observation(None, None)
-    assert compute_desired(blind, ManagerState(), POLICY, 0.0) == Decision(0, Reason.HOLD)
+    assert compute_desired(None, _deployment(1, 1), ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
+    assert compute_desired(None, None, ManagerState(), POLICY, 0.0) == Decision(0, Reason.HOLD)
 
 
 def test_dwell_keeps_keepalive_runner_up():
     now = 1000.0
-    obs = _obs(spec=1, ready=1)
+    up = _deployment(1, 1)
     state = ManagerState(last_active=now - 10, keepalive_started_at=now - 300)
-    assert compute_desired(obs, state, POLICY, now) == Decision(1, Reason.KEEPALIVE)
+    assert compute_desired([], up, state, POLICY, now) == Decision(1, Reason.KEEPALIVE)
     done = ManagerState(last_active=now - 10, keepalive_started_at=now - POLICY.min_dwell)
-    assert compute_desired(obs, done, POLICY, now) == Decision(0, Reason.IDLE)
+    assert compute_desired([], up, done, POLICY, now) == Decision(0, Reason.IDLE)
 
 
 def test_demand_wins_over_keepalive():
     now = 10 * DAY
-    obs = _obs(jobs=[_job()])
     state = ManagerState(last_active=None, keepalive_started_at=now - 60)
-    assert compute_desired(obs, state, POLICY, now).reason is Reason.DEMAND
+    assert compute_desired([_job()], _deployment(), state, POLICY, now).reason is Reason.DEMAND
 
 
 @given(
@@ -136,12 +144,9 @@ def test_demand_wins_over_keepalive():
 def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
     policy = Policy(max_runners=max_runners)
     now = 20 * DAY
-    obs = Observation(
-        outstanding_jobs=[_job(i + 1) for i in range(jobs)] if poll_ok else None,
-        deployment=DeploymentSnapshot(min(1, max_runners), 0, {}),
-    )
+    outstanding = [_job(i + 1) for i in range(jobs)] if poll_ok else None
     state = ManagerState(last_active=None if last_active_age is None else now - last_active_age)
-    decision = compute_desired(obs, state, policy, now)
+    decision = compute_desired(outstanding, _deployment(min(1, max_runners)), state, policy, now)
     assert 0 <= decision.target_replicas <= max_runners
 
 
@@ -150,49 +155,45 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
 
 def test_running_pod_refreshes_last_active():
     now = 500.0
-    obs = _obs(spec=1, ready=1)
-    state = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
+    state = update_state(ManagerState(), Decision(1, Reason.DEMAND), _deployment(1, 1), now)
     assert state.last_active == now
 
 
 def test_keepalive_decision_starts_dwell_once():
     now = 500.0
-    obs = _obs()
-    state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), obs, now)
+    state = update_state(ManagerState(), Decision(1, Reason.KEEPALIVE), _deployment(), now)
     assert state.keepalive_started_at == now
-    later = update_state(state, Decision(1, Reason.KEEPALIVE), obs, now + 60)
+    later = update_state(state, Decision(1, Reason.KEEPALIVE), _deployment(), now + 60)
     assert later.keepalive_started_at == now  # not restarted
 
 
 def test_idle_without_running_pod_leaves_last_active():
     now = 500.0
-    obs = _obs()
     before = ManagerState(last_active=100.0)
-    after = update_state(before, Decision(0, Reason.IDLE), obs, now)
+    after = update_state(before, Decision(0, Reason.IDLE), _deployment(), now)
     assert after.last_active == 100.0
 
 
 def test_last_active_never_moves_backward():
-    obs = _obs(spec=1, ready=1)
     state = ManagerState(last_active=100.0)
-    after = update_state(state, Decision(1, Reason.DEMAND), obs, now=50.0)
+    after = update_state(state, Decision(1, Reason.DEMAND), _deployment(1, 1), now=50.0)
     assert after.last_active == 100.0
 
 
 def test_pending_pod_does_not_refresh():
     now = 500.0
-    obs = _obs(spec=1, ready=0)  # the pod is Pending, or Running but not Ready
-    after = update_state(ManagerState(), Decision(1, Reason.DEMAND), obs, now)
+    pending = _deployment(1, 0)  # the pod is Pending, or Running but not Ready
+    after = update_state(ManagerState(), Decision(1, Reason.DEMAND), pending, now)
     assert after.last_active is None
 
 
 def test_demand_and_idle_clear_dwell_hold_preserves_it():
     now = 500.0
-    obs = _obs()
+    empty = _deployment()
     state = ManagerState(keepalive_started_at=400.0)
-    assert update_state(state, Decision(1, Reason.DEMAND), obs, now).keepalive_started_at is None
-    assert update_state(state, Decision(0, Reason.IDLE), obs, now).keepalive_started_at is None
-    assert update_state(state, Decision(1, Reason.HOLD), obs, now).keepalive_started_at == 400.0
+    assert update_state(state, Decision(1, Reason.DEMAND), empty, now).keepalive_started_at is None
+    assert update_state(state, Decision(0, Reason.IDLE), empty, now).keepalive_started_at is None
+    assert update_state(state, Decision(1, Reason.HOLD), empty, now).keepalive_started_at == 400.0
 
 
 class _MemoryDeployment:
@@ -289,3 +290,27 @@ def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
     ]
     assert kube.annotations == {ANNOTATION_LAST_ACTIVE: to_rfc3339(again)}
     assert (kube.spec, loop.state.last_written_replicas) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [TransientError("503", 503), RateLimitedError("429", 429), ProtocolError("bad body"), CredentialError("401", 401)],
+    ids=lambda error: type(error).__name__,
+)
+@pytest.mark.parametrize("call", ["list_outstanding_jobs", "read_scale", "write_scale"])
+def test_no_api_error_escapes_a_poll(clock, gh_client, call, error):
+    # A first failure of any kind, in any of the poll's three calls, ends
+    # the poll with a record that counts it against its API.
+    kube = _MemoryDeployment({})  # no history: the keepalive writes 1
+
+    def fail(*args):
+        raise error
+
+    setattr(gh_client if call == "list_outstanding_jobs" else kube, call, fail)
+    record = _loop(gh_client, kube, clock).reconcile_once(clock.now())
+    if call == "list_outstanding_jobs":
+        assert (record.consecutive_github_errors, record.consecutive_kube_errors) == (1, 0)
+        assert record.reason is Reason.HOLD
+    else:
+        assert (record.consecutive_github_errors, record.consecutive_kube_errors) == (0, 1)
+    assert not record.wrote_scale

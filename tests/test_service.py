@@ -9,7 +9,7 @@ from contextlib import closing
 from typing import Callable
 
 import pytest
-from conftest import SteppingClock
+from conftest import SteppingClock, assert_agrees_with_oracle
 
 from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, load_config
 from runner_manager.clock import SystemClock, from_rfc3339, to_rfc3339
@@ -17,7 +17,6 @@ from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness.fake_kube import FakeKube
-from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
 from runner_manager.harness.virtual_clock import SIM_EPOCH
 from runner_manager.errors import ConfigError, CredentialError
@@ -46,9 +45,7 @@ def test_single_queued_job_scales_once_within_one_poll():
     )
     result = run_scenario(script)
     assert not result.scenario_failed
-    expected = oracle_decisions(script, result.policy)
-    assert result.decisions == expected.decisions
-    assert result.writes == expected.writes
+    assert_agrees_with_oracle(script, result)
     up_writes = [w for w in result.writes if w[1] == 1]
     assert len(up_writes) == 1
     assert 10 < up_writes[0][0] <= 10 + result.policy.poll_interval
@@ -67,7 +64,7 @@ def test_poll_counts_queued_and_in_progress_jobs_apart():
     result = run_scenario(script)
     assert not result.scenario_failed
     assert result.poll_counts == [(0.0, 0, 0), (60.0, 2, 0), (120.0, 0, 2)]
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    assert_agrees_with_oracle(script, result)
 
 
 def test_scale_down_written_exactly_once_after_completion():
@@ -104,7 +101,7 @@ def test_github_outage_holds_and_never_scales_down():
     )
     result = run_scenario(script)
     assert not result.scenario_failed
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    assert_agrees_with_oracle(script, result)
     assert [w for w in result.writes if w[1] == 0] == []
     assert any(reason == "hold" for _, _, reason in result.decisions)
 
@@ -119,7 +116,7 @@ def test_restart_preserves_keepalive_bookkeeping():
     )
     result = run_scenario(script)
     assert not result.scenario_failed
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    assert_agrees_with_oracle(script, result)
     assert "runner-manager/last-active" in result.final_annotations
 
 
@@ -493,7 +490,7 @@ def test_poll_that_scales_to_zero_writes_the_exact_stamp():
     assert not result.scenario_failed
     assert result.writes == [(60.0, 1), (1320.0, 0)]
     assert result.final_annotations[ANNOTATION_LAST_ACTIVE] == to_rfc3339(SIM_EPOCH + 1320.0)
-    assert oracle_decisions(script, result.policy).annotations == result.final_annotations
+    assert_agrees_with_oracle(script, result)
 
 
 class _RunnerKube:
@@ -536,7 +533,7 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
                 record = loop.reconcile_once(clock.now())
                 assert (record.observed_replicas, record.desired) == (1, 1)
                 clock.advance(policy.poll_interval)
-            exact = keepalive_due_at(record.decided_at, policy.force_interval, policy.min_dwell)
+            exact = keepalive_due_at(record.decided_at, policy)
 
             kube.ready_replicas = 0
             clock.advance(policy.poll_interval)  # downtime
@@ -787,4 +784,4 @@ def test_saturated_poll_logs_at_least_max_runners_outstanding(caplog):
         assert payload["queued"] + payload["in_progress"] >= 2
         assert payload["desired"] == 2
     assert any(p["queued"] + p["in_progress"] < 5 for p in saturated)
-    assert result.decisions == oracle_decisions(script, result.policy).decisions
+    assert_agrees_with_oracle(script, result)

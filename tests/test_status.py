@@ -34,12 +34,10 @@ def _record(**overrides) -> ReconcileRecord:
 
 
 @pytest.fixture
-def status_server():
-    alive = threading.Event()
-    alive.set()
-    server = StatusServer("127.0.0.1:0", alive, SystemClock(), poll_interval=60.0)
+def server():
+    server = StatusServer("127.0.0.1:0", SystemClock(), poll_interval=60.0)
     server.start()
-    yield server, alive
+    yield server
     server.close()
 
 
@@ -53,14 +51,8 @@ def _get(server: StatusServer, path: str):
         raise
 
 
-def test_healthz_ok_while_alive(status_server):
-    server, alive = status_server
-    status, body = _get(server, "/healthz")
-    assert (status, body) == (200, b"ok")
-    alive.clear()
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _get(server, "/healthz")
-    assert excinfo.value.code == 503
+def test_healthz_ok_while_alive(server):
+    assert _get(server, "/healthz") == (200, b"ok")
 
 
 def _healthz_code(server: StatusServer) -> int:
@@ -72,9 +64,7 @@ def _healthz_code(server: StatusServer) -> int:
 
 def test_healthz_fails_once_no_poll_was_decided_within_two_intervals():
     clock = SteppingClock(start=1000.0)
-    alive = threading.Event()
-    alive.set()
-    server = StatusServer("127.0.0.1:0", alive, clock, poll_interval=60.0)
+    server = StatusServer("127.0.0.1:0", clock, poll_interval=60.0)
     server.start()
     try:
         # Before the first record the limit runs from start-up.
@@ -91,8 +81,7 @@ def test_healthz_fails_once_no_poll_was_decided_within_two_intervals():
         server.close()
 
 
-def test_fresh_status_has_null_last_poll(status_server):
-    server, _ = status_server
+def test_fresh_status_has_null_last_poll(server):
     status, body = _get(server, "/status")
     report = json.loads(body)
     assert status == 200
@@ -100,8 +89,7 @@ def test_fresh_status_has_null_last_poll(status_server):
     assert report["last_decision"] is None
 
 
-def test_status_after_one_poll(status_server):
-    server, _ = status_server
+def test_status_after_one_poll(server):
     server.publish(_record())
     _, body = _get(server, "/status")
     report = json.loads(body)
@@ -138,8 +126,7 @@ def test_token_never_appears_in_serialized_status(token, queued, errors):
     assert token not in body
 
 
-def test_status_keys_before_and_after_first_poll(status_server):
-    server, _ = status_server
+def test_status_keys_before_and_after_first_poll(server):
     _, before = _get(server, "/status")
     assert json.loads(before) == {
         "last_poll_time": None,
@@ -173,8 +160,7 @@ def test_status_keys_before_and_after_first_poll(status_server):
     }
 
 
-def test_unknown_path_is_404(status_server):
-    server, _ = status_server
+def test_unknown_path_is_404(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(server, "/metrics")
     assert excinfo.value.code == 404
