@@ -7,29 +7,3 @@ credential is renewed before its one-week lifetime expires.
 """
 
 __version__ = "0.1.0"
-
-from .config import Config, Policy, RepoCoordinates, load_config
-from .labels import LabelSet
-from .reconciler import (
-    Decision,
-    ManagerState,
-    Reason,
-    compute_desired,
-    keepalive_due,
-    update_state,
-)
-
-__all__ = [
-    "Config",
-    "Decision",
-    "LabelSet",
-    "ManagerState",
-    "Policy",
-    "Reason",
-    "RepoCoordinates",
-    "compute_desired",
-    "keepalive_due",
-    "load_config",
-    "update_state",
-    "__version__",
-]

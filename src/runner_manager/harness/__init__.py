@@ -2,28 +2,6 @@
 
 Fake GitHub Actions API, fake Kubernetes API, fake runner, a virtual clock,
 scenario scripting, and an independent decision oracle. Everything runs on
-simulated time: a 30-day trace takes seconds of wall time and identical
-scripts produce identical traces.
+simulated time, on one thread and with no socket: a 30-day trace takes
+seconds of wall time and identical scripts produce identical traces.
 """
-
-from .fake_github import FakeGitHub
-from .fake_kube import FakeKube
-from .oracle import OracleResult, oracle_decisions
-from .scenario import ScenarioEvent, ScenarioScript, generate_random_script, load_script
-from .driver import ScenarioResult, run_scenario
-from .virtual_clock import SIM_EPOCH, VirtualClock
-
-__all__ = [
-    "FakeGitHub",
-    "FakeKube",
-    "OracleResult",
-    "SIM_EPOCH",
-    "ScenarioEvent",
-    "ScenarioResult",
-    "ScenarioScript",
-    "VirtualClock",
-    "generate_random_script",
-    "load_script",
-    "oracle_decisions",
-    "run_scenario",
-]

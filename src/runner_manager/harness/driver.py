@@ -1,92 +1,106 @@
 """Scenario execution: the real manager against the fake world.
 
-The driver owns virtual time. Each step it waits for the manager thread to
-park in the clock, advances to the clock's next deadline (scenario event,
-pod/job timer, or the manager's own wake-up), runs the due environment
-work first, then releases the manager. The clock is the one scheduler: the
-fakes are handed it and set every timer (a pod turning Running, a job
-completing) with its ``call_at``. Identical scripts therefore produce
-identical traces, bit for bit. The trace is the run's record: decisions,
-poll counts and accepted scale writes are read back from it, each once, at
-its first read. Each ``decision`` entry holds the manager's
-:class:`ReconcileRecord` itself, rendered to the reconcile log line's dict
-only when the trace is rendered (``to_ndjson``, the fingerprint). Fake
-Kubernetes keeps only the refused Deployment patches, as
-``scale_patch_violations``.
+Everything runs on the caller's thread, and no socket is opened. Each
+manager incarnation is one call of ``run_service``, with fresh clients
+whose transport hands every request to a fake's handler in-process. The
+manager's own waits step virtual time (see ``virtual_clock``): each runs
+the environment's timers due by its deadline -- scenario events, pod
+start-ups, job completions -- before the manager resumes. A restart sets
+the running manager's stop; the driver then steps through the downtime
+and calls ``run_service`` again. The clock is the one scheduler, so
+identical scripts produce identical traces, bit for bit. The trace is the
+run's record: decisions, poll counts and accepted scale writes are read
+back from it, each once, at its first read. Each ``decision`` entry holds
+the manager's :class:`ReconcileRecord` itself, rendered to the reconcile
+log line's dict only when the trace is rendered (``to_ndjson``, the
+fingerprint). Fake Kubernetes keeps only the refused Deployment patches,
+as ``scale_patch_violations``.
 """
 
 from __future__ import annotations
 
 import atexit
+import faulthandler
 import functools
+import logging
 import os
 import shutil
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass
 
 from ..clock import to_rfc3339
 from ..config import Config, Policy, RepoCoordinates
+from ..github import GitHubClient
+from ..kube import KubeClient, resolve_credentials
 from ..reconciler import ANNOTATION_LAST_ACTIVE, ReconcileRecord
 from ..service import run_service
 from .fake_github import OWNER, REPO, FakeGitHub
 from .fake_kube import DEPLOYMENT, NAMESPACE, FakeKube
 from .fake_runner import RunnerWorld
+from .httpserver import InProcessTransport
 from .scenario import ScenarioEvent, ScenarioScript, policy_from_script
 from .trace import Trace
 from .virtual_clock import VirtualClock
 
+logger = logging.getLogger(__name__)
+
 HARNESS_GITHUB_TOKEN = "gh-harness-token-0001"
 HARNESS_KUBE_TOKEN = "kube-harness-sa-token"
+# Wall seconds an incarnation may take before the process is ended with
+# every thread's traceback: a manager that never waits never returns.
+INCARNATION_WALL_LIMIT = 600.0
 
 
 class _ManagerHandle:
-    """One manager incarnation running run_service on its own thread."""
+    """One manager incarnation. It starts at ``start_at`` unless a restart
+    or the horizon sets ``stop`` first, and then runs until ``stop`` is set
+    or it exits on its own."""
 
-    def __init__(self, config: Config, clock: VirtualClock, observer):
-        self._config = config
-        self._clock = clock
-        self._observer = observer
+    def __init__(self, start_at: float):
+        self.start_at = start_at
         self.stop = threading.Event()
-        self.exit_code: int | None = None
-        self._thread: threading.Thread | None = None
+        self.exit_code: int | None = None  # None: it never started
 
-    def start(self) -> None:
-        self._clock.register_actor()
-
-        def _run():
-            try:
-                self.exit_code = run_service(
-                    self._config,
-                    clock=self._clock,
-                    stop=self.stop,
-                    observer=self._observer,
-                    environment={},
-                )
-            except BaseException:  # pragma: no cover - surfaced via crashed()
-                self.exit_code = -1
-                raise
-            finally:
-                self._clock.actor_done()
-
-        self._thread = threading.Thread(target=_run, name="manager", daemon=True)
-        self._thread.start()
+    def run(self, config: Config, clock: VirtualClock, observer, github: FakeGitHub, kube: FakeKube) -> str | None:
+        """Run ``run_service`` on this thread with fresh clients, as a new
+        process would; why the scenario fails, or None. Whatever would have
+        ended a manager thread fails it, except ``KeyboardInterrupt``."""
+        github_client = GitHubClient(
+            config.github_api_base, config.github_token, transport=InProcessTransport(github.handle), clock=clock
+        )
+        kube_client = KubeClient(
+            resolve_credentials(config, {}),  # from the fake service-account mount
+            config.kube_deployment,
+            config.policy.max_runners,
+            transport=InProcessTransport(kube.handle),
+        )
+        # To the process's own stderr: a caller may have swapped sys.stderr
+        # for an object with no file descriptor.
+        faulthandler.dump_traceback_later(INCARNATION_WALL_LIMIT, exit=True, file=sys.__stderr__)
+        try:
+            self.exit_code = run_service(
+                config, clock, self.stop, environment={}, observer=observer, github=github_client, kube=kube_client
+            )
+        except KeyboardInterrupt:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - it would have ended the manager's thread
+            logger.error("manager raised", exc_info=True)
+            self.exit_code = -1
+            return f"manager exited unexpectedly with code -1: {exc!r}"
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        if not self.stop.is_set():
+            return f"manager exited unexpectedly with code {self.exit_code}"
+        return None
 
     def stop_and_join(self, timeout: float = 60.0) -> int | None:
+        """Stop this incarnation and return its exit code. It ran on the
+        caller's thread, so there is nothing to join or wait ``timeout``
+        for; perfbench wraps the method by name."""
         self.stop.set()
-        self._clock.kick()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            if self._thread.is_alive():
-                raise RuntimeError("manager thread failed to stop")
         return self.exit_code
-
-    def crashed(self) -> bool:
-        return (
-            self._thread is not None
-            and not self._thread.is_alive()
-            and not self.stop.is_set()
-        )
 
 
 @dataclass
@@ -143,7 +157,7 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
     policy = policy_from_script(script)
     clock = VirtualClock()
     epoch = clock.now()
-    horizon_abs = epoch + script.horizon
+    clock.horizon = epoch + script.horizon
     trace = Trace(epoch)
     failure_reasons: list[str] = []
 
@@ -153,12 +167,12 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
             ANNOTATION_LAST_ACTIVE: to_rfc3339(epoch + script.initial_last_active)
         }
 
-    github = FakeGitHub(expected_token=HARNESS_GITHUB_TOKEN, clock=clock, keep_request_log=keep_request_log).start()
+    github = FakeGitHub(expected_token=HARNESS_GITHUB_TOKEN, clock=clock, keep_request_log=keep_request_log)
     kube = FakeKube(
         clock=clock,
         pod_startup_delay=script.pod_startup_delay,
         initial_annotations=initial_annotations,
-    ).start()
+    )
 
     world = RunnerWorld(
         github,
@@ -178,10 +192,12 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         repo=RepoCoordinates(owner=OWNER, repo=REPO),
         policy=policy,
         kube_deployment=DEPLOYMENT,
-        github_api_base=github.base_url,
+        # No server answers at either address: the clients' transport hands
+        # each request to the fake in-process.
+        github_api_base="http://fake-github",
         github_token=HARNESS_GITHUB_TOKEN,
         kube_namespace=None,  # resolved from the fake service-account mount
-        kube_api_base=kube.base_url,
+        kube_api_base="http://fake-kube",
         kube_sa_dir=_shared_sa_dir(),
         status_addr=None,
     )
@@ -191,11 +207,10 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
     def observer(record: ReconcileRecord) -> None:
         trace.append(record.tick, "manager", "decision", record)
 
-    manager = _ManagerHandle(config, clock, observer)
-    respawn_at: float | None = None  # when the stopped manager's successor starts
+    current = _ManagerHandle(epoch)  # the incarnation that runs next
 
     def _apply_event(event: ScenarioEvent) -> None:
-        nonlocal manager, respawn_at
+        nonlocal current
         trace.append(clock.now(), "driver", event.kind, dict(event.payload))
         if event.kind == "enqueue_job":
             github.enqueue_job(
@@ -218,41 +233,27 @@ def run_scenario(script: ScenarioScript, keep_request_log: bool = False) -> Scen
         elif event.kind == "kube_recover":
             kube.clear_fault()
         elif event.kind == "restart_manager":
-            exit_codes.append(manager.stop_and_join())
-            trace.append(clock.now(), "driver", "manager_stopped", {})
-            # A newer restart supersedes any respawn still pending.
-            manager = _ManagerHandle(config, clock, observer)
-            respawn_at = clock.now() + float(event.arg("downtime"))
-            clock.call_at(respawn_at, lambda: None)  # so that the driver steps to respawn_at
+            # Stops the running manager, or supersedes a respawn still
+            # pending; either way the wait under way returns at once.
+            current.stop.set()
+            current = _ManagerHandle(clock.now() + float(event.arg("downtime")))
 
-    try:
-        for event in script.events:
-            clock.call_at(epoch + event.at, lambda e=event: _apply_event(e))
-        clock.run_due()  # events at or before t=0 apply before the manager's first poll
-        manager.start()
-
-        while True:
-            clock.wait_quiescent()
-            if manager.crashed():
-                failure_reasons.append(
-                    f"manager exited unexpectedly with code {manager.exit_code}"
-                )
-                break
-            t = clock.next_deadline()
-            if t is None or t >= horizon_abs:
-                break
-            clock.advance_to(t)
-            clock.run_due()
-            if respawn_at is not None and respawn_at <= t:
-                respawn_at = None
+    for event in script.events:
+        clock.call_at(epoch + event.at, lambda e=event: _apply_event(e))
+    while True:
+        manager = current
+        # The downtime before it starts; at t=0, the events up to then.
+        clock.wait_until(manager.start_at, manager.stop)
+        if not manager.stop.is_set():
+            if exit_codes:  # a successor's start
                 trace.append(clock.now(), "driver", "manager_started", {})
-                manager.start()
-            clock.release_due()
-
+            failure = manager.run(config, clock, observer, github, kube)
+            if failure is not None:
+                failure_reasons.append(failure)
         exit_codes.append(manager.stop_and_join())
-    finally:
-        github.close()
-        kube.close()
+        if current is manager:  # the horizon, or the manager exited on its own
+            break
+        trace.append(clock.now(), "driver", "manager_stopped", {})
 
     if kube.cross_namespace_requests:
         failure_reasons.append(f"Kubernetes requests outside the Role: {kube.cross_namespace_requests}")

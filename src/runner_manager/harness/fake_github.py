@@ -1,6 +1,10 @@
-"""Fake GitHub Actions API server.
+"""Fake GitHub Actions API.
 
-Serves the three endpoints the manager touches (run listing, per-run job
+A handler, ``FakeGitHub.handle(Request) -> Response``: a scenario's client
+calls it in-process, and ``start()`` serves it over HTTP for the tests of
+the wire and the bootstrap subprocess runner. It keeps its lock for those,
+since a test may read its state while a served request changes it. It
+serves the three endpoints the manager touches (run listing, per-run job
 listing, registration-token minting) for the one repository ``OWNER/REPO``,
 plus a private ``/_harness`` surface the fake runner uses to register, claim
 and complete jobs; a request for another repository gets ``404``. Job
@@ -92,7 +96,8 @@ class RequestRecord:
 
 
 class FakeGitHub:
-    """In-memory Actions state plus the HTTP server in front of it."""
+    """In-memory Actions state, the handler in front of it, and an HTTP
+    server for that handler once ``start`` is called."""
 
     def __init__(
         self,
@@ -125,16 +130,24 @@ class FakeGitHub:
         self.header_violations: list[str] = []
         self.on_transition = None  # callback(kind, job) for trace hooks
 
-        self._server = FakeHttpServer(lambda request: _handle(self, request))
+        self._server: FakeHttpServer | None = None  # bound only by start()
 
     # -- lifecycle ----------------------------------------------------------
 
+    def handle(self, request: Request) -> Response:
+        """Answer one request: what a scenario's clients call in-process,
+        and what ``start``'s server calls for each request off the wire."""
+        return _handle(self, request)
+
     def start(self) -> "FakeGitHub":
+        """Serve the fake over HTTP on a loopback port, for tests of the wire."""
+        self._server = FakeHttpServer(self.handle)
         self._server.start()
         return self
 
     def close(self) -> None:
-        self._server.close()
+        if self._server is not None:
+            self._server.close()
 
     @property
     def base_url(self) -> str:

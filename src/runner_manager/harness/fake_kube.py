@@ -1,4 +1,9 @@
-"""Fake Kubernetes API server for one Deployment in one namespace.
+"""Fake Kubernetes API for one Deployment in one namespace.
+
+A handler, ``FakeKube.handle(Request) -> Response``: a scenario's client
+calls it in-process, and ``start()`` serves it over HTTP for the tests of
+the wire, where a test may read its state while a served request changes
+it, hence its lock.
 
 The reconcile loop sends one ``GET`` of the Deployment a poll and at most
 one write: a merge patch of the Deployment that carries ``spec.replicas``,
@@ -80,16 +85,24 @@ class FakeKube:
         self.on_pod_terminating: Callable[[str], None] | None = None
         self.on_scale_write: Callable[[float, int], None] | None = None
 
-        self._server = FakeHttpServer(lambda request: _handle(self, request))
+        self._server: FakeHttpServer | None = None  # bound only by start()
 
     # -- lifecycle -----------------------------------------------------------
 
+    def handle(self, request: Request) -> Response:
+        """Answer one request: what a scenario's clients call in-process,
+        and what ``start``'s server calls for each request off the wire."""
+        return _handle(self, request)
+
     def start(self) -> "FakeKube":
+        """Serve the fake over HTTP on a loopback port, for tests of the wire."""
+        self._server = FakeHttpServer(self.handle)
         self._server.start()
         return self
 
     def close(self) -> None:
-        self._server.close()
+        if self._server is not None:
+            self._server.close()
 
     @property
     def base_url(self) -> str:

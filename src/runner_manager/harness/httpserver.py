@@ -1,11 +1,14 @@
 """Shared plumbing for the fake API servers.
 
-A deliberately small HTTP/1.1 server over raw sockets: accept loop plus one
-thread per connection, strict request framing (Content-Length only), one
-complete write per response. Handlers must never block on time -- fakes
-answer instantly so simulated time stays under the scenario driver's
-control. http.server is avoided on purpose: its buffered handler stack
-proved hard to reason about under the deterministic co-simulation.
+A fake is a handler, ``handle(Request) -> Response``, reached one of two
+ways. In a scenario the clients' :class:`InProcessTransport` hands each
+request to it on the caller's thread, with no socket. Tests of the wire
+serve it with :class:`FakeHttpServer`: a deliberately small HTTP/1.1 server
+over raw sockets, with an accept loop plus one thread per connection,
+strict request framing (Content-Length only) and one complete write per
+response. Handlers must never block on time -- fakes answer instantly so
+simulated time stays under the clock's control. http.server is avoided on
+purpose: its buffered handler stack is hard to reason about.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import json
 import socket
 import threading
 from http import HTTPStatus
+from typing import Callable
 from urllib.parse import parse_qs, urlsplit
+
+from ..transport import HttpResponse
 
 
 class Request:
@@ -73,11 +79,39 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 _MAX_HEADER_BYTES = 65536
 
+Handler = Callable[[Request], Response]
+
+
+def answer(handle: Handler, request: Request) -> Response:
+    """``handle``'s response; a handler bug is answered ``500``, naming it."""
+    try:
+        return handle(request)
+    except Exception as exc:  # noqa: BLE001 - surface handler bugs to the client
+        return Response.json(500, {"message": f"fake server handler error: {exc!r}"})
+
+
+class InProcessTransport:
+    """The clients' transport in a scenario: each request goes to a fake's
+    handler on the caller's thread, as :class:`FakeHttpServer` would deliver
+    it (header names lowercased), and no socket is opened."""
+
+    def __init__(self, handle: Handler):
+        self._handle = handle
+
+    def request(self, method: str, path: str, headers: dict[str, str], body: bytes | None = None) -> HttpResponse:
+        request = Request(method, path, {name.lower(): value for name, value in headers.items()}, body or b"")
+        response = answer(self._handle, request)
+        headers = {name.lower(): value for name, value in response.headers.items()}
+        return HttpResponse(response.status, headers, response.body)
+
+    def close(self) -> None:
+        pass
+
 
 class FakeHttpServer:
     """Serves `handle(request) -> Response` over persistent connections."""
 
-    def __init__(self, handle):
+    def __init__(self, handle: Handler):
         self._handle = handle
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -131,11 +165,7 @@ class FakeHttpServer:
                 request, buffer = self._read_request(conn, buffer)
                 if request is None:
                     return
-                try:
-                    response = self._handle(request)
-                except Exception as exc:  # noqa: BLE001 - surface handler bugs to the client
-                    response = Response.json(500, {"message": f"fake server handler error: {exc!r}"})
-                conn.sendall(response.render())
+                conn.sendall(answer(self._handle, request).render())
         except OSError:
             pass
         finally:
@@ -165,8 +195,13 @@ class FakeHttpServer:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        # Then exactly Content-Length body bytes.
-        length = int(headers.get("content-length") or 0)
+        # Then exactly Content-Length body bytes; a length that is not
+        # digits is answered 400 and ends the connection.
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            conn.sendall(Response.json(400, {"message": f"malformed Content-Length {declared!r}"}).render())
+            return None, b""
+        length = int(declared)
         while len(buffer) < length:
             chunk = conn.recv(65536)
             if not chunk:

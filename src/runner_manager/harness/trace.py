@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,20 +35,12 @@ class Trace:
 
     def __init__(self, epoch: float):
         self._epoch = epoch
-        self._lock = threading.Lock()
-        self._entries: list[TraceEntry] = []
+        self.entries: list[TraceEntry] = []
 
     def append(
         self, at_abs: float, actor: str, action: str, detail: dict | ReconcileRecord | None = None
     ) -> None:
-        entry = TraceEntry(at=at_abs - self._epoch, actor=actor, action=action, detail=detail or {})
-        with self._lock:
-            self._entries.append(entry)
-
-    @property
-    def entries(self) -> list[TraceEntry]:
-        with self._lock:
-            return list(self._entries)
+        self.entries.append(TraceEntry(at=at_abs - self._epoch, actor=actor, action=action, detail=detail or {}))
 
     def select(self, actor: str | None = None, action: str | None = None) -> list[TraceEntry]:
         return [

@@ -19,7 +19,8 @@ API server, and fake Kubernetes with it, answers that one ``403``. A
 ``409`` conflict, a ``429`` from API Priority and Fairness and a ``5xx``
 are transient: the loop skips that poll's writes and tries again next poll.
 Requests go through one :class:`~runner_manager.transport.HttpTransport`
-bound to the API address, as paths below it.
+bound to the API address, as paths below it, unless the caller hands the
+client another transport (the harness does).
 """
 
 from __future__ import annotations
@@ -110,11 +111,17 @@ class KubeClient:
     """Deployment read and merge-patch for one Deployment, and a pod list
     the Role does not grant."""
 
-    def __init__(self, creds: KubeCredentials, deployment: str, max_replicas: int):
+    def __init__(
+        self,
+        creds: KubeCredentials,
+        deployment: str,
+        max_replicas: int,
+        transport: HttpTransport | None = None,
+    ):
         self._creds = creds
         self._deployment = deployment
         self._max_replicas = max_replicas
-        self._transport = HttpTransport(creds.api_base, ca_file=creds.ca_bundle)
+        self._transport = transport or HttpTransport(creds.api_base, ca_file=creds.ca_bundle)
 
     def close(self) -> None:
         self._transport.close()

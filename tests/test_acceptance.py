@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,15 +23,18 @@ import pytest
 import yaml
 
 from runner_manager.bootstrap import RunnerProfile, emit_manifests, init_runner_dir, run_runner
-from runner_manager.clock import SystemClock
+from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.config import Config, Policy, RepoCoordinates
 from runner_manager.github import GitHubClient
 from runner_manager.harness.driver import ScenarioResult, run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
-from runner_manager.harness.fake_kube import validate_objects
+from runner_manager.harness.fake_kube import FakeKube, validate_objects
 from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, generate_random_script
+from runner_manager.harness.virtual_clock import VirtualClock
+from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
+from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE
 
 from conftest import assert_agrees_with_oracle
 
@@ -441,21 +445,34 @@ def test_criterion_9_wire_exactness(bulk):
     assert bulk.header_violations == [], bulk.header_violations[:5]
     assert bulk.patch_violations == [], bulk.patch_violations[:5]
 
-    # Belt and braces: one scenario on its own, outside the batch.
-    script = ScenarioScript(
-        horizon=600,
-        events=[ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": MATCHING, "duration": 60})],
-        pod_startup_delay=20.0,
-    )
-    result = run_scenario(script)
-    assert result.github_api_requests > 0
-    assert result.writes  # the patch check below saw replica patches
-    assert result.github_header_violations == []
-    assert result.scale_patch_violations == []
+    # The batch reaches the fakes in-process; here the same clients go over
+    # real sockets to both fakes, each served by FakeHttpServer.
+    clock = VirtualClock()
+    github = FakeGitHub(expected_token="token", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append(replicas)
+    github.enqueue_job(MATCHING, duration=60.0)
+    creds = KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci")
+    try:
+        with closing(GitHubClient(github.base_url, "token", clock=clock)) as github_client:
+            jobs = github_client.list_outstanding_jobs(RepoCoordinates("biocore", "unifrac"), LabelSet(MATCHING), 1)
+        with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as kube_client:
+            deployment = kube_client.read_scale()
+            replicas = kube_client.write_scale(1, {ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())})
+    finally:
+        github.close()
+        kube.close()
+    assert [job.status for job in jobs] == ["queued"]
+    assert (deployment.spec_replicas, replicas) == (0, 1)
+    assert github.header_violations == []
+    assert kube.scale_patch_violations == []
+    assert replica_writes == [1]
     _ok(
         9,
         f"{bulk.github_requests} GitHub requests carried bearer token, Accept and "
-        f"X-GitHub-Api-Version: 2022-11-28; every scale change was a merge patch of the Deployment",
+        f"X-GitHub-Api-Version: 2022-11-28; every scale change was a merge patch of the Deployment, "
+        f"in-process and over real sockets",
     )
 
 

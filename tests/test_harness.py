@@ -2,12 +2,14 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -20,6 +22,7 @@ from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
 from runner_manager.harness.fake_runner import RunnerWorld
+from runner_manager.harness.httpserver import FakeHttpServer, Response
 from runner_manager.harness.scenario import (
     ScenarioEvent,
     ScenarioScript,
@@ -41,59 +44,65 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             clock.advance_to(SIM_EPOCH)
 
-    def test_actor_wakes_at_deadline(self):
+    def test_a_wait_runs_the_timers_due_by_its_deadline_in_order(self):
         clock = VirtualClock()
-        woke_at = []
+        ran = []
+        for at, name in [(20, "c"), (5, "a"), (30, "late"), (20, "d"), (10, "b")]:
+            clock.call_at(SIM_EPOCH + at, lambda name=name: ran.append((name, clock.now() - SIM_EPOCH)))
+        clock.wait_until(SIM_EPOCH + 20, threading.Event())
+        # By time, then in the order they were set; the one after the deadline waits.
+        assert ran == [("a", 5), ("b", 10), ("c", 20), ("d", 20)]
+        assert clock.now() == SIM_EPOCH + 20
+        clock.wait_until(SIM_EPOCH + 25, threading.Event())
+        assert clock.now() == SIM_EPOCH + 25 and len(ran) == 4
+        clock.wait_until(SIM_EPOCH + 40, threading.Event())
+        assert ran[-1] == ("late", 30) and clock.now() == SIM_EPOCH + 40
 
-        def actor():
-            clock.wait_until(SIM_EPOCH + 30, threading.Event())
-            woke_at.append(clock.now())
-
-        clock.register_actor()
-        thread = threading.Thread(target=lambda: (actor(), clock.actor_done()))
-        thread.start()
-        clock.wait_quiescent()
-        assert clock.next_deadline() == SIM_EPOCH + 30
-        clock.advance_to(SIM_EPOCH + 30)
-        clock.release_due()
-        thread.join(timeout=5)
-        assert woke_at == [SIM_EPOCH + 30]
-
-    def test_timers_run_in_time_order_and_count_as_deadlines(self):
+    def test_a_timer_set_for_now_by_a_timer_runs_before_the_wait_returns(self):
         clock = VirtualClock()
         ran = []
 
         def set_another():
-            ran.append("c")
-            clock.call_at(SIM_EPOCH + 5, lambda: ran.append("d"))
+            ran.append("first")
+            clock.call_at(clock.now(), lambda: ran.append("second"))
 
-        clock.call_at(SIM_EPOCH + 5, lambda: ran.append("b"))
         clock.call_at(SIM_EPOCH + 5, set_another)
-        clock.call_at(SIM_EPOCH - 1, lambda: ran.append("a"))
-        clock.run_due()
-        assert ran == ["a"]
-        assert clock.next_deadline() == SIM_EPOCH + 5
-        clock.advance_to(SIM_EPOCH + 5)
-        clock.run_due()
-        assert ran == ["a", "b", "c", "d"]
-        assert clock.next_deadline() is None
+        clock.wait_until(SIM_EPOCH + 5, threading.Event())
+        assert ran == ["first", "second"]
 
-    def test_kick_releases_interrupted_waiters(self):
+    def test_a_timer_that_sets_the_interrupt_ends_the_wait_at_its_instant(self):
         clock = VirtualClock()
         stop = threading.Event()
-        released = threading.Event()
+        ran = []
+        clock.call_at(SIM_EPOCH + 7, stop.set)
+        clock.call_at(SIM_EPOCH + 7, lambda: ran.append(7))
+        clock.call_at(SIM_EPOCH + 9, lambda: ran.append(9))
+        clock.wait_until(SIM_EPOCH + 60, stop)
+        assert (clock.now(), ran) == (SIM_EPOCH + 7, [])
+        clock.wait_until(SIM_EPOCH + 60, stop)  # an interrupted wait does nothing
+        assert (clock.now(), ran) == (SIM_EPOCH + 7, [])
+        clock.wait_until(SIM_EPOCH + 60, threading.Event())  # the later timers stayed queued
+        assert (clock.now(), ran) == (SIM_EPOCH + 60, [7, 9])
 
-        def actor():
-            clock.wait_until(SIM_EPOCH + 1e9, interrupt=stop)
-            released.set()
-            clock.actor_done()
+    def test_time_never_moves_backward(self):
+        clock = VirtualClock()
+        clock.wait_until(SIM_EPOCH + 10, threading.Event())
+        ran = []
+        clock.call_at(SIM_EPOCH + 3, lambda: ran.append(clock.now()))
+        clock.wait_until(SIM_EPOCH + 4, threading.Event())  # a deadline in the past
+        assert ran == [SIM_EPOCH + 10]  # a timer set in the past runs now
+        assert clock.now() == SIM_EPOCH + 10
 
-        clock.register_actor()
-        threading.Thread(target=actor).start()
-        clock.wait_quiescent()
-        stop.set()
-        clock.kick()
-        assert released.wait(timeout=5)
+    def test_a_wait_that_would_reach_the_horizon_sets_its_interrupt(self):
+        clock = VirtualClock()
+        clock.horizon = SIM_EPOCH + 100
+        stop = threading.Event()
+        ran = []
+        clock.call_at(SIM_EPOCH + 99, lambda: ran.append(99))
+        clock.call_at(SIM_EPOCH + 100, lambda: ran.append(100))
+        clock.wait_until(SIM_EPOCH + 500, stop)
+        assert stop.is_set()
+        assert (clock.now(), ran) == (SIM_EPOCH + 99, [99])
 
 
 class TestFakeGitHub:
@@ -170,6 +179,10 @@ class TestFakeGitHub:
             urllib.request.urlopen(f"{fake_github.base_url}/repos/biocore/unifrac/actions/runs")
         excinfo.value.close()
         assert (excinfo.value.code, excinfo.value.reason) == (status, reason)
+
+
+class _ManagerEnds(BaseException):
+    """Not an Exception: what perfbench's set-up probe raises to end a manager."""
 
 
 def _register_over_http(fake_github, token: str) -> int:
@@ -300,6 +313,26 @@ class TestFakeKube:
             RunnerWorld(github, labels=[], clock=SystemClock(), on_event=lambda action, detail: None)
 
 
+class TestFakeHttpServer:
+    @pytest.mark.parametrize("length", ["abc", "-5", ""])
+    def test_a_malformed_content_length_is_answered_400_and_the_connection_closed(self, length):
+        handled = []
+        server = FakeHttpServer(lambda request: handled.append(request) or Response(200))
+        server.start()
+        try:
+            origin = urlsplit(server.base_url)
+            with socket.create_connection((origin.hostname, origin.port), timeout=10) as conn:
+                conn.sendall(f"POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\n0123456789".encode())
+                reply = b""
+                while chunk := conn.recv(65536):  # ends when the server closes
+                    reply += chunk
+        finally:
+            server.close()
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert f"malformed Content-Length {length!r}".encode() in reply
+        assert handled == []
+
+
 class TestScenarioScripts:
     def test_yaml_roundtrip(self, tmp_path):
         script = generate_random_script(3, with_restarts=True)
@@ -317,6 +350,16 @@ class TestScenarioScripts:
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_reading_scripts_loads_no_http_stack_and_no_oracle(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys, runner_manager.harness.scenario; "
+            "print(sorted({'http.client', 'socket', 'runner_manager.harness.oracle'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_json_scripts_load_too(self, tmp_path):
         import json
@@ -418,6 +461,61 @@ class TestScenarioDriver:
         assert result.scenario_failed
         assert result.cross_namespace_requests == ["/api/v1/namespaces/ci/pods"]
         assert any("/api/v1/namespaces/ci/pods" in reason for reason in result.failure_reasons)
+
+    def test_a_scenario_runs_on_the_callers_thread_and_opens_no_socket(self, monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a scenario opened a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        reconcile_once = ReconcileLoop.reconcile_once
+        polled_on = set()
+
+        def recording_reconcile_once(loop, tick):
+            polled_on.add((threading.get_ident(), threading.active_count()))
+            return reconcile_once(loop, tick)
+
+        monkeypatch.setattr(ReconcileLoop, "reconcile_once", recording_reconcile_once)
+        before = threading.active_count()
+        script = ScenarioScript(
+            horizon=900,
+            events=[
+                ScenarioEvent(at=10, kind="enqueue_job", payload={"duration": 120}),
+                ScenarioEvent(at=300, kind="restart_manager", payload={"downtime": 30}),
+                ScenarioEvent(at=400, kind="enqueue_job", payload={"duration": 60}),
+            ],
+            initial_last_active=0,
+        )
+        result = run_scenario(script)
+        assert not result.scenario_failed, result.failure_reasons
+        assert result.manager_exit_codes == [0, 0]
+        assert [replicas for _, replicas in result.writes] == [1, 0, 1, 0]
+        assert polled_on == {(threading.get_ident(), before)}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), _ManagerEnds()], ids=["RuntimeError", "BaseException"])
+    def test_a_manager_that_raises_fails_the_scenario_and_the_run_returns(self, monkeypatch, error):
+        reconcile_once = ReconcileLoop.reconcile_once
+        polls = []
+
+        def raising_on_the_second_poll(loop, tick):
+            polls.append(tick)
+            if len(polls) == 2:
+                raise error
+            return reconcile_once(loop, tick)
+
+        monkeypatch.setattr(ReconcileLoop, "reconcile_once", raising_on_the_second_poll)
+        result = run_scenario(ScenarioScript(horizon=600, events=[], initial_last_active=0))
+        assert result.failure_reasons == [f"manager exited unexpectedly with code -1: {error!r}"]
+        assert result.manager_exit_codes == [-1]
+        assert len(result.decisions) == len(polls) - 1 == 1  # nothing ran after the raise
+
+    def test_a_keyboard_interrupt_in_the_manager_ends_the_run(self, monkeypatch):
+        def interrupted(loop, tick):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ReconcileLoop, "reconcile_once", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(ScenarioScript(horizon=600, events=[]))
 
     def _harness_run_fails(self, tmp_path, capsys) -> list[str]:
         """``harness run`` on a script whose first poll writes a keepalive:
