@@ -1,9 +1,11 @@
 """Fake GitHub Actions API.
 
 A handler, ``FakeGitHub.handle(Request) -> Response``: a scenario's client
-calls it in-process, and ``start()`` serves it over HTTP for the tests of
-the wire and the bootstrap subprocess runner. It keeps its lock for those,
-since a test may read its state while a served request changes it. It
+calls it in-process, and ``start()``, shared with fake Kubernetes through
+``httpserver.ServedFake``, serves it over HTTP for the tests of the wire
+and the bootstrap subprocess runner. It keeps its lock for those, since a
+test may read its state while a served request changes it (the entrypoint
+test reads ``jobs`` while a subprocess runner claims jobs over HTTP). It
 serves the three endpoints the manager touches (run listing, per-run job
 listing, registration-token minting) for the one repository ``OWNER/REPO``,
 plus a private ``/_harness`` surface the fake runner uses to register, claim
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 from ..clock import Clock, to_rfc3339
 from ..labels import LabelSet
-from .httpserver import FakeHttpServer, Request, Response
+from .httpserver import Request, Response, ServedFake
 
 OWNER = "biocore"  # the one repository the fake serves
 REPO = "unifrac"
@@ -95,9 +97,9 @@ class RequestRecord:
     if_none_match: str | None
 
 
-class FakeGitHub:
-    """In-memory Actions state, the handler in front of it, and an HTTP
-    server for that handler once ``start`` is called."""
+class FakeGitHub(ServedFake):
+    """In-memory Actions state and the handler in front of it, served over
+    HTTP once ``ServedFake.start`` is called."""
 
     def __init__(
         self,
@@ -130,28 +132,12 @@ class FakeGitHub:
         self.header_violations: list[str] = []
         self.on_transition = None  # callback(kind, job) for trace hooks
 
-        self._server: FakeHttpServer | None = None  # bound only by start()
-
     # -- lifecycle ----------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
         """Answer one request: what a scenario's clients call in-process,
         and what ``start``'s server calls for each request off the wire."""
         return _handle(self, request)
-
-    def start(self) -> "FakeGitHub":
-        """Serve the fake over HTTP on a loopback port, for tests of the wire."""
-        self._server = FakeHttpServer(self.handle)
-        self._server.start()
-        return self
-
-    def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-
-    @property
-    def base_url(self) -> str:
-        return self._server.base_url
 
     # -- state manipulation (driver / tests) --------------------------------
 

@@ -1,9 +1,10 @@
 """Fake Kubernetes API for one Deployment in one namespace.
 
 A handler, ``FakeKube.handle(Request) -> Response``: a scenario's client
-calls it in-process, and ``start()`` serves it over HTTP for the tests of
-the wire, where a test may read its state while a served request changes
-it, hence its lock.
+calls it in-process, and ``start()``, shared with fake GitHub through
+``httpserver.ServedFake``, serves it over HTTP for the tests of the wire,
+where a test may read its state while a served request changes it, hence
+its lock.
 
 The reconcile loop sends one ``GET`` of the Deployment a poll and at most
 one write: a merge patch of the Deployment that carries ``spec.replicas``,
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..clock import to_rfc3339
-from .httpserver import FakeHttpServer, Request, Response
+from .httpserver import Request, Response, ServedFake
 from .virtual_clock import TimerClock
 
 MERGE_PATCH = "application/merge-patch+json"
@@ -56,7 +57,7 @@ class FakePod:
     phase: str  # Pending | Running
 
 
-class FakeKube:
+class FakeKube(ServedFake):
     def __init__(
         self,
         clock: TimerClock,
@@ -85,28 +86,12 @@ class FakeKube:
         self.on_pod_terminating: Callable[[str], None] | None = None
         self.on_scale_write: Callable[[float, int], None] | None = None
 
-        self._server: FakeHttpServer | None = None  # bound only by start()
-
     # -- lifecycle -----------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
         """Answer one request: what a scenario's clients call in-process,
         and what ``start``'s server calls for each request off the wire."""
         return _handle(self, request)
-
-    def start(self) -> "FakeKube":
-        """Serve the fake over HTTP on a loopback port, for tests of the wire."""
-        self._server = FakeHttpServer(self.handle)
-        self._server.start()
-        return self
-
-    def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-
-    @property
-    def base_url(self) -> str:
-        return self._server.base_url
 
     # -- state helpers ---------------------------------------------------------
 

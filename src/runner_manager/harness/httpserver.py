@@ -2,22 +2,22 @@
 
 A fake is a handler, ``handle(Request) -> Response``, reached one of two
 ways. In a scenario the clients' :class:`InProcessTransport` hands each
-request to it on the caller's thread, with no socket. Tests of the wire
-serve it with :class:`FakeHttpServer`: a deliberately small HTTP/1.1 server
-over raw sockets, with an accept loop plus one thread per connection,
-strict request framing (Content-Length only) and one complete write per
-response. Handlers must never block on time -- fakes answer instantly so
-simulated time stays under the clock's control. http.server is avoided on
-purpose: its buffered handler stack is hard to reason about.
+request to it on the caller's thread, with no socket. Only tests of the
+wire serve a fake: :class:`ServedFake` gives each fake a ``start`` that puts
+its handler behind a :class:`FakeHttpServer`, the standard library's
+threading HTTP server speaking HTTP/1.1, with strict request framing
+(Content-Length only) and one complete write per response. Handlers must
+never block on time -- fakes answer instantly so simulated time stays
+under the clock's control.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import threading
 from http import HTTPStatus
-from typing import Callable
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from ..transport import HttpResponse
@@ -77,8 +77,6 @@ class Response:
 # most, and render gives the rest a fixed phrase.
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
-_MAX_HEADER_BYTES = 65536
-
 Handler = Callable[[Request], Response]
 
 
@@ -108,104 +106,79 @@ class InProcessTransport:
         pass
 
 
-class FakeHttpServer:
-    """Serves `handle(request) -> Response` over persistent connections."""
+class _Exchange(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # the connection stays open between requests
+    disable_nagle_algorithm = True
+
+    def _serve(self) -> None:
+        # Exactly Content-Length body bytes; a length that is not digits is
+        # answered 400 and ends the connection.
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            self.wfile.write(Response.json(400, {"message": f"malformed Content-Length {declared!r}"}).render())
+            self.close_connection = True
+            return
+        length = int(declared)
+        body = self.rfile.read(length)
+        if len(body) < length:  # the client hung up mid-body
+            self.close_connection = True
+            return
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        request = Request(self.command, self.path, headers, body)
+        self.wfile.write(answer(self.server.handler, request).render())
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
+
+    def log_message(self, format, *args) -> None:  # noqa: A002 (http.server API)
+        pass
+
+
+class FakeHttpServer(ThreadingHTTPServer):
+    """Serves `handle(request) -> Response` on a loopback port over
+    persistent connections, one thread each."""
+
+    # Connection threads neither keep the process alive nor hold up
+    # close(): a client's open connection ends when the client closes it.
+    daemon_threads = True
+    block_on_close = False
 
     def __init__(self, handle: Handler):
-        self._handle = handle
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(16)
-        self._closing = threading.Event()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
+        super().__init__(("127.0.0.1", 0), _Exchange)
+        self.handler = handle
 
     @property
     def base_url(self) -> str:
-        host, port = self._sock.getsockname()
+        host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
     def start(self) -> None:
-        self._accept_thread.start()
+        # shutdown() waits up to one poll, so close() takes at most 10 ms.
+        threading.Thread(target=self.serve_forever, args=(0.01,), daemon=True).start()
 
     def close(self) -> None:
-        self._closing.set()
-        with self._conns_lock:
-            sockets = [self._sock, *self._conns]
-        # close() alone does not wake a thread blocked in accept() or recv()
-        # on Linux; shutdown() does.
-        for sock in sockets:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
-        if self._accept_thread.is_alive():
-            self._accept_thread.join(timeout=5.0)
+        self.shutdown()
+        self.server_close()
 
-    # -- internals -----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            with self._conns_lock:
-                self._conns.add(conn)
-            threading.Thread(target=self._serve_connection, args=(conn,), daemon=True).start()
+_Served = TypeVar("_Served", bound="ServedFake")
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        buffer = b""
-        try:
-            while not self._closing.is_set():
-                request, buffer = self._read_request(conn, buffer)
-                if request is None:
-                    return
-                conn.sendall(answer(self._handle, request).render())
-        except OSError:
-            pass
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
-    def _read_request(self, conn: socket.socket, buffer: bytes) -> tuple[Request | None, bytes]:
-        # Headers first.
-        while b"\r\n\r\n" not in buffer:
-            if len(buffer) > _MAX_HEADER_BYTES:
-                return None, b""
-            chunk = conn.recv(65536)
-            if not chunk:
-                return None, b""
-            buffer += chunk
-        head, _, buffer = buffer.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError:
-            return None, b""
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        # Then exactly Content-Length body bytes; a length that is not
-        # digits is answered 400 and ends the connection.
-        declared = headers.get("content-length", "0")
-        if not (declared.isascii() and declared.isdigit()):
-            conn.sendall(Response.json(400, {"message": f"malformed Content-Length {declared!r}"}).render())
-            return None, b""
-        length = int(declared)
-        while len(buffer) < length:
-            chunk = conn.recv(65536)
-            if not chunk:
-                return None, b""
-            buffer += chunk
-        body, buffer = buffer[:length], buffer[length:]
-        return Request(method, target, headers, body), buffer
+class ServedFake:
+    """Lets a fake serve its ``handle`` over HTTP on a loopback port, from
+    ``start`` to ``close``, for tests of the wire; scenarios call
+    ``handle`` in-process."""
+
+    _server: FakeHttpServer | None = None  # bound only by start()
+
+    def start(self: _Served) -> _Served:
+        self._server = FakeHttpServer(self.handle)
+        self._server.start()
+        return self
+
+    def close(self) -> None:
+        if self._server is not None:
+            self._server.close()
+
+    @property
+    def base_url(self) -> str:
+        return self._server.base_url

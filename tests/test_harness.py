@@ -1,5 +1,6 @@
 """The testbed itself: virtual clock, fake servers, scenario driver."""
 
+import http.client
 import json
 import os
 import socket
@@ -8,6 +9,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from contextlib import closing
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -19,7 +21,7 @@ from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError, TransientError
 from runner_manager.github import GitHubClient
 from runner_manager.harness.driver import run_scenario
-from runner_manager.harness.fake_github import FakeGitHub
+from runner_manager.harness.fake_github import OWNER, REPO, REQUIRED_HEADERS, FakeGitHub
 from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
 from runner_manager.harness.fake_runner import RunnerWorld
 from runner_manager.harness.httpserver import FakeHttpServer, Response
@@ -33,6 +35,7 @@ from runner_manager.harness.scenario import (
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
 from runner_manager.kube import KubeClient
 from runner_manager.reconciler import ReconcileLoop
+from runner_manager.transport import HttpTransport
 
 
 class TestVirtualClock:
@@ -331,6 +334,23 @@ class TestFakeHttpServer:
         assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert f"malformed Content-Length {length!r}".encode() in reply
         assert handled == []
+
+    def test_requests_through_one_transport_share_one_connection(self, fake_github, monkeypatch):
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counted_connect(conn):
+            connects.append(conn.port)
+            return connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counted_connect)
+        headers = {"Authorization": f"Bearer {fake_github.expected_token}", **REQUIRED_HEADERS}
+        path = f"/repos/{OWNER}/{REPO}/actions/runs"
+        with closing(HttpTransport(fake_github.base_url)) as transport:
+            statuses = [transport.request("GET", path, headers).status for _ in range(3)]
+        assert statuses == [200, 200, 200]
+        # The server keeps the connection open between requests.
+        assert connects == [urlsplit(fake_github.base_url).port]
 
 
 class TestScenarioScripts:

@@ -109,12 +109,13 @@ _DEPLOYMENTS = "/apis/apps/v1/namespaces/{namespace}/deployments/gha-runner"
     [
         ("GET", _DEPLOYMENTS, "apps", "deployments", "get"),
         ("PATCH", _DEPLOYMENTS, "apps", "deployments", "patch"),
+        ("POST", "/apis/apps/v1/namespaces/{namespace}/deployments", "apps", "deployments", "create"),
         ("PUT", _DEPLOYMENTS, "apps", "deployments", "update"),
         ("DELETE", _DEPLOYMENTS, "apps", "deployments", "delete"),
         ("GET", _DEPLOYMENTS + "/scale", "apps", "deployments/scale", "get"),
         ("GET", "/api/v1/namespaces/{namespace}/pods", "", "pods", "list"),
     ],
-    ids=["get", "patch", "update", "delete", "get-scale", "list-pods"],
+    ids=["get", "patch", "create", "update", "delete", "get-scale", "list-pods"],
 )
 @pytest.mark.parametrize("namespace", ["ci", "other"])
 def test_fake_kube_refuses_exactly_what_the_role_does_not_grant(
