@@ -20,8 +20,6 @@ import os
 import signal
 import sys
 import threading
-import urllib.error
-import urllib.request
 from typing import Callable
 
 from .fake_github import FakeGitHub
@@ -90,6 +88,9 @@ class RunnerWorld:
 
 
 def _http_json(method: str, url: str, payload: dict | None = None) -> tuple[int, dict]:
+    import urllib.error
+    import urllib.request  # only the subprocess form speaks HTTP
+
     data = json.dumps(payload).encode() if payload is not None else None
     request = urllib.request.Request(url, data=data, method=method)
     request.add_header("Content-Type", "application/json")

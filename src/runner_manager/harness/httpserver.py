@@ -4,23 +4,24 @@ A fake is a handler, ``handle(Request) -> Response``, reached one of two
 ways. In a scenario the clients' :class:`InProcessTransport` hands each
 request to it on the caller's thread, with no socket. Only tests of the
 wire serve a fake: :class:`ServedFake` gives each fake a ``start`` that puts
-its handler behind a :class:`FakeHttpServer`, the standard library's
-threading HTTP server speaking HTTP/1.1, with strict request framing
-(Content-Length only) and one complete write per response. Handlers must
-never block on time -- fakes answer instantly so simulated time stays
-under the clock's control.
+its handler behind a :class:`~runner_manager.harness.wire.FakeHttpServer`.
+This module loads none of the wire stack (no ``http.client``,
+``http.server``, ``socket`` or ``ssl``); ``start`` imports the wire module
+when a test first serves a fake. Handlers must never block on time --
+fakes answer instantly so simulated time stays under the clock's control.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from ..transport import HttpResponse
+
+if TYPE_CHECKING:
+    from .wire import FakeHttpServer
 
 
 class Request:
@@ -90,8 +91,8 @@ def answer(handle: Handler, request: Request) -> Response:
 
 class InProcessTransport:
     """The clients' transport in a scenario: each request goes to a fake's
-    handler on the caller's thread, as :class:`FakeHttpServer` would deliver
-    it (header names lowercased), and no socket is opened."""
+    handler on the caller's thread, as the wire's ``FakeHttpServer`` would
+    deliver it (header names lowercased), and no socket is opened."""
 
     def __init__(self, handle: Handler):
         self._handle = handle
@@ -106,60 +107,6 @@ class InProcessTransport:
         pass
 
 
-class _Exchange(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # the connection stays open between requests
-    disable_nagle_algorithm = True
-
-    def _serve(self) -> None:
-        # Exactly Content-Length body bytes; a length that is not digits is
-        # answered 400 and ends the connection.
-        declared = self.headers.get("Content-Length", "0")
-        if not (declared.isascii() and declared.isdigit()):
-            self.wfile.write(Response.json(400, {"message": f"malformed Content-Length {declared!r}"}).render())
-            self.close_connection = True
-            return
-        length = int(declared)
-        body = self.rfile.read(length)
-        if len(body) < length:  # the client hung up mid-body
-            self.close_connection = True
-            return
-        headers = {name.lower(): value for name, value in self.headers.items()}
-        request = Request(self.command, self.path, headers, body)
-        self.wfile.write(answer(self.server.handler, request).render())
-
-    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
-
-    def log_message(self, format, *args) -> None:  # noqa: A002 (http.server API)
-        pass
-
-
-class FakeHttpServer(ThreadingHTTPServer):
-    """Serves `handle(request) -> Response` on a loopback port over
-    persistent connections, one thread each."""
-
-    # Connection threads neither keep the process alive nor hold up
-    # close(): a client's open connection ends when the client closes it.
-    daemon_threads = True
-    block_on_close = False
-
-    def __init__(self, handle: Handler):
-        super().__init__(("127.0.0.1", 0), _Exchange)
-        self.handler = handle
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> None:
-        # shutdown() waits up to one poll, so close() takes at most 10 ms.
-        threading.Thread(target=self.serve_forever, args=(0.01,), daemon=True).start()
-
-    def close(self) -> None:
-        self.shutdown()
-        self.server_close()
-
-
 _Served = TypeVar("_Served", bound="ServedFake")
 
 
@@ -171,6 +118,8 @@ class ServedFake:
     _server: FakeHttpServer | None = None  # bound only by start()
 
     def start(self: _Served) -> _Served:
+        from .wire import FakeHttpServer  # only serving a fake needs the HTTP server stack
+
         self._server = FakeHttpServer(self.handle)
         self._server.start()
         return self

@@ -18,7 +18,7 @@ import signal
 import sys
 import threading
 from contextlib import ExitStack
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .clock import Clock, SystemClock
 from .config import Config, load_config
@@ -26,7 +26,9 @@ from .errors import ConfigError, CredentialError, MissingDeploymentError
 from .github import GitHubClient
 from .kube import KubeClient, resolve_credentials
 from .reconciler import ReconcileLoop, ReconcileRecord
-from .status import StatusServer
+
+if TYPE_CHECKING:
+    from .status import StatusServer
 
 logger = logging.getLogger(__name__)
 reconcile_logger = logging.getLogger("runner_manager.reconcile")
@@ -79,6 +81,8 @@ def run_service(
 
         status_server: StatusServer | None = None
         if config.status_addr:
+            from .status import StatusServer  # only serving status needs the HTTP server stack
+
             try:
                 status_server = StatusServer(config.status_addr, clock, config.policy.poll_interval)
             except OSError as exc:

@@ -70,7 +70,10 @@ class StatusServer:
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._httpd.daemon_threads = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True, name="status-server")
+        # shutdown() waits up to one poll of serve_forever, so close() takes at most 10 ms.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(0.01,), daemon=True, name="status-server"
+        )
 
     @property
     def address(self) -> tuple[str, int]:

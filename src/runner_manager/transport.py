@@ -6,16 +6,23 @@ endpoints, thousands of times a day), and verifies TLS against an explicit
 CA bundle when one is given. Callers pass paths below the base, so a base
 with a path of its own, such as GitHub Enterprise Server's ``/api/v3``,
 keeps it.
+
+The wire stack (``http.client``, which brings ``socket`` and ``ssl``) is
+imported at a transport's first request, not with this module. A process
+whose clients never send one loads none of it: in a scenario the clients'
+transport hands each request to a fake in-process.
 """
 
 from __future__ import annotations
 
-import http.client
-import ssl
 import threading
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
 from .errors import TransientError
+
+if TYPE_CHECKING:
+    from http.client import HTTPConnection
 
 TIMEOUT_S = 30.0
 
@@ -40,12 +47,16 @@ class HttpTransport:
         self._origin = urlsplit(self._base_url)
         self._ca_file = ca_file
         self._lock = threading.Lock()
-        self._conn: http.client.HTTPConnection | None = None
+        self._conn: HTTPConnection | None = None
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> HTTPConnection:
         if self._conn is None:
+            import http.client
+
             host, port = self._origin.hostname or "", self._origin.port  # None: the scheme's default
             if self._origin.scheme == "https":
+                import ssl
+
                 context = ssl.create_default_context(cafile=self._ca_file)
                 self._conn = http.client.HTTPSConnection(host, port, timeout=TIMEOUT_S, context=context)
             else:
@@ -55,6 +66,8 @@ class HttpTransport:
     def request(self, method: str, path: str, headers: dict[str, str], body: bytes | None = None) -> HttpResponse:
         """Issue one request for ``path`` below the base URL; transport-level
         failures raise TransientError."""
+        import http.client  # loaded at the first request; the except clause names it
+
         with self._lock:
             for attempt in (1, 2):  # one silent reconnect for a dropped keep-alive socket
                 conn = self._connection()

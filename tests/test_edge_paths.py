@@ -11,8 +11,9 @@ from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import ProtocolError, RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
 from runner_manager.harness.driver import run_scenario
-from runner_manager.harness.httpserver import FakeHttpServer, Response
+from runner_manager.harness.httpserver import Response
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, load_script
+from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop

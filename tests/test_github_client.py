@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError, ProtocolError, RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, RegistrationToken, execute_with_backoff
-from runner_manager.harness.httpserver import FakeHttpServer, Response
+from runner_manager.harness.httpserver import Response
+from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.labels import LabelSet
 from runner_manager.transport import HttpResponse, HttpTransport
 

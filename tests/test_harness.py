@@ -24,7 +24,7 @@ from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import OWNER, REPO, REQUIRED_HEADERS, FakeGitHub
 from runner_manager.harness.fake_kube import MERGE_PATCH, FakeKube
 from runner_manager.harness.fake_runner import RunnerWorld
-from runner_manager.harness.httpserver import FakeHttpServer, Response
+from runner_manager.harness.httpserver import Response
 from runner_manager.harness.scenario import (
     ScenarioEvent,
     ScenarioScript,
@@ -33,6 +33,7 @@ from runner_manager.harness.scenario import (
     script_to_dict,
 )
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
+from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.kube import KubeClient
 from runner_manager.reconciler import ReconcileLoop
 from runner_manager.transport import HttpTransport
@@ -353,6 +354,54 @@ class TestFakeHttpServer:
         assert connects == [urlsplit(fake_github.base_url).port]
 
 
+def _fresh_python(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports the package from src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+# The HTTP client, HTTP server and TLS stacks, and the status endpoint that
+# serves over them; only code that opens a socket may load them.
+WIRE_MODULES = (
+    "http.client", "http.server", "socketserver", "ssl", "socket", "email", "urllib.request",
+    "runner_manager.status",
+)
+
+
+class TestWireLoadsOnDemand:
+    def test_a_scenario_loads_no_wire_module(self):
+        code = f"""
+import json, sys
+from runner_manager.harness.driver import run_scenario
+from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
+result = run_scenario(ScenarioScript(horizon=300, events=[ScenarioEvent(at=10, kind="enqueue_job")]))
+print(json.dumps([result.failure_reasons, result.writes, sorted(set({WIRE_MODULES!r}) & set(sys.modules))]))
+"""
+        reasons, writes, loaded = json.loads(_fresh_python(code))
+        assert reasons == [] and writes, "the scenario must run a job to prove anything"
+        assert loaded == [], f"a scenario loaded wire modules: {loaded}"
+
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_a_transport_imports_what_it_connects_and_catches_with(self, scheme):
+        # The child loads http.client only inside request(); a refused
+        # connection must still end as TransientError, not a NameError.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]  # closed again when the block ends
+        code = f"""
+import sys
+from runner_manager.errors import TransientError
+from runner_manager.transport import HttpTransport
+loaded_before = "http.client" in sys.modules
+try:
+    HttpTransport("{scheme}://127.0.0.1:{port}").request("GET", "/", {{}})
+except TransientError:
+    print(loaded_before, "TransientError")
+"""
+        assert _fresh_python(code) == "False TransientError"
+
+
 class TestScenarioScripts:
     def test_yaml_roundtrip(self, tmp_path):
         script = generate_random_script(3, with_restarts=True)
@@ -365,21 +414,15 @@ class TestScenarioScripts:
 
     def test_harness_imports_no_yaml(self):
         # Only load_script reads YAML; importing the harness leaves it out.
-        src = str(Path(__file__).resolve().parent.parent / "src")
         code = "import sys, runner_manager, runner_manager.harness; print('yaml' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert _fresh_python(code) == "False"
 
     def test_reading_scripts_loads_no_http_stack_and_no_oracle(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
         code = (
             "import sys, runner_manager.harness.scenario; "
             "print(sorted({'http.client', 'socket', 'runner_manager.harness.oracle'} & set(sys.modules)))"
         )
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert _fresh_python(code) == "[]"
 
     def test_json_scripts_load_too(self, tmp_path):
         import json

@@ -8,7 +8,8 @@ from runner_manager.clock import to_rfc3339
 from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates
 from runner_manager.errors import ConfigError, MissingDeploymentError, ProtocolError, TransientError
 from runner_manager.harness.fake_kube import FakePod
-from runner_manager.harness.httpserver import FakeHttpServer, Response
+from runner_manager.harness.httpserver import Response
+from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.kube import KubeClient, KubeCredentials, resolve_credentials
 from runner_manager.reconciler import (
     ANNOTATION_KEEPALIVE_STARTED,
