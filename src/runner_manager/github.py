@@ -44,7 +44,7 @@ from .errors import (
     TransientError,
 )
 from .labels import LabelSet
-from .transport import HttpResponse, HttpTransport
+from .transport import HttpTransport, Response
 
 logger = logging.getLogger(__name__)
 
@@ -201,7 +201,7 @@ class GitHubClient:
         except (ValueError, UnicodeDecodeError) as exc:
             raise ProtocolError(f"{method} {path}: body is not valid JSON") from exc
 
-    def _raise_for_status(self, method: str, path: str, response: HttpResponse) -> None:
+    def _raise_for_status(self, method: str, path: str, response: Response) -> None:
         status = response.status
         if status < 400:
             return

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 from ..clock import Clock, to_rfc3339
 from ..labels import LabelSet
-from .httpserver import Request, Response, ServedFake
+from ..transport import Request, Response
+from .httpserver import ServedFake
 
 OWNER = "biocore"  # the one repository the fake serves
 REPO = "unifrac"
@@ -305,7 +306,7 @@ def _handle(gh: FakeGitHub, request: Request) -> Response:
             etag = f'W/"{hashlib.blake2b(response.body, digest_size=16).hexdigest()}"'
             if request.headers.get("if-none-match") == etag:
                 response = Response(304)
-            response.headers["ETag"] = etag
+            response.headers["etag"] = etag
         response.headers.update(gh._rate_limit_headers(charged=response.status != 304))
     gh.record_request(request.method, request.path, request.headers, response.status)
     return response

@@ -22,8 +22,10 @@ Scaling behaves like a (simplified) Deployment controller: on 0->N the
 fake creates Pending pods, and each turns Running on a timer set with the
 given clock's ``call_at`` for ``pod_startup_delay`` later -- the one way a
 pod starts, so the fake refuses a clock that is not a ``TimerClock`` when
-it is built; on scale-down it terminates pods, newest first, notifying the
-attached runner world so an in-flight fake runner can be torn down.
+it is built; on scale-down it terminates pods, newest first, and passes
+every pod one write removes to the attached runner world in one call, so
+their runners all go before any freed job is claimed again, as the oracle
+removes them.
 
 Each Deployment patch is judged as it is answered. A refused one (wrong
 content type, or a body that is not exactly replicas and/or annotations)
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..clock import to_rfc3339
-from .httpserver import Request, Response, ServedFake
+from ..transport import Request, Response
+from .httpserver import ServedFake
 from .virtual_clock import TimerClock
 
 MERGE_PATCH = "application/merge-patch+json"
@@ -83,7 +86,7 @@ class FakeKube(ServedFake):
         self.keep_request_paths = False
 
         self.on_pod_running: Callable[[str], None] | None = None
-        self.on_pod_terminating: Callable[[str], None] | None = None
+        self.on_pod_terminating: Callable[[list[str]], None] | None = None
         self.on_scale_write: Callable[[float, int], None] | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -110,7 +113,7 @@ class FakeKube(ServedFake):
     def apply_scale(self, replicas: int) -> None:
         """The Deployment-controller half: converge pods toward spec.replicas."""
         now = self.clock.now()
-        to_terminate: list[FakePod] = []
+        terminated: list[str] = []
         started: list[str] = []
         with self._lock:
             self.spec_replicas = replicas
@@ -120,12 +123,11 @@ class FakeKube(ServedFake):
                 self.pods.append(pod)
                 started.append(pod.name)
             while len(self.pods) > replicas:
-                to_terminate.append(self.pods.pop())  # newest first
+                terminated.append(self.pods.pop().name)  # newest first
         for name in started:
             self.clock.call_at(now + self.pod_startup_delay, lambda name=name: self.pod_set_running(name))
-        for pod in to_terminate:
-            if self.on_pod_terminating is not None:
-                self.on_pod_terminating(pod.name)
+        if terminated and self.on_pod_terminating is not None:
+            self.on_pod_terminating(terminated)  # one call: the write removes them together
 
     def pod_set_running(self, name: str) -> None:
         with self._lock:

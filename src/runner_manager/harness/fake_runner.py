@@ -6,7 +6,8 @@ Two forms share the claim/complete behavior:
   under the pod's name, used by scenarios so everything stays on the
   virtual clock: a job's completion is a timer set with the clock's
   ``call_at``. The world keeps no record of its own: which runners exist
-  and which job each works on is fake GitHub's to know.
+  and which job each works on is fake GitHub's to know. The runners of
+  all the pods one scale write removes go before the world settles.
 * ``main()`` -- a real subprocess (console script ``fake-github-runner``)
   that registers over HTTP under its configured name, claims the oldest
   eligible job, drops a workspace file per job and exits cleanly on
@@ -54,11 +55,12 @@ class RunnerWorld:
         self.on_event("runner_registered", {"pod": pod_name})
         self.settle()
 
-    def pod_terminating(self, pod_name: str) -> None:
-        # Deregistration re-queues any in-flight job on the fake GitHub side.
-        if not self.github.deregister_runner(pod_name):
-            return
-        self.on_event("runner_deregistered", {"pod": pod_name})
+    def pod_terminating(self, pod_names: list[str]) -> None:
+        # Deregistration re-queues any in-flight job on the fake GitHub side;
+        # every runner of the write goes before the jobs it frees are claimed.
+        for name in pod_names:
+            if self.github.deregister_runner(name):
+                self.on_event("runner_deregistered", {"pod": name})
         self.settle()
 
     # claims ------------------------------------------------------------------

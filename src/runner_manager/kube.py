@@ -38,7 +38,7 @@ from .errors import (
     ProtocolError,
     TransientError,
 )
-from .transport import HttpResponse, HttpTransport
+from .transport import HttpTransport, Response
 
 POD_PHASES = ("Pending", "Running", "Succeeded", "Failed", "Unknown")
 
@@ -149,7 +149,7 @@ class KubeClient:
             raise ProtocolError(f"{method} {path}: expected a JSON object")
         return data
 
-    def _raise_for_status(self, method: str, path: str, response: HttpResponse) -> None:
+    def _raise_for_status(self, method: str, path: str, response: Response) -> None:
         status = response.status
         if status < 400:
             return

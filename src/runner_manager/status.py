@@ -1,15 +1,23 @@
-"""Read-only HTTP status endpoint.
+"""Read-only HTTP status endpoint, on the one HTTP server.
+
+:class:`HttpServer` serves a handler, ``handle(Request) -> Response``, with
+the standard library's threading HTTP server: HTTP/1.1, strict request
+framing (Content-Length only) and one complete write per response. It
+serves the status endpoint here, and a fake API in tests of the wire.
+Importing this module loads the HTTP server stack, so the manager imports
+it only when a status address is set, and a fake when a test serves it.
 
 GET /healthz answers 200 while a poll was decided within two poll
 intervals (counted from start-up until the first record). GET /status
-returns the latest ReconcileRecord as one JSON object. The report never
-contains credential material -- it is built from an atomically swapped
-record, not from the live config.
+returns the latest ReconcileRecord as one JSON object. Any other GET, POST,
+PUT, PATCH or DELETE is answered 404, and a request body over
+``MAX_BODY`` bytes 413. The report never contains credential
+material -- it is built from an atomically swapped record, not from the
+live config.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -17,9 +25,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .clock import Clock
 from .config import parse_listen_address
 from .reconciler import ReconcileRecord
-
-logger = logging.getLogger(__name__)
-
+from .transport import Handler, Request, Response, answer
 
 # The /status body before the first poll finishes.
 BEFORE_FIRST_POLL = {
@@ -32,64 +38,98 @@ BEFORE_FIRST_POLL = {
     "github_rate_limit_remaining": None,
 }
 
+_TEXT = {"content-type": "text/plain"}
 
-class StatusServer:
+# The largest request body read. Every request the status endpoint and the
+# fakes answer is far smaller; a larger declared length is refused before
+# any of it is buffered.
+MAX_BODY = 1 << 20
+
+logger = logging.getLogger(__name__)
+
+
+class _Exchange(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # the connection stays open between requests
+    disable_nagle_algorithm = True
+
+    def _refuse(self, status: int, message: str) -> None:
+        self.wfile.write(Response.json(status, {"message": message}).render())
+        self.close_connection = True
+
+    def _serve(self) -> None:
+        # Exactly Content-Length body bytes. A length that is not digits, or
+        # one above MAX_BODY, is answered and ends the connection unread.
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            return self._refuse(400, f"malformed Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY:
+            return self._refuse(413, f"body over {MAX_BODY} bytes")
+        body = self.rfile.read(length)
+        if len(body) < length:  # the client hung up mid-body
+            self.close_connection = True
+            return
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        request = Request(self.command, self.path, headers, body)
+        self.wfile.write(answer(self.server.handler, request).render())
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
+
+    def log_message(self, format, *args) -> None:  # noqa: A002 (http.server API)
+        logger.debug("%s " + format, self.address_string(), *args)
+
+
+class HttpServer(ThreadingHTTPServer):
+    """Serves `handle(request) -> Response` over persistent connections,
+    one thread each."""
+
+    # Connection threads neither keep the process alive nor hold up
+    # close(): a client's open connection ends when the client closes it.
+    daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, handle: Handler, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _Exchange)
+        self.handler = handle
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> None:
+        # shutdown() waits up to one poll, so close() takes at most 10 ms.
+        threading.Thread(target=self.serve_forever, args=(0.01,), daemon=True).start()
+
+    def close(self) -> None:
+        self.shutdown()
+        self.server_close()
+
+
+class StatusServer(HttpServer):
     """Background HTTP server publishing the swapped record."""
 
     def __init__(self, addr: str, clock: Clock, poll_interval: float):
-        host, port = parse_listen_address(addr)
         self._clock = clock
         self._stale_after = 2 * poll_interval
         self._started_at = clock.now()
         self._record: ReconcileRecord | None = None
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def do_GET(self):  # noqa: N802 (http.server API)
-                if self.path == "/healthz":
-                    body = server._health()
-                    self._reply(200 if body == b"ok" else 503, body, "text/plain")
-                elif self.path == "/status":
-                    record = server._record
-                    body = json.dumps(record.as_status_dict() if record else BEFORE_FIRST_POLL).encode()
-                    self._reply(200, body, "application/json")
-                else:
-                    self._reply(404, b"not found", "text/plain")
-
-            def _reply(self, code: int, body: bytes, content_type: str):
-                self.send_response(code)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt, *args):
-                logger.debug("status server: " + fmt, *args)
-
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        # shutdown() waits up to one poll of serve_forever, so close() takes at most 10 ms.
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(0.01,), daemon=True, name="status-server"
-        )
+        super().__init__(self._answer, *parse_listen_address(addr))
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
+        return self.server_address[:2]
 
-    def _health(self) -> bytes:
+    def _answer(self, request: Request) -> Response:
         record = self._record
-        last = record.decided_at if record is not None else self._started_at
-        return b"ok" if self._clock.now() - last <= self._stale_after else b"stalled"
-
-    def start(self) -> None:
-        self._thread.start()
+        if request.method == "GET" and request.path == "/healthz":
+            last = record.decided_at if record is not None else self._started_at
+            if self._clock.now() - last <= self._stale_after:
+                return Response(200, b"ok", _TEXT)
+            return Response(503, b"stalled", _TEXT)
+        if request.method == "GET" and request.path == "/status":
+            return Response.json(200, record.as_status_dict() if record else BEFORE_FIRST_POLL)
+        return Response(404, b"not found", _TEXT)
 
     def publish(self, record: ReconcileRecord | None) -> None:
         self._record = record  # attribute swap is atomic; readers never block the loop
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()

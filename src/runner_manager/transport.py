@@ -1,4 +1,7 @@
-"""Minimal HTTP transport shared by the GitHub and Kubernetes clients.
+"""The HTTP messages, and the minimal transport the GitHub and Kubernetes
+clients send them over. A transport returns a :class:`Response`, and a
+server's handler -- the status endpoint's and each fake API's -- is a
+``Handler``, ``handle(Request) -> Response``.
 
 Each transport talks to one origin, named by its base URL, over one
 persistent connection (the control loop sends its requests to exactly two
@@ -15,28 +18,82 @@ transport hands each request to a fake in-process.
 
 from __future__ import annotations
 
+import json
+import logging
 import threading
-from typing import TYPE_CHECKING
-from urllib.parse import urlsplit
+from http import HTTPStatus
+from typing import TYPE_CHECKING, Callable
+from urllib.parse import parse_qs, urlsplit
 
 from .errors import TransientError
 
 if TYPE_CHECKING:
     from http.client import HTTPConnection
 
+logger = logging.getLogger(__name__)
+
 TIMEOUT_S = 30.0
 
 
-class HttpResponse:
-    __slots__ = ("status", "headers", "body")
+class Request:
+    __slots__ = ("method", "path", "query", "headers", "body")
 
-    def __init__(self, status: int, headers: dict[str, str], body: bytes):
-        self.status = status
+    def __init__(self, method: str, target: str, headers: dict[str, str], body: bytes):
+        parts = urlsplit(target)
+        self.method = method
+        self.path = parts.path
+        self.query = {k: v[0] for k, v in parse_qs(parts.query).items()}
         self.headers = headers  # keys lowercased
         self.body = body
 
-    def header(self, name: str, default: str | None = None) -> str | None:
-        return self.headers.get(name.lower(), default)
+    def json(self) -> dict:
+        if not self.body:
+            return {}
+        try:
+            data = json.loads(self.body)
+        except ValueError:
+            return {}
+        return data if isinstance(data, dict) else {}
+
+
+class Response:
+    __slots__ = ("status", "body", "headers")
+
+    def __init__(self, status: int, body: bytes = b"", headers: dict[str, str] | None = None):
+        self.status = status
+        self.body = body
+        self.headers = {name.lower(): value for name, value in (headers or {}).items()}
+
+    @classmethod
+    def json(cls, status: int, payload, headers: dict[str, str] | None = None) -> "Response":
+        return cls(status, json.dumps(payload).encode(), {"content-type": "application/json", **(headers or {})})
+
+    def header(self, name: str) -> str | None:
+        return self.headers.get(name.lower())
+
+    def render(self) -> bytes:
+        head = [f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'Unknown Status')}"]
+        head.extend(f"{name}: {value}" for name, value in self.headers.items())
+        head.append(f"Content-Length: {len(self.body)}")
+        head.append("\r\n")
+        return "\r\n".join(head).encode() + self.body
+
+
+# Scripted faults may answer any code from 400 to 599; HTTPStatus names
+# most, and render gives the rest a fixed phrase.
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+Handler = Callable[[Request], Response]
+
+
+def answer(handle: Handler, request: Request) -> Response:
+    """``handle``'s response; a handler bug is logged with its traceback and
+    answered ``500``."""
+    try:
+        return handle(request)
+    except Exception:  # noqa: BLE001 - a handler bug is the server's to report, not the client's
+        logger.exception("%s %s: server handler error", request.method, request.path)
+        return Response.json(500, {"message": "server handler error"})
 
 
 class HttpTransport:
@@ -63,7 +120,7 @@ class HttpTransport:
                 self._conn = http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
         return self._conn
 
-    def request(self, method: str, path: str, headers: dict[str, str], body: bytes | None = None) -> HttpResponse:
+    def request(self, method: str, path: str, headers: dict[str, str], body: bytes | None = None) -> Response:
         """Issue one request for ``path`` below the base URL; transport-level
         failures raise TransientError."""
         import http.client  # loaded at the first request; the except clause names it
@@ -74,11 +131,7 @@ class HttpTransport:
                 try:
                     conn.request(method, f"{self._origin.path}{path}", body=body, headers=headers)
                     raw = conn.getresponse()
-                    return HttpResponse(
-                        status=raw.status,
-                        headers={k.lower(): v for k, v in raw.getheaders()},
-                        body=raw.read(),
-                    )
+                    return Response(raw.status, raw.read(), dict(raw.getheaders()))
                 except (http.client.HTTPException, ConnectionError, OSError) as exc:
                     self._drop()
                     if attempt == 2:

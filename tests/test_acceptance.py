@@ -446,7 +446,7 @@ def test_criterion_9_wire_exactness(bulk):
     assert bulk.patch_violations == [], bulk.patch_violations[:5]
 
     # The batch reaches the fakes in-process; here the same clients go over
-    # real sockets to both fakes, each served by FakeHttpServer.
+    # real sockets to both fakes, each served by HttpServer.
     clock = VirtualClock()
     github = FakeGitHub(expected_token="token", clock=clock).start()
     kube = FakeKube(clock=clock).start()

@@ -13,10 +13,10 @@ from runner_manager.github import BackoffState, GitHubClient, execute_with_backo
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.httpserver import Response
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, load_script
-from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
+from runner_manager.status import HttpServer
 
 from conftest import SteppingClock, assert_agrees_with_oracle
 
@@ -26,7 +26,7 @@ MATCHING = ["self-hosted", "linux-gpu-cuda"]
 
 def test_403_with_exhausted_quota_is_rate_limit_not_credential(clock):
     clock.t = 1000.0
-    server = FakeHttpServer(
+    server = HttpServer(
         lambda request: Response.json(
             403,
             {"message": "API rate limit exceeded"},
@@ -57,7 +57,7 @@ def test_rate_limit_without_retry_after_falls_back_to_schedule():
 
 
 def test_kube_409_conflict_is_transient():
-    server = FakeHttpServer(lambda request: Response.json(409, {"message": "conflict"}))
+    server = HttpServer(lambda request: Response.json(409, {"message": "conflict"}))
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
@@ -70,7 +70,7 @@ def test_kube_409_conflict_is_transient():
 def test_kube_400_is_protocol_error_for_the_read_and_the_patch():
     # A 400 answer carries a Status object, not a Deployment: neither a read
     # of zero replicas nor a landed write may be made of it.
-    server = FakeHttpServer(lambda request: Response.json(400, {"kind": "Status", "code": 400}))
+    server = HttpServer(lambda request: Response.json(400, {"kind": "Status", "code": 400}))
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
@@ -270,7 +270,7 @@ def test_replica_that_is_not_ready_is_no_activity(clock, gh_client):
         sent.append(request.method)
         return Response.json(200, body)
 
-    server = FakeHttpServer(handle)
+    server = HttpServer(handle)
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")

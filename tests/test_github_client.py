@@ -12,9 +12,9 @@ from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError, ProtocolError, RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, RegistrationToken, execute_with_backoff
 from runner_manager.harness.httpserver import Response
-from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.labels import LabelSet
-from runner_manager.transport import HttpResponse, HttpTransport
+from runner_manager.status import HttpServer
+from runner_manager.transport import HttpTransport
 
 from conftest import TEST_TOKEN
 
@@ -25,12 +25,12 @@ ALL = 1_000_000  # a limit no test reaches, so the listing is never capped
 
 @pytest.fixture
 def serve(clock):
-    """``serve(handle)`` starts a FakeHttpServer answering with ``handle``
+    """``serve(handle)`` starts an HttpServer answering with ``handle``
     and returns a GitHubClient bound to it; both close after the test."""
     opened = []
 
     def build(handle):
-        server = FakeHttpServer(handle)
+        server = HttpServer(handle)
         server.start()
         client = GitHubClient(server.base_url, TEST_TOKEN, clock=clock)
         opened.append((server, client))
@@ -176,7 +176,7 @@ def test_400_listing_is_protocol_error_with_its_status(serve):
 
 
 def test_non_json_body_is_protocol_error(serve):
-    client = serve(lambda request: Response(200, b"<html>nope</html>", "text/html"))
+    client = serve(lambda request: Response(200, b"<html>nope</html>", {"content-type": "text/html"}))
     with pytest.raises(ProtocolError):
         client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL)
 
@@ -467,7 +467,7 @@ def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client,
 
     def refuse_job_listings(method, url, headers, body=None):
         if "/jobs" in url:
-            return HttpResponse(503, {}, b'{"message": "Unavailable"}')
+            return Response(503, b'{"message": "Unavailable"}')
         return request(method, url, headers, body)
 
     monkeypatch.setattr(gh_client._transport, "request", refuse_job_listings)
@@ -495,7 +495,7 @@ def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, 
 
     def refuse_old_barren_run(method, url, headers, body=None):
         if _jobs_path(foreign.run_id) in url:
-            return HttpResponse(503, {}, b'{"message": "Unavailable"}')
+            return Response(503, b'{"message": "Unavailable"}')
         return request(method, url, headers, body)
 
     with monkeypatch.context() as patch:
@@ -517,7 +517,7 @@ def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, 
 
     def refuse_queued_listing(method, url, headers, body=None):
         if "status=queued" in url:
-            return HttpResponse(503, {}, b'{"message": "Unavailable"}')
+            return Response(503, b'{"message": "Unavailable"}')
         return request(method, url, headers, body)
 
     with monkeypatch.context() as patch:
@@ -569,7 +569,7 @@ class _InMemoryGitHub:
             ]
             payload = {"total_count": len(runs), "workflow_runs": runs}
         assert params["page"] == "1"
-        return HttpResponse(200, {}, json.dumps(payload).encode())
+        return Response(200, json.dumps(payload).encode())
 
 
 _STATUS = st.sampled_from(["queued", "in_progress", "completed"])
@@ -611,14 +611,14 @@ class _TaggingInMemoryGitHub(_InMemoryGitHub):
         if self.fail_at is not None:
             self.fail_at -= 1
             if self.fail_at == 0:
-                return HttpResponse(503, {}, b"{}")
+                return Response(503, b"{}")
         answer = super().request(method, url, headers, body)
         etag = f'W/"{hashlib.sha256(answer.body).hexdigest()[:16]}"'
         status = 304 if headers.get("If-None-Match") == etag else 200
         path, _, query = url.partition("?")
         listing = query.partition("&")[0] if query.startswith("status=") else None
         self.log.append((f"{path}?{listing}" if listing else path, status))
-        return HttpResponse(status, {"etag": etag}, answer.body if status == 200 else b"")
+        return Response(status, answer.body if status == 200 else b"", {"etag": etag})
 
 
 def test_a_barren_run_that_gains_a_matching_job_is_read_below_the_cap():

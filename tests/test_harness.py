@@ -33,9 +33,9 @@ from runner_manager.harness.scenario import (
     script_to_dict,
 )
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
-from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.kube import KubeClient
 from runner_manager.reconciler import ReconcileLoop
+from runner_manager.status import HttpServer
 from runner_manager.transport import HttpTransport
 
 
@@ -321,7 +321,7 @@ class TestFakeHttpServer:
     @pytest.mark.parametrize("length", ["abc", "-5", ""])
     def test_a_malformed_content_length_is_answered_400_and_the_connection_closed(self, length):
         handled = []
-        server = FakeHttpServer(lambda request: handled.append(request) or Response(200))
+        server = HttpServer(lambda request: handled.append(request) or Response(200))
         server.start()
         try:
             origin = urlsplit(server.base_url)

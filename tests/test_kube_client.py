@@ -9,7 +9,6 @@ from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates
 from runner_manager.errors import ConfigError, MissingDeploymentError, ProtocolError, TransientError
 from runner_manager.harness.fake_kube import FakePod
 from runner_manager.harness.httpserver import Response
-from runner_manager.harness.wire import FakeHttpServer
 from runner_manager.kube import KubeClient, KubeCredentials, resolve_credentials
 from runner_manager.reconciler import (
     ANNOTATION_KEEPALIVE_STARTED,
@@ -17,6 +16,7 @@ from runner_manager.reconciler import (
     Reason,
     ReconcileLoop,
 )
+from runner_manager.status import HttpServer
 
 NAMESPACED = re.compile(r"^/(apis/apps/v1|api/v1)/namespaces/ci/")
 
@@ -38,7 +38,7 @@ def _config(mount: str, kube_api: str = IN_CLUSTER) -> Config:
 def _one_route_client(handle):
     """A KubeClient for namespace ``ci`` bound to a server answering every
     request with ``handle``."""
-    server = FakeHttpServer(handle)
+    server = HttpServer(handle)
     server.start()
     try:
         creds = KubeCredentials(api_base=server.base_url, bearer_token="t", ca_bundle=None, namespace="ci")
@@ -263,6 +263,6 @@ def test_kube_fault_is_transient(fake_kube, kube_client):
          "body-not-json", "body-not-an-object"],
 )
 def test_malformed_body_is_protocol_error(body, call):
-    answer = Response(200, body, "text/html") if isinstance(body, bytes) else Response.json(200, body)
+    answer = Response(200, body, {"content-type": "text/html"}) if isinstance(body, bytes) else Response.json(200, body)
     with _one_route_client(lambda request: answer) as client, pytest.raises(ProtocolError):
         call(client)

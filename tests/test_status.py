@@ -1,4 +1,6 @@
+import http.client
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from runner_manager.clock import SystemClock
 from runner_manager.reconciler import Reason, ReconcileRecord
-from runner_manager.status import StatusServer, parse_listen_address
+from runner_manager.status import HttpServer, StatusServer, parse_listen_address
 
 from conftest import SteppingClock
 
@@ -164,6 +166,47 @@ def test_unknown_path_is_404(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(server, "/metrics")
     assert excinfo.value.code == 404
+
+
+@pytest.mark.parametrize(
+    "method, path, headers, expected",
+    [
+        ("GET", "/healthz?probe=1", {}, 200),  # the query is not part of the path
+        ("POST", "/status", {}, 404),
+        ("GET", "/status", {"Content-Length": "abc"}, 400),
+        ("POST", "/status", {"Content-Length": str(1 << 40)}, 413),  # answered without reading a byte
+    ],
+    ids=["query", "post", "malformed-length", "oversized-body"],
+)
+def test_status_server_answers_like_any_handler(server, method, path, headers, expected):
+    conn = http.client.HTTPConnection(*server.address, timeout=5)
+    try:
+        conn.request(method, path, headers=headers)
+        assert conn.getresponse().status == expected
+    finally:
+        conn.close()
+
+
+def test_handler_error_is_logged_and_answered_500_without_detail(caplog):
+    def handle(request):
+        raise RuntimeError("secret detail")
+
+    server = HttpServer(handle)
+    server.start()
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+    try:
+        with caplog.at_level(logging.ERROR, logger="runner_manager.transport"):
+            conn.request("GET", "/status")
+            response = conn.getresponse()
+            body = response.read()
+    finally:
+        conn.close()
+        server.close()
+    assert response.status == 500
+    assert json.loads(body) == {"message": "server handler error"}
+    [record] = caplog.records
+    assert "GET /status" in record.getMessage()
+    assert record.exc_info[0] is RuntimeError
 
 
 @pytest.mark.parametrize(
