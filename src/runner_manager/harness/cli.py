@@ -7,7 +7,7 @@ import json
 import sys
 
 from .driver import run_scenario
-from .oracle import oracle_decisions
+from .monitors import oracle_diff
 from .scenario import generate_random_script, load_script
 
 
@@ -49,33 +49,13 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     if args.check_oracle:
-        expected = oracle_decisions(script, result.policy)
-        summary["oracle_match"] = True
-        comparisons = (
-            ("decisions", expected.decisions, result.decisions),
-            ("writes", expected.writes, result.writes),
-            ("annotations", expected.annotations, result.final_annotations),
-        )
-        for field, want, got in comparisons:
-            diff = _first_diff(want, got)
-            if diff is not None:
-                summary["oracle_match"] = False
-                summary["oracle_first_diff"] = {"field": field, **diff}
-                break
+        diff = oracle_diff(script, result)
+        summary["oracle_match"] = diff is None
+        if diff is not None:
+            summary["oracle_first_diff"] = diff
 
     print(json.dumps(summary, indent=2))
     return 1 if result.scenario_failed or summary.get("oracle_match") is False else 0
-
-
-def _first_diff(expected: list | dict, actual: list | dict) -> dict | None:
-    if isinstance(expected, dict):
-        return None if expected == actual else {"expected": expected, "actual": actual}
-    for i, (e, a) in enumerate(zip(expected, actual)):
-        if e != a:
-            return {"index": i, "expected": e, "actual": a}
-    if len(expected) != len(actual):
-        return {"index": min(len(expected), len(actual)), "expected_len": len(expected), "actual_len": len(actual)}
-    return None
 
 
 if __name__ == "__main__":

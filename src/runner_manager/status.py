@@ -9,11 +9,11 @@ it only when a status address is set, and a fake when a test serves it.
 
 GET /healthz answers 200 while a poll was decided within two poll
 intervals (counted from start-up until the first record). GET /status
-returns the latest ReconcileRecord as one JSON object. Any other GET, POST,
-PUT, PATCH or DELETE is answered 404, and a request body over
-``MAX_BODY`` bytes 413. The report never contains credential
-material -- it is built from an atomically swapped record, not from the
-live config.
+returns the latest ReconcileRecord as one JSON object. Any other GET,
+HEAD, OPTIONS, POST, PUT, PATCH or DELETE is answered 404 (a HEAD answer
+without its body), and a request body over ``MAX_BODY`` bytes 413. The
+report never contains credential material -- it is built from an
+atomically swapped record, not from the live config.
 """
 
 from __future__ import annotations
@@ -71,9 +71,13 @@ class _Exchange(BaseHTTPRequestHandler):
             return
         headers = {name.lower(): value for name, value in self.headers.items()}
         request = Request(self.command, self.path, headers, body)
-        self.wfile.write(answer(self.server.handler, request).render())
+        response = answer(self.server.handler, request)
+        rendered = response.render()
+        if self.command == "HEAD":  # the headers alone (RFC 9110 section 9.3.2)
+            rendered = rendered[: len(rendered) - len(response.body)]
+        self.wfile.write(rendered)
 
-    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
+    do_GET = do_HEAD = do_OPTIONS = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
 
     def log_message(self, format, *args) -> None:  # noqa: A002 (http.server API)
         logger.debug("%s " + format, self.address_string(), *args)

@@ -13,7 +13,7 @@ from runner_manager.config import Policy
 from runner_manager.github import GitHubClient
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
-from runner_manager.harness.oracle import oracle_decisions
+from runner_manager.harness.monitors import oracle_diff
 from runner_manager.harness.virtual_clock import TimerClock
 from runner_manager.kube import KubeClient, KubeCredentials
 
@@ -23,10 +23,7 @@ TEST_TOKEN = "ghp-test-token-123"
 def assert_agrees_with_oracle(script, result) -> None:
     """The run's decisions, scale writes and final annotations are the
     independent oracle's, exactly."""
-    expected = oracle_decisions(script, result.policy)
-    assert result.decisions == expected.decisions
-    assert result.writes == expected.writes
-    assert result.final_annotations == expected.annotations
+    assert (diff := oracle_diff(script, result)) is None, diff
 
 
 class SteppingClock(TimerClock):

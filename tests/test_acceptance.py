@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,10 +27,10 @@ from runner_manager.bootstrap import RunnerProfile, emit_manifests, init_runner_
 from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.config import Config, Policy, RepoCoordinates
 from runner_manager.github import GitHubClient
+from runner_manager.harness import monitors
 from runner_manager.harness.driver import ScenarioResult, run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube, validate_objects
-from runner_manager.harness.oracle import oracle_decisions
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, generate_random_script
 from runner_manager.harness.virtual_clock import VirtualClock
 from runner_manager.kube import KubeClient, KubeCredentials
@@ -72,47 +73,12 @@ def _ok(criterion: int, message: str) -> None:
 class BatchStats:
     scenarios: int = 0
     decisions: int = 0
-    cap_violations: list[str] = field(default_factory=list)
-    oracle_mismatches: list[str] = field(default_factory=list)
-    premature_deprovisions: list[str] = field(default_factory=list)
     latency_checked: int = 0
-    latency_violations: list[str] = field(default_factory=list)
-    cross_namespace: list[str] = field(default_factory=list)
-    header_violations: list[str] = field(default_factory=list)
-    patch_violations: list[str] = field(default_factory=list)
+    violations: defaultdict[str, list[str]] = field(default_factory=lambda: defaultdict(list))  # by monitor
     github_requests: int = 0
     github_charged_requests: int = 0
     kube_requests: int = 0
     failures: list[str] = field(default_factory=list)
-
-
-def _github_quiet_spans(script: ScenarioScript) -> list[tuple[float, float]]:
-    """Intervals where GitHub-side trouble could still linger (span + backoff tail)."""
-    spans = []
-    start = None
-    for event in script.events:
-        if event.kind in ("github_fault", "rate_limit") and start is None:
-            start = event.at
-        elif event.kind == "github_recover" and start is not None:
-            spans.append((start - 1, event.at + 400))  # 400s covers Retry-After/backoff tails
-            start = None
-    if start is not None:
-        spans.append((start - 1, float("inf")))
-    return spans
-
-
-def _kube_fault_spans(script: ScenarioScript) -> list[tuple[float, float]]:
-    spans = []
-    start = None
-    for event in script.events:
-        if event.kind == "kube_fault" and start is None:
-            start = event.at
-        elif event.kind == "kube_recover" and start is not None:
-            spans.append((start - 1, event.at + 1))
-            start = None
-    if start is not None:
-        spans.append((start - 1, float("inf")))
-    return spans
 
 
 def _check_scenario(seed, script: ScenarioScript, result: ScenarioResult, stats: BatchStats) -> None:
@@ -125,75 +91,9 @@ def _check_scenario(seed, script: ScenarioScript, result: ScenarioResult, stats:
     if result.scenario_failed:
         stats.failures.append(f"seed {seed}: {result.failure_reasons}")
         return
-
-    # Criterion 1: replica cap. Replicas only change through writes; assert
-    # every written value (and the initial 0) stays within {0, 1}.
-    for at, value in result.replica_timeline():
-        if value not in (0, 1):
-            stats.cap_violations.append(f"seed {seed}: replicas={value} at {at:.0f}s")
-
-    # Criterion 2: decisions, scale writes and the final annotations equal
-    # the independent oracle's, exactly.
-    expected = oracle_decisions(script, result.policy)
-    if (
-        expected.decisions != result.decisions
-        or expected.writes != result.writes
-        or expected.annotations != result.final_annotations
-    ):
-        stats.oracle_mismatches.append(f"seed {seed}")
-
-    # Criterion 5: a scale-to-0 write only after a poll that saw nothing outstanding.
-    counts_by_tick = {tick: (q, p) for tick, q, p in result.poll_counts}
-    ticks = sorted(counts_by_tick)
-    for at, value in result.writes:
-        if value != 0:
-            continue
-        tick = max((t for t in ticks if t <= at), default=None)
-        queued, in_progress = counts_by_tick.get(tick, (None, None))
-        if queued is None or (queued + in_progress) > 0:
-            stats.premature_deprovisions.append(
-                f"seed {seed}: wrote 0 at {at:.0f}s after poll reporting {queued}/{in_progress}"
-            )
-
-    # Criterion 3: a matching job enqueued into a quiescent, healthy system
-    # must trigger a scale-up write within poll_interval + one tick.
-    poll = result.policy.poll_interval
-    quiet = _github_quiet_spans(script) + _kube_fault_spans(script)
-    restarts = [e.at for e in script.events if e.kind == "restart_manager"]
-    timeline = result.replica_timeline()
-
-    def replicas_at(t: float) -> int:
-        value = 0
-        for at, v in timeline:
-            if at <= t:
-                value = v
-        return value
-
-    for event in script.events:
-        if event.kind != "enqueue_job":
-            continue
-        requested = LabelSet(event.arg("labels"))
-        if not requested.issubset(result.policy.runner_labels):
-            continue
-        enqueue_at = event.at
-        deadline = enqueue_at + 2 * poll
-        if deadline > script.horizon:
-            continue
-        if replicas_at(enqueue_at) != 0:
-            continue
-        if any(start <= deadline and end >= enqueue_at for start, end in quiet):
-            continue
-        if any(enqueue_at - poll <= r <= deadline for r in restarts):
-            continue
-        stats.latency_checked += 1
-        writes_up = [t for t, v in result.writes if v == 1 and enqueue_at <= t <= deadline]
-        if not writes_up:
-            stats.latency_violations.append(f"seed {seed}: job at {enqueue_at:.0f}s not served by {deadline:.0f}s")
-
-    # Criteria 6 and 9 evidence.
-    stats.cross_namespace.extend(f"seed {seed}: {p}" for p in result.cross_namespace_requests)
-    stats.header_violations.extend(f"seed {seed}: {v}" for v in result.github_header_violations)
-    stats.patch_violations.extend(f"seed {seed}: {v}" for v in result.scale_patch_violations)
+    for name, found in monitors.violations(script, result).items():
+        stats.violations[name].extend(f"seed {seed}: {v}" for v in found)
+    stats.latency_checked += len(monitors.scale_up_checks(script, result))
 
 
 @pytest.fixture(scope="session")
@@ -263,30 +163,31 @@ def month_long_idle() -> ScenarioResult:
 
 def test_criterion_1_one_runner_cap(bulk):
     assert bulk.scenarios >= BULK_SCENARIOS
-    assert bulk.cap_violations == [], bulk.cap_violations[:5]
-    _ok(1, f"spec replicas stayed in {{0,1}} across {bulk.scenarios} scenarios / {bulk.decisions} polls")
+    assert bulk.violations["cap"] == [], bulk.violations["cap"][:5]
+    _ok(1, f"spec replicas stayed in 0..max_runners across {bulk.scenarios} scenarios / {bulk.decisions} polls")
 
 
 def test_criterion_2_oracle_equivalence(bulk):
-    assert bulk.oracle_mismatches == [], bulk.oracle_mismatches[:5]
+    assert bulk.violations["oracle"] == [], bulk.violations["oracle"][:5]
     _ok(2, f"decisions, scale writes and final annotations matched the oracle in all {bulk.scenarios} scenarios")
 
 
 def test_criterion_3_demand_latency(bulk):
     assert bulk.latency_checked > 200, "batch produced too few quiescent enqueues to be meaningful"
-    assert bulk.latency_violations == [], bulk.latency_violations[:5]
+    assert bulk.violations["latency"] == [], bulk.violations["latency"][:5]
     _ok(3, f"{bulk.latency_checked} quiescent enqueues all scaled up within poll_interval + one tick")
 
 
 def test_criterion_4_keepalive_schedule(month_long_idle):
     result = month_long_idle
     policy = result.policy
-    ups = [t for t, v in result.writes if v == 1]
-    downs = [t for t, v in result.writes if v == 0]
-    assert len(ups) == len(downs) >= 8
+    pairs = monitors.activations(result)
+    ups = [up for up, _ in pairs]
+    downs = [down for _, down in pairs]
+    assert len(pairs) >= 8 and None not in downs
 
     # Dwell: every activation stays up at least min_dwell.
-    for up, down in zip(ups, downs):
+    for up, down in pairs:
         assert down - up >= policy.min_dwell, (up, down)
 
     # Drift: activation starts repeat every force_interval within one poll.
@@ -317,7 +218,7 @@ def test_criterion_4_keepalive_schedule(month_long_idle):
 
 
 def test_criterion_5_no_premature_deprovision(bulk):
-    assert bulk.premature_deprovisions == [], bulk.premature_deprovisions[:5]
+    assert bulk.violations["premature_scale_down"] == [], bulk.violations["premature_scale_down"][:5]
 
     # Fault-injection spans up to 50 consecutive polls while a job is running:
     # not one scale-down write is allowed until the job finishes after recovery.
@@ -347,15 +248,14 @@ def test_criterion_5_no_premature_deprovision(bulk):
         assert_agrees_with_oracle(script, result)
         assert any(reason == "hold" for _, _, reason in result.decisions)
         down_writes = [t for t, v in result.writes if v == 0]
-        down_in_span = [t for t in down_writes if fault_start <= t < fault_end]
-        assert down_in_span == [], f"{fault_kind} span produced scale-down writes at {down_in_span}"
-        assert len(down_writes) == 1 and down_writes[0] > fault_end
+        assert len(down_writes) == 1 and down_writes[0] > fault_end, f"{fault_kind} span: scale-downs at {down_writes}"
     _ok(5, "zero premature scale-downs in the batch and in 10 dedicated 20-50-poll outage scenarios")
 
 
 def test_criterion_6_unprivileged_operation(bulk, restart_batch, month_long_idle):
     restart_stats, _ = restart_batch
-    offenders = bulk.cross_namespace + restart_stats.cross_namespace + month_long_idle.cross_namespace_requests
+    offenders = bulk.violations["outside_role"] + restart_stats.violations["outside_role"]
+    offenders += month_long_idle.cross_namespace_requests
     assert offenders == [], offenders[:5]
     _ok(6, "zero Kubernetes requests outside the Role across the entire suite")
 
@@ -363,26 +263,24 @@ def test_criterion_6_unprivileged_operation(bulk, restart_batch, month_long_idle
 def test_criterion_7_restart_resilience(restart_batch):
     stats, keepalive_family = restart_batch
     assert stats.scenarios == RESTART_SCENARIOS
-    assert stats.cap_violations == [], stats.cap_violations[:5]
-    assert stats.oracle_mismatches == [], stats.oracle_mismatches[:5]
-    assert stats.premature_deprovisions == [], stats.premature_deprovisions[:5]
+    assert {name: found[:5] for name, found in stats.violations.items() if found} == {}
 
     # Keepalive-focused family: schedule holds across restarts with drift
     # bounded by one poll interval (plus scripted downtime) per restart.
     for script, result in keepalive_family:
         policy = result.policy
-        ups = [t for t, v in result.writes if v == 1]
-        downs = [t for t, v in result.writes if v == 0]
-        assert ups, "keepalive scenario produced no activations"
-        for up, down in zip(ups, downs):
-            assert down - up >= policy.min_dwell
-        restarts = [(e.at, float(e.payload.get("downtime", 0))) for e in script.events]
+        pairs = monitors.activations(result)
+        assert pairs, "keepalive scenario produced no activations"
+        for up, down in pairs:
+            assert down is None or down - up >= policy.min_dwell
+        ups = [up for up, _ in pairs]
+        restarts = [(e.at, e.arg("downtime")) for e in script.events if e.kind == "restart_manager"]
         for a, b in zip(ups, ups[1:]):
             slack = policy.poll_interval + sum(
                 policy.poll_interval + downtime for at, downtime in restarts if a <= at <= b
             )
             assert abs((b - a) - policy.force_interval) <= slack, (a, b, slack)
-    _ok(7, f"{stats.scenarios} restart scenarios kept cap, oracle equivalence, deprovision and keepalive bounds")
+    _ok(7, f"{stats.scenarios} restart scenarios kept every monitor's rule and the keepalive bounds")
 
 
 def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
@@ -442,8 +340,8 @@ def test_criterion_8_bootstrap_idempotence_and_separation(tmp_path):
 
 
 def test_criterion_9_wire_exactness(bulk):
-    assert bulk.header_violations == [], bulk.header_violations[:5]
-    assert bulk.patch_violations == [], bulk.patch_violations[:5]
+    for name in ("github_headers", "scale_patches"):
+        assert bulk.violations[name] == [], bulk.violations[name][:5]
 
     # The batch reaches the fakes in-process; here the same clients go over
     # real sockets to both fakes, each served by HttpServer.

@@ -382,6 +382,18 @@ print(json.dumps([result.failure_reasons, result.writes, sorted(set({WIRE_MODULE
         assert reasons == [] and writes, "the scenario must run a job to prove anything"
         assert loaded == [], f"a scenario loaded wire modules: {loaded}"
 
+    def test_a_scenario_loads_no_judge(self):
+        # The monitors and the CLI judge a finished run; the benchmark times
+        # a scenario's set-up and memory without them.
+        code = """
+import sys
+from runner_manager.harness.driver import run_scenario
+from runner_manager.harness.scenario import ScenarioScript
+run_scenario(ScenarioScript(horizon=300))
+print(sorted({"runner_manager.harness.monitors", "runner_manager.harness.cli"} & set(sys.modules)))
+"""
+        assert _fresh_python(code) == "[]"
+
     @pytest.mark.parametrize("scheme", ["http", "https"])
     def test_a_transport_imports_what_it_connects_and_catches_with(self, scheme):
         # The child loads http.client only inside request(); a refused

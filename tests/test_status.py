@@ -1,6 +1,7 @@
 import http.client
 import json
 import logging
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -173,10 +174,11 @@ def test_unknown_path_is_404(server):
     [
         ("GET", "/healthz?probe=1", {}, 200),  # the query is not part of the path
         ("POST", "/status", {}, 404),
+        ("OPTIONS", "/status", {}, 404),
         ("GET", "/status", {"Content-Length": "abc"}, 400),
         ("POST", "/status", {"Content-Length": str(1 << 40)}, 413),  # answered without reading a byte
     ],
-    ids=["query", "post", "malformed-length", "oversized-body"],
+    ids=["query", "post", "options", "malformed-length", "oversized-body"],
 )
 def test_status_server_answers_like_any_handler(server, method, path, headers, expected):
     conn = http.client.HTTPConnection(*server.address, timeout=5)
@@ -185,6 +187,25 @@ def test_status_server_answers_like_any_handler(server, method, path, headers, e
         assert conn.getresponse().status == expected
     finally:
         conn.close()
+
+
+def test_head_is_answered_404_without_a_body_on_a_kept_connection(server):
+    # Both requests go out at once on one connection: a body after the HEAD
+    # answer would sit where the GET's answer must start. (http.client would
+    # not show it: its reader drops what it buffered past a HEAD answer.)
+    with socket.create_connection(server.address, timeout=5) as conn:
+        conn.sendall(
+            b"HEAD /status HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /status HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        received = b""
+        while chunk := conn.recv(65536):
+            received += chunk
+    head, _, rest = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 404 ")
+    status, _, body = rest.partition(b"\r\n\r\n")
+    assert status.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(body)["last_poll_time"] is None
 
 
 def test_handler_error_is_logged_and_answered_500_without_detail(caplog):
