@@ -2,8 +2,10 @@
 
 Enumerates outstanding workflow jobs for one repository, filters them by
 runner-label eligibility and mints runner registration tokens. Requests are
-single-shot here; retry pacing lives in :func:`execute_with_backoff` so the
-control loop decides how much of its poll window to spend retrying.
+single-shot here, and a poll makes at most one attempt
+(:func:`execute_with_backoff`): a failed poll holds, and the loop's next
+poll is the retry. Only a rate limit defers later attempts, by the
+server's wait or, without a usable one, by GitHub's one-minute minimum.
 
 Every listing is a conditional request: a page answered with an ``ETag``
 is stored as soon as it is read and asked for again with ``If-None-Match``,
@@ -56,9 +58,9 @@ PAGE_SIZE = 100
 # server still sending full pages past that must not keep a poll looping.
 MAX_PAGES = 10
 
-BACKOFF_BASE = 1.0
-BACKOFF_FACTOR = 2.0
-BACKOFF_CAP = 60.0
+# GitHub's REST best practices: after a rate limit that names no wait,
+# wait at least a minute before the next request.
+RATE_LIMIT_WAIT = 60.0
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,9 @@ class RegistrationToken:
 
 @dataclass
 class BackoffState:
-    """Failure streak and the earliest moment another attempt may be made."""
+    """The earliest moment another attempt may be made."""
 
-    consecutive_failures: int = 0
     next_allowed_attempt: float = 0.0
-
-
-def backoff_delay(consecutive_failures: int) -> float:
-    """Deterministic schedule: 1 s, 2 s, 4 s, ... capped at 60 s."""
-    if consecutive_failures < 1:
-        return 0.0
-    return min(BACKOFF_BASE * BACKOFF_FACTOR ** (consecutive_failures - 1), BACKOFF_CAP)
 
 
 T = TypeVar("T")
@@ -99,42 +93,29 @@ def execute_with_backoff(
     window_end: float,
     interrupt: threading.Event,
 ) -> T:
-    """Run ``call`` with exponential backoff confined to the current poll window.
+    """Make this poll's one attempt at ``call``, once ``state`` allows it.
 
-    Transient and rate-limit failures bump ``consecutive_failures`` and set
-    ``next_allowed_attempt`` (Retry-After wins over the schedule); ``state``
-    is updated in place. The wait never crosses ``window_end``: when the next
-    permitted attempt falls at or beyond it, the last failure propagates and
-    the caller skips this window. Credential and protocol errors propagate
-    immediately, unretried.
+    When ``next_allowed_attempt`` is at or beyond ``window_end`` the poll
+    sends nothing and raises ``TransientError``; when it falls inside the
+    window the attempt waits for it, unless ``interrupt`` cuts the wait
+    short. Every failure of the attempt propagates at once, unretried: the
+    loop's next poll is the retry. A rate limit also moves
+    ``next_allowed_attempt`` (in place) to the attempt plus its Retry-After,
+    or plus ``RATE_LIMIT_WAIT`` when it names no usable wait.
     """
-    while True:
-        now = clock.now()
-        if state.next_allowed_attempt > now:
-            if state.next_allowed_attempt >= window_end:
-                raise TransientError(
-                    f"backing off until {state.next_allowed_attempt:.0f} (beyond this poll window)"
-                )
-            clock.wait_until(state.next_allowed_attempt, interrupt)
-            if interrupt.is_set():
-                raise TransientError("interrupted while waiting out backoff")
-        attempt_at = clock.now()
-        try:
-            result = call()
-        except (TransientError, RateLimitedError) as exc:
-            state.consecutive_failures += 1
-            delay = backoff_delay(state.consecutive_failures)
-            if isinstance(exc, RateLimitedError) and exc.retry_after is not None:
-                delay = exc.retry_after
-            state.next_allowed_attempt = attempt_at + delay
-            if state.next_allowed_attempt >= window_end:
-                raise
-            if interrupt.is_set():
-                raise
-            continue
-        state.consecutive_failures = 0
-        state.next_allowed_attempt = attempt_at
-        return result
+    if state.next_allowed_attempt > clock.now():
+        if state.next_allowed_attempt >= window_end:
+            raise TransientError(f"rate limited until {state.next_allowed_attempt:.0f} (beyond this poll window)")
+        clock.wait_until(state.next_allowed_attempt, interrupt)
+        if interrupt.is_set():
+            raise TransientError("interrupted while waiting out a rate limit")
+    attempt_at = clock.now()
+    try:
+        return call()
+    except RateLimitedError as exc:
+        wait = exc.retry_after if exc.retry_after is not None else RATE_LIMIT_WAIT
+        state.next_allowed_attempt = attempt_at + wait
+        raise
 
 
 class GitHubClient:
@@ -340,7 +321,7 @@ def _run_jobs_path(repo: RepoCoordinates, run_id: int) -> str:
 
 def _positive_seconds(value: str | None) -> float | None:
     """A header's seconds when finite and positive. Anything else is None,
-    which leaves the wait to the backoff schedule: a zero, negative or NaN
+    which leaves the wait to ``RATE_LIMIT_WAIT``: a zero, negative or NaN
     wait would retry at once, an infinite one would never poll again."""
     try:
         seconds = float(value)

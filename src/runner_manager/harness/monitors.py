@@ -15,8 +15,8 @@ from .scenario import ScenarioScript
 from .trace import TraceEntry
 
 # Each kind of API trouble: the events that start it, the one that ends it,
-# and how long it may linger after that (a Retry-After or backoff tail on
-# GitHub's side, a second on Kubernetes').
+# and how long it may linger after that (a Retry-After wait on GitHub's
+# side, a second on Kubernetes').
 TROUBLE = (
     (("github_fault", "rate_limit", "secondary_rate_limit"), "github_recover", 400.0),
     (("kube_fault",), "kube_recover", 1.0),

@@ -3,17 +3,18 @@
 A flat, side-effect-free simulation that replays a scenario script with
 perfect knowledge and applies the documented decision rules at every poll
 tick. It shares no code with the reconciler or the clients -- only the
-published contracts (decision priority, backoff schedule, annotation keys
-and when they are written, tick anchoring) -- so agreement between the two is
-meaningful evidence. Like the driver, it reads the script's events through
-``ScenarioEvent.arg``: the event defaults describe the input, not the manager.
+published contracts (decision priority, one attempt a poll and the
+Retry-After gate, annotation keys and when they are written, tick
+anchoring) -- so agreement between the two is meaningful evidence. Like
+the driver, it reads the script's events through ``ScenarioEvent.arg``:
+the event defaults describe the input, not the manager.
 
 The runner world is modelled as the fakes model it: a pod holds the job its
 runner works on, a removed pod's job goes back to the queue, and idle
 running pods claim the oldest eligible queued jobs in one pass, in pod-name
 order. Events at or before t=0 apply at t=0, before the first poll.
 
-Each manager process is one incarnation: its tick anchor, backoff streak
+Each manager process is one incarnation: its tick anchor, rate-limit gate
 and in-memory bookkeeping. A restart stops the running one and starts a
 fresh one after the downtime; only the newest incarnation's polls run.
 
@@ -36,11 +37,9 @@ from .scenario import ScenarioScript, policy_from_script
 from .virtual_clock import SIM_EPOCH
 
 # Documented contracts mirrored here on purpose (not imported from the
-# implementation): decision reasons, backoff schedule, keepalive lead, the
-# job statuses that count as demand, the runner Deployment's name and its
-# annotation keys.
+# implementation): decision reasons, keepalive lead, the job statuses that
+# count as demand, the runner Deployment's name and its annotation keys.
 HOLD, DEMAND, KEEPALIVE, IDLE = "hold", "demand", "keepalive", "idle"
-BACKOFF_CAP = 60.0
 OUTSTANDING = ("queued", "in_progress")
 DEPLOYMENT = "gha-runner"
 ANNOTATION_LAST_ACTIVE = "runner-manager/last-active"
@@ -95,8 +94,7 @@ _ENV, _MANAGER = 0, 1  # same-instant ordering: environment before manager
 class _Incarnation:
     anchor: float
     iteration: int = 0
-    backoff_failures: int = 0
-    next_allowed: float = 0.0
+    next_allowed: float = 0.0  # the rate-limit gate
     last_active: float | None = None
     keepalive_started: float | None = None
     last_written: int | None = None
@@ -246,29 +244,22 @@ class _OracleSim:
         self._push(anchor, _MANAGER, lambda: self._attempt(anchor, anchor, m))
 
     def _attempt(self, tick: float, at: float, m: _Incarnation) -> None:
-        """One pass of the poll's retry loop, at ``at``: ask GitHub unless
-        backoff forbids it, then finish the poll or wait for the next try."""
+        """The poll's one GitHub attempt, at ``at``. A rate-limit gate at or
+        past the window's end holds the poll unasked; one inside the window
+        puts the attempt off until then. The attempt finishes the poll, or
+        holds it on a fault; only a rate limit moves the gate."""
         if m is not self.mgr:
             return  # this incarnation was stopped
-        window_end = tick + self.policy.poll_interval
-        if m.next_allowed <= at:
-            fault = self.github_fault
-            if fault is None:
-                m.backoff_failures = 0
-                m.next_allowed = at
-                self._finalize(tick, at, m, poll_ok=True)
-                return
-            m.backoff_failures += 1
-            kind, value = fault
-            if kind == "rate_limit":
-                delay = value
+        if m.next_allowed > at:
+            if m.next_allowed >= tick + self.policy.poll_interval:
+                self._finalize(tick, at, m, poll_ok=False)
             else:
-                delay = min(2.0 ** (m.backoff_failures - 1), BACKOFF_CAP)
-            m.next_allowed = at + delay
-        if m.next_allowed >= window_end:
-            self._finalize(tick, at, m, poll_ok=False)
-        else:
-            self._push(m.next_allowed, _MANAGER, lambda a=m.next_allowed: self._attempt(tick, a, m))
+                self._push(m.next_allowed, _MANAGER, lambda a=m.next_allowed: self._attempt(tick, a, m))
+            return
+        fault = self.github_fault
+        if fault is not None and fault[0] == "rate_limit":
+            m.next_allowed = at + fault[1]
+        self._finalize(tick, at, m, poll_ok=fault is None)
 
     def _finalize(self, tick: float, now: float, m: _Incarnation, poll_ok: bool) -> None:
         policy = self.policy

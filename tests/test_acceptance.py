@@ -45,9 +45,9 @@ import workloads  # noqa: E402
 BULK_SCENARIOS = 1000
 RESTART_SCENARIOS = 100
 # Request budget of the bulk batch, per poll: each ceiling sits just above
-# the figure measured when it was set (2.165, 0.620 and 1.143).
-GITHUB_REQUESTS_PER_POLL = 2.2
-GITHUB_CHARGED_PER_POLL = 0.63
+# the figure measured when it was set (2.065, 0.528 and 1.143).
+GITHUB_REQUESTS_PER_POLL = 2.1
+GITHUB_CHARGED_PER_POLL = 0.54
 KUBE_REQUESTS_PER_POLL = 1.15
 # The same for one storm scenario of the benchmark (294 GitHub requests, 88
 # of them charged, and 70 Kubernetes requests in 60 polls).

@@ -2,8 +2,10 @@ import threading
 
 import pytest
 
+from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import CredentialError, RateLimitedError, TransientError
-from runner_manager.github import BackoffState, backoff_delay, execute_with_backoff
+from runner_manager.github import BackoffState, execute_with_backoff
+from runner_manager.reconciler import Reason, ReconcileLoop
 
 from conftest import SteppingClock
 
@@ -30,21 +32,30 @@ class Flaky:
         return "payload"
 
 
-def test_schedule_one_two_four_eight_capped_at_sixty():
-    assert [backoff_delay(n) for n in (1, 2, 3, 4)] == [1, 2, 4, 8]
-    assert backoff_delay(7) == 60
-    assert backoff_delay(20) == 60
+def test_each_poll_under_a_503_sends_one_request_and_holds(clock, fake_github, gh_client, kube_client):
+    # The next poll is the retry: no request is repeated inside a window.
+    fake_github.set_fault("status", 503)
+    loop = ReconcileLoop(
+        gh_client, kube_client, Policy(), clock, RepoCoordinates("biocore", "unifrac"), threading.Event()
+    )
+    reasons = []
+    for tick in (0.0, 60.0):
+        clock.t = tick
+        reasons.append(loop.reconcile_once(tick).reason)
+    assert fake_github.api_request_count == 2
+    assert reasons == [Reason.HOLD, Reason.HOLD]
 
 
 def test_three_500s_then_success_resets_failures():
+    # The first 500 is the poll's one attempt: it propagates, and the gate
+    # stays where it was, since only a rate limit moves it.
     clock = SteppingClock()
     call = Flaky(3).bind(clock)
     state = BackoffState()
-    result = execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
-    assert result == "payload"
-    assert state.consecutive_failures == 0
-    assert call.calls == 4
-    assert call.call_times == [0.0, 1.0, 3.0, 7.0]
+    with pytest.raises(TransientError, match="boom"):
+        execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
+    assert call.call_times == [0.0]
+    assert state.next_allowed_attempt == 0.0
 
 
 def test_retry_after_header_sets_next_allowed_attempt():
@@ -60,17 +71,17 @@ def test_retry_after_header_sets_next_allowed_attempt():
 def test_gate_skips_without_attempting_when_wait_crosses_window():
     clock = SteppingClock()
     call = Flaky(0).bind(clock)
-    state = BackoffState(consecutive_failures=3, next_allowed_attempt=90.0)
+    state = BackoffState(next_allowed_attempt=90.0)
     with pytest.raises(TransientError):
         execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert call.calls == 0
-    assert state.consecutive_failures == 3  # unchanged: nothing was attempted
+    assert state.next_allowed_attempt == 90.0  # unchanged: nothing was attempted
 
 
 def test_gate_waits_within_window_then_attempts():
     clock = SteppingClock()
     call = Flaky(0).bind(clock)
-    state = BackoffState(consecutive_failures=2, next_allowed_attempt=30.0)
+    state = BackoffState(next_allowed_attempt=30.0)
     result = execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert result == "payload"
     assert call.call_times == [30.0]
@@ -82,10 +93,10 @@ def test_never_retries_past_poll_boundary():
     state = BackoffState()
     with pytest.raises(TransientError):
         execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
-    # attempts at 0,1,3,7,15,31; the next (31+32=63) would cross the boundary
-    assert call.call_times == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
+    # One attempt a poll: the next is the next poll's.
+    assert call.call_times == [0.0]
     assert clock.now() <= 60.0
-    assert state.consecutive_failures == 6
+    assert state.next_allowed_attempt == 0.0
 
 
 def test_credential_errors_never_retried():
@@ -95,7 +106,7 @@ def test_credential_errors_never_retried():
     with pytest.raises(CredentialError):
         execute_with_backoff(call, state, clock, window_end=60.0, interrupt=threading.Event())
     assert call.calls == 1
-    assert state.consecutive_failures == 0
+    assert state.next_allowed_attempt == 0.0
 
 
 def test_interrupt_stops_backoff_wait():
@@ -129,14 +140,14 @@ def test_attempt_due_now_is_made_even_when_interrupted():
     stop = threading.Event()
     stop.set()
     call = Flaky(0).bind(clock)
-    state = BackoffState(consecutive_failures=2, next_allowed_attempt=30.0)
+    state = BackoffState(next_allowed_attempt=30.0)
     assert execute_with_backoff(call, state, clock, window_end=60.0, interrupt=stop) == "payload"
     assert call.call_times == [30.0]
 
 
 def test_failure_under_a_set_interrupt_propagates_without_waiting():
     # The stop request came in during the attempt: the failure itself goes
-    # to the caller at once, with no backoff wait before it.
+    # to the caller at once, with no wait before it.
     clock = SteppingClock()
     stop = threading.Event()
     stop.set()
@@ -145,4 +156,4 @@ def test_failure_under_a_set_interrupt_propagates_without_waiting():
     with pytest.raises(TransientError, match="boom"):
         execute_with_backoff(call, state, clock, window_end=60.0, interrupt=stop)
     assert (call.calls, clock.now(), clock.waits) == (1, 0.0, [])
-    assert (state.consecutive_failures, state.next_allowed_attempt) == (1, 1.0)
+    assert state.next_allowed_attempt == 0.0

@@ -146,8 +146,11 @@ def test_entrypoint_runs_fake_runner_through_a_job(github, client, profile):
 
     stop = threading.Event()
     exit_codes = []
+    # A daemon thread: a fake runner that never exits fails this test, and
+    # does not keep the test process from ending.
     thread = threading.Thread(
-        target=lambda: exit_codes.append(run_runner(profile, stop=stop, environment=fake_runner_env()))
+        target=lambda: exit_codes.append(run_runner(profile, stop=stop, environment=fake_runner_env())),
+        daemon=True,
     )
     thread.start()
     try:

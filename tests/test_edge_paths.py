@@ -11,8 +11,10 @@ from runner_manager.config import Policy, RepoCoordinates
 from runner_manager.errors import ProtocolError, RateLimitedError, TransientError
 from runner_manager.github import BackoffState, GitHubClient, execute_with_backoff
 from runner_manager.harness.driver import run_scenario
+from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.httpserver import Response
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, load_script
+from runner_manager.harness.virtual_clock import SIM_EPOCH
 from runner_manager.kube import DeploymentSnapshot, KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, Reason, ReconcileLoop
@@ -43,7 +45,7 @@ def test_403_with_exhausted_quota_is_rate_limit_not_credential(clock):
         server.close()
 
 
-def test_rate_limit_without_retry_after_falls_back_to_schedule():
+def test_rate_limit_without_retry_after_waits_one_minute():
     clock = SteppingClock()
     calls = []
 
@@ -51,9 +53,40 @@ def test_rate_limit_without_retry_after_falls_back_to_schedule():
         calls.append(clock.now())
         raise RateLimitedError("limited", 429, retry_after=None)
 
+    state = BackoffState()
     with pytest.raises(RateLimitedError):
-        execute_with_backoff(call, BackoffState(), clock, window_end=10.0, interrupt=threading.Event())
-    assert calls == [0.0, 1.0, 3.0, 7.0]  # exponential schedule applies
+        execute_with_backoff(call, state, clock, window_end=10.0, interrupt=threading.Event())
+    assert calls == [0.0]
+    assert state.next_allowed_attempt == 60.0  # GitHub's documented minimum wait
+
+
+def test_outage_scenario_sends_one_github_request_a_poll(monkeypatch):
+    # Fake GitHub's request log, each record timed as it is appended.
+    sent = []
+    record_request = FakeGitHub.record_request
+
+    def timed(github, method, path, headers, status):
+        record_request(github, method, path, headers, status)
+        sent.append((github.clock.now() - SIM_EPOCH, github.request_log[-1]))
+
+    monkeypatch.setattr(FakeGitHub, "record_request", timed)
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    script = load_script(str(scenarios / "github-outage-one-attempt-a-poll.yaml"))
+    result = run_scenario(script, keep_request_log=True)
+    assert not result.scenario_failed
+    repos = [(at, record.status) for at, record in sent if record.path.startswith("/repos/")]
+
+    def sent_in(start, end):
+        return [(at, status) for at, status in repos if start <= at < end]
+
+    # The 503 lasts the polls at 180, 240 and 300 s: one request each.
+    for tick in (180.0, 240.0, 300.0):
+        assert sent_in(tick, tick + 60) == [(tick, 503)]
+    # The 429 at 420 s says 90 s: the poll at 480 s waits, then asks at 510 s.
+    assert sent_in(420.0, 480.0) == [(420.0, 429)]
+    assert sent_in(480.0, 510.0) == []
+    at, status = sent_in(510.0, 540.0)[0]
+    assert at == 510.0 and status in (200, 304)
 
 
 def test_kube_409_conflict_is_transient():

@@ -354,8 +354,8 @@ def test_unusable_server_wait_falls_back_to_the_schedule(serve, clock, status, h
         execute_with_backoff(
             lambda: client.list_runs(REPO, "queued"), state, clock, window_end=60.0, interrupt=threading.Event()
         )
-    assert attempts == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
-    assert state.next_allowed_attempt == 63.0
+    assert attempts == [0.0]
+    assert state.next_allowed_attempt == 60.0  # the one-minute wait, as with no header
 
 
 def test_run_listing_stops_after_ten_full_pages(serve, caplog):
