@@ -5,9 +5,10 @@ perfect knowledge and applies the documented decision rules at every poll
 tick. It shares no code with the reconciler or the clients -- only the
 published contracts (decision priority, one attempt a poll and the
 Retry-After gate, annotation keys and when they are written, tick
-anchoring) -- so agreement between the two is meaningful evidence. Like
-the driver, it reads the script's events through ``ScenarioEvent.arg``:
-the event defaults describe the input, not the manager.
+anchoring, and the polls between ticks) -- so agreement between the two
+is meaningful evidence. Like the driver, it reads the script's events
+through ``ScenarioEvent.arg``: the event defaults describe the input, not
+the manager.
 
 The runner world is modelled as the fakes model it: a pod holds the job its
 runner works on, a removed pod's job goes back to the queue, and idle
@@ -17,6 +18,13 @@ order. Events at or before t=0 apply at t=0, before the first poll.
 Each manager process is one incarnation: its tick anchor, rate-limit gate
 and in-memory bookkeeping. A restart stops the running one and starts a
 fresh one after the downtime; only the newest incarnation's polls run.
+An incarnation polls at each tick ``anchor + k * poll_interval`` and, when
+it comes strictly between a poll's decision and the next tick, at the
+instant that decision changes with time alone: a keepalive's dwell end, or
+the instant an idle decision's keepalive falls due. That poll takes no
+tick, and its GitHub window, like a tick's, ends ``poll_interval`` after
+it. Only a successful poll decides so, and it leaves the rate-limit gate
+behind it, so such a poll never waits and never overruns the next tick.
 
 Returned decisions are keyed by poll-tick time, in seconds since the
 scenario start; ticks where the manager was stopped mid-poll (restart,
@@ -93,7 +101,7 @@ _ENV, _MANAGER = 0, 1  # same-instant ordering: environment before manager
 @dataclass
 class _Incarnation:
     anchor: float
-    iteration: int = 0
+    next_tick_index: int = 1
     next_allowed: float = 0.0  # the rate-limit gate
     last_active: float | None = None
     keepalive_started: float | None = None
@@ -329,6 +337,15 @@ class _OracleSim:
                 self.ann_last_active = m.last_active
             self.ann_keepalive_started = m.keepalive_started
 
-        m.iteration += 1
-        next_tick = m.anchor + m.iteration * policy.poll_interval
-        self._push(next_tick, _MANAGER, lambda t=next_tick: self._attempt(t, t, m))
+        at = m.anchor + m.next_tick_index * policy.poll_interval
+        if reason == KEEPALIVE:
+            changes = m.keepalive_started + policy.min_dwell
+        elif reason == IDLE:
+            changes = m.last_active + policy.force_interval - policy.min_dwell
+        else:
+            changes = None
+        if changes is not None and now < changes < at:
+            at = changes
+        else:
+            m.next_tick_index += 1
+        self._push(at, _MANAGER, lambda t=at: self._attempt(t, t, m))

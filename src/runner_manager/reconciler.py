@@ -18,6 +18,15 @@ Decision priority (also implemented, independently, by the harness oracle):
 4. keepalive due             -> 1                                (keepalive)
 5. otherwise                 -> 0                                (idle)
 
+A poll runs at every tick of a fixed grid, ``start + k * poll_interval``,
+and also at the instant the last decision changes with time alone
+(:func:`decision_changes_at`) when that falls strictly between the poll
+and the next tick: the end of a keepalive dwell, or the instant an idle
+manager's keepalive falls due. Such a poll takes no tick from the grid, and
+its GitHub window is ``poll_interval`` long like a tick's. So a keepalive
+starts when it falls due and ends ``min_dwell`` later, not at the next
+tick after either.
+
 The ``last-active`` annotation trails the in-memory stamp by less than
 ``min_dwell`` while a ready runner stays wanted, and is exact from the poll
 that scales to zero or first sees no ready replica. A restarted manager
@@ -164,6 +173,21 @@ def keepalive_due(last_active: float | None, now: float, policy: Policy) -> bool
     """True when a forced provisioning must start; see :func:`keepalive_due_at`."""
     due_at = keepalive_due_at(last_active, policy)
     return due_at is None or now >= due_at
+
+
+def decision_changes_at(reason: Reason, state: ManagerState, policy: Policy) -> float | None:
+    """The next instant at which the decision just made, with ``state``
+    advanced past it, changes with time alone: after a keepalive, the end
+    of its dwell (already past when the dwell is over and the keepalive goes
+    on because no poll has seen the runner ready); after an idle decision,
+    when the keepalive falls due. None after demand and hold, which only a
+    poll's inputs change. The loop also polls at this instant when it falls
+    strictly between now and the next tick."""
+    if reason is Reason.KEEPALIVE:
+        return state.keepalive_started_at + policy.min_dwell
+    if reason is Reason.IDLE:
+        return keepalive_due_at(state.last_active, policy)
+    return None
 
 
 def compute_desired(

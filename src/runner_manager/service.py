@@ -1,4 +1,5 @@
-"""The manager process: an endless reconcile loop on a fixed poll cadence.
+"""The manager process: an endless reconcile loop on a fixed poll cadence,
+woken between ticks when a keepalive falls due or its dwell ends.
 
 A termination signal stops the loop cleanly -- the in-flight poll is
 finished or abandoned, never followed by a scale write. Transient API
@@ -25,7 +26,7 @@ from .config import Config, load_config
 from .errors import ConfigError, CredentialError, MissingDeploymentError
 from .github import GitHubClient
 from .kube import KubeClient, resolve_credentials
-from .reconciler import ReconcileLoop, ReconcileRecord
+from .reconciler import ReconcileLoop, ReconcileRecord, decision_changes_at
 
 if TYPE_CHECKING:
     from .status import StatusServer
@@ -49,7 +50,13 @@ def run_service(
     github: GitHubClient | None = None,
     kube: KubeClient | None = None,
 ) -> int:
-    """Run reconcile iterations every poll_interval tick until stopped.
+    """Run reconcile iterations until stopped: one at every tick of the
+    grid ``start + k * poll_interval``, and one more at the instant the last
+    decision changes with time alone
+    (:func:`~runner_manager.reconciler.decision_changes_at`) when that falls
+    strictly between the poll and the next tick -- a keepalive falling due,
+    or its dwell ending. Such a poll leaves the grid as it is. A poll that
+    overruns the next tick skips the ticks it missed.
 
     Returns EXIT_OK on a clean stop, EXIT_CREDENTIALS after persistent
     credential failure against either API, EXIT_CONFIG for fatal
@@ -91,10 +98,10 @@ def run_service(
             status_server.start()
             cleanup.callback(status_server.close)
 
+        poll_interval = config.policy.poll_interval
         start = clock.now()
-        iteration = 0
+        tick, iteration = start, 1  # iteration: the next grid tick's index
         while not stop.is_set():
-            tick = start + iteration * config.policy.poll_interval
             try:
                 record = loop.reconcile_once(tick)
             except MissingDeploymentError as exc:
@@ -104,7 +111,9 @@ def run_service(
                 logger.error("persistent credential failure, giving up: %s", exc)
                 return EXIT_CREDENTIALS
 
+            changes_at = None
             if record is not None:
+                changes_at = decision_changes_at(record.reason, loop.state, config.policy)
                 if reconcile_logger.isEnabledFor(logging.INFO):
                     reconcile_logger.info(json.dumps(record.as_log_dict()))
                 if observer is not None:
@@ -112,15 +121,17 @@ def run_service(
                 if status_server is not None:
                     status_server.publish(record)
 
-            iteration += 1
-            next_tick = start + iteration * config.policy.poll_interval
             now = clock.now()
-            if now > next_tick:
+            if now > start + iteration * poll_interval:
                 # A slow iteration overran the cadence; skip the missed ticks
                 # rather than bunching reconciles together.
-                iteration = math.ceil((now - start) / config.policy.poll_interval)
-                next_tick = start + iteration * config.policy.poll_interval
-            clock.wait_until(next_tick, stop)
+                iteration = math.ceil((now - start) / poll_interval)
+            tick = start + iteration * poll_interval
+            if changes_at is not None and now < changes_at < tick:
+                tick = changes_at  # off the grid; the grid tick stays next
+            else:
+                iteration += 1
+            clock.wait_until(tick, stop)
 
     return EXIT_OK
 

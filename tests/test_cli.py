@@ -252,7 +252,7 @@ BUSY_KILLS = {"busy-scale-down": 1, "two-busy-pods-scale-down": 3}
 
 # The trace digest of scenarios/restart-drill.yaml, pinned so that a change to
 # how any entry, a decision's above all, is rendered fails here.
-RESTART_DRILL_FINGERPRINT = "49f3ac7ae992577b3603fa5d8d7efe01d0436a6b7f42e921b64aee394293402f"
+RESTART_DRILL_FINGERPRINT = "9659011ddbb4c61a222905f1d3132188641c793e05e9e4597686f8f4ccabf9d9"
 
 
 @pytest.mark.parametrize(
@@ -278,6 +278,9 @@ def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys,
     assert result.trace.fingerprint() == hashlib.sha256(written).hexdigest()
     if script.stem == "restart-drill":
         assert result.trace.fingerprint() == RESTART_DRILL_FINGERPRINT
+        # Each keepalive starts when it falls due and ends min_dwell later,
+        # whichever incarnation's grid the instant falls between.
+        assert result.writes == [(0, 1), (300, 0), (1800, 1), (2100, 0), (3600, 1), (3900, 0), (5400, 1), (5700, 0)]
     if script.stem == "restart-during-downtime":
         # The restart at t=150 supersedes the successor pending since t=130,
         # so that manager never starts and has no exit code.

@@ -545,6 +545,91 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
         github.close()
 
 
+def _keepalive_run(due: float, polls: int, on_record=None) -> tuple[SteppingClock, list, list]:
+    """run_service with the default policy, from ``SIM_EPOCH``, against a
+    Deployment whose last-active stamp makes the keepalive fall due ``due``
+    seconds in; the records and the accepted replica writes, both timed in
+    seconds since the start."""
+    policy = Policy()
+    clock = SteppingClock(SIM_EPOCH)
+    last_active = SIM_EPOCH + due - (policy.force_interval - policy.min_dwell)
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(last_active)}).start()
+    writes = []
+    kube.on_scale_write = lambda at, replicas: writes.append((at - SIM_EPOCH, replicas))
+    try:
+        code, records = _run_polls(clock, github, kube, polls, on_record and (lambda r: on_record(github, r)))
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    return clock, records, writes
+
+
+def _ticks(records) -> list[float]:
+    return [r.tick - SIM_EPOCH for r in records]
+
+
+def test_keepalive_starts_when_due_and_ends_min_dwell_later_off_the_grid():
+    # The stamp falls due at 150 s, between the ticks at 120 and 180; the
+    # 900 s dwell ends at 1050 s, between the ticks at 1020 and 1080.
+    clock, records, writes = _keepalive_run(due=150.0, polls=21)
+    assert writes == [(150.0, 1), (1050.0, 0)]
+    # One poll at each instant, in between the grid's ticks, which stay put.
+    grid = [k * 60.0 for k in range(19)]
+    assert _ticks(records) == sorted(grid + [150.0, 1050.0])
+    assert [t - SIM_EPOCH for t in clock.waits] == _ticks(records)[1:] + [1140.0]
+    by_tick = {tick: (r.desired, r.reason, r.wrote_scale) for tick, r in zip(_ticks(records), records)}
+    assert by_tick[120.0] == (0, Reason.IDLE, False)
+    assert by_tick[150.0] == (1, Reason.KEEPALIVE, True)
+    assert by_tick[1020.0] == (1, Reason.KEEPALIVE, False)
+    assert by_tick[1050.0] == (0, Reason.IDLE, True)
+    # /status announced the activation for the instant its write landed.
+    before = [r for r in records if r.tick - SIM_EPOCH < 150.0]
+    assert {r.as_status_dict()["keepalive_next_due"] for r in before} == {to_rfc3339(SIM_EPOCH + 150.0)}
+
+
+def test_a_keepalive_due_on_a_tick_is_that_ticks_poll():
+    # Due at 180 s, a tick; the dwell then ends at 1080 s, a tick too.
+    clock, records, writes = _keepalive_run(due=180.0, polls=20)
+    assert writes == [(180.0, 1), (1080.0, 0)]
+    assert _ticks(records) == [k * 60.0 for k in range(20)]
+    assert [t - SIM_EPOCH for t in clock.waits] == [k * 60.0 for k in range(1, 21)]
+
+
+def test_a_failed_poll_at_the_due_instant_holds_until_the_next_tick():
+    # GitHub answers 503 to the poll at the due instant only: it holds, and
+    # the keepalive starts at the next tick, whose dwell ends on the grid.
+    def on_record(github, record):
+        if record.tick - SIM_EPOCH == 120.0:
+            github.set_fault("status", 503.0)
+        else:
+            github.clear_fault()
+
+    clock, records, writes = _keepalive_run(due=150.0, polls=21, on_record=on_record)
+    assert writes == [(180.0, 1), (1080.0, 0)]
+    assert _ticks(records) == sorted([k * 60.0 for k in range(20)] + [150.0])
+    held = records[3]
+    assert (held.tick - SIM_EPOCH, held.desired, held.reason, held.wrote_scale) == (150.0, 0, Reason.HOLD, False)
+
+
+def test_a_restart_whose_downtime_covers_the_dwell_end_ends_it_at_the_first_poll():
+    # The dwell from 0 s would end at 330 s; no manager runs from 320 s to
+    # 365 s, so the next one's first poll scales down. The next keepalive
+    # falls due 1470 s after that, half a poll off the new grid, and its
+    # dwell ends 330 s later.
+    script = ScenarioScript(
+        horizon=2400,
+        events=[ScenarioEvent(at=320, kind="restart_manager", payload={"downtime": 45})],
+        pod_startup_delay=20,
+        policy={"force_interval": 1800, "min_dwell": 330},
+    )
+    result = run_scenario(script)
+    assert not result.scenario_failed
+    assert result.writes == [(0.0, 1), (365.0, 0), (1835.0, 1), (2165.0, 0)]
+    assert_agrees_with_oracle(script, result)
+
+
 def test_kube_throttling_holds_without_exiting(clock):
     github = FakeGitHub(expected_token="t", clock=clock).start()
     kube = FakeKube(clock=clock).start()
