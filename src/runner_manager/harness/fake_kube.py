@@ -6,7 +6,7 @@ calls it in-process, and ``start()``, shared with fake GitHub through
 where a test may read its state while a served request changes it, hence
 its lock.
 
-The reconcile loop sends one ``GET`` of the Deployment a poll and at most
+Each poll the loop sends at most one ``GET`` of the Deployment and at most
 one write: a merge patch of the Deployment that carries ``spec.replicas``,
 ``metadata.annotations`` or both. The fake answers exactly what the shipped
 Role grants, ``get`` and ``patch`` of ``deployments`` in namespace ``ci``,

@@ -5,22 +5,25 @@ express a cluster-scoped request, which is the whole point of the design.
 The client's token, namespace, CA and API address are resolved in one
 place, :func:`resolve_credentials`, from the config and the environment.
 
-The reconcile loop sends one ``GET`` of the Deployment per poll: that object
-carries ``spec.replicas``, ``status.readyReplicas`` and the annotations that
-hold the keepalive bookkeeping. It writes at most once a poll, through one
-merge patch of the Deployment: :meth:`KubeClient.write_scale` sends
-``spec.replicas`` with whichever annotations changed,
-:meth:`KubeClient.write_annotation` the annotations alone. Nothing touches
-``/scale``, so the Role needs ``get`` and ``patch`` on ``deployments`` and
-no more. The loop calls nothing else; :meth:`KubeClient.read_annotations`
-and :meth:`KubeClient.list_runner_pods` stay only because the benchmark's
-tracer looks them up by name. The Role does not grant the pod list, so the
-API server, and fake Kubernetes with it, answers that one ``403``. A
-``409`` conflict, a ``429`` from API Priority and Fairness and a ``5xx``
-are transient: the loop skips that poll's writes and tries again next poll.
-Requests go through one :class:`~runner_manager.transport.HttpTransport`
-bound to the API address, as paths below it, unless the caller hands the
-client another transport (the harness does).
+The reconcile loop sends at most one ``GET`` of the Deployment a poll: that
+object carries ``spec.replicas``, ``status.readyReplicas`` and the
+annotations that hold the keepalive bookkeeping. An idle loop that already
+knows the Deployment holds 0 replicas reads it only about once per
+``min_dwell`` (see :mod:`runner_manager.reconciler`). It writes at most
+once a poll, through one merge patch of the Deployment:
+:meth:`KubeClient.write_scale` sends ``spec.replicas`` with whichever
+annotations changed, :meth:`KubeClient.write_annotation` the annotations
+alone. Nothing touches ``/scale``, so the Role needs ``get`` and ``patch``
+on ``deployments`` and no more. The loop calls nothing else;
+:meth:`KubeClient.read_annotations` and :meth:`KubeClient.list_runner_pods`
+stay only because the benchmark's tracer looks them up by name. The Role
+does not grant the pod list, so the API server, and fake Kubernetes with
+it, answers that one ``403``. A ``409`` conflict, a ``429`` from API
+Priority and Fairness and a ``5xx`` are transient: the loop skips that
+poll's writes and tries again next poll. Requests go through one
+:class:`~runner_manager.transport.HttpTransport` bound to the API address,
+as paths below it, unless the caller hands the client another transport
+(the harness does).
 """
 
 from __future__ import annotations

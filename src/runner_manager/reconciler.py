@@ -2,13 +2,24 @@
 
 One iteration combines three inputs -- the outstanding matching jobs (None
 when the GitHub poll failed, at least ``max_runners`` when saturated), the
-keepalive deadline, and the Deployment (None when its read failed, and then
-nothing is written) -- into a target replica count, and keeps the keepalive
-bookkeeping durable in Deployment annotations so a manager restart cannot
-silently let the runner's registration token age out. A poll sends at most
-one write: one merge patch of the Deployment that carries the new
-``spec.replicas`` and whichever annotations changed, or the annotations
-alone when the count stays.
+keepalive deadline, and the Deployment (None when its read failed or was
+skipped, and then nothing is written) -- into a target replica count, and
+keeps the keepalive bookkeeping durable in Deployment annotations so a
+manager restart cannot silently let the runner's registration token age
+out. A poll sends at most one write: one merge patch of the Deployment that
+carries the new ``spec.replicas`` and whichever annotations changed, or the
+annotations alone when the count stays.
+
+A poll reads the Deployment unless it is an idle poll whose answer the loop
+already holds: it decides idle less than ``min_dwell`` after this
+incarnation last read the Deployment, the last Kubernetes call succeeded,
+``spec.replicas`` is 0 as last read or as the loop last wrote it, and no
+annotation waits to be written. Such a poll sends no Kubernetes request,
+and its record reports the replica count the loop holds. The decision needs
+the Deployment only to hold, so it is the same either way. An idle manager
+thus reads about once per ``min_dwell``: a hand scale-up is undone within
+``min_dwell`` plus one poll, and a revoked token or a deleted Deployment
+fails the first read after it, at most ``min_dwell`` late.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
@@ -90,7 +101,7 @@ class ReconcileRecord:
     decided_at: float
     queued: int | None
     in_progress: int | None
-    observed_replicas: int | None
+    observed_replicas: int | None  # spec.replicas as last read or written; None: this poll's read failed
     desired: int
     reason: Reason
     wrote_scale: bool
@@ -282,6 +293,10 @@ class ReconcileLoop:
         self.kube_streaks = _Streaks("kubernetes")
         # The state the Deployment annotations hold; None until they are read.
         self._persisted: ManagerState | None = None
+        # spec.replicas as last read or written, and when it was last read;
+        # None until this incarnation first reads the Deployment.
+        self._known_replicas: int | None = None
+        self._read_at: float | None = None
 
     # -- durable state ----------------------------------------------------
 
@@ -331,8 +346,13 @@ class ReconcileLoop:
         if self.stop.is_set():
             return None
 
-        deployment = self.kube_streaks.step(self._observe_kube)
         now = self.clock.now()
+        if self._idle_as_known(jobs, now):
+            deployment, observed = None, self._known_replicas
+        else:
+            deployment = self.kube_streaks.step(self._observe_kube)
+            now = self.clock.now()
+            observed = deployment.spec_replicas if deployment else None
 
         decision = compute_desired(jobs, deployment, self.state, self.policy, now)
 
@@ -346,6 +366,7 @@ class ReconcileLoop:
             wrote = bool(self.kube_streaks.step(lambda: self._write(replicas, trailing)))
         if wrote:
             self.state = replace(self.state, last_written_replicas=decision.target_replicas)
+            self._known_replicas = decision.target_replicas
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.
@@ -356,7 +377,7 @@ class ReconcileLoop:
             decided_at=now,
             queued=_count(jobs, "queued"),
             in_progress=_count(jobs, "in_progress"),
-            observed_replicas=deployment.spec_replicas if deployment else None,
+            observed_replicas=observed,
             desired=decision.target_replicas,
             reason=decision.reason,
             wrote_scale=wrote,
@@ -375,12 +396,29 @@ class ReconcileLoop:
             interrupt=self.stop,
         )
 
+    def _idle_as_known(self, jobs: list[JobRecord] | None, now: float) -> bool:
+        """True when this poll decides idle and the loop already holds what
+        its Deployment read would tell: this incarnation read the Deployment
+        less than ``min_dwell`` ago, its last Kubernetes call succeeded, it
+        knows ``spec.replicas`` to be 0, and the annotations already hold the
+        state this decision leaves. Such a poll sends no Kubernetes request;
+        the decision needs no Deployment, which only a hold reads."""
+        if self._known_replicas != 0 or self.kube_streaks.errors or now - self._read_at >= self.policy.min_dwell:
+            return False
+        decision = compute_desired(jobs, None, self.state, self.policy, now)
+        if decision.reason is not Reason.IDLE:
+            return False
+        after = update_state(self.state, decision, None, now)
+        persisted = self._persisted
+        return (after.last_active, after.keepalive_started_at) == (persisted.last_active, persisted.keepalive_started_at)
+
     def _observe_kube(self) -> DeploymentSnapshot:
-        """The poll's one Kubernetes read: a GET of the Deployment, which
+        """The poll's Kubernetes read: a GET of the Deployment, which
         carries spec and ready replicas and the annotations. The first
         successful read of this incarnation also loads the durable state
         from those annotations."""
         deployment = self.kube.read_scale()
+        self._known_replicas, self._read_at = deployment.spec_replicas, self.clock.now()
         if self._persisted is None:
             annotations = deployment.annotations
             self.state = self._persisted = replace(

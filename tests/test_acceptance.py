@@ -45,10 +45,10 @@ import workloads  # noqa: E402
 BULK_SCENARIOS = 1000
 RESTART_SCENARIOS = 100
 # Request budget of the bulk batch, per poll: each ceiling sits just above
-# the figure measured when it was set (2.065, 0.528 and 1.143).
+# the figure measured when it was set (2.065, 0.528 and 1.038).
 GITHUB_REQUESTS_PER_POLL = 2.1
 GITHUB_CHARGED_PER_POLL = 0.54
-KUBE_REQUESTS_PER_POLL = 1.15
+KUBE_REQUESTS_PER_POLL = 1.04
 # The same for one storm scenario of the benchmark (294 GitHub requests, 88
 # of them charged, and 70 Kubernetes requests in 60 polls).
 STORM_GITHUB_PER_POLL = 4.95
@@ -403,19 +403,24 @@ def test_request_budget(bulk, month_long_idle):
     rates = _under_ceilings(per_poll, f"{polls} polls")
 
     # Idle: two conditional run listings a poll, of which only the first
-    # poll's two draw on the rate limit, and one Deployment GET a poll.
+    # poll's two draw on the rate limit. The Deployment is read on every
+    # poll from an activation's first to its scale-down, 16 polls each of
+    # the nine times, and otherwise once per min_dwell (15 polls): 334 times
+    # in each of the eight idle stretches of 5,024 polls between
+    # activations, and 190 times in the last one, of 2,864 polls.
     idle = month_long_idle
     idle_polls = len(idle.decisions)
     assert idle.github_api_requests == 2 * idle_polls
     assert idle.github_charged_requests == 2
-    assert idle.kube_requests["GET"] == idle_polls
+    assert idle_polls == 9 * 16 + 8 * 5024 + 2864 == 43200
+    assert idle.kube_requests["GET"] == 9 * 16 + 8 * (5024 // 15) + 2864 // 15 == 3006
     # Nine keepalive activations, each one patch to scale up with the
     # dwell's start, one to move last-active once the runner is ready, and
     # one to scale down with the exact stamp: never two writes in a poll.
     assert idle.kube_requests["PATCH"] == 27
     print(
         f"REQUEST BUDGET PASS - requests a poll over {polls} polls: {rates}; "
-        "30-day idle: 2 GitHub a poll, 2 charged, 27 Kubernetes PATCHes"
+        f"30-day idle: 2 GitHub a poll, 2 charged, 3006 Kubernetes GETs in {idle_polls} polls, 27 PATCHes"
     )
 
 

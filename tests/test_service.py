@@ -390,16 +390,18 @@ def test_idle_polls_read_scale_and_never_list_pods(clock, monkeypatch):
     ).start()
     per_poll, on_record = _requests_per_poll(monkeypatch)
     try:
-        code, records = _run_polls(clock, github, kube, polls=10, on_record=on_record)
+        code, records = _run_polls(clock, github, kube, polls=20, on_record=on_record)
     finally:
         github.close()
         kube.close()
     assert code == EXIT_OK
     assert {(r.desired, r.reason, r.wrote_scale) for r in records} == {(0, Reason.IDLE, False)}
-    # One GET of the Deployment a poll, the first included: it also carries
-    # the annotations. No pod list, no /scale read.
-    assert [len(poll) for poll in per_poll] == [1] * 10
+    # One GET of the Deployment at the first poll, which also carries the
+    # annotations, and one more min_dwell (15 polls) later; the idle polls
+    # in between already know it holds 0 replicas. No pod list, no /scale read.
+    assert [len(poll) for poll in per_poll] == [1] + [0] * 14 + [1] + [0] * 4
     assert {request for poll in per_poll for request in poll} == {("GET", DEPLOYMENT_PATH)}
+    assert {r.observed_replicas for r in records} == {0}
 
 
 def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
@@ -430,7 +432,10 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
     assert (down.desired, down.wrote_scale) == (0, True)
     min_dwell = Policy().min_dwell
     for record, sent, stamp in zip(records, per_poll, stamps):
-        assert [request for request in sent if request[0] == "GET"] == [("GET", DEPLOYMENT_PATH)]
+        # A GET on each poll through the scale-down; the idle polls after it
+        # already know the Deployment holds 0 replicas.
+        reads = [("GET", DEPLOYMENT_PATH)] if record.tick <= down.tick else []
+        assert [request for request in sent if request[0] == "GET"] == reads
         if record.tick < down.tick:
             # While the runner stays up, the stamp trails by under min_dwell.
             if record.observed_replicas >= 1:
@@ -440,6 +445,96 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
         else:
             # The scale-to-zero poll writes its own time, exactly.
             assert stamp == to_rfc3339(down.decided_at)
+
+
+def test_a_skipped_idle_poll_reports_the_replicas_it_knows(clock, monkeypatch):
+    # The second poll sends no Kubernetes request; /status and the log line
+    # still report the 0 replicas the first poll read, not null.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    per_poll, on_record = _requests_per_poll(monkeypatch)
+    try:
+        code, records = _run_polls(clock, github, kube, polls=2, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert [len(poll) for poll in per_poll] == [1, 0]
+    status = records[1].as_status_dict()
+    assert (status["observed_replicas"], status["consecutive_kube_errors"]) == (0, 0)
+    assert status["last_decision"] == {"target_replicas": 0, "reason": "idle"}
+    assert records[1].as_log_dict() == {
+        "time": to_rfc3339(60.0),
+        "queued": 0,
+        "in_progress": 0,
+        "observed": 0,
+        "desired": 0,
+        "reason": "idle",
+        "wrote_scale": False,
+    }
+
+
+def test_a_hand_scale_up_while_idle_is_undone_at_the_next_read(clock):
+    # Someone scales the Deployment to 1 right after the first poll read it.
+    # The idle polls do not look again until min_dwell later; that poll sees
+    # the ready runner, moves last-active to its own time and writes 0.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+
+    def on_record(record):
+        if record.tick == 0.0:
+            kube.apply_scale(1)  # not a patch of the manager's: on_scale_write stays silent
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=20, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    policy = Policy()
+    undone = next(r for r in records if r.wrote_scale)
+    assert replica_writes == [(undone.decided_at, 0)]
+    assert undone.decided_at <= policy.min_dwell + policy.poll_interval
+    assert (undone.observed_replicas, undone.desired, undone.reason) == (1, 0, Reason.IDLE)
+    assert kube.annotations[ANNOTATION_LAST_ACTIVE] == to_rfc3339(undone.decided_at)
+    assert kube.spec_replicas == 0
+
+
+def test_a_kube_401_that_starts_while_idle_still_exits():
+    # The first poll reads the Deployment; the fault starts a second later.
+    # The idle polls send nothing until min_dwell after that read, whose
+    # poll is the first to fail; three failed polls in a row end the manager.
+    script = ScenarioScript(
+        horizon=3600,
+        events=[ScenarioEvent(at=1, kind="kube_fault", payload={"status": 401})],
+        initial_last_active=0,
+    )
+    result = run_scenario(script)
+    assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
+    records = [entry.detail for entry in result.trace.select("manager", "decision")]
+    policy = result.policy
+    first_failed = next(r for r in records if r.consecutive_kube_errors)
+    assert first_failed.tick - SIM_EPOCH <= 1 + policy.min_dwell
+    assert [r.consecutive_kube_errors for r in records] == [0] * 15 + [1, 2]
+    # A skipped poll reports the replicas it knows; null only a failed read.
+    assert [r.observed_replicas for r in records] == [0] * 15 + [None, None]
+    assert result.kube_requests == {"GET": 4}
+
+
+def test_a_deployment_deleted_while_idle_exits_at_the_next_read():
+    # The API server answers a GET of a deleted Deployment 404.
+    script = ScenarioScript(
+        horizon=3600,
+        events=[ScenarioEvent(at=1, kind="kube_fault", payload={"status": 404})],
+        initial_last_active=0,
+    )
+    result = run_scenario(script)
+    assert result.manager_exit_codes[-1] == EXIT_CONFIG
+    # Fifteen idle polls, the first read included; the read min_dwell later exits.
+    assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(15)]
+    assert result.kube_requests == {"GET": 2}
 
 
 def _record_last_active_patches(monkeypatch) -> list[str]:
