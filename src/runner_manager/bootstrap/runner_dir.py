@@ -28,6 +28,10 @@ logger = logging.getLogger(__name__)
 MARKER_NAME = ".runner-initialized"
 LOCK_NAME = ".init.lock"
 CONFIG_NAME = "runner-config.json"
+# Seconds the runner software gets to exit after the forwarded SIGTERM
+# before it is sent SIGKILL: under the kubelet's default termination grace
+# period of 30 s, so this process, not the kubelet, ends it.
+STOP_GRACE_SECONDS = 25.0
 
 
 @contextmanager
@@ -112,7 +116,8 @@ def run_runner(
 
     Refuses to start without the init marker. Termination requests are
     forwarded to the child so the runner software can deregister cleanly;
-    the child's exit status is returned (the Deployment controller handles
+    a child still running ``STOP_GRACE_SECONDS`` later is killed. The
+    child's exit status is returned (the Deployment controller handles
     restarts on crash).
     """
     environment = environment if environment is not None else dict(os.environ)
@@ -134,13 +139,24 @@ def run_runner(
 
     def _watch_stop():
         stop.wait()
-        if child.poll() is None:
-            child.send_signal(signal.SIGTERM)
+        _terminate(child)
 
     threading.Thread(target=_watch_stop, daemon=True).start()
 
     try:
         return child.wait()
     except KeyboardInterrupt:
-        child.send_signal(signal.SIGTERM)
+        _terminate(child)
         return child.wait()
+
+
+def _terminate(child: subprocess.Popen) -> None:
+    """Send the child SIGTERM, then SIGKILL if it outlives the grace period."""
+    if child.poll() is not None:
+        return
+    child.send_signal(signal.SIGTERM)
+    try:
+        child.wait(timeout=STOP_GRACE_SECONDS)
+    except subprocess.TimeoutExpired:
+        logger.warning("runner did not exit %.0f s after SIGTERM; sending SIGKILL", STOP_GRACE_SECONDS)
+        child.kill()

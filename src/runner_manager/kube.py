@@ -7,8 +7,8 @@ place, :func:`resolve_credentials`, from the config and the environment.
 
 The reconcile loop sends at most one ``GET`` of the Deployment a poll: that
 object carries ``spec.replicas``, ``status.readyReplicas`` and the
-annotations that hold the keepalive bookkeeping. An idle loop that already
-knows the Deployment holds 0 replicas reads it only about once per
+annotations that hold the keepalive bookkeeping. A loop that keeps the
+replica count it already holds, idle or busy, reads it only about once per
 ``min_dwell`` (see :mod:`runner_manager.reconciler`). It writes at most
 once a poll, through one merge patch of the Deployment:
 :meth:`KubeClient.write_scale` sends ``spec.replicas`` with whichever

@@ -10,16 +10,24 @@ out. A poll sends at most one write: one merge patch of the Deployment that
 carries the new ``spec.replicas`` and whichever annotations changed, or the
 annotations alone when the count stays.
 
-A poll reads the Deployment unless it is an idle poll whose answer the loop
-already holds: it decides idle less than ``min_dwell`` after this
-incarnation last read the Deployment, the last Kubernetes call succeeded,
-``spec.replicas`` is 0 as last read or as the loop last wrote it, and no
-annotation waits to be written. Such a poll sends no Kubernetes request,
-and its record reports the replica count the loop holds. The decision needs
-the Deployment only to hold, so it is the same either way. An idle manager
-thus reads about once per ``min_dwell``: a hand scale-up is undone within
-``min_dwell`` plus one poll, and a revoked token or a deleted Deployment
-fails the first read after it, at most ``min_dwell`` late.
+A poll reads the Deployment unless the loop already holds what the read
+would tell (:meth:`ReconcileLoop._holds_answer`): the decision, made
+without the Deployment, is not a hold and keeps ``spec.replicas`` as last
+read or as the loop last wrote it; the last Kubernetes call succeeded; the
+``keepalive-started`` annotation would not change; and the count is fresh.
+At 0 replicas, fresh means the last read was less than ``min_dwell`` ago
+and ``last-active`` would not change either. At 1 or more, it means the
+last read saw a ready replica and the ``last-active`` annotation is less
+than ``min_dwell`` old, so the loop reads again on exactly the poll whose
+read would send the trailing refresh. Such a poll sends no Kubernetes
+request, and its record reports the replica count the loop holds and when
+it last read or wrote it. The decision needs the Deployment only to hold,
+so it is the same either way. A manager that keeps its count, idle or
+busy, thus reads about once per ``min_dwell``: a hand scale, a runner that
+stops being ready, a revoked token or a deleted Deployment is seen at most
+``min_dwell`` plus one poll late. While reads are skipped the in-memory
+``last_active`` stays at the last read that saw a ready runner, so a
+keepalive can only come early, never late.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
@@ -102,6 +110,7 @@ class ReconcileRecord:
     queued: int | None
     in_progress: int | None
     observed_replicas: int | None  # spec.replicas as last read or written; None: this poll's read failed
+    observed_at: float | None  # when observed_replicas was read or written; None with it
     desired: int
     reason: Reason
     wrote_scale: bool
@@ -126,6 +135,7 @@ class ReconcileRecord:
             "last_poll_time": to_rfc3339(self.tick),
             "last_decision": {"target_replicas": self.desired, "reason": self.reason.value},
             "observed_replicas": self.observed_replicas,
+            "observed_at": _format_ts(self.observed_at),
             "consecutive_github_errors": self.consecutive_github_errors,
             "consecutive_kube_errors": self.consecutive_kube_errors,
             "keepalive_next_due": _format_ts(self.keepalive_next_due),
@@ -293,10 +303,13 @@ class ReconcileLoop:
         self.kube_streaks = _Streaks("kubernetes")
         # The state the Deployment annotations hold; None until they are read.
         self._persisted: ManagerState | None = None
-        # spec.replicas as last read or written, and when it was last read;
-        # None until this incarnation first reads the Deployment.
+        # spec.replicas as last read or written, when it was last read or
+        # written, when it was last read, and whether that read saw a ready
+        # replica; None until this incarnation first reads the Deployment.
         self._known_replicas: int | None = None
+        self._known_at: float | None = None
         self._read_at: float | None = None
+        self._ready_at_read = False
 
     # -- durable state ----------------------------------------------------
 
@@ -347,12 +360,13 @@ class ReconcileLoop:
             return None
 
         now = self.clock.now()
-        if self._idle_as_known(jobs, now):
-            deployment, observed = None, self._known_replicas
+        if self._holds_answer(jobs, now):
+            deployment = None
+            observed, observed_at = self._known_replicas, self._known_at
         else:
             deployment = self.kube_streaks.step(self._observe_kube)
             now = self.clock.now()
-            observed = deployment.spec_replicas if deployment else None
+            observed, observed_at = (self._known_replicas, self._known_at) if deployment else (None, None)
 
         decision = compute_desired(jobs, deployment, self.state, self.policy, now)
 
@@ -366,7 +380,7 @@ class ReconcileLoop:
             wrote = bool(self.kube_streaks.step(lambda: self._write(replicas, trailing)))
         if wrote:
             self.state = replace(self.state, last_written_replicas=decision.target_replicas)
-            self._known_replicas = decision.target_replicas
+            self._known_replicas, self._known_at = decision.target_replicas, self.clock.now()
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.
@@ -378,6 +392,7 @@ class ReconcileLoop:
             queued=_count(jobs, "queued"),
             in_progress=_count(jobs, "in_progress"),
             observed_replicas=observed,
+            observed_at=observed_at,
             desired=decision.target_replicas,
             reason=decision.reason,
             wrote_scale=wrote,
@@ -396,21 +411,27 @@ class ReconcileLoop:
             interrupt=self.stop,
         )
 
-    def _idle_as_known(self, jobs: list[JobRecord] | None, now: float) -> bool:
-        """True when this poll decides idle and the loop already holds what
-        its Deployment read would tell: this incarnation read the Deployment
-        less than ``min_dwell`` ago, its last Kubernetes call succeeded, it
-        knows ``spec.replicas`` to be 0, and the annotations already hold the
-        state this decision leaves. Such a poll sends no Kubernetes request;
-        the decision needs no Deployment, which only a hold reads."""
-        if self._known_replicas != 0 or self.kube_streaks.errors or now - self._read_at >= self.policy.min_dwell:
+    def _holds_answer(self, jobs: list[JobRecord] | None, now: float) -> bool:
+        """True when this poll's Deployment read would tell the loop nothing
+        it needs: the decision, made without the Deployment, is not a hold
+        and keeps the ``spec.replicas`` the loop knows; its last Kubernetes
+        call succeeded; ``keepalive-started`` would not change; and the
+        count is fresh (see the module docstring). Such a poll sends no
+        Kubernetes request and writes nothing."""
+        if self._known_replicas is None or self.kube_streaks.errors:
             return False
         decision = compute_desired(jobs, None, self.state, self.policy, now)
-        if decision.reason is not Reason.IDLE:
+        if decision.reason is Reason.HOLD or decision.target_replicas != self._known_replicas:
             return False
-        after = update_state(self.state, decision, None, now)
-        persisted = self._persisted
-        return (after.last_active, after.keepalive_started_at) == (persisted.last_active, persisted.keepalive_started_at)
+        after, persisted = update_state(self.state, decision, None, now), self._persisted
+        if after.keepalive_started_at != persisted.keepalive_started_at:
+            return False
+        if decision.target_replicas == 0:
+            return after.last_active == persisted.last_active and now - self._read_at < self.policy.min_dwell
+        # A read that saw the runner still ready would send last-active once
+        # the persisted stamp is min_dwell old (see _write): read then.
+        stamp = persisted.last_active
+        return self._ready_at_read and stamp is not None and now - stamp < self.policy.min_dwell
 
     def _observe_kube(self) -> DeploymentSnapshot:
         """The poll's Kubernetes read: a GET of the Deployment, which
@@ -418,7 +439,9 @@ class ReconcileLoop:
         successful read of this incarnation also loads the durable state
         from those annotations."""
         deployment = self.kube.read_scale()
-        self._known_replicas, self._read_at = deployment.spec_replicas, self.clock.now()
+        self._known_replicas = deployment.spec_replicas
+        self._known_at = self._read_at = self.clock.now()
+        self._ready_at_read = deployment.ready_replicas >= 1
         if self._persisted is None:
             annotations = deployment.annotations
             self.state = self._persisted = replace(

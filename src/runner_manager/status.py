@@ -32,6 +32,7 @@ BEFORE_FIRST_POLL = {
     "last_poll_time": None,
     "last_decision": None,
     "observed_replicas": None,
+    "observed_at": None,
     "consecutive_github_errors": 0,
     "consecutive_kube_errors": 0,
     "keepalive_next_due": None,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shlex
+import signal
 import sys
 import threading
 import time
@@ -18,6 +19,7 @@ from runner_manager.bootstrap import (
     init_runner_dir,
     run_runner,
 )
+from runner_manager.bootstrap import runner_dir
 from runner_manager.clock import SystemClock
 from runner_manager.config import RepoCoordinates
 from runner_manager.errors import CredentialError
@@ -175,6 +177,32 @@ def test_entrypoint_runs_fake_runner_through_a_job(github, client, profile):
     assert MARKER_NAME in persistent_files
     assert "runner-config.json" in persistent_files
     assert not any("job-" in name for name in persistent_files)
+
+
+def test_a_runner_that_ignores_sigterm_is_killed_after_the_grace_period(profile, monkeypatch):
+    # run.sh notes that it started and that it got SIGTERM, and keeps running.
+    monkeypatch.setattr(runner_dir, "STOP_GRACE_SECONDS", 0.5)
+    Path(profile.persistent_dir, MARKER_NAME).write_text("2024-01-01T00:00:00Z\n")
+    run_sh = Path(profile.persistent_dir, "run.sh")
+    run_sh.write_text("#!/bin/sh\ntrap 'touch got-term' TERM\ntouch started\nwhile :; do sleep 0.05; done\n")
+    run_sh.chmod(0o755)
+    started, got_term = Path(profile.persistent_dir, "started"), Path(profile.persistent_dir, "got-term")
+
+    stop = threading.Event()
+    exit_codes = []
+    thread = threading.Thread(
+        target=lambda: exit_codes.append(run_runner(profile, stop=stop, environment=dict(os.environ))),
+        daemon=True,
+    )
+    thread.start()
+    deadline = time.time() + 10
+    while not started.exists() and time.time() < deadline:
+        time.sleep(0.01)
+    assert started.exists()
+    stop.set()
+    thread.join(timeout=10)
+    assert exit_codes == [-signal.SIGKILL]
+    assert got_term.exists()
 
 
 def test_marker_contains_timestamp(client, profile):

@@ -404,7 +404,7 @@ def test_idle_polls_read_scale_and_never_list_pods(clock, monkeypatch):
     assert {r.observed_replicas for r in records} == {0}
 
 
-def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
+def test_keepalive_dwell_reads_the_deployment_at_its_first_two_polls_and_its_end(clock, monkeypatch):
     # No annotations: the keepalive is due at once, so the manager scales to
     # 1, holds the runner for min_dwell (15 polls), then scales back to 0.
     github = FakeGitHub(expected_token="t", clock=clock).start()
@@ -431,10 +431,12 @@ def test_keepalive_dwell_reads_the_deployment_once_a_poll(clock, monkeypatch):
     down = records[15]
     assert (down.desired, down.wrote_scale) == (0, True)
     min_dwell = Policy().min_dwell
-    for record, sent, stamp in zip(records, per_poll, stamps):
-        # A GET on each poll through the scale-down; the idle polls after it
-        # already know the Deployment holds 0 replicas.
-        reads = [("GET", DEPLOYMENT_PATH)] if record.tick <= down.tick else []
+    for poll, (record, sent, stamp) in enumerate(zip(records, per_poll, stamps)):
+        # A GET at the scale-up, at the next poll, which first sees the
+        # runner ready and sends last-active, and at the scale-down. The
+        # polls in between keep 1 replica with last-active under min_dwell
+        # old; the idle polls after it know the Deployment holds 0 replicas.
+        reads = [("GET", DEPLOYMENT_PATH)] if poll in (0, 1, 15) else []
         assert [request for request in sent if request[0] == "GET"] == reads
         if record.tick < down.tick:
             # While the runner stays up, the stamp trails by under min_dwell.
@@ -535,6 +537,104 @@ def test_a_deployment_deleted_while_idle_exits_at_the_next_read():
     # Fifteen idle polls, the first read included; the read min_dwell later exits.
     assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(15)]
     assert result.kube_requests == {"GET": 2}
+
+
+def test_a_skipped_busy_poll_reports_when_its_count_was_last_read(clock, monkeypatch):
+    # A keepalive: the first poll reads 0 and writes 1, the second reads the
+    # ready runner, and the third, which keeps 1 replica, sends nothing. Its
+    # record reports the count and the time of the read behind it.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock).start()
+    per_poll, on_record = _requests_per_poll(monkeypatch)
+    try:
+        code, records = _run_polls(clock, github, kube, polls=3, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert [len(poll) for poll in per_poll] == [2, 2, 0]
+    assert [(r.observed_replicas, r.observed_at) for r in records] == [(0, 0.0), (1, 60.0), (1, 60.0)]
+    status = records[2].as_status_dict()
+    assert (status["observed_replicas"], status["observed_at"]) == (1, to_rfc3339(60.0))
+    assert status["last_decision"] == {"target_replicas": 1, "reason": "keepalive"}
+    assert records[2].as_log_dict() == {
+        "time": to_rfc3339(120.0),
+        "queued": 0,
+        "in_progress": 0,
+        "observed": 1,
+        "desired": 1,
+        "reason": "keepalive",
+        "wrote_scale": False,
+    }
+
+
+def test_a_hand_scale_down_during_demand_is_undone_at_the_next_read(clock):
+    # A ready runner and a job nobody claims. Someone scales the Deployment
+    # to 0 right after the first poll read it and stamped last-active. The
+    # busy polls do not look again until that stamp is min_dwell old; that
+    # poll sees no replica and writes 1 again.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    github.enqueue_job(LABELS, duration=7200.0)
+    kube = FakeKube(clock=clock).start()
+    kube.apply_scale(1)
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+
+    def on_record(record):
+        if record.tick == 0.0:
+            kube.apply_scale(0)  # not a patch of the manager's: on_scale_write stays silent
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=20, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    policy = Policy()
+    undone = next(r for r in records if r.wrote_scale)
+    assert replica_writes == [(undone.decided_at, 1)]
+    assert undone.decided_at <= policy.min_dwell + policy.poll_interval
+    assert (undone.observed_replicas, undone.desired, undone.reason) == (0, 1, Reason.DEMAND)
+    assert kube.spec_replicas == 1
+
+
+def _busy_script(fault: int) -> ScenarioScript:
+    """A job that outlasts the run claims a runner from the 120 s poll on;
+    a ``kube_fault`` of status ``fault`` starts at 200 s, mid-demand."""
+    return ScenarioScript(
+        horizon=3600,
+        events=[
+            ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": LABELS, "duration": 7200}),
+            ScenarioEvent(at=200, kind="kube_fault", payload={"status": fault}),
+        ],
+        pod_startup_delay=20,
+        initial_last_active=0,
+    )
+
+
+def test_a_kube_401_that_starts_during_demand_still_exits():
+    # Reads at 0 s, at the 60 s scale-up, and at 120 s, which first sees the
+    # runner ready. The last-active stamp the run starts with, at 0 s, is
+    # under min_dwell old, so the busy polls send nothing until it is, at
+    # 900 s: the first failed read. Three failed polls in a row end the
+    # manager.
+    result = run_scenario(_busy_script(401))
+    assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
+    records = [entry.detail for entry in result.trace.select("manager", "decision")]
+    policy = result.policy
+    first_failed = next(r for r in records if r.consecutive_kube_errors)
+    assert first_failed.tick - SIM_EPOCH <= 200 + policy.min_dwell + policy.poll_interval
+    assert [r.consecutive_kube_errors for r in records] == [0] * 15 + [1, 2]
+    assert [r.observed_replicas for r in records] == [0, 0] + [1] * 13 + [None, None]
+    assert result.kube_requests == {"GET": 6, "PATCH": 1}
+
+
+def test_a_deployment_deleted_during_demand_exits_at_the_next_read():
+    # The same busy run; the read at 900 s meets the 404 and exits.
+    result = run_scenario(_busy_script(404))
+    assert result.manager_exit_codes[-1] == EXIT_CONFIG
+    assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(15)]
+    assert result.kube_requests == {"GET": 4, "PATCH": 1}
 
 
 def _record_last_active_patches(monkeypatch) -> list[str]:
@@ -638,6 +738,51 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
     finally:
         gh_client.close()
         github.close()
+
+
+def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_sighting(clock):
+    # Demand for the one ready runner. A GitHub outage makes the 960 s poll
+    # hold, which reads the Deployment and sees the runner ready, but sends
+    # no last-active: the stamp written at 900 s is not min_dwell old. The
+    # runner then stops being ready while the busy polls send nothing. The
+    # stamp never passes the last read that saw the runner ready, and the
+    # read that first misses it, at 1800 s, writes exactly that sighting.
+    # With no ready runner, every poll after it reads.
+    policy = Policy()
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    github.enqueue_job(LABELS, duration=1e6, ref="job")
+    kube = _RunnerKube()
+    sightings = []  # when a read saw the runner ready
+    read_scale = kube.read_scale
+
+    def read_and_note():
+        snapshot = read_scale()
+        if snapshot.ready_replicas >= 1:
+            sightings.append(clock.now())
+        return snapshot
+
+    kube.read_scale = read_and_note
+    gh_client = GitHubClient(github.base_url, "t", clock=clock)
+    try:
+        loop = ReconcileLoop(gh_client, kube, policy, clock, REPO, threading.Event())
+        records, stamps = [], []
+        for poll in range(32):
+            if poll == 16:
+                github.set_fault("status", 503.0)
+            if poll == 17:
+                github.clear_fault()
+                kube.ready_replicas = 0
+            records.append(loop.reconcile_once(clock.now()))
+            stamps.append(from_rfc3339(kube.annotations[ANNOTATION_LAST_ACTIVE]))
+            assert stamps[-1] <= sightings[-1]
+            clock.advance(policy.poll_interval)
+    finally:
+        gh_client.close()
+        github.close()
+    assert sightings == [0.0, 900.0, 960.0]
+    assert [r.decided_at for r in records if r.observed_at == r.decided_at] == [0.0, 900.0, 960.0, 1800.0, 1860.0]
+    assert stamps[16:30] == [900.0] * 14
+    assert stamps[30:] == [960.0, 960.0]
 
 
 def _keepalive_run(due: float, polls: int, on_record=None) -> tuple[SteppingClock, list, list]:

@@ -24,6 +24,7 @@ def _record(**overrides) -> ReconcileRecord:
         queued=0,
         in_progress=0,
         observed_replicas=0,
+        observed_at=1704067200.0,
         desired=0,
         reason=Reason.IDLE,
         wrote_scale=False,
@@ -135,6 +136,7 @@ def test_status_keys_before_and_after_first_poll(server):
         "last_poll_time": None,
         "last_decision": None,
         "observed_replicas": None,
+        "observed_at": None,
         "consecutive_github_errors": 0,
         "consecutive_kube_errors": 0,
         "keepalive_next_due": None,
@@ -156,6 +158,7 @@ def test_status_keys_before_and_after_first_poll(server):
         "last_poll_time": "2024-01-01T00:00:00Z",
         "last_decision": {"target_replicas": 1, "reason": "keepalive"},
         "observed_replicas": 1,
+        "observed_at": "2024-01-01T00:00:00Z",
         "consecutive_github_errors": 2,
         "consecutive_kube_errors": 1,
         "keepalive_next_due": "2024-01-01T00:00:00.500000Z",
