@@ -149,6 +149,8 @@ spec:
       labels:
         app: {runner_name}
     spec:
+      # runner-bootstrap never calls the Kubernetes API: mount no token.
+      automountServiceAccountToken: false
       containers:
         - name: runner
           image: {image}

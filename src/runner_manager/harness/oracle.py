@@ -38,7 +38,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from ..clock import to_rfc3339
+from ..clock import from_rfc3339, to_rfc3339
 from ..config import Policy
 from ..labels import LabelSet
 from .scenario import ScenarioScript, policy_from_script
@@ -95,6 +95,12 @@ def oracle_decisions(script: ScenarioScript, policy: Policy | None = None) -> Or
     )
 
 
+def _as_text_holds(stamp: float | None) -> float | None:
+    """A stamp as an incarnation parses it back from its annotation text,
+    which keeps whole microseconds."""
+    return None if stamp is None else from_rfc3339(to_rfc3339(stamp))
+
+
 _ENV, _MANAGER = 0, 1  # same-instant ordering: environment before manager
 
 
@@ -128,9 +134,9 @@ class _OracleSim:
         self.github_fault: tuple[str, float] | None = None
         self.kube_fault: bool = False
 
-        # durable store (Deployment annotations)
+        # durable store (Deployment annotations), as their text holds them
         self.ann_last_active: float | None = (
-            self.epoch + script.initial_last_active if script.initial_last_active is not None else None
+            _as_text_holds(self.epoch + script.initial_last_active) if script.initial_last_active is not None else None
         )
         self.ann_keepalive_started: float | None = None
 
@@ -334,8 +340,8 @@ class _OracleSim:
                 or self.ann_last_active is None
                 or m.last_active - self.ann_last_active >= policy.min_dwell
             ):
-                self.ann_last_active = m.last_active
-            self.ann_keepalive_started = m.keepalive_started
+                self.ann_last_active = _as_text_holds(m.last_active)
+            self.ann_keepalive_started = _as_text_holds(m.keepalive_started)
 
         at = m.anchor + m.next_tick_index * policy.poll_interval
         if reason == KEEPALIVE:

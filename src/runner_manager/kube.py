@@ -7,10 +7,12 @@ place, :func:`resolve_credentials`, from the config and the environment.
 
 The reconcile loop sends at most one ``GET`` of the Deployment a poll: that
 object carries ``spec.replicas``, ``status.readyReplicas`` and the
-annotations that hold the keepalive bookkeeping. A loop that keeps the
-replica count it already holds, idle or busy, reads it only about once per
-``min_dwell`` (see :mod:`runner_manager.reconciler`). It writes at most
-once a poll, through one merge patch of the Deployment:
+annotations that hold the keepalive bookkeeping. It reads only when its
+last answer is stale, about once per ``min_dwell`` while it keeps its count,
+idle or busy, and before every scale to 0 (see
+:mod:`runner_manager.reconciler`). It writes when its decision changes
+something, with or without a read first, at most once a poll, through one
+merge patch of the Deployment:
 :meth:`KubeClient.write_scale` sends ``spec.replicas`` with whichever
 annotations changed, :meth:`KubeClient.write_annotation` the annotations
 alone. Nothing touches ``/scale``, so the Role needs ``get`` and ``patch``

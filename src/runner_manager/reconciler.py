@@ -2,32 +2,39 @@
 
 One iteration combines three inputs -- the outstanding matching jobs (None
 when the GitHub poll failed, at least ``max_runners`` when saturated), the
-keepalive deadline, and the Deployment (None when its read failed or was
-skipped, and then nothing is written) -- into a target replica count, and
+keepalive deadline, and the Deployment (None when the loop's answer is
+fresh and the read is skipped, or when the read failed, and then nothing is
+written) -- into a target replica count, and
 keeps the keepalive bookkeeping durable in Deployment annotations so a
 manager restart cannot silently let the runner's registration token age
 out. A poll sends at most one write: one merge patch of the Deployment that
 carries the new ``spec.replicas`` and whichever annotations changed, or the
 annotations alone when the count stays.
 
-A poll reads the Deployment unless the loop already holds what the read
-would tell (:meth:`ReconcileLoop._holds_answer`): the decision, made
-without the Deployment, is not a hold and keeps ``spec.replicas`` as last
-read or as the loop last wrote it; the last Kubernetes call succeeded; the
-``keepalive-started`` annotation would not change; and the count is fresh.
-At 0 replicas, fresh means the last read was less than ``min_dwell`` ago
-and ``last-active`` would not change either. At 1 or more, it means the
+A poll reads the Deployment only when the loop's answer to that read is
+stale (:meth:`ReconcileLoop._holds_answer`), and writes when its decision
+changes something, with or without a read first. The answer is fresh when
+the last Kubernetes call succeeded, the decision made without the
+Deployment is not a hold, and the count is fresh. At 0 replicas, fresh
+means the last read was less than ``min_dwell`` ago and ``last-active``
+would not change. At 1 or more, it means the target stays at 1 or more, the
 last read saw a ready replica and the ``last-active`` annotation is less
 than ``min_dwell`` old, so the loop reads again on exactly the poll whose
-read would send the trailing refresh. Such a poll sends no Kubernetes
-request, and its record reports the replica count the loop holds and when
-it last read or wrote it. The decision needs the Deployment only to hold,
-so it is the same either way. A manager that keeps its count, idle or
-busy, thus reads about once per ``min_dwell``: a hand scale, a runner that
-stops being ready, a revoked token or a deleted Deployment is seen at most
-``min_dwell`` plus one poll late. While reads are skipped the in-memory
-``last_active`` stays at the last read that saw a ready runner, so a
-keepalive can only come early, never late.
+read would send the trailing refresh. A scale to 0 thus always reads first:
+its exact ``last-active`` needs this poll's sighting of the runner. A poll
+with a fresh answer writes against the count the loop holds and the
+readiness its last read saw; when nothing changes it sends no Kubernetes
+request at all. Its record reports the replica count the loop holds and
+when it last read or wrote it, or null when its write failed, since nothing
+was read. The decision needs the Deployment only to hold, so it is the same
+either way. A manager that keeps its count, idle or busy, thus reads about
+once per ``min_dwell``, and a change between counts of 1 or more, or from 0
+within ``min_dwell`` of a read, is one ``PATCH``: a hand scale, a runner
+that stops being ready, a revoked token or a deleted Deployment is seen at
+most ``min_dwell`` plus one poll late. While reads are skipped the
+in-memory ``last_active`` stays at the last read that saw a ready runner,
+so a keepalive can only come early, never late. A write of 0 replicas
+forgets that sighting, so the poll after the next scale-up reads.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
@@ -109,7 +116,7 @@ class ReconcileRecord:
     decided_at: float
     queued: int | None
     in_progress: int | None
-    observed_replicas: int | None  # spec.replicas as last read or written; None: this poll's read failed
+    observed_replicas: int | None  # spec.replicas as last read or written; None: a request failed, nothing read
     observed_at: float | None  # when observed_replicas was read or written; None with it
     desired: int
     reason: Reason
@@ -147,7 +154,7 @@ class ReconcileRecord:
 class _Streaks:
     """One API's failure streaks, both counted in polls, not calls: polls in
     a row with a failed call, and polls in a row with a 401/403. An API fails
-    at most once a poll: the Deployment is written only after it is read."""
+    at most once a poll: the Deployment is not written after a failed read."""
 
     api: str
     errors: int = 0
@@ -360,27 +367,32 @@ class ReconcileLoop:
             return None
 
         now = self.clock.now()
-        if self._holds_answer(jobs, now):
-            deployment = None
-            observed, observed_at = self._known_replicas, self._known_at
-        else:
+        fresh = self._holds_answer(jobs, now)
+        deployment = None
+        if not fresh:
             deployment = self.kube_streaks.step(self._observe_kube)
             now = self.clock.now()
-            observed, observed_at = (self._known_replicas, self._known_at) if deployment else (None, None)
 
         decision = compute_desired(jobs, deployment, self.state, self.policy, now)
 
         self.state = update_state(self.state, decision, deployment, now)
 
+        observed = observed_at = None
         wrote = False
-        if deployment is not None:
+        if fresh or deployment is not None:
+            observed, observed_at = self._known_replicas, self._known_at
             target = decision.target_replicas
-            replicas = target if target != deployment.spec_replicas and not self.stop.is_set() else None
-            trailing = deployment.ready_replicas >= 1 and target >= 1
+            replicas = target if target != observed and not self.stop.is_set() else None
+            trailing = self._ready_at_read and target >= 1
             wrote = bool(self.kube_streaks.step(lambda: self._write(replicas, trailing)))
+            if fresh and self.kube_streaks.failure:
+                observed = observed_at = None  # nothing was read this poll
         if wrote:
             self.state = replace(self.state, last_written_replicas=decision.target_replicas)
             self._known_replicas, self._known_at = decision.target_replicas, self.clock.now()
+            if decision.target_replicas == 0:
+                # A sighting from before a scale to 0 says nothing of the next runner.
+                self._ready_at_read = False
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.
@@ -412,26 +424,28 @@ class ReconcileLoop:
         )
 
     def _holds_answer(self, jobs: list[JobRecord] | None, now: float) -> bool:
-        """True when this poll's Deployment read would tell the loop nothing
-        it needs: the decision, made without the Deployment, is not a hold
-        and keeps the ``spec.replicas`` the loop knows; its last Kubernetes
-        call succeeded; ``keepalive-started`` would not change; and the
-        count is fresh (see the module docstring). Such a poll sends no
-        Kubernetes request and writes nothing."""
+        """True when the loop's answer to this poll's Deployment read is
+        fresh, so the poll writes against it without reading: the decision,
+        made without the Deployment, is not a hold; the last Kubernetes call
+        succeeded; and the count is fresh (see the module docstring). At 1 or
+        more it must also stay at 1 or more, so a scale to 0 always reads
+        first: its exact ``last-active`` needs this poll's sighting."""
         if self._known_replicas is None or self.kube_streaks.errors:
             return False
         decision = compute_desired(jobs, None, self.state, self.policy, now)
-        if decision.reason is Reason.HOLD or decision.target_replicas != self._known_replicas:
+        if decision.reason is Reason.HOLD:
             return False
-        after, persisted = update_state(self.state, decision, None, now), self._persisted
-        if after.keepalive_started_at != persisted.keepalive_started_at:
-            return False
-        if decision.target_replicas == 0:
-            return after.last_active == persisted.last_active and now - self._read_at < self.policy.min_dwell
+        if self._known_replicas == 0:
+            return self.state.last_active == self._persisted.last_active and now - self._read_at < self.policy.min_dwell
         # A read that saw the runner still ready would send last-active once
         # the persisted stamp is min_dwell old (see _write): read then.
-        stamp = persisted.last_active
-        return self._ready_at_read and stamp is not None and now - stamp < self.policy.min_dwell
+        stamp = self._persisted.last_active
+        return (
+            decision.target_replicas >= 1
+            and self._ready_at_read
+            and stamp is not None
+            and now - stamp < self.policy.min_dwell
+        )
 
     def _observe_kube(self) -> DeploymentSnapshot:
         """The poll's Kubernetes read: a GET of the Deployment, which

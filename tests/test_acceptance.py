@@ -45,15 +45,15 @@ import workloads  # noqa: E402
 BULK_SCENARIOS = 1000
 RESTART_SCENARIOS = 100
 # Request budget of the bulk batch, per poll: each ceiling sits just above
-# the figure measured when it was set (2.065, 0.528 and 0.373).
+# the figure measured when it was set (2.065, 0.528 and 0.338).
 GITHUB_REQUESTS_PER_POLL = 2.1
 GITHUB_CHARGED_PER_POLL = 0.54
-KUBE_REQUESTS_PER_POLL = 0.38
+KUBE_REQUESTS_PER_POLL = 0.34
 # The same for one storm scenario of the benchmark (294 GitHub requests, 88
-# of them charged, and 21 Kubernetes requests in 60 polls).
+# of them charged, and 15 Kubernetes requests in 60 polls).
 STORM_GITHUB_PER_POLL = 4.95
 STORM_CHARGED_PER_POLL = 1.5
-STORM_KUBE_PER_POLL = 0.36
+STORM_KUBE_PER_POLL = 0.26
 # Memory budget: bytes a finished 6-hour idle run still holds, per poll,
 # just above the figure measured when it was set (about 345; the trace and
 # its decision records are most of it).
@@ -404,8 +404,9 @@ def test_request_budget(bulk, month_long_idle):
 
     # Idle: two conditional run listings a poll, of which only the first
     # poll's two draw on the rate limit. Each of the nine activations reads
-    # the Deployment three times in its 16 polls: at the scale-up, at the
-    # next poll, which first sees the runner ready, and at the scale-down;
+    # the Deployment three times in its 16 polls: at the scale-up, which
+    # falls a whole min_dwell after the last idle read, at the next poll,
+    # which first sees the runner ready, and at the scale-down;
     # the polls in between keep the count and a fresh last-active. Otherwise
     # it is read once per min_dwell (15 polls): 334 times in each of the
     # eight idle stretches of 5,024 polls between activations, and 190 times

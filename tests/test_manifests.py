@@ -46,6 +46,18 @@ def test_runner_starts_at_zero_replicas():
     assert _runner_deployment(_default_output())["spec"]["replicas"] == 0
 
 
+def test_only_the_manager_pod_mounts_a_service_account_token():
+    # runner-bootstrap never calls the Kubernetes API; the manager does, with
+    # the ServiceAccount token Kubernetes mounts by default.
+    deployments = {
+        o["metadata"]["name"]: o["spec"]["template"]["spec"]
+        for o in yaml.safe_load_all(_default_output())
+        if o and o.get("kind") == "Deployment"
+    }
+    assert deployments["gha-runner"]["automountServiceAccountToken"] is False
+    assert "automountServiceAccountToken" not in deployments["gha-runner-manager"]
+
+
 def test_labels_include_custom_os_string():
     assert "linux-gpu-cuda" in _default_output()
 

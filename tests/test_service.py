@@ -5,6 +5,7 @@ import math
 import socket
 import threading
 import time
+from collections import defaultdict
 from contextlib import closing
 from typing import Callable
 
@@ -613,11 +614,11 @@ def _busy_script(fault: int) -> ScenarioScript:
 
 
 def test_a_kube_401_that_starts_during_demand_still_exits():
-    # Reads at 0 s, at the 60 s scale-up, and at 120 s, which first sees the
-    # runner ready. The last-active stamp the run starts with, at 0 s, is
-    # under min_dwell old, so the busy polls send nothing until it is, at
-    # 900 s: the first failed read. Three failed polls in a row end the
-    # manager.
+    # Reads at 0 s and at 120 s, which first sees the runner ready; the 60 s
+    # scale-up comes under min_dwell after the 0 s read, so it writes without
+    # reading. The last-active stamp the run starts with, at 0 s, is under
+    # min_dwell old, so the busy polls send nothing until it is, at 900 s:
+    # the first failed read. Three failed polls in a row end the manager.
     result = run_scenario(_busy_script(401))
     assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
     records = [entry.detail for entry in result.trace.select("manager", "decision")]
@@ -626,15 +627,129 @@ def test_a_kube_401_that_starts_during_demand_still_exits():
     assert first_failed.tick - SIM_EPOCH <= 200 + policy.min_dwell + policy.poll_interval
     assert [r.consecutive_kube_errors for r in records] == [0] * 15 + [1, 2]
     assert [r.observed_replicas for r in records] == [0, 0] + [1] * 13 + [None, None]
-    assert result.kube_requests == {"GET": 6, "PATCH": 1}
+    assert result.kube_requests == {"GET": 5, "PATCH": 1}
 
 
 def test_a_deployment_deleted_during_demand_exits_at_the_next_read():
-    # The same busy run; the read at 900 s meets the 404 and exits.
+    # The same busy run: reads at 0 s and 120 s, a write without a read at
+    # the 60 s scale-up; the read at 900 s meets the 404 and exits.
     result = run_scenario(_busy_script(404))
     assert result.manager_exit_codes[-1] == EXIT_CONFIG
     assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(15)]
-    assert result.kube_requests == {"GET": 4, "PATCH": 1}
+    assert result.kube_requests == {"GET": 3, "PATCH": 1}
+
+
+def _kube_requests_by_time(monkeypatch) -> dict[float, list[tuple[str, dict | None]]]:
+    """Each Kubernetes request of a scenario, filed by when it was sent, in
+    seconds since the start: the method, and a PATCH's body."""
+    sent: dict[float, list[tuple[str, dict | None]]] = defaultdict(list)
+    handle = fake_kube_module._handle
+
+    def recording_handle(kube, request):
+        body = request.json() if request.method == "PATCH" else None
+        sent[kube.clock.now() - SIM_EPOCH].append((request.method, body))
+        return handle(kube, request)
+
+    monkeypatch.setattr(fake_kube_module, "_handle", recording_handle)
+    return sent
+
+
+def _demand_script(*jobs: tuple[float, float], horizon: float, events=(), policy=None) -> ScenarioScript:
+    """Jobs enqueued at ``(at, duration)``, then ``events``; last-active
+    recorded at the start."""
+    enqueued = [ScenarioEvent(at, "enqueue_job", {"labels": LABELS, "duration": duration}) for at, duration in jobs]
+    return ScenarioScript(
+        horizon=horizon, events=[*enqueued, *events], pod_startup_delay=20, initial_last_active=0, policy=policy or {}
+    )
+
+
+def _log_lines(result) -> dict[float, dict]:
+    return {entry.at: entry.detail.as_log_dict() for entry in result.trace.select("manager", "decision")}
+
+
+def _log_line(at: float, queued: int, in_progress: int, observed: int | None, desired: int, wrote: bool) -> dict:
+    return {
+        "time": to_rfc3339(SIM_EPOCH + at),
+        "queued": queued,
+        "in_progress": in_progress,
+        "observed": observed,
+        "desired": desired,
+        "reason": "demand",
+        "wrote_scale": wrote,
+    }
+
+
+def test_a_scale_up_under_min_dwell_after_an_idle_read_patches_without_a_read(monkeypatch):
+    # The 0 s poll reads 0 replicas; the 60 s poll, the job's first, already
+    # knows them and writes 1 with one PATCH. The 120 s poll reads, as no
+    # read has seen the runner ready yet.
+    sent = _kube_requests_by_time(monkeypatch)
+    script = _demand_script((10, 7200), horizon=121)
+    result = run_scenario(script)
+    assert dict(sent) == {0.0: [("GET", None)], 60.0: [("PATCH", {"spec": {"replicas": 1}})], 120.0: [("GET", None)]}
+    assert _log_lines(result)[60.0] == _log_line(60.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
+    assert_agrees_with_oracle(script, result)
+
+
+def test_a_fresh_change_between_counts_of_one_or_more_patches_without_a_read(monkeypatch):
+    # max_runners 3. The 120 s read sees the first runner ready, and the
+    # last-active stamp from the start is under min_dwell old, so the 240 s
+    # poll, which counts a second job, writes 2 replicas with one PATCH.
+    sent = _kube_requests_by_time(monkeypatch)
+    script = _demand_script((10, 7200), (200, 7200), horizon=301, policy={"max_runners": 3})
+    result = run_scenario(script)
+    assert sent[240.0] == [("PATCH", {"spec": {"replicas": 2}})]
+    assert result.kube_requests == {"GET": 2, "PATCH": 2}
+    assert _log_lines(result)[240.0] == _log_line(240.0, queued=1, in_progress=1, observed=1, desired=2, wrote=True)
+    assert_agrees_with_oracle(script, result)
+
+
+def test_a_scale_to_zero_reads_first_and_writes_the_exact_stamp(monkeypatch):
+    # The job runs from 80 s to 280 s; the busy polls at 180 s and 240 s send
+    # nothing. The 300 s poll decides 0: it reads, sees the runner ready, and
+    # its PATCH carries its own time as last-active.
+    sent = _kube_requests_by_time(monkeypatch)
+    script = _demand_script((10, 200), horizon=301)
+    result = run_scenario(script)
+    assert (sent[180.0], sent[240.0]) == ([], [])
+    stamp = {ANNOTATION_LAST_ACTIVE: to_rfc3339(SIM_EPOCH + 300)}
+    assert sent[300.0] == [("GET", None), ("PATCH", {"spec": {"replicas": 0}, "metadata": {"annotations": stamp}})]
+    assert result.writes == [(60.0, 1), (300.0, 0)]
+    assert_agrees_with_oracle(script, result)
+
+
+def test_the_poll_after_a_scale_up_from_zero_reads_though_a_runner_was_seen_before(monkeypatch):
+    # Up at 60 s, down at 300 s after a read that saw the runner ready, and up
+    # again at 360 s with one PATCH. That sighting says nothing of the new
+    # runner, so the 420 s poll reads.
+    sent = _kube_requests_by_time(monkeypatch)
+    script = _demand_script((10, 200), (310, 7200), horizon=481)
+    result = run_scenario(script)
+    assert (sent[360.0], sent[420.0], sent[480.0]) == ([("PATCH", {"spec": {"replicas": 1}})], [("GET", None)], [])
+    lines = _log_lines(result)
+    assert lines[360.0] == _log_line(360.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
+    assert lines[420.0] == _log_line(420.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False)
+    assert result.kube_requests == {"GET": 4, "PATCH": 3}
+    assert_agrees_with_oracle(script, result)
+
+
+def test_a_failed_write_without_a_read_reports_observed_null_and_the_next_poll_reads(monkeypatch):
+    # Kubernetes answers 500 from 30 s to 90 s. The 60 s scale-up writes
+    # without reading and fails: nothing was read, so its record reports
+    # null. The 120 s poll reads before it writes again.
+    sent = _kube_requests_by_time(monkeypatch)
+    faults = [ScenarioEvent(30, "kube_fault", {"status": 500}), ScenarioEvent(90, "kube_recover")]
+    script = _demand_script((10, 7200), horizon=121, events=faults)
+    result = run_scenario(script)
+    scale_up = ("PATCH", {"spec": {"replicas": 1}})
+    assert (sent[60.0], sent[120.0]) == ([scale_up], [("GET", None), scale_up])
+    records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+    assert [records[at].consecutive_kube_errors for at in (60.0, 120.0)] == [1, 0]
+    failed = _log_line(60.0, queued=1, in_progress=0, observed=None, desired=1, wrote=False)
+    assert records[60.0].as_log_dict() == failed
+    assert (records[60.0].observed_at, records[120.0].observed_replicas) == (None, 0)
+    assert result.writes == [(120.0, 1)]
+    assert_agrees_with_oracle(script, result)
 
 
 def _record_last_active_patches(monkeypatch) -> list[str]:
