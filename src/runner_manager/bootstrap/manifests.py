@@ -4,8 +4,9 @@ Renders everything a namespace owner needs to deploy the setup: the manager
 Deployment (replicas 1), the runner Deployment (replicas 0 -- the manager
 owns scale-up), a namespaced Role/RoleBinding pair covering exactly the API
 surface the manager touches, the GitHub token Secret skeleton, and the
-persistent volume claim for the runner install. The runner's resource
-requests are example values to edit, like the image. Output is deterministic.
+persistent volume claim for the runner install. The manager pod meets Pod
+Security "restricted". The runner's resource requests are example values to
+edit, like the image. Output is deterministic.
 """
 
 from __future__ import annotations
@@ -91,10 +92,21 @@ spec:
         app: {manager_name}
     spec:
       serviceAccountName: {manager_name}
+      # Pod Security "restricted": the manager binds port 8080 and only reads
+      # its token, so it runs as any non-root user with no capabilities.
+      securityContext:
+        runAsNonRoot: true
+        runAsUser: 65532
+        seccompProfile:
+          type: RuntimeDefault
       containers:
         - name: manager
           image: REPLACE_WITH_MANAGER_IMAGE
           command: ["runner-manager"]
+          securityContext:
+            allowPrivilegeEscalation: false
+            capabilities:
+              drop: ["ALL"]
           env:
             - name: GH_OWNER
               value: {config.repo.owner}

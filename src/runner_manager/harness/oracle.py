@@ -26,6 +26,13 @@ tick, and its GitHub window, like a tick's, ends ``poll_interval`` after
 it. Only a successful poll decides so, and it leaves the rate-limit gate
 behind it, so such a poll never waits and never overruns the next tick.
 
+A failed GitHub poll holds the count the incarnation last wrote, else the
+Deployment's count once the incarnation has read it (its first poll with
+Kubernetes up loads the durable state), else 0. Only a write changes that
+count, so before its first write an incarnation holds the count it read,
+whenever it read it, and the rule does not depend on the manager's read
+schedule.
+
 Returned decisions are keyed by poll-tick time, in seconds since the
 scenario start; ticks where the manager was stopped mid-poll (restart,
 horizon) yield no decision, matching the live manager's log. The final
@@ -290,7 +297,7 @@ class _OracleSim:
         if not poll_ok:
             target = m.last_written
             if target is None:
-                target = spec if kube_ok else 0
+                target = spec if (kube_ok or m.durable_loaded) else 0
             target, reason = min(target, policy.max_runners), HOLD
         else:
             outstanding = sum(

@@ -9,7 +9,7 @@ The reconcile loop sends at most one ``GET`` of the Deployment a poll: that
 object carries ``spec.replicas``, ``status.readyReplicas`` and the
 annotations that hold the keepalive bookkeeping. It reads only when its
 last answer is stale, about once per ``min_dwell`` while it keeps its count,
-idle or busy, and before every scale to 0 (see
+idle, busy or on hold, and before every scale to 0 (see
 :mod:`runner_manager.reconciler`). It writes when its decision changes
 something, with or without a read first, at most once a poll, through one
 merge patch of the Deployment:

@@ -14,35 +14,37 @@ annotations alone when the count stays.
 A poll reads the Deployment only when the loop's answer to that read is
 stale (:meth:`ReconcileLoop._holds_answer`), and writes when its decision
 changes something, with or without a read first. The answer is fresh when
-the last Kubernetes call succeeded, the decision made without the
-Deployment is not a hold, and the count is fresh. At 0 replicas, fresh
-means the last read was less than ``min_dwell`` ago and ``last-active``
-would not change. At 1 or more, it means the target stays at 1 or more, the
-last read saw a ready replica and the ``last-active`` annotation is less
-than ``min_dwell`` old, so the loop reads again on exactly the poll whose
-read would send the trailing refresh. A scale to 0 thus always reads first:
+the last Kubernetes call succeeded and the count is fresh, whatever the
+decision: demand, keepalive, idle or hold. At 0 replicas, fresh means the
+last read was less than ``min_dwell`` ago and ``last-active`` would not
+change. At 1 or more, it means the target stays at 1 or more, the last read
+saw a ready replica and the ``last-active`` annotation is less than
+``min_dwell`` old, so the loop reads again on exactly the poll whose read
+would send the trailing refresh. A scale to 0 thus always reads first:
 its exact ``last-active`` needs this poll's sighting of the runner. A poll
 with a fresh answer writes against the count the loop holds and the
 readiness its last read saw; when nothing changes it sends no Kubernetes
 request at all. Its record reports the replica count the loop holds and
 when it last read or wrote it, or null when its write failed, since nothing
-was read. The decision needs the Deployment only to hold, so it is the same
-either way. A manager that keeps its count, idle or busy, thus reads about
-once per ``min_dwell``, and a change between counts of 1 or more, or from 0
+was read. A fresh answer is all the decision needs: a hold keeps the count
+last written, else the count last read, so it is the same either way. A
+manager that keeps its count, idle, busy or on hold, thus reads about once
+per ``min_dwell``, and a change between counts of 1 or more, or from 0
 within ``min_dwell`` of a read, is one ``PATCH``: a hand scale, a runner
 that stops being ready, a revoked token or a deleted Deployment is seen at
-most ``min_dwell`` plus one poll late. While reads are skipped the
-in-memory ``last_active`` stays at the last read that saw a ready runner,
-so a keepalive can only come early, never late. A write of 0 replicas
-forgets that sighting, so the poll after the next scale-up reads.
+most ``min_dwell`` plus one poll late, during a GitHub outage too. While
+reads are skipped the in-memory ``last_active`` stays at the last read that
+saw a ready runner, so a keepalive can only come early, never late. A write
+of 0 replicas forgets that sighting, so the poll after the next scale-up
+reads.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
-1. GitHub poll failed        -> hold the last written/observed count
-2. outstanding matching jobs -> min(count, max_runners)          (demand)
-3. keepalive dwell running   -> 1                                (keepalive)
-4. keepalive due             -> 1                                (keepalive)
-5. otherwise                 -> 0                                (idle)
+1. GitHub poll failed        -> last written, else last read, else 0  (hold)
+2. outstanding matching jobs -> min(count, max_runners)               (demand)
+3. keepalive dwell running   -> 1                                     (keepalive)
+4. keepalive due             -> 1                                     (keepalive)
+5. otherwise                 -> 0                                     (idle)
 
 A poll runs at every tick of a fixed grid, ``start + k * poll_interval``,
 and also at the instant the last decision changes with time alone
@@ -220,7 +222,7 @@ def decision_changes_at(reason: Reason, state: ManagerState, policy: Policy) -> 
 
 def compute_desired(
     jobs: list[JobRecord] | None,
-    deployment: DeploymentSnapshot | None,
+    known_replicas: int | None,
     state: ManagerState,
     policy: Policy,
     now: float,
@@ -234,13 +236,15 @@ def compute_desired(
     those hold fewer than ``max_runners``, so a poll saturated by
     in-progress runs counts no job of a queued run. A run that starts
     between the two listing reads is in neither, and the next poll counts
-    it. None means the GitHub poll failed, so the decision holds.
-    ``deployment`` is None when the Kubernetes read failed.
+    it. None means the GitHub poll failed, so the decision holds: the count
+    last written, else ``known_replicas``, else 0. ``known_replicas`` is
+    ``spec.replicas`` as the loop last read or wrote it, None until its
+    first read succeeds; it need not come from this poll's read.
     """
     if jobs is None:
         target = state.last_written_replicas
         if target is None:
-            target = deployment.spec_replicas if deployment else 0
+            target = known_replicas or 0
         return Decision(min(target, policy.max_runners), Reason.HOLD)
 
     if jobs:
@@ -373,7 +377,7 @@ class ReconcileLoop:
             deployment = self.kube_streaks.step(self._observe_kube)
             now = self.clock.now()
 
-        decision = compute_desired(jobs, deployment, self.state, self.policy, now)
+        decision = compute_desired(jobs, self._known_replicas, self.state, self.policy, now)
 
         self.state = update_state(self.state, decision, deployment, now)
 
@@ -425,16 +429,17 @@ class ReconcileLoop:
 
     def _holds_answer(self, jobs: list[JobRecord] | None, now: float) -> bool:
         """True when the loop's answer to this poll's Deployment read is
-        fresh, so the poll writes against it without reading: the decision,
-        made without the Deployment, is not a hold; the last Kubernetes call
-        succeeded; and the count is fresh (see the module docstring). At 1 or
-        more it must also stay at 1 or more, so a scale to 0 always reads
-        first: its exact ``last-active`` needs this poll's sighting."""
+        fresh, so the poll writes against it without reading: the last
+        Kubernetes call succeeded and the count is fresh (see the module
+        docstring), whatever the decision. At 1 or more it must also stay at
+        1 or more, so a scale to 0 always reads first: its exact
+        ``last-active`` needs this poll's sighting. A fresh hold thus sends
+        nothing unless a hand scale moved the count the loop last wrote: it
+        keeps that count, else the one last read, and changes no
+        bookkeeping."""
         if self._known_replicas is None or self.kube_streaks.errors:
             return False
-        decision = compute_desired(jobs, None, self.state, self.policy, now)
-        if decision.reason is Reason.HOLD:
-            return False
+        decision = compute_desired(jobs, self._known_replicas, self.state, self.policy, now)
         if self._known_replicas == 0:
             return self.state.last_active == self._persisted.last_active and now - self._read_at < self.policy.min_dwell
         # A read that saw the runner still ready would send last-active once

@@ -5,16 +5,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import defaultdict
 from typing import Callable
 
 import pytest
 
 from runner_manager.config import Policy
 from runner_manager.github import GitHubClient
+from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.monitors import oracle_diff
-from runner_manager.harness.virtual_clock import TimerClock
+from runner_manager.harness.virtual_clock import SIM_EPOCH, TimerClock
 from runner_manager.kube import KubeClient, KubeCredentials
 
 TEST_TOKEN = "ghp-test-token-123"
@@ -24,6 +26,22 @@ def assert_agrees_with_oracle(script, result) -> None:
     """The run's decisions, scale writes and final annotations are the
     independent oracle's, exactly."""
     assert (diff := oracle_diff(script, result)) is None, diff
+
+
+def kube_requests_by_time(monkeypatch) -> dict[float, list[tuple[str, dict | None]]]:
+    """Each Kubernetes request of the scenarios run from here on, filed by
+    when it was sent, in seconds since the start: the method, and a PATCH's
+    body."""
+    sent: dict[float, list[tuple[str, dict | None]]] = defaultdict(list)
+    handle = fake_kube_module._handle
+
+    def recording_handle(kube, request):
+        body = request.json() if request.method == "PATCH" else None
+        sent[kube.clock.now() - SIM_EPOCH].append((request.method, body))
+        return handle(kube, request)
+
+    monkeypatch.setattr(fake_kube_module, "_handle", recording_handle)
+    return sent
 
 
 class SteppingClock(TimerClock):

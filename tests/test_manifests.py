@@ -58,6 +58,88 @@ def test_only_the_manager_pod_mounts_a_service_account_token():
     assert "automountServiceAccountToken" not in deployments["gha-runner-manager"]
 
 
+# Pod Security "restricted", written out by hand from
+# https://kubernetes.io/docs/concepts/security/pod-security-standards/#restricted
+# (the baseline controls it includes, then its own).
+_RESTRICTED_VOLUMES = {
+    "configMap", "csi", "downwardAPI", "emptyDir", "ephemeral", "persistentVolumeClaim", "projected", "secret"
+}
+_SAFE_SYSCTLS = {
+    "kernel.shm_rmid_forced", "net.ipv4.ip_local_port_range", "net.ipv4.ip_unprivileged_port_start",
+    "net.ipv4.tcp_syncookies", "net.ipv4.ping_group_range", "net.ipv4.ip_local_reserved_ports",
+    "net.ipv4.tcp_keepalive_time", "net.ipv4.tcp_fin_timeout", "net.ipv4.tcp_keepalive_intvl",
+    "net.ipv4.tcp_keepalive_probes",
+}
+
+
+def _restricted_violations(pod: dict) -> list[str]:
+    """What keeps a pod spec out of the "restricted" profile; [] when it meets it."""
+    found = []
+    pod_context = pod.get("securityContext") or {}
+    containers = [*pod.get("initContainers", []), *pod["containers"], *pod.get("ephemeralContainers", [])]
+    for key in ("hostNetwork", "hostPID", "hostIPC"):
+        if pod.get(key):
+            found.append(key)
+    for volume in pod.get("volumes", []):
+        kinds = set(volume) - {"name"}
+        if not kinds <= _RESTRICTED_VOLUMES:
+            found.append(f"volume {volume['name']}: {sorted(kinds)}")
+    for sysctl in pod_context.get("sysctls", []):
+        if sysctl["name"] not in _SAFE_SYSCTLS:
+            found.append(f"sysctl {sysctl['name']}")
+    for where, context in [("pod", pod_context), *((c["name"], c.get("securityContext") or {}) for c in containers)]:
+        if context.get("runAsUser") == 0:
+            found.append(f"{where}: runAsUser 0")
+        if (context.get("seccompProfile") or {}).get("type") not in (None, "RuntimeDefault", "Localhost"):
+            found.append(f"{where}: seccompProfile {context['seccompProfile']}")
+        selinux = context.get("seLinuxOptions") or {}
+        if selinux.get("user") or selinux.get("role"):
+            found.append(f"{where}: seLinuxOptions user or role")
+        if selinux.get("type") not in (None, "", "container_t", "container_init_t", "container_kvm_t"):
+            found.append(f"{where}: seLinuxOptions type {selinux['type']}")
+    for container in containers:
+        name, context = container["name"], container.get("securityContext") or {}
+        if context.get("privileged"):
+            found.append(f"{name}: privileged")
+        if context.get("allowPrivilegeEscalation") is not False:
+            found.append(f"{name}: allowPrivilegeEscalation is not false")
+        capabilities = context.get("capabilities") or {}
+        if "ALL" not in capabilities.get("drop", []):
+            found.append(f"{name}: capabilities do not drop ALL")
+        if set(capabilities.get("add", [])) - {"NET_BIND_SERVICE"}:
+            found.append(f"{name}: capabilities add {capabilities['add']}")
+        if not (context.get("runAsNonRoot", pod_context.get("runAsNonRoot")) is True):
+            found.append(f"{name}: runAsNonRoot is not true")
+        if (context.get("seccompProfile") or pod_context.get("seccompProfile")) is None:
+            found.append(f"{name}: no seccompProfile")
+        if context.get("procMount", "Default") != "Default":
+            found.append(f"{name}: procMount {context['procMount']}")
+        if any(port.get("hostPort") for port in container.get("ports", [])):
+            found.append(f"{name}: hostPort")
+    return found
+
+
+def test_the_manager_pod_meets_pod_security_restricted():
+    pod = next(
+        o["spec"]["template"]["spec"]
+        for o in yaml.safe_load_all(_default_output())
+        if o and o["kind"] == "Deployment" and o["metadata"]["name"] == "gha-runner-manager"
+    )
+    assert _restricted_violations(pod) == []
+    # A numeric non-root user, so the kubelet can check runAsNonRoot without
+    # reading the image.
+    assert isinstance(pod["securityContext"]["runAsUser"], int) and pod["securityContext"]["runAsUser"] > 0
+    # The same check finds what a pod template without a securityContext lacks.
+    bare = {"containers": [{"name": "c"}], "volumes": [{"name": "v", "hostPath": {"path": "/"}}]}
+    assert _restricted_violations(bare) == [
+        "volume v: ['hostPath']",
+        "c: allowPrivilegeEscalation is not false",
+        "c: capabilities do not drop ALL",
+        "c: runAsNonRoot is not true",
+        "c: no seccompProfile",
+    ]
+
+
 def test_labels_include_custom_os_string():
     assert "linux-gpu-cuda" in _default_output()
 

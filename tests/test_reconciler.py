@@ -77,16 +77,16 @@ def test_keepalive_next_due_is_the_instant_the_decision_turns(last_active, force
     policy = Policy(force_interval=force_interval, min_dwell=min_dwell)
     state = ManagerState(last_active=last_active)
     due = keepalive_due_at(last_active, policy)
-    assert compute_desired([], _deployment(), state, policy, due) == Decision(1, Reason.KEEPALIVE)
+    assert compute_desired([], 0, state, policy, due) == Decision(1, Reason.KEEPALIVE)
     before = math.nextafter(due, -math.inf)
-    assert compute_desired([], _deployment(), state, policy, before) == Decision(0, Reason.IDLE)
+    assert compute_desired([], 0, state, policy, before) == Decision(0, Reason.IDLE)
 
 
 # -- compute_desired ---------------------------------------------------------
 
 
 def test_demand_capped_at_max_runners():
-    decision = compute_desired([_job(1), _job(2), _job(3)], _deployment(), ManagerState(), POLICY, now=0.0)
+    decision = compute_desired([_job(1), _job(2), _job(3)], 0, ManagerState(), POLICY, now=0.0)
     assert decision == Decision(1, Reason.DEMAND)
 
 
@@ -94,45 +94,44 @@ def test_keepalive_when_stale():
     now = 10 * DAY
     state = ManagerState(last_active=now - 4 * DAY)
     policy = Policy(force_interval=3.5 * DAY)
-    assert compute_desired([], _deployment(), state, policy, now) == Decision(1, Reason.KEEPALIVE)
+    assert compute_desired([], 0, state, policy, now) == Decision(1, Reason.KEEPALIVE)
 
 
 def test_in_progress_job_pins_runner():
     now = 100.0
     jobs = [_job(status="in_progress")]
     state = ManagerState(last_active=now - 60)
-    assert compute_desired(jobs, _deployment(1, 1), state, POLICY, now) == Decision(1, Reason.DEMAND)
+    assert compute_desired(jobs, 1, state, POLICY, now) == Decision(1, Reason.DEMAND)
 
 
 def test_idle_when_fresh_and_no_work():
     now = 1000.0
     state = ManagerState(last_active=now - 60)
-    assert compute_desired([], _deployment(), state, POLICY, now) == Decision(0, Reason.IDLE)
+    assert compute_desired([], 0, state, POLICY, now) == Decision(0, Reason.IDLE)
 
 
 def test_hold_on_github_failure_keeps_last_written():
     state = ManagerState(last_written_replicas=1)
-    assert compute_desired(None, _deployment(1, 1), state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
+    assert compute_desired(None, 1, state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
 
 
 def test_hold_falls_back_to_observed_then_zero():
-    assert compute_desired(None, _deployment(1, 1), ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
+    assert compute_desired(None, 1, ManagerState(), POLICY, 0.0) == Decision(1, Reason.HOLD)
     assert compute_desired(None, None, ManagerState(), POLICY, 0.0) == Decision(0, Reason.HOLD)
 
 
 def test_dwell_keeps_keepalive_runner_up():
     now = 1000.0
-    up = _deployment(1, 1)
     state = ManagerState(last_active=now - 10, keepalive_started_at=now - 300)
-    assert compute_desired([], up, state, POLICY, now) == Decision(1, Reason.KEEPALIVE)
+    assert compute_desired([], 1, state, POLICY, now) == Decision(1, Reason.KEEPALIVE)
     done = ManagerState(last_active=now - 10, keepalive_started_at=now - POLICY.min_dwell)
-    assert compute_desired([], up, done, POLICY, now) == Decision(0, Reason.IDLE)
+    assert compute_desired([], 1, done, POLICY, now) == Decision(0, Reason.IDLE)
 
 
 def test_demand_wins_over_keepalive():
     now = 10 * DAY
     state = ManagerState(last_active=None, keepalive_started_at=now - 60)
-    assert compute_desired([_job()], _deployment(), state, POLICY, now).reason is Reason.DEMAND
+    assert compute_desired([_job()], 0, state, POLICY, now).reason is Reason.DEMAND
 
 
 @given(
@@ -146,7 +145,7 @@ def test_target_never_exceeds_cap(jobs, max_runners, last_active_age, poll_ok):
     now = 20 * DAY
     outstanding = [_job(i + 1) for i in range(jobs)] if poll_ok else None
     state = ManagerState(last_active=None if last_active_age is None else now - last_active_age)
-    decision = compute_desired(outstanding, _deployment(min(1, max_runners)), state, policy, now)
+    decision = compute_desired(outstanding, min(1, max_runners), state, policy, now)
     assert 0 <= decision.target_replicas <= max_runners
 
 

@@ -5,12 +5,11 @@ import math
 import socket
 import threading
 import time
-from collections import defaultdict
 from contextlib import closing
 from typing import Callable
 
 import pytest
-from conftest import SteppingClock, assert_agrees_with_oracle
+from conftest import SteppingClock, assert_agrees_with_oracle, kube_requests_by_time
 
 from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, load_config
 from runner_manager.clock import SystemClock, from_rfc3339, to_rfc3339
@@ -639,21 +638,6 @@ def test_a_deployment_deleted_during_demand_exits_at_the_next_read():
     assert result.kube_requests == {"GET": 3, "PATCH": 1}
 
 
-def _kube_requests_by_time(monkeypatch) -> dict[float, list[tuple[str, dict | None]]]:
-    """Each Kubernetes request of a scenario, filed by when it was sent, in
-    seconds since the start: the method, and a PATCH's body."""
-    sent: dict[float, list[tuple[str, dict | None]]] = defaultdict(list)
-    handle = fake_kube_module._handle
-
-    def recording_handle(kube, request):
-        body = request.json() if request.method == "PATCH" else None
-        sent[kube.clock.now() - SIM_EPOCH].append((request.method, body))
-        return handle(kube, request)
-
-    monkeypatch.setattr(fake_kube_module, "_handle", recording_handle)
-    return sent
-
-
 def _demand_script(*jobs: tuple[float, float], horizon: float, events=(), policy=None) -> ScenarioScript:
     """Jobs enqueued at ``(at, duration)``, then ``events``; last-active
     recorded at the start."""
@@ -667,23 +651,29 @@ def _log_lines(result) -> dict[float, dict]:
     return {entry.at: entry.detail.as_log_dict() for entry in result.trace.select("manager", "decision")}
 
 
-def _log_line(at: float, queued: int, in_progress: int, observed: int | None, desired: int, wrote: bool) -> dict:
+def _log_line(
+    at: float, queued: int | None, in_progress: int | None, observed: int | None, desired: int, wrote: bool, reason="demand"
+) -> dict:
     return {
         "time": to_rfc3339(SIM_EPOCH + at),
         "queued": queued,
         "in_progress": in_progress,
         "observed": observed,
         "desired": desired,
-        "reason": "demand",
+        "reason": reason,
         "wrote_scale": wrote,
     }
+
+
+def _hold_line(at: float, observed: int | None, desired: int) -> dict:
+    return _log_line(at, None, None, observed, desired, wrote=False, reason="hold")
 
 
 def test_a_scale_up_under_min_dwell_after_an_idle_read_patches_without_a_read(monkeypatch):
     # The 0 s poll reads 0 replicas; the 60 s poll, the job's first, already
     # knows them and writes 1 with one PATCH. The 120 s poll reads, as no
     # read has seen the runner ready yet.
-    sent = _kube_requests_by_time(monkeypatch)
+    sent = kube_requests_by_time(monkeypatch)
     script = _demand_script((10, 7200), horizon=121)
     result = run_scenario(script)
     assert dict(sent) == {0.0: [("GET", None)], 60.0: [("PATCH", {"spec": {"replicas": 1}})], 120.0: [("GET", None)]}
@@ -695,7 +685,7 @@ def test_a_fresh_change_between_counts_of_one_or_more_patches_without_a_read(mon
     # max_runners 3. The 120 s read sees the first runner ready, and the
     # last-active stamp from the start is under min_dwell old, so the 240 s
     # poll, which counts a second job, writes 2 replicas with one PATCH.
-    sent = _kube_requests_by_time(monkeypatch)
+    sent = kube_requests_by_time(monkeypatch)
     script = _demand_script((10, 7200), (200, 7200), horizon=301, policy={"max_runners": 3})
     result = run_scenario(script)
     assert sent[240.0] == [("PATCH", {"spec": {"replicas": 2}})]
@@ -708,7 +698,7 @@ def test_a_scale_to_zero_reads_first_and_writes_the_exact_stamp(monkeypatch):
     # The job runs from 80 s to 280 s; the busy polls at 180 s and 240 s send
     # nothing. The 300 s poll decides 0: it reads, sees the runner ready, and
     # its PATCH carries its own time as last-active.
-    sent = _kube_requests_by_time(monkeypatch)
+    sent = kube_requests_by_time(monkeypatch)
     script = _demand_script((10, 200), horizon=301)
     result = run_scenario(script)
     assert (sent[180.0], sent[240.0]) == ([], [])
@@ -722,7 +712,7 @@ def test_the_poll_after_a_scale_up_from_zero_reads_though_a_runner_was_seen_befo
     # Up at 60 s, down at 300 s after a read that saw the runner ready, and up
     # again at 360 s with one PATCH. That sighting says nothing of the new
     # runner, so the 420 s poll reads.
-    sent = _kube_requests_by_time(monkeypatch)
+    sent = kube_requests_by_time(monkeypatch)
     script = _demand_script((10, 200), (310, 7200), horizon=481)
     result = run_scenario(script)
     assert (sent[360.0], sent[420.0], sent[480.0]) == ([("PATCH", {"spec": {"replicas": 1}})], [("GET", None)], [])
@@ -737,7 +727,7 @@ def test_a_failed_write_without_a_read_reports_observed_null_and_the_next_poll_r
     # Kubernetes answers 500 from 30 s to 90 s. The 60 s scale-up writes
     # without reading and fails: nothing was read, so its record reports
     # null. The 120 s poll reads before it writes again.
-    sent = _kube_requests_by_time(monkeypatch)
+    sent = kube_requests_by_time(monkeypatch)
     faults = [ScenarioEvent(30, "kube_fault", {"status": 500}), ScenarioEvent(90, "kube_recover")]
     script = _demand_script((10, 7200), horizon=121, events=faults)
     result = run_scenario(script)
@@ -749,6 +739,97 @@ def test_a_failed_write_without_a_read_reports_observed_null_and_the_next_poll_r
     assert records[60.0].as_log_dict() == failed
     assert (records[60.0].observed_at, records[120.0].observed_replicas) == (None, 0)
     assert result.writes == [(120.0, 1)]
+    assert_agrees_with_oracle(script, result)
+
+
+def test_a_github_outage_during_demand_reads_only_when_the_held_count_goes_stale(monkeypatch):
+    # GitHub answers 503 from 200 s to 1000 s while a runner works. The 120 s
+    # read saw it ready and the last-active stamp of the start is under
+    # min_dwell old, so the holds from 240 s send nothing. At 900 s the stamp
+    # is min_dwell old: that hold reads once and refreshes the stamp, and the
+    # holds after it send nothing again.
+    sent = kube_requests_by_time(monkeypatch)
+    faults = [ScenarioEvent(200, "github_fault", {"status": 503}), ScenarioEvent(1000, "github_recover")]
+    script = _demand_script((10, 7200), horizon=1021, events=faults)
+    result = run_scenario(script)
+    stamp = {"metadata": {"annotations": {ANNOTATION_LAST_ACTIVE: to_rfc3339(SIM_EPOCH + 900)}}}
+    assert dict(sent) == {
+        0.0: [("GET", None)],
+        60.0: [("PATCH", {"spec": {"replicas": 1}})],
+        120.0: [("GET", None)],
+        900.0: [("GET", None), ("PATCH", stamp)],
+    }
+    lines = _log_lines(result)
+    assert [at for at, line in lines.items() if line["reason"] == "hold"] == [k * 60.0 for k in range(4, 17)]
+    assert lines[840.0] == _hold_line(840.0, observed=1, desired=1)
+    assert lines[900.0] == _hold_line(900.0, observed=1, desired=1)
+    records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+    assert [records[at].observed_at - SIM_EPOCH for at in (240.0, 840.0, 900.0, 960.0)] == [120.0, 120.0, 900.0, 900.0]
+    assert records[960.0].consecutive_github_errors == 13
+    assert result.writes == [(60.0, 1)]
+    assert_agrees_with_oracle(script, result)
+
+
+def test_an_incarnation_that_never_wrote_holds_the_count_it_read(monkeypatch):
+    # The first manager scales up at 60 s; its successor starts at 300 s,
+    # reads the ready runner and writes nothing. GitHub fails from 330 s: its
+    # holds keep the 1 replica it read and send nothing while that count is
+    # fresh. Kubernetes fails from 600 s; the 900 s hold's read fails, and it
+    # still holds 1, not 0. The 1020 s read, after recovery, refreshes the
+    # stamp.
+    sent = kube_requests_by_time(monkeypatch)
+    events = [
+        ScenarioEvent(270, "restart_manager", {"downtime": 30}),
+        ScenarioEvent(330, "github_fault", {"status": 503}),
+        ScenarioEvent(600, "kube_fault", {"status": 500}),
+        ScenarioEvent(1000, "kube_recover"),
+        ScenarioEvent(1100, "github_recover"),
+    ]
+    script = _demand_script((10, 7200), horizon=1141, events=events)
+    result = run_scenario(script)
+    stamp = {"metadata": {"annotations": {ANNOTATION_LAST_ACTIVE: to_rfc3339(SIM_EPOCH + 1020)}}}
+    assert dict(sent) == {
+        0.0: [("GET", None)],
+        60.0: [("PATCH", {"spec": {"replicas": 1}})],
+        120.0: [("GET", None)],
+        300.0: [("GET", None)],
+        900.0: [("GET", None)],
+        960.0: [("GET", None)],
+        1020.0: [("GET", None), ("PATCH", stamp)],
+    }
+    lines = _log_lines(result)
+    assert lines[840.0] == _hold_line(840.0, observed=1, desired=1)
+    assert [lines[at] for at in (900.0, 960.0)] == [_hold_line(at, observed=None, desired=1) for at in (900.0, 960.0)]
+    assert lines[1020.0] == _hold_line(1020.0, observed=1, desired=1)
+    records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+    assert [records[at].consecutive_kube_errors for at in (840.0, 900.0, 960.0, 1020.0)] == [0, 1, 2, 0]
+    assert result.writes == [(60.0, 1)]
+    assert_agrees_with_oracle(script, result)
+
+
+def test_a_kube_fault_that_starts_mid_outage_is_seen_at_the_next_stale_read(monkeypatch):
+    # GitHub fails from 200 s to 2000 s while a runner works, and Kubernetes
+    # from 930 s, just after the 900 s hold read the Deployment and refreshed
+    # the stamp. The holds that follow hold a fresh count and send nothing;
+    # the first to see the fault is the 1800 s read, once that stamp is
+    # min_dwell old: 870 s on, within min_dwell plus one poll.
+    sent = kube_requests_by_time(monkeypatch)
+    events = [
+        ScenarioEvent(200, "github_fault", {"status": 503}),
+        ScenarioEvent(930, "kube_fault", {"status": 500}),
+        ScenarioEvent(2000, "github_recover"),
+    ]
+    script = _demand_script((10, 7200), horizon=1921, events=events)
+    result = run_scenario(script)
+    assert [at for at in sent if at > 900.0] == [1800.0, 1860.0, 1920.0]
+    assert result.kube_requests == {"GET": 6, "PATCH": 2}
+    records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+    first_seen = next(at for at, record in records.items() if record.consecutive_kube_errors)
+    policy = result.policy
+    assert first_seen == 1800.0 <= 930.0 + policy.min_dwell + policy.poll_interval
+    lines = _log_lines(result)
+    assert lines[1740.0] == _hold_line(1740.0, observed=1, desired=1)
+    assert lines[1800.0] == _hold_line(1800.0, observed=None, desired=1)
     assert_agrees_with_oracle(script, result)
 
 
@@ -857,12 +938,13 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
 
 def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_sighting(clock):
     # Demand for the one ready runner. A GitHub outage makes the 960 s poll
-    # hold, which reads the Deployment and sees the runner ready, but sends
-    # no last-active: the stamp written at 900 s is not min_dwell old. The
+    # hold; the count it holds is fresh, as the stamp written at 900 s is not
+    # min_dwell old, so it sends nothing and reports the 900 s read. The
     # runner then stops being ready while the busy polls send nothing. The
-    # stamp never passes the last read that saw the runner ready, and the
-    # read that first misses it, at 1800 s, writes exactly that sighting.
-    # With no ready runner, every poll after it reads.
+    # stamp never passes the last read that saw the runner ready: the read
+    # that first misses it, at 1800 s when the stamp is min_dwell old, finds
+    # it already at that sighting and keeps it. With no ready runner, every
+    # poll after it reads.
     policy = Policy()
     github = FakeGitHub(expected_token="t", clock=clock).start()
     github.enqueue_job(LABELS, duration=1e6, ref="job")
@@ -894,10 +976,11 @@ def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_s
     finally:
         gh_client.close()
         github.close()
-    assert sightings == [0.0, 900.0, 960.0]
-    assert [r.decided_at for r in records if r.observed_at == r.decided_at] == [0.0, 900.0, 960.0, 1800.0, 1860.0]
-    assert stamps[16:30] == [900.0] * 14
-    assert stamps[30:] == [960.0, 960.0]
+    assert sightings == [0.0, 900.0]
+    assert [r.decided_at for r in records if r.observed_at == r.decided_at] == [0.0, 900.0, 1800.0, 1860.0]
+    assert (records[16].reason, records[16].observed_replicas, records[16].observed_at) == (Reason.HOLD, 1, 900.0)
+    assert stamps[:15] == [0.0] * 15
+    assert stamps[15:] == [900.0] * 17
 
 
 def _keepalive_run(due: float, polls: int, on_record=None) -> tuple[SteppingClock, list, list]:
