@@ -4,14 +4,18 @@ Renders everything a namespace owner needs to deploy the setup: the manager
 Deployment (replicas 1), the runner Deployment (replicas 0 -- the manager
 owns scale-up), a namespaced Role/RoleBinding pair covering exactly the API
 surface the manager touches, the GitHub token Secret skeleton, and the
-persistent volume claim for the runner install. The manager pod meets Pod
-Security "restricted". The runner's resource requests are example values to
-edit, like the image. Output is deterministic.
+persistent volume claim for the runner install. Both pods meet Pod Security
+"restricted". The runner's resource requests are example values to edit,
+like the image. Output is deterministic.
 """
 
 from __future__ import annotations
 
 from ..config import Config
+
+# The runner pod's user and group: the non-root "runner" account of the
+# actions-runner images. The runner software refuses to run as root anyway.
+RUNNER_UID = 1001
 
 
 def emit_manifests(config: Config, image: str = "REPLACE_WITH_RUNNER_IMAGE") -> str:
@@ -163,10 +167,23 @@ spec:
     spec:
       # runner-bootstrap never calls the Kubernetes API: mount no token.
       automountServiceAccountToken: false
+      # Pod Security "restricted": the runner runs as a non-root user with no
+      # capabilities; fsGroup makes the install volume writable to it.
+      securityContext:
+        runAsNonRoot: true
+        runAsUser: {RUNNER_UID}
+        runAsGroup: {RUNNER_UID}
+        fsGroup: {RUNNER_UID}
+        seccompProfile:
+          type: RuntimeDefault
       containers:
         - name: runner
           image: {image}
           command: ["runner-bootstrap", "run", "--dir", "/runner", "--work-dir", "/work"]
+          securityContext:
+            allowPrivilegeEscalation: false
+            capabilities:
+              drop: ["ALL"]
           resources:
             requests:
               cpu: 4

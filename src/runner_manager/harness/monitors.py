@@ -66,6 +66,17 @@ def cap_violations(result: ScenarioResult) -> list[tuple[float, int]]:
     return [(at, replicas) for at, replicas in result.writes if not 0 <= replicas <= result.policy.max_runners]
 
 
+def demand_targets(result: ScenarioResult) -> list[tuple[float, int, int, int]]:
+    """Demand decisions whose target is not ``min(queued + in_progress,
+    max_runners)``: (tick, target, queued, in_progress)."""
+    cap = result.policy.max_runners
+    return [
+        (tick, target, queued, in_progress)
+        for (tick, target, reason), (_, queued, in_progress) in zip(result.decisions, result.poll_counts)
+        if reason == "demand" and target != min(queued + in_progress, cap)
+    ]
+
+
 def premature_scale_downs(result: ScenarioResult) -> list[tuple[float, int | None, int | None]]:
     """Writes of 0 replicas not preceded by a poll that saw nothing
     outstanding: (at, queued, in_progress) of the last poll before it."""
@@ -131,6 +142,7 @@ def violations(script: ScenarioScript, result: ScenarioResult) -> dict[str, list
     diff = oracle_diff(script, result)
     return {
         "cap": cap_violations(result),
+        "demand": demand_targets(result),
         "oracle": [] if diff is None else [diff],
         "premature_scale_down": premature_scale_downs(result),
         "latency": [at for at, up in scale_up_checks(script, result) if up is None],  # the enqueue times

@@ -33,6 +33,12 @@ count, so before its first write an incarnation holds the count it read,
 whenever it read it, and the rule does not depend on the manager's read
 schedule.
 
+The ``last-active`` annotation is written when the runner stops: on a poll
+that decides 0, or on one that sees no ready replica, it takes the exact
+stamp. It is also written while it is unset. While a ready runner stays
+wanted (a replica is ready and the target is 1 or more), a set stamp is
+kept, however far the incarnation's own stamp has moved past it.
+
 Returned decisions are keyed by poll-tick time, in seconds since the
 scenario start; ticks where the manager was stopped mid-poll (restart,
 horizon) yield no decision, matching the live manager's log. The final
@@ -339,14 +345,10 @@ class _OracleSim:
             m.last_written = target
 
         if kube_ok and m.durable_loaded:
-            # While a ready runner stays wanted, last-active is refreshed
-            # once per min_dwell; any other poll writes the exact stamp.
+            # While a ready runner stays wanted, a set last-active is kept;
+            # any other poll writes the exact stamp.
             trailing = saw_running and target >= 1
-            if (
-                not trailing
-                or self.ann_last_active is None
-                or m.last_active - self.ann_last_active >= policy.min_dwell
-            ):
+            if not trailing or self.ann_last_active is None:
                 self.ann_last_active = _as_text_holds(m.last_active)
             self.ann_keepalive_started = _as_text_holds(m.keepalive_started)
 

@@ -14,13 +14,11 @@ annotations alone when the count stays.
 A poll reads the Deployment only when the loop's answer to that read is
 stale (:meth:`ReconcileLoop._holds_answer`), and writes when its decision
 changes something, with or without a read first. The answer is fresh when
-the last Kubernetes call succeeded and the count is fresh, whatever the
-decision: demand, keepalive, idle or hold. At 0 replicas, fresh means the
-last read was less than ``min_dwell`` ago and ``last-active`` would not
-change. At 1 or more, it means the target stays at 1 or more, the last read
-saw a ready replica and the ``last-active`` annotation is less than
-``min_dwell`` old, so the loop reads again on exactly the poll whose read
-would send the trailing refresh. A scale to 0 thus always reads first:
+the last Kubernetes call succeeded, the last read was less than
+``min_dwell`` ago and the count is fresh, whatever the decision: demand,
+keepalive, idle or hold. At 0 replicas, a fresh count means ``last-active``
+would not change. At 1 or more, it means the target stays at 1 or more and
+the last read saw a ready replica. A scale to 0 thus always reads first:
 its exact ``last-active`` needs this poll's sighting of the runner. A poll
 with a fresh answer writes against the count the loop holds and the
 readiness its last read saw; when nothing changes it sends no Kubernetes
@@ -55,13 +53,15 @@ its GitHub window is ``poll_interval`` long like a tick's. So a keepalive
 starts when it falls due and ends ``min_dwell`` later, not at the next
 tick after either.
 
-The ``last-active`` annotation trails the in-memory stamp by less than
-``min_dwell`` while a ready runner stays wanted, and is exact from the poll
-that scales to zero or first sees no ready replica. A restarted manager
-reads a trailing stamp only if the runner was up when the last one stopped.
-If the runner is still ready, the first poll moves the stamp to now; if it
-died unseen, the keepalive falls due at most ``min_dwell + poll_interval``
-early, never late, so the credential is never older than with an exact stamp.
+The ``last-active`` annotation is written when the runner stops: exact
+from the poll that scales to zero or first sees no ready replica. It is
+also written while it is unset. While a ready runner stays wanted nothing
+else writes it, so it trails the in-memory stamp by the busy stretch. A
+restarted manager reads a trailing stamp only if the runner was up when the
+last one stopped. If the runner is still ready, the first poll moves the
+in-memory stamp to now; if it died unseen, the keepalive falls due early by
+up to the whole busy stretch, never late, so the credential is never older
+than with an exact stamp.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class ReconcileRecord:
     wrote_scale: bool
     consecutive_github_errors: int
     consecutive_kube_errors: int
+    last_active: float | None  # the in-memory stamp; None while unknown
     keepalive_next_due: float | None
     github_rate_limit_remaining: int | None
 
@@ -147,6 +148,7 @@ class ReconcileRecord:
             "observed_at": _format_ts(self.observed_at),
             "consecutive_github_errors": self.consecutive_github_errors,
             "consecutive_kube_errors": self.consecutive_kube_errors,
+            "last_active": _format_ts(self.last_active),
             "keepalive_next_due": _format_ts(self.keepalive_next_due),
             "github_rate_limit_remaining": self.github_rate_limit_remaining,
         }
@@ -330,15 +332,15 @@ class ReconcileLoop:
         whichever annotations changed. True when it wrote ``spec.replicas``.
 
         On a ``trailing`` poll -- a replica is ready and stays wanted --
-        ``last-active`` is sent only once the in-memory stamp is ``min_dwell``
-        past it, so it trails by less than ``min_dwell``. That is safe: the
-        poll that stops wanting the runner, or first misses it, sends the
-        exact stamp (the module docstring has the restart case).
+        ``last-active`` is sent only while it is unset, so a busy runner's
+        stamp is not refreshed while it works. That is safe: the poll that
+        stops wanting the runner, or first misses it, sends the exact stamp
+        (the module docstring has the restart case).
         ``_persisted`` keeps the ``last-active`` actually sent; a refused
         write leaves it as it was, so the next poll sends the same again.
         """
         last_active, persisted = self.state.last_active, self._persisted.last_active
-        if trailing and persisted is not None and last_active - persisted < self.policy.min_dwell:
+        if trailing and persisted is not None:
             last_active = persisted
         patch = {}
         if last_active != persisted:
@@ -414,6 +416,7 @@ class ReconcileLoop:
             wrote_scale=wrote,
             consecutive_github_errors=self.github_streaks.errors,
             consecutive_kube_errors=self.kube_streaks.errors,
+            last_active=self.state.last_active,
             keepalive_next_due=keepalive_due_at(self.state.last_active, self.policy),
             github_rate_limit_remaining=self.github.rate_limit_remaining,
         )
@@ -430,27 +433,21 @@ class ReconcileLoop:
     def _holds_answer(self, jobs: list[JobRecord] | None, now: float) -> bool:
         """True when the loop's answer to this poll's Deployment read is
         fresh, so the poll writes against it without reading: the last
-        Kubernetes call succeeded and the count is fresh (see the module
-        docstring), whatever the decision. At 1 or more it must also stay at
+        Kubernetes call succeeded, the last read is under ``min_dwell`` old
+        and the count is fresh (see the module docstring), whatever the
+        decision. So the loop reads about once per ``min_dwell`` since its
+        last read, at any count. At 1 or more the target must also stay at
         1 or more, so a scale to 0 always reads first: its exact
         ``last-active`` needs this poll's sighting. A fresh hold thus sends
         nothing unless a hand scale moved the count the loop last wrote: it
         keeps that count, else the one last read, and changes no
         bookkeeping."""
-        if self._known_replicas is None or self.kube_streaks.errors:
+        if self._known_replicas is None or self.kube_streaks.errors or now - self._read_at >= self.policy.min_dwell:
             return False
-        decision = compute_desired(jobs, self._known_replicas, self.state, self.policy, now)
         if self._known_replicas == 0:
-            return self.state.last_active == self._persisted.last_active and now - self._read_at < self.policy.min_dwell
-        # A read that saw the runner still ready would send last-active once
-        # the persisted stamp is min_dwell old (see _write): read then.
-        stamp = self._persisted.last_active
-        return (
-            decision.target_replicas >= 1
-            and self._ready_at_read
-            and stamp is not None
-            and now - stamp < self.policy.min_dwell
-        )
+            return self.state.last_active == self._persisted.last_active
+        decision = compute_desired(jobs, self._known_replicas, self.state, self.policy, now)
+        return self._ready_at_read and decision.target_replicas >= 1
 
     def _observe_kube(self) -> DeploymentSnapshot:
         """The poll's Kubernetes read: a GET of the Deployment, which

@@ -35,6 +35,7 @@ BEFORE_FIRST_POLL = {
     "observed_at": None,
     "consecutive_github_errors": 0,
     "consecutive_kube_errors": 0,
+    "last_active": None,
     "keepalive_next_due": None,
     "github_rate_limit_remaining": None,
 }

@@ -27,6 +27,7 @@ from runner_manager.bootstrap import RunnerProfile, emit_manifests, init_runner_
 from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.config import Config, Policy, RepoCoordinates
 from runner_manager.github import GitHubClient
+from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness import monitors
 from runner_manager.harness.driver import ScenarioResult, run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
@@ -35,7 +36,7 @@ from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, gener
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
-from runner_manager.reconciler import ANNOTATION_LAST_ACTIVE
+from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE
 
 from conftest import assert_agrees_with_oracle, kube_requests_by_time
 
@@ -45,17 +46,17 @@ import workloads  # noqa: E402
 BULK_SCENARIOS = 1000
 RESTART_SCENARIOS = 100
 # Request budget of the bulk batch, per poll: each ceiling sits just above
-# the figure measured when it was set (2.065, 0.528 and 0.271). The
-# Kubernetes figure is 11,512 requests in 42,499 polls, with a hold reading
-# the Deployment only when the count it holds is stale.
+# the figure measured when it was set (2.065, 0.528 and 0.227). The
+# Kubernetes figure is 9,629 requests in 42,499 polls, with a busy runner's
+# last-active written only when it stops or while it is unset.
 GITHUB_REQUESTS_PER_POLL = 2.1
 GITHUB_CHARGED_PER_POLL = 0.54
-KUBE_REQUESTS_PER_POLL = 0.28
+KUBE_REQUESTS_PER_POLL = 0.23
 # The same for one storm scenario of the benchmark (294 GitHub requests, 88
-# of them charged, and 15 Kubernetes requests in 60 polls).
+# of them charged, and 11 Kubernetes requests in 60 polls).
 STORM_GITHUB_PER_POLL = 4.95
 STORM_CHARGED_PER_POLL = 1.5
-STORM_KUBE_PER_POLL = 0.26
+STORM_KUBE_PER_POLL = 0.19
 # Memory budget: bytes a finished 6-hour idle run still holds, per poll,
 # just above the figure measured when it was set (about 345; the trace and
 # its decision records are most of it).
@@ -166,7 +167,12 @@ def month_long_idle() -> ScenarioResult:
 def test_criterion_1_one_runner_cap(bulk):
     assert bulk.scenarios >= BULK_SCENARIOS
     assert bulk.violations["cap"] == [], bulk.violations["cap"][:5]
-    _ok(1, f"spec replicas stayed in 0..max_runners across {bulk.scenarios} scenarios / {bulk.decisions} polls")
+    assert bulk.violations["demand"] == [], bulk.violations["demand"][:5]
+    _ok(
+        1,
+        f"spec replicas stayed in 0..max_runners and every demand decision asked for min(jobs, max_runners) "
+        f"across {bulk.scenarios} scenarios / {bulk.decisions} polls",
+    )
 
 
 def test_criterion_2_oracle_equivalence(bulk):
@@ -408,11 +414,11 @@ def test_request_budget(bulk, month_long_idle):
     # poll's two draw on the rate limit. Each of the nine activations reads
     # the Deployment three times in its 16 polls: at the scale-up, which
     # falls a whole min_dwell after the last idle read, at the next poll,
-    # which first sees the runner ready, and at the scale-down;
-    # the polls in between keep the count and a fresh last-active. Otherwise
-    # it is read once per min_dwell (15 polls): 334 times in each of the
-    # eight idle stretches of 5,024 polls between activations, and 190 times
-    # in the last one, of 2,864 polls.
+    # which first sees the runner ready, and at the scale-down; the polls in
+    # between come under min_dwell after that sighting and keep the count.
+    # Otherwise it is read once per min_dwell (15 polls): 334 times in each
+    # of the eight idle stretches of 5,024 polls between activations, and
+    # 190 times in the last one, of 2,864 polls.
     idle = month_long_idle
     idle_polls = len(idle.decisions)
     assert idle.github_api_requests == 2 * idle_polls
@@ -420,12 +426,13 @@ def test_request_budget(bulk, month_long_idle):
     assert idle_polls == 9 * 16 + 8 * 5024 + 2864 == 43200
     assert idle.kube_requests["GET"] == 9 * 3 + 8 * (5024 // 15) + 2864 // 15 == 2889
     # Nine keepalive activations, each one patch to scale up with the
-    # dwell's start, one to move last-active once the runner is ready, and
-    # one to scale down with the exact stamp: never two writes in a poll.
-    assert idle.kube_requests["PATCH"] == 27
+    # dwell's start and one to scale down with the exact stamp, and one more
+    # in the first, whose sighting writes the unset last-active: never two
+    # writes in a poll, and none while a ready runner stays wanted.
+    assert idle.kube_requests["PATCH"] == 9 * 2 + 1 == 19
     print(
         f"REQUEST BUDGET PASS - requests a poll over {polls} polls: {rates}; "
-        f"30-day idle: 2 GitHub a poll, 2 charged, 2889 Kubernetes GETs in {idle_polls} polls, 27 PATCHes"
+        f"30-day idle: 2 GitHub a poll, 2 charged, 2889 Kubernetes GETs in {idle_polls} polls, 19 PATCHes"
     )
 
 
@@ -450,19 +457,47 @@ def test_kube_request_shape_per_poll(monkeypatch):
     # Over the restart seeds, each poll's Deployment requests, filed by the
     # virtual instant they were sent at (time stands still during a poll):
     # at most one GET and one PATCH, a PATCH of 0 replicas only after a GET,
-    # and a GET at every incarnation's first poll.
+    # and a GET at every incarnation's first poll. A PATCH that keeps the
+    # count carries keepalive-started, or comes on a poll that decided 0,
+    # whose read saw no ready replica, or that found last-active unset: a
+    # busy runner's last-active is written when it stops, not while it works.
     sent = kube_requests_by_time(monkeypatch)
-    polls = first_polls = 0
+    ready_at_read: dict[float, bool] = {}  # a successful GET: a replica was ready
+    stamp_set: dict[float, bool] = {}  # a PATCH: the Deployment held last-active
+    handle = fake_kube_module._handle
+
+    def noting_handle(kube, request):
+        at = kube.clock.now() - SIM_EPOCH
+        if request.method == "PATCH":
+            stamp_set[at] = ANNOTATION_LAST_ACTIVE in kube.annotations
+        response = handle(kube, request)
+        if request.method == "GET" and response.status == 200:
+            ready_at_read[at] = kube.running_count() >= 1
+        return response
+
+    monkeypatch.setattr(fake_kube_module, "_handle", noting_handle)
+    polls = first_polls = annotation_patches = 0
     for seed in range(RESTART_SCENARIOS):
         sent.clear()
+        ready_at_read.clear()
+        stamp_set.clear()
         result = run_scenario(generate_random_script(10_000 + seed, with_faults=True, with_restarts=True))
+        records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+        desired = {record.decided_at - SIM_EPOCH: record.desired for record in records.values()}
         for at, requests in sent.items():
             methods = [method for method, _ in requests]
             assert methods.count("GET") <= 1 and methods.count("PATCH") <= 1, (seed, at, requests)
             for i, (method, body) in enumerate(requests):
                 if method == "PATCH" and body.get("spec", {}).get("replicas") == 0:
                     assert "GET" in methods[:i], (seed, at, requests)
-        records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+                if method == "PATCH" and "spec" not in body:
+                    annotation_patches += 1
+                    assert (
+                        ANNOTATION_KEEPALIVE_STARTED in body["metadata"]["annotations"]
+                        or desired.get(at) == 0
+                        or ready_at_read.get(at) is False
+                        or not stamp_set[at]
+                    ), (seed, at, requests)
         # Each incarnation that starts polls first at its start instant.
         starts = [0.0] + [entry.at for entry in result.trace.select("driver", "manager_started")]
         for start in starts:
@@ -471,7 +506,8 @@ def test_kube_request_shape_per_poll(monkeypatch):
         first_polls += len(starts)
     print(
         f"REQUEST SHAPE PASS - {polls} polls of {RESTART_SCENARIOS} restart scenarios: at most one Deployment GET "
-        f"and one PATCH a poll, every scale to 0 read first, and all {first_polls} first polls of an incarnation read"
+        f"and one PATCH a poll, every scale to 0 read first, all {first_polls} first polls of an incarnation read, "
+        f"and none of {annotation_patches} annotation-only PATCHes refreshed a busy runner's last-active"
     )
 
 

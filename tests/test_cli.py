@@ -285,9 +285,10 @@ def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys,
         # The 97 h outage holds 0 replicas across the keepalive's due instant;
         # the keepalive starts at the first poll after it, 180.6 h after the
         # last activity. The held count is fresh for min_dwell after each
-        # read, so the 5,834 holds read about once per min_dwell.
+        # read, so the 5,834 holds read about once per min_dwell. The two
+        # PATCHes are the two scale writes: last-active was set all along.
         assert result.writes == [(650040, 1), (650940, 0)]
-        assert result.kube_requests == {"GET": 769, "PATCH": 3}
+        assert result.kube_requests == {"GET": 769, "PATCH": 2}
     if script.stem == "restart-during-downtime":
         # The restart at t=150 supersedes the successor pending since t=130,
         # so that manager never starts and has no exit code.

@@ -140,6 +140,22 @@ def test_the_manager_pod_meets_pod_security_restricted():
     ]
 
 
+def test_the_runner_pod_meets_pod_security_restricted():
+    pod = next(
+        o["spec"]["template"]["spec"]
+        for o in yaml.safe_load_all(_default_output())
+        if o and o["kind"] == "Deployment" and o["metadata"]["name"] == "gha-runner"
+    )
+    assert _restricted_violations(pod) == []
+    # A numeric non-root user, and an fsGroup that makes the install volume
+    # (the PersistentVolumeClaim at /runner) writable to that user.
+    context = pod["securityContext"]
+    assert isinstance(context["runAsUser"], int) and context["runAsUser"] > 0
+    assert context["fsGroup"] == context["runAsGroup"] == context["runAsUser"]
+    claims = [v["name"] for v in pod["volumes"] if "persistentVolumeClaim" in v]
+    assert [m["mountPath"] for m in pod["containers"][0]["volumeMounts"] if m["name"] in claims] == ["/runner"]
+
+
 def test_labels_include_custom_os_string():
     assert "linux-gpu-cuda" in _default_output()
 

@@ -6,6 +6,7 @@ import pytest
 
 from runner_manager.config import Policy
 from runner_manager.harness import monitors
+from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
 
 
@@ -27,3 +28,24 @@ def test_trouble_spans(events, spans):
 def test_cap_violations_read_the_policys_max_runners():
     run = SimpleNamespace(policy=Policy(max_runners=3), writes=[(60.0, 3), (120.0, 4), (180.0, 0)])
     assert monitors.cap_violations(run) == [(120.0, 4)]
+
+
+def test_demand_targets_find_a_demand_decision_that_misreads_its_counts():
+    # Three jobs for at most two runners: the first demand decision asks for
+    # two, and later ones for what is left as the jobs finish.
+    enqueue = {"labels": ["self-hosted", "linux-gpu-cuda"], "duration": 300}
+    script = ScenarioScript(
+        horizon=600, events=[ScenarioEvent(at=10, kind="enqueue_job", payload=enqueue)] * 3, policy={"max_runners": 2}
+    )
+    result = run_scenario(script)
+    demand = [i for i, (_, _, reason) in enumerate(result.decisions) if reason == "demand"]
+    assert demand and result.decisions[demand[0]][1] == 2
+    assert monitors.demand_targets(result) == [] and monitors.violations(script, result)["demand"] == []
+    # A saturated poll counts max_runners jobs. Doctor the first demand
+    # decision to ask for one runner where its counts call for two.
+    tick, _, reason = result.decisions[demand[0]]
+    result.decisions[demand[0]] = (tick, 1, reason)
+    _, queued, in_progress = result.poll_counts[demand[0]]
+    assert queued + in_progress == 2
+    assert monitors.demand_targets(result) == [(tick, 1, queued, in_progress)]
+    assert monitors.violations(script, result)["demand"] == [(tick, 1, queued, in_progress)]

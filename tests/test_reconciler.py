@@ -266,12 +266,14 @@ def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
     assert kube.writes == [scale_up, scale_up]
     assert kube.spec == 1
 
-    # The runner comes up: the next poll moves last-active, annotation only.
+    # The runner comes up: the next poll reads it ready and writes nothing.
+    # last-active is set, so it stays as it is until the runner stops.
     kube.ready = 1
     clock.advance(POLICY.poll_interval)
     seen = clock.now()
     assert loop.reconcile_once(seen).wrote_scale is False
-    assert kube.writes[2:] == [(None, {ANNOTATION_LAST_ACTIVE: to_rfc3339(seen)})]
+    assert loop.state.last_active == seen
+    assert kube.writes[2:] == []
 
     # The dwell ends: one patch scales to 0, stamps last-active exactly and
     # removes keepalive-started. Refused once, it is sent again whole.
@@ -283,7 +285,7 @@ def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
     clock.advance(POLICY.poll_interval)
     again = clock.now()
     assert loop.reconcile_once(again).wrote_scale is True
-    assert kube.writes[3:] == [
+    assert kube.writes[2:] == [
         (0, {ANNOTATION_LAST_ACTIVE: to_rfc3339(down), ANNOTATION_KEEPALIVE_STARTED: None}),
         (0, {ANNOTATION_LAST_ACTIVE: to_rfc3339(again), ANNOTATION_KEEPALIVE_STARTED: None}),
     ]

@@ -1,7 +1,6 @@
 """run_service end to end: the real loop against the fake world."""
 
 import logging
-import math
 import socket
 import threading
 import time
@@ -615,26 +614,29 @@ def _busy_script(fault: int) -> ScenarioScript:
 def test_a_kube_401_that_starts_during_demand_still_exits():
     # Reads at 0 s and at 120 s, which first sees the runner ready; the 60 s
     # scale-up comes under min_dwell after the 0 s read, so it writes without
-    # reading. The last-active stamp the run starts with, at 0 s, is under
-    # min_dwell old, so the busy polls send nothing until it is, at 900 s:
-    # the first failed read. Three failed polls in a row end the manager.
+    # reading. The busy polls send nothing until the 120 s read is min_dwell
+    # old, at 1020 s: the first failed read. Three failed polls in a row end
+    # the manager.
     result = run_scenario(_busy_script(401))
     assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
     records = [entry.detail for entry in result.trace.select("manager", "decision")]
     policy = result.policy
     first_failed = next(r for r in records if r.consecutive_kube_errors)
     assert first_failed.tick - SIM_EPOCH <= 200 + policy.min_dwell + policy.poll_interval
-    assert [r.consecutive_kube_errors for r in records] == [0] * 15 + [1, 2]
-    assert [r.observed_replicas for r in records] == [0, 0] + [1] * 13 + [None, None]
+    assert [r.consecutive_kube_errors for r in records] == [0] * 17 + [1, 2]
+    assert [r.observed_replicas for r in records] == [0, 0] + [1] * 15 + [None, None]
     assert result.kube_requests == {"GET": 5, "PATCH": 1}
 
 
 def test_a_deployment_deleted_during_demand_exits_at_the_next_read():
     # The same busy run: reads at 0 s and 120 s, a write without a read at
-    # the 60 s scale-up; the read at 900 s meets the 404 and exits.
+    # the 60 s scale-up; the read at 1020 s, min_dwell after the last one,
+    # meets the 404 and exits.
     result = run_scenario(_busy_script(404))
     assert result.manager_exit_codes[-1] == EXIT_CONFIG
-    assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(15)]
+    policy = result.policy
+    assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(17)]
+    assert 17 * 60.0 <= 200 + policy.min_dwell + policy.poll_interval
     assert result.kube_requests == {"GET": 3, "PATCH": 1}
 
 
@@ -743,29 +745,29 @@ def test_a_failed_write_without_a_read_reports_observed_null_and_the_next_poll_r
 
 
 def test_a_github_outage_during_demand_reads_only_when_the_held_count_goes_stale(monkeypatch):
-    # GitHub answers 503 from 200 s to 1000 s while a runner works. The 120 s
-    # read saw it ready and the last-active stamp of the start is under
-    # min_dwell old, so the holds from 240 s send nothing. At 900 s the stamp
-    # is min_dwell old: that hold reads once and refreshes the stamp, and the
-    # holds after it send nothing again.
+    # GitHub answers 503 from 200 s to 1100 s while a runner works. The 120 s
+    # read saw it ready, so the holds from 240 s send nothing until that read
+    # is min_dwell old. At 1020 s that hold reads once, sees the runner still
+    # ready and keeps the set last-active, and the holds after it send
+    # nothing again.
     sent = kube_requests_by_time(monkeypatch)
-    faults = [ScenarioEvent(200, "github_fault", {"status": 503}), ScenarioEvent(1000, "github_recover")]
-    script = _demand_script((10, 7200), horizon=1021, events=faults)
+    faults = [ScenarioEvent(200, "github_fault", {"status": 503}), ScenarioEvent(1100, "github_recover")]
+    script = _demand_script((10, 7200), horizon=1141, events=faults)
     result = run_scenario(script)
-    stamp = {"metadata": {"annotations": {ANNOTATION_LAST_ACTIVE: to_rfc3339(SIM_EPOCH + 900)}}}
     assert dict(sent) == {
         0.0: [("GET", None)],
         60.0: [("PATCH", {"spec": {"replicas": 1}})],
         120.0: [("GET", None)],
-        900.0: [("GET", None), ("PATCH", stamp)],
+        1020.0: [("GET", None)],
     }
     lines = _log_lines(result)
-    assert [at for at, line in lines.items() if line["reason"] == "hold"] == [k * 60.0 for k in range(4, 17)]
-    assert lines[840.0] == _hold_line(840.0, observed=1, desired=1)
-    assert lines[900.0] == _hold_line(900.0, observed=1, desired=1)
+    assert [at for at, line in lines.items() if line["reason"] == "hold"] == [k * 60.0 for k in range(4, 19)]
+    assert lines[960.0] == _hold_line(960.0, observed=1, desired=1)
+    assert lines[1020.0] == _hold_line(1020.0, observed=1, desired=1)
     records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
-    assert [records[at].observed_at - SIM_EPOCH for at in (240.0, 840.0, 900.0, 960.0)] == [120.0, 120.0, 900.0, 900.0]
-    assert records[960.0].consecutive_github_errors == 13
+    observed_at = [records[at].observed_at - SIM_EPOCH for at in (240.0, 960.0, 1020.0, 1080.0)]
+    assert observed_at == [120.0, 120.0, 1020.0, 1020.0]
+    assert records[1080.0].consecutive_github_errors == 15
     assert result.writes == [(60.0, 1)]
     assert_agrees_with_oracle(script, result)
 
@@ -774,62 +776,62 @@ def test_an_incarnation_that_never_wrote_holds_the_count_it_read(monkeypatch):
     # The first manager scales up at 60 s; its successor starts at 300 s,
     # reads the ready runner and writes nothing. GitHub fails from 330 s: its
     # holds keep the 1 replica it read and send nothing while that count is
-    # fresh. Kubernetes fails from 600 s; the 900 s hold's read fails, and it
-    # still holds 1, not 0. The 1020 s read, after recovery, refreshes the
-    # stamp.
+    # fresh. Kubernetes fails from 900 s; the 1200 s hold's read, min_dwell
+    # after the 300 s one, fails, and it still holds 1, not 0. The 1320 s
+    # read, after recovery, sees the runner ready and keeps the set stamp.
     sent = kube_requests_by_time(monkeypatch)
     events = [
         ScenarioEvent(270, "restart_manager", {"downtime": 30}),
         ScenarioEvent(330, "github_fault", {"status": 503}),
-        ScenarioEvent(600, "kube_fault", {"status": 500}),
-        ScenarioEvent(1000, "kube_recover"),
-        ScenarioEvent(1100, "github_recover"),
+        ScenarioEvent(900, "kube_fault", {"status": 500}),
+        ScenarioEvent(1300, "kube_recover"),
+        ScenarioEvent(1400, "github_recover"),
     ]
-    script = _demand_script((10, 7200), horizon=1141, events=events)
+    script = _demand_script((10, 7200), horizon=1441, events=events)
     result = run_scenario(script)
-    stamp = {"metadata": {"annotations": {ANNOTATION_LAST_ACTIVE: to_rfc3339(SIM_EPOCH + 1020)}}}
     assert dict(sent) == {
         0.0: [("GET", None)],
         60.0: [("PATCH", {"spec": {"replicas": 1}})],
         120.0: [("GET", None)],
         300.0: [("GET", None)],
-        900.0: [("GET", None)],
-        960.0: [("GET", None)],
-        1020.0: [("GET", None), ("PATCH", stamp)],
+        1200.0: [("GET", None)],
+        1260.0: [("GET", None)],
+        1320.0: [("GET", None)],
     }
     lines = _log_lines(result)
-    assert lines[840.0] == _hold_line(840.0, observed=1, desired=1)
-    assert [lines[at] for at in (900.0, 960.0)] == [_hold_line(at, observed=None, desired=1) for at in (900.0, 960.0)]
-    assert lines[1020.0] == _hold_line(1020.0, observed=1, desired=1)
+    assert lines[1140.0] == _hold_line(1140.0, observed=1, desired=1)
+    failed_reads = (1200.0, 1260.0)
+    assert [lines[at] for at in failed_reads] == [_hold_line(at, observed=None, desired=1) for at in failed_reads]
+    assert lines[1320.0] == _hold_line(1320.0, observed=1, desired=1)
     records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
-    assert [records[at].consecutive_kube_errors for at in (840.0, 900.0, 960.0, 1020.0)] == [0, 1, 2, 0]
+    assert [records[at].consecutive_kube_errors for at in (1140.0, 1200.0, 1260.0, 1320.0)] == [0, 1, 2, 0]
     assert result.writes == [(60.0, 1)]
     assert_agrees_with_oracle(script, result)
 
 
 def test_a_kube_fault_that_starts_mid_outage_is_seen_at_the_next_stale_read(monkeypatch):
-    # GitHub fails from 200 s to 2000 s while a runner works, and Kubernetes
-    # from 930 s, just after the 900 s hold read the Deployment and refreshed
-    # the stamp. The holds that follow hold a fresh count and send nothing;
-    # the first to see the fault is the 1800 s read, once that stamp is
-    # min_dwell old: 870 s on, within min_dwell plus one poll.
+    # GitHub fails from 200 s to 2100 s while a runner works, and Kubernetes
+    # from 1050 s, just after the 1020 s hold read the Deployment. The holds
+    # that follow hold a fresh count and send nothing; the first to see the
+    # fault is the 1920 s read, once the 1020 s one is min_dwell old: 870 s
+    # on, within min_dwell plus one poll.
     sent = kube_requests_by_time(monkeypatch)
     events = [
         ScenarioEvent(200, "github_fault", {"status": 503}),
-        ScenarioEvent(930, "kube_fault", {"status": 500}),
-        ScenarioEvent(2000, "github_recover"),
+        ScenarioEvent(1050, "kube_fault", {"status": 500}),
+        ScenarioEvent(2100, "github_recover"),
     ]
-    script = _demand_script((10, 7200), horizon=1921, events=events)
+    script = _demand_script((10, 7200), horizon=2041, events=events)
     result = run_scenario(script)
-    assert [at for at in sent if at > 900.0] == [1800.0, 1860.0, 1920.0]
-    assert result.kube_requests == {"GET": 6, "PATCH": 2}
+    assert [at for at in sent if at > 120.0] == [1020.0, 1920.0, 1980.0, 2040.0]
+    assert result.kube_requests == {"GET": 6, "PATCH": 1}
     records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
     first_seen = next(at for at, record in records.items() if record.consecutive_kube_errors)
     policy = result.policy
-    assert first_seen == 1800.0 <= 930.0 + policy.min_dwell + policy.poll_interval
+    assert first_seen == 1920.0 <= 1050.0 + policy.min_dwell + policy.poll_interval
     lines = _log_lines(result)
-    assert lines[1740.0] == _hold_line(1740.0, observed=1, desired=1)
-    assert lines[1800.0] == _hold_line(1800.0, observed=None, desired=1)
+    assert lines[1860.0] == _hold_line(1860.0, observed=1, desired=1)
+    assert lines[1920.0] == _hold_line(1920.0, observed=None, desired=1)
     assert_agrees_with_oracle(script, result)
 
 
@@ -847,8 +849,9 @@ def _record_last_active_patches(monkeypatch) -> list[str]:
     return sent
 
 
-def test_busy_hour_refreshes_last_active_once_per_min_dwell(clock, monkeypatch):
-    # A ready runner and a job nobody claims: 60 polls of demand for 1.
+def test_a_busy_hour_writes_last_active_only_while_it_is_unset(clock, monkeypatch):
+    # A ready runner and a job nobody claims: 60 polls of demand for 1, on a
+    # Deployment that has no last-active yet.
     github = FakeGitHub(expected_token="t", clock=clock).start()
     github.enqueue_job(LABELS, duration=7200.0)
     kube = FakeKube(clock=clock).start()
@@ -861,10 +864,9 @@ def test_busy_hour_refreshes_last_active_once_per_min_dwell(clock, monkeypatch):
         kube.close()
     assert code == EXIT_OK
     assert {(r.observed_replicas, r.desired, r.reason) for r in records} == {(1, 1, Reason.DEMAND)}
-    policy = Policy()
-    assert len(sent) <= math.ceil(60 * policy.poll_interval / policy.min_dwell) + 1
-    # Written when unset at the first poll, then each time it lags by min_dwell.
-    assert sent == [to_rfc3339(records[0].decided_at + k * policy.min_dwell) for k in range(4)]
+    # Written once, at the first poll, because it is unset; while the runner
+    # stays wanted nothing else moves it.
+    assert sent == [to_rfc3339(records[0].decided_at)]
 
 
 def test_poll_that_scales_to_zero_writes_the_exact_stamp():
@@ -909,9 +911,10 @@ class _RunnerKube:
 
 def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, monkeypatch):
     # One incarnation sees the runner ready for ``streak`` polls; the runner
-    # then exits while no manager runs. The next incarnation reads a stamp
-    # that may trail: its keepalive falls due early, by less than
-    # min_dwell + poll_interval, and never late.
+    # then exits while no manager runs. The next incarnation reads the stamp
+    # the first one persisted, at its first poll, since a busy runner's
+    # last-active is written only while unset: its keepalive falls due early
+    # by up to the whole busy stretch, and never late.
     policy = Policy()
     github = FakeGitHub(expected_token="t", clock=clock).start()
     github.enqueue_job(LABELS, duration=1e6, ref="job")
@@ -925,12 +928,14 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
                 assert (record.observed_replicas, record.desired) == (1, 1)
                 clock.advance(policy.poll_interval)
             exact = keepalive_due_at(record.decided_at, policy)
+            persisted = from_rfc3339(kube.annotations[ANNOTATION_LAST_ACTIVE])
 
             kube.ready_replicas = 0
             clock.advance(policy.poll_interval)  # downtime
             restarted = ReconcileLoop(gh_client, kube, policy, clock, REPO, threading.Event())
             due = restarted.reconcile_once(clock.now()).keepalive_next_due
-            assert 0 <= exact - due < policy.min_dwell + policy.poll_interval, streak
+            assert 0 <= exact - due, streak
+            assert due == keepalive_due_at(persisted, policy), streak
     finally:
         gh_client.close()
         github.close()
@@ -938,13 +943,13 @@ def test_restart_after_an_unseen_runner_exit_keeps_the_keepalive_early(clock, mo
 
 def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_sighting(clock):
     # Demand for the one ready runner. A GitHub outage makes the 960 s poll
-    # hold; the count it holds is fresh, as the stamp written at 900 s is not
-    # min_dwell old, so it sends nothing and reports the 900 s read. The
-    # runner then stops being ready while the busy polls send nothing. The
-    # stamp never passes the last read that saw the runner ready: the read
-    # that first misses it, at 1800 s when the stamp is min_dwell old, finds
-    # it already at that sighting and keeps it. With no ready runner, every
-    # poll after it reads.
+    # hold; the count it holds is fresh, as the 900 s read is not min_dwell
+    # old, so it sends nothing and reports that read. The runner then stops
+    # being ready while the busy polls send nothing. The stamp, written once
+    # at 0 s while it was unset, never passes the last read that saw the
+    # runner ready: the read that first misses it, at 1800 s when the 900 s
+    # read is min_dwell old, writes that sighting. With no ready runner,
+    # every poll after it reads.
     policy = Policy()
     github = FakeGitHub(expected_token="t", clock=clock).start()
     github.enqueue_job(LABELS, duration=1e6, ref="job")
@@ -979,8 +984,8 @@ def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_s
     assert sightings == [0.0, 900.0]
     assert [r.decided_at for r in records if r.observed_at == r.decided_at] == [0.0, 900.0, 1800.0, 1860.0]
     assert (records[16].reason, records[16].observed_replicas, records[16].observed_at) == (Reason.HOLD, 1, 900.0)
-    assert stamps[:15] == [0.0] * 15
-    assert stamps[15:] == [900.0] * 17
+    assert stamps[:30] == [0.0] * 30
+    assert stamps[30:] == [900.0] * 2
 
 
 def _keepalive_run(due: float, polls: int, on_record=None) -> tuple[SteppingClock, list, list]:

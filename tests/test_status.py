@@ -30,6 +30,7 @@ def _record(**overrides) -> ReconcileRecord:
         wrote_scale=False,
         consecutive_github_errors=0,
         consecutive_kube_errors=0,
+        last_active=None,
         keepalive_next_due=None,
         github_rate_limit_remaining=None,
     )
@@ -139,6 +140,7 @@ def test_status_keys_before_and_after_first_poll(server):
         "observed_at": None,
         "consecutive_github_errors": 0,
         "consecutive_kube_errors": 0,
+        "last_active": None,
         "keepalive_next_due": None,
         "github_rate_limit_remaining": None,
     }
@@ -149,6 +151,7 @@ def test_status_keys_before_and_after_first_poll(server):
             reason=Reason.KEEPALIVE,
             consecutive_github_errors=2,
             consecutive_kube_errors=1,
+            last_active=1704067140.25,
             keepalive_next_due=1704067200.5,
             github_rate_limit_remaining=4998,
         )
@@ -161,6 +164,7 @@ def test_status_keys_before_and_after_first_poll(server):
         "observed_at": "2024-01-01T00:00:00Z",
         "consecutive_github_errors": 2,
         "consecutive_kube_errors": 1,
+        "last_active": "2023-12-31T23:59:00.250000Z",
         "keepalive_next_due": "2024-01-01T00:00:00.500000Z",
         "github_rate_limit_remaining": 4998,
     }
