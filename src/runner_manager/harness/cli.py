@@ -7,7 +7,7 @@ import json
 import sys
 
 from .driver import run_scenario
-from .monitors import oracle_diff
+from .monitors import violations
 from .scenario import generate_random_script, load_script
 
 
@@ -22,7 +22,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--check-oracle",
         action="store_true",
-        help="compare decisions, scale writes and the final annotations with the oracle",
+        help="compare decisions, scale writes and the final annotations with the oracle, and judge every monitor",
     )
 
     args = parser.parse_args(argv)
@@ -49,13 +49,15 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     if args.check_oracle:
-        diff = oracle_diff(script, result)
-        summary["oracle_match"] = diff is None
-        if diff is not None:
-            summary["oracle_first_diff"] = diff
+        found = violations(script, result)
+        diff = found.pop("oracle")
+        summary["oracle_match"] = not diff
+        if diff:
+            summary["oracle_first_diff"] = diff[0]
+        summary["violations"] = {name: entries for name, entries in found.items() if entries}
 
     print(json.dumps(summary, indent=2))
-    return 1 if result.scenario_failed or summary.get("oracle_match") is False else 0
+    return 1 if result.scenario_failed or summary.get("oracle_match") is False or summary.get("violations") else 0
 
 
 if __name__ == "__main__":

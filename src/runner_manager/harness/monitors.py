@@ -77,6 +77,19 @@ def demand_targets(result: ScenarioResult) -> list[tuple[float, int, int, int]]:
     ]
 
 
+def busy_targets(result: ScenarioResult) -> list[tuple[float, int, int, int]]:
+    """Busy decisions that are not a floor above demand: no job in
+    progress, or a target at or below ``min(queued + in_progress,
+    max_runners)`` or above ``max_runners``: (tick, target, queued,
+    in_progress)."""
+    cap = result.policy.max_runners
+    return [
+        (tick, target, queued, in_progress)
+        for (tick, target, reason), (_, queued, in_progress) in zip(result.decisions, result.poll_counts)
+        if reason == "busy" and not (in_progress >= 1 and min(queued + in_progress, cap) < target <= cap)
+    ]
+
+
 def premature_scale_downs(result: ScenarioResult) -> list[tuple[float, int | None, int | None]]:
     """Writes of 0 replicas not preceded by a poll that saw nothing
     outstanding: (at, queued, in_progress) of the last poll before it."""
@@ -143,10 +156,12 @@ def violations(script: ScenarioScript, result: ScenarioResult) -> dict[str, list
     return {
         "cap": cap_violations(result),
         "demand": demand_targets(result),
+        "busy": busy_targets(result),
         "oracle": [] if diff is None else [diff],
         "premature_scale_down": premature_scale_downs(result),
         "latency": [at for at, up in scale_up_checks(script, result) if up is None],  # the enqueue times
         "outside_role": result.cross_namespace_requests,
         "github_headers": result.github_header_violations,
         "scale_patches": result.scale_patch_violations,
+        "busy_kills": [(entry.at, entry.detail["job"]) for entry in busy_kills(result)],
     }

@@ -33,6 +33,13 @@ count, so before its first write an incarnation holds the count it read,
 whenever it read it, and the rule does not depend on the manager's read
 schedule.
 
+A successful poll that counts outstanding matching jobs, one of them in
+progress, never asks for fewer replicas than ``min(held, max_runners)``,
+where ``held`` is the Deployment's count once the incarnation has read it,
+else 0. When that floor is above ``min(jobs, max_runners)`` the decision
+is ``busy`` at the floor; otherwise it is ``demand``. So no scale-down
+happens while a counted job runs.
+
 The ``last-active`` annotation is written when the runner stops: on a poll
 that decides 0, or on one that sees no ready replica, it takes the exact
 stamp. It is also written while it is unset. While a ready runner stays
@@ -60,7 +67,7 @@ from .virtual_clock import SIM_EPOCH
 # Documented contracts mirrored here on purpose (not imported from the
 # implementation): decision reasons, keepalive lead, the job statuses that
 # count as demand, the runner Deployment's name and its annotation keys.
-HOLD, DEMAND, KEEPALIVE, IDLE = "hold", "demand", "keepalive", "idle"
+HOLD, DEMAND, BUSY, KEEPALIVE, IDLE = "hold", "demand", "busy", "keepalive", "idle"
 OUTSTANDING = ("queued", "in_progress")
 DEPLOYMENT = "gha-runner"
 ANNOTATION_LAST_ACTIVE = "runner-manager/last-active"
@@ -300,20 +307,21 @@ class _OracleSim:
         running = sum(1 for p in self.pods if p.running)
         saw_running = running >= 1
 
+        # The count the incarnation holds: the Deployment's, once it has read it.
+        held = spec if m.durable_loaded else 0
         if not poll_ok:
             target = m.last_written
             if target is None:
-                target = spec if (kube_ok or m.durable_loaded) else 0
+                target = held
             target, reason = min(target, policy.max_runners), HOLD
         else:
-            outstanding = sum(
-                1
-                for j in self.jobs
-                if j.status in OUTSTANDING
-                and j.labels.issubset(policy.runner_labels)
-            )
-            if outstanding > 0:
-                target, reason = min(outstanding, policy.max_runners), DEMAND
+            matching = [j for j in self.jobs if j.status in OUTSTANDING and j.labels.issubset(policy.runner_labels)]
+            demand = min(len(matching), policy.max_runners)
+            busy_floor = min(held, policy.max_runners)
+            if busy_floor > demand and any(j.status == "in_progress" for j in matching):
+                target, reason = busy_floor, BUSY
+            elif matching:
+                target, reason = demand, DEMAND
             elif (
                 m.keepalive_started is not None
                 and now - m.keepalive_started < policy.min_dwell
@@ -339,7 +347,7 @@ class _OracleSim:
         if reason == KEEPALIVE:
             if m.keepalive_started is None:
                 m.keepalive_started = now
-        elif reason in (DEMAND, IDLE):
+        elif reason in (DEMAND, BUSY, IDLE):
             m.keepalive_started = None
         if wrote:
             m.last_written = target

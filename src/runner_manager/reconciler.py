@@ -40,9 +40,19 @@ Decision priority (also implemented, independently, by the harness oracle):
 
 1. GitHub poll failed        -> last written, else last read, else 0  (hold)
 2. outstanding matching jobs -> min(count, max_runners)               (demand)
+   one of them in progress   -> at least min(held, max_runners)       (busy)
 3. keepalive dwell running   -> 1                                     (keepalive)
 4. keepalive due             -> 1                                     (keepalive)
 5. otherwise                 -> 0                                     (idle)
+
+"Held" is ``spec.replicas`` as the loop last read or wrote it, 0 before
+its first read. The ReplicaSet, not the manager, picks which pod a cut of
+``spec.replicas`` deletes, so any cut while a job runs can kill that job's
+runner: while a counted job is in progress the count never falls. The
+decision is ``busy`` only when that floor is above the demand target;
+otherwise it is ``demand``. The floor never scales up, and at
+``max_runners`` 1 it never binds. Its cost is idle runners: one long job
+holds every pod up until it ends.
 
 A poll runs at every tick of a fixed grid, ``start + k * poll_interval``,
 and also at the instant the last decision changes with time alone
@@ -91,6 +101,7 @@ T = TypeVar("T")
 
 class Reason(str, enum.Enum):
     DEMAND = "demand"
+    BUSY = "busy"
     KEEPALIVE = "keepalive"
     IDLE = "idle"
     HOLD = "hold"
@@ -212,9 +223,9 @@ def decision_changes_at(reason: Reason, state: ManagerState, policy: Policy) -> 
     advanced past it, changes with time alone: after a keepalive, the end
     of its dwell (already past when the dwell is over and the keepalive goes
     on because no poll has seen the runner ready); after an idle decision,
-    when the keepalive falls due. None after demand and hold, which only a
-    poll's inputs change. The loop also polls at this instant when it falls
-    strictly between now and the next tick."""
+    when the keepalive falls due. None after demand, busy and hold, which
+    only a poll's inputs change. The loop also polls at this instant when
+    it falls strictly between now and the next tick."""
     if reason is Reason.KEEPALIVE:
         return state.keepalive_started_at + policy.min_dwell
     if reason is Reason.IDLE:
@@ -241,7 +252,10 @@ def compute_desired(
     it. None means the GitHub poll failed, so the decision holds: the count
     last written, else ``known_replicas``, else 0. ``known_replicas`` is
     ``spec.replicas`` as the loop last read or wrote it, None until its
-    first read succeeds; it need not come from this poll's read.
+    first read succeeds; it need not come from this poll's read. While one
+    of ``jobs`` is in progress the target stays at least
+    ``min(known_replicas, max_runners)`` (busy), so no scale-down can
+    remove a busy runner's pod.
     """
     if jobs is None:
         target = state.last_written_replicas
@@ -250,7 +264,11 @@ def compute_desired(
         return Decision(min(target, policy.max_runners), Reason.HOLD)
 
     if jobs:
-        return Decision(min(len(jobs), policy.max_runners), Reason.DEMAND)
+        demand = min(len(jobs), policy.max_runners)
+        floor = min(known_replicas or 0, policy.max_runners)
+        if floor > demand and any(job.status == "in_progress" for job in jobs):
+            return Decision(floor, Reason.BUSY)
+        return Decision(demand, Reason.DEMAND)
 
     if state.keepalive_started_at is not None and now - state.keepalive_started_at < policy.min_dwell:
         return Decision(1, Reason.KEEPALIVE)
@@ -283,7 +301,7 @@ def update_state(
     if decision.reason is Reason.KEEPALIVE:
         if keepalive_started is None:
             keepalive_started = now
-    elif decision.reason in (Reason.DEMAND, Reason.IDLE):
+    elif decision.reason in (Reason.DEMAND, Reason.BUSY, Reason.IDLE):
         keepalive_started = None
     # HOLD freezes keepalive bookkeeping: an API outage neither starts nor
     # cancels a dwell.

@@ -185,24 +185,21 @@ def test_a_cancelled_jobs_timer_does_not_end_the_runners_next_job():
     assert_agrees_with_oracle(script, result)
 
 
-def test_scale_down_of_a_busy_runner_requeues_its_job_to_the_idle_one():
-    # scenarios/busy-scale-down.yaml: at t=180 the manager scales 2 -> 1
-    # while gha-runner-2 still runs job 2. The Deployment removes that pod,
-    # GitHub re-queues the job, and gha-runner-1 claims it at the same instant.
+def test_a_busy_runner_is_kept_until_its_job_ends():
+    # scenarios/busy-scale-down.yaml: from t=180 one job is outstanding and
+    # in progress on gha-runner-2 while gha-runner-1 idles. A cut to 1 could
+    # remove the busy pod, so the manager holds 2 (busy) until the job ends
+    # at t=1080, and then scales to 0. Nothing is requeued.
     script = load_script(str(Path(__file__).resolve().parent.parent / "scenarios" / "busy-scale-down.yaml"))
     result = run_scenario(script)
     assert not result.scenario_failed
-    assert result.writes == [(60.0, 2), (180.0, 1), (1200.0, 0)]
-    at_scale_down = [
-        (e.actor, e.action, e.detail.get("job"), e.detail.get("pod"))
-        for e in result.trace.select()
-        if e.at == 180.0 and e.action in ("job_requeued", "job_claimed")
-    ]
-    assert at_scale_down == [
-        ("fake_github", "job_requeued", 2, None),
-        ("fake_github", "job_claimed", 2, None),
-        ("fake_runner", "job_claimed", 2, "gha-runner-1"),
-    ]
+    assert result.writes == [(60.0, 2), (1080.0, 0)]
+    busy = [(tick, target) for tick, target, reason in result.decisions if reason == "busy"]
+    assert busy == [(60.0 * k, 2) for k in range(3, 18)]
+    assert [counts for tick, *counts in result.poll_counts if tick == 180.0] == [[0, 1]]
+    completed = [(e.at, e.detail["pod"], e.detail["job"]) for e in result.trace.select("fake_runner", "job_completed")]
+    assert completed == [(180.0, "gha-runner-1", 1), (1080.0, "gha-runner-2", 2)]
+    assert result.trace.select("fake_github", "job_requeued") == []
     assert_agrees_with_oracle(script, result)
 
 

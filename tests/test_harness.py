@@ -36,7 +36,7 @@ from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
 from runner_manager.kube import KubeClient
 from runner_manager.reconciler import ReconcileLoop
 from runner_manager.status import HttpServer
-from runner_manager.transport import HttpTransport
+from runner_manager.transport import HttpTransport, Request
 
 
 class TestVirtualClock:
@@ -315,6 +315,41 @@ class TestFakeKube:
         github = FakeGitHub(expected_token="t", clock=SystemClock())
         with pytest.raises(TypeError, match="RunnerWorld needs a TimerClock"):
             RunnerWorld(github, labels=[], clock=SystemClock(), on_event=lambda action, detail: None)
+
+    def test_a_patch_that_removes_two_busy_pods_requeues_both_jobs_in_one_call(self, clock):
+        # The manager no longer cuts the count while a job runs, so no
+        # scenario reaches this. Every pod one write removes goes to the
+        # runner world in one call, so both runners go before either freed
+        # job is claimed, as the oracle removes them: the idle gha-runner-1
+        # takes job 2, the oldest, not job 3, the first one freed.
+        labels = ["self-hosted", "linux-gpu-cuda"]
+        github = FakeGitHub(expected_token="t", clock=clock)
+        kube = FakeKube(clock=clock)  # no start-up delay: a pod runs at once
+        world = RunnerWorld(github, labels, clock, on_event=lambda action, detail: None)
+        removals, requeued = [], []
+        kube.on_pod_running = world.pod_running
+        kube.on_pod_terminating = lambda names: removals.append(names) or world.pod_terminating(names)
+        github.on_transition = lambda kind, job: requeued.append(job.job_id) if kind == "job_requeued" else None
+        for duration in (100, 500, 500):
+            github.enqueue_job(labels, duration=duration)
+        kube.apply_scale(3)
+        assert {name: job.job_id for name, job in github.claims.items()} == {
+            "gha-runner-1": 1,
+            "gha-runner-2": 2,
+            "gha-runner-3": 3,
+        }
+        clock.t = 100.0  # job 1 ends and gha-runner-1 idles
+        patch = Request(
+            "PATCH",
+            "/apis/apps/v1/namespaces/ci/deployments/gha-runner",
+            {"content-type": MERGE_PATCH},
+            b'{"spec": {"replicas": 1}}',
+        )
+        assert kube.handle(patch).status == 200
+        assert removals == [["gha-runner-3", "gha-runner-2"]]
+        assert requeued == [3, 2]
+        assert {name: job.job_id for name, job in github.claims.items()} == {"gha-runner-1": 2}
+        assert github.jobs[3].status == "queued"
 
 
 class TestFakeHttpServer:
