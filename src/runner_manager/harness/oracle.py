@@ -26,19 +26,17 @@ tick, and its GitHub window, like a tick's, ends ``poll_interval`` after
 it. Only a successful poll decides so, and it leaves the rate-limit gate
 behind it, so such a poll never waits and never overruns the next tick.
 
-A failed GitHub poll holds the count the incarnation last wrote, else the
-Deployment's count once the incarnation has read it (its first poll with
-Kubernetes up loads the durable state), else 0. Only a write changes that
-count, so before its first write an incarnation holds the count it read,
-whenever it read it, and the rule does not depend on the manager's read
-schedule.
+An incarnation holds the Deployment's count once it has read it (its
+first poll with Kubernetes up loads the durable state), else 0. Only the
+manager writes that count, so the rule does not depend on the manager's
+read schedule. A failed GitHub poll holds ``min(held, max_runners)``, so a
+hold never writes the count.
 
 A successful poll that counts outstanding matching jobs, one of them in
-progress, never asks for fewer replicas than ``min(held, max_runners)``,
-where ``held`` is the Deployment's count once the incarnation has read it,
-else 0. When that floor is above ``min(jobs, max_runners)`` the decision
-is ``busy`` at the floor; otherwise it is ``demand``. So no scale-down
-happens while a counted job runs.
+progress, never asks for fewer replicas than ``min(held, max_runners)``.
+When that floor is above ``min(jobs, max_runners)`` the decision is
+``busy`` at the floor; otherwise it is ``demand``. So no scale-down happens
+while a counted job runs.
 
 The ``last-active`` annotation is written when the runner stops: on a poll
 that decides 0, or on one that sees no ready replica, it takes the exact
@@ -131,7 +129,6 @@ class _Incarnation:
     next_allowed: float = 0.0  # the rate-limit gate
     last_active: float | None = None
     keepalive_started: float | None = None
-    last_written: int | None = None
     durable_loaded: bool = False
 
 
@@ -308,18 +305,14 @@ class _OracleSim:
         saw_running = running >= 1
 
         # The count the incarnation holds: the Deployment's, once it has read it.
-        held = spec if m.durable_loaded else 0
+        held = min(spec if m.durable_loaded else 0, policy.max_runners)
         if not poll_ok:
-            target = m.last_written
-            if target is None:
-                target = held
-            target, reason = min(target, policy.max_runners), HOLD
+            target, reason = held, HOLD
         else:
             matching = [j for j in self.jobs if j.status in OUTSTANDING and j.labels.issubset(policy.runner_labels)]
             demand = min(len(matching), policy.max_runners)
-            busy_floor = min(held, policy.max_runners)
-            if busy_floor > demand and any(j.status == "in_progress" for j in matching):
-                target, reason = busy_floor, BUSY
+            if held > demand and any(j.status == "in_progress" for j in matching):
+                target, reason = held, BUSY
             elif matching:
                 target, reason = demand, DEMAND
             elif (
@@ -336,11 +329,9 @@ class _OracleSim:
 
         self.decisions.append((tick - self.epoch, target, reason))
 
-        wrote = False
         if kube_ok and target != spec:
             self._apply_scale(target, now)
             self.writes.append((now - self.epoch, target))
-            wrote = True
 
         if kube_ok and saw_running:
             m.last_active = now if m.last_active is None else max(m.last_active, now)
@@ -349,8 +340,6 @@ class _OracleSim:
                 m.keepalive_started = now
         elif reason in (DEMAND, BUSY, IDLE):
             m.keepalive_started = None
-        if wrote:
-            m.last_written = target
 
         if kube_ok and m.durable_loaded:
             # While a ready runner stays wanted, a set last-active is kept;

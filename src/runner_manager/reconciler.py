@@ -11,48 +11,46 @@ out. A poll sends at most one write: one merge patch of the Deployment that
 carries the new ``spec.replicas`` and whichever annotations changed, or the
 annotations alone when the count stays.
 
-A poll reads the Deployment only when the loop's answer to that read is
-stale (:meth:`ReconcileLoop._holds_answer`), and writes when its decision
-changes something, with or without a read first. The answer is fresh when
-the last Kubernetes call succeeded, the last read was less than
-``min_dwell`` ago and the count is fresh, whatever the decision: demand,
-keepalive, idle or hold. At 0 replicas, a fresh count means ``last-active``
-would not change. At 1 or more, it means the target stays at 1 or more and
-the last read saw a ready replica. A scale to 0 thus always reads first:
-its exact ``last-active`` needs this poll's sighting of the runner. A poll
-with a fresh answer writes against the count the loop holds and the
-readiness its last read saw; when nothing changes it sends no Kubernetes
-request at all. Its record reports the replica count the loop holds and
-when it last read or wrote it, or null when its write failed, since nothing
-was read. A fresh answer is all the decision needs: a hold keeps the count
-last written, else the count last read, so it is the same either way. A
-manager that keeps its count, idle, busy or on hold, thus reads about once
-per ``min_dwell``, and a change between counts of 1 or more, or from 0
-within ``min_dwell`` of a read, is one ``PATCH``: a hand scale, a runner
-that stops being ready, a revoked token or a deleted Deployment is seen at
-most ``min_dwell`` plus one poll late, during a GitHub outage too. While
-reads are skipped the in-memory ``last_active`` stays at the last read that
-saw a ready runner, so a keepalive can only come early, never late. A write
-of 0 replicas forgets that sighting, so the poll after the next scale-up
-reads.
+A poll reads the Deployment only when the loop's answer to that read, its
+:class:`DeploymentView`, is stale, and writes when its decision changes
+something, with or without a read first. The answer is fresh when the last
+Kubernetes call succeeded, the last read is under ``min_dwell`` old, and:
+at 0 replicas, ``last-active`` would not change; at 1 or more, the target
+stays at 1 or more and ``keepalive_due_at(last_active) > read_at +
+min_dwell + 2 * poll_interval``. So a scale to 0 always reads first, for
+its exact ``last-active``. The bound: a decision uses the stamp from before
+its poll's read, which skipped reads may leave behind a runner that is up.
+The tick in ``[read_at + min_dwell, read_at + min_dwell + poll_interval)``
+reads, if no poll before it has, and decides within its GitHub window, one
+``poll_interval`` long; so no decision up to that read can see the
+keepalive due on a stamp that a read would have moved. A keepalive whose
+runner no read has seen ready, and a runner that is up when
+``force_interval <= 2 * min_dwell + 2 * poll_interval``, read every poll.
+
+A fresh poll writes against the count the loop holds and sends nothing when
+nothing changes; its record reports that count and when it was last read or
+written, or null when its write failed. A manager that keeps its count,
+idle, busy or on hold, thus reads about once per ``min_dwell``, and a hand
+scale, a revoked token or a deleted Deployment is seen at most
+``min_dwell`` plus one poll late, during a GitHub outage too.
 
 Decision priority (also implemented, independently, by the harness oracle):
 
-1. GitHub poll failed        -> last written, else last read, else 0  (hold)
-2. outstanding matching jobs -> min(count, max_runners)               (demand)
-   one of them in progress   -> at least min(held, max_runners)       (busy)
-3. keepalive dwell running   -> 1                                     (keepalive)
-4. keepalive due             -> 1                                     (keepalive)
-5. otherwise                 -> 0                                     (idle)
+1. GitHub poll failed        -> min(held, max_runners)          (hold)
+2. outstanding matching jobs -> min(count, max_runners)         (demand)
+   one of them in progress   -> at least min(held, max_runners) (busy)
+3. keepalive dwell running   -> 1                               (keepalive)
+4. keepalive due             -> 1                               (keepalive)
+5. otherwise                 -> 0                               (idle)
 
 "Held" is ``spec.replicas`` as the loop last read or wrote it, 0 before
-its first read. The ReplicaSet, not the manager, picks which pod a cut of
-``spec.replicas`` deletes, so any cut while a job runs can kill that job's
-runner: while a counted job is in progress the count never falls. The
-decision is ``busy`` only when that floor is above the demand target;
-otherwise it is ``demand``. The floor never scales up, and at
-``max_runners`` 1 it never binds. Its cost is idle runners: one long job
-holds every pod up until it ends.
+its first read, so a hold never writes ``spec.replicas``. The ReplicaSet,
+not the manager, picks which pod a cut of ``spec.replicas`` deletes, so any
+cut while a job runs can kill that job's runner: while a counted job is in
+progress the count never falls. The decision is ``busy`` only when that
+floor is above the demand target; otherwise it is ``demand``. The floor
+never scales up, and at ``max_runners`` 1 it never binds. Its cost is idle
+runners: one long job holds every pod up until it ends.
 
 A poll runs at every tick of a fixed grid, ``start + k * poll_interval``,
 and also at the instant the last decision changes with time alone
@@ -117,7 +115,18 @@ class Decision:
 class ManagerState:
     last_active: float | None = None
     keepalive_started_at: float | None = None
-    last_written_replicas: int | None = None
+
+
+@dataclass(frozen=True)
+class DeploymentView:
+    """What the loop knows of the Deployment, replaced on each read or write:
+    ``spec.replicas`` as last read or written and when, when it was last
+    read, and whether that read saw a ready replica (until a write of 0)."""
+
+    replicas: int
+    known_at: float
+    read_at: float
+    ready: bool
 
 
 @dataclass(slots=True)
@@ -249,25 +258,21 @@ def compute_desired(
     those hold fewer than ``max_runners``, so a poll saturated by
     in-progress runs counts no job of a queued run. A run that starts
     between the two listing reads is in neither, and the next poll counts
-    it. None means the GitHub poll failed, so the decision holds: the count
-    last written, else ``known_replicas``, else 0. ``known_replicas`` is
-    ``spec.replicas`` as the loop last read or wrote it, None until its
-    first read succeeds; it need not come from this poll's read. While one
-    of ``jobs`` is in progress the target stays at least
-    ``min(known_replicas, max_runners)`` (busy), so no scale-down can
-    remove a busy runner's pod.
+    it. ``known_replicas`` is ``spec.replicas`` as the loop last read or
+    wrote it, None until its first read succeeds; it need not come from
+    this poll's read. None for ``jobs`` means the GitHub poll failed, so
+    the decision holds ``min(known_replicas, max_runners)``. While one of
+    ``jobs`` is in progress the target stays at least that (busy), so no
+    scale-down can remove a busy runner's pod.
     """
+    held = min(known_replicas or 0, policy.max_runners)
     if jobs is None:
-        target = state.last_written_replicas
-        if target is None:
-            target = known_replicas or 0
-        return Decision(min(target, policy.max_runners), Reason.HOLD)
+        return Decision(held, Reason.HOLD)
 
     if jobs:
         demand = min(len(jobs), policy.max_runners)
-        floor = min(known_replicas or 0, policy.max_runners)
-        if floor > demand and any(job.status == "in_progress" for job in jobs):
-            return Decision(floor, Reason.BUSY)
+        if held > demand and any(job.status == "in_progress" for job in jobs):
+            return Decision(held, Reason.BUSY)
         return Decision(demand, Reason.DEMAND)
 
     if state.keepalive_started_at is not None and now - state.keepalive_started_at < policy.min_dwell:
@@ -334,13 +339,8 @@ class ReconcileLoop:
         self.kube_streaks = _Streaks("kubernetes")
         # The state the Deployment annotations hold; None until they are read.
         self._persisted: ManagerState | None = None
-        # spec.replicas as last read or written, when it was last read or
-        # written, when it was last read, and whether that read saw a ready
-        # replica; None until this incarnation first reads the Deployment.
-        self._known_replicas: int | None = None
-        self._known_at: float | None = None
-        self._read_at: float | None = None
-        self._ready_at_read = False
+        # None until this incarnation first reads the Deployment.
+        self.view: DeploymentView | None = None
 
     # -- durable state ----------------------------------------------------
 
@@ -391,32 +391,29 @@ class ReconcileLoop:
             return None
 
         now = self.clock.now()
-        fresh = self._holds_answer(jobs, now)
+        decision = compute_desired(jobs, self._known_replicas(), self.state, self.policy, now)
+        fresh = self._holds_answer(decision, now)
         deployment = None
         if not fresh:
             deployment = self.kube_streaks.step(self._observe_kube)
             now = self.clock.now()
-
-        decision = compute_desired(jobs, self._known_replicas, self.state, self.policy, now)
+            decision = compute_desired(jobs, self._known_replicas(), self.state, self.policy, now)
 
         self.state = update_state(self.state, decision, deployment, now)
 
+        view = self.view
         observed = observed_at = None
         wrote = False
         if fresh or deployment is not None:
-            observed, observed_at = self._known_replicas, self._known_at
+            observed, observed_at = view.replicas, view.known_at
             target = decision.target_replicas
             replicas = target if target != observed and not self.stop.is_set() else None
-            trailing = self._ready_at_read and target >= 1
+            trailing = view.ready and target >= 1
             wrote = bool(self.kube_streaks.step(lambda: self._write(replicas, trailing)))
-            if fresh and self.kube_streaks.failure:
+            if wrote:
+                self.view = replace(view, replicas=target, known_at=self.clock.now(), ready=trailing)
+            elif fresh and self.kube_streaks.failure:
                 observed = observed_at = None  # nothing was read this poll
-        if wrote:
-            self.state = replace(self.state, last_written_replicas=decision.target_replicas)
-            self._known_replicas, self._known_at = decision.target_replicas, self.clock.now()
-            if decision.target_replicas == 0:
-                # A sighting from before a scale to 0 says nothing of the next runner.
-                self._ready_at_read = False
 
         # Counting polls, not calls, a readable but unwritable Deployment
         # still reaches the exit threshold.
@@ -448,24 +445,23 @@ class ReconcileLoop:
             interrupt=self.stop,
         )
 
-    def _holds_answer(self, jobs: list[JobRecord] | None, now: float) -> bool:
+    def _known_replicas(self) -> int | None:
+        return self.view.replicas if self.view else None
+
+    def _holds_answer(self, decision: Decision, now: float) -> bool:
         """True when the loop's answer to this poll's Deployment read is
-        fresh, so the poll writes against it without reading: the last
-        Kubernetes call succeeded, the last read is under ``min_dwell`` old
-        and the count is fresh (see the module docstring), whatever the
-        decision. So the loop reads about once per ``min_dwell`` since its
-        last read, at any count. At 1 or more the target must also stay at
-        1 or more, so a scale to 0 always reads first: its exact
-        ``last-active`` needs this poll's sighting. A fresh hold thus sends
-        nothing unless a hand scale moved the count the loop last wrote: it
-        keeps that count, else the one last read, and changes no
-        bookkeeping."""
-        if self._known_replicas is None or self.kube_streaks.errors or now - self._read_at >= self.policy.min_dwell:
+        fresh for ``decision``, so the poll writes against it without
+        reading; the module docstring states and derives the rule. A fresh
+        poll's decision is final: skipping the read changes none of its
+        inputs."""
+        view, policy = self.view, self.policy
+        if view is None or self.kube_streaks.errors or now - view.read_at >= policy.min_dwell:
             return False
-        if self._known_replicas == 0:
+        if view.replicas == 0:
             return self.state.last_active == self._persisted.last_active
-        decision = compute_desired(jobs, self._known_replicas, self.state, self.policy, now)
-        return self._ready_at_read and decision.target_replicas >= 1
+        due = keepalive_due_at(self.state.last_active, policy)
+        next_stale_decision = view.read_at + policy.min_dwell + 2 * policy.poll_interval
+        return decision.target_replicas >= 1 and due is not None and due > next_stale_decision
 
     def _observe_kube(self) -> DeploymentSnapshot:
         """The poll's Kubernetes read: a GET of the Deployment, which
@@ -473,9 +469,8 @@ class ReconcileLoop:
         successful read of this incarnation also loads the durable state
         from those annotations."""
         deployment = self.kube.read_scale()
-        self._known_replicas = deployment.spec_replicas
-        self._known_at = self._read_at = self.clock.now()
-        self._ready_at_read = deployment.ready_replicas >= 1
+        now = self.clock.now()
+        self.view = DeploymentView(deployment.spec_replicas, now, now, deployment.ready_replicas >= 1)
         if self._persisted is None:
             annotations = deployment.annotations
             self.state = self._persisted = replace(

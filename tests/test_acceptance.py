@@ -36,7 +36,7 @@ from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript, gener
 from runner_manager.harness.virtual_clock import SIM_EPOCH, VirtualClock
 from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
-from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE
+from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, keepalive_due_at
 
 from conftest import assert_agrees_with_oracle, kube_requests_by_time
 
@@ -47,18 +47,18 @@ BULK_SCENARIOS = 1000
 RESTART_SCENARIOS = 100
 MULTI_RUNNER_SCENARIOS = 200
 # Request budget of the bulk batch, per poll: each ceiling sits just above
-# the figure measured when it was set (2.065, 0.528 and 0.227). The
-# Kubernetes figure is 9,629 requests in 42,499 polls, with a busy runner's
-# last-active written only when it stops or while it is unset.
+# the figure measured when it was set (2.065, 0.528 and 0.215). The
+# Kubernetes figure is 9,142 requests in 42,499 polls, with the Deployment
+# read only when the answer the loop holds is stale.
 GITHUB_REQUESTS_PER_POLL = 2.1
 GITHUB_CHARGED_PER_POLL = 0.54
-KUBE_REQUESTS_PER_POLL = 0.23
+KUBE_REQUESTS_PER_POLL = 0.22
 # The same for one storm scenario of the benchmark (294 GitHub requests, 88
-# of them charged, and 9 Kubernetes requests in 60 polls: four scale writes,
-# none of them a cut while a job runs, and five reads).
+# of them charged, and 8 Kubernetes requests in 60 polls: four scale writes,
+# none of them a cut while a job runs, and four reads).
 STORM_GITHUB_PER_POLL = 4.95
 STORM_CHARGED_PER_POLL = 1.5
-STORM_KUBE_PER_POLL = 0.16
+STORM_KUBE_PER_POLL = 0.14
 # Memory budget: bytes a finished 6-hour idle run still holds, per poll,
 # just above the figure measured when it was set (about 345; the trace and
 # its decision records are most of it).
@@ -497,28 +497,38 @@ def test_kube_request_shape_per_poll(monkeypatch):
     # count carries keepalive-started, or comes on a poll that decided 0,
     # whose read saw no ready replica, or that found last-active unset: a
     # busy runner's last-active is written when it stops, not while it works.
+    # A GET at 1 or more replicas, under min_dwell after the incarnation's
+    # last successful read and with no Kubernetes failure on the poll before,
+    # comes on a poll that decides 0 or on one where the keepalive, by the
+    # stamp the poll started from, could fall due before the next stale
+    # read: the one freshness rule.
     sent = kube_requests_by_time(monkeypatch)
     ready_at_read: dict[float, bool] = {}  # a successful GET: a replica was ready
     stamp_set: dict[float, bool] = {}  # a PATCH: the Deployment held last-active
+    spec_at_get: dict[float, int] = {}  # a GET: spec.replicas before it
     handle = fake_kube_module._handle
 
     def noting_handle(kube, request):
         at = kube.clock.now() - SIM_EPOCH
         if request.method == "PATCH":
             stamp_set[at] = ANNOTATION_LAST_ACTIVE in kube.annotations
+        else:
+            spec_at_get[at] = kube.spec_replicas
         response = handle(kube, request)
         if request.method == "GET" and response.status == 200:
             ready_at_read[at] = kube.running_count() >= 1
         return response
 
     monkeypatch.setattr(fake_kube_module, "_handle", noting_handle)
-    polls = first_polls = annotation_patches = 0
+    polls = first_polls = annotation_patches = fresh_count_reads = 0
     for seed in range(RESTART_SCENARIOS):
         sent.clear()
         ready_at_read.clear()
         stamp_set.clear()
+        spec_at_get.clear()
         result = run_scenario(generate_random_script(10_000 + seed, with_faults=True, with_restarts=True))
         records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
+        policy = result.policy
         desired = {record.decided_at - SIM_EPOCH: record.desired for record in records.values()}
         for at, requests in sent.items():
             methods = [method for method, _ in requests]
@@ -538,12 +548,33 @@ def test_kube_request_shape_per_poll(monkeypatch):
         starts = [0.0] + [entry.at for entry in result.trace.select("driver", "manager_started")]
         for start in starts:
             assert ("GET", None) in sent[records[start].decided_at - SIM_EPOCH], (seed, start)
+        last_read = previous = None
+        for tick, record in sorted(records.items()):
+            if tick in starts:
+                last_read = previous = None  # a new incarnation knows nothing
+            at = record.decided_at - SIM_EPOCH
+            if (
+                ("GET", None) in sent.get(at, [])
+                and spec_at_get[at] >= 1
+                and last_read is not None
+                and at - last_read < policy.min_dwell
+                and previous.consecutive_kube_errors == 0
+            ):
+                fresh_count_reads += 1
+                due = keepalive_due_at(previous.last_active, policy)
+                next_stale_decision = SIM_EPOCH + last_read + policy.min_dwell + 2 * policy.poll_interval
+                assert record.desired == 0 or due is None or due <= next_stale_decision, (seed, at)
+            if at in ready_at_read:
+                last_read = at
+            previous = record
         polls += len(records)
         first_polls += len(starts)
     print(
         f"REQUEST SHAPE PASS - {polls} polls of {RESTART_SCENARIOS} restart scenarios: at most one Deployment GET "
         f"and one PATCH a poll, every scale to 0 read first, all {first_polls} first polls of an incarnation read, "
-        f"and none of {annotation_patches} annotation-only PATCHes refreshed a busy runner's last-active"
+        f"none of {annotation_patches} annotation-only PATCHes refreshed a busy runner's last-active, and each of "
+        f"{fresh_count_reads} reads at 1 or more replicas under min_dwell after the last was one the keepalive "
+        f"or a scale to 0 needed"
     )
 
 

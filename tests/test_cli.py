@@ -303,3 +303,15 @@ def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys,
         # so that manager never starts and has no exit code.
         assert result.manager_exit_codes == [0, None, 0, 0]
         assert summary["scale_writes"] == [[120.0, 1], [745.0, 0]]
+    if script.stem == "pending-pod":
+        # The pod stays Pending past the horizon's last poll. last-active is
+        # set, so the demand polls read about once per min_dwell: 9 reads in
+        # 125 polls, where reading until a runner is seen ready took 121.
+        assert result.writes == [(60, 1)]
+        assert result.kube_requests == {"GET": 9, "PATCH": 1}
+    if script.stem == "tight-force-interval":
+        # force_interval 1000 s against a min_dwell of 900 s: every poll with
+        # a runner up reads, so the 480 s scale-down stamps the runner's last
+        # sighting and the keepalive falls due 100 s later, at 580 s, as the
+        # oracle has it, not from an older stamp at 480 s.
+        assert result.writes == [(60, 1), (480, 0), (580, 1), (1480, 0), (1580, 1)]

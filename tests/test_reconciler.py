@@ -110,9 +110,10 @@ def test_idle_when_fresh_and_no_work():
     assert compute_desired([], 0, state, POLICY, now) == Decision(0, Reason.IDLE)
 
 
-def test_hold_on_github_failure_keeps_last_written():
-    state = ManagerState(last_written_replicas=1)
-    assert compute_desired(None, 1, state, POLICY, now=0.0) == Decision(1, Reason.HOLD)
+def test_hold_on_github_failure_keeps_the_known_count_up_to_the_cap():
+    policy = Policy(max_runners=3)
+    assert compute_desired(None, 2, ManagerState(), policy, now=0.0) == Decision(2, Reason.HOLD)
+    assert compute_desired(None, 5, ManagerState(), policy, now=0.0) == Decision(3, Reason.HOLD)
 
 
 def test_hold_falls_back_to_observed_then_zero():
@@ -233,16 +234,44 @@ def _loop(gh_client, kube, clock) -> ReconcileLoop:
     return ReconcileLoop(gh_client, kube, POLICY, clock, RepoCoordinates("biocore", "unifrac"), threading.Event())
 
 
-def test_last_written_tracks_successful_writes_only(clock, gh_client):
+def test_the_known_count_tracks_reads_and_successful_writes_only(clock, gh_client):
     # Keepalive is due from the first poll: unknown history.
     kube = _MemoryDeployment({})
     loop = _loop(gh_client, kube, clock)
     kube.refuse = True
     assert loop.reconcile_once(clock.now()).wrote_scale is False
-    assert loop.state.last_written_replicas is None
+    assert (loop.view.replicas, loop.view.known_at) == (0, 0.0)
     clock.advance(POLICY.poll_interval)
     assert loop.reconcile_once(clock.now()).wrote_scale is True
-    assert loop.state.last_written_replicas == 1
+    assert (loop.view.replicas, loop.view.known_at, loop.view.read_at) == (1, 60.0, 60.0)
+
+
+def test_a_hold_keeps_the_count_it_read_and_sends_no_scale_write(clock, fake_github, gh_client):
+    # max_runners 3 and a stamp that puts the keepalive days off. The first
+    # poll reads 0 replicas and writes 2 for two queued jobs. Someone then
+    # scales the Deployment to 3 by hand, and GitHub fails. The hold min_dwell
+    # on reads 3 and keeps them, where writing back the 2 it wrote would cut
+    # a pod; the hold after it keeps that count without a read.
+    policy = Policy(max_runners=3)
+    kube = _MemoryDeployment({ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())})
+    loop = ReconcileLoop(gh_client, kube, policy, clock, RepoCoordinates("biocore", "unifrac"), threading.Event())
+    for _ in range(2):
+        fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], duration=7200.0)
+    assert loop.reconcile_once(clock.now()).desired == 2
+    assert kube.writes == [(2, {})]
+
+    kube.spec = 3
+    fake_github.set_fault("status", 503.0)
+    records = []
+    for at in (policy.min_dwell, policy.min_dwell + policy.poll_interval):
+        clock.t = at
+        records.append(loop.reconcile_once(clock.now()))
+    assert [(r.reason, r.desired, r.observed_replicas, r.observed_at) for r in records] == [
+        (Reason.HOLD, 3, 3, 900.0),
+        (Reason.HOLD, 3, 3, 900.0),
+    ]
+    assert not any(r.wrote_scale for r in records)
+    assert (kube.writes, kube.spec) == ([(2, {})], 3)
 
 
 def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
@@ -257,7 +286,7 @@ def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
     # refused patch changes nothing held, so the next poll sends it again.
     kube.refuse = True
     assert loop.reconcile_once(started).wrote_scale is False
-    assert loop.state.last_written_replicas is None
+    assert loop.view.replicas == 0
     assert loop._persisted.keepalive_started_at is None
     clock.advance(POLICY.poll_interval)
     up = clock.now()
@@ -281,7 +310,7 @@ def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
     kube.refuse = True
     down = clock.now()
     assert loop.reconcile_once(down).wrote_scale is False
-    assert loop.state.last_written_replicas == 1
+    assert loop.view.replicas == 1
     clock.advance(POLICY.poll_interval)
     again = clock.now()
     assert loop.reconcile_once(again).wrote_scale is True
@@ -290,7 +319,7 @@ def test_keepalive_activation_writes_once_a_poll(clock, gh_client):
         (0, {ANNOTATION_LAST_ACTIVE: to_rfc3339(again), ANNOTATION_KEEPALIVE_STARTED: None}),
     ]
     assert kube.annotations == {ANNOTATION_LAST_ACTIVE: to_rfc3339(again)}
-    assert (kube.spec, loop.state.last_written_replicas) == (0, 0)
+    assert (kube.spec, loop.view.replicas) == (0, 0)
 
 
 @pytest.mark.parametrize(

@@ -612,32 +612,32 @@ def _busy_script(fault: int) -> ScenarioScript:
 
 
 def test_a_kube_401_that_starts_during_demand_still_exits():
-    # Reads at 0 s and at 120 s, which first sees the runner ready; the 60 s
-    # scale-up comes under min_dwell after the 0 s read, so it writes without
-    # reading. The busy polls send nothing until the 120 s read is min_dwell
-    # old, at 1020 s: the first failed read. Three failed polls in a row end
-    # the manager.
+    # Reads at 0 s; the 60 s scale-up comes under min_dwell after it, so it
+    # writes without reading. last-active from the start puts the keepalive
+    # days off, so the busy polls send nothing, though no read has seen the
+    # runner ready, until the 0 s read is min_dwell old, at 900 s: the first
+    # failed read. Three failed polls in a row end the manager.
     result = run_scenario(_busy_script(401))
     assert result.manager_exit_codes[-1] == EXIT_CREDENTIALS
     records = [entry.detail for entry in result.trace.select("manager", "decision")]
     policy = result.policy
     first_failed = next(r for r in records if r.consecutive_kube_errors)
     assert first_failed.tick - SIM_EPOCH <= 200 + policy.min_dwell + policy.poll_interval
-    assert [r.consecutive_kube_errors for r in records] == [0] * 17 + [1, 2]
-    assert [r.observed_replicas for r in records] == [0, 0] + [1] * 15 + [None, None]
-    assert result.kube_requests == {"GET": 5, "PATCH": 1}
+    assert [r.consecutive_kube_errors for r in records] == [0] * 15 + [1, 2]
+    assert [r.observed_replicas for r in records] == [0, 0] + [1] * 13 + [None, None]
+    assert result.kube_requests == {"GET": 4, "PATCH": 1}
 
 
 def test_a_deployment_deleted_during_demand_exits_at_the_next_read():
-    # The same busy run: reads at 0 s and 120 s, a write without a read at
-    # the 60 s scale-up; the read at 1020 s, min_dwell after the last one,
-    # meets the 404 and exits.
+    # The same busy run: a read at 0 s, a write without a read at the 60 s
+    # scale-up; the read at 900 s, min_dwell after the last one, meets the
+    # 404 and exits.
     result = run_scenario(_busy_script(404))
     assert result.manager_exit_codes[-1] == EXIT_CONFIG
     policy = result.policy
-    assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(17)]
-    assert 17 * 60.0 <= 200 + policy.min_dwell + policy.poll_interval
-    assert result.kube_requests == {"GET": 3, "PATCH": 1}
+    assert [tick for tick, _, _ in result.decisions] == [k * 60.0 for k in range(15)]
+    assert 15 * 60.0 <= 200 + policy.min_dwell + policy.poll_interval
+    assert result.kube_requests == {"GET": 2, "PATCH": 1}
 
 
 def _demand_script(*jobs: tuple[float, float], horizon: float, events=(), policy=None) -> ScenarioScript:
@@ -673,25 +673,28 @@ def _hold_line(at: float, observed: int | None, desired: int) -> dict:
 
 def test_a_scale_up_under_min_dwell_after_an_idle_read_patches_without_a_read(monkeypatch):
     # The 0 s poll reads 0 replicas; the 60 s poll, the job's first, already
-    # knows them and writes 1 with one PATCH. The 120 s poll reads, as no
-    # read has seen the runner ready yet.
+    # knows them and writes 1 with one PATCH. The 120 s poll sends nothing,
+    # though no read has seen the runner ready: last-active from the start
+    # puts the keepalive days past the next stale read.
     sent = kube_requests_by_time(monkeypatch)
     script = _demand_script((10, 7200), horizon=121)
     result = run_scenario(script)
-    assert dict(sent) == {0.0: [("GET", None)], 60.0: [("PATCH", {"spec": {"replicas": 1}})], 120.0: [("GET", None)]}
-    assert _log_lines(result)[60.0] == _log_line(60.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
+    assert dict(sent) == {0.0: [("GET", None)], 60.0: [("PATCH", {"spec": {"replicas": 1}})]}
+    lines = _log_lines(result)
+    assert lines[60.0] == _log_line(60.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
+    assert lines[120.0] == _log_line(120.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False)
     assert_agrees_with_oracle(script, result)
 
 
 def test_a_fresh_change_between_counts_of_one_or_more_patches_without_a_read(monkeypatch):
-    # max_runners 3. The 120 s read sees the first runner ready, and the
-    # last-active stamp from the start is under min_dwell old, so the 240 s
-    # poll, which counts a second job, writes 2 replicas with one PATCH.
+    # max_runners 3. The 0 s read is the only one: it is under min_dwell old
+    # and last-active from the start puts the keepalive days off, so the
+    # 240 s poll, which counts a second job, writes 2 replicas with one PATCH.
     sent = kube_requests_by_time(monkeypatch)
     script = _demand_script((10, 7200), (200, 7200), horizon=301, policy={"max_runners": 3})
     result = run_scenario(script)
     assert sent[240.0] == [("PATCH", {"spec": {"replicas": 2}})]
-    assert result.kube_requests == {"GET": 2, "PATCH": 2}
+    assert result.kube_requests == {"GET": 1, "PATCH": 2}
     assert _log_lines(result)[240.0] == _log_line(240.0, queued=1, in_progress=1, observed=1, desired=2, wrote=True)
     assert_agrees_with_oracle(script, result)
 
@@ -710,19 +713,28 @@ def test_a_scale_to_zero_reads_first_and_writes_the_exact_stamp(monkeypatch):
     assert_agrees_with_oracle(script, result)
 
 
-def test_the_poll_after_a_scale_up_from_zero_reads_though_a_runner_was_seen_before(monkeypatch):
-    # Up at 60 s, down at 300 s after a read that saw the runner ready, and up
-    # again at 360 s with one PATCH. That sighting says nothing of the new
-    # runner, so the 420 s poll reads.
+def test_the_poll_after_a_scale_up_from_zero_reads_only_if_a_keepalive_may_fall_due(monkeypatch):
+    # Up at 60 s, down at 300 s after a read that saw the runner ready and
+    # stamped last-active, and up again at 360 s with one PATCH. The 420 s
+    # poll reads only when the keepalive, due at 300 s + force_interval -
+    # min_dwell, could fall due by 1320 s: the 300 s read plus min_dwell and
+    # two polls. When it does, each read that sees the runner moves the
+    # stamp and the bound alike, so every poll while the runner is up reads.
     sent = kube_requests_by_time(monkeypatch)
-    script = _demand_script((10, 200), (310, 7200), horizon=481)
-    result = run_scenario(script)
-    assert (sent[360.0], sent[420.0], sent[480.0]) == ([("PATCH", {"spec": {"replicas": 1}})], [("GET", None)], [])
-    lines = _log_lines(result)
-    assert lines[360.0] == _log_line(360.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
-    assert lines[420.0] == _log_line(420.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False)
-    assert result.kube_requests == {"GET": 4, "PATCH": 3}
-    assert_agrees_with_oracle(script, result)
+    for force_interval, reads in [(None, False), (1921, False), (1920, True)]:
+        sent.clear()
+        policy = {"min_dwell": 900, "force_interval": force_interval} if force_interval else {}
+        script = _demand_script((10, 200), (310, 7200), horizon=481, policy=policy)
+        result = run_scenario(script)
+        read = [("GET", None)] if reads else []
+        assert (sent[360.0], sent[420.0], sent[480.0]) == ([("PATCH", {"spec": {"replicas": 1}})], read, read), policy
+        lines = _log_lines(result)
+        assert lines[360.0] == _log_line(360.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
+        assert lines[420.0] == _log_line(420.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False)
+        # The tight policy reads at 0 s and at every poll at 1 replica: 120 s
+        # to 300 s, 420 s and 480 s.
+        assert result.kube_requests == {"GET": 7 if reads else 2, "PATCH": 3}
+        assert_agrees_with_oracle(script, result)
 
 
 def test_a_failed_write_without_a_read_reports_observed_null_and_the_next_poll_reads(monkeypatch):
@@ -745,11 +757,11 @@ def test_a_failed_write_without_a_read_reports_observed_null_and_the_next_poll_r
 
 
 def test_a_github_outage_during_demand_reads_only_when_the_held_count_goes_stale(monkeypatch):
-    # GitHub answers 503 from 200 s to 1100 s while a runner works. The 120 s
-    # read saw it ready, so the holds from 240 s send nothing until that read
-    # is min_dwell old. At 1020 s that hold reads once, sees the runner still
-    # ready and keeps the set last-active, and the holds after it send
-    # nothing again.
+    # GitHub answers 503 from 200 s to 1100 s while a runner works. The 0 s
+    # read is the last before the outage, and the keepalive is days off, so
+    # the holds from 240 s send nothing until that read is min_dwell old. At
+    # 900 s that hold reads once, sees the runner ready and keeps the set
+    # last-active, and the holds after it send nothing again.
     sent = kube_requests_by_time(monkeypatch)
     faults = [ScenarioEvent(200, "github_fault", {"status": 503}), ScenarioEvent(1100, "github_recover")]
     script = _demand_script((10, 7200), horizon=1141, events=faults)
@@ -757,24 +769,23 @@ def test_a_github_outage_during_demand_reads_only_when_the_held_count_goes_stale
     assert dict(sent) == {
         0.0: [("GET", None)],
         60.0: [("PATCH", {"spec": {"replicas": 1}})],
-        120.0: [("GET", None)],
-        1020.0: [("GET", None)],
+        900.0: [("GET", None)],
     }
     lines = _log_lines(result)
     assert [at for at, line in lines.items() if line["reason"] == "hold"] == [k * 60.0 for k in range(4, 19)]
-    assert lines[960.0] == _hold_line(960.0, observed=1, desired=1)
-    assert lines[1020.0] == _hold_line(1020.0, observed=1, desired=1)
+    assert lines[840.0] == _hold_line(840.0, observed=1, desired=1)
+    assert lines[900.0] == _hold_line(900.0, observed=1, desired=1)
     records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
-    observed_at = [records[at].observed_at - SIM_EPOCH for at in (240.0, 960.0, 1020.0, 1080.0)]
-    assert observed_at == [120.0, 120.0, 1020.0, 1020.0]
+    observed_at = [records[at].observed_at - SIM_EPOCH for at in (240.0, 840.0, 900.0, 1080.0)]
+    assert observed_at == [60.0, 60.0, 900.0, 900.0]
     assert records[1080.0].consecutive_github_errors == 15
     assert result.writes == [(60.0, 1)]
     assert_agrees_with_oracle(script, result)
 
 
 def test_an_incarnation_that_never_wrote_holds_the_count_it_read(monkeypatch):
-    # The first manager scales up at 60 s; its successor starts at 300 s,
-    # reads the ready runner and writes nothing. GitHub fails from 330 s: its
+    # The first manager reads at 0 s and scales up at 60 s without a read;
+    # its successor starts at 300 s, reads the ready runner and writes nothing. GitHub fails from 330 s: its
     # holds keep the 1 replica it read and send nothing while that count is
     # fresh. Kubernetes fails from 900 s; the 1200 s hold's read, min_dwell
     # after the 300 s one, fails, and it still holds 1, not 0. The 1320 s
@@ -792,7 +803,6 @@ def test_an_incarnation_that_never_wrote_holds_the_count_it_read(monkeypatch):
     assert dict(sent) == {
         0.0: [("GET", None)],
         60.0: [("PATCH", {"spec": {"replicas": 1}})],
-        120.0: [("GET", None)],
         300.0: [("GET", None)],
         1200.0: [("GET", None)],
         1260.0: [("GET", None)],
@@ -811,27 +821,27 @@ def test_an_incarnation_that_never_wrote_holds_the_count_it_read(monkeypatch):
 
 def test_a_kube_fault_that_starts_mid_outage_is_seen_at_the_next_stale_read(monkeypatch):
     # GitHub fails from 200 s to 2100 s while a runner works, and Kubernetes
-    # from 1050 s, just after the 1020 s hold read the Deployment. The holds
+    # from 930 s, just after the 900 s hold read the Deployment. The holds
     # that follow hold a fresh count and send nothing; the first to see the
-    # fault is the 1920 s read, once the 1020 s one is min_dwell old: 870 s
+    # fault is the 1800 s read, once the 900 s one is min_dwell old: 870 s
     # on, within min_dwell plus one poll.
     sent = kube_requests_by_time(monkeypatch)
     events = [
         ScenarioEvent(200, "github_fault", {"status": 503}),
-        ScenarioEvent(1050, "kube_fault", {"status": 500}),
+        ScenarioEvent(930, "kube_fault", {"status": 500}),
         ScenarioEvent(2100, "github_recover"),
     ]
     script = _demand_script((10, 7200), horizon=2041, events=events)
     result = run_scenario(script)
-    assert [at for at in sent if at > 120.0] == [1020.0, 1920.0, 1980.0, 2040.0]
-    assert result.kube_requests == {"GET": 6, "PATCH": 1}
+    assert [at for at in sent if at > 60.0] == [900.0, 1800.0, 1860.0, 1920.0, 1980.0, 2040.0]
+    assert result.kube_requests == {"GET": 7, "PATCH": 1}
     records = {entry.at: entry.detail for entry in result.trace.select("manager", "decision")}
     first_seen = next(at for at, record in records.items() if record.consecutive_kube_errors)
     policy = result.policy
-    assert first_seen == 1920.0 <= 1050.0 + policy.min_dwell + policy.poll_interval
+    assert first_seen == 1800.0 <= 930.0 + policy.min_dwell + policy.poll_interval
     lines = _log_lines(result)
-    assert lines[1860.0] == _hold_line(1860.0, observed=1, desired=1)
-    assert lines[1920.0] == _hold_line(1920.0, observed=None, desired=1)
+    assert lines[1740.0] == _hold_line(1740.0, observed=1, desired=1)
+    assert lines[1800.0] == _hold_line(1800.0, observed=None, desired=1)
     assert_agrees_with_oracle(script, result)
 
 
@@ -948,8 +958,8 @@ def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_s
     # being ready while the busy polls send nothing. The stamp, written once
     # at 0 s while it was unset, never passes the last read that saw the
     # runner ready: the read that first misses it, at 1800 s when the 900 s
-    # read is min_dwell old, writes that sighting. With no ready runner,
-    # every poll after it reads.
+    # read is min_dwell old, writes that sighting. That stamp puts the
+    # keepalive days off, so the poll after it does not read either.
     policy = Policy()
     github = FakeGitHub(expected_token="t", clock=clock).start()
     github.enqueue_job(LABELS, duration=1e6, ref="job")
@@ -982,7 +992,7 @@ def test_a_runner_that_stops_being_ready_unseen_leaves_last_active_at_its_last_s
         gh_client.close()
         github.close()
     assert sightings == [0.0, 900.0]
-    assert [r.decided_at for r in records if r.observed_at == r.decided_at] == [0.0, 900.0, 1800.0, 1860.0]
+    assert [r.decided_at for r in records if r.observed_at == r.decided_at] == [0.0, 900.0, 1800.0]
     assert (records[16].reason, records[16].observed_replicas, records[16].observed_at) == (Reason.HOLD, 1, 900.0)
     assert stamps[:30] == [0.0] * 30
     assert stamps[30:] == [900.0] * 2

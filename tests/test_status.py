@@ -256,14 +256,15 @@ def test_running_service_serves_status_without_leaking_token():
     from runner_manager.kube import KubeClient, KubeCredentials
     from runner_manager.service import run_service
 
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-
     secret = "ghp-EXTREMELY-SECRET-VALUE"
     clock = SystemClock()
     github = FakeGitHub(expected_token=secret, clock=clock).start()
     kube = FakeKube(clock=SteppingClock()).start()  # its pods start at once
+    # Probe for the status port only once the fakes hold theirs, so neither
+    # can be handed the port the probe frees.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
     stop = threading.Event()
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
