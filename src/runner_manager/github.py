@@ -25,6 +25,16 @@ that starts between the two listing reads is in neither for that poll and
 is found by the next. Runs whose jobs, when last read, held no matching
 outstanding job are read last, so a repository full of runs only hosted or
 foreign runners can take costs about ``max_runners`` job listings a poll.
+
+While the Deployment is at 0 replicas no pod of it exists to run a job,
+and a poll that will not read the Deployment asks for the ``queued``
+listing and its runs alone: most idle polls are one request. The poll that
+reads it, about one in each ``min_dwell``, lists the ``in_progress`` runs
+too, so a matching job that waits in a run that another runner's job has
+put in progress is found within ``min_dwell``. The ``in_progress``
+listing's last answer, and the pages and barren flags of its runs, are
+kept until a poll reads it again, so that read is a ``304`` and a barren
+run still goes last.
 """
 
 from __future__ import annotations
@@ -137,8 +147,9 @@ class GitHubClient:
         self._pages: dict[str, tuple[str, Any]] = {}
         # Listed runs whose jobs, when last read, held no counted job.
         self._barren: set[int] = set()
-        # The run ids the queued listing held when last read; a saturated
-        # poll does not read it.
+        # The run ids each listing held when last read; a saturated poll
+        # does not read the queued one, a poll with a fresh 0 the other.
+        self._in_progress: set[int] = set()
         self._queued: set[int] = set()
         self.rate_limit_remaining: int | None = None  # last x-ratelimit-remaining seen
 
@@ -251,7 +262,9 @@ class GitHubClient:
                 raise ProtocolError(f"job entry malformed: {entry!r}") from exc
         return jobs
 
-    def list_outstanding_jobs(self, repo: RepoCoordinates, runner_labels: LabelSet, limit: int) -> list[JobRecord]:
+    def list_outstanding_jobs(
+        self, repo: RepoCoordinates, runner_labels: LabelSet, limit: int, in_progress: bool
+    ) -> list[JobRecord]:
         """Label-eligible jobs whose status is outstanding, every one of them
         when there are fewer than ``limit``, and at least ``limit`` otherwise.
 
@@ -269,6 +282,10 @@ class GitHubClient:
         from ``queued`` to ``in_progress`` between the two reads is in
         neither for this poll; the next poll finds it. A completed poll drops
         the pages and flags of runs absent from each listing's latest read.
+
+        Without ``in_progress`` only the ``queued`` listing and its runs are
+        read; the ``in_progress`` listing's last answer, its runs' pages and
+        their barren flags are kept for the next poll that reads it.
         """
         jobs: list[JobRecord] = []
 
@@ -287,13 +304,15 @@ class GitHubClient:
                     self._barren.add(run_id)
                 jobs.extend(counted)
 
-        in_progress = set(self.list_runs(repo, "in_progress"))
-        first = in_progress - self._barren
+        running: set[int] = set()
+        if in_progress:
+            running = self._in_progress = set(self.list_runs(repo, "in_progress"))
+        first = running - self._barren
         read_runs(first)
         if len(jobs) < limit:
             self._queued = set(self.list_runs(repo, "queued"))
-            read_runs((in_progress | self._queued) - first)
-        listed = in_progress | self._queued
+            read_runs((running | self._queued) - first)
+        listed = self._in_progress | self._queued
         kept = {_runs_path(repo), *(_run_jobs_path(repo, run_id) for run_id in listed)}
         self._pages = {path: entry for path, entry in self._pages.items() if path.partition("?")[0] in kept}
         self._barren &= listed

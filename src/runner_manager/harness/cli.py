@@ -44,6 +44,9 @@ def main(argv: list[str] | None = None) -> int:
         "events": len(script.events),
         "decisions": len(result.decisions),
         "scale_writes": result.writes,
+        "github_requests": result.github_api_requests,
+        "github_charged_requests": result.github_charged_requests,
+        "kube_requests": result.kube_requests,
         "scenario_failed": result.scenario_failed,
         "failure_reasons": result.failure_reasons,
     }

@@ -310,6 +310,9 @@ class _OracleSim:
             target, reason = held, HOLD
         else:
             matching = [j for j in self.jobs if j.status in OUTSTANDING and j.labels.issubset(policy.runner_labels)]
+            if m.durable_loaded and spec == 0:
+                # No pod of the Deployment exists to run a job in progress.
+                matching = [j for j in matching if j.status == "queued"]
             demand = min(len(matching), policy.max_runners)
             if held > demand and any(j.status == "in_progress" for j in matching):
                 target, reason = held, BUSY

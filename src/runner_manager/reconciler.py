@@ -27,6 +27,17 @@ keepalive due on a stamp that a read would have moved. A keepalive whose
 runner no read has seen ready, and a runner that is up when
 ``force_interval <= 2 * min_dwell + 2 * poll_interval``, read every poll.
 
+At 0 replicas the rule needs no decision, so a poll there judges it
+before GitHub. An answer fresh then is fresh for the whole poll, which
+reads nothing and lists no in-progress run: no pod of the Deployment
+exists to be busy. A stale one is read after GitHub, as at 1 or more, and
+its poll lists the in-progress runs before it decides. So a count of 1
+or more that a read finds is never cut under a runner of its own at
+work, and a queued job in a run that another runner's job has put in
+progress is seen within ``min_dwell``. A GitHub poll that outlasts the
+answer's freshness defers the read to the next tick, which is stale from
+its start, so the bound above holds.
+
 A fresh poll writes against the count the loop holds and sends nothing when
 nothing changes; its record reports that count and when it was last read or
 written, or null when its write failed. A manager that keeps its count,
@@ -44,13 +55,16 @@ Decision priority (also implemented, independently, by the harness oracle):
 5. otherwise                 -> 0                               (idle)
 
 "Held" is ``spec.replicas`` as the loop last read or wrote it, 0 before
-its first read, so a hold never writes ``spec.replicas``. The ReplicaSet,
-not the manager, picks which pod a cut of ``spec.replicas`` deletes, so any
-cut while a job runs can kill that job's runner: while a counted job is in
-progress the count never falls. The decision is ``busy`` only when that
-floor is above the demand target; otherwise it is ``demand``. The floor
-never scales up, and at ``max_runners`` 1 it never binds. Its cost is idle
-runners: one long job holds every pod up until it ends.
+its first read, so a hold never writes ``spec.replicas``. A job in progress
+counts only while held is not a known 0 (:func:`counted_jobs`): at 0 no
+pod of the Deployment exists, so such a job runs on another runner.
+The ReplicaSet, not the manager, picks which pod a cut of
+``spec.replicas`` deletes, so any cut while a job runs can kill that job's
+runner: while a counted job is in progress the count never falls. The
+decision is ``busy`` only when that floor is above the demand target;
+otherwise it is ``demand``. The floor never scales up, and at
+``max_runners`` 1 it never binds. Its cost is idle runners: one long job
+holds every pod up until it ends.
 
 A poll runs at every tick of a fixed grid, ``start + k * poll_interval``,
 and also at the instant the last decision changes with time alone
@@ -261,13 +275,15 @@ def compute_desired(
     it. ``known_replicas`` is ``spec.replicas`` as the loop last read or
     wrote it, None until its first read succeeds; it need not come from
     this poll's read. None for ``jobs`` means the GitHub poll failed, so
-    the decision holds ``min(known_replicas, max_runners)``. While one of
-    ``jobs`` is in progress the target stays at least that (busy), so no
-    scale-down can remove a busy runner's pod.
+    the decision holds ``min(known_replicas, max_runners)``. At a known 0
+    only queued jobs count (:func:`counted_jobs`). While one of ``jobs`` is
+    in progress the target stays at least that (busy), so no scale-down
+    can remove a busy runner's pod.
     """
     held = min(known_replicas or 0, policy.max_runners)
     if jobs is None:
         return Decision(held, Reason.HOLD)
+    jobs = counted_jobs(jobs, known_replicas)
 
     if jobs:
         demand = min(len(jobs), policy.max_runners)
@@ -282,6 +298,15 @@ def compute_desired(
         return Decision(1, Reason.KEEPALIVE)
 
     return Decision(0, Reason.IDLE)
+
+
+def counted_jobs(jobs: list[JobRecord] | None, known_replicas: int | None) -> list[JobRecord] | None:
+    """The outstanding jobs that demand counts: all of them, but at a known
+    0 replicas only the queued ones, since no pod of the Deployment exists
+    to run the others."""
+    if jobs is None or known_replicas != 0:
+        return jobs
+    return [job for job in jobs if job.status == "queued"]
 
 
 def update_state(
@@ -384,7 +409,11 @@ class ReconcileLoop:
         """
         window_end = tick + self.policy.poll_interval
 
-        jobs = self.github_streaks.step(lambda: self._poll_github(window_end))
+        # At 0 replicas freshness needs no decision: an answer fresh before
+        # GitHub holds for the poll, which then reads nothing and needs no
+        # in-progress run.
+        fresh = self._known_replicas() == 0 and self._holds_answer(None, self.clock.now())
+        jobs = self.github_streaks.step(lambda: self._poll_github(window_end, not fresh))
         self.github_streaks.end_poll()
 
         if self.stop.is_set():
@@ -392,7 +421,7 @@ class ReconcileLoop:
 
         now = self.clock.now()
         decision = compute_desired(jobs, self._known_replicas(), self.state, self.policy, now)
-        fresh = self._holds_answer(decision, now)
+        fresh = fresh or self._holds_answer(decision, now)
         deployment = None
         if not fresh:
             deployment = self.kube_streaks.step(self._observe_kube)
@@ -400,6 +429,7 @@ class ReconcileLoop:
             decision = compute_desired(jobs, self._known_replicas(), self.state, self.policy, now)
 
         self.state = update_state(self.state, decision, deployment, now)
+        counted = counted_jobs(jobs, self._known_replicas())  # as the decision counted them
 
         view = self.view
         observed = observed_at = None
@@ -422,8 +452,8 @@ class ReconcileLoop:
         return ReconcileRecord(
             tick=tick,
             decided_at=now,
-            queued=_count(jobs, "queued"),
-            in_progress=_count(jobs, "in_progress"),
+            queued=_count(counted, "queued"),
+            in_progress=_count(counted, "in_progress"),
             observed_replicas=observed,
             observed_at=observed_at,
             desired=decision.target_replicas,
@@ -436,9 +466,11 @@ class ReconcileLoop:
             github_rate_limit_remaining=self.github.rate_limit_remaining,
         )
 
-    def _poll_github(self, window_end: float) -> list[JobRecord]:
+    def _poll_github(self, window_end: float, in_progress: bool) -> list[JobRecord]:
         return execute_with_backoff(
-            lambda: self.github.list_outstanding_jobs(self.repo, self.policy.runner_labels, self.policy.max_runners),
+            lambda: self.github.list_outstanding_jobs(
+                self.repo, self.policy.runner_labels, self.policy.max_runners, in_progress
+            ),
             self.backoff,
             self.clock,
             window_end=window_end,
@@ -448,12 +480,13 @@ class ReconcileLoop:
     def _known_replicas(self) -> int | None:
         return self.view.replicas if self.view else None
 
-    def _holds_answer(self, decision: Decision, now: float) -> bool:
+    def _holds_answer(self, decision: Decision | None, now: float) -> bool:
         """True when the loop's answer to this poll's Deployment read is
         fresh for ``decision``, so the poll writes against it without
         reading; the module docstring states and derives the rule. A fresh
         poll's decision is final: skipping the read changes none of its
-        inputs."""
+        inputs. At 0 replicas the rule needs no decision, and the poll asks
+        with None before it polls GitHub."""
         view, policy = self.view, self.policy
         if view is None or self.kube_streaks.errors or now - view.read_at >= policy.min_dwell:
             return False

@@ -12,6 +12,7 @@ import pytest
 
 from runner_manager.config import Policy
 from runner_manager.github import GitHubClient
+from runner_manager.harness import fake_github as fake_github_module
 from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness.fake_github import FakeGitHub
 from runner_manager.harness.fake_kube import FakeKube
@@ -41,6 +42,26 @@ def kube_requests_by_time(monkeypatch) -> dict[float, list[tuple[str, dict | Non
         return handle(kube, request)
 
     monkeypatch.setattr(fake_kube_module, "_handle", recording_handle)
+    return sent
+
+
+def github_requests_by_time(monkeypatch) -> dict[float, list[tuple[str, str | None, int]]]:
+    """Each GitHub API request of the scenarios run from here on, filed by
+    when it was sent, in seconds since the start: the path with its
+    ``status`` and ``page`` query, the ``If-None-Match`` it carried, and the
+    status answered."""
+    sent: dict[float, list[tuple[str, str | None, int]]] = defaultdict(list)
+    handle = fake_github_module._handle
+
+    def recording_handle(github, request):
+        response = handle(github, request)
+        if request.path.startswith("/repos/"):
+            query = "&".join(f"{key}={request.query[key]}" for key in ("status", "page") if key in request.query)
+            path = f"{request.path}?{query}" if query else request.path
+            sent[github.clock.now() - SIM_EPOCH].append((path, request.headers.get("if-none-match"), response.status))
+        return response
+
+    monkeypatch.setattr(fake_github_module, "_handle", recording_handle)
     return sent
 
 

@@ -27,6 +27,7 @@ from runner_manager.bootstrap import RunnerProfile, emit_manifests, init_runner_
 from runner_manager.clock import SystemClock, to_rfc3339
 from runner_manager.config import Config, Policy, RepoCoordinates
 from runner_manager.github import GitHubClient
+from runner_manager.harness import fake_github as fake_github_module
 from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness import monitors
 from runner_manager.harness.driver import ScenarioResult, run_scenario
@@ -38,7 +39,7 @@ from runner_manager.kube import KubeClient, KubeCredentials
 from runner_manager.labels import LabelSet
 from runner_manager.reconciler import ANNOTATION_KEEPALIVE_STARTED, ANNOTATION_LAST_ACTIVE, keepalive_due_at
 
-from conftest import assert_agrees_with_oracle, kube_requests_by_time
+from conftest import assert_agrees_with_oracle, github_requests_by_time, kube_requests_by_time
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -47,13 +48,13 @@ BULK_SCENARIOS = 1000
 RESTART_SCENARIOS = 100
 MULTI_RUNNER_SCENARIOS = 200
 # Request budget of the bulk batch, per poll: each ceiling sits just above
-# the figure measured when it was set (2.065, 0.528 and 0.215). The
+# the figure measured when it was set (1.943, 0.528 and 0.215). The
 # Kubernetes figure is 9,142 requests in 42,499 polls, with the Deployment
 # read only when the answer the loop holds is stale.
-GITHUB_REQUESTS_PER_POLL = 2.1
+GITHUB_REQUESTS_PER_POLL = 2.0
 GITHUB_CHARGED_PER_POLL = 0.54
 KUBE_REQUESTS_PER_POLL = 0.22
-# The same for one storm scenario of the benchmark (294 GitHub requests, 88
+# The same for one storm scenario of the benchmark (291 GitHub requests, 88
 # of them charged, and 8 Kubernetes requests in 60 polls: four scale writes,
 # none of them a cut while a job runs, and four reads).
 STORM_GITHUB_PER_POLL = 4.95
@@ -407,7 +408,8 @@ def test_criterion_9_wire_exactness(bulk):
     creds = KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci")
     try:
         with closing(GitHubClient(github.base_url, "token", clock=clock)) as github_client:
-            jobs = github_client.list_outstanding_jobs(RepoCoordinates("biocore", "unifrac"), LabelSet(MATCHING), 1)
+            repo = RepoCoordinates("biocore", "unifrac")
+            jobs = github_client.list_outstanding_jobs(repo, LabelSet(MATCHING), 1, in_progress=True)
         with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as kube_client:
             deployment = kube_client.read_scale()
             replicas = kube_client.write_scale(1, {ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())})
@@ -443,9 +445,13 @@ def test_request_budget(bulk, month_long_idle):
     }
     rates = _under_ceilings(per_poll, f"{polls} polls")
 
-    # Idle: two conditional run listings a poll, of which only the first
-    # poll's two draw on the rate limit. Each of the nine activations reads
-    # the Deployment three times in its 16 polls: at the scale-up, which
+    # Idle: each poll sends the conditional queued run listing. The
+    # in-progress listing goes out only at polls that read the Deployment
+    # or know 1 or more replicas: the first poll, which knows no count yet,
+    # the 15 polls at 1 replica of each of the nine activations (the
+    # scale-down's among them), and each read at 0 replicas. Only the first
+    # poll's two listings draw on the rate limit.
+    # Each of the nine activations reads the Deployment three times in its 16 polls: at the scale-up, which
     # falls a whole min_dwell after the last idle read, at the next poll,
     # which first sees the runner ready, and at the scale-down; the polls in
     # between come under min_dwell after that sighting and keep the count.
@@ -454,10 +460,13 @@ def test_request_budget(bulk, month_long_idle):
     # 190 times in the last one, of 2,864 polls.
     idle = month_long_idle
     idle_polls = len(idle.decisions)
-    assert idle.github_api_requests == 2 * idle_polls
-    assert idle.github_charged_requests == 2
     assert idle_polls == 9 * 16 + 8 * 5024 + 2864 == 43200
+    assert idle.github_charged_requests == 2
     assert idle.kube_requests["GET"] == 9 * 3 + 8 * (5024 // 15) + 2864 // 15 == 2889
+    # The reads at 0: those of the idle stretches and the scale-ups of the
+    # last eight activations.
+    reads_at_zero = 8 * (5024 // 15) + 2864 // 15 + 8
+    assert idle.github_api_requests == idle_polls + 1 + 9 * 15 + reads_at_zero == 46_206
     # Nine keepalive activations, each one patch to scale up with the
     # dwell's start and one to scale down with the exact stamp, and one more
     # in the first, whose sighting writes the unset last-active: never two
@@ -465,7 +474,8 @@ def test_request_budget(bulk, month_long_idle):
     assert idle.kube_requests["PATCH"] == 9 * 2 + 1 == 19
     print(
         f"REQUEST BUDGET PASS - requests a poll over {polls} polls: {rates}; "
-        f"30-day idle: 2 GitHub a poll, 2 charged, 2889 Kubernetes GETs in {idle_polls} polls, 19 PATCHes"
+        f"30-day idle: {idle.github_api_requests} GitHub requests, 2 charged, 2889 Kubernetes GETs in "
+        f"{idle_polls} polls, 19 PATCHes"
     )
 
 
@@ -575,6 +585,66 @@ def test_kube_request_shape_per_poll(monkeypatch):
         f"none of {annotation_patches} annotation-only PATCHes refreshed a busy runner's last-active, and each of "
         f"{fresh_count_reads} reads at 1 or more replicas under min_dwell after the last was one the keepalive "
         f"or a scale to 0 needed"
+    )
+
+
+def test_github_request_shape_per_poll(monkeypatch):
+    # Over the restart seeds, each poll's GitHub requests, filed by the
+    # virtual instant they were sent at. Every poll while the Deployment
+    # holds 1 or more replicas lists the in-progress runs, so a busy runner
+    # of its own is always counted; no poll whose in-progress runs already
+    # hold max_runners matching outstanding jobs lists the queued runs; and
+    # every GET of a page that the same incarnation was answered before
+    # sends the page's ETag back.
+    sent = github_requests_by_time(monkeypatch)
+    in_progress_jobs: dict[float, list[LabelSet]] = {}  # a queued listing: the in-progress runs' outstanding jobs
+    handle = fake_github_module._handle
+
+    def noting_handle(github, request):
+        if request.path.endswith("/actions/runs") and request.query.get("status") == "queued":
+            running = {run_id for run_id, status, _ in github.runs() if status == "in_progress"}
+            in_progress_jobs[github.clock.now() - SIM_EPOCH] = [
+                LabelSet(job.labels)
+                for job in github.jobs.values()
+                if job.run_id in running and job.status in ("queued", "in_progress")
+            ]
+        return handle(github, request)
+
+    monkeypatch.setattr(fake_github_module, "_handle", noting_handle)
+    runs = "/repos/biocore/unifrac/actions/runs"
+    polls = busy_polls = queued_listings = repeat_gets = 0
+    for seed in range(RESTART_SCENARIOS):
+        sent.clear()
+        in_progress_jobs.clear()
+        result = run_scenario(generate_random_script(10_000 + seed, with_faults=True, with_restarts=True))
+        policy = result.policy
+        starts = [entry.at for entry in result.trace.select("driver", "manager_started")]
+        answered: set[str] = set()  # the pages this incarnation was answered with a 200
+        for at, requests in sorted(sent.items()):
+            polls += 1
+            while starts and at >= starts[0]:
+                starts.pop(0)
+                answered.clear()  # a new incarnation caches nothing
+            paths = [path for path, _, _ in requests]
+            spec = next((replicas for written_at, replicas in reversed(result.writes) if written_at < at), 0)
+            if spec >= 1:
+                busy_polls += 1
+                assert f"{runs}?status=in_progress&page=1" in paths, (seed, at, requests)
+            if f"{runs}?status=queued&page=1" in paths:
+                queued_listings += 1
+                counted = sum(1 for labels in in_progress_jobs[at] if labels.issubset(policy.runner_labels))
+                assert counted < policy.max_runners, (seed, at, requests)
+            for path, if_none_match, status in requests:
+                if path in answered:
+                    repeat_gets += 1
+                    assert if_none_match is not None, (seed, at, path)
+                if status == 200:
+                    answered.add(path)
+    print(
+        f"GITHUB REQUEST SHAPE PASS - {polls} polls of {RESTART_SCENARIOS} restart scenarios sent GitHub requests: "
+        f"all {busy_polls} at 1 or more replicas listed the in-progress runs, none of {queued_listings} queued "
+        f"listings came after the in-progress runs held max_runners matching jobs, and all {repeat_gets} repeat "
+        f"GETs were conditional"
     )
 
 

@@ -309,6 +309,15 @@ def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys,
         # 125 polls, where reading until a runner is seen ready took 121.
         assert result.writes == [(60, 1)]
         assert result.kube_requests == {"GET": 9, "PATCH": 1}
+        # The summary reports the requests. GitHub: both run listings at the
+        # first poll; the queued listing and the job's run at the scale-up,
+        # which knows 0 replicas; both listings and the run at each of the
+        # 119 polls while the pod is Pending; then the in-progress listing
+        # and the run at each of the 4 polls while its runner holds the job.
+        # Only new answers are charged: 6 of them.
+        assert summary["kube_requests"] == {"GET": 9, "PATCH": 1}
+        assert summary["github_requests"] == 2 + 2 + 119 * 3 + 4 * 2 == 369
+        assert summary["github_charged_requests"] == 6
     if script.stem == "tight-force-interval":
         # force_interval 1000 s against a min_dwell of 900 s: every poll with
         # a runner up reads, so the 480 s scale-down stamps the runner's last

@@ -233,7 +233,7 @@ def test_outstanding_statuses_knob_limits_what_pins_the_runner(clock, fake_githu
     fake_github.enqueue_job(MATCHING)
     runner = fake_github.register_runner("r", MATCHING)
     fake_github.claim_job(runner)
-    jobs = gh_client.list_outstanding_jobs(REPO, LabelSet(MATCHING), 1)
+    jobs = gh_client.list_outstanding_jobs(REPO, LabelSet(MATCHING), 1, in_progress=True)
     assert len(jobs) == 1 and jobs[0].status == "in_progress"
 
 

@@ -14,6 +14,7 @@ from runner_manager.config import IN_CLUSTER, Config, Policy, RepoCoordinates, l
 from runner_manager.clock import SystemClock, from_rfc3339, to_rfc3339
 from runner_manager.harness.driver import run_scenario
 from runner_manager.harness.fake_github import FakeGitHub
+from runner_manager.harness import fake_github as fake_github_module
 from runner_manager.harness import fake_kube as fake_kube_module
 from runner_manager.harness.fake_kube import FakeKube
 from runner_manager.harness.scenario import ScenarioEvent, ScenarioScript
@@ -273,7 +274,7 @@ class _ScriptedGitHub:
     def __init__(self, on_list: Callable[[], None]):
         self.on_list = on_list
 
-    def list_outstanding_jobs(self, repo, labels, cap):
+    def list_outstanding_jobs(self, repo, labels, cap, in_progress):
         self.on_list()
         return []
 
@@ -334,7 +335,10 @@ def test_idle_polls_draw_on_the_rate_limit_only_for_the_first_answers(clock):
     # is answered 304, which is not.
     assert {r.github_rate_limit_remaining for r in records} == {5000 - 2}
     assert github.charged_request_count == 2
-    assert github.api_request_count == 2 * 30
+    # No last-active: the first poll, which knows no count yet, starts a
+    # keepalive, and the 15 polls at 1 replica that follow list in-progress
+    # runs too. Every other poll lists only the queued ones.
+    assert github.api_request_count == 30 + 1 + 15
 
 
 def test_secondary_rate_limit_holds_without_exiting(clock):
@@ -501,6 +505,178 @@ def test_a_hand_scale_up_while_idle_is_undone_at_the_next_read(clock):
     assert (undone.observed_replicas, undone.desired, undone.reason) == (1, 0, Reason.IDLE)
     assert kube.annotations[ANNOTATION_LAST_ACTIVE] == to_rfc3339(undone.decided_at)
     assert kube.spec_replicas == 0
+
+
+def test_a_hand_scale_up_whose_runner_is_busy_is_listed_before_the_read_and_kept(clock, monkeypatch):
+    # Right after the first poll read 0 replicas, someone scales the
+    # Deployment to 1 and its runner takes a matching job. The polls that
+    # hold a fresh 0 list only the queued runs. The stale one lists the
+    # in-progress runs too, reads the Deployment after GitHub, finds the
+    # replica and keeps the busy pod: without the in-progress listing it
+    # would decide idle 0 and cut it.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+    sent = []  # (API, method or listing) of each request, in the order sent
+    kube_handle, github_handle = fake_kube_module._handle, fake_github_module._handle
+
+    def noting_kube_handle(kube, request):
+        sent.append(("kube", request.method))
+        return kube_handle(kube, request)
+
+    def noting_github_handle(github, request):
+        sent.append(("github", request.query.get("status", "jobs")))
+        return github_handle(github, request)
+
+    monkeypatch.setattr(fake_kube_module, "_handle", noting_kube_handle)
+    monkeypatch.setattr(fake_github_module, "_handle", noting_github_handle)
+    per_poll = []
+
+    def on_record(record):
+        per_poll.append(list(sent))
+        sent.clear()
+        if record.tick == 0.0:
+            kube.apply_scale(1)  # not a patch of the manager's: on_scale_write stays silent
+            github.register_runner("gha-runner-1", LABELS)
+            github.enqueue_job(LABELS, duration=86400)
+            assert github.claim_job("gha-runner-1") is not None
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=20, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert (replica_writes, kube.spec_replicas) == ([], 1)
+    assert per_poll[0] == [("github", "in_progress"), ("github", "queued"), ("kube", "GET")]
+    for record, requests in zip(records[1:15], per_poll[1:15]):
+        assert requests == [("github", "queued")]
+        assert (record.in_progress, record.observed_replicas, record.desired, record.reason) == (0, 0, 0, Reason.IDLE)
+    stale = records[15]
+    assert stale.decided_at - records[0].decided_at == Policy().min_dwell
+    # The in-progress run's job fills max_runners, so the queued runs go unlisted.
+    assert per_poll[15] == [("github", "in_progress"), ("github", "jobs"), ("kube", "GET")]
+    assert (stale.in_progress, stale.observed_replicas, stale.desired, stale.reason) == (1, 1, 1, Reason.DEMAND)
+    assert {(r.in_progress, r.desired, r.wrote_scale) for r in records[15:]} == {(1, 1, False)}
+
+
+def test_a_github_poll_that_outlasts_a_fresh_zero_leaves_the_read_to_the_next_tick(clock):
+    # As above, but the GitHub poll of the 840 s tick, which holds a fresh 0
+    # and so lists only the queued runs, takes 120 s: past the instant that
+    # 0 turns min_dwell old. That poll still reads nothing, for a read then
+    # would find the replica with no job of it listed and cut the busy pod.
+    # The next tick, at 960 s as the poll ends, lists the in-progress runs,
+    # reads and keeps the pod.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+    stop = threading.Event()
+    records = []
+
+    def observe(record):
+        records.append(record)
+        if record.tick == 0.0:
+            kube.apply_scale(1)
+            github.register_runner("gha-runner-1", LABELS)
+            github.enqueue_job(LABELS, duration=86400)
+            assert github.claim_job("gha-runner-1") is not None
+        if len(records) == 17:
+            stop.set()
+
+    try:
+        with closing(GitHubClient(github.base_url, "t", clock=clock)) as github_client:
+            listing = github_client.list_outstanding_jobs
+
+            def slow_at_840(*args):
+                jobs = listing(*args)
+                if clock.now() == 840.0:
+                    clock.advance(120.0)
+                return jobs
+
+            github_client.list_outstanding_jobs = slow_at_840
+            code = _serve(clock, github_client, kube, stop, observe)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert (replica_writes, kube.spec_replicas) == ([], 1)
+    slow, next_tick = records[14], records[15]
+    assert (slow.tick, slow.decided_at, slow.observed_at, slow.in_progress, slow.desired) == (840.0, 960.0, 0.0, 0, 0)
+    assert (next_tick.tick, next_tick.observed_at, next_tick.in_progress) == (960.0, 960.0, 1)
+    assert {(r.observed_replicas, r.desired, r.reason) for r in records[15:]} == {(1, 1, Reason.DEMAND)}
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_a_job_busy_on_a_foreign_runner_counts_only_while_the_deployment_has_a_replica(clock, replicas):
+    # After the first poll, a runner that is not the Deployment's takes a
+    # matching job. At 0 replicas (last-active recorded now) no runner of
+    # the Deployment can hold it: the stale poll at 900 s lists its run
+    # and reads 0 replicas, and a known 0 counts no job in progress, so the
+    # count stays 0. At 1 replica (a keepalive, as last-active is unset)
+    # the job counts as demand and keeps the pod past the dwell, though no
+    # pod of the Deployment runs it.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    annotations = {ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())} if replicas == 0 else None
+    kube = FakeKube(clock=clock, initial_annotations=annotations).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, written: replica_writes.append(written)
+
+    def on_record(record):
+        if record.tick == 0.0:
+            github.register_runner("elsewhere", LABELS)
+            github.enqueue_job(LABELS, duration=86400)
+            assert github.claim_job("elsewhere") is not None
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=20, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    if replicas == 0:
+        assert replica_writes == []
+        assert {(r.queued, r.in_progress, r.desired, r.reason) for r in records} == {(0, 0, 0, Reason.IDLE)}
+        # Both listings at the first poll; at 900 s the in-progress listing
+        # and the run, whose job fills max_runners; else the queued listing.
+        assert github.api_request_count == 2 + 2 + 18
+    else:
+        assert replica_writes == [1]
+        assert {(r.queued, r.in_progress, r.desired, r.reason) for r in records[1:]} == {(0, 1, 1, Reason.DEMAND)}
+
+
+def test_a_queued_job_in_a_run_in_progress_elsewhere_scales_up_from_zero_within_min_dwell(clock):
+    # After the first poll reads 0 replicas, a run comes in with two jobs: a
+    # hosted one, which a hosted runner takes at once, and a matching one,
+    # which waits. The run is in progress, so the polls that hold a fresh 0
+    # and list only queued runs miss the job. The stale poll, min_dwell after
+    # the read, lists the in-progress runs too: it counts the queued job and
+    # scales up.
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+
+    def on_record(record):
+        if record.tick == 0.0:
+            hosted, matching = github.enqueue_job(LABELS, duration=86400, jobs_in_run=2)
+            hosted.labels = ["ubuntu-latest"]
+            github.register_runner("hosted", ["ubuntu-latest"])
+            assert github.claim_job("hosted") is hosted
+            assert github.runs()[0][1] == "in_progress" and matching.status == "queued"
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=16, on_record=on_record)
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert replica_writes == [(900.0, 1)]
+    assert {(r.queued, r.desired, r.reason) for r in records[1:15]} == {(0, 0, Reason.IDLE)}
+    assert [(r.tick, r.queued, r.in_progress, r.observed_replicas, r.desired, r.reason) for r in records[15:]] == [
+        (900.0, 1, 0, 0, 1, Reason.DEMAND),
+    ]
 
 
 def test_a_kube_401_that_starts_while_idle_still_exits():
