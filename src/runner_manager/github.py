@@ -35,6 +35,14 @@ put in progress is found within ``min_dwell``. The ``in_progress``
 listing's last answer, and the pages and barren flags of its runs, are
 kept until a poll reads it again, so that read is a ``304`` and a barren
 run still goes last.
+
+At ``max_runners`` replicas one matching job in progress settles the
+decision: the replicas held cover any demand. So a poll there whose count
+is fresh asks ``until_busy`` and stops at the first counted job in
+progress, reading no ``queued`` listing: most polls at the cap are the
+``in_progress`` listing and one job listing. The runs it leaves unread keep
+their pages and barren flags, as every listed run does, so their next read
+is a ``304``.
 """
 
 from __future__ import annotations
@@ -263,7 +271,7 @@ class GitHubClient:
         return jobs
 
     def list_outstanding_jobs(
-        self, repo: RepoCoordinates, runner_labels: LabelSet, limit: int, in_progress: bool
+        self, repo: RepoCoordinates, runner_labels: LabelSet, limit: int, in_progress: bool, until_busy: bool
     ) -> list[JobRecord]:
         """Label-eligible jobs whose status is outstanding, every one of them
         when there are fewer than ``limit``, and at least ``limit`` otherwise.
@@ -286,12 +294,20 @@ class GitHubClient:
         Without ``in_progress`` only the ``queued`` listing and its runs are
         read; the ``in_progress`` listing's last answer, its runs' pages and
         their barren flags are kept for the next poll that reads it.
+
+        With ``until_busy`` the poll also stops once a counted job in
+        progress is collected, even short of ``limit``, and then reads no
+        ``queued`` listing. The runs it did not read keep their pages and
+        flags, as for any stop at ``limit``.
         """
         jobs: list[JobRecord] = []
 
+        def settled() -> bool:
+            return len(jobs) >= limit or (until_busy and any(job.status == "in_progress" for job in jobs))
+
         def read_runs(run_ids: set[int]) -> None:
             for run_id in sorted(run_ids, key=lambda run_id: (run_id in self._barren, run_id)):
-                if len(jobs) >= limit:
+                if settled():
                     return
                 counted = [
                     job
@@ -309,7 +325,7 @@ class GitHubClient:
             running = self._in_progress = set(self.list_runs(repo, "in_progress"))
         first = running - self._barren
         read_runs(first)
-        if len(jobs) < limit:
+        if not settled():
             self._queued = set(self.list_runs(repo, "queued"))
             read_runs((running | self._queued) - first)
         listed = self._in_progress | self._queued

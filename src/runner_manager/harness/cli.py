@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .driver import run_scenario
 from .monitors import violations
@@ -43,6 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         "horizon": script.horizon,
         "events": len(script.events),
         "decisions": len(result.decisions),
+        "decisions_by_reason": dict(Counter(reason for _, _, reason in result.decisions)),
         "scale_writes": result.writes,
         "github_requests": result.github_api_requests,
         "github_charged_requests": result.github_charged_requests,

@@ -78,15 +78,15 @@ def demand_targets(result: ScenarioResult) -> list[tuple[float, int, int, int]]:
 
 
 def busy_targets(result: ScenarioResult) -> list[tuple[float, int, int, int]]:
-    """Busy decisions that are not a floor above demand: no job in
-    progress, or a target at or below ``min(queued + in_progress,
-    max_runners)`` or above ``max_runners``: (tick, target, queued,
-    in_progress)."""
+    """Busy decisions that are not a floor at or above demand: no job in
+    progress, or a target below ``min(queued + in_progress, max_runners)``
+    or above ``max_runners``: (tick, target, queued, in_progress). A poll
+    settled at the cap counts a lower bound, which its target still covers."""
     cap = result.policy.max_runners
     return [
         (tick, target, queued, in_progress)
         for (tick, target, reason), (_, queued, in_progress) in zip(result.decisions, result.poll_counts)
-        if reason == "busy" and not (in_progress >= 1 and min(queued + in_progress, cap) < target <= cap)
+        if reason == "busy" and not (in_progress >= 1 and min(queued + in_progress, cap) <= target <= cap)
     ]
 
 

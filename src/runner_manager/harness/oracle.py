@@ -34,9 +34,12 @@ hold never writes the count.
 
 A successful poll that counts outstanding matching jobs, one of them in
 progress, never asks for fewer replicas than ``min(held, max_runners)``.
-When that floor is above ``min(jobs, max_runners)`` the decision is
+When that floor is at or above ``min(jobs, max_runners)`` the decision is
 ``busy`` at the floor; otherwise it is ``demand``. So no scale-down happens
-while a counted job runs.
+while a counted job runs, and at ``max_runners`` any counted job in
+progress makes the decision busy. The oracle counts every job; that the
+manager may stop listing at the first job in progress there changes no
+decision.
 
 The ``last-active`` annotation is written when the runner stops: on a poll
 that decides 0, or on one that sees no ready replica, it takes the exact
@@ -314,7 +317,7 @@ class _OracleSim:
                 # No pod of the Deployment exists to run a job in progress.
                 matching = [j for j in matching if j.status == "queued"]
             demand = min(len(matching), policy.max_runners)
-            if held > demand and any(j.status == "in_progress" for j in matching):
+            if held >= demand and any(j.status == "in_progress" for j in matching):
                 target, reason = held, BUSY
             elif matching:
                 target, reason = demand, DEMAND

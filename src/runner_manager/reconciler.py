@@ -1,7 +1,8 @@
 """Replica-count reconciliation.
 
 One iteration combines three inputs -- the outstanding matching jobs (None
-when the GitHub poll failed, at least ``max_runners`` when saturated), the
+when the GitHub poll failed, at least ``max_runners`` when saturated, up to
+the first counted job in progress on a fresh poll at the cap), the
 keepalive deadline, and the Deployment (None when the loop's answer is
 fresh and the read is skipped, or when the read failed, and then nothing is
 written) -- into a target replica count, and
@@ -27,16 +28,22 @@ keepalive due on a stamp that a read would have moved. A keepalive whose
 runner no read has seen ready, and a runner that is up when
 ``force_interval <= 2 * min_dwell + 2 * poll_interval``, read every poll.
 
-At 0 replicas the rule needs no decision, so a poll there judges it
-before GitHub. An answer fresh then is fresh for the whole poll, which
-reads nothing and lists no in-progress run: no pod of the Deployment
-exists to be busy. A stale one is read after GitHub, as at 1 or more, and
-its poll lists the in-progress runs before it decides. So a count of 1
-or more that a read finds is never cut under a runner of its own at
-work, and a queued job in a run that another runner's job has put in
-progress is seen within ``min_dwell``. A GitHub poll that outlasts the
-answer's freshness defers the read to the next tick, which is stale from
-its start, so the bound above holds.
+At 0 and at the cap (``max_runners`` or more) a poll judges the rule
+before GitHub, at the cap for a target of 1 or more. At 0 an answer fresh
+then is fresh for the whole poll, which reads nothing and lists no
+in-progress run: no pod of the Deployment exists to be busy. At the cap a
+fresh poll stops listing at the first counted job in progress, which
+makes its decision busy at the count held, and a busy decision keeps the
+poll fresh for its whole length; one that meets no such job has listed
+in full and asks the rule again, as at 1 or more. A stale answer is read
+after GitHub, and its poll lists in full, the in-progress runs included,
+before it decides. So a count that a read finds meets the full listing:
+a count of 1 or more is never cut under a runner of its own at work, a
+hand scale below the cap is undone while jobs wait, and a queued job in a
+run that another runner's job has put in progress is seen within
+``min_dwell``. A GitHub poll that outlasts the answer's freshness defers
+the read to the next tick, which is stale from its start, so the bound
+above holds.
 
 A fresh poll writes against the count the loop holds and sends nothing when
 nothing changes; its record reports that count and when it was last read or
@@ -49,7 +56,8 @@ Decision priority (also implemented, independently, by the harness oracle):
 
 1. GitHub poll failed        -> min(held, max_runners)          (hold)
 2. outstanding matching jobs -> min(count, max_runners)         (demand)
-   one of them in progress   -> at least min(held, max_runners) (busy)
+   one of them in progress   -> min(held, max_runners) when it   (busy)
+                                is at least the demand target
 3. keepalive dwell running   -> 1                               (keepalive)
 4. keepalive due             -> 1                               (keepalive)
 5. otherwise                 -> 0                               (idle)
@@ -61,8 +69,10 @@ pod of the Deployment exists, so such a job runs on another runner.
 The ReplicaSet, not the manager, picks which pod a cut of
 ``spec.replicas`` deletes, so any cut while a job runs can kill that job's
 runner: while a counted job is in progress the count never falls. The
-decision is ``busy`` only when that floor is above the demand target;
-otherwise it is ``demand``. The floor never scales up, and at
+decision is ``busy`` when that floor is at or above the demand target, so
+the count held already covers demand; otherwise it is ``demand``. At
+``max_runners`` one counted job in progress thus settles the decision,
+whatever else is outstanding. The floor never scales up, and at
 ``max_runners`` 1 it never binds. Its cost is idle runners: one long job
 holds every pod up until it ends.
 
@@ -267,7 +277,9 @@ def compute_desired(
 
     ``jobs`` holds, in no set order, every outstanding matching job when
     there are fewer than ``max_runners``, and at least ``max_runners`` of
-    them when saturated -- all that the demand rule needs. The jobs of
+    them when saturated -- all that the demand rule needs -- or, from a
+    fresh poll at the cap, those read up to the first counted job in
+    progress, which makes the decision busy whatever else waits. The jobs of
     in-progress runs are read first, and queued runs are listed only when
     those hold fewer than ``max_runners``, so a poll saturated by
     in-progress runs counts no job of a queued run. A run that starts
@@ -277,8 +289,8 @@ def compute_desired(
     this poll's read. None for ``jobs`` means the GitHub poll failed, so
     the decision holds ``min(known_replicas, max_runners)``. At a known 0
     only queued jobs count (:func:`counted_jobs`). While one of ``jobs`` is
-    in progress the target stays at least that (busy), so no scale-down
-    can remove a busy runner's pod.
+    in progress the target stays at least that (busy when it covers the
+    demand target), so no scale-down can remove a busy runner's pod.
     """
     held = min(known_replicas or 0, policy.max_runners)
     if jobs is None:
@@ -287,7 +299,7 @@ def compute_desired(
 
     if jobs:
         demand = min(len(jobs), policy.max_runners)
-        if held > demand and any(job.status == "in_progress" for job in jobs):
+        if held >= demand and any(job.status == "in_progress" for job in jobs):
             return Decision(held, Reason.BUSY)
         return Decision(demand, Reason.DEMAND)
 
@@ -409,19 +421,24 @@ class ReconcileLoop:
         """
         window_end = tick + self.policy.poll_interval
 
-        # At 0 replicas freshness needs no decision: an answer fresh before
-        # GitHub holds for the poll, which then reads nothing and needs no
-        # in-progress run.
-        fresh = self._known_replicas() == 0 and self._holds_answer(None, self.clock.now())
-        jobs = self.github_streaks.step(lambda: self._poll_github(window_end, not fresh))
+        # At 0 and at the cap freshness is judged before GitHub. At 0 a fresh
+        # poll lists no in-progress run and stays fresh; at the cap it stops
+        # at the first counted job in progress and stays fresh if busy.
+        known = self._known_replicas()
+        at_zero, at_cap = known == 0, (known or 0) >= self.policy.max_runners
+        early = (at_zero or at_cap) and self._holds_answer(known, self.clock.now())
+        jobs = self.github_streaks.step(
+            lambda: self._poll_github(window_end, not (early and at_zero), early and at_cap)
+        )
         self.github_streaks.end_poll()
 
         if self.stop.is_set():
             return None
 
         now = self.clock.now()
-        decision = compute_desired(jobs, self._known_replicas(), self.state, self.policy, now)
-        fresh = fresh or self._holds_answer(decision, now)
+        decision = compute_desired(jobs, known, self.state, self.policy, now)
+        settled = at_zero or decision.reason is Reason.BUSY
+        fresh = early and settled or self._holds_answer(decision.target_replicas, now)
         deployment = None
         if not fresh:
             deployment = self.kube_streaks.step(self._observe_kube)
@@ -466,10 +483,10 @@ class ReconcileLoop:
             github_rate_limit_remaining=self.github.rate_limit_remaining,
         )
 
-    def _poll_github(self, window_end: float, in_progress: bool) -> list[JobRecord]:
+    def _poll_github(self, window_end: float, in_progress: bool, until_busy: bool) -> list[JobRecord]:
         return execute_with_backoff(
             lambda: self.github.list_outstanding_jobs(
-                self.repo, self.policy.runner_labels, self.policy.max_runners, in_progress
+                self.repo, self.policy.runner_labels, self.policy.max_runners, in_progress, until_busy
             ),
             self.backoff,
             self.clock,
@@ -480,13 +497,14 @@ class ReconcileLoop:
     def _known_replicas(self) -> int | None:
         return self.view.replicas if self.view else None
 
-    def _holds_answer(self, decision: Decision | None, now: float) -> bool:
+    def _holds_answer(self, target: int, now: float) -> bool:
         """True when the loop's answer to this poll's Deployment read is
-        fresh for ``decision``, so the poll writes against it without
-        reading; the module docstring states and derives the rule. A fresh
-        poll's decision is final: skipping the read changes none of its
-        inputs. At 0 replicas the rule needs no decision, and the poll asks
-        with None before it polls GitHub."""
+        fresh for a decision of ``target`` replicas, so the poll writes
+        against it without reading; the module docstring states and derives
+        the rule. A fresh poll's decision is final: skipping the read changes
+        none of its inputs. At 0 replicas the rule needs no target; at 0 and
+        at the cap the poll asks with the count it holds before it polls
+        GitHub."""
         view, policy = self.view, self.policy
         if view is None or self.kube_streaks.errors or now - view.read_at >= policy.min_dwell:
             return False
@@ -494,7 +512,7 @@ class ReconcileLoop:
             return self.state.last_active == self._persisted.last_active
         due = keepalive_due_at(self.state.last_active, policy)
         next_stale_decision = view.read_at + policy.min_dwell + 2 * policy.poll_interval
-        return decision.target_replicas >= 1 and due is not None and due > next_stale_decision
+        return target >= 1 and due is not None and due > next_stale_decision
 
     def _observe_kube(self) -> DeploymentSnapshot:
         """The poll's Kubernetes read: a GET of the Deployment, which

@@ -54,11 +54,12 @@ MULTI_RUNNER_SCENARIOS = 200
 GITHUB_REQUESTS_PER_POLL = 2.0
 GITHUB_CHARGED_PER_POLL = 0.54
 KUBE_REQUESTS_PER_POLL = 0.22
-# The same for one storm scenario of the benchmark (291 GitHub requests, 88
+# The same for one storm scenario of the benchmark (159 GitHub requests, 74
 # of them charged, and 8 Kubernetes requests in 60 polls: four scale writes,
-# none of them a cut while a job runs, and four reads).
-STORM_GITHUB_PER_POLL = 4.95
-STORM_CHARGED_PER_POLL = 1.5
+# none of them a cut while a job runs, and four reads). At the cap, a poll
+# whose count is fresh stops at the first job in progress.
+STORM_GITHUB_PER_POLL = 2.75
+STORM_CHARGED_PER_POLL = 1.3
 STORM_KUBE_PER_POLL = 0.14
 # Memory budget: bytes a finished 6-hour idle run still holds, per poll,
 # just above the figure measured when it was set (about 345; the trace and
@@ -409,7 +410,7 @@ def test_criterion_9_wire_exactness(bulk):
     try:
         with closing(GitHubClient(github.base_url, "token", clock=clock)) as github_client:
             repo = RepoCoordinates("biocore", "unifrac")
-            jobs = github_client.list_outstanding_jobs(repo, LabelSet(MATCHING), 1, in_progress=True)
+            jobs = github_client.list_outstanding_jobs(repo, LabelSet(MATCHING), 1, in_progress=True, until_busy=False)
         with closing(KubeClient(creds, "gha-runner", max_replicas=1)) as kube_client:
             deployment = kube_client.read_scale()
             replicas = kube_client.write_scale(1, {ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())})
@@ -645,6 +646,63 @@ def test_github_request_shape_per_poll(monkeypatch):
         f"all {busy_polls} at 1 or more replicas listed the in-progress runs, none of {queued_listings} queued "
         f"listings came after the in-progress runs held max_runners matching jobs, and all {repeat_gets} repeat "
         f"GETs were conditional"
+    )
+
+
+def test_a_settled_poll_at_the_cap_reads_up_to_the_first_job_in_progress(monkeypatch):
+    # Over the multi-runner seeds, each poll that decides busy at the cap
+    # (the count it holds is max_runners) without a Deployment GET sends
+    # the in-progress listing and then job pages, in order, up to the first
+    # that holds a matching job in progress, and no queued listing: its
+    # count was fresh, so it stopped there. Time stands still during a poll,
+    # so its requests are those sent at its decision instant.
+    sent = github_requests_by_time(monkeypatch)
+    kube_sent = kube_requests_by_time(monkeypatch)
+    busy_pages: dict[tuple[float, str], list[tuple[str, LabelSet]]] = {}  # a job page: its jobs as served
+    handle = fake_github_module._handle
+
+    def noting_handle(github, request):
+        if request.path.endswith("/jobs"):
+            run_id = int(request.path.split("/")[-2])
+            busy_pages[github.clock.now() - SIM_EPOCH, request.path] = [
+                (job.status, LabelSet(job.labels)) for job in github.jobs.values() if job.run_id == run_id
+            ]
+        return handle(github, request)
+
+    monkeypatch.setattr(fake_github_module, "_handle", noting_handle)
+    runs = "/repos/biocore/unifrac/actions/runs"
+    settled = pages = 0
+    for seed in range(MULTI_RUNNER_SCENARIOS):
+        sent.clear()
+        kube_sent.clear()
+        busy_pages.clear()
+        script = generate_random_script(7_000_000 + seed, with_faults=True, with_restarts=bool(seed % 2))
+        result = run_scenario(replace(script, policy={"max_runners": 2 + seed % 3}))
+        policy = result.policy
+        for entry in result.trace.select("manager", "decision"):
+            record = entry.detail
+            at = record.decided_at - SIM_EPOCH
+            if (
+                record.reason.value != "busy"
+                or (record.observed_replicas or 0) < policy.max_runners
+                or ("GET", None) in kube_sent.get(at, [])
+            ):
+                continue
+            settled += 1
+            paths = [path for path, _, _ in sent[at]]
+            assert paths[0] == f"{runs}?status=in_progress&page=1" and len(paths) >= 2, (seed, at, paths)
+            assert all(path.partition("?")[0].endswith("/jobs") for path in paths[1:]), (seed, at, paths)
+            busy = [
+                any(status == "in_progress" and labels.issubset(policy.runner_labels) for status, labels in jobs)
+                for jobs in (busy_pages[at, path.partition("?")[0]] for path in paths[1:])
+            ]
+            assert busy[-1] and not any(busy[:-1]), (seed, at, paths)
+            pages += len(busy)
+    assert settled > 0, "no poll settled at the cap: the batch does not exercise the rule"
+    print(
+        f"SETTLED POLL SHAPE PASS - {settled} busy polls at the cap of {MULTI_RUNNER_SCENARIOS} multi-runner "
+        f"scenarios sent the in-progress listing and {pages} job pages, each poll's last the first with a job in "
+        f"progress, and no queued listing"
     )
 
 

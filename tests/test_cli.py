@@ -318,6 +318,13 @@ def test_every_shipped_scenario_agrees_with_the_oracle(script, tmp_path, capsys,
         assert summary["kube_requests"] == {"GET": 9, "PATCH": 1}
         assert summary["github_requests"] == 2 + 2 + 119 * 3 + 4 * 2 == 369
         assert summary["github_charged_requests"] == 6
+    if script.stem == "busy-scale-down":
+        # The summary counts decisions by reason: from 120 s both runners
+        # work and the 2 replicas held cover demand, so every poll until the
+        # long job ends at 1080 s is busy, the one at 60 s that scales up
+        # is demand, and the rest are idle.
+        assert summary["decisions_by_reason"] == {"idle": 8, "demand": 1, "busy": 16}
+        assert sum(summary["decisions_by_reason"].values()) == summary["decisions"]
     if script.stem == "tight-force-interval":
         # force_interval 1000 s against a min_dwell of 900 s: every poll with
         # a runner up reads, so the 480 s scale-down stamps the runner's last

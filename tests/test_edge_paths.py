@@ -189,13 +189,14 @@ def test_a_busy_runner_is_kept_until_its_job_ends():
     # scenarios/busy-scale-down.yaml: from t=180 one job is outstanding and
     # in progress on gha-runner-2 while gha-runner-1 idles. A cut to 1 could
     # remove the busy pod, so the manager holds 2 (busy) until the job ends
-    # at t=1080, and then scales to 0. Nothing is requeued.
+    # at t=1080, and then scales to 0. Nothing is requeued. At t=120 both
+    # jobs run and the count held already covers demand: busy too.
     script = load_script(str(Path(__file__).resolve().parent.parent / "scenarios" / "busy-scale-down.yaml"))
     result = run_scenario(script)
     assert not result.scenario_failed
     assert result.writes == [(60.0, 2), (1080.0, 0)]
     busy = [(tick, target) for tick, target, reason in result.decisions if reason == "busy"]
-    assert busy == [(60.0 * k, 2) for k in range(3, 18)]
+    assert busy == [(60.0 * k, 2) for k in range(2, 18)]
     assert [counts for tick, *counts in result.poll_counts if tick == 180.0] == [[0, 1]]
     completed = [(e.at, e.detail["pod"], e.detail["job"]) for e in result.trace.select("fake_runner", "job_completed")]
     assert completed == [(180.0, "gha-runner-1", 1), (1080.0, "gha-runner-2", 2)]
@@ -233,7 +234,7 @@ def test_outstanding_statuses_knob_limits_what_pins_the_runner(clock, fake_githu
     fake_github.enqueue_job(MATCHING)
     runner = fake_github.register_runner("r", MATCHING)
     fake_github.claim_job(runner)
-    jobs = gh_client.list_outstanding_jobs(REPO, LabelSet(MATCHING), 1, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, LabelSet(MATCHING), 1, in_progress=True, until_busy=False)
     assert len(jobs) == 1 and jobs[0].status == "in_progress"
 
 

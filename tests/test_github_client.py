@@ -46,13 +46,13 @@ def test_label_filtering_returns_only_eligible_jobs(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
     fake_github.enqueue_job(["ubuntu-latest"])
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert len(jobs) == 2
     assert all(job.status == "queued" for job in jobs)
 
 
 def test_zero_runs_gives_empty_list(gh_client):
-    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True) == []
+    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False) == []
 
 
 def test_pagination_across_runs(fake_github, gh_client, clock):
@@ -60,7 +60,7 @@ def test_pagination_across_runs(fake_github, gh_client, clock):
     for i in range(150):
         clock.advance(1)
         fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert len(jobs) == 150
     assert [j.job_id for j in jobs] == list(range(1, 151))
 
@@ -68,20 +68,20 @@ def test_pagination_across_runs(fake_github, gh_client, clock):
 def test_pagination_within_one_run(fake_github, gh_client):
     # One run holding 150 jobs: the per-run job listing paginates.
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], jobs_in_run=150)
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert len(jobs) == 150
 
 
 def test_repeated_listing_is_pure(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    first = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
-    second = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    first = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
+    second = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert first == second
 
 
 def test_every_request_carries_required_headers(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     gh_client.create_registration_token(REPO)
     assert fake_github.api_request_count >= 4
     assert fake_github.header_violations == []
@@ -92,7 +92,7 @@ def test_every_request_carries_required_headers(fake_github, gh_client):
 
 def test_wrong_token_flagged_by_fake(fake_github, clock):
     with closing(GitHubClient(fake_github.base_url, "wrong-token", clock=clock)) as client:
-        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert fake_github.header_violations
 
 
@@ -124,20 +124,20 @@ def test_missing_or_wrong_header_flagged_by_fake(fake_github, name, value):
 def test_401_classified_as_credential_error(fake_github, gh_client):
     fake_github.set_fault("status", 401)
     with pytest.raises(CredentialError):
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
 
 
 def test_429_carries_retry_after(fake_github, gh_client):
     fake_github.set_fault("rate_limit", 120)
     with pytest.raises(RateLimitedError) as excinfo:
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert excinfo.value.retry_after == 120.0
 
 
 def test_5xx_classified_transient(fake_github, gh_client):
     fake_github.set_fault("status", 503)
     with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
 
 
 def test_registration_token_echoes_fixture(clock):
@@ -171,25 +171,27 @@ def test_400_listing_is_protocol_error_with_its_status(serve):
     # A 400 is an error answer, not a listing that lacks its array.
     client = serve(lambda request: Response.json(400, {"message": "Bad Request"}))
     with pytest.raises(ProtocolError) as excinfo:
-        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert excinfo.value.status == 400
 
 
 def test_non_json_body_is_protocol_error(serve):
     client = serve(lambda request: Response(200, b"<html>nope</html>", {"content-type": "text/html"}))
     with pytest.raises(ProtocolError):
-        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
 
 
 def test_unknown_repo_is_distinct_from_transient(fake_github, gh_client):
     with pytest.raises(CredentialError):
-        gh_client.list_outstanding_jobs(RepoCoordinates("nobody", "nothing"), RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(
+            RepoCoordinates("nobody", "nothing"), RUNNER_LABELS, ALL, in_progress=True, until_busy=False
+        )
 
 
 def test_403_with_retry_after_is_secondary_rate_limit(fake_github, gh_client):
     fake_github.set_fault("secondary_rate_limit", 60)
     with pytest.raises(RateLimitedError) as excinfo:
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert (excinfo.value.status, excinfo.value.retry_after) == (403, 60.0)
 
 
@@ -202,9 +204,9 @@ def _statuses_since(fake_github, start: int) -> list[int]:
 
 def test_unchanged_poll_is_answered_304_with_identical_jobs(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    first = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    first = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     mark = len(fake_github.request_log)
-    second = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    second = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert second == first and len(first) == 1
     assert _statuses_since(fake_github, 0) == [200, 200, 200, 304, 304, 304]
     for record in fake_github.request_log[mark:]:
@@ -218,12 +220,12 @@ def test_unchanged_poll_is_answered_304_with_identical_jobs(fake_github, gh_clie
 
 def test_changed_page_is_fetched_in_full_and_replaces_its_entry(fake_github, gh_client):
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     queued_runs = next(path for path in gh_client._pages if "status=queued" in path)
     old_etag = gh_client._pages[queued_runs][0]
     fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"])
     mark = len(fake_github.request_log)
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert [j.job_id for j in jobs] == [1, 2]
     # in_progress runs and run 1's jobs are unchanged; the queued listing and
     # the new run's jobs are not.
@@ -232,16 +234,16 @@ def test_changed_page_is_fetched_in_full_and_replaces_its_entry(fake_github, gh_
     assert new_etag != old_etag
     assert gh_client._pages[queued_runs][1]["total_count"] == 2
     mark = len(fake_github.request_log)
-    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True) == jobs
+    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False) == jobs
     assert _statuses_since(fake_github, mark) == [304, 304, 304, 304]
 
 
 def test_pages_of_vanished_runs_drop_out(fake_github, gh_client):
     job = fake_github.enqueue_job(["self-hosted", "linux-gpu-cuda"], ref="w")[0]
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert any(f"/runs/{job.run_id}/jobs" in path for path in gh_client._pages)
     fake_github.force_complete("w")
-    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True) == []
+    assert gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False) == []
     assert len(gh_client._pages) == 2
     assert not any("/jobs" in path for path in gh_client._pages)
 
@@ -258,17 +260,17 @@ def test_registration_token_post_is_never_conditional(serve):
         return Response.json(200, {"total_count": 0, "workflow_runs": []}, {"ETag": 'W/"get"'})
 
     client = serve(handle)
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     client.create_registration_token(REPO)
     client.create_registration_token(REPO)
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert seen == [("GET", None)] * 2 + [("POST", None)] * 2 + [("GET", 'W/"get"')] * 2
 
 
 def test_304_for_an_unconditional_request_is_protocol_error(serve):
     client = serve(lambda request: Response(304))
     with pytest.raises(ProtocolError):
-        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
 
 
 def test_server_without_etags_gets_plain_requests(serve):
@@ -280,15 +282,15 @@ def test_server_without_etags_gets_plain_requests(serve):
 
     client = serve(handle)
     for _ in range(2):
-        assert client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True) == []
+        assert client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False) == []
     assert seen == [None] * 4
     assert client.rate_limit_remaining is None
 
 
 def test_client_keeps_the_last_rate_limit_remaining(fake_github, gh_client):
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert gh_client.rate_limit_remaining == 4998
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert gh_client.rate_limit_remaining == 4998  # 304s are not charged
     gh_client.create_registration_token(REPO)
     assert gh_client.rate_limit_remaining == 4997
@@ -392,7 +394,7 @@ def _jobs_path(run_id: int) -> str:
 def test_cap_stops_listing_runs_once_enough_matching_jobs_are_found(fake_github, gh_client):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(6)]
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)
     assert [j.job_id for j in jobs] == [matching[0].job_id, matching[1].job_id]
     runs_path = "/repos/biocore/unifrac/actions/runs"
     assert _paths_since(fake_github, 0) == [
@@ -408,10 +410,10 @@ def test_below_the_cap_every_run_is_read_and_the_result_is_uncapped(fake_github,
     fake_github.enqueue_job(["ubuntu-latest"])
     for _ in range(3):
         fake_github.enqueue_job(MATCHING)
-    full = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    full = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     uncapped_paths = _paths_since(fake_github, 0)
     mark = len(fake_github.request_log)
-    capped = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 4, in_progress=True)
+    capped = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 4, in_progress=True, until_busy=False)
     assert capped == full and len(full) == 3
     assert sorted(_paths_since(fake_github, mark)) == sorted(uncapped_paths)
     assert len(uncapped_paths) == 2 + 4
@@ -420,9 +422,9 @@ def test_below_the_cap_every_run_is_read_and_the_result_is_uncapped(fake_github,
 def test_at_saturation_a_barren_run_is_not_read_again(fake_github, gh_client):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(3)]
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)
     mark = len(fake_github.request_log)
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)
     assert [j.job_id for j in jobs] == [matching[0].job_id, matching[1].job_id]
     runs_path = "/repos/biocore/unifrac/actions/runs"
     assert _paths_since(fake_github, mark) == [
@@ -436,11 +438,11 @@ def test_at_saturation_a_barren_run_is_not_read_again(fake_github, gh_client):
 
 def test_a_listed_run_left_unread_keeps_its_etag(fake_github, gh_client):
     matching = [fake_github.enqueue_job(MATCHING)[0] for _ in range(3)]
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1, in_progress=True, until_busy=False)
     assert all(any(_jobs_path(job.run_id) in path for path in gh_client._pages) for job in matching)
     mark = len(fake_github.request_log)
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert [j.job_id for j in jobs] == [job.job_id for job in matching]
     assert _paths_since(fake_github, mark)[2:] == [_jobs_path(job.run_id) for job in matching]
     assert _statuses_since(fake_github, mark) == [304] * 5
@@ -448,19 +450,19 @@ def test_a_listed_run_left_unread_keeps_its_etag(fake_github, gh_client):
 
 def test_failed_poll_leaves_the_cache_as_it_was(fake_github, gh_client):
     fake_github.enqueue_job(MATCHING)
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     before = dict(gh_client._pages)
 
     fake_github.set_fault("status", 503)
     with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert gh_client._pages == before
 
 
 def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client, monkeypatch):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     fake_github.enqueue_job(MATCHING)
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     # A new barren run is listed, then the first job listing of the poll fails.
     fake_github.enqueue_job(["ubuntu-latest"])
     request = gh_client._transport.request
@@ -472,19 +474,19 @@ def test_failed_poll_leaves_the_barren_runs_as_they_were(fake_github, gh_client,
 
     monkeypatch.setattr(gh_client._transport, "request", refuse_job_listings)
     with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert gh_client._barren == {foreign.run_id}
 
 
 def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, monkeypatch):
     foreign = fake_github.enqueue_job(["ubuntu-latest"])[0]
     matching = fake_github.enqueue_job(MATCHING)[0]
-    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     before = dict(gh_client._pages)
 
     fake_github.set_fault("status", 503)
     with pytest.raises(TransientError):
-        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+        gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert gh_client._pages == before
     fake_github.clear_fault()
 
@@ -501,11 +503,11 @@ def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, 
     with monkeypatch.context() as patch:
         patch.setattr(gh_client._transport, "request", refuse_old_barren_run)
         with pytest.raises(TransientError):
-            gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+            gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert before.keys() <= gh_client._pages.keys()
     assert gh_client._barren == {foreign.run_id, added.run_id}
     mark = len(fake_github.request_log)
-    assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)) == 1
+    assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 1
     assert _statuses_since(fake_github, mark) == [304] * 5
 
     # A runner claims the matching job, so its run moves to in_progress. The
@@ -523,7 +525,7 @@ def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, 
     with monkeypatch.context() as patch:
         patch.setattr(gh_client._transport, "request", refuse_queued_listing)
         with pytest.raises(TransientError):
-            gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+            gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert gh_client._pages.keys() == before.keys()
     assert {path for path, page in gh_client._pages.items() if page != before[path]} == {
         "/repos/biocore/unifrac/actions/runs?status=in_progress&per_page=100&page=1",
@@ -531,14 +533,14 @@ def test_failed_poll_keeps_every_page_and_flag_it_found(fake_github, gh_client, 
     }
     assert gh_client._barren == {foreign.run_id, added.run_id}
     mark = len(fake_github.request_log)
-    assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)) == 1
+    assert len(gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 1
     assert _statuses_since(fake_github, mark) == [304, 304, 200, 304, 304]
 
 
 def test_a_run_is_read_in_full_even_past_the_cap(fake_github, gh_client):
     fake_github.enqueue_job(MATCHING, jobs_in_run=3)
     fake_github.enqueue_job(MATCHING)
-    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)
+    jobs = gh_client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)
     assert [j.job_id for j in jobs] == [1, 2, 3]
     assert len(fake_github.request_log) == 3
 
@@ -591,8 +593,8 @@ def _assert_keeps_what_the_demand_rule_reads(capped, full, k):
 @given(runs=_RUNS, k=st.integers(1, 5))
 def test_capped_listing_keeps_what_the_demand_rule_reads(runs, k):
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
-    full = client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
-    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k, in_progress=True)
+    full = client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
+    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k, in_progress=True, until_busy=False)
     _assert_keeps_what_the_demand_rule_reads(capped, full, k)
 
 
@@ -626,11 +628,11 @@ def test_a_barren_run_that_gains_a_matching_job_is_read_below_the_cap():
         {1: ("queued", [("queued", ["ubuntu-latest"])]), 2: ("queued", [("queued", MATCHING)])}
     )
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)
     assert client._barren == {1}
     github.runs[1][1].append(("queued", MATCHING))
     github.log.clear()
-    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)
     assert {j.job_id for j in jobs} == {101, 200}
     assert github.log[2:] == [(_jobs_path(2), 304), (_jobs_path(1), 200)]
     assert client._barren == set()
@@ -654,9 +656,40 @@ def test_a_poll_saturated_by_in_progress_runs_never_lists_queued_runs():
             4: ("in_progress", [("in_progress", MATCHING)]),
         }
     )
-    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 3, in_progress=True)
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 3, in_progress=True, until_busy=False)
     assert [j.job_id for j in jobs] == [200, 300, 301]
     assert github.log == [(_listing("in_progress"), 200), (_jobs_path(2), 200), (_jobs_path(3), 200)]
+
+
+def test_a_poll_until_busy_stops_at_the_first_counted_job_in_progress():
+    # Run 1 is in progress for a hosted job and holds a queued matching one;
+    # runs 2 and 3 each hold a matching job in progress; run 4 is queued.
+    # Until busy, the poll reads the in-progress listing, run 1 and run 2,
+    # where it meets a counted job in progress, and no queued listing. The
+    # runs it skipped keep their pages, so a full poll reads them as 304s.
+    github, client = _tagging_client(
+        {
+            1: ("in_progress", [("in_progress", ["ubuntu-latest"]), ("queued", MATCHING)]),
+            2: ("in_progress", [("in_progress", MATCHING)]),
+            3: ("in_progress", [("in_progress", MATCHING)]),
+            4: ("queued", [("queued", MATCHING)]),
+        }
+    )
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 4
+    github.log.clear()
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 4, in_progress=True, until_busy=True)
+    assert [(job.job_id, job.status) for job in jobs] == [(101, "queued"), (200, "in_progress")]
+    assert github.log == [(_listing("in_progress"), 304), (_jobs_path(1), 304), (_jobs_path(2), 304)]
+    github.log.clear()
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 4
+    assert github.log == [
+        (_listing("in_progress"), 304),
+        (_jobs_path(1), 304),
+        (_jobs_path(2), 304),
+        (_jobs_path(3), 304),
+        (_listing("queued"), 304),
+        (_jobs_path(4), 304),
+    ]
 
 
 def test_below_the_cap_both_listings_and_every_run_are_read():
@@ -667,7 +700,7 @@ def test_below_the_cap_both_listings_and_every_run_are_read():
         4: ("in_progress", [("in_progress", ["ubuntu-latest"])]),
     }
     github, client = _tagging_client(runs)
-    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 3, in_progress=True)
+    jobs = client.list_outstanding_jobs(REPO, RUNNER_LABELS, 3, in_progress=True, until_busy=False)
     assert jobs == _uncapped(runs) and [j.job_id for j in jobs] == [200, 100]
     assert [path for path, _ in github.log] == [
         _listing("in_progress"),
@@ -687,10 +720,10 @@ def test_a_barren_in_progress_run_is_read_after_the_queued_listing():
             3: ("queued", [("queued", MATCHING)]),
         }
     )
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert client._barren == {1}
     github.log.clear()
-    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)) == 2
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 2
     assert github.log == [
         (_listing("in_progress"), 304),
         (_jobs_path(2), 304),
@@ -704,13 +737,13 @@ def test_a_queued_run_keeps_its_page_while_the_queued_listing_goes_unread():
     github, client = _tagging_client(
         {1: ("in_progress", [("in_progress", MATCHING)]), 2: ("queued", [("queued", MATCHING)])}
     )
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     for _ in range(3):
         github.log.clear()
-        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1, in_progress=True)) == 1
+        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1, in_progress=True, until_busy=False)) == 1
         assert github.log == [(_listing("in_progress"), 304), (_jobs_path(1), 304)]
     github.log.clear()
-    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)) == 2
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 2
     assert github.log[2:] == [(_listing("queued"), 304), (_jobs_path(2), 304)]
 
 
@@ -722,14 +755,14 @@ def test_a_barren_in_progress_run_keeps_its_page_and_flag_while_its_listing_goes
     github, client = _tagging_client(
         {1: ("in_progress", [("in_progress", ["ubuntu-latest"])]), 2: ("queued", [("queued", MATCHING)])}
     )
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     for _ in range(3):
         github.log.clear()
-        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=False)) == 1
+        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=False, until_busy=False)) == 1
         assert github.log == [(_listing("queued"), 304), (_jobs_path(2), 304)]
         assert (_cached_runs(client), client._barren) == ({1, 2}, {1})
     github.log.clear()
-    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)) == 1
+    assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)) == 1
     assert github.log == [
         (_listing("in_progress"), 304),
         (_listing("queued"), 304),
@@ -746,13 +779,13 @@ def test_a_run_absent_from_every_latest_listing_drops_its_pages_and_flag():
     github, client = _tagging_client(
         {1: ("in_progress", [("in_progress", MATCHING)]), 2: ("queued", [("queued", ["ubuntu-latest"])])}
     )
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert (_cached_runs(client), client._barren) == ({1, 2}, {2})
     # Run 2 ends, but only a read of the queued listing can show it.
     del github.runs[2]
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, 1, in_progress=True, until_busy=False)
     assert (_cached_runs(client), client._barren) == ({1, 2}, {2})
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     assert (_cached_runs(client), client._barren) == ({1}, set())
 
 
@@ -760,7 +793,7 @@ def test_saturated_polls_keep_the_cache_within_the_latest_listings():
     # In-progress runs come and go for 50 polls, each saturated by them, so
     # the queued listing is read by the first poll only.
     github, client = _tagging_client({run_id: ("queued", [("queued", MATCHING)]) for run_id in range(1, 6)})
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
     queued = set(github.runs)
     rng = random.Random(7)
     next_id = 100
@@ -772,7 +805,7 @@ def test_saturated_polls_keep_the_cache_within_the_latest_listings():
             github.runs[next_id] = ("in_progress", [("in_progress", labels)])
             next_id += 1
         github.log.clear()
-        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True)) == 2
+        assert len(client.list_outstanding_jobs(REPO, RUNNER_LABELS, 2, in_progress=True, until_busy=False)) == 2
         assert _listing("queued") not in {path for path, _ in github.log}
         in_progress = {run_id for run_id, (status, _) in github.runs.items() if status == "in_progress"}
         assert _cached_runs(client) | client._barren <= in_progress | queued
@@ -802,16 +835,16 @@ def _mutate(runs, added, data):
 
 def _uncapped(runs):
     fresh = GitHubClient("http://github.invalid", TEST_TOKEN, transport=_InMemoryGitHub(runs))
-    return fresh.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True)
+    return fresh.list_outstanding_jobs(REPO, RUNNER_LABELS, ALL, in_progress=True, until_busy=False)
 
 
 @given(runs=_RUNS, first_cap=_FIRST_CAP, k=st.integers(1, 5), added=_RUNS, data=st.data())
 def test_barren_runs_last_keeps_what_the_demand_rule_reads(runs, first_cap, k, added, data):
     github = _TaggingInMemoryGitHub(runs)
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap, in_progress=True, until_busy=False)
     github.runs = _mutate(runs, added, data)
-    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k, in_progress=True)
+    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k, in_progress=True, until_busy=False)
     _assert_keeps_what_the_demand_rule_reads(capped, _uncapped(github.runs), k)
 
 
@@ -828,14 +861,14 @@ def test_a_failed_poll_keeps_what_the_demand_rule_reads(runs, first_cap, k, adde
     # change again before the next poll completes.
     github = _TaggingInMemoryGitHub(runs)
     client = GitHubClient("http://github.invalid", TEST_TOKEN, transport=github)
-    client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap, in_progress=True)
+    client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap, in_progress=True, until_busy=False)
     github.runs = _mutate(runs, added, data)
     github.fail_at = data.draw(st.integers(1, 2 + len(github.runs)))
     try:
-        client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap, in_progress=True)
+        client.list_outstanding_jobs(REPO, RUNNER_LABELS, first_cap, in_progress=True, until_busy=False)
     except TransientError:
         pass
     github.fail_at = None
     github.runs = _mutate(github.runs, more, data)
-    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k, in_progress=True)
+    capped = client.list_outstanding_jobs(REPO, RUNNER_LABELS, k, in_progress=True, until_busy=False)
     _assert_keeps_what_the_demand_rule_reads(capped, _uncapped(github.runs), k)

@@ -60,14 +60,14 @@ def _busy_scale_down():
 
 def test_busy_targets_find_a_busy_decision_that_is_no_floor_above_demand():
     # One job in progress on one of two runners: each busy decision keeps 2,
-    # above the demand of 1 and within max_runners 2.
+    # at or above the demand of 1 and within max_runners 2.
     script, result = _busy_scale_down()
     busy = [i for i, (_, _, reason) in enumerate(result.decisions) if reason == "busy"]
     assert busy and monitors.busy_targets(result) == [] and monitors.violations(script, result)["busy"] == []
     tick, _, reason = result.decisions[busy[0]]
     _, queued, in_progress = result.poll_counts[busy[0]]
     assert (queued, in_progress) == (0, 1)
-    for target in (1, 3):  # at demand, or above max_runners
+    for target in (0, 3):  # below demand, or above max_runners
         result.decisions[busy[0]] = (tick, target, reason)
         assert monitors.busy_targets(result) == [(tick, target, 0, 1)]
     # A busy decision with no job in progress.

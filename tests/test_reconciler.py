@@ -101,7 +101,7 @@ def test_in_progress_job_pins_runner():
     now = 100.0
     jobs = [_job(status="in_progress")]
     state = ManagerState(last_active=now - 60)
-    assert compute_desired(jobs, 1, state, POLICY, now) == Decision(1, Reason.DEMAND)
+    assert compute_desired(jobs, 1, state, POLICY, now) == Decision(1, Reason.BUSY)
 
 
 def test_idle_when_fresh_and_no_work():

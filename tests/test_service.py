@@ -52,19 +52,23 @@ def test_single_queued_job_scales_once_within_one_poll():
 
 
 def test_poll_counts_queued_and_in_progress_jobs_apart():
-    # Three matching jobs and room for two runners. The 60 s poll stops
-    # reading at two queued jobs; by the 120 s poll both runners hold one.
-    # The counts differ, so a swap of the two would show.
-    script = ScenarioScript(
-        horizon=121,
-        events=[ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": LABELS}) for _ in range(3)],
-        initial_last_active=0,
-        policy={"max_runners": 2},
-    )
-    result = run_scenario(script)
-    assert not result.scenario_failed
-    assert result.poll_counts == [(0.0, 0, 0), (60.0, 2, 0), (120.0, 0, 2)]
-    assert_agrees_with_oracle(script, result)
+    # Three matching jobs. With room for four runners the 60 s poll counts
+    # three queued jobs, and by the 120 s poll the three runners hold one
+    # each; the counts differ, so a swap of the two would show. With room
+    # for two the 60 s poll stops reading at two queued jobs, and the 120 s
+    # poll, fresh at the cap, stops at the first job in progress: it is
+    # settled busy, and its count is a lower bound.
+    for max_runners, counts in [(4, [(60.0, 3, 0), (120.0, 0, 3)]), (2, [(60.0, 2, 0), (120.0, 0, 1)])]:
+        script = ScenarioScript(
+            horizon=121,
+            events=[ScenarioEvent(at=10, kind="enqueue_job", payload={"labels": LABELS}) for _ in range(3)],
+            initial_last_active=0,
+            policy={"max_runners": max_runners},
+        )
+        result = run_scenario(script)
+        assert not result.scenario_failed
+        assert result.poll_counts == [(0.0, 0, 0), *counts], max_runners
+        assert_agrees_with_oracle(script, result)
 
 
 def test_scale_down_written_exactly_once_after_completion():
@@ -224,11 +228,11 @@ def test_refused_merged_write_counts_once_a_poll(clock):
     assert [r.consecutive_kube_errors for r in records] == [1, 2]
 
 
-def _serve(clock, github_client, kube: FakeKube, stop: threading.Event, observer) -> int:
+def _serve(clock, github_client, kube: FakeKube, stop: threading.Event, observer, policy=Policy()) -> int:
     """run_service with ``github_client`` against fake Kubernetes until ``stop``."""
     config = Config(
         repo=RepoCoordinates("biocore", "unifrac"),
-        policy=Policy(),
+        policy=policy,
         kube_deployment="gha-runner",
         github_api_base="http://github.invalid",  # unused: the client is given
         github_token="t",
@@ -239,7 +243,7 @@ def _serve(clock, github_client, kube: FakeKube, stop: threading.Event, observer
     kube_client = KubeClient(
         KubeCredentials(api_base=kube.base_url, bearer_token="sa", ca_bundle=None, namespace="ci"),
         "gha-runner",
-        max_replicas=1,
+        max_replicas=policy.max_runners,
     )
     try:
         return run_service(
@@ -249,7 +253,9 @@ def _serve(clock, github_client, kube: FakeKube, stop: threading.Event, observer
         kube_client.close()
 
 
-def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=None) -> tuple[int, list]:
+def _run_polls(
+    clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=None, policy=Policy()
+) -> tuple[int, list]:
     """run_service against the fakes until ``polls`` records were published;
     ``on_record`` sees each record as it is published."""
     stop = threading.Event()
@@ -263,7 +269,7 @@ def _run_polls(clock, github: FakeGitHub, kube: FakeKube, polls: int, on_record=
             stop.set()
 
     with closing(GitHubClient(github.base_url, "t", clock=clock)) as github_client:
-        return _serve(clock, github_client, kube, stop, observe), records
+        return _serve(clock, github_client, kube, stop, observe, policy), records
 
 
 class _ScriptedGitHub:
@@ -274,7 +280,7 @@ class _ScriptedGitHub:
     def __init__(self, on_list: Callable[[], None]):
         self.on_list = on_list
 
-    def list_outstanding_jobs(self, repo, labels, cap, in_progress):
+    def list_outstanding_jobs(self, repo, labels, cap, in_progress, until_busy):
         self.on_list()
         return []
 
@@ -375,6 +381,31 @@ def _requests_per_poll(monkeypatch) -> tuple[list[list[tuple[str, str]]], Callab
         return handle(kube, request)
 
     monkeypatch.setattr(fake_kube_module, "_handle", recording_handle)
+    per_poll: list[list[tuple[str, str]]] = []
+
+    def on_record(record):
+        per_poll.append(list(sent))
+        sent.clear()
+
+    return per_poll, on_record
+
+
+def _requests_by_api_per_poll(monkeypatch) -> tuple[list[list[tuple[str, str]]], Callable]:
+    """An ``on_record`` that files each request each poll sent: GitHub's by
+    the run listing's status or as ``jobs``, Kubernetes' by method."""
+    sent: list[tuple[str, str]] = []
+    kube_handle, github_handle = fake_kube_module._handle, fake_github_module._handle
+
+    def noting_kube_handle(kube, request):
+        sent.append(("kube", request.method))
+        return kube_handle(kube, request)
+
+    def noting_github_handle(github, request):
+        sent.append(("github", request.query.get("status", "jobs")))
+        return github_handle(github, request)
+
+    monkeypatch.setattr(fake_kube_module, "_handle", noting_kube_handle)
+    monkeypatch.setattr(fake_github_module, "_handle", noting_github_handle)
     per_poll: list[list[tuple[str, str]]] = []
 
     def on_record(record):
@@ -518,24 +549,10 @@ def test_a_hand_scale_up_whose_runner_is_busy_is_listed_before_the_read_and_kept
     kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
     replica_writes = []
     kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
-    sent = []  # (API, method or listing) of each request, in the order sent
-    kube_handle, github_handle = fake_kube_module._handle, fake_github_module._handle
-
-    def noting_kube_handle(kube, request):
-        sent.append(("kube", request.method))
-        return kube_handle(kube, request)
-
-    def noting_github_handle(github, request):
-        sent.append(("github", request.query.get("status", "jobs")))
-        return github_handle(github, request)
-
-    monkeypatch.setattr(fake_kube_module, "_handle", noting_kube_handle)
-    monkeypatch.setattr(fake_github_module, "_handle", noting_github_handle)
-    per_poll = []
+    per_poll, note_requests = _requests_by_api_per_poll(monkeypatch)
 
     def on_record(record):
-        per_poll.append(list(sent))
-        sent.clear()
+        note_requests(record)
         if record.tick == 0.0:
             kube.apply_scale(1)  # not a patch of the manager's: on_scale_write stays silent
             github.register_runner("gha-runner-1", LABELS)
@@ -557,7 +574,7 @@ def test_a_hand_scale_up_whose_runner_is_busy_is_listed_before_the_read_and_kept
     assert stale.decided_at - records[0].decided_at == Policy().min_dwell
     # The in-progress run's job fills max_runners, so the queued runs go unlisted.
     assert per_poll[15] == [("github", "in_progress"), ("github", "jobs"), ("kube", "GET")]
-    assert (stale.in_progress, stale.observed_replicas, stale.desired, stale.reason) == (1, 1, 1, Reason.DEMAND)
+    assert (stale.in_progress, stale.observed_replicas, stale.desired, stale.reason) == (1, 1, 1, Reason.BUSY)
     assert {(r.in_progress, r.desired, r.wrote_scale) for r in records[15:]} == {(1, 1, False)}
 
 
@@ -605,7 +622,7 @@ def test_a_github_poll_that_outlasts_a_fresh_zero_leaves_the_read_to_the_next_ti
     slow, next_tick = records[14], records[15]
     assert (slow.tick, slow.decided_at, slow.observed_at, slow.in_progress, slow.desired) == (840.0, 960.0, 0.0, 0, 0)
     assert (next_tick.tick, next_tick.observed_at, next_tick.in_progress) == (960.0, 960.0, 1)
-    assert {(r.observed_replicas, r.desired, r.reason) for r in records[15:]} == {(1, 1, Reason.DEMAND)}
+    assert {(r.observed_replicas, r.desired, r.reason) for r in records[15:]} == {(1, 1, Reason.BUSY)}
 
 
 @pytest.mark.parametrize("replicas", [0, 1])
@@ -643,7 +660,7 @@ def test_a_job_busy_on_a_foreign_runner_counts_only_while_the_deployment_has_a_r
         assert github.api_request_count == 2 + 2 + 18
     else:
         assert replica_writes == [1]
-        assert {(r.queued, r.in_progress, r.desired, r.reason) for r in records[1:]} == {(0, 1, 1, Reason.DEMAND)}
+        assert {(r.queued, r.in_progress, r.desired, r.reason) for r in records[1:]} == {(0, 1, 1, Reason.BUSY)}
 
 
 def test_a_queued_job_in_a_run_in_progress_elsewhere_scales_up_from_zero_within_min_dwell(clock):
@@ -773,6 +790,109 @@ def test_a_hand_scale_down_during_demand_is_undone_at_the_next_read(clock):
     assert kube.spec_replicas == 1
 
 
+def _busy_at_the_cap(clock, max_runners: int, jobs: int) -> tuple[FakeGitHub, FakeKube]:
+    """The Deployment at ``max_runners`` replicas, each runner holding one of
+    ``jobs`` long matching jobs, and last-active recorded now."""
+    github = FakeGitHub(expected_token="t", clock=clock).start()
+    kube = FakeKube(clock=clock, initial_annotations={ANNOTATION_LAST_ACTIVE: to_rfc3339(clock.now())}).start()
+    kube.apply_scale(max_runners)
+    for _ in range(jobs):
+        github.enqueue_job(LABELS, duration=86400)
+    for i in range(1, max_runners + 1):
+        github.register_runner(f"gha-runner-{i}", LABELS)
+        assert github.claim_job(f"gha-runner-{i}") is not None
+    return github, kube
+
+
+def test_a_hand_scale_down_at_the_cap_is_undone_at_the_next_stale_read(clock, monkeypatch):
+    # max_runners 4: four runners each hold one of six long jobs. Right after
+    # the first poll read 4 replicas, someone scales the Deployment to 2, and
+    # GitHub puts the two removed runners' jobs back in the queue. The polls
+    # under min_dwell hold a fresh count at the cap: each stops at the first
+    # job in progress, decides busy 4 and sends no Kubernetes request. The
+    # stale poll at 900 s lists in full, reads 2 replicas and writes 4 for the
+    # four jobs that wait. Stopping at the first job in progress there would
+    # decide busy 2 and leave them waiting.
+    github, kube = _busy_at_the_cap(clock, max_runners=4, jobs=6)
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+    per_poll, note_requests = _requests_by_api_per_poll(monkeypatch)
+
+    def on_record(record):
+        note_requests(record)
+        if record.tick == 0.0:
+            kube.apply_scale(2)  # not a patch of the manager's: on_scale_write stays silent
+            assert github.deregister_runner("gha-runner-3") and github.deregister_runner("gha-runner-4")
+
+    try:
+        code, records = _run_polls(clock, github, kube, polls=16, on_record=on_record, policy=Policy(max_runners=4))
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    for record, requests in zip(records[1:15], per_poll[1:15]):
+        assert requests == [("github", "in_progress"), ("github", "jobs")]
+        assert (record.queued, record.in_progress, record.observed_replicas, record.desired, record.reason) == (
+            0, 1, 4, 4, Reason.BUSY
+        )
+    stale = records[15]
+    assert stale.decided_at == Policy().min_dwell
+    listing = [("github", "in_progress"), *[("github", "jobs")] * 2, ("github", "queued"), *[("github", "jobs")] * 2]
+    assert per_poll[15] == [*listing, ("kube", "GET"), ("kube", "PATCH")]
+    assert (stale.queued, stale.in_progress, stale.observed_replicas, stale.desired, stale.reason) == (
+        2, 2, 2, 4, Reason.DEMAND
+    )
+    assert (replica_writes, kube.spec_replicas) == ([(900.0, 4)], 4)
+
+
+def test_a_github_poll_that_outlasts_a_fresh_count_at_the_cap_leaves_the_read_to_the_next_tick(clock, monkeypatch):
+    # max_runners 2 and both runners busy. The GitHub poll of the 840 s
+    # tick holds a fresh count at the cap, so it stops at the first job in
+    # progress; it takes 120 s, past the instant the 0 s read turns min_dwell
+    # old. That poll decides busy and still reads nothing: a read would need
+    # the full listing it did not make. The next tick, at 960 s as the poll
+    # ends, lists both jobs and reads.
+    github, kube = _busy_at_the_cap(clock, max_runners=2, jobs=2)
+    replica_writes = []
+    kube.on_scale_write = lambda at, replicas: replica_writes.append((at, replicas))
+    per_poll, on_record = _requests_by_api_per_poll(monkeypatch)
+    stop = threading.Event()
+    records = []
+
+    def observe(record):
+        records.append(record)
+        on_record(record)
+        if len(records) == 17:
+            stop.set()
+
+    try:
+        with closing(GitHubClient(github.base_url, "t", clock=clock)) as github_client:
+            listing = github_client.list_outstanding_jobs
+
+            def slow_at_840(*args):
+                jobs = listing(*args)
+                if clock.now() == 840.0:
+                    clock.advance(120.0)
+                return jobs
+
+            github_client.list_outstanding_jobs = slow_at_840
+            code = _serve(clock, github_client, kube, stop, observe, Policy(max_runners=2))
+    finally:
+        github.close()
+        kube.close()
+    assert code == EXIT_OK
+    assert (replica_writes, kube.spec_replicas) == ([], 2)
+    slow, next_tick = records[14], records[15]
+    assert (slow.tick, slow.decided_at, slow.observed_at, slow.in_progress, slow.reason) == (
+        840.0, 960.0, 0.0, 1, Reason.BUSY
+    )
+    assert per_poll[14] == [("github", "in_progress"), ("github", "jobs")]
+    assert (next_tick.tick, next_tick.observed_at, next_tick.in_progress, next_tick.reason) == (
+        960.0, 960.0, 2, Reason.BUSY
+    )
+    assert per_poll[15] == [("github", "in_progress"), ("github", "jobs"), ("github", "jobs"), ("kube", "GET")]
+
+
 def _busy_script(fault: int) -> ScenarioScript:
     """A job that outlasts the run claims a runner from the 120 s poll on;
     a ``kube_fault`` of status ``fault`` starts at 200 s, mid-demand."""
@@ -858,7 +978,7 @@ def test_a_scale_up_under_min_dwell_after_an_idle_read_patches_without_a_read(mo
     assert dict(sent) == {0.0: [("GET", None)], 60.0: [("PATCH", {"spec": {"replicas": 1}})]}
     lines = _log_lines(result)
     assert lines[60.0] == _log_line(60.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
-    assert lines[120.0] == _log_line(120.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False)
+    assert lines[120.0] == _log_line(120.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False, reason="busy")
     assert_agrees_with_oracle(script, result)
 
 
@@ -906,7 +1026,9 @@ def test_the_poll_after_a_scale_up_from_zero_reads_only_if_a_keepalive_may_fall_
         assert (sent[360.0], sent[420.0], sent[480.0]) == ([("PATCH", {"spec": {"replicas": 1}})], read, read), policy
         lines = _log_lines(result)
         assert lines[360.0] == _log_line(360.0, queued=1, in_progress=0, observed=0, desired=1, wrote=True)
-        assert lines[420.0] == _log_line(420.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False)
+        assert lines[420.0] == _log_line(
+            420.0, queued=0, in_progress=1, observed=1, desired=1, wrote=False, reason="busy"
+        )
         # The tight policy reads at 0 s and at every poll at 1 replica: 120 s
         # to 300 s, 420 s and 480 s.
         assert result.kube_requests == {"GET": 7 if reads else 2, "PATCH": 3}
